@@ -3,8 +3,8 @@
 Every scenario spins up an in-process :class:`ReproDaemon` and injects
 one failure mode — sha-keyed worker SIGKILLs mid-request, ENOSPC on
 cache writes, torn and oversize protocol frames, slow-client stalls,
-admission floods, expired deadlines, an RSS budget breach, a fully
-wedged pool, and corrupted spill chunks — then gates that:
+admission floods, expired deadlines, an RSS budget breach, and a fully
+wedged pool — then gates that:
 
 * the daemon never crashes or deadlocks (every scenario ends with a
   successful ``ping`` on a fresh connection);
@@ -46,22 +46,16 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from repro.lang import load  # noqa: E402
 from repro.narada import (  # noqa: E402
     ArtifactCache,
     DaemonClient,
-    FaultInjector,
-    FaultPlan,
     PipelineConfig,
     PipelineOrchestrator,
     ReproDaemon,
     subject_specs,
 )
 from repro.narada.daemon import MAX_FRAME_BYTES, recv_frame  # noqa: E402
-from repro.runtime import VM, Execution, RoundRobinScheduler  # noqa: E402
 from repro.subjects import get_subject  # noqa: E402
-from repro.trace.columnar import ColumnarRecorder  # noqa: E402
-from repro.trace.spill import SpillingRecorder  # noqa: E402
 
 OUT_PATH = pathlib.Path(__file__).parent / "out" / "BENCH_chaos.json"
 
@@ -467,58 +461,6 @@ def scenario_wedged_pool(workdir, runs):
     return _scenario("wedged_pool", failures, rebuilds=rebuilds)
 
 
-_SPIN = """
-class Worker {
-  int acc;
-  void spin(int n) {
-    int i = 0;
-    while (i < n) {
-      this.acc = this.acc + i;
-      i = i + 1;
-    }
-  }
-}
-test Seed { Worker w = new Worker(); }
-"""
-
-
-def _record_spin(recorder, n=40):
-    table = load(_SPIN)
-    vm = VM(table)
-    _, env = vm.run_test("Seed")
-    worker = env["w"]
-    execution = Execution(vm, listeners=(recorder,))
-    for _ in range(2):
-        execution.spawn(
-            lambda ctx: vm.interp.call_method(ctx, worker, "spin", [n])
-        )
-    assert execution.run(
-        RoundRobinScheduler(), max_steps=100 * n + 10_000
-    ).completed
-    return recorder.packed
-
-
-def scenario_spill_corrupt():
-    """A corrupted spill chunk is *detectable*: its digest diverges."""
-    failures = []
-    reference = _record_spin(ColumnarRecorder("spin"))
-    clean = _record_spin(SpillingRecorder("spin", spill_rows=16))
-    corrupted = _record_spin(
-        SpillingRecorder(
-            "spin",
-            spill_rows=16,
-            fault_injector=FaultInjector(FaultPlan(spill=1.0)),
-        )
-    )
-    if clean.digest() != reference.digest():
-        failures.append("clean spilled trace digest diverged (recorder bug)")
-    if corrupted.digest() == reference.digest():
-        failures.append(
-            "corrupted spill chunk went undetected (digest unchanged)"
-        )
-    return _scenario("spill_corrupt", failures)
-
-
 # ----------------------------------------------------------------------
 # Driver.
 
@@ -546,7 +488,6 @@ def run_bench(
             scenario_deadline(workdir),
             scenario_rss_shed(workdir),
             scenario_wedged_pool(workdir, runs),
-            scenario_spill_corrupt(),
         ]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

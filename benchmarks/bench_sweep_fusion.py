@@ -12,8 +12,8 @@ packed traces (with the stack's ``interest_union``, exactly like the
 production fuzz path) and then swept repeatedly from storage.  Per
 trace, best-of-``rounds`` wall time of
 
-* **sequential** — four fresh pass instances, four ``run_sweep`` calls
-  (the engine's ``feed_packed`` shim path), and
+* **sequential** — four fresh pass instances, four singleton
+  ``run_sweep`` calls, and
 * **fused** — four fresh pass instances, one 4-pass ``run_sweep``.
 
 Gates: the race/probe reports of the two paths must be identical on

@@ -3,8 +3,8 @@
 Measures the three claims the columnar trace engine makes:
 
 * **detector throughput** — consuming a *stored* trace through each of
-  the engine's two feed protocols: the packed batch loop
-  (``feed_packed``) versus the object feed, i.e. iterating the lazy
+  the engine's two feed protocols: the packed batch loop (a singleton
+  ``run_sweep``) versus the object feed, i.e. iterating the lazy
   object view and delivering each reconstructed event through
   ``on_event``.  Since the tentpole change, traces exist only in packed
   form (the recorder packs rows directly; the memo and the persistent
@@ -43,6 +43,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from repro.analysis.sweep import run_sweep  # noqa: E402
 from repro.detect import DjitDetector, EraserDetector, FastTrackDetector  # noqa: E402
 from repro.lang import load  # noqa: E402
 from repro.runtime import Execution, RandomScheduler, VM  # noqa: E402
@@ -120,7 +121,7 @@ def _race_payload(race_set):
 def bench_detectors(packed: PackedTrace, repeat: int) -> tuple[dict, list]:
     """Best-of-``repeat`` events/sec per detector, both feed protocols.
 
-    The gated comparison is stored-trace consumption: ``feed_packed``
+    The gated comparison is stored-trace consumption: ``run_sweep``
     over the columns versus the object feed ``for event in packed:
     on_event(event)`` (lazy materialization + dispatch).  The
     dispatch-only row (events pre-built once, outside the timed
@@ -151,7 +152,7 @@ def bench_detectors(packed: PackedTrace, repeat: int) -> tuple[dict, list]:
 
             detector = detector_cls()
             start = time.perf_counter()
-            detector.feed_packed(packed)
+            run_sweep((detector,), packed)
             packed_best = min(packed_best, time.perf_counter() - start)
             packed_races = detector.races
         name = detector_cls().name

@@ -119,10 +119,6 @@ EXPECTED_REPORTS = {
         1,
         "PYTHONPATH=src python benchmarks/bench_corpus_recall.py",
     ),
-    "BENCH_compressed.json": (
-        1,
-        "PYTHONPATH=src python benchmarks/bench_compressed_traces.py",
-    ),
     "BENCH_static.json": (
         1,
         "PYTHONPATH=src python benchmarks/bench_static_filter.py",

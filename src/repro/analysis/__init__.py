@@ -7,7 +7,6 @@ lock-order — in a single decoded traversal.
 
 from repro.analysis.analyzer import SequentialTraceAnalyzer, analyze_traces
 from repro.analysis.sweep import (
-    AnalysisPass,
     KernelSpec,
     UnknownPassError,
     interest_union,
@@ -36,7 +35,6 @@ __all__ = [
     "RETURN",
     "AccessPath",
     "AccessRecord",
-    "AnalysisPass",
     "AnalysisResult",
     "KernelSpec",
     "MethodSummary",

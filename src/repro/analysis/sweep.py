@@ -1,20 +1,15 @@
 """The fused single-sweep analysis engine over packed traces.
 
 Every packed-trace consumer — the race detectors, the adjacency and
-coverage probes, the GoodLock lock-order analysis — used to carry its
-own hand-rolled ``feed_packed`` loop: k passes over a trace meant k
-copies of the opcode dispatch, the column indexing, and the per-thread
-clock caching.  This module replaces them with **one** sweep driver
-that decodes each row once and dispatches to every registered pass.
+coverage probes, the GoodLock and lock-order analyses — runs through
+:func:`run_sweep`, the one driver that decodes each row of an in-memory
+:class:`~repro.trace.columnar.PackedTrace` once and dispatches it to
+every pass, row by row.
 
 Architecture (DESIGN.md §9):
 
-* An **analysis pass** is any object with a ``name``, a declared
-  ``interests`` tuple of event classes (the same attribute the live
-  listener protocol uses), and a ``kernel_spec(packed)`` method
-  returning a :class:`KernelSpec`.  Passes keep their results on the
-  instance (``races``, ``confirmed``, ``units``, ...) or expose them
-  via ``finish()``.
+* An **analysis pass** is an object with the protocol described in
+  :func:`run_sweep`; the registry below maps pass names to classes.
 * A :class:`KernelSpec` describes how the pass consumes rows: either
   **source fragments** (per-opcode Python statements, inlined into a
   generated sweep function) or **handlers** (per-opcode callables, for
@@ -43,8 +38,8 @@ per-instance state enters through :attr:`KernelSpec.env`.
 Determinism: a fused sweep produces bit-identical per-pass results to
 running each pass standalone — pass states are disjoint (the shared
 clock store is an identical-evolution merge, not an approximation) —
-and the standalone sweep is bit-identical to the old per-detector
-loops (gated by tests/detect/test_packed_equivalence.py and
+and the standalone sweep is bit-identical to the passes' ``on_event``
+listeners (gated by tests/detect/test_packed_equivalence.py and
 tests/analysis/test_sweep_engine.py).
 """
 
@@ -59,92 +54,14 @@ from dataclasses import dataclass, field
 # repro.detect here would cycle (the detectors import this module).
 
 __all__ = [
-    "AnalysisPass",
     "KernelSpec",
-    "SummarySpec",
-    "SweepStats",
     "UnknownPassError",
-    "create_pass",
     "interest_union",
     "memo_key",
-    "register_pass",
     "registered_passes",
     "resolve_pass",
     "run_sweep",
 ]
-
-
-@dataclass
-class SummarySpec:
-    """How one pass's state is summarized across a repeated block.
-
-    The block-skipping sweep (DESIGN.md §13) replays the first two
-    occurrences of a :class:`~repro.trace.compressed.RepeatSeg`, takes
-    a canonical fingerprint of every pass's touched state after each,
-    and — when the fingerprints agree — applies the second
-    occurrence's counter deltas ``count - 2`` times and shifts stored
-    row references into the final occurrence instead of replaying.  A
-    pass opts in by attaching a ``SummarySpec`` to its
-    :class:`KernelSpec`; **any pass without one forces row-at-a-time
-    replay of every repeat block** (the sound default for passes the
-    engine cannot reason about, e.g. full-event handler passes).
-
-    The contract a summarizable pass promises (soundness rules in
-    DESIGN.md §13): its per-row transition is a deterministic function
-    of (a) state reachable through the fingerprint, (b) signature
-    columns of the current row and of rows at stored references, and
-    (c) *order* comparisons between stored references; values and
-    labels may be read only on paths that grow a fingerprinted
-    aggregate (e.g. recording a statically new race).
-
-    ``fingerprint_entry``/``shift_entry`` handle the pass's entry in
-    the shared per-address slot list; ``fingerprint_extra`` covers any
-    non-slot state (aggregate lengths, per-thread structures).  The
-    ``canon`` callable passed in maps a stored row reference to a
-    window-relative form (refs inside the just-replayed occurrence
-    compare by offset, refs outside by absolute row).
-    """
-
-    #: ``(entry, canon) -> comparable`` for this pass's slot entry
-    #: (``entry`` may be None); omit for passes without slot state.
-    fingerprint_entry: object | None = None
-    #: ``(entry, lo, hi, delta) -> entry`` returning the entry with
-    #: every row reference in ``[lo, hi)`` shifted by ``delta`` (may
-    #: mutate and return the same object).
-    shift_entry: object | None = None
-    #: ``(touched, canon) -> comparable`` for non-slot state; receives
-    #: the block's touched-ID sets (``touched.tids`` etc.).
-    fingerprint_extra: object | None = None
-    #: ``(touched, lo, hi, delta) -> None`` shifting non-slot row refs.
-    shift_extra: object | None = None
-    #: ``() -> tuple[int, ...]`` of linearly-accumulating counters
-    #: (e.g. ``races.dynamic_count``) scaled on skip.
-    counters: object = staticmethod(lambda: ())
-    #: ``(deltas, times) -> None`` applying ``times`` more occurrences'
-    #: worth of counter deltas.
-    scale: object = staticmethod(lambda deltas, times: None)
-
-
-@dataclass
-class SweepStats:
-    """Per-sweep accounting for ``--trace-stats`` and benchmarks."""
-
-    rows_total: int = 0
-    #: Rows actually pushed through the kernel.
-    rows_executed: int = 0
-    #: Rows covered by applying a converged block summary instead.
-    rows_skipped: int = 0
-    repeat_blocks: int = 0
-    blocks_summarized: int = 0
-    blocks_replayed: int = 0
-
-    def merge(self, other: "SweepStats") -> None:
-        self.rows_total += other.rows_total
-        self.rows_executed += other.rows_executed
-        self.rows_skipped += other.rows_skipped
-        self.repeat_blocks += other.repeat_blocks
-        self.blocks_summarized += other.blocks_summarized
-        self.blocks_replayed += other.blocks_replayed
 
 
 @dataclass
@@ -156,40 +73,17 @@ class KernelSpec:
     ``handlers`` maps opcodes to ``fn(i)`` callables for closure-based
     passes, and ``env`` carries the per-instance objects the fragments
     reference (hoisted into locals of the generated function).
-    ``summary`` opts the pass into block-skipping over compressed
-    traces (see :class:`SummarySpec`); None forces repeat blocks to
-    replay row-at-a-time whenever this pass is in the sweep.
     """
 
     needs_clock: bool = False
     fragments: dict[int, str] = field(default_factory=dict)
     handlers: dict[int, object] = field(default_factory=dict)
     env: dict[str, object] = field(default_factory=dict)
-    summary: SummarySpec | None = None
-
-
-class AnalysisPass:
-    """Protocol of a sweep pass (documentation; duck-typed, not enforced).
-
-    Required attributes::
-
-        name: str                      # registry / report name
-        interests: tuple[type, ...]    # event classes consumed (listener
-                                       # protocol; drives recorder elision)
-
-    Required method::
-
-        def kernel_spec(self, packed) -> KernelSpec: ...
-
-    Optional::
-
-        def finish(self): ...          # return a report fragment
-    """
 
 
 # ----------------------------------------------------------------------
-# Registry (entry-point style: passes plug in without touching the
-# driver; values are lazily imported "module:attr" strings or classes).
+# Registry: pass names to lazily imported "module:attr" entries,
+# replaced by the class on first resolution.
 
 _REGISTRY: dict[str, str | type] = {
     "fasttrack": "repro.detect.fasttrack:FastTrackDetector",
@@ -204,11 +98,6 @@ _REGISTRY: dict[str, str | type] = {
 
 class UnknownPassError(ValueError):
     """An unregistered pass name; the message lists what is registered."""
-
-
-def register_pass(name: str, entry: str | type) -> None:
-    """Register a pass class (or lazy ``"module:attr"`` entry point)."""
-    _REGISTRY[name] = entry
 
 
 def registered_passes() -> list[str]:
@@ -229,11 +118,6 @@ def resolve_pass(name: str) -> type:
         entry = getattr(module, attr)
         _REGISTRY[name] = entry
     return entry
-
-
-def create_pass(name: str):
-    """Instantiate a registered pass."""
-    return resolve_pass(name)()
 
 
 def interest_union(passes) -> tuple:
@@ -475,17 +359,17 @@ def _compile_kernel(specs: list[KernelSpec], timed: bool, label: str):
     if timed:
         env_lines += '    _tacc = env["__timings"]\n    _pc = _perf_counter\n'
     src = (
-        "def _sweep(packed, start, stop, env):\n"
+        "def _sweep(packed, env):\n"
         + col_lines
         + env_lines
-        + "    for i in range(start, stop):\n"
+        + "    for i in range(len(ops)):\n"
         "        op = ops[i]\n" + body_text
     )
     from repro.detect.clock import VectorClock
 
     namespace = {"VectorClock": VectorClock, "_perf_counter": time.perf_counter}
     exec(compile(src, f"<sweep:{label}>", "exec"), namespace)
-    return namespace["_sweep"], needs_clock, slot_index
+    return namespace["_sweep"], needs_clock, n_slots > 0
 
 
 #: Compiled kernels per (pass-class tuple, timed) — specs are required
@@ -493,149 +377,36 @@ def _compile_kernel(specs: list[KernelSpec], timed: bool, label: str):
 _KERNELS: dict[tuple, tuple] = {}
 
 
-#: Maximum occurrences of a repeat block replayed while probing for
-#: convergence (two consecutive equal fingerprints).  Transients are
-#: short in practice — occurrence 1 warms the state, occurrence 2 adds
-#: any cross-boundary effects, occurrence 3 confirms — so a small cap
-#: bounds wasted replay on genuinely non-convergent blocks.
-_PROBE_OCCURRENCES = 4
-
-
-class _Touched:
-    """The ID sets a repeat block's rows can reach in pass state."""
-
-    __slots__ = ("adrs", "tids", "locks")
-
-    def __init__(self, adrs, tids, locks) -> None:
-        self.adrs = adrs
-        self.tids = tids
-        self.locks = locks
-
-
-def _block_touched(packed, start: int, period: int) -> _Touched:
-    """Touched-ID sets over one occurrence (all occurrences agree —
-    the signature columns include ``tid``/``adr``/``x``)."""
-    from repro.trace.columnar import (
-        OP_FORK, OP_JOIN, OP_LOCK, OP_READ, OP_UNLOCK, OP_WRITE,
-    )
-
-    ops, tids_col, adrs, xs = packed.op, packed.tid, packed.adr, packed.x
-    adrs_set: set[int] = set()
-    tids: set[int] = set()
-    locks: set[int] = set()
-    for i in range(start, start + period):
-        op = ops[i]
-        tids.add(tids_col[i])
-        if op == OP_READ or op == OP_WRITE:
-            adrs_set.add(adrs[i])
-        elif op == OP_LOCK or op == OP_UNLOCK:
-            locks.add(xs[i])
-        elif op == OP_FORK or op == OP_JOIN:
-            tids.add(xs[i])
-    return _Touched(sorted(adrs_set), sorted(tids), sorted(locks))
-
-
-def _fingerprint(specs, slot_index, env, touched, lo: int, hi: int,
-                 needs_clock: bool):
-    """Canonical fingerprint of all touched pass state after replaying
-    occurrence ``[lo, hi)`` (row refs inside the window compare by
-    offset; see :class:`SummarySpec`)."""
-
-    def canon(ref):
-        if ref is None:
-            return None
-        if lo <= ref < hi:
-            return ("r", ref - lo)
-        return ref
-
-    parts: list = []
-    if needs_clock:
-        threads = env["__threads"]
-        locks = env["__locks"]
-        for tid in touched.tids:
-            clock = threads.get(tid)
-            parts.append(
-                None if clock is None else tuple(sorted(clock._times.items()))
-            )
-        for obj in touched.locks:
-            clock = locks.get(obj)
-            parts.append(
-                None if clock is None else tuple(sorted(clock._times.items()))
-            )
-    slots = env.get("__slots")
-    for k, spec in enumerate(specs):
-        summary = spec.summary
-        entry_fp = summary.fingerprint_entry
-        if entry_fp is not None and k in slot_index:
-            index = slot_index[k]
-            for adr in touched.adrs:
-                slot = slots.get(adr)
-                entry = None if slot is None else slot[index]
-                parts.append(entry_fp(entry, canon))
-        extra_fp = summary.fingerprint_extra
-        if extra_fp is not None:
-            parts.append(extra_fp(touched, canon))
-    return tuple(parts)
-
-
-def _shift_refs(specs, slot_index, env, touched, lo: int, hi: int,
-                delta: int) -> None:
-    """Move row refs stored during occurrence ``[lo, hi)`` forward by
-    ``delta`` so they land in the block's final occurrence — the rows
-    a full replay would have left behind (bit-identical payloads)."""
-    slots = env.get("__slots")
-    for k, spec in enumerate(specs):
-        summary = spec.summary
-        shift = summary.shift_entry
-        if shift is not None and k in slot_index:
-            index = slot_index[k]
-            for adr in touched.adrs:
-                slot = slots.get(adr)
-                if slot is not None and slot[index] is not None:
-                    slot[index] = shift(slot[index], lo, hi, delta)
-        if summary.shift_extra is not None:
-            summary.shift_extra(touched, lo, hi, delta)
-
-
-def run_sweep(passes, packed, start: int = 0, stop: int | None = None,
-              timings: list | None = None,
-              stats: SweepStats | None = None) -> SweepStats | None:
+def run_sweep(passes, packed, timings: list | None = None) -> None:
     """Decode ``packed`` once, dispatching every row to all ``passes``.
 
-    This is the single site in the codebase that decodes opcode
-    columns; ``feed_packed`` on every detector/probe delegates here as
-    a singleton sweep.  With ``timings`` (a list), the timed kernel
-    variant runs instead and per-pass seconds are written into it —
-    the ``--trace-stats`` per-pass attribution.
+    This is the only way a trace is analysed: ``packed`` is an
+    in-memory :class:`~repro.trace.columnar.PackedTrace`, swept row by
+    row from first to last.  With ``timings`` (a list), the timed
+    kernel variant runs instead and per-pass seconds are written into
+    it — the ``--trace-stats`` per-pass attribution.
 
-    ``packed`` may also be a
-    :class:`~repro.trace.compressed.CompressedTrace`: the sweep then
-    walks its segment plan, replaying literal rows normally and
-    summarizing repeat blocks whose per-pass state transform converges
-    (two replayed occurrences with equal canonical fingerprints — see
-    :class:`SummarySpec` and DESIGN.md §13).  Blocks that fail the
-    convergence check, and every block when any pass lacks a
-    ``summary``, replay row-at-a-time; results are bit-identical to
-    sweeping the underlying packed trace either way.  ``stats``
-    receives the block accounting when provided (and is also
-    returned).
+    A pass is any object with::
+
+        name: str                      # registry / report name
+        interests: tuple[type, ...]    # event classes consumed (listener
+                                       # protocol; drives recorder elision)
+        def kernel_spec(self, packed) -> KernelSpec: ...
+
+    and optionally ``finish()`` returning a report fragment.  Passes
+    keep their results on the instance (``races``, ``confirmed``,
+    ``units``, ...).
 
     Sweep state (the shared slot store, and each clocked pass's clock
     dicts) persists on the pass instances, so repeatedly sweeping the
     same instances over successive traces accumulates state exactly
-    like the old per-detector ``feed_packed`` loops did.  Reuse
-    instances only across sweeps of the same pass tuple.
+    like feeding their ``on_event`` listeners the concatenated
+    streams.  Reuse instances only across sweeps of the same pass
+    tuple.
     """
-    from repro.trace.compressed import CompressedTrace, RepeatSeg
-
-    segments = None
-    if isinstance(packed, CompressedTrace):
-        segments = packed.segments
-        packed = packed.packed
-
     passes = tuple(passes)
     if not passes:
-        return stats
+        return
     specs = [p.kernel_spec(packed) for p in passes]
     timed = timings is not None
     key = (tuple(type(p) for p in passes), timed)
@@ -643,7 +414,7 @@ def run_sweep(passes, packed, start: int = 0, stop: int | None = None,
     if cached is None:
         label = "+".join(getattr(p, "name", type(p).__name__) for p in passes)
         cached = _KERNELS[key] = _compile_kernel(specs, timed, label)
-    kernel, needs_clock, slot_index = cached
+    kernel, needs_clock, uses_slots = cached
 
     env: dict[str, object] = {}
     for k, spec in enumerate(specs):
@@ -651,7 +422,7 @@ def run_sweep(passes, packed, start: int = 0, stop: int | None = None,
             env[f"p{k}_{name}"] = obj
         for op, handler in spec.handlers.items():
             env[f"p{k}_h{op}"] = handler
-    if slot_index:
+    if uses_slots:
         holder = next(
             p for p, s in zip(passes, specs)
             if any("SLOT" in f for f in s.fragments.values())
@@ -673,96 +444,7 @@ def run_sweep(passes, packed, start: int = 0, stop: int | None = None,
         acc = [0.0] * len(passes)
         env["__timings"] = acc
 
-    stop = len(packed) if stop is None else stop
-    if stats is not None:
-        stats.rows_total += max(0, stop - start)
-
-    if segments is None:
-        kernel(packed, start, stop, env)
-        if stats is not None:
-            stats.rows_executed += max(0, stop - start)
-    else:
-        summarizable = all(s.summary is not None for s in specs)
-        for seg in segments:
-            # Clip the segment plan to the requested row range.
-            lo = max(seg.start, start)
-            if type(seg) is not RepeatSeg:
-                hi = min(seg.stop, stop)
-                if lo >= hi:
-                    continue
-                kernel(packed, lo, hi, env)
-                if stats is not None:
-                    stats.rows_executed += hi - lo
-                continue
-            period = seg.period
-            hi = min(seg.stop, stop)
-            if lo >= hi:
-                continue
-            count = (hi - lo) // period if lo == seg.start else 0
-            if stats is not None and count >= 2:
-                stats.repeat_blocks += 1
-            if not summarizable or count < 3:
-                kernel(packed, lo, hi, env)
-                if stats is not None:
-                    stats.rows_executed += hi - lo
-                    if count >= 2:
-                        stats.blocks_replayed += 1
-                continue
-            # Replay occurrences until two consecutive ones leave the
-            # same canonical fingerprint — the transient can span more
-            # than one occurrence (e.g. a cross-boundary interleaving
-            # unit first forms during occurrence 2) — then apply the
-            # converged occurrence's counter deltas to the rest and
-            # shift its row refs into the final occurrence.
-            touched = _block_touched(packed, lo, period)
-            kernel(packed, lo, lo + period, env)
-            fp_prev = _fingerprint(
-                specs, slot_index, env, touched, lo, lo + period, needs_clock
-            )
-            c_prev = [spec.summary.counters() for spec in specs]
-            converged_at = 0
-            probes = min(count - 1, _PROBE_OCCURRENCES)
-            for occ in range(2, probes + 1):
-                occ_lo = lo + (occ - 1) * period
-                kernel(packed, occ_lo, occ_lo + period, env)
-                fp = _fingerprint(
-                    specs, slot_index, env, touched,
-                    occ_lo, occ_lo + period, needs_clock,
-                )
-                counters = [spec.summary.counters() for spec in specs]
-                if fp == fp_prev:
-                    converged_at = occ
-                    break
-                fp_prev = fp
-                c_prev = counters
-            if converged_at:
-                occ_lo = lo + (converged_at - 1) * period
-                times = count - converged_at
-                for spec, before, after in zip(specs, c_prev, counters):
-                    deltas = tuple(b - a for a, b in zip(before, after))
-                    if any(deltas):
-                        spec.summary.scale(deltas, times)
-                _shift_refs(
-                    specs, slot_index, env, touched,
-                    occ_lo, occ_lo + period, times * period,
-                )
-                if stats is not None:
-                    stats.rows_executed += converged_at * period
-                    stats.rows_skipped += times * period
-                    stats.blocks_summarized += 1
-            else:
-                replayed = max(probes, 1)
-                kernel(packed, lo + replayed * period, lo + count * period, env)
-                if stats is not None:
-                    stats.rows_executed += count * period
-                    stats.blocks_replayed += 1
-            # Repeat tail rows truncated by `stop` clipping.
-            tail = lo + count * period
-            if tail < hi:
-                kernel(packed, tail, hi, env)
-                if stats is not None:
-                    stats.rows_executed += hi - tail
+    kernel(packed, env)
 
     if timed:
         timings[:] = acc
-    return stats

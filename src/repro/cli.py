@@ -117,8 +117,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-stats", action="store_true",
         help="print packed-trace statistics: per-stage event counts, "
-             "packed bytes, detector events/sec, compression ratio, "
-             "block-skipping counters, fuzz memo hit rate",
+             "packed bytes, detector events/sec, rows in repeat blocks, "
+             "fuzz memo hit rate",
     )
     parser.add_argument(
         "--no-static-filter", action="store_true",
@@ -476,27 +476,9 @@ def _run_subjects_pipeline(args) -> int:
             )
         _print_fault_summary(orch, always=True)
         if args.trace_stats:
-            detections = [
-                o.detection for o in outcomes if o.detection is not None
-            ]
-            events = bytes_total = hits = misses = skipped = blocks = 0
-            for detection in detections:
-                for fuzz in detection.fuzz_reports:
-                    events += fuzz.trace_events
-                    bytes_total += fuzz.packed_bytes
-                    hits += fuzz.memo_hits
-                    misses += fuzz.memo_misses
-                    skipped += fuzz.rows_skipped
-                    blocks += fuzz.repeat_blocks
-            runs = hits + misses
-            rate = (hits / runs * 100) if runs else 0.0
-            print(
-                f"\n-- trace stats --\n"
-                f"fuzz (all subjects): {events} events, {bytes_total} "
-                f"packed bytes over {runs} run(s); memo {hits} hit(s) / "
-                f"{misses} miss(es) ({rate:.1f}% hit rate); "
-                f"{blocks} repeat block(s), {skipped} row(s) skipped"
-            )
+            print("\n-- trace stats --")
+            detections = [o.detection for o in outcomes if o.detection is not None]
+            print(f"fuzz (all subjects): {_fuzz_stats(detections)}")
     return 0
 
 
@@ -504,7 +486,6 @@ def cmd_run(args) -> int:
     import time
 
     from repro.analysis.sweep import (
-        SweepStats,
         UnknownPassError,
         interest_union,
         resolve_pass,
@@ -512,7 +493,6 @@ def cmd_run(args) -> int:
     )
     from repro.runtime import Execution, RandomScheduler
     from repro.trace.columnar import ColumnarRecorder
-    from repro.trace.compressed import compress_trace
 
     if args.subjects:
         return _run_subjects_pipeline(args)
@@ -532,8 +512,8 @@ def cmd_run(args) -> int:
         [args.test] if args.test else [t.name for t in table.program.tests]
     )
     trace_stats = getattr(args, "trace_stats", False)
-    sweep_stats = SweepStats()
-    total_rows = plan_rows = blocks = 0
+    traces = []
+    total_rows = 0
     sweep_seconds = 0.0
     exit_code = 0
     for name in test_names:
@@ -544,7 +524,7 @@ def cmd_run(args) -> int:
         failures = 0
         for seed in range(args.runs):
             vm = VM(table)
-            recorder = ColumnarRecorder.create(name, interests=interests)
+            recorder = ColumnarRecorder(name, interests=interests)
             execution = Execution(vm, listeners=(recorder,))
             execution.spawn(
                 lambda ctx, body=test.body.stmts: vm.interp.run_client_stmts(
@@ -557,14 +537,10 @@ def cmd_run(args) -> int:
             passes = [cls() for cls in pass_classes]
             trace = recorder.packed
             if trace_stats:
-                trace = compress_trace(trace)
-                cstats = trace.stats()
-                total_rows += cstats.total_rows
-                plan_rows += cstats.compressed_rows
-                blocks += cstats.repeat_blocks
+                traces.append(trace)
+            total_rows += len(trace)
             started = time.perf_counter()
-            run_sweep(passes, trace,
-                      stats=sweep_stats if trace_stats else None)
+            run_sweep(passes, trace)
             sweep_seconds += time.perf_counter() - started
             for sweep_pass in passes:
                 race_set = getattr(sweep_pass, "races", None)
@@ -579,19 +555,10 @@ def cmd_run(args) -> int:
         if races or failures:
             exit_code = 1
     if trace_stats:
-        ratio = (total_rows / plan_rows) if plan_rows else 1.0
-        rate = (
-            sweep_stats.rows_total / sweep_seconds
-            if sweep_seconds > 0 else float("inf")
-        )
+        rate = total_rows / sweep_seconds if sweep_seconds > 0 else float("inf")
         print(
-            f"\n-- trace stats --\n"
-            f"compression: {total_rows} rows -> {plan_rows} plan rows "
-            f"({ratio:.1f}x), {blocks} repeat block(s)\n"
-            f"compressed sweep ({'+'.join(names)}): {rate:,.0f} events/sec, "
-            f"{sweep_stats.rows_skipped} row(s) skipped "
-            f"({sweep_stats.blocks_summarized} block(s) summarized, "
-            f"{sweep_stats.blocks_replayed} replayed)"
+            f"\n-- trace stats --\n{_repetition(traces)}\n"
+            f"sweep ({'+'.join(names)}): {rate:,.0f} events/sec"
         )
     return exit_code
 
@@ -665,28 +632,9 @@ def cmd_tables(args) -> int:
         )
     _print_fault_summary(orch)
     if args.trace_stats and args.detect:
-        # Aggregate the deterministic fuzz counters across subjects.
-        events = bytes_total = hits = misses = 0
-        skipped = blocks = 0
-        for outcome in outcomes:
-            if outcome.detection is None:
-                continue
-            for fuzz in outcome.detection.fuzz_reports:
-                events += fuzz.trace_events
-                bytes_total += fuzz.packed_bytes
-                hits += fuzz.memo_hits
-                misses += fuzz.memo_misses
-                skipped += fuzz.rows_skipped
-                blocks += fuzz.repeat_blocks
-        runs = hits + misses
-        rate = (hits / runs * 100) if runs else 0.0
-        print(
-            f"\n-- trace stats --\n"
-            f"fuzz (all subjects): {events} events, {bytes_total} packed "
-            f"bytes over {runs} run(s); memo {hits} hit(s) / {misses} "
-            f"miss(es) ({rate:.1f}% hit rate); {blocks} repeat block(s), "
-            f"{skipped} row(s) skipped"
-        )
+        detections = [o.detection for o in outcomes if o.detection is not None]
+        print("\n-- trace stats --")
+        print(f"fuzz (all subjects): {_fuzz_stats(detections)}")
     return 0
 
 
@@ -1020,18 +968,14 @@ def _trace_stats(source: str, detections=None) -> None:
     over each trace (fresh pass instances per trace), with the
     accumulated per-pass seconds printed as a time share so a
     throughput regression is attributable to a specific pass.
-    Fuzz-stage numbers (events, bytes, memo hit rate) are aggregated
-    from the deterministic counters each FuzzReport already carries, so
-    they reflect the actual run whether it came from the pool, the
-    cache, or inline execution.
+    Fuzz-stage numbers come from :func:`_fuzz_stats`.
     """
     import time
 
-    from repro.analysis.sweep import SweepStats, run_sweep
+    from repro.analysis.sweep import run_sweep
     from repro.detect import EraserDetector, FastTrackDetector
     from repro.detect.djit import DjitDetector
     from repro.fuzz.probes import AdjacencyProbe
-    from repro.trace.compressed import compress_trace
 
     narada = Narada(source)
     traces = narada.run_seed_suite()
@@ -1068,52 +1012,43 @@ def _trace_stats(source: str, detections=None) -> None:
         for cls, seconds in zip(stack, per_pass)
     )
     print(f"  pass time share: {shares}")
-    # Compressed view of the same suite: segment-plan size and the rows
-    # the block-skipping sweep actually avoided decoding (trace/
-    # compressed.py, DESIGN.md §13).
-    compressed = [compress_trace(trace) for trace in traces]
-    total_rows = sum(c.stats().total_rows for c in compressed)
-    plan_rows = sum(c.stats().compressed_rows for c in compressed)
-    blocks = sum(c.stats().repeat_blocks for c in compressed)
-    ratio = (total_rows / plan_rows) if plan_rows else 1.0
-    sweep_stats = SweepStats()
-    start = time.perf_counter()
-    for trace in compressed:
-        run_sweep([cls() for cls in stack], trace, stats=sweep_stats)
-    compressed_seconds = time.perf_counter() - start
-    crate = (
-        total_events / compressed_seconds
-        if compressed_seconds > 0 else float("inf")
-    )
-    print(
-        f"  compression: {total_rows} rows -> {plan_rows} plan rows "
-        f"({ratio:.1f}x), {blocks} repeat block(s)"
-    )
-    print(
-        f"  compressed sweep: {crate:,.0f} events/sec, "
-        f"{sweep_stats.rows_skipped} row(s) skipped "
-        f"({sweep_stats.blocks_summarized} block(s) summarized, "
-        f"{sweep_stats.blocks_replayed} replayed)"
-    )
-    if not detections:
-        return
+    print(f"  {_repetition(traces)}")
+    if detections:
+        print(f"fuzz: {_fuzz_stats(detections)}")
+
+
+def _repetition(traces) -> str:
+    """How many rows of ``traces`` sit in repeat blocks (DESIGN.md §13)."""
+    from repro.trace.compressed import compress_trace
+
+    total = in_repeats = blocks = 0
+    for trace in traces:
+        stats = compress_trace(trace).stats()
+        total += stats.total_rows
+        in_repeats += stats.rows_in_repeats
+        blocks += stats.repeat_blocks
+    return f"repetition: {in_repeats} of {total} rows in {blocks} repeat block(s)"
+
+
+def _fuzz_stats(detections) -> str:
+    """Fuzz-stage trace counters summed over detection reports.
+
+    The counters are the deterministic ones each FuzzReport carries, so
+    they reflect the actual run whether it came from the pool, the
+    cache, or inline execution.
+    """
     events = bytes_total = hits = misses = 0
-    skipped = fuzz_blocks = 0
     for detection in detections:
         for fuzz in detection.fuzz_reports:
             events += fuzz.trace_events
             bytes_total += fuzz.packed_bytes
             hits += fuzz.memo_hits
             misses += fuzz.memo_misses
-            skipped += fuzz.rows_skipped
-            fuzz_blocks += fuzz.repeat_blocks
     runs = hits + misses
     rate = (hits / runs * 100) if runs else 0.0
-    print(
-        f"fuzz: {events} events, {bytes_total} packed bytes over "
-        f"{runs} run(s); memo {hits} hit(s) / {misses} miss(es) "
-        f"({rate:.1f}% hit rate); {fuzz_blocks} repeat block(s), "
-        f"{skipped} row(s) skipped"
+    return (
+        f"{events} events, {bytes_total} packed bytes over {runs} run(s); "
+        f"memo {hits} hit(s) / {misses} miss(es) ({rate:.1f}% hit rate)"
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sweep import KernelSpec, SummarySpec, run_sweep
+from repro.analysis.sweep import KernelSpec
 from repro.trace.columnar import OP_LOCK, OP_UNLOCK
 from repro.trace.events import Event, LockEvent, UnlockEvent
 
@@ -125,31 +125,7 @@ class GoodLockDetector:
                 if xs[i] in stack:
                     stack.remove(xs[i])
 
-        # Block-summary hooks: state is the per-thread held stacks
-        # (lock object ids, no row refs) plus append-only aggregates.
-        # A nested acquisition inside an occurrence appends to
-        # ``edges`` every time, so len(edges) equality between two
-        # occurrences proves the remaining occurrences append nothing
-        # — skipping them leaves ``edges``/``potential`` bit-identical.
-        return KernelSpec(
-            handlers={OP_LOCK: on_lock, OP_UNLOCK: on_unlock},
-            summary=SummarySpec(fingerprint_extra=self._summary_extra),
-        )
-
-    def _summary_extra(self, touched, canon) -> tuple:
-        return (
-            tuple(
-                (tid, tuple(self._held.get(tid, ())))
-                for tid in touched.tids
-            ),
-            len(self.edges),
-            len(self.potential),
-        )
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch twin of :meth:`on_event` over a packed trace (runs as
-        a singleton sweep of the fused analysis engine)."""
-        run_sweep((self,), packed, start=start, stop=stop)
+        return KernelSpec(handlers={OP_LOCK: on_lock, OP_UNLOCK: on_unlock})
 
     def _add_edge(self, edge: LockOrderEdgeObs) -> None:
         for other in self.edges:

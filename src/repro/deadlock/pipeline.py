@@ -52,7 +52,7 @@ class DeadlockPipeline:
             traces = []
             for test in self.table.program.tests:
                 vm = VM(self.table, seed=self.seed)
-                recorder = ColumnarRecorder.create(test.name)
+                recorder = ColumnarRecorder(test.name)
                 vm.run_test(test.name, listeners=(recorder,))
                 traces.append(recorder.packed)
             self._traces = traces

@@ -14,7 +14,7 @@ per-variable state intentionally stays full vector clocks.
 
 from __future__ import annotations
 
-from repro.analysis.sweep import KernelSpec, SummarySpec, run_sweep
+from repro.analysis.sweep import KernelSpec
 from repro.detect.clock import VectorClock
 from repro.detect.report import AccessInfo, RaceRecord, RaceSet
 from repro.trace.columnar import OP_READ, OP_WRITE
@@ -73,31 +73,6 @@ for P_reader_tid, P_read_time in P_var.reads._times.items():
 P_var.writes.set_time(tid, my_time)
 P_var.last_writes[tid] = i
 """
-
-
-def _fingerprint_var(var: "_VarState | None", canon) -> tuple | None:
-    """Canonical form of one per-address state (block-summary hook)."""
-    if var is None:
-        return None
-    return (
-        tuple(sorted(var.reads._times.items())),
-        tuple(sorted(var.writes._times.items())),
-        tuple(sorted(
-            (tid, canon(row)) for tid, row in var.last_writes.items()
-        )),
-        tuple(sorted(
-            (tid, canon(row)) for tid, row in var.last_reads.items()
-        )),
-    )
-
-
-def _shift_var(var: "_VarState", lo: int, hi: int, delta: int) -> "_VarState":
-    """Shift stored row refs in ``[lo, hi)`` by ``delta`` (in place)."""
-    for refs in (var.last_writes, var.last_reads):
-        for tid, row in refs.items():
-            if lo <= row < hi:
-                refs[tid] = row + delta
-    return var
 
 
 class DjitDetector:
@@ -200,34 +175,7 @@ class DjitDetector:
             needs_clock=True,
             fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
             env={"Var": _VarState, "report": self._report_rows},
-            summary=SummarySpec(
-                fingerprint_entry=_fingerprint_var,
-                shift_entry=_shift_var,
-                fingerprint_extra=self._summary_extra,
-                counters=self._summary_counters,
-                scale=self._summary_scale,
-            ),
         )
-
-    # Block-summary hooks (see SummarySpec / DESIGN.md §13).
-
-    def _summary_extra(self, touched, canon) -> int:
-        return len(self.races._seen)
-
-    def _summary_counters(self) -> tuple:
-        return (self.races.dynamic_count,)
-
-    def _summary_scale(self, deltas, times) -> None:
-        self.races.dynamic_count += deltas[0] * times
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch-consume rows of a :class:`PackedTrace`.
-
-        Runs as a singleton sweep of the fused analysis engine, with
-        the full-vector-clock access rules from the fragments above.
-        Do not mix packed and object feeding on one detector instance.
-        """
-        run_sweep((self,), packed, start=start, stop=stop)
 
     def _report_rows(self, packed, prev_row: int, cur_row: int) -> None:
         """Report a race between two packed access rows (cold path)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.analysis.sweep import KernelSpec, SummarySpec, run_sweep
+from repro.analysis.sweep import KernelSpec
 from repro.detect.report import AccessInfo, RaceRecord, RaceSet
 from repro.trace.columnar import OP_READ, OP_WRITE
 from repro.trace.events import AccessEvent, Event, ReadEvent, WriteEvent
@@ -100,27 +100,6 @@ P_var.last_by_thread[tid] = i
 """
 
 
-def _fingerprint_var(var: "_VarState | None", canon) -> tuple | None:
-    """Canonical form of one per-address state (block-summary hook)."""
-    if var is None:
-        return None
-    return (
-        var.state, var.owner, var.lockset,
-        tuple(sorted(
-            (tid, canon(row)) for tid, row in var.last_by_thread.items()
-        )),
-    )
-
-
-def _shift_var(var: "_VarState", lo: int, hi: int, delta: int) -> "_VarState":
-    """Shift stored row refs in ``[lo, hi)`` by ``delta`` (in place)."""
-    last_by_thread = var.last_by_thread
-    for tid, row in last_by_thread.items():
-        if lo <= row < hi:
-            last_by_thread[tid] = row + delta
-    return var
-
-
 class EraserDetector:
     """Lockset-based dynamic race detector."""
 
@@ -157,37 +136,7 @@ class EraserDetector:
                 "SHARED": _SHARED,
                 "SHARED_MODIFIED": _SHARED_MODIFIED,
             },
-            summary=SummarySpec(
-                fingerprint_entry=_fingerprint_var,
-                shift_entry=_shift_var,
-                fingerprint_extra=self._summary_extra,
-                counters=self._summary_counters,
-                scale=self._summary_scale,
-            ),
         )
-
-    # Block-summary hooks (see SummarySpec / DESIGN.md §13).  The
-    # ``labels[a] > labels[b]`` recency pick in :meth:`_check_row` is
-    # an order comparison (labels increase with row index), so it is
-    # invariant under the engine's ref shifting.
-
-    def _summary_extra(self, touched, canon) -> int:
-        return len(self.races._seen)
-
-    def _summary_counters(self) -> tuple:
-        return (self.races.dynamic_count,)
-
-    def _summary_scale(self, deltas, times) -> None:
-        self.races.dynamic_count += deltas[0] * times
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch-consume rows of a :class:`PackedTrace`.
-
-        Runs as a singleton sweep of the fused analysis engine; the
-        fragments above are the :meth:`_transition` state machine.  Do
-        not mix packed and object feeding on one detector instance.
-        """
-        run_sweep((self,), packed, start=start, stop=stop)
 
     def _check_row(self, packed, var: _VarState, row: int, is_write: bool) -> None:
         """Row-index twin of :meth:`_check` (cold reporting path)."""

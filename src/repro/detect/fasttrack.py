@@ -26,7 +26,7 @@ every last-access pointer update is preserved, only their cost changed.
 
 from __future__ import annotations
 
-from repro.analysis.sweep import KernelSpec, SummarySpec, run_sweep
+from repro.analysis.sweep import KernelSpec
 from repro.detect.clock import VectorClock
 from repro.detect.report import AccessInfo, RaceRecord, RaceSet
 from repro.trace.columnar import OP_READ, OP_WRITE
@@ -59,7 +59,7 @@ class _VarState:
 
 
 # Sweep-kernel fragments (see analysis/sweep.py for the placeholder
-# contract).  These are the feed_packed access rules verbatim: the
+# contract).  These are the ``on_event`` access rules over rows: the
 # epoch checks read ``VectorClock._times`` directly via the sweep's
 # shared ``times_get``, and per-variable state lives in the shared
 # per-address slot list.
@@ -102,34 +102,6 @@ P_var.write_tid = tid
 P_var.write_time = my_time
 P_var.last_write = i
 """
-
-
-def _fingerprint_var(var: "_VarState | None", canon) -> tuple | None:
-    """Canonical form of one per-address state (block-summary hook)."""
-    if var is None:
-        return None
-    read_clock = var.read_clock
-    return (
-        var.write_tid, var.write_time, var.read_tid, var.read_time,
-        None if read_clock is None
-        else tuple(sorted(read_clock._times.items())),
-        canon(var.last_write),
-        tuple(sorted(
-            (tid, canon(row)) for tid, row in var.last_reads.items()
-        )),
-    )
-
-
-def _shift_var(var: "_VarState", lo: int, hi: int, delta: int) -> "_VarState":
-    """Shift stored row refs in ``[lo, hi)`` by ``delta`` (in place)."""
-    last_write = var.last_write
-    if last_write is not None and lo <= last_write < hi:
-        var.last_write = last_write + delta
-    last_reads = var.last_reads
-    for tid, row in last_reads.items():
-        if lo <= row < hi:
-            last_reads[tid] = row + delta
-    return var
 
 
 class FastTrackDetector:
@@ -265,44 +237,7 @@ class FastTrackDetector:
             needs_clock=True,
             fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
             env={"Var": _VarState, "report": self._report_rows},
-            summary=SummarySpec(
-                fingerprint_entry=_fingerprint_var,
-                shift_entry=_shift_var,
-                fingerprint_extra=self._summary_extra,
-                counters=self._summary_counters,
-                scale=self._summary_scale,
-            ),
         )
-
-    # Block-summary hooks (see SummarySpec / DESIGN.md §13): the
-    # fragments above read only signature columns plus order-invariant
-    # label comparisons on their hot paths; recording a statically new
-    # race grows ``races._seen`` and therefore breaks convergence, so
-    # the only effect a skipped occurrence can have is the
-    # ``dynamic_count`` bump scaled here.
-
-    def _summary_extra(self, touched, canon) -> int:
-        return len(self.races._seen)
-
-    def _summary_counters(self) -> tuple:
-        return (self.races.dynamic_count,)
-
-    def _summary_scale(self, deltas, times) -> None:
-        self.races.dynamic_count += deltas[0] * times
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch-consume rows of a :class:`PackedTrace`.
-
-        Semantically identical to replaying ``on_event`` over the
-        reconstructed events, but runs as a singleton sweep of the
-        fused analysis engine: the access rules from
-        :data:`_READ_FRAGMENT` / :data:`_WRITE_FRAGMENT` are inlined
-        into the generated sweep loop — no event objects, no handler
-        dispatch, per-variable state keyed on the interned address id.
-        Feed a given detector instance through exactly one protocol —
-        packed var-state rows and object var-state events do not mix.
-        """
-        run_sweep((self,), packed, start=start, stop=stop)
 
     # ------------------------------------------------------------------
 

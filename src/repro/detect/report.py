@@ -80,7 +80,7 @@ class AccessInfo:
         """Build the report-side view of one packed access row.
 
         The columnar counterpart of :meth:`from_event`: the detectors'
-        ``feed_packed`` loops keep row indices in their per-variable
+        sweep fragments keep row indices in their per-variable
         state and only materialize AccessInfo when a race is reported.
         """
         from repro.trace.columnar import OP_WRITE

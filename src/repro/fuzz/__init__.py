@@ -1,7 +1,7 @@
 """Schedule fuzzing and systematic exploration of synthesized tests."""
 
 from repro.fuzz.chess import BoundedExplorer, ChessResult, explore_test
-from repro.fuzz.probes import AdjacencyProbe, SiteWatcher
+from repro.fuzz.probes import AdjacencyProbe
 from repro.fuzz.racefuzzer import FuzzReport, RaceFuzzer
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "ChessResult",
     "FuzzReport",
     "RaceFuzzer",
-    "SiteWatcher",
     "explore_test",
 ]
 

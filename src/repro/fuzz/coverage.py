@@ -19,13 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sweep import (
-    KernelSpec,
-    SummarySpec,
-    interest_union,
-    run_sweep,
-)
-from repro.fuzz.probes import _fingerprint_row, _shift_row
+from repro.analysis.sweep import KernelSpec, interest_union, run_sweep
 from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
@@ -83,22 +77,10 @@ class InterleavingCoverageProbe:
         )
 
     def kernel_spec(self, packed) -> KernelSpec:
-        # Block-summary hooks mirror AdjacencyProbe's: bare row-index
-        # slot entries plus the ``units`` aggregate length.
         return KernelSpec(
             fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
             env={"add": self.units.add},
-            summary=SummarySpec(
-                fingerprint_entry=_fingerprint_row,
-                shift_entry=_shift_row,
-                fingerprint_extra=lambda touched, canon: len(self.units),
-            ),
         )
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch twin of :meth:`on_event` over a packed trace (runs as
-        a singleton sweep of the fused analysis engine)."""
-        run_sweep((self,), packed, start=start, stop=stop)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sweep import KernelSpec, SummarySpec, run_sweep
+from repro.analysis.sweep import KernelSpec
 from repro.trace.columnar import OP_READ, OP_WRITE
 from repro.trace.events import AccessEvent, Event, WriteEvent
 
@@ -42,15 +42,6 @@ if P_previous is not None and tids[P_previous] != tid:
         P_b = nodes[i]
         P_add((strtab[clss[i]], strtab[flds[i]], (P_a, P_b) if P_a <= P_b else (P_b, P_a)))
 """
-
-
-def _fingerprint_row(entry, canon):
-    """Slot entries are bare previous-row indices; canon them directly."""
-    return canon(entry)
-
-
-def _shift_row(entry: int, lo: int, hi: int, delta: int) -> int:
-    return entry + delta if lo <= entry < hi else entry
 
 
 @dataclass
@@ -83,41 +74,7 @@ class AdjacencyProbe:
         self.confirmed.add((event.class_name, event.field_name, sites))
 
     def kernel_spec(self, packed) -> KernelSpec:
-        # Block-summary hooks: the slot entry is the raw previous-row
-        # index; confirmations derive from signature columns only, and
-        # ``confirmed`` is a set, so a converged block's repeats are
-        # pure re-adds (len(confirmed) is fingerprinted to prove it).
         return KernelSpec(
             fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
             env={"add": self.confirmed.add},
-            summary=SummarySpec(
-                fingerprint_entry=_fingerprint_row,
-                shift_entry=_shift_row,
-                fingerprint_extra=lambda touched, canon: len(self.confirmed),
-            ),
         )
-
-    def feed_packed(self, packed, start: int = 0, stop: int | None = None) -> None:
-        """Batch twin of :meth:`on_event` over a :class:`PackedTrace`.
-
-        Runs as a singleton sweep of the fused analysis engine;
-        adjacency is tracked per interned address id (bijective with
-        the event-model address), remembering row indices.  Do not mix
-        packed and object feeding on one probe instance.
-        """
-        run_sweep((self,), packed, start=start, stop=stop)
-
-
-@dataclass
-class SiteWatcher:
-    """Remembers the most recent access per static site (directed runs)."""
-
-    interests = (AccessEvent,)
-
-    last_by_site: dict[int, AccessEvent] = field(default_factory=dict)
-    last_event: AccessEvent | None = None
-
-    def on_event(self, event: Event) -> None:
-        if isinstance(event, AccessEvent):
-            self.last_by_site[event.node_id] = event
-            self.last_event = event

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.analysis.sweep import SweepStats, interest_union, memo_key, run_sweep
+from repro.analysis.sweep import interest_union, memo_key, run_sweep
 from repro.detect.eraser import EraserDetector
 from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceRecord, RaceSet, collect_constant_write_sites
@@ -50,18 +50,10 @@ from repro.runtime.vm import ThreadStatus
 from repro.synth.runner import PreparedRun, TestRunner
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder, PackedTrace
-from repro.trace.compressed import compress_trace
 from repro.trace.events import AccessEvent
 
 #: Step budget for each phase of a directed confirmation attempt.
 DIRECTED_PHASE_STEPS = 20_000
-
-#: Packed traces at or above this many rows are run through
-#: :func:`compress_trace` before the sweep so repeat blocks can be
-#: summarized instead of re-decoded.  Content-derived (row count), so a
-#: run compresses identically serially or on any pool worker; below the
-#: threshold the detection scan costs more than it could save.
-COMPRESS_MIN_ROWS = 256
 
 #: The fuzz analysis stack, swept fused over each recorded run.
 _FUZZ_PASSES = (FastTrackDetector, EraserDetector, AdjacencyProbe)
@@ -118,13 +110,6 @@ class FuzzReport:
     replay skipped, races unioned from the memo."""
     memo_misses: int = 0
     """Runs that actually replayed the detectors (first-seen digests)."""
-    compressed_rows: int = 0
-    """Sum of compressed-plan rows (literal rows + one period per
-    repeat block) across the runs that replayed the detectors."""
-    repeat_blocks: int = 0
-    """Repeat blocks the sweeps encountered across replayed runs."""
-    rows_skipped: int = 0
-    """Rows covered by a converged block summary instead of decoding."""
     budget_runs: int = 0
     """Random-phase runs this test was budgeted (the static pre-filter
     halves the budget for deadlock-watch tests; equals the configured
@@ -245,7 +230,7 @@ class RaceFuzzer:
         self, test: SynthesizedTest, report: FuzzReport, memo: dict, runs: int
     ) -> None:
         for run_index in range(runs):
-            recorder = ColumnarRecorder.create(test.name, interests=_FUZZ_INTERESTS)
+            recorder = ColumnarRecorder(test.name, interests=_FUZZ_INTERESTS)
             runner = TestRunner(
                 self._table,
                 vm_seed=self._vm_seed,
@@ -277,20 +262,7 @@ class RaceFuzzer:
             fasttrack = FastTrackDetector()
             eraser = EraserDetector()
             probe = AdjacencyProbe()
-            # Long traces get a compressed segment plan first: the sweep
-            # replays each repeat block until its state transform
-            # converges, then applies the summary to the rest
-            # (bit-identical results — DESIGN.md §13).
-            trace = packed
-            if len(packed) >= COMPRESS_MIN_ROWS:
-                trace = compress_trace(packed)
-                report.compressed_rows += trace.stats().compressed_rows
-            else:
-                report.compressed_rows += len(packed)
-            stats = SweepStats()
-            run_sweep((fasttrack, eraser, probe), trace, stats=stats)
-            report.repeat_blocks += stats.repeat_blocks
-            report.rows_skipped += stats.rows_skipped
+            run_sweep((fasttrack, eraser, probe), packed)
             entry = memo[digest] = (
                 fasttrack.races,
                 eraser.races,
@@ -367,7 +339,7 @@ class RaceFuzzer:
         leader: int,
         memo: dict,
     ) -> bool:
-        recorder = ColumnarRecorder.create(test.name, interests=_FUZZ_INTERESTS)
+        recorder = ColumnarRecorder(test.name, interests=_FUZZ_INTERESTS)
         runner = TestRunner(
             self._table,
             vm_seed=self._vm_seed,

@@ -191,9 +191,6 @@ class FaultPlan:
     * ``enospc`` — a cache write raises ``OSError(ENOSPC)`` before the
       temp file is published (the cache must degrade to a non-caching
       pipeline, never crash the unit);
-    * ``spill`` — a spill-to-disk column chunk is corrupted after its
-      flush (content addressing must *detect* it: the spilled digest
-      diverges instead of silently reusing poisoned artifacts);
     * ``torn_frame`` / ``oversize_frame`` / ``slow_client`` — wire-level
       client misbehavior, consumed by the chaos bench's client driver
       (``benchmarks/bench_chaos_daemon.py``) to decide per request
@@ -209,7 +206,6 @@ class FaultPlan:
     hang: float = 0.0
     corrupt: float = 0.0
     enospc: float = 0.0
-    spill: float = 0.0
     torn_frame: float = 0.0
     oversize_frame: float = 0.0
     slow_client: float = 0.0
@@ -219,7 +215,6 @@ class FaultPlan:
         "hang",
         "corrupt",
         "enospc",
-        "spill",
         "torn_frame",
         "oversize_frame",
         "slow_client",
@@ -331,12 +326,6 @@ class FaultInjector:
         """
         return bool(
             self.plan.enospc and _draw("enospc", key, 0) < self.plan.enospc
-        )
-
-    def corrupt_spill(self, key: str) -> bool:
-        """Should this spill chunk be corrupted after its flush?"""
-        return bool(
-            self.plan.spill and _draw("spill", key, 0) < self.plan.spill
         )
 
 

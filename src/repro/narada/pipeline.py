@@ -234,10 +234,7 @@ class Narada:
         traces: list[PackedTrace] = []
         for name in self.seed_test_names():
             vm = VM(self.table, seed=self.seed)
-            # create() returns a spilling recorder when REPRO_SPILL_ROWS
-            # is set, keeping million-event seed traces off the heap
-            # with identical digests (trace/spill.py).
-            recorder = ColumnarRecorder.create(name)
+            recorder = ColumnarRecorder(name)
             vm.run_test(name, listeners=(recorder,))
             traces.append(recorder.packed)
         self._traces = traces

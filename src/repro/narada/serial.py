@@ -52,7 +52,7 @@ from repro.synth.synthesizer import SynthesizedTest
 
 #: Bump when the encoding changes shape; cache keys include it so stale
 #: artifacts from older encodings are never decoded.
-SERIAL_VERSION = 5
+SERIAL_VERSION = 6
 
 #: Top-level keys that legitimately differ between identical runs (wall
 #: clock); stripped before hashing for determinism comparisons.
@@ -390,9 +390,6 @@ class Codec:
             "packed_bytes": report.packed_bytes,
             "memo_hits": report.memo_hits,
             "memo_misses": report.memo_misses,
-            "compressed_rows": report.compressed_rows,
-            "repeat_blocks": report.repeat_blocks,
-            "rows_skipped": report.rows_skipped,
             "budget_runs": report.budget_runs,
             "rank_score": report.rank_score,
             "failure_trace": report.failure_trace,
@@ -544,9 +541,6 @@ class Codec:
             packed_bytes=data["packed_bytes"],
             memo_hits=data["memo_hits"],
             memo_misses=data["memo_misses"],
-            compressed_rows=data.get("compressed_rows", 0),
-            repeat_blocks=data.get("repeat_blocks", 0),
-            rows_skipped=data.get("rows_skipped", 0),
             budget_runs=data.get("budget_runs", 0),
             rank_score=data.get("rank_score", 0),
             failure_trace=data.get("failure_trace"),

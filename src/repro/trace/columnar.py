@@ -19,8 +19,7 @@ into side tables.  Three access protocols sit on top:
   over these columns — no per-event object, no ``on_event`` dispatch,
   opcode decode and address lookup shared across passes; the interned
   address id (``packed.adr``) replaces the per-access
-  ``(obj, field, elem)`` tuple key.  ``feed_packed(packed)`` remains on
-  each pass as a one-pass sweep shim.
+  ``(obj, field, elem)`` tuple key.
 * **lazy object view** — ``packed.event(i)`` / iteration reconstruct
   ordinary :class:`~repro.trace.events.Event` objects on demand for
   code that wants rich events (the analyzer, formatters, tests).  A
@@ -454,7 +453,7 @@ class PackedTrace:
             message="" if aux < 0 else self.cells[aux],
         )
 
-    # -- report-side accessors (used by feed_packed reporting) ---------
+    # -- report-side accessors (used by sweep-pass reporting) ----------
 
     def address_at(self, i: int) -> tuple[int, str, int | None]:
         """The event-model address tuple of access row ``i``."""
@@ -582,30 +581,6 @@ class ColumnarRecorder:
         self.packed = PackedTrace(test_name=test_name)
         # Bind the packer directly: event delivery costs one dict hit.
         self.on_event = self.packed.append
-
-    @staticmethod
-    def create(test_name: str = "", interests=None,
-               spill_rows: int | None = None, spill_dir: str | None = None):
-        """Build a recorder, spilling columns to disk when configured.
-
-        ``spill_rows`` (or the ``REPRO_SPILL_ROWS`` environment
-        variable when unset) switches to a
-        :class:`~repro.trace.spill.SpillingRecorder` with that flush
-        threshold; traces shorter than one flush never touch disk.
-        Both recorders satisfy the same listener protocol and expose
-        ``packed``, and both produce byte-identical column content and
-        digests (see ``trace/spill.py``).
-        """
-        from repro.trace.spill import SpillingRecorder, spill_rows_from_env
-
-        if spill_rows is None:
-            spill_rows = spill_rows_from_env()
-        if spill_rows is None:
-            return ColumnarRecorder(test_name, interests=interests)
-        return SpillingRecorder(
-            test_name, interests=interests,
-            spill_rows=spill_rows, spill_dir=spill_dir,
-        )
 
 
 __all__ = [

@@ -1,33 +1,21 @@
-"""Run-length/grammar compressed view of a packed trace.
+"""Repeat-block view of a packed trace, for ``--trace-stats``.
 
-Hot loops dominate recorded interleavings: a ``Worker.spin`` body emits
-the same few access rows thousands of times, differing only in the
-event label and the observed values.  :func:`compress_trace` finds
-those maximal tandem repeats and represents the trace as a segment
-list — literal row ranges plus ``(start, period, count)`` repeat
-blocks — over the *unchanged* :class:`~repro.trace.columnar.PackedTrace`
-(SEQ-style, per *Data Race Detection on Compressed Traces*,
-Kini/Mathur/Viswanathan).  The fused sweep engine then processes one
-occurrence of a repeated block, proves the per-pass state transform
-has converged, and applies the block's summarized effect ``k`` times
-instead of re-decoding ``k`` occurrences (see ``analysis/sweep.py``
-and DESIGN.md §13).
+Hot loops can dominate a recorded interleaving: a ``Worker.spin`` body
+emits the same few access rows thousands of times, differing only in
+the event label and the observed values.  :func:`compress_trace` finds
+those maximal tandem repeats and describes the trace as a segment list
+— literal row ranges plus ``(start, period, count)`` repeat blocks —
+over the unchanged :class:`~repro.trace.columnar.PackedTrace` (SEQ-style,
+per *Data Race Detection on Compressed Traces*, Kini/Mathur/
+Viswanathan).  ``repro run --trace-stats`` reports how many rows sit in
+repeat blocks, which is how a repetitive workload would show up; the
+sweep itself always runs row by row (DESIGN.md §13 records why the
+block-skipping sweep was removed).
 
 Repetition is detected on a **projection signature**: every column
 except the event ``label`` and the six value columns
-(``vkind``/``vint``/``vcls``/``okind``/``oint``/``ocls``).  Two rows
-with equal signatures drive every sweep-kernel state transition
-identically — fragments and handlers never read labels or values on
-their hot paths (labels are compared only for *order*, which row order
-preserves; values are read only when a statically new race is
-recorded, and that event breaks block-summary convergence by
-construction).  The excluded columns therefore cost nothing in
-soundness and are exactly what varies between loop iterations.
-
-The underlying packed columns, side tables, and
-:meth:`PackedTrace.digest` are untouched: a compressed trace is an
-access plan, not a re-encoding, so fuzz-memo keys and cached-artifact
-digests are identical on both paths.
+(``vkind``/``vint``/``vcls``/``okind``/``oint``/``ocls``), which are
+exactly what varies between loop iterations.
 """
 
 from __future__ import annotations
@@ -77,14 +65,12 @@ class RepeatSeg(NamedTuple):
 
 @dataclass(frozen=True)
 class CompressionStats:
-    """Accounting for ``--trace-stats`` and the BENCH report."""
+    """Accounting for ``--trace-stats``."""
 
     total_rows: int
-    literal_rows: int
     repeat_blocks: int
     rows_in_repeats: int
-    #: Literal rows plus one period per repeat block — the row count a
-    #: sweep touches when every block summary converges.
+    #: Literal rows plus one period per repeat block.
     compressed_rows: int
 
     @property
@@ -95,13 +81,7 @@ class CompressionStats:
 
 
 class CompressedTrace:
-    """A segment plan over an unchanged :class:`PackedTrace`.
-
-    Duck-types the packed trace for identity purposes (``len``,
-    ``digest``, ``test_name``) so memo keys and report paths need no
-    changes; analysis goes through the segment list via
-    ``run_sweep`` (which accepts either representation).
-    """
+    """A segment plan over an unchanged :class:`PackedTrace`."""
 
     __slots__ = ("packed", "segments")
 
@@ -109,19 +89,7 @@ class CompressedTrace:
         self.packed = packed
         self.segments = segments
 
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    @property
-    def test_name(self) -> str:
-        return self.packed.test_name
-
-    def digest(self) -> str:
-        """The underlying packed digest — compression is content-free."""
-        return self.packed.digest()
-
     def stats(self) -> CompressionStats:
-        literal = 0
         blocks = 0
         in_repeats = 0
         compressed = 0
@@ -131,11 +99,9 @@ class CompressedTrace:
                 in_repeats += seg.period * seg.count
                 compressed += seg.period
             else:
-                literal += seg.stop - seg.start
                 compressed += seg.stop - seg.start
         return CompressionStats(
             total_rows=len(self.packed),
-            literal_rows=literal,
             repeat_blocks=blocks,
             rows_in_repeats=in_repeats,
             compressed_rows=compressed,
@@ -170,9 +136,8 @@ def compress_trace(
     (``sig[i] == sig[i - L]``) and extended in both directions, so a
     wrong candidate only loses compression, never correctness.
 
-    Repeats need ``count >= 3`` (the sweep replays two occurrences to
-    prove convergence, so shorter repeats cannot be skipped) and must
-    save at least ``min_saved`` rows.
+    Repeats need ``count >= 3`` and must save at least ``min_saved``
+    rows.
     """
     n = len(packed)
     sig = _signature_ids(packed)

@@ -15,23 +15,18 @@ must preserve first-seen order (recorder elision depends on membership
 only, but determinism keeps traces reproducible).
 """
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sweep import (
-    SweepStats,
     UnknownPassError,
-    create_pass,
     interest_union,
     memo_key,
     registered_passes,
     resolve_pass,
     run_sweep,
 )
-from repro.trace.compressed import compress_trace
 from repro.cli import main
 from repro.runtime import VM
 from repro.subjects import all_subjects
@@ -83,18 +78,12 @@ def _fragment(sweep_pass):
 
 
 def _sweep_fragments(names, packed, fused: bool):
-    passes = tuple(create_pass(name) for name in names)
+    passes = tuple(resolve_pass(name)() for name in names)
     if fused:
         run_sweep(passes, packed)
     else:
         for sweep_pass in passes:
             run_sweep((sweep_pass,), packed)
-    return {p.name: _fragment(p) for p in passes}
-
-
-def _compressed_fragments(names, compressed, stats=None):
-    passes = tuple(create_pass(name) for name in names)
-    run_sweep(passes, compressed, stats=stats)
     return {p.name: _fragment(p) for p in passes}
 
 
@@ -126,67 +115,6 @@ class TestFusedEqualsStandalone:
             fused = _sweep_fragments(ALL_PASSES, packed, fused=True)
             standalone = _sweep_fragments(ALL_PASSES, packed, fused=False)
             assert fused == standalone
-
-
-class TestCompressedEqualsPacked:
-    """Sweeping a CompressedTrace is bit-identical to the packed sweep.
-
-    The block-skipping engine (DESIGN.md §13) must be observationally
-    invisible for every pass subset: passes with a SummarySpec skip
-    converged repeat blocks, ``lockorder`` (no summary) forces the
-    row-at-a-time fallback, and either way payloads — including row
-    refs, labels, and observed values inside race records — match the
-    uncompressed sweep exactly.
-    """
-
-    @given(
-        random_programs(),
-        st.sets(st.sampled_from(ALL_PASSES), min_size=1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_any_subset_on_random_programs(self, case, subset):
-        source, workloads, seed = case
-        trace, *_ = run_random_program(source, workloads, seed)
-        packed = _record_packed(trace)
-        names = sorted(subset)
-        baseline = _sweep_fragments(names, packed, fused=True)
-        compressed = _compressed_fragments(names, compress_trace(packed))
-        assert baseline == compressed
-
-    def test_every_registered_subset_on_hot_loop(self):
-        """All 127 pass subsets on a trace that actually compresses."""
-        from tests.trace.test_compressed import record_spin
-
-        packed = record_spin(300)
-        compressed = compress_trace(packed)
-        assert compressed.stats().ratio >= 3.0
-        for size in range(1, len(ALL_PASSES) + 1):
-            for subset in combinations(ALL_PASSES, size):
-                baseline = _sweep_fragments(subset, packed, fused=True)
-                stats = SweepStats()
-                over = _compressed_fragments(subset, compressed, stats=stats)
-                assert baseline == over, subset
-                if "lockorder" in subset:
-                    # No SummarySpec: every repeat block must replay.
-                    assert stats.rows_skipped == 0, subset
-                else:
-                    assert stats.rows_skipped > 0, subset
-
-    @pytest.mark.parametrize(
-        "subject", all_subjects(), ids=lambda s: s.key
-    )
-    def test_full_stack_on_seed_traces(self, subject):
-        table = subject.load()
-        for test in table.program.tests:
-            vm = VM(table, seed=0)
-            recorder = ColumnarRecorder(test.name)
-            vm.run_test(test.name, listeners=(recorder,))
-            packed = recorder.packed
-            compressed = compress_trace(packed)
-            assert compressed.digest() == packed.digest()
-            baseline = _sweep_fragments(ALL_PASSES, packed, fused=True)
-            over = _compressed_fragments(ALL_PASSES, compressed)
-            assert baseline == over
 
 
 class TestRegistry:

@@ -1,7 +1,7 @@
 """Packed feeds are bit-identical to object feeds, end to end.
 
-The columnar streaming protocol (``feed_packed``) re-implements each
-detector's per-event handlers as a batch loop over raw columns.  That
+The sweep engine (``run_sweep``) re-implements each detector's
+per-event handlers as a batch loop over raw columns.  That
 rewrite is only sound if, for every trace, the packed path produces the
 *same* race records — not just the same static keys, but identical
 AccessInfo payloads and dynamic counts — as delivering the original
@@ -15,6 +15,7 @@ when repeated.
 
 from hypothesis import given, settings
 
+from repro.analysis.sweep import run_sweep
 from repro.detect import DjitDetector, EraserDetector, FastTrackDetector
 from repro.fuzz.probes import AdjacencyProbe
 from repro.narada.serial import canonical_json, encode_analysis
@@ -63,7 +64,7 @@ class TestPackedFeedsMatchObjectFeeds:
         live = {"fasttrack": fasttrack, "djit+": djit, "eraser": eraser}
         for detector_cls in DETECTORS:
             replay = detector_cls()
-            replay.feed_packed(packed)
+            run_sweep((replay,), packed)
             assert _race_payload(replay.races) == _race_payload(
                 live[replay.name].races
             ), f"{replay.name} packed feed diverged from object feed"
@@ -77,7 +78,7 @@ class TestPackedFeedsMatchObjectFeeds:
         for event in trace.events:
             object_probe.on_event(event)
         packed_probe = AdjacencyProbe()
-        packed_probe.feed_packed(_record_packed(trace))
+        run_sweep((packed_probe,), _record_packed(trace))
         assert packed_probe.confirmed == object_probe.confirmed
 
 

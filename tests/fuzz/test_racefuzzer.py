@@ -127,59 +127,3 @@ class TestRaceFuzzer:
         report = RaceFuzzer(table, random_runs=2).fuzz(tests[0])
         text = report.describe()
         assert tests[0].name in text
-
-
-LOOPY = """
-class Looper {
-  int total;
-  void bump(int n) {
-    int i = 0;
-    while (i < n) {
-      int t = this.total;
-      this.total = t + 1;
-      i = i + 1;
-    }
-  }
-}
-test Seed { Looper l = new Looper(); l.bump(400); }
-"""
-
-
-class TestCompressedFuzzPath:
-    """The fuzz loop compresses long traces before sweeping them.
-
-    Results must be identical to the uncompressed path (block skipping
-    is observationally invisible — DESIGN.md §13); the new report
-    counters record how much work compression saved and must survive
-    serialization.
-    """
-
-    def test_results_identical_with_and_without_compression(self, monkeypatch):
-        import repro.fuzz.racefuzzer as racefuzzer_module
-
-        table, tests = build(LOOPY)
-        compressed = RaceFuzzer(table, random_runs=3).fuzz(tests[0])
-        monkeypatch.setattr(racefuzzer_module, "COMPRESS_MIN_ROWS", 10**9)
-        uncompressed = RaceFuzzer(table, random_runs=3).fuzz(tests[0])
-        assert sorted(compressed.detected.static_keys()) == sorted(
-            uncompressed.detected.static_keys()
-        )
-        assert compressed.reproduced == uncompressed.reproduced
-        assert compressed.trace_events == uncompressed.trace_events
-        # The uncompressed run never builds a segment plan.
-        assert uncompressed.repeat_blocks == 0
-        assert uncompressed.rows_skipped == 0
-        assert uncompressed.compressed_rows == uncompressed.trace_events
-
-    def test_counters_populate_and_serialize(self):
-        from repro.fuzz.racefuzzer import FuzzReport
-
-        table, tests = build(LOOPY)
-        report = RaceFuzzer(table, random_runs=4).fuzz(tests[0])
-        assert 0 < report.compressed_rows <= report.trace_events
-        assert report.repeat_blocks > 0
-        assert report.rows_skipped > 0
-        decoded = FuzzReport.from_dict(report.to_dict())
-        assert decoded.compressed_rows == report.compressed_rows
-        assert decoded.repeat_blocks == report.repeat_blocks
-        assert decoded.rows_skipped == report.rows_skipped

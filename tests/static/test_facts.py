@@ -219,7 +219,7 @@ class TestNodeIdsMatchRuntime:
         table = load(SYNC_SOURCE)
         facts = analyze_program(table)
         vm = VM(table)
-        recorder = ColumnarRecorder.create("T")
+        recorder = ColumnarRecorder("T")
         vm.run_test("T", listeners=(recorder,))
         trace = recorder.packed
         field_sites = set()

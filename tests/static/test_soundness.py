@@ -30,7 +30,7 @@ def judged_pairs(subject):
     traces = []
     for test in table.program.tests:
         vm = VM(table)
-        recorder = ColumnarRecorder.create(test.name)
+        recorder = ColumnarRecorder(test.name)
         vm.run_test(test.name, listeners=(recorder,))
         traces.append(recorder.packed)
     analysis = analyze_traces(traces)
