@@ -523,20 +523,12 @@ class PackedTrace:
         flat per-entry constants) undercounted CPython object headers
         several-fold, which skewed before/after memory comparisons.
         """
-        return self.column_nbytes() + self.side_nbytes()
-
-    def column_nbytes(self) -> int:
-        """Exact byte size of the packed columns alone."""
         total = 0
         for name in self.COLUMNS:
             col = getattr(self, name)
             total += len(col) * col.itemsize
-        return total
-
-    def side_nbytes(self) -> int:
-        """Measured size of the interned side tables (see ``nbytes``)."""
         getsizeof = sys.getsizeof
-        total = (
+        total += (
             getsizeof(self.strtab)
             + getsizeof(self.locktab)
             + getsizeof(self.addrtab)
