@@ -17,7 +17,7 @@ from repro.deadlock.goodlock import GoodLockDetector, PotentialDeadlock
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import TestRunner
+from repro.synth.runner import TestRunner, lazy_template
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder
 from repro.trace.events import LockEvent
@@ -71,10 +71,14 @@ class DeadlockFuzzer:
 
     def fuzz(self, test: SynthesizedTest) -> DeadlockFuzzReport:
         report = DeadlockFuzzReport(test=test)
+        # Materialized on the first run and forked by every run.
+        template = lazy_template(self._table, test, self._vm_seed)
         try:
-            self._random_phase(test, report)
+            self._random_phase(test, template, report)
             if not report.manifested:
-                report.directed_manifested = self._directed(test, report)
+                report.directed_manifested = self._directed(
+                    test, template, report
+                )
         except Exception as error:
             import traceback
 
@@ -87,16 +91,14 @@ class DeadlockFuzzer:
             raise
         return report
 
-    def _random_phase(self, test, report) -> None:
+    def _random_phase(self, test, template, report) -> None:
         seen: set[tuple] = set()
         for run_index in range(self._random_runs):
             goodlock = GoodLockDetector()
             recorder = ColumnarRecorder(test.name, interests=_GOODLOCK_INTERESTS)
-            runner = TestRunner(
-                self._table, vm_seed=self._vm_seed, listeners=(recorder,)
-            )
+            runner = TestRunner(self._table, listeners=(recorder,))
             outcome = runner.run(
-                test, RandomScheduler(seed=run_index * 48_271 + 11)
+                template(), RandomScheduler(seed=run_index * 48_271 + 11)
             )
             run_sweep((goodlock,), recorder.packed)
             report.random_runs += 1
@@ -108,14 +110,12 @@ class DeadlockFuzzer:
                     seen.add(cycle.static_key())
                     report.potential.append(cycle)
 
-    def _directed(self, test, report) -> bool:
+    def _directed(self, test, template, report) -> bool:
         for leader in (0, 1):
             goodlock = GoodLockDetector()
             recorder = ColumnarRecorder(test.name, interests=_GOODLOCK_INTERESTS)
-            runner = TestRunner(
-                self._table, vm_seed=self._vm_seed, listeners=(recorder,)
-            )
-            prepared = runner.prepare(test)
+            runner = TestRunner(self._table, listeners=(recorder,))
+            prepared = runner.prepare(template())
             if not prepared.ok:
                 return False
             assert prepared.thread_ids is not None

@@ -13,11 +13,18 @@ from prior reads, i.e. lost updates — is *harmful*.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.lang import ast
+from repro.lang.classtable import ClassTable
 from repro.runtime.values import Value, show_value, values_equal
 from repro.trace.events import WriteEvent
+
+#: Constant write sites per class table (see :func:`constant_write_sites`).
+_CONSTANT_SITES: weakref.WeakKeyDictionary[ClassTable, frozenset[int]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def collect_constant_write_sites(program: ast.Program) -> set[int]:
@@ -44,6 +51,17 @@ def collect_constant_write_sites(program: ast.Program) -> set[int]:
     for cls in program.classes:
         for method in cls.methods:
             walk(method.body)
+    return sites
+
+
+def constant_write_sites(table: ClassTable) -> frozenset[int]:
+    """:func:`collect_constant_write_sites` of ``table``'s program,
+    walked once per table and remembered while the table lives."""
+    sites = _CONSTANT_SITES.get(table)
+    if sites is None:
+        sites = _CONSTANT_SITES[table] = frozenset(
+            collect_constant_write_sites(table.program)
+        )
     return sites
 
 

@@ -5,7 +5,8 @@ of multithreaded programs* (PLDI 2007) — cited by the paper (§6) as a
 consumer of multithreaded tests.  Given a synthesized test, the explorer
 enumerates **all** schedules with at most ``preemption_bound``
 preemptions (a context switch taken while the current thread could have
-continued), executing each on a fresh VM with detectors attached.
+continued), executing each on a fresh fork of the materialized test
+with detectors attached.
 
 Because the VM is deterministic, stateless exploration is exact: a
 schedule is fully described by its thread-choice sequence, and depth-
@@ -23,8 +24,8 @@ from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import TestRunner
-from repro.synth.synthesizer import SynthesizedTest
+from repro.synth.runner import TestRunner, lazy_template
+from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
 
 #: Safety valves for the exhaustive search.
 DEFAULT_MAX_SCHEDULES = 2_000
@@ -82,9 +83,11 @@ class BoundedExplorer:
         # have been chosen (within budget) spawns a new prefix.
         stack: list[list[int]] = [[]]
         seen_prefixes: set[tuple[int, ...]] = set()
+        # Materialized on the first schedule and forked by every one.
+        template = lazy_template(self._table, test, self._vm_seed)
         while stack and result.schedules_run < self._max_schedules:
             prefix = stack.pop()
-            branches = self._run_schedule(test, prefix, result)
+            branches = self._run_schedule(template(), prefix, result)
             for branch in branches:
                 key = tuple(branch)
                 if key not in seen_prefixes:
@@ -96,14 +99,12 @@ class BoundedExplorer:
     # ------------------------------------------------------------------
 
     def _run_schedule(
-        self, test: SynthesizedTest, prefix: list[int], result: ChessResult
+        self, template: MaterializedTest, prefix: list[int], result: ChessResult
     ) -> list[list[int]]:
         """Execute one schedule; returns newly discovered branch prefixes."""
         detector = FastTrackDetector()
-        runner = TestRunner(
-            self._table, vm_seed=self._vm_seed, listeners=(detector,)
-        )
-        prepared = runner.prepare(test)
+        runner = TestRunner(self._table, listeners=(detector,))
+        prepared = runner.prepare(template)
         if not prepared.ok:
             return []
         execution = prepared.execution

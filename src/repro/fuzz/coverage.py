@@ -24,7 +24,7 @@ from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler
-from repro.synth.runner import TestRunner
+from repro.synth.runner import TestRunner, lazy_template
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import OP_READ, OP_WRITE, ColumnarRecorder
 from repro.trace.events import AccessEvent, Event, WriteEvent
@@ -126,17 +126,15 @@ class CoverageGuidedFuzzer:
         report = CoverageReport(test_name=test.name)
         interests = interest_union((InterleavingCoverageProbe, FastTrackDetector))
         stale = 0
+        # Materialized on the first run and forked by every run.
+        template = lazy_template(self._table, test, self._vm_seed)
         for run_index in range(self._max_runs):
             probe = InterleavingCoverageProbe()
             detector = FastTrackDetector()
             recorder = ColumnarRecorder(test.name, interests=interests)
-            runner = TestRunner(
-                self._table,
-                vm_seed=self._vm_seed,
-                listeners=(recorder,),
-            )
+            runner = TestRunner(self._table, listeners=(recorder,))
             runner.run(
-                test,
+                template(),
                 RandomScheduler(seed=run_index * 2_654_435_761 + 1,
                                 switch_bias=0.5),
             )

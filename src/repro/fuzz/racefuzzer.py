@@ -38,17 +38,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis.sweep import interest_union, memo_key, run_sweep
 from repro.detect.eraser import EraserDetector
 from repro.detect.fasttrack import FastTrackDetector
-from repro.detect.report import RaceRecord, RaceSet, collect_constant_write_sites
+from repro.detect.report import RaceRecord, RaceSet, constant_write_sites
 from repro.fuzz.probes import AdjacencyProbe
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import PreparedRun, TestRunner
-from repro.synth.synthesizer import SynthesizedTest
+from repro.synth.runner import PreparedRun, TestRunner, lazy_template
+from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder, PackedTrace
 from repro.trace.events import AccessEvent
 
@@ -196,7 +197,7 @@ class RaceFuzzer:
         budget = self._random_runs if runs is None else runs
         report = FuzzReport(
             test=test,
-            constant_sites=collect_constant_write_sites(self._table.program),
+            constant_sites=set(constant_write_sites(self._table)),
             budget_runs=budget,
             rank_score=rank_score,
         )
@@ -205,10 +206,13 @@ class RaceFuzzer:
         # depend on which tests a worker happened to fuzz before this
         # one, breaking the bit-identical-to-serial contract.
         memo: dict[str, tuple] = {}
+        # Materialized on the first run, inside the try below, and
+        # forked by every run after that.
+        template = lazy_template(self._table, test, self._vm_seed)
         try:
-            self._random_phase(test, report, memo, budget)
+            self._random_phase(test, template, report, memo, budget)
             if self._directed:
-                self._directed_phase(test, report, memo)
+                self._directed_phase(test, template, report, memo)
         except Exception as error:  # synthesis/collection failures
             import traceback
 
@@ -227,17 +231,19 @@ class RaceFuzzer:
     # Random phase.
 
     def _random_phase(
-        self, test: SynthesizedTest, report: FuzzReport, memo: dict, runs: int
+        self,
+        test: SynthesizedTest,
+        template: Callable[[], MaterializedTest],
+        report: FuzzReport,
+        memo: dict,
+        runs: int,
     ) -> None:
         for run_index in range(runs):
             recorder = ColumnarRecorder(test.name, interests=_FUZZ_INTERESTS)
-            runner = TestRunner(
-                self._table,
-                vm_seed=self._vm_seed,
-                listeners=(recorder,),
-            )
+            runner = TestRunner(self._table, listeners=(recorder,))
             outcome = runner.run(
-                test, RandomScheduler(seed=schedule_seed(test.name, run_index))
+                template(),
+                RandomScheduler(seed=schedule_seed(test.name, run_index)),
             )
             report.random_runs += 1
             self._absorb(report, outcome, recorder.packed, memo)
@@ -287,7 +293,11 @@ class RaceFuzzer:
     # Directed phase.
 
     def _directed_phase(
-        self, test: SynthesizedTest, report: FuzzReport, memo: dict
+        self,
+        test: SynthesizedTest,
+        template: Callable[[], MaterializedTest],
+        report: FuzzReport,
+        memo: dict,
     ) -> None:
         candidates = [
             record
@@ -322,7 +332,7 @@ class RaceFuzzer:
             for first, second in orders:
                 for leader in (0, 1):
                     self._directed_attempt(
-                        test, report, first, second, leader, memo
+                        test, template, report, first, second, leader, memo
                     )
                     if settled(sites, record):
                         break
@@ -333,6 +343,7 @@ class RaceFuzzer:
     def _directed_attempt(
         self,
         test: SynthesizedTest,
+        template: Callable[[], MaterializedTest],
         report: FuzzReport,
         first_site: int,
         second_site: int,
@@ -340,12 +351,8 @@ class RaceFuzzer:
         memo: dict,
     ) -> bool:
         recorder = ColumnarRecorder(test.name, interests=_FUZZ_INTERESTS)
-        runner = TestRunner(
-            self._table,
-            vm_seed=self._vm_seed,
-            listeners=(recorder,),
-        )
-        prepared = runner.prepare(test)
+        runner = TestRunner(self._table, listeners=(recorder,))
+        prepared = runner.prepare(template())
         report.directed_attempts += 1
         if not prepared.ok:
             return False

@@ -51,6 +51,9 @@ class Monitor:
             self.owner = None
         return self.depth
 
+    def clone(self) -> "Monitor":
+        return Monitor(self.owner, self.depth, set(self.wait_set))
+
 
 @dataclass(slots=True)
 class HeapObject:
@@ -77,6 +80,19 @@ class HeapObject:
             handle = self._handle = ObjRef(self.ref, self.class_name)
         return handle
 
+    def clone(self) -> "HeapObject":
+        """A copy with its own field dict, element list and monitor."""
+        elements = self.elements
+        return HeapObject(
+            self.ref,
+            self.class_name,
+            dict(self.fields),
+            None if elements is None else list(elements),
+            self.monitor.clone(),
+            self.lib_allocated,
+            self._handle,
+        )
+
 
 class Heap:
     """Allocation and lookup of heap objects."""
@@ -87,6 +103,17 @@ class Heap:
 
     def __len__(self) -> int:
         return len(self._objects)
+
+    def clone(self) -> "Heap":
+        """An exact copy sharing no mutable state with this heap.
+
+        Field values are immutable (ints, bools, None, :class:`ObjRef`),
+        so copying each object's containers and monitor is a deep copy.
+        """
+        copy = Heap()
+        copy._objects = {ref: obj.clone() for ref, obj in self._objects.items()}
+        copy._next_ref = self._next_ref
+        return copy
 
     def alloc(
         self,

@@ -211,6 +211,23 @@ class Interpreter:
             ast.ExprStmt: self._pure_exprstmt,
         }
 
+    def clone(self, heap: Heap, rng, label_source) -> "Interpreter":
+        """A new interpreter over ``heap`` that continues this one's
+        call numbering.
+
+        The resolution caches depend only on the class table, so the
+        copy starts with them filled; its emit filter starts open, as
+        every interpreter's does between runs.
+        """
+        copy = Interpreter(self._table, heap, rng, label_source)
+        copy._next_call_index = self._next_call_index
+        copy.max_call_depth = self.max_call_depth
+        copy._method_cache = dict(self._method_cache)
+        copy._ctor_cache = dict(self._ctor_cache)
+        copy._field_types_cache = dict(self._field_types_cache)
+        copy._field_inits_cache = dict(self._field_inits_cache)
+        return copy
+
     # ------------------------------------------------------------------
     # Event-construction elision (driven by Execution.run).
 

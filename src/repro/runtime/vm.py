@@ -135,6 +135,25 @@ class VM:
         if sys.getrecursionlimit() < 20_000:
             sys.setrecursionlimit(20_000)
 
+    def clone(self) -> "VM":
+        """An exact copy of this VM that shares nothing mutable with it.
+
+        The copy has its own heap (see :meth:`Heap.clone`), its own
+        random stream in the same state, the same label and thread-id
+        counters, and a new interpreter that continues the call
+        numbering.  Code run on the copy behaves exactly as it would on
+        this VM, and leaves this VM untouched.
+        """
+        copy = VM.__new__(VM)
+        copy.table = self.table
+        copy.heap = self.heap.clone()
+        copy.rng = random.Random()
+        copy.rng.setstate(self.rng.getstate())
+        copy._label = self._label
+        copy._next_thread_id = self._next_thread_id
+        copy.interp = self.interp.clone(copy.heap, copy.rng, copy.next_label)
+        return copy
+
     def next_label(self) -> int:
         label = self._label
         self._label += 1

@@ -1,14 +1,22 @@
 """Execution of synthesized multithreaded tests.
 
-Each run uses a *fresh* VM: materialization (seed collection + object
-sharing) is deterministic given the VM seed, so a test can be replayed
-under many schedules while keeping the racy thread bodies and target
-sites stable.
+Materialization (seed collection + object sharing) is deterministic
+given the VM seed, so a test can be replayed under many schedules while
+keeping the racy thread bodies and target sites stable.  It is also the
+costly part of preparing a run, because it re-executes seed-test
+prefixes.  So a test is materialized once, as a *template*
+(:func:`lazy_template`), and every run executes on a fork of it
+(:meth:`MaterializedTest.fork`).  A fork's VM is an exact clone of the
+template's, so a forked run executes exactly like a run on a freshly
+materialized VM, and the template itself never runs.  The setup phase
+runs on every run, with listeners attached.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import Scheduler, SequentialScheduler
@@ -77,24 +85,24 @@ class TestRunner:
     """Whether listeners also see the sequential context-setting phase
     (they should: it establishes the pre-fork happens-before prefix)."""
 
-    def run(self, test: SynthesizedTest, scheduler: Scheduler) -> RunOutcome:
-        """Run ``test`` once under ``scheduler``."""
-        prepared = self.prepare(test)
-        return self.finish(prepared, scheduler)
-
-    def prepare(self, test: SynthesizedTest) -> PreparedRun:
-        """Materialize ``test`` in a fresh VM and run its setup phase."""
-        vm = VM(self.table, seed=self.vm_seed)
-        mat = materialize(test, vm)
-        return self.prepare_materialized(mat)
-
-    def run_materialized(
-        self, mat: MaterializedTest, scheduler: Scheduler
+    def run(
+        self, test: SynthesizedTest | MaterializedTest, scheduler: Scheduler
     ) -> RunOutcome:
-        """Run an already-materialized test once under ``scheduler``."""
-        return self.finish(self.prepare_materialized(mat), scheduler)
+        """Run ``test`` once under ``scheduler`` (see :meth:`prepare`)."""
+        return self.finish(self.prepare(test), scheduler)
 
-    def prepare_materialized(self, mat: MaterializedTest) -> PreparedRun:
+    def prepare(self, test: SynthesizedTest | MaterializedTest) -> PreparedRun:
+        """Bind ``test`` to a VM and run its setup phase.
+
+        A :class:`SynthesizedTest` is materialized in a fresh VM seeded
+        with ``vm_seed``.  A :class:`MaterializedTest` is a template: the
+        run uses its fork, so the template is never mutated, and the
+        template's own VM seed applies.
+        """
+        if isinstance(test, MaterializedTest):
+            mat = test.fork()
+        else:
+            mat = materialize(test, VM(self.table, seed=self.vm_seed))
         vm = mat.vm
         listeners = self.listeners if self.observe_setup else ()
         # The setup phase extends mat.env in place (constructed objects
@@ -156,3 +164,18 @@ class TestRunner:
             thread_ids=prepared.thread_ids,
             execution=prepared.execution,
         )
+
+
+def lazy_template(
+    table: ClassTable, test: SynthesizedTest, vm_seed: int = 0
+) -> Callable[[], MaterializedTest]:
+    """A callable that materializes ``test`` on its first call and
+    returns the same template on every later call.
+
+    The fuzzers pass the template to :meth:`TestRunner.run` or
+    :meth:`TestRunner.prepare` for each run, so a test is materialized
+    at most once per fuzz, and never if it never runs.  A
+    :class:`~repro._util.errors.SynthesisError` surfaces from the first
+    call, which is where materializing for the first run raises it.
+    """
+    return functools.cache(lambda: materialize(test, VM(table, seed=vm_seed)))

@@ -127,6 +127,20 @@ class MaterializedTest:
     setup_stmts: list[ast.Stmt]
     thread_stmts: tuple[list[ast.Stmt], list[ast.Stmt]]
 
+    def fork(self) -> "MaterializedTest":
+        """A copy bound to a clone of this test's VM.
+
+        Running the copy leaves this test's VM and environment
+        untouched.  The statement lists are shared: they are read-only.
+        """
+        return MaterializedTest(
+            test=self.test,
+            vm=self.vm.clone(),
+            env=dict(self.env),
+            setup_stmts=self.setup_stmts,
+            thread_stmts=self.thread_stmts,
+        )
+
     def render(self) -> str:
         """Figure-3 style rendering of the synthesized test."""
         from repro.lang.pretty import pretty_stmt

@@ -102,9 +102,9 @@ class TestMaterialization:
                     and t.plan.left.setter_calls)
         mat = materialize(test, VM(table))
         runner = TestRunner(table)
-        outcome = runner.run_materialized(mat, RoundRobinScheduler())
+        outcome = runner.run(mat, RoundRobinScheduler())
         assert outcome.clean
-        vm = mat.vm
+        vm = outcome.materialized.vm
         # Both wrappers constructed by the setup must wrap one Inner.
         wrappers = [
             obj for obj in vm.heap.objects()
