@@ -260,10 +260,10 @@ def cmd_analyze(args) -> int:
     from repro.narada.serial import decode_analysis, encode_analysis
 
     table, target, source = _load_target(args)
-    narada = Narada(source)
+    narada = Narada(table)
     cache = _cache_from(args)
     if cache is not None:
-        key = stage_key(table_digest(narada.table), "analysis", {"vm_seed": 0})
+        key = stage_key(table_digest(table), "analysis", {"vm_seed": 0})
         cached = cache.get("analysis", key)
         if cached is not None:
             narada.use_analysis(decode_analysis(cached))

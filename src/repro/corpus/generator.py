@@ -8,7 +8,8 @@ Determinism contract:
   subjects, and generation order (or parallel scoring order) cannot
   matter;
 * the canonical source is the pretty-printed program — the same
-  normal form :func:`repro.narada.cache.table_digest` hashes, so cache
+  normal form :func:`repro.narada.cache.table_digest` hashes from the
+  parsed :class:`~repro.lang.ClassTable`, so cache
   keys for generated subjects are content-addressed exactly like the
   hand-ported ones (two seeds producing an identical class share every
   pipeline artifact);

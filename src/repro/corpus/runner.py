@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.corpus.generator import CorpusConfig, GeneratedSubject, generate_corpus
-from repro.lang import ClassTable, ast, load
+from repro.lang import ClassTable, ast
 from repro.narada.orchestrator import (
     PipelineOrchestrator,
     SubjectOutcome,
@@ -148,7 +148,7 @@ def score_outcome(
         # be allowed to pass the recall gate by luck.
         score.pipeline_failed = True
 
-    sites = site_method_map(load(subject.source))
+    sites = site_method_map(outcome.table)
     verdicts = outcome.synthesis.verdicts
     aligned = len(verdicts) == len(outcome.synthesis.pairs)
     for i, pair in enumerate(outcome.synthesis.pairs):

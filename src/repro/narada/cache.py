@@ -28,7 +28,9 @@ error: the pipeline recomputes and the operator keeps the evidence.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -36,7 +38,7 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 
-from repro.lang import ClassTable, load
+from repro.lang import ClassTable
 from repro.lang.pretty import pretty_program
 from repro.narada.faults import FaultInjector
 from repro.narada.serial import SERIAL_VERSION, canonical_json
@@ -51,6 +53,11 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Access-time journal filename (lives at the cache root).  One JSON
 #: line per touch; torn trailing lines (crashed writer) are skipped.
 ATIME_JOURNAL = "atime.journal"
+
+#: ``flock`` target guarding the journal across processes: appends take
+#: it shared, compaction exclusive.  A separate file, because compaction
+#: replaces the journal's inode.
+JOURNAL_LOCK = "atime.journal.lock"
 
 #: Rewrite the journal down to one line per live entry after this many
 #: appends; bounds journal growth without an fsync-per-touch cost.
@@ -70,12 +77,12 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "repro-narada"
 
 
-def table_digest(source_or_table: str | ClassTable) -> str:
-    """Digest of the canonical (pretty-printed) program text."""
-    if isinstance(source_or_table, ClassTable):
-        table = source_or_table
-    else:
-        table = load(source_or_table)
+def table_digest(table: ClassTable) -> str:
+    """Digest of the canonical (pretty-printed) program text.
+
+    Takes a parsed table, never source text, so a digest cannot hide a
+    parse: callers parse once and reuse the table.
+    """
     text = pretty_program(table.program)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -182,14 +189,27 @@ class ArtifactCache:
     def _journal_path(self) -> pathlib.Path:
         return self.root / ATIME_JOURNAL
 
+    @contextlib.contextmanager
+    def _journal_lock(self, mode: int):
+        """Hold ``flock(mode)`` on the journal lock file.
+
+        Without it, a compaction in one process drops every line another
+        process appends between the compaction's read and its
+        ``os.replace``.
+        """
+        with open(self.root / JOURNAL_LOCK, "a") as handle:
+            fcntl.flock(handle, mode)
+            yield
+
     def _touch(self, rel_key: str) -> None:
         if self.max_bytes is None:
             return
         line = json.dumps({"k": rel_key, "t": round(time.time(), 3)})
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            with open(self._journal_path, "a") as handle:
-                handle.write(line + "\n")
+            with self._journal_lock(fcntl.LOCK_SH):
+                with open(self._journal_path, "a") as handle:
+                    handle.write(line + "\n")
         except OSError:
             return  # recency tracking is best-effort
         self._journal_appends += 1
@@ -213,17 +233,18 @@ class ArtifactCache:
 
     def _compact_journal(self) -> None:
         """Rewrite the journal to one line per live entry, atomically."""
-        atimes = self._load_atimes()
-        live = {rel for rel, _, _, _ in self._iter_entries()}
-        lines = [
-            json.dumps({"k": rel, "t": stamp})
-            for rel, stamp in sorted(atimes.items())
-            if rel in live
-        ]
         tmp = self.root / f".{ATIME_JOURNAL}.tmp-{os.getpid()}"
         try:
-            tmp.write_text("".join(line + "\n" for line in lines))
-            os.replace(tmp, self._journal_path)
+            with self._journal_lock(fcntl.LOCK_EX):
+                atimes = self._load_atimes()
+                live = {rel for rel, _, _, _ in self._iter_entries()}
+                lines = [
+                    json.dumps({"k": rel, "t": stamp})
+                    for rel, stamp in sorted(atimes.items())
+                    if rel in live
+                ]
+                tmp.write_text("".join(line + "\n" for line in lines))
+                os.replace(tmp, self._journal_path)
         except OSError:
             try:
                 tmp.unlink()

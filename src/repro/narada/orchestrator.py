@@ -184,6 +184,9 @@ class SubjectOutcome:
     detection_cached: bool = False
     detection_partial: bool = False
     failures: list = field(default_factory=list)
+    #: The subject's parsed class table, shared by every spec of the run
+    #: with the same source; scorers read it instead of parsing again.
+    table: ClassTable | None = field(default=None, repr=False, compare=False)
     _synthesis_dict: dict | None = field(default=None, repr=False)
     _detection_dict: dict | None = field(default=None, repr=False)
 
@@ -218,16 +221,19 @@ class SubjectOutcome:
 
 @functools.lru_cache(maxsize=128)
 def _load_table(source: str) -> ClassTable:
-    """Per-process table cache: pool workers are persistent across
-    phases, waves, and daemon requests, so each worker parses a subject
-    once however many tests it fuzzes.  Sized for corpus-scale waves —
-    at 16 entries a 200-subject corpus run thrashed the cache and
-    re-parsed tables the worker had already paid for."""
+    """Per-process table cache for pool workers, which receive source
+    text.  Workers are persistent across phases, waves, and daemon
+    requests, so each worker parses a subject once however many tests
+    it fuzzes.  Sized for corpus-scale waves — at 16 entries a
+    200-subject corpus run thrashed the cache and re-parsed tables the
+    worker had already paid for.  The inline path never calls this:
+    :meth:`PipelineOrchestrator.run` hands its units the tables it
+    parsed."""
     return load(source)
 
 
 def _synthesize_unit(
-    source: str,
+    table: ClassTable,
     target_class: str,
     config: PipelineConfig,
     cache_root: str | None,
@@ -241,7 +247,6 @@ def _synthesize_unit(
     seedtrace alone still skips the (interpreter-bound) seed runs while
     the analyzer streams the restored columns.
     """
-    table = _load_table(source)
     narada = Narada(
         table,
         seed=config.vm_seed,
@@ -303,7 +308,9 @@ def _synthesize_worker(
     injector = cfg.injector()
     if injector is not None:
         injector.before_unit(unit_key, attempt, in_worker=True)
-    report = _synthesize_unit(source, target_class, cfg, cache_root)
+    report = _synthesize_unit(
+        _load_table(source), target_class, cfg, cache_root
+    )
     return encode_synthesis(report)
 
 
@@ -342,6 +349,23 @@ def _fuzz_worker(
     test = decode_test_bundle(test_bundle)
     report = _fuzz_unit(table, test, cfg, runs=runs, rank_score=rank_score)
     return encode_fuzz_bundle(report)
+
+
+def _parse_specs(
+    specs: list[SubjectSpec],
+) -> tuple[list[ClassTable], list[str]]:
+    """Per spec, its class table and table digest.
+
+    Each distinct source is parsed once, so specs that share a source
+    (one spec per class of one program) share one table.
+    """
+    parsed: dict[str, tuple[ClassTable, str]] = {}
+    for spec in specs:
+        if spec.source not in parsed:
+            table = load(spec.source)
+            parsed[spec.source] = (table, table_digest(table))
+    pairs = [parsed[spec.source] for spec in specs]
+    return [table for table, _ in pairs], [dig for _, dig in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -547,6 +571,7 @@ class PipelineOrchestrator:
     def _synthesis_phase(
         self,
         specs: list[SubjectSpec],
+        tables: list[ClassTable],
         keys: list[str],
         journal: RunLedger | None,
     ) -> list[tuple[SynthesisReport, dict | None, bool] | None]:
@@ -554,7 +579,6 @@ class PipelineOrchestrator:
         or None for a permanently failed synthesis unit."""
         results: list = [None] * len(specs)
         pending: list[tuple[int, PoolUnit]] = []
-        spec_by_key: dict[str, SubjectSpec] = {}
         for i, spec in enumerate(specs):
             cached = self._get_decoded("synthesis", keys[i], decode_synthesis)
             if cached is not None:
@@ -563,7 +587,6 @@ class PipelineOrchestrator:
                     journal, keys[i], "synthesis", spec.name, from_cache=True
                 )
             else:
-                spec_by_key[keys[i]] = spec
                 pending.append(
                     (
                         i,
@@ -585,13 +608,13 @@ class PipelineOrchestrator:
         if not pending:
             return results
 
-        def inline_synthesis(unit: PoolUnit):
-            spec = spec_by_key[unit.key]
-            return _synthesize_unit(
-                spec.source, spec.target_class, self.config, self._cache_root
-            )
-
         index_by_key = {unit.key: i for i, unit in pending}
+
+        def inline_synthesis(unit: PoolUnit):
+            i = index_by_key[unit.key]
+            return _synthesize_unit(
+                tables[i], specs[i].target_class, self.config, self._cache_root
+            )
 
         def on_complete(unit: PoolUnit, payload) -> None:
             if isinstance(payload, dict):
@@ -629,6 +652,7 @@ class PipelineOrchestrator:
     def _detection_phase(
         self,
         specs: list[SubjectSpec],
+        tables: list[ClassTable],
         keys: list[str],
         syntheses: list[SynthesisReport | None],
         digests: list[str],
@@ -697,7 +721,7 @@ class PipelineOrchestrator:
             i, test = meta[unit.key]
             budget = budgets_by_spec[i][test.name]
             return _fuzz_unit(
-                _load_table(specs[i].source),
+                tables[i],
                 test,
                 self.config,
                 runs=budget.runs,
@@ -757,16 +781,16 @@ class PipelineOrchestrator:
         raise-on-failure contract of the serial fuzz loop.
         """
         self.fault_ledger = FaultLedger()
-        digest = table_digest(spec.source)
+        tables, digests = _parse_specs([spec])
         key = stage_key(
-            digest,
+            digests[0],
             "detection",
             self.config.detection_config(spec.target_class),
         )
-        journal = self._open_journal([digest])
+        journal = self._open_journal(digests)
         try:
             result = self._detection_phase(
-                [spec], [key], [synthesis], [digest], journal
+                [spec], tables, [key], [synthesis], digests, journal
             )[0]
         finally:
             if journal is not None:
@@ -795,7 +819,7 @@ class PipelineOrchestrator:
         quarantined_before = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
-        digests = [table_digest(spec.source) for spec in specs]
+        tables, digests = _parse_specs(specs)
         journal = self._open_journal(digests)
         try:
             if self.cancel is not None:
@@ -808,10 +832,13 @@ class PipelineOrchestrator:
                 )
                 for i, spec in enumerate(specs)
             ]
-            synthesis = self._synthesis_phase(specs, synth_keys, journal)
+            synthesis = self._synthesis_phase(
+                specs, tables, synth_keys, journal
+            )
             outcomes = [
                 SubjectOutcome(
                     spec=spec,
+                    table=tables[i],
                     synthesis=synthesis[i][0] if synthesis[i] else None,
                     synthesis_cached=bool(synthesis[i] and synthesis[i][2]),
                     _synthesis_dict=synthesis[i][1] if synthesis[i] else None,
@@ -831,6 +858,7 @@ class PipelineOrchestrator:
                 ]
                 detections = self._detection_phase(
                     specs,
+                    tables,
                     detect_keys,
                     [o.synthesis for o in outcomes],
                     digests,

@@ -2,11 +2,13 @@
 quarantine GC, ENOSPC resilience, and the `repro cache` CLI."""
 
 import json
+import multiprocessing
 import os
 import time
 
 from repro.cli import main as cli_main
 from repro.narada import ArtifactCache, FaultInjector, FaultPlan
+from repro.narada import cache as cache_mod
 from repro.narada.cache import ATIME_JOURNAL
 
 
@@ -89,6 +91,52 @@ class TestAtimeJournal:
         assert len(lines) == 2  # one line per live entry
         parsed = {json.loads(line)["k"] for line in lines}
         assert parsed == {f"analysis/{k}" for k in keys}
+
+
+def _journal_worker(root: str, worker: int, barrier, rounds: int) -> None:
+    """One of two processes sharing a budgeted cache root.
+
+    Compacts the journal every few appends, so compactions (read,
+    rewrite, ``os.replace``) keep overlapping the other process's
+    appends.
+    """
+    cache_mod._JOURNAL_COMPACT_EVERY = 3
+    cache = ArtifactCache(root, max_bytes=60_000)
+    barrier.wait(30)
+    for i in range(rounds):
+        key = f"{worker}{i:03d}" + "b" * 60
+        cache.put("fuzzunit", key, {"worker": worker, "i": i})
+        other = f"{1 - worker}{i:03d}" + "b" * 60
+        cache.get("fuzzunit", other)
+
+
+class TestTwoProcessJournal:
+    def test_concurrent_compaction_loses_no_live_entry(self, tmp_path):
+        """Two processes put/get into one budgeted root while each keeps
+        compacting the atime journal: every entry still on disk at the
+        end must still have its journal line."""
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(
+                target=_journal_worker, args=(str(tmp_path), w, barrier, 150)
+            )
+            for w in (0, 1)
+        ]
+        try:
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(60)
+                assert proc.exitcode == 0
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        cache = ArtifactCache(tmp_path, max_bytes=60_000)
+        live = {rel for rel, _, _, _ in cache._iter_entries()}
+        assert live
+        assert live - set(cache._load_atimes()) == set()
 
 
 class TestQuarantineGC:

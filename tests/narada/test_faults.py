@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.lang import load
 from repro.narada import (
     ArtifactCache,
     PipelineConfig,
@@ -170,7 +171,7 @@ class TestCacheQuarantine:
         spec = _spec()
         cache = ArtifactCache(tmp_path / "cache")
         key = stage_key(
-            table_digest(spec.source),
+            table_digest(load(spec.source)),
             "synthesis",
             CONFIG.synthesis_config(spec.target_class),
         )
