@@ -15,9 +15,11 @@ import pytest
 from conftest import report_table
 
 from _pipeline_cache import synthesis_for
+from repro.analysis.sweep import run_sweep
 from repro.detect import DjitDetector, EraserDetector, FastTrackDetector
 from repro.runtime import RandomScheduler
 from repro.synth import TestRunner
+from repro.trace.columnar import ColumnarRecorder
 
 DETECTORS = {
     "eraser": EraserDetector,
@@ -34,8 +36,12 @@ def run_with(detector_cls, narada, tests, runs=3):
     for test in tests:
         for seed in range(runs):
             detector = detector_cls()
-            runner = TestRunner(narada.table, listeners=(detector,))
+            recorder = ColumnarRecorder(
+                test.name, interests=detector.interests
+            )
+            runner = TestRunner(narada.table, listeners=(recorder,))
             runner.run(test, RandomScheduler(seed * 101 + 7, switch_bias=0.4))
+            run_sweep((detector,), recorder.packed)
             keys |= detector.races.static_keys()
             fields |= {k[:2] for k in detector.races.static_keys()}
     return keys, fields

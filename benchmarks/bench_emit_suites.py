@@ -12,10 +12,12 @@ import pathlib
 from conftest import report_table
 
 from _pipeline_cache import synthesis_for, all_keys
+from repro.analysis.sweep import run_sweep
 from repro.detect import FastTrackDetector
 from repro.lang import load
 from repro.runtime import Execution, RandomScheduler, VM
 from repro.synth.emit import emit_standalone_program
+from repro.trace.columnar import ColumnarRecorder
 
 SUITES_DIR = pathlib.Path(__file__).parent / "out" / "suites"
 PER_SUBJECT = 10
@@ -28,7 +30,8 @@ def run_standalone_test(table, name):
         vm = VM(table)
         detector = FastTrackDetector()
         test = table.program.test_decl(name)
-        execution = Execution(vm, listeners=(detector,))
+        recorder = ColumnarRecorder(name, interests=detector.interests)
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(
             lambda ctx, body=test.body.stmts: vm.interp.run_client_stmts(
                 body, ctx, {}
@@ -36,6 +39,7 @@ def run_standalone_test(table, name):
         )
         result = execution.run(RandomScheduler(seed))
         assert result.completed and not result.faults, (name, result.faults)
+        run_sweep((detector,), recorder.packed)
         races |= detector.races.static_keys()
     return races
 

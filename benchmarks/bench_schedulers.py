@@ -14,10 +14,12 @@ synthesized C1 tests and compares schedules-to-first-race:
 from conftest import report_table
 
 from _pipeline_cache import synthesis_for
+from repro.analysis.sweep import run_sweep
 from repro.detect import FastTrackDetector
 from repro.fuzz import BoundedExplorer
 from repro.runtime import PCTScheduler, RandomScheduler
 from repro.synth import TestRunner
+from repro.trace.columnar import ColumnarRecorder
 
 MAX_ATTEMPTS = 30
 
@@ -25,8 +27,10 @@ MAX_ATTEMPTS = 30
 def attempts_to_first_race(narada, test, make_scheduler):
     for attempt in range(MAX_ATTEMPTS):
         detector = FastTrackDetector()
-        runner = TestRunner(narada.table, listeners=(detector,))
+        recorder = ColumnarRecorder(test.name, interests=detector.interests)
+        runner = TestRunner(narada.table, listeners=(recorder,))
         runner.run(test, make_scheduler(attempt))
+        run_sweep((detector,), recorder.packed)
         if detector.races:
             return attempt + 1
     return None

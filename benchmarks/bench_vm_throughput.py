@@ -1,9 +1,10 @@
 """VM micro-benchmarks: the cost model behind the pipeline timings.
 
 Not a paper table — engineering context for Table 4's synthesis times:
-how fast the substrate parses, executes, and how much the detectors add
-per event.  The workload definitions live in :mod:`vm_scenarios`, shared
-with the ``perf_regression.py`` gate so both measure the same thing.
+how fast the substrate parses, executes, and how much recording a run
+and sweeping the detectors over it adds per event.  The workload
+definitions live in :mod:`vm_scenarios`, shared with the
+``perf_regression.py`` gate so both measure the same thing.
 """
 
 from conftest import report_table
@@ -33,14 +34,14 @@ def test_execution_with_recorder(benchmark):
 
 
 def test_execution_with_fasttrack(benchmark):
-    result = benchmark(lambda: _run(listeners=(FastTrackDetector(),)))
+    result = benchmark(lambda: _run(passes=(FastTrackDetector(),)))
     assert result.completed
 
 
 def test_execution_with_all_detectors(benchmark):
     result = benchmark(
         lambda: _run(
-            listeners=(FastTrackDetector(), EraserDetector(), DjitDetector())
+            passes=(FastTrackDetector(), EraserDetector(), DjitDetector())
         )
     )
     assert result.completed
@@ -48,7 +49,7 @@ def test_execution_with_all_detectors(benchmark):
 
 def test_locked_loop_with_fasttrack(benchmark):
     result = benchmark(
-        lambda: _run(listeners=(FastTrackDetector(),), method="spinLocked")
+        lambda: _run(passes=(FastTrackDetector(),), method="spinLocked")
     )
     assert result.completed
 
@@ -56,22 +57,22 @@ def test_locked_loop_with_fasttrack(benchmark):
 def test_throughput_table(benchmark):
     import time
 
-    def measure(factory, label):
+    def measure(name, label):
+        listener_factory, pass_factory, method = SCENARIOS[name]
         start = time.perf_counter()
-        result = _run(listeners=factory())
+        result = _run(
+            listeners=listener_factory(), passes=pass_factory(), method=method
+        )
         elapsed = time.perf_counter() - start
         return label, result.steps, result.steps / elapsed
 
     rows = benchmark.pedantic(
         lambda: [
-            measure(tuple, "bare VM"),
-            measure(lambda: (Recorder(),), "+ recorder"),
-            measure(lambda: (FastTrackDetector(),), "+ FastTrack"),
-            measure(lambda: (DjitDetector(),), "+ Djit+"),
-            measure(
-                lambda: (FastTrackDetector(), EraserDetector(), DjitDetector()),
-                "+ all detectors",
-            ),
+            measure("bare", "bare VM"),
+            measure("recorder", "+ recorder"),
+            measure("fasttrack", "+ FastTrack"),
+            measure("djit", "+ Djit+"),
+            measure("all_detectors", "+ all detectors"),
         ],
         rounds=1,
         iterations=1,

@@ -99,14 +99,6 @@ EXPECTED_REPORTS = {
         1,
         "PYTHONPATH=src python benchmarks/bench_daemon_serve.py",
     ),
-    "BENCH_trace.json": (
-        1,
-        "PYTHONPATH=src python benchmarks/bench_trace_memory.py",
-    ),
-    "BENCH_sweep.json": (
-        1,
-        "PYTHONPATH=src python benchmarks/bench_sweep_fusion.py",
-    ),
     "BENCH_fault.json": (
         1,
         "PYTHONPATH=src python benchmarks/bench_fault_overhead.py",

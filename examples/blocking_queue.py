@@ -13,10 +13,12 @@ buggy variant whose ``size``/``clear`` skip the monitor, showing:
 Run:  python examples/blocking_queue.py
 """
 
+from repro.analysis import run_sweep
 from repro.detect import FastTrackDetector
 from repro.lang import load
 from repro.narada import Narada
 from repro.runtime import Execution, RandomScheduler, RoundRobinScheduler, VM
+from repro.trace.columnar import ColumnarRecorder
 
 QUEUES = """
 class BoundedQueue {
@@ -95,13 +97,15 @@ def demo_correct_queue(table) -> None:
         _, env = vm.run_test("SeedSafe")
         queue = env["q"]
         detector = FastTrackDetector()
-        execution = Execution(vm, listeners=(detector,))
+        recorder = ColumnarRecorder(interests=detector.interests)
+        execution = Execution(vm, listeners=(recorder,))
         taker = execution.spawn(
             lambda ctx: vm.interp.call_method(ctx, queue, "take", [])
         )
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, queue, "put", [seed]))
         result = execution.run(RandomScheduler(seed))
         assert result.completed and execution.thread(taker).result == seed
+        run_sweep((detector,), recorder.packed)
         assert len(detector.races) == 0
     print("   all handoffs delivered, zero races reported.\n")
 

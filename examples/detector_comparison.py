@@ -12,9 +12,11 @@ locked run shows all detectors stay silent.
 Run:  python examples/detector_comparison.py
 """
 
+from repro.analysis import interest_union, run_sweep
 from repro.detect import DjitDetector, EraserDetector, FastTrackDetector
 from repro.lang import load
 from repro.runtime import VM, Execution, FixedScheduler, RandomScheduler
+from repro.trace.columnar import ColumnarRecorder
 
 SOURCE = """
 class Account {
@@ -39,7 +41,9 @@ def run(method: str, schedule_desc: str, scheduler) -> None:
     _, env = vm.run_test("Seed")
     account = env["a"]
     detectors = [EraserDetector(), FastTrackDetector(), DjitDetector()]
-    execution = Execution(vm, listeners=tuple(detectors))
+    # Record the run once, then sweep all three detectors over it.
+    recorder = ColumnarRecorder(interests=interest_union(detectors))
+    execution = Execution(vm, listeners=(recorder,))
     for amount in (10, 32):
         execution.spawn(
             lambda ctx, amount=amount: vm.interp.call_method(
@@ -47,6 +51,7 @@ def run(method: str, schedule_desc: str, scheduler) -> None:
             )
         )
     execution.run(scheduler)
+    run_sweep(detectors, recorder.packed)
     balance = vm.heap.get(account.ref).fields["balance"]
     print(f"{method} under {schedule_desc}: final balance = {balance}")
     for detector in detectors:

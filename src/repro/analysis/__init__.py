@@ -1,13 +1,12 @@
 """Stage 1 of Narada: analysis of sequential execution traces (§3.1-3.2).
 
-Also home of the fused sweep engine (:mod:`repro.analysis.sweep`) that
-runs every packed-trace analysis pass — detectors, probes, coverage,
-lock-order — in a single decoded traversal.
+Also home of the sweep engine (:mod:`repro.analysis.sweep`) that runs
+every packed-trace analysis pass — detectors, probes, coverage,
+lock-order — in one walk over the trace's rows.
 """
 
 from repro.analysis.analyzer import SequentialTraceAnalyzer, analyze_traces
 from repro.analysis.sweep import (
-    KernelSpec,
     UnknownPassError,
     interest_union,
     memo_key,
@@ -36,7 +35,6 @@ __all__ = [
     "AccessPath",
     "AccessRecord",
     "AnalysisResult",
-    "KernelSpec",
     "MethodSummary",
     "SequentialTraceAnalyzer",
     "UnknownPassError",

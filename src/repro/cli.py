@@ -964,11 +964,12 @@ def _trace_stats(source: str, detections=None) -> None:
 
     Seed-stage numbers come from re-recording the seed suite into
     columnar form (cheap — sequential runs); analysis throughput is
-    measured by one fused, timed sweep of the engine's detector stack
-    over each trace (fresh pass instances per trace), with the
-    accumulated per-pass seconds printed as a time share so a
-    throughput regression is attributable to a specific pass.
-    Fuzz-stage numbers come from :func:`_fuzz_stats`.
+    measured by one sweep of the engine's detector stack over each
+    trace (fresh pass instances per trace).  Each pass is then timed in
+    a sweep of its own, and the accumulated per-pass seconds are
+    printed as a time share so a throughput regression is attributable
+    to a specific pass.  Fuzz-stage numbers come from
+    :func:`_fuzz_stats`.
     """
     import time
 
@@ -993,19 +994,21 @@ def _trace_stats(source: str, detections=None) -> None:
     breakdown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"  by kind: {breakdown}")
     stack = (FastTrackDetector, EraserDetector, DjitDetector, AdjacencyProbe)
-    per_pass = [0.0] * len(stack)
     start = time.perf_counter()
     for trace in traces:
-        timings: list[float] = []
-        run_sweep([cls() for cls in stack], trace, timings=timings)
-        for index, seconds in enumerate(timings):
-            per_pass[index] += seconds
+        run_sweep([cls() for cls in stack], trace)
     total_seconds = time.perf_counter() - start
     rate = total_events / total_seconds if total_seconds > 0 else float("inf")
     print(
-        f"  fused sweep ({'+'.join(cls.name for cls in stack)}): "
+        f"  sweep ({'+'.join(cls.name for cls in stack)}): "
         f"{rate:,.0f} events/sec packed"
     )
+    per_pass = [0.0] * len(stack)
+    for trace in traces:
+        for index, cls in enumerate(stack):
+            started = time.perf_counter()
+            run_sweep((cls(),), trace)
+            per_pass[index] += time.perf_counter() - started
     handler_seconds = sum(per_pass) or 1e-12
     shares = ", ".join(
         f"{cls.name}={seconds / handler_seconds * 100:.0f}%"

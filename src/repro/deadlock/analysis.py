@@ -20,7 +20,19 @@ from dataclasses import dataclass, field
 from repro.analysis.analyzer import _Segment
 from repro.analysis.model import MethodSummary
 from repro.analysis.paths import AccessPath, RECEIVER
+from repro.analysis.sweep import run_sweep
 from repro.runtime.values import ObjRef
+from repro.trace.columnar import (
+    OP_ALLOC,
+    OP_FAULT,
+    OP_INVOKE,
+    OP_LOCK,
+    OP_READ,
+    OP_RETURN,
+    OP_UNLOCK,
+    OP_WRITE,
+    PackedTrace,
+)
 from repro.trace.events import (
     AllocEvent,
     FaultEvent,
@@ -28,7 +40,6 @@ from repro.trace.events import (
     LockEvent,
     ReadEvent,
     ReturnEvent,
-    Trace,
     UnlockEvent,
     WriteEvent,
 )
@@ -82,14 +93,14 @@ class LockOrderSummary:
 class LockOrderPass:
     """Lock-order extraction as a sweep-engine analysis pass.
 
-    Holds the loop-carried state the old ``LockOrderAnalyzer.analyze``
-    loop kept in locals (open segment, current summary, runtime-class
-    map, held-lock stack).  Consumes rich events — either live via
-    :meth:`on_event` or from a packed trace via the engine, which
-    reconstructs each interesting row lazily (lock-order analysis is a
-    cold, per-seed-trace pass; faithful event reconstruction is gated
-    by the golden-trace equivalence suite).  Call :meth:`finish` after
-    the sweep to flush a trailing open summary.
+    Holds the loop-carried state of the extraction (open segment,
+    current summary, runtime-class map, held-lock stack).  Its one
+    implementation consumes rich events through :meth:`on_event`; its
+    row handlers rebuild each interesting row's event from the packed
+    trace (lock-order analysis is a cold, per-seed-trace pass; faithful
+    event reconstruction is gated by the golden-trace equivalence
+    suite).  Call :meth:`finish` after the sweep to flush a trailing
+    open summary.
     """
 
     name = "lockorder"
@@ -183,29 +194,19 @@ class LockOrderPass:
             self._segment = None
             self._summary = None
 
-    def kernel_spec(self, packed):
-        from repro.analysis.sweep import KernelSpec
-        from repro.trace.columnar import (
-            OP_ALLOC,
-            OP_FAULT,
-            OP_INVOKE,
-            OP_LOCK,
-            OP_READ,
-            OP_RETURN,
-            OP_UNLOCK,
-            OP_WRITE,
-        )
-
+    def handlers(self, packed) -> dict:
+        """One handler per interesting opcode: rebuild the row's event
+        and feed it to :meth:`on_event` (see analysis/sweep.py)."""
         on_event, event_at = self.on_event, packed.event
 
         def handler(i: int) -> None:
             on_event(event_at(i))
 
-        return KernelSpec(handlers={
+        return {
             op: handler
             for op in (OP_INVOKE, OP_ALLOC, OP_READ, OP_WRITE, OP_LOCK,
                        OP_UNLOCK, OP_RETURN, OP_FAULT)
-        })
+        }
 
     def finish(self) -> list[LockOrderSummary]:
         """Flush a trailing open summary; returns the summary list."""
@@ -258,21 +259,15 @@ class LockOrderAnalyzer:
     def __init__(self) -> None:
         self.summaries: list[LockOrderSummary] = []
 
-    def analyze(self, trace: Trace) -> list[LockOrderSummary]:
+    def analyze(self, trace: PackedTrace) -> list[LockOrderSummary]:
         lock_pass = LockOrderPass(
             test_name=trace.test_name, summaries=self.summaries
         )
-        if hasattr(trace, "op"):  # PackedTrace: sweep via the engine
-            from repro.analysis.sweep import run_sweep
-
-            run_sweep((lock_pass,), trace)
-        else:
-            for event in trace:
-                lock_pass.on_event(event)
+        run_sweep((lock_pass,), trace)
         lock_pass.finish()
         return self.summaries
 
-    def analyze_all(self, traces: list[Trace]) -> list[LockOrderSummary]:
+    def analyze_all(self, traces: list[PackedTrace]) -> list[LockOrderSummary]:
         for trace in traces:
             self.analyze(trace)
         return self.summaries

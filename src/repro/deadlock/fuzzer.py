@@ -24,8 +24,7 @@ from repro.trace.events import LockEvent
 
 DIRECTED_STEP_BUDGET = 10_000
 
-#: Recorder interest set for the deadlock stack (lock/unlock only);
-#: recording + sweeping is bit-identical to live GoodLock listening.
+#: Recorder interest set for the deadlock stack (lock/unlock only).
 _GOODLOCK_INTERESTS = interest_union((GoodLockDetector,))
 
 

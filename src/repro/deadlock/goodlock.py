@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sweep import KernelSpec
 from repro.trace.columnar import OP_LOCK, OP_UNLOCK
-from repro.trace.events import Event, LockEvent, UnlockEvent
+from repro.trace.events import LockEvent, UnlockEvent
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class PotentialDeadlock:
 
 @dataclass
 class GoodLockDetector:
-    """Listener building the lock-order graph and reporting 2-cycles."""
+    """Sweep pass building the lock-order graph and reporting 2-cycles."""
 
     name = "goodlock"
 
@@ -69,34 +68,9 @@ class GoodLockDetector:
     _reported: set[tuple] = field(default_factory=set)
     potential: list[PotentialDeadlock] = field(default_factory=list)
 
-    def on_event(self, event: Event) -> None:
-        if isinstance(event, LockEvent):
-            stack = self._held.setdefault(event.thread_id, [])
-            if event.reentrancy == 1:
-                for position, held in enumerate(stack):
-                    self._add_edge(
-                        LockOrderEdgeObs(
-                            thread_id=event.thread_id,
-                            held_obj=held,
-                            acquired_obj=event.obj,
-                            gates=frozenset(stack[:position] + stack[position + 1:]),
-                            site=event.node_id,
-                        )
-                    )
-                stack.append(event.obj)
-        elif isinstance(event, UnlockEvent):
-            if event.reentrancy == 0:
-                stack = self._held.get(event.thread_id, [])
-                if event.obj in stack:
-                    stack.remove(event.obj)
-
-    # ------------------------------------------------------------------
-    # Sweep-engine pass protocol (see analysis/sweep.py).  Lock events
-    # are a sliver of any trace, so closure handlers over the packed
-    # columns (lock: x=obj, y=reentrancy) are fast enough — no codegen
-    # fragments needed.
-
-    def kernel_spec(self, packed) -> KernelSpec:
+    def handlers(self, packed) -> dict:
+        """Row handlers for lock rows (``x`` = object, ``y`` =
+        reentrancy) and unlock rows (see analysis/sweep.py)."""
         tids, xs, ys, nodes = packed.tid, packed.x, packed.y, packed.node
         held = self._held
         add_edge = self._add_edge
@@ -125,7 +99,7 @@ class GoodLockDetector:
                 if xs[i] in stack:
                     stack.remove(xs[i])
 
-        return KernelSpec(handlers={OP_LOCK: on_lock, OP_UNLOCK: on_unlock})
+        return {OP_LOCK: on_lock, OP_UNLOCK: on_unlock}
 
     def _add_edge(self, edge: LockOrderEdgeObs) -> None:
         for other in self.edges:

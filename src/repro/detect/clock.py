@@ -3,7 +3,8 @@
 Shared by the Djit+ and FastTrack detectors.  A :class:`VectorClock` is
 a sparse mapping thread-id -> logical time; an :class:`Epoch` is the
 FastTrack compression of "one thread's time" (c@t in the paper's
-notation).
+notation); :class:`HappensBefore` keeps the thread and lock clocks both
+detectors update on synchronization rows.
 
 Clocks are copy-on-write: :meth:`VectorClock.snapshot` returns an O(1)
 frozen view sharing the underlying dict, and the next mutation of
@@ -17,6 +18,8 @@ one (the common re-release pattern) never pays for a copy of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.trace.columnar import OP_FORK, OP_JOIN, OP_LOCK, OP_UNLOCK
 
 
 class VectorClock:
@@ -115,6 +118,67 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ", ".join(f"t{t}:{c}" for t, c in sorted(self._times.items()))
         return f"VC({inner})"
+
+
+class HappensBefore:
+    """Per-thread and per-lock clocks of a happens-before detector.
+
+    FastTrack and Djit+ order accesses by the same relation: a lock
+    release stores the releasing thread's clock on the lock (an O(1)
+    snapshot) and ticks the thread, an acquire joins the lock's clock
+    into the thread's, a fork joins the parent's clock into the child's
+    and ticks the parent, and a join joins the child's clock into the
+    joiner's and ticks the child.  Each detector owns one instance.
+    """
+
+    __slots__ = ("threads", "locks")
+
+    def __init__(self) -> None:
+        self.threads: dict[int, VectorClock] = {}
+        self.locks: dict[int, VectorClock] = {}
+
+    def clock(self, tid: int) -> VectorClock:
+        """Thread ``tid``'s clock, starting at ``{tid: 1}``."""
+        clock = self.threads.get(tid)
+        if clock is None:
+            clock = self.threads[tid] = VectorClock({tid: 1})
+        return clock
+
+    def handlers(self, packed) -> dict:
+        """Row handlers for the lock, unlock, fork and join rows of
+        ``packed`` (``x`` is the lock object or the child thread)."""
+        tids, xs = packed.tid, packed.x
+        clock, locks = self.clock, self.locks
+
+        def on_lock(i: int) -> None:
+            lock_clock = locks.get(xs[i])
+            if lock_clock is not None:
+                clock(tids[i]).join(lock_clock)
+
+        def on_unlock(i: int) -> None:
+            tid = tids[i]
+            thread_clock = clock(tid)
+            locks[xs[i]] = thread_clock.snapshot()
+            thread_clock.tick(tid)
+
+        def on_fork(i: int) -> None:
+            tid = tids[i]
+            parent = clock(tid)
+            clock(xs[i]).join(parent)
+            parent.tick(tid)
+
+        def on_join(i: int) -> None:
+            child_tid = xs[i]
+            child = clock(child_tid)
+            clock(tids[i]).join(child)
+            child.tick(child_tid)
+
+        return {
+            OP_LOCK: on_lock,
+            OP_UNLOCK: on_unlock,
+            OP_FORK: on_fork,
+            OP_JOIN: on_join,
+        }
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,20 @@ thread touches the variable; an empty lockset in SHARED_MODIFIED reports
 a race.  Because our access events carry the held-lock snapshot, no lock
 bookkeeping is needed here.
 
-On the hot path the detector keeps raw access events and defers all
-AccessInfo construction to report time; the owner-thread EXCLUSIVE case
-returns after two comparisons.
+The detector is a sweep pass (analysis/sweep.py) with one handler per
+access opcode.  It keeps row indices and defers all AccessInfo
+construction to report time; the owner-thread EXCLUSIVE case returns
+after two comparisons.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 
-from repro.analysis.sweep import KernelSpec
-from repro.detect.report import AccessInfo, RaceRecord, RaceSet
+from repro.detect.report import RaceSet
 from repro.trace.columnar import OP_READ, OP_WRITE
-from repro.trace.events import AccessEvent, Event, ReadEvent, WriteEvent
+from repro.trace.events import ReadEvent, WriteEvent
 
 
 class _State(enum.Enum):
@@ -48,56 +49,8 @@ class _VarState:
         self.state = _VIRGIN
         self.owner = -1
         self.lockset: frozenset[int] | None = None
-        #: Most recent access event per thread, for reporting racy pairs.
-        self.last_by_thread: dict[int, AccessEvent] = {}
-
-
-# Sweep-kernel fragments (see analysis/sweep.py): the :meth:`_transition`
-# state machine inlined over raw columns; per-variable state lives in
-# the shared per-address slot list and remembers row indices.
-_READ_FRAGMENT = """\
-P_var = slot[SLOT]
-if P_var is None:
-    P_var = slot[SLOT] = P_Var()
-P_state = P_var.state
-if P_state is P_EXCLUSIVE:
-    if tid != P_var.owner:
-        P_var.lockset = locktab[lcks[i]]
-        P_var.state = P_SHARED
-        P_check(packed, P_var, i, False)
-elif P_state is P_VIRGIN:
-    P_var.state = P_EXCLUSIVE
-    P_var.owner = tid
-else:
-    P_lockset = P_var.lockset
-    if P_lockset:
-        P_var.lockset = P_lockset & locktab[lcks[i]]
-    P_check(packed, P_var, i, False)
-P_var.last_by_thread[tid] = i
-"""
-
-_WRITE_FRAGMENT = """\
-P_var = slot[SLOT]
-if P_var is None:
-    P_var = slot[SLOT] = P_Var()
-P_state = P_var.state
-if P_state is P_EXCLUSIVE:
-    if tid != P_var.owner:
-        P_var.lockset = locktab[lcks[i]]
-        P_var.state = P_SHARED_MODIFIED
-        P_check(packed, P_var, i, True)
-elif P_state is P_VIRGIN:
-    P_var.state = P_EXCLUSIVE
-    P_var.owner = tid
-else:
-    P_lockset = P_var.lockset
-    if P_lockset:
-        P_var.lockset = P_lockset & locktab[lcks[i]]
-    if P_state is P_SHARED:
-        P_var.state = P_SHARED_MODIFIED
-    P_check(packed, P_var, i, True)
-P_var.last_by_thread[tid] = i
-"""
+        #: Most recent access row per thread, for reporting racy pairs.
+        self.last_by_thread: dict[int, int] = {}
 
 
 class EraserDetector:
@@ -110,40 +63,51 @@ class EraserDetector:
 
     def __init__(self) -> None:
         self.races = RaceSet()
-        self._vars: dict[tuple[int, str, int | None], _VarState] = {}
+        self._vars: dict[int, _VarState] = {}
 
-    def on_event(self, event: Event) -> None:
-        cls = event.__class__
-        if cls is not ReadEvent and cls is not WriteEvent:
-            return
-        var = self._vars.get(event.address())
-        if var is None:
-            var = self._vars[event.address()] = _VarState()
-        self._transition(var, event, cls is WriteEvent)
-        var.last_by_thread[event.thread_id] = event
+    def handlers(self, packed) -> dict:
+        """Row handlers running the state machine on access rows (see
+        analysis/sweep.py)."""
+        tids, adrs = packed.tid, packed.adr
+        lcks, locktab = packed.lck, packed.locktab
+        variables = self._vars
+        check = self._check
 
-    # ------------------------------------------------------------------
-    # Sweep-engine pass protocol (see analysis/sweep.py and DESIGN.md §9).
+        def transition(is_write: bool, i: int) -> None:
+            tid = tids[i]
+            var = variables.get(adrs[i])
+            if var is None:
+                var = variables[adrs[i]] = _VarState()
+            state = var.state
+            if state is _EXCLUSIVE:
+                if tid != var.owner:
+                    # Second thread: start refining the lockset.
+                    var.lockset = locktab[lcks[i]]
+                    var.state = _SHARED_MODIFIED if is_write else _SHARED
+                    check(packed, var, i, is_write)
+            elif state is _VIRGIN:
+                var.state = _EXCLUSIVE
+                var.owner = tid
+            else:
+                if var.lockset:
+                    var.lockset = var.lockset & locktab[lcks[i]]
+                if is_write and state is _SHARED:
+                    var.state = _SHARED_MODIFIED
+                check(packed, var, i, is_write)
+            var.last_by_thread[tid] = i
 
-    def kernel_spec(self, packed) -> KernelSpec:
-        return KernelSpec(
-            fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
-            env={
-                "Var": _VarState,
-                "check": self._check_row,
-                "VIRGIN": _VIRGIN,
-                "EXCLUSIVE": _EXCLUSIVE,
-                "SHARED": _SHARED,
-                "SHARED_MODIFIED": _SHARED_MODIFIED,
-            },
-        )
+        return {
+            OP_READ: partial(transition, False),
+            OP_WRITE: partial(transition, True),
+        }
 
-    def _check_row(self, packed, var: _VarState, row: int, is_write: bool) -> None:
-        """Row-index twin of :meth:`_check` (cold reporting path)."""
+    def _check(self, packed, var: _VarState, row: int, is_write: bool) -> None:
         if var.state is not _SHARED_MODIFIED:
             return
         if var.lockset:
             return
+        # Pair the empty-lockset access with the most recent conflicting
+        # access made by any *other* thread.
         ops = packed.op
         labels = packed.label
         tid = packed.tid[row]
@@ -155,82 +119,8 @@ class EraserDetector:
                 continue
             if previous is None or labels[access] > labels[previous]:
                 previous = access
-        if previous is None:
-            return
-        class_name = packed.strtab[packed.cls[row]]
-        field_name = packed.strtab[packed.fld[row]]
-        if self.races.count_duplicate(
-            class_name, field_name, packed.node[previous], packed.node[row]
-        ):
-            return
-        self.races.add(
-            RaceRecord(
-                detector=self.name,
-                class_name=class_name,
-                field_name=field_name,
-                address=packed.address_at(row),
-                first=AccessInfo.from_packed_row(packed, previous),
-                second=AccessInfo.from_packed_row(packed, row),
-            )
-        )
-
-    # ------------------------------------------------------------------
-
-    def _transition(self, var: _VarState, event: AccessEvent, is_write: bool) -> None:
-        tid = event.thread_id
-        state = var.state
-
-        if state is _EXCLUSIVE:
-            if tid == var.owner:
-                return
-            # Second thread: start refining the lockset.
-            var.lockset = event.locks_held
-            var.state = _SHARED_MODIFIED if is_write else _SHARED
-            self._check(var, event, is_write)
-            return
-        if state is _VIRGIN:
-            var.state = _EXCLUSIVE
-            var.owner = tid
-            return
-
-        assert var.lockset is not None
-        var.lockset = var.lockset & event.locks_held
-        if state is _SHARED and is_write:
-            var.state = _SHARED_MODIFIED
-        self._check(var, event, is_write)
-
-    def _check(self, var: _VarState, event: AccessEvent, is_write: bool) -> None:
-        if var.state is not _SHARED_MODIFIED:
-            return
-        if var.lockset:
-            return
-        # Pair the empty-lockset access with the most recent conflicting
-        # access made by any *other* thread.
-        tid = event.thread_id
-        previous: AccessEvent | None = None
-        for other_tid, access in var.last_by_thread.items():
-            if other_tid == tid:
-                continue
-            if not is_write and access.__class__ is ReadEvent:
-                continue
-            if previous is None or access.label > previous.label:
-                previous = access
-        if previous is None:
-            return
-        if self.races.count_duplicate(
-            event.class_name, event.field_name, previous.node_id, event.node_id
-        ):
-            return
-        self.races.add(
-            RaceRecord(
-                detector=self.name,
-                class_name=event.class_name,
-                field_name=event.field_name,
-                address=event.address(),
-                first=AccessInfo.from_event(previous),
-                second=AccessInfo.from_event(event),
-            )
-        )
+        if previous is not None:
+            self.races.add_rows(self.name, packed, previous, row)
 
 
 __all__ = ["EraserDetector"]

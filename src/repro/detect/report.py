@@ -78,11 +78,8 @@ class AccessInfo:
 
     @classmethod
     def from_event(cls, event) -> "AccessInfo":
-        """Build the report-side view of a raw access event.
-
-        The detectors keep raw events on their hot paths and only
-        materialize AccessInfo when a race is actually reported.
-        """
+        """Build the report-side view of a raw access event (the
+        event-at-a-time reference detectors report from events)."""
         is_write = isinstance(event, WriteEvent)
         return cls(
             thread_id=event.thread_id,
@@ -98,8 +95,8 @@ class AccessInfo:
         """Build the report-side view of one packed access row.
 
         The columnar counterpart of :meth:`from_event`: the detectors'
-        sweep fragments keep row indices in their per-variable
-        state and only materialize AccessInfo when a race is reported.
+        row handlers keep row indices in their per-variable state and
+        only materialize AccessInfo when a race is reported.
         """
         from repro.trace.columnar import OP_WRITE
 
@@ -196,6 +193,26 @@ class RaceSet:
             self.dynamic_count += 1
             return True
         return False
+
+    def add_rows(self, detector: str, packed, first: int, second: int) -> None:
+        """Record a race between access rows ``first`` and ``second`` of
+        ``packed``, building the record only when it is statically new."""
+        class_name = packed.strtab[packed.cls[second]]
+        field_name = packed.strtab[packed.fld[second]]
+        if self.count_duplicate(
+            class_name, field_name, packed.node[first], packed.node[second]
+        ):
+            return
+        self.add(
+            RaceRecord(
+                detector=detector,
+                class_name=class_name,
+                field_name=field_name,
+                address=packed.address_at(second),
+                first=AccessInfo.from_packed_row(packed, first),
+                second=AccessInfo.from_packed_row(packed, second),
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.races)

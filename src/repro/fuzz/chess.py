@@ -5,8 +5,8 @@ of multithreaded programs* (PLDI 2007) — cited by the paper (§6) as a
 consumer of multithreaded tests.  Given a synthesized test, the explorer
 enumerates **all** schedules with at most ``preemption_bound``
 preemptions (a context switch taken while the current thread could have
-continued), executing each on a fresh fork of the materialized test
-with detectors attached.
+continued), executing each on a fresh fork of the materialized test,
+recording it, and sweeping FastTrack over the recorded trace.
 
 Because the VM is deterministic, stateless exploration is exact: a
 schedule is fully described by its thread-choice sequence, and depth-
@@ -20,16 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.sweep import interest_union, run_sweep
 from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
 from repro.runtime.vm import ThreadStatus
 from repro.synth.runner import TestRunner, lazy_template
 from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
+from repro.trace.columnar import ColumnarRecorder
 
 #: Safety valves for the exhaustive search.
 DEFAULT_MAX_SCHEDULES = 2_000
 DEFAULT_MAX_STEPS = 4_000
+
+#: Recorder interests of each explored schedule, swept by FastTrack.
+_INTERESTS = interest_union((FastTrackDetector,))
 
 
 @dataclass
@@ -102,8 +107,8 @@ class BoundedExplorer:
         self, template: MaterializedTest, prefix: list[int], result: ChessResult
     ) -> list[list[int]]:
         """Execute one schedule; returns newly discovered branch prefixes."""
-        detector = FastTrackDetector()
-        runner = TestRunner(self._table, listeners=(detector,))
+        recorder = ColumnarRecorder(template.test.name, interests=_INTERESTS)
+        runner = TestRunner(self._table, listeners=(recorder,))
         prepared = runner.prepare(template)
         if not prepared.ok:
             return []
@@ -143,6 +148,8 @@ class BoundedExplorer:
 
         runner.finish(prepared, _DrainScheduler())
         result.schedules_run += 1
+        detector = FastTrackDetector()
+        run_sweep((detector,), recorder.packed)
         self._absorb(result, detector, choices, execution)
         return branches
 

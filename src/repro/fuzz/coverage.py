@@ -18,8 +18,9 @@ of a fixed run count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.analysis.sweep import KernelSpec, interest_union, run_sweep
+from repro.analysis.sweep import interest_union, run_sweep
 from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
@@ -27,60 +28,47 @@ from repro.runtime.scheduler import RandomScheduler
 from repro.synth.runner import TestRunner, lazy_template
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import OP_READ, OP_WRITE, ColumnarRecorder
-from repro.trace.events import AccessEvent, Event, WriteEvent
+from repro.trace.events import AccessEvent
 
 #: An interleaving unit: (class, field, predecessor site, succ site).
 InterleavingUnit = tuple[str, str, int, int]
 
-# Sweep-kernel fragments (see analysis/sweep.py).  Units are *ordered*
-# site pairs (predecessor -> successor) and, unlike the adjacency
-# probe, there is no common-lock exclusion; a read only forms a unit
-# when its predecessor was a write.
-_READ_FRAGMENT = """\
-P_previous = slot[SLOT]
-slot[SLOT] = i
-if P_previous is not None and tids[P_previous] != tid and ops[P_previous] == OP_WRITE:
-    P_add((strtab[clss[i]], strtab[flds[i]], nodes[P_previous], nodes[i]))
-"""
-
-_WRITE_FRAGMENT = """\
-P_previous = slot[SLOT]
-slot[SLOT] = i
-if P_previous is not None and tids[P_previous] != tid:
-    P_add((strtab[clss[i]], strtab[flds[i]], nodes[P_previous], nodes[i]))
-"""
-
 
 @dataclass
 class InterleavingCoverageProbe:
-    """Listener collecting observed inter-thread dependency units."""
+    """Sweep pass collecting observed inter-thread dependency units."""
 
     name = "coverage"
 
     interests = (AccessEvent,)
 
     units: set[InterleavingUnit] = field(default_factory=set)
-    _last_by_address: dict[tuple, AccessEvent] = field(default_factory=dict)
+    #: Interned address id -> the row of its most recent access.
+    _last_by_address: dict[int, int] = field(default_factory=dict)
 
-    def on_event(self, event: Event) -> None:
-        if not isinstance(event, AccessEvent):
-            return
-        address = event.address()
-        previous = self._last_by_address.get(address)
-        self._last_by_address[address] = event
-        if previous is None or previous.thread_id == event.thread_id:
-            return
-        if not (isinstance(previous, WriteEvent) or isinstance(event, WriteEvent)):
-            return
-        self.units.add(
-            (event.class_name, event.field_name, previous.node_id, event.node_id)
-        )
+    def handlers(self, packed) -> dict:
+        """Row handlers for access rows (see analysis/sweep.py).  Units
+        are *ordered* site pairs (predecessor -> successor) and, unlike
+        the adjacency probe, there is no common-lock exclusion; a read
+        only forms a unit when its predecessor was a write."""
+        ops, tids, adrs, nodes = packed.op, packed.tid, packed.adr, packed.node
+        clss, flds, strtab = packed.cls, packed.fld, packed.strtab
+        last, add = self._last_by_address, self.units.add
 
-    def kernel_spec(self, packed) -> KernelSpec:
-        return KernelSpec(
-            fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
-            env={"add": self.units.add},
-        )
+        def on_access(is_write: bool, i: int) -> None:
+            adr = adrs[i]
+            previous = last.get(adr)
+            last[adr] = i
+            if previous is None or tids[previous] == tids[i]:
+                return
+            if is_write or ops[previous] == OP_WRITE:
+                cls, fld = strtab[clss[i]], strtab[flds[i]]
+                add((cls, fld, nodes[previous], nodes[i]))
+
+        return {
+            OP_READ: partial(on_access, False),
+            OP_WRITE: partial(on_access, True),
+        }
 
 
 @dataclass

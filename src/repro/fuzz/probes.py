@@ -1,6 +1,6 @@
 """Execution probes used by the fuzzing layer.
 
-:class:`AdjacencyProbe` observes a concurrent execution and records
+:class:`AdjacencyProbe` sweeps a recorded concurrent execution and records
 every pair of *temporally adjacent conflicting accesses*: two successive
 accesses **to the same address** (other addresses may be touched in
 between) from different threads, at least one a write, with no common
@@ -15,33 +15,10 @@ memory it touches on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.analysis.sweep import KernelSpec
 from repro.trace.columnar import OP_READ, OP_WRITE
-from repro.trace.events import AccessEvent, Event, WriteEvent
-
-# Sweep-kernel fragments (see analysis/sweep.py): adjacency tracked per
-# interned address id in the shared slot list, remembering row indices.
-# The read rule additionally requires the previous access to be a write.
-_READ_FRAGMENT = """\
-P_previous = slot[SLOT]
-slot[SLOT] = i
-if P_previous is not None and tids[P_previous] != tid and ops[P_previous] == OP_WRITE:
-    if not (locktab[lcks[P_previous]] & locktab[lcks[i]]):
-        P_a = nodes[P_previous]
-        P_b = nodes[i]
-        P_add((strtab[clss[i]], strtab[flds[i]], (P_a, P_b) if P_a <= P_b else (P_b, P_a)))
-"""
-
-_WRITE_FRAGMENT = """\
-P_previous = slot[SLOT]
-slot[SLOT] = i
-if P_previous is not None and tids[P_previous] != tid:
-    if not (locktab[lcks[P_previous]] & locktab[lcks[i]]):
-        P_a = nodes[P_previous]
-        P_b = nodes[i]
-        P_add((strtab[clss[i]], strtab[flds[i]], (P_a, P_b) if P_a <= P_b else (P_b, P_a)))
-"""
+from repro.trace.events import AccessEvent
 
 
 @dataclass
@@ -54,27 +31,32 @@ class AdjacencyProbe:
 
     #: (class_name, field_name, sorted site pair) for each manifestation.
     confirmed: set[tuple] = field(default_factory=set)
-    _last_by_address: dict[tuple, AccessEvent] = field(default_factory=dict)
+    #: Interned address id -> the row of its most recent access.
+    _last_by_address: dict[int, int] = field(default_factory=dict)
 
-    def on_event(self, event: Event) -> None:
-        if not isinstance(event, AccessEvent):
-            return
-        address = event.address()
-        previous = self._last_by_address.get(address)
-        self._last_by_address[address] = event
-        if previous is None:
-            return
-        if previous.thread_id == event.thread_id:
-            return
-        if not (isinstance(previous, WriteEvent) or isinstance(event, WriteEvent)):
-            return
-        if previous.locks_held & event.locks_held:
-            return
-        sites = tuple(sorted((previous.node_id, event.node_id)))
-        self.confirmed.add((event.class_name, event.field_name, sites))
+    def handlers(self, packed) -> dict:
+        """Row handlers for access rows (see analysis/sweep.py).  A read
+        only pairs with a preceding write."""
+        ops, tids, adrs, nodes = packed.op, packed.tid, packed.adr, packed.node
+        lcks, locktab = packed.lck, packed.locktab
+        clss, flds, strtab = packed.cls, packed.fld, packed.strtab
+        last, add = self._last_by_address, self.confirmed.add
 
-    def kernel_spec(self, packed) -> KernelSpec:
-        return KernelSpec(
-            fragments={OP_READ: _READ_FRAGMENT, OP_WRITE: _WRITE_FRAGMENT},
-            env={"add": self.confirmed.add},
-        )
+        def on_access(is_write: bool, i: int) -> None:
+            adr = adrs[i]
+            previous = last.get(adr)
+            last[adr] = i
+            if previous is None or tids[previous] == tids[i]:
+                return
+            if not (is_write or ops[previous] == OP_WRITE):
+                return
+            if locktab[lcks[previous]] & locktab[lcks[i]]:
+                return
+            a, b = nodes[previous], nodes[i]
+            sites = (a, b) if a <= b else (b, a)
+            add((strtab[clss[i]], strtab[flds[i]], sites))
+
+        return {
+            OP_READ: partial(on_access, False),
+            OP_WRITE: partial(on_access, True),
+        }

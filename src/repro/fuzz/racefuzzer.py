@@ -16,13 +16,12 @@ Our analogue does the same over the MiniJ VM:
   reproduced in a concrete execution (the paper's "Reproduced" column);
   candidates that never confirm correspond to the "Manual" column.
 
-Since PR 3 the detectors are decoupled from execution: each run records
-its detector-relevant event stream into a :class:`PackedTrace` (one
-listener, columnar storage, identical elision/scheduling to attaching
-the detectors directly) and the detectors consume it afterwards — now
-as one **fused sweep** of the analysis engine (analysis/sweep.py): the
-trace is decoded once and FastTrack, Eraser, and the adjacency probe
-run as passes of a single generated loop.  That split enables
+The detectors are decoupled from execution: each run records its
+detector-relevant event stream into a :class:`PackedTrace` (one
+listener, columnar storage, recorder interests derived from the pass
+stack) and the detectors consume it afterwards, in one sweep of the
+analysis engine (analysis/sweep.py) that hands each row to the
+FastTrack, Eraser and adjacency-probe handlers.  That split enables
 **interleaving-digest memoization**: runs of one test whose packed
 streams digest equal would feed the detectors bit-identical input, so
 the detector replay is skipped and the memoized race sets are unioned
@@ -56,13 +55,13 @@ from repro.trace.events import AccessEvent
 #: Step budget for each phase of a directed confirmation attempt.
 DIRECTED_PHASE_STEPS = 20_000
 
-#: The fuzz analysis stack, swept fused over each recorded run.
+#: The fuzz analysis stack, swept together over each recorded run.
 _FUZZ_PASSES = (FastTrackDetector, EraserDetector, AdjacencyProbe)
 _FUZZ_PASS_NAMES = tuple(p.name for p in _FUZZ_PASSES)
 
 #: Recorder interest set: the union of the stack's declared interests,
-#: so recording elides/schedules exactly like attaching the passes as
-#: live listeners (see interest_union in analysis/sweep.py).
+#: so the recording holds every row the passes handle (see
+#: interest_union in analysis/sweep.py).
 _FUZZ_INTERESTS = interest_union(_FUZZ_PASSES)
 
 

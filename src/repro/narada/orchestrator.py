@@ -15,7 +15,7 @@ results **bit-identical to the serial order**:
   config)`` — never of pool scheduling.  Every fuzz schedule seed is
   derived from ``(test name, run index)`` (see
   :func:`repro.fuzz.racefuzzer.schedule_seed`), and each run's detector
-  stack is replayed as one fused engine sweep keyed by
+  stack is replayed as one engine sweep keyed by
   :func:`repro.analysis.sweep.memo_key`, so a test fuzzes the same way
   whichever worker picks it up — and the same way on a retry;
 * results are assembled in deterministic (subject, test) order from a
@@ -579,7 +579,15 @@ class PipelineOrchestrator:
         or None for a permanently failed synthesis unit."""
         results: list = [None] * len(specs)
         pending: list[tuple[int, PoolUnit]] = []
+        # A spec whose key an earlier spec already has (one subject
+        # named twice) gets that spec's result instead of its own unit.
+        first_by_key: dict[str, int] = {}
+        duplicates: list[tuple[int, int]] = []
         for i, spec in enumerate(specs):
+            if keys[i] in first_by_key:
+                duplicates.append((i, first_by_key[keys[i]]))
+                continue
+            first_by_key[keys[i]] = i
             cached = self._get_decoded("synthesis", keys[i], decode_synthesis)
             if cached is not None:
                 results[i] = (cached[0], cached[1], True)
@@ -605,9 +613,6 @@ class PipelineOrchestrator:
                         ),
                     )
                 )
-        if not pending:
-            return results
-
         index_by_key = {unit.key: i for i, unit in pending}
 
         def inline_synthesis(unit: PoolUnit):
@@ -628,6 +633,8 @@ class PipelineOrchestrator:
         self._run_units(
             [u for _, u in pending], inline_synthesis, on_complete
         )
+        for i, first in duplicates:
+            results[i] = results[first]
         return results
 
     # -- detection phase -----------------------------------------------
@@ -662,7 +669,9 @@ class PipelineOrchestrator:
         None when the subject had no synthesis to detect against."""
         results: list = [None] * len(specs)
         config_dict = self.config.to_dict()
-        pending: list[tuple[int, object, PoolUnit]] = []
+        pending: list[PoolUnit] = []
+        # Unit key -> every (spec index, test) the unit's report fills.
+        meta: dict[str, list[tuple[int, object]]] = {}
         reports: dict[int, dict[str, object]] = {}
         budgets_by_spec: dict[int, dict] = {}
         for i, spec in enumerate(specs):
@@ -698,6 +707,11 @@ class PipelineOrchestrator:
                         journal, ukey, "fuzz", spec.name, from_cache=True
                     )
                     continue
+                if ukey in meta:
+                    # Same test of a subject named twice: one unit.
+                    meta[ukey].append((i, test))
+                    continue
+                meta[ukey] = [(i, test)]
                 unit = PoolUnit(
                     key=ukey,
                     stage="fuzz",
@@ -713,12 +727,10 @@ class PipelineOrchestrator:
                         budget.runs,
                         budget.score,
                     )
-                pending.append((i, test, unit))
-
-        meta = {u.key: (i, t) for i, t, u in pending}
+                pending.append(unit)
 
         def inline_fuzz(unit: PoolUnit):
-            i, test = meta[unit.key]
+            i, test = meta[unit.key][0]
             budget = budgets_by_spec[i][test.name]
             return _fuzz_unit(
                 tables[i],
@@ -729,7 +741,6 @@ class PipelineOrchestrator:
             )
 
         def on_complete(unit: PoolUnit, payload) -> None:
-            i, test = meta[unit.key]
             if isinstance(payload, dict):
                 fuzz, data = decode_fuzz_bundle(payload), payload
             else:
@@ -739,9 +750,10 @@ class PipelineOrchestrator:
                     "fuzzunit", unit.key, data or encode_fuzz_bundle(fuzz)
                 )
             self._mark_done(journal, unit.key, "fuzz", unit.subject)
-            reports[i][test.name] = fuzz
+            for i, test in meta[unit.key]:
+                reports[i][test.name] = fuzz
 
-        self._run_units([u for _, _, u in pending], inline_fuzz, on_complete)
+        self._run_units(pending, inline_fuzz, on_complete)
         for i, per_test in reports.items():
             detection = DetectionReport(class_name=specs[i].target_class)
             complete = True

@@ -7,7 +7,7 @@
 
 plus the integration with the RaceFuzzer-style detector backend that the
 paper's Table 5 evaluates.  The detector backend runs its whole stack
-(FastTrack + Eraser + adjacency probe) as one fused sweep of the
+(FastTrack + Eraser + adjacency probe) as one sweep of the
 analysis engine (:mod:`repro.analysis.sweep`); recorder interest sets
 and fuzz memo digests are both derived there, so the pipeline layers
 never hard-code per-detector event lists.

@@ -14,12 +14,10 @@ into side tables.  Three access protocols sit on top:
 
 * **streaming feed** — consumers iterate the raw columns directly
   (``packed.op``, ``packed.tid``, ...).  Detectors and probes declare
-  per-opcode kernel fragments and the fused sweep engine
-  (``analysis/sweep.py``) runs the whole pass stack in one traversal
-  over these columns — no per-event object, no ``on_event`` dispatch,
-  opcode decode and address lookup shared across passes; the interned
-  address id (``packed.adr``) replaces the per-access
-  ``(obj, field, elem)`` tuple key.
+  per-opcode row handlers and the sweep engine (``analysis/sweep.py``)
+  runs the whole pass stack in one walk over these columns — no
+  per-event object; the interned address id (``packed.adr``) replaces
+  the per-access ``(obj, field, elem)`` tuple key.
 * **lazy object view** — ``packed.event(i)`` / iteration reconstruct
   ordinary :class:`~repro.trace.events.Event` objects on demand for
   code that wants rich events (the analyzer, formatters, tests).  A
@@ -33,8 +31,7 @@ into side tables.  Three access protocols sit on top:
 emitted, so no intermediate ``Trace`` list ever exists.  Its
 ``interests`` default to None (record everything — the seed-suite
 path); analysis consumers pass the ``interest_union`` of their pass
-stack (see ``analysis/sweep.py``) so elision and scheduling stay
-bit-identical to attaching the passes directly.
+stack (see ``analysis/sweep.py``) and sweep the passes afterwards.
 """
 
 from __future__ import annotations
@@ -564,8 +561,9 @@ class ColumnarRecorder:
     no intermediate event list is built.  ``interests`` defaults to None
     (record every event — seed-suite recording); pass the
     ``interest_union`` of an analysis-pass stack to record exactly the
-    stream those passes consume while keeping event elision, scheduling
-    points, and labels identical to attaching the passes directly.
+    stream those passes consume, then sweep them over :attr:`packed`.
+    Elision is membership-only, so scheduling points and labels do not
+    depend on the interests.
     """
 
     def __init__(self, test_name: str = "", interests=None) -> None:

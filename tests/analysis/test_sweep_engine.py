@@ -1,11 +1,10 @@
-"""The fused sweep engine is bit-identical to standalone passes.
+"""A sweep of several passes is bit-identical to standalone passes.
 
-The tentpole property of :mod:`repro.analysis.sweep`: for **any**
-subset of registered passes, one fused sweep over a packed trace
-produces exactly the report fragments the same passes produce when each
-sweeps the trace alone.  Fusion shares opcode decode, the per-thread
-clock cache, and per-address slots across passes — none of which may
-be observable in any pass's output.
+The central property of :mod:`repro.analysis.sweep`: for **any**
+subset of registered passes, one sweep of them together over a packed
+trace produces exactly the report fragments the same passes produce
+when each sweeps the trace alone.  The passes share only the walk over
+the rows — nothing else may be observable in any pass's output.
 
 Checked on hypothesis-generated MiniJ programs (reusing the
 detector-equivalence generator) and on the C1..C9 paper subjects' seed
@@ -77,9 +76,9 @@ def _fragment(sweep_pass):
     raise AssertionError(f"no fragment extractor for pass {name!r}")
 
 
-def _sweep_fragments(names, packed, fused: bool):
+def _sweep_fragments(names, packed, together: bool):
     passes = tuple(resolve_pass(name)() for name in names)
-    if fused:
+    if together:
         run_sweep(passes, packed)
     else:
         for sweep_pass in passes:
@@ -98,9 +97,9 @@ class TestFusedEqualsStandalone:
         trace, *_ = run_random_program(source, workloads, seed)
         packed = _record_packed(trace)
         names = sorted(subset)
-        fused = _sweep_fragments(names, packed, fused=True)
-        standalone = _sweep_fragments(names, packed, fused=False)
-        assert fused == standalone
+        together = _sweep_fragments(names, packed, together=True)
+        standalone = _sweep_fragments(names, packed, together=False)
+        assert together == standalone
 
     @pytest.mark.parametrize(
         "subject", all_subjects(), ids=lambda s: s.key
@@ -112,9 +111,9 @@ class TestFusedEqualsStandalone:
             recorder = ColumnarRecorder(test.name)
             vm.run_test(test.name, listeners=(recorder,))
             packed = recorder.packed
-            fused = _sweep_fragments(ALL_PASSES, packed, fused=True)
-            standalone = _sweep_fragments(ALL_PASSES, packed, fused=False)
-            assert fused == standalone
+            together = _sweep_fragments(ALL_PASSES, packed, together=True)
+            standalone = _sweep_fragments(ALL_PASSES, packed, together=False)
+            assert together == standalone
 
 
 class TestRegistry:

@@ -8,9 +8,10 @@ from repro.deadlock import (
     LockOrderAnalyzer,
     generate_deadlock_pairs,
 )
+from repro.analysis.sweep import run_sweep
 from repro.lang import load
 from repro.runtime import Execution, FixedScheduler, VM
-from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 
 TRANSFER = """
 class Account {
@@ -72,9 +73,9 @@ def lock_summaries(source):
     traces = []
     for test in table.program.tests:
         vm = VM(table)
-        recorder = Recorder(test.name)
+        recorder = ColumnarRecorder(test.name)
         vm.run_test(test.name, listeners=(recorder,))
-        traces.append(recorder.trace)
+        traces.append(recorder.packed)
     return table, LockOrderAnalyzer().analyze_all(traces)
 
 
@@ -134,7 +135,8 @@ class TestGoodLock:
         _, env = vm.run_test("Seed")
         a, b = env["a"], env["b"]
         detector = GoodLockDetector()
-        execution = Execution(vm, listeners=(detector,))
+        recorder = ColumnarRecorder(interests=detector.interests)
+        execution = Execution(vm, listeners=(recorder,))
         t1 = execution.spawn(
             lambda ctx: vm.interp.call_method(ctx, a, "transferOut", [1])
         )
@@ -144,6 +146,7 @@ class TestGoodLock:
         result = execution.run(FixedScheduler(
             [t1 if s == 0 else t2 for s in schedule]
         ))
+        run_sweep((detector,), recorder.packed)
         return detector, result
 
     def test_serialized_run_reports_potential_cycle(self):
@@ -192,7 +195,8 @@ class TestGoodLock:
         _, env = vm.run_test("Seed")
         a, b = env["a"], env["b"]
         detector = GoodLockDetector()
-        execution = Execution(vm, listeners=(detector,))
+        recorder = ColumnarRecorder(interests=detector.interests)
+        execution = Execution(vm, listeners=(recorder,))
         t1 = execution.spawn(
             lambda ctx: vm.interp.call_method(ctx, a, "transferOut", [1])
         )
@@ -200,6 +204,7 @@ class TestGoodLock:
             lambda ctx: vm.interp.call_method(ctx, b, "transferOut", [1])
         )
         result = execution.run(FixedScheduler([t1] * 80 + [t2] * 80))
+        run_sweep((detector,), recorder.packed)
         assert result.completed
         # Opposite this->other orders exist, but both under the common
         # gate: not a deadlock, and GoodLock must stay silent.

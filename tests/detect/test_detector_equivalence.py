@@ -20,10 +20,12 @@ the optimized detectors).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sweep import interest_union, run_sweep
 from repro.detect import DjitDetector, EraserDetector, FastTrackDetector
 from repro.lang import load
 from repro.runtime import Execution, RandomScheduler, VM
 from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 from repro.trace.events import (
     ForkEvent,
     JoinEvent,
@@ -67,7 +69,8 @@ def run_with_detectors(thread_methods, seed):
     receiver = env["c"]
     fasttrack = FastTrackDetector()
     djit = DjitDetector()
-    execution = Execution(vm, listeners=(fasttrack, djit))
+    recorder = ColumnarRecorder(interests=interest_union((fasttrack, djit)))
+    execution = Execution(vm, listeners=(recorder,))
     for methods in thread_methods:
         def body(ctx, methods=methods):
             for method in methods:
@@ -75,6 +78,7 @@ def run_with_detectors(thread_methods, seed):
 
         execution.spawn(body)
     execution.run(RandomScheduler(seed))
+    run_sweep((fasttrack, djit), recorder.packed)
     return fasttrack, djit
 
 
@@ -233,10 +237,9 @@ def run_random_program(source, workloads, seed):
     _, env = vm.run_test("Seed")
     receiver = env["s"]
     recorder = Recorder()
-    fasttrack = FastTrackDetector()
-    djit = DjitDetector()
-    eraser = EraserDetector()
-    execution = Execution(vm, listeners=(recorder, fasttrack, djit, eraser))
+    detectors = (FastTrackDetector(), DjitDetector(), EraserDetector())
+    columnar = ColumnarRecorder(interests=interest_union(detectors))
+    execution = Execution(vm, listeners=(recorder, columnar))
     for methods in workloads:
         def body(ctx, methods=methods):
             for method in methods:
@@ -245,7 +248,8 @@ def run_random_program(source, workloads, seed):
         execution.spawn(body)
     result = execution.run(RandomScheduler(seed))
     assert result.completed
-    return recorder.trace, fasttrack, djit, eraser
+    run_sweep(detectors, columnar.packed)
+    return (recorder.trace, *detectors)
 
 
 def _fields(race_set):

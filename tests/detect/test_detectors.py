@@ -1,7 +1,12 @@
-"""Scenario tests for the Eraser, FastTrack, and Djit+ detectors."""
+"""Scenario tests for the Eraser, FastTrack, and Djit+ detectors.
+
+Each scenario records its execution with a ``ColumnarRecorder`` over the
+detectors' interests and sweeps the detectors over the packed trace.
+"""
 
 import pytest
 
+from repro.analysis.sweep import interest_union, run_sweep
 from repro.detect import (
     DjitDetector,
     EraserDetector,
@@ -10,6 +15,7 @@ from repro.detect import (
 )
 from repro.lang import load
 from repro.runtime import Execution, FixedScheduler, RoundRobinScheduler, VM
+from repro.trace.columnar import ColumnarRecorder
 
 COUNTER = """
 class Counter {
@@ -28,6 +34,11 @@ test Seed { Counter c = new Counter(); }
 ALL_DETECTORS = [EraserDetector, FastTrackDetector, DjitDetector]
 
 
+def recorder_for(detectors) -> ColumnarRecorder:
+    """A recorder keeping every row ``detectors`` handle."""
+    return ColumnarRecorder(interests=interest_union(detectors))
+
+
 def run_concurrent(methods, source=COUNTER, scheduler=None, detectors=None):
     """Run the listed methods concurrently on one shared object."""
     table = load(source)
@@ -35,12 +46,14 @@ def run_concurrent(methods, source=COUNTER, scheduler=None, detectors=None):
     _, env = vm.run_test("Seed")
     receiver = env["c"]
     dets = detectors if detectors is not None else [cls() for cls in ALL_DETECTORS]
-    execution = Execution(vm, listeners=tuple(dets))
+    recorder = recorder_for(dets)
+    execution = Execution(vm, listeners=(recorder,))
     for method in methods:
         execution.spawn(
             lambda ctx, m=method: vm.interp.call_method(ctx, receiver, m, [])
         )
     execution.run(scheduler or RoundRobinScheduler())
+    run_sweep(dets, recorder.packed)
     return dets, table
 
 
@@ -83,29 +96,33 @@ class TestHappensBefore:
         table = load(COUNTER)
         vm = VM(table)
         detector = FastTrackDetector()
-        _, env = vm.run_test("Seed", listeners=(detector,))
+        recorder = recorder_for((detector,))
+        _, env = vm.run_test("Seed", listeners=(recorder,))
         receiver = env["c"]
-        execution = Execution(vm, listeners=(detector,))
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(
             lambda ctx: vm.interp.call_method(ctx, receiver, "inc", []), parent=0
         )
         execution.run(RoundRobinScheduler())
+        run_sweep((detector,), recorder.packed)
         assert len(detector.races) == 0
 
     def test_missing_fork_edge_reports_setup_race(self):
         table = load(COUNTER)
         vm = VM(table)
         detector = FastTrackDetector()
-        _, env = vm.run_test("Seed", listeners=(detector,))
+        recorder = recorder_for((detector,))
+        _, env = vm.run_test("Seed", listeners=(recorder,))
         receiver = env["c"]
         # Seed only allocates; make the main thread write first.
-        execution0 = Execution(vm, listeners=(detector,))
+        execution0 = Execution(vm, listeners=(recorder,))
         execution0.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "inc", []))
         execution0.run(RoundRobinScheduler())
         # No parent= edge: the next thread appears unordered.
-        execution = Execution(vm, listeners=(detector,))
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "inc", []))
         execution.run(RoundRobinScheduler())
+        run_sweep((detector,), recorder.packed)
         assert len(detector.races) >= 1
 
     def test_lock_release_acquire_creates_order(self):
@@ -139,7 +156,8 @@ class TestEraserSpecifics:
         receiver = env["c"]
         eraser = EraserDetector()
         fasttrack = FastTrackDetector()
-        execution = Execution(vm, listeners=(eraser, fasttrack))
+        recorder = recorder_for((eraser, fasttrack))
+        execution = Execution(vm, listeners=(recorder,))
         t1 = execution.spawn(
             lambda ctx: vm.interp.call_method(ctx, receiver, "inc", [])
         )
@@ -147,6 +165,7 @@ class TestEraserSpecifics:
             lambda ctx: vm.interp.call_method(ctx, receiver, "inc", [])
         )
         execution.run(FixedScheduler([t1] * 50 + [t2] * 50))
+        run_sweep((eraser, fasttrack), recorder.packed)
         assert len(eraser.races) >= 1
         # FastTrack also reports here because there is genuinely no HB
         # edge between the two threads (no fork edge registered).
@@ -195,10 +214,12 @@ class TestArrayAddresses:
         _, env = vm.run_test("Seed")
         receiver = env["c"]
         detector = FastTrackDetector()
-        execution = Execution(vm, listeners=(detector,))
+        recorder = recorder_for((detector,))
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "setAt", [0, 1]))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "setAt", [1, 2]))
         execution.run(RoundRobinScheduler())
+        run_sweep((detector,), recorder.packed)
         assert len(detector.races) == 0
 
     def test_same_element_races(self):
@@ -207,10 +228,12 @@ class TestArrayAddresses:
         _, env = vm.run_test("Seed")
         receiver = env["c"]
         detector = FastTrackDetector()
-        execution = Execution(vm, listeners=(detector,))
+        recorder = recorder_for((detector,))
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "setAt", [2, 1]))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "setAt", [2, 9]))
         execution.run(RoundRobinScheduler())
+        run_sweep((detector,), recorder.packed)
         assert len(detector.races) == 1
         assert detector.races.races[0].field_name == "elem"
 

@@ -1,6 +1,6 @@
 """Tests for bounded systematic exploration, PCT, and schedule replay."""
 
-from repro.analysis import analyze_traces
+from repro.analysis import analyze_traces, run_sweep
 from repro.context import derive_plans
 from repro.detect import FastTrackDetector
 from repro.fuzz import BoundedExplorer, explore_test
@@ -14,6 +14,7 @@ from repro.runtime import (
 )
 from repro.synth import TestRunner, TestSynthesizer
 from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 
 COUNTER = """
 class Counter {
@@ -47,6 +48,15 @@ def synthesize(source):
     plans = derive_plans(generate_pairs(analysis), analysis, table)
     tests = TestSynthesizer(table).synthesize(plans)
     return table, tests
+
+
+def run_with_fasttrack(table, test, scheduler):
+    """Run ``test`` once, recording it, and sweep FastTrack over it."""
+    detector = FastTrackDetector()
+    recorder = ColumnarRecorder(test.name, interests=detector.interests)
+    TestRunner(table, listeners=(recorder,)).run(test, scheduler)
+    run_sweep((detector,), recorder.packed)
+    return detector
 
 
 class TestBoundedExplorer:
@@ -111,9 +121,9 @@ class TestBoundedExplorer:
 
         from repro.runtime.scheduler import FixedScheduler
 
-        detector = FastTrackDetector()
-        runner = TestRunner(table, listeners=(detector,))
-        runner.run(inc_test, FixedScheduler(schedule))
+        detector = run_with_fasttrack(
+            table, inc_test, FixedScheduler(schedule)
+        )
         assert key in detector.races.static_keys()
 
     def test_max_schedules_cap_reported(self):
@@ -133,13 +143,10 @@ class TestRecordingReplay:
         table, tests = synthesize(COUNTER)
         test = tests[0]
         for seed in range(5):
-            original = FastTrackDetector()
             recording = RecordingScheduler(RandomScheduler(seed))
-            TestRunner(table, listeners=(original,)).run(test, recording)
-
-            replayed = FastTrackDetector()
-            TestRunner(table, listeners=(replayed,)).run(
-                test, recording.log.replayer()
+            original = run_with_fasttrack(table, test, recording)
+            replayed = run_with_fasttrack(
+                table, test, recording.log.replayer()
             )
             assert original.races.static_keys() == replayed.races.static_keys()
 
@@ -159,10 +166,8 @@ class TestPCT:
         )
         found_at = None
         for attempt in range(20):
-            detector = FastTrackDetector()
-            runner = TestRunner(table, listeners=(detector,))
-            runner.run(
-                inc_test, PCTScheduler(seed=attempt, expected_steps=60)
+            detector = run_with_fasttrack(
+                table, inc_test, PCTScheduler(seed=attempt, expected_steps=60)
             )
             if detector.races:
                 found_at = attempt
@@ -174,9 +179,8 @@ class TestPCT:
         test = tests[0]
 
         def run(seed):
-            detector = FastTrackDetector()
-            TestRunner(table, listeners=(detector,)).run(
-                test, PCTScheduler(seed=seed, expected_steps=60)
+            detector = run_with_fasttrack(
+                table, test, PCTScheduler(seed=seed, expected_steps=60)
             )
             return detector.races.static_keys()
 

@@ -1,6 +1,6 @@
 """Tests for Maple-style interleaving coverage."""
 
-from repro.analysis import analyze_traces
+from repro.analysis import analyze_traces, run_sweep
 from repro.context import derive_plans
 from repro.fuzz.coverage import (
     CoverageGuidedFuzzer,
@@ -11,6 +11,7 @@ from repro.pairs import generate_pairs
 from repro.runtime import Execution, FixedScheduler, VM
 from repro.synth import TestSynthesizer
 from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 
 COUNTER = """
 class Counter {
@@ -39,7 +40,8 @@ class TestProbe:
         _, env = vm.run_test("Seed")
         receiver = env["c"]
         probe = InterleavingCoverageProbe()
-        execution = Execution(vm, listeners=(probe,))
+        recorder = ColumnarRecorder(interests=probe.interests)
+        execution = Execution(vm, listeners=(recorder,))
         tids = [
             execution.spawn(
                 lambda ctx, m=method: vm.interp.call_method(ctx, receiver, m, [])
@@ -47,6 +49,7 @@ class TestProbe:
             for method in methods
         ]
         execution.run(FixedScheduler([tids[i] for i in schedule]))
+        run_sweep((probe,), recorder.packed)
         return probe
 
     def test_interleaved_run_covers_units(self):

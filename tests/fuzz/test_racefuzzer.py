@@ -1,6 +1,6 @@
 """Tests for the adjacency probe and the RaceFuzzer analogue."""
 
-from repro.analysis import analyze_traces
+from repro.analysis import analyze_traces, run_sweep
 from repro.context import derive_plans
 from repro.fuzz import AdjacencyProbe, RaceFuzzer
 from repro.lang import load
@@ -8,6 +8,7 @@ from repro.pairs import generate_pairs
 from repro.runtime import VM, Execution, FixedScheduler
 from repro.synth import TestSynthesizer
 from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 
 COUNTER = """
 class Counter {
@@ -39,7 +40,8 @@ class TestAdjacencyProbe:
         _, env = vm.run_test("Seed")
         receiver = env["c"]
         probe = AdjacencyProbe()
-        execution = Execution(vm, listeners=(probe,))
+        recorder = ColumnarRecorder(interests=probe.interests)
+        execution = Execution(vm, listeners=(recorder,))
         tids = [
             execution.spawn(
                 lambda ctx, m=method: vm.interp.call_method(ctx, receiver, m, [])
@@ -47,6 +49,7 @@ class TestAdjacencyProbe:
             for method in methods
         ]
         execution.run(FixedScheduler([tids[i] for i in schedule]))
+        run_sweep((probe,), recorder.packed)
         return probe
 
     def test_interleaved_conflicting_accesses_confirmed(self):
@@ -80,10 +83,12 @@ class TestAdjacencyProbe:
         _, env = vm.run_test("Seed")
         receiver = env["c"]
         probe = AdjacencyProbe()
-        execution = Execution(vm, listeners=(probe,))
+        recorder = ColumnarRecorder(interests=probe.interests)
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "wa", []))
         execution.spawn(lambda ctx: vm.interp.call_method(ctx, receiver, "wb", []))
         execution.run(FixedScheduler([1, 2] * 20))
+        run_sweep((probe,), recorder.packed)
         assert not probe.confirmed
 
 

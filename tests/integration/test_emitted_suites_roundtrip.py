@@ -13,9 +13,11 @@ import pathlib
 
 import pytest
 
+from repro.analysis.sweep import run_sweep
 from repro.detect import FastTrackDetector
 from repro.lang import load
 from repro.runtime import VM
+from repro.trace.columnar import ColumnarRecorder
 
 SUITES_DIR = (
     pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "out" / "suites"
@@ -41,7 +43,9 @@ def test_suite_reparses_and_executes(path):
     for test in tests:
         vm = VM(table, seed=0)
         detector = FastTrackDetector()
-        result, _ = vm.run_test(test.name, listeners=(detector,))
+        recorder = ColumnarRecorder(test.name, interests=detector.interests)
+        result, _ = vm.run_test(test.name, listeners=(recorder,))
+        run_sweep((detector,), recorder.packed)
         assert result.completed, (
             f"{path.name}::{test.name} did not run to quiescence"
         )

@@ -85,6 +85,34 @@ class TestDeterminism:
             assert table_digest(load(text)) == table_digest(table)
 
 
+class TestDuplicateSpecs:
+    """A subject named twice in one run shares its units, and every
+    spec naming it gets the completed result."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_both_outcomes_complete_and_equal(self, jobs):
+        spec = subject_specs([get_subject("C1")])[0]
+        config = PipelineConfig(random_runs=1)
+        with PipelineOrchestrator(jobs=jobs, config=config) as orch:
+            first, second = orch.run([spec, spec])
+            assert not orch.fault_ledger.failures
+        assert first.synthesis is not None and first.detection is not None
+        assert first == second
+        assert first.digest() == second.digest() != "failed"
+
+    def test_cached_duplicate_replays_for_both(self, tmp_path):
+        spec = _specs()[0]
+        cache = ArtifactCache(tmp_path / "cache")
+        with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+            cold = orch.run([spec, spec])
+        with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+            warm = orch.run([spec, spec])
+        assert _digests(cold) == _digests(warm)
+        assert {o.digest() for o in cold + warm} != {"failed"}
+        assert len({o.digest() for o in cold + warm}) == 1
+        assert all(o.detection_cached for o in warm)
+
+
 class TestStageInvalidation:
     def test_detection_config_does_not_invalidate_synthesis(self, tmp_path):
         spec = _specs()[0]

@@ -7,18 +7,21 @@ Two guarantees of the hot-path overhaul:
   emit-filter state, so it raises :class:`StaleExecutionError` instead.
 * The event-construction elision (skipping event kinds no attached
   listener subscribes to) must never change what listeners observe:
-  detectors attached alone (elision active) report exactly the races
-  they report with a :class:`Recorder` attached (elision off, every
-  event constructed).
+  a detector swept over a recording made with its own interests
+  (elision active) reports exactly the races it reports when a
+  :class:`Recorder` is attached too (elision off, every event
+  constructed).
 """
 
 import pytest
 
 from repro._util.errors import StaleExecutionError
+from repro.analysis.sweep import run_sweep
 from repro.detect import FastTrackDetector
 from repro.lang import load
 from repro.runtime import Execution, RandomScheduler, VM
 from repro.trace import Recorder
+from repro.trace.columnar import ColumnarRecorder
 
 SOURCE = """
 class Cell {
@@ -82,13 +85,15 @@ class TestElisionSoundness:
         vm = VM(_table)
         _, env = vm.run_test("Seed")
         detector = FastTrackDetector()
-        listeners = (detector, Recorder()) if with_recorder else (detector,)
+        columnar = ColumnarRecorder(interests=detector.interests)
+        listeners = (columnar, Recorder()) if with_recorder else (columnar,)
         execution = Execution(vm, listeners=listeners)
         _spawn_workers(
             vm, execution, env["c"], methods=("bump", "bump", "safeBump")
         )
         result = execution.run(RandomScheduler(seed))
         assert result.completed
+        run_sweep((detector,), columnar.packed)
         return detector.races
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 42, 1234])

@@ -175,13 +175,18 @@ class TestHappensBeforeThroughWait:
         # The producer's write and the consumer's read are ordered by
         # the monitor (wait emits real unlock/lock events), so the HB
         # detectors must stay silent on items/count.
+        from repro.analysis.sweep import interest_union, run_sweep
         from repro.detect import DjitDetector, FastTrackDetector
+        from repro.trace.columnar import ColumnarRecorder
 
         for seed in range(6):
             _, vm, queue = make_queue()
             fasttrack = FastTrackDetector()
             djit = DjitDetector()
-            execution = Execution(vm, listeners=(fasttrack, djit))
+            recorder = ColumnarRecorder(
+                interests=interest_union((fasttrack, djit))
+            )
+            execution = Execution(vm, listeners=(recorder,))
             execution.spawn(
                 lambda ctx: vm.interp.call_method(ctx, queue, "take", [])
             )
@@ -190,6 +195,7 @@ class TestHappensBeforeThroughWait:
             )
             result = execution.run(RandomScheduler(seed))
             assert result.completed
+            run_sweep((fasttrack, djit), recorder.packed)
             assert len(fasttrack.races) == 0, [
                 r.describe() for r in fasttrack.races
             ]

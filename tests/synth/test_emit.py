@@ -3,12 +3,14 @@
 import pytest
 
 from repro._util.errors import SynthesisError
+from repro.analysis.sweep import run_sweep
 from repro.detect import FastTrackDetector
 from repro.lang import load
 from repro.narada import Narada
 from repro.runtime import Execution, RandomScheduler, VM
 from repro.subjects import get_subject
 from repro.synth.emit import client_invocation_sites, emit_standalone_program
+from repro.trace.columnar import ColumnarRecorder
 
 COUNTER = """
 class Counter {
@@ -28,13 +30,15 @@ def run_standalone(source, test_name, runs=6):
         vm = VM(table)
         detector = FastTrackDetector()
         test = table.program.test_decl(test_name)
-        execution = Execution(vm, listeners=(detector,))
+        recorder = ColumnarRecorder(test_name, interests=detector.interests)
+        execution = Execution(vm, listeners=(recorder,))
         execution.spawn(
             lambda ctx, body=test.body.stmts: vm.interp.run_client_stmts(
                 body, ctx, {}
             )
         )
         result = execution.run(RandomScheduler(seed))
+        run_sweep((detector,), recorder.packed)
         clean = clean and result.completed and not result.faults
         races |= detector.races.static_keys()
     return races, clean
