@@ -1,12 +1,14 @@
 """Every shipped example must run cleanly end to end.
 
 The examples double as the library's executable documentation; this
-module keeps them from rotting.  Each example's ``main()`` is imported
-and executed; its assertions and prints are part of the check.
+module keeps them from rotting.  Each example is run as a script (its
+``if __name__ == "__main__":`` entry point included); its assertions
+and prints are part of the check.
 """
 
 import importlib.util
 import pathlib
+import runpy
 
 import pytest
 
@@ -37,8 +39,7 @@ class TestExamplesInventory:
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs(name, capsys):
-    module = load_example(name)
-    module.main()
+    runpy.run_path(str(EXAMPLES_DIR / f"{name}.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{name} produced no output"
 
