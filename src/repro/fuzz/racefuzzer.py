@@ -157,12 +157,6 @@ class FuzzReport:
 
         return encode_fuzz_bundle(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FuzzReport":
-        from repro.narada.serial import decode_fuzz_bundle
-
-        return decode_fuzz_bundle(data)
-
 
 class RaceFuzzer:
     """Detects and confirms races in synthesized multithreaded tests."""

@@ -14,6 +14,9 @@ The grammar (expressions in increasing precedence)::
     expr       := or-expr; or > and > equality > relational > additive
                   > multiplicative > unary > postfix > primary
 
+The six binary levels, all left-associative, are one precedence table
+(:data:`_BINARY_OPS`) read by one precedence-climbing loop.
+
 Every AST node receives a unique ``node_id`` used as its static site
 identity by the tracer, the pair generator, and the race detectors.
 """
@@ -27,11 +30,33 @@ from repro.lang.tokens import Token, TokenKind
 from repro.lang.types import BOOL, INT, VOID, Type, class_type
 
 
+#: Binary operators: token kind -> (precedence, operator text), loosest
+#: first.
+_BINARY_OPS: dict[TokenKind, tuple[int, str]] = {
+    TokenKind.OR: (1, "||"),
+    TokenKind.AND: (2, "&&"),
+    TokenKind.EQ: (3, "=="),
+    TokenKind.NE: (3, "!="),
+    TokenKind.LT: (4, "<"),
+    TokenKind.LE: (4, "<="),
+    TokenKind.GT: (4, ">"),
+    TokenKind.GE: (4, ">="),
+    TokenKind.PLUS: (5, "+"),
+    TokenKind.MINUS: (5, "-"),
+    TokenKind.STAR: (6, "*"),
+    TokenKind.SLASH: (6, "/"),
+    TokenKind.PERCENT: (6, "%"),
+}
+
+
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`."""
 
     def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+        # ``tokens`` ends with EOF and ``_advance`` never moves past it,
+        # so one more EOF as a sentinel keeps every one-token lookahead
+        # (``_peek(1)``) in range without a bounds check.
+        self._tokens = [*tokens, tokens[-1]]
         self._pos = 0
         self._next_node_id = 0
 
@@ -39,11 +64,10 @@ class Parser:
     # Token stream helpers.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _at(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self._peek(offset).kind is kind
+        return self._tokens[self._pos + offset].kind is kind
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -51,29 +75,31 @@ class Parser:
             self._pos += 1
         return token
 
+    # ``_expect`` and ``_accept`` step past the token without the EOF
+    # check of ``_advance``: the kinds they match are never EOF.
+
     def _expect(self, kind: TokenKind, what: str = "") -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             wanted = what or kind.value
             raise ParseError(
                 f"expected {wanted}, found {token.text!r}", token.line, token.column
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _accept(self, kind: TokenKind) -> Token | None:
-        if self._at(kind):
-            return self._advance()
-        return None
-
-    def _node_id(self) -> int:
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        return node_id
+        token = self._tokens[self._pos]
+        if token.kind is not kind:
+            return None
+        self._pos += 1
+        return token
 
     def _stamp(self, node, token: Token):
         """Assign position and identity to a freshly built node."""
         node.line = token.line
-        node.node_id = self._node_id()
+        node.node_id = self._next_node_id
+        self._next_node_id += 1
         return node
 
     # ------------------------------------------------------------------
@@ -363,50 +389,24 @@ class Parser:
     # ------------------------------------------------------------------
     # Expressions.
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+    def _parse_expr(self, min_precedence: int = 1) -> ast.Expr:
+        """Binary expressions by precedence climbing over
+        :data:`_BINARY_OPS`; every level is left-associative.
 
-    def _parse_binary_level(self, sub_parser, ops: dict[TokenKind, str]) -> ast.Expr:
-        left = sub_parser()
-        while self._peek().kind in ops:
-            op_token = self._advance()
-            right = sub_parser()
-            node = ast.Binary(op=ops[op_token.kind], left=left, right=right)
+        Node ids come out in the same post-order as a one-method-per-
+        level descent: both operands are stamped before their operator.
+        """
+        left = self._parse_unary()
+        while True:
+            op_token = self._peek()
+            entry = _BINARY_OPS.get(op_token.kind)
+            if entry is None or entry[0] < min_precedence:
+                return left
+            precedence, op = entry
+            self._pos += 1  # a binary operator is never EOF
+            right = self._parse_expr(precedence + 1)
+            node = ast.Binary(op=op, left=left, right=right)
             left = self._stamp(node, op_token)
-        return left
-
-    def _parse_or(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_and, {TokenKind.OR: "||"})
-
-    def _parse_and(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_equality, {TokenKind.AND: "&&"})
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_relational, {TokenKind.EQ: "==", TokenKind.NE: "!="}
-        )
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_additive,
-            {
-                TokenKind.LT: "<",
-                TokenKind.LE: "<=",
-                TokenKind.GT: ">",
-                TokenKind.GE: ">=",
-            },
-        )
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_multiplicative, {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-        )
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_unary,
-            {TokenKind.STAR: "*", TokenKind.SLASH: "/", TokenKind.PERCENT: "%"},
-        )
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
@@ -447,7 +447,15 @@ class Parser:
         token = self._peek()
         if token.kind is TokenKind.INT:
             self._advance()
-            return self._stamp(ast.IntLit(value=int(token.text)), token)
+            try:
+                value = int(token.text)
+            except ValueError:  # past the interpreter's int-string limit
+                raise ParseError(
+                    f"integer literal too long ({len(token.text)} digits)",
+                    token.line,
+                    token.column,
+                ) from None
+            return self._stamp(ast.IntLit(value=value), token)
         if token.kind is TokenKind.KW_TRUE:
             self._advance()
             return self._stamp(ast.BoolLit(value=True), token)

@@ -11,7 +11,7 @@ Python reproduction despite the GIL.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -98,9 +98,11 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
+
+    A plain named tuple: the lexer builds one per token of every parsed
+    program, and a tuple is the cheapest immutable value to build.
 
     Attributes:
         kind: the lexical category.

@@ -66,12 +66,6 @@ class SynthesisReport:
 
         return encode_synthesis(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthesisReport":
-        from repro.narada.serial import decode_synthesis
-
-        return decode_synthesis(data)
-
 
 @dataclass
 class DetectionReport:
@@ -170,12 +164,6 @@ class DetectionReport:
         from repro.narada.serial import encode_detection
 
         return encode_detection(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectionReport":
-        from repro.narada.serial import decode_detection
-
-        return decode_detection(data)
 
 
 class Narada:

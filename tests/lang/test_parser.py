@@ -228,3 +228,11 @@ class TestErrors:
     def test_syntax_errors(self, source):
         with pytest.raises(ParseError):
             parse(source)
+
+    def test_oversized_int_literal_is_a_parse_error(self):
+        # Past the interpreter's int-string limit: int() itself refuses.
+        source = "class A {\n  int f = " + "7" * 5000 + "; }"
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert (exc.value.line, exc.value.column) == (2, 11)
+        assert "5000 digits" in str(exc.value)
