@@ -2,22 +2,19 @@
 
 Runs the full Narada pipeline (synthesis + detection) over a generated
 corpus (default: the 200-subject procedural corpus, the workload where
-parallel dispatch actually matters) four ways and compares wall-clock:
+parallel dispatch actually matters) three ways and compares wall-clock:
 
 * **serial** — ``jobs=1``, no cache: the pre-orchestrator baseline path;
 * **parallel cold** — ``jobs=N`` over a fresh artifact cache: batched
   process-pool fan-out of the per-subject pipeline and per-test fuzz
-  loop, batch size auto-tuned from the unit-cost EMA;
-* **parallel big-batch** — same, no cache, ``batch_ms`` forced high so
-  many units ride per worker round-trip: batch boundaries must not
-  change a single byte of output;
+  loop, each dispatch ``ceil(queued units / 2N)`` units;
 * **warm cache** — rerun against the now-populated cache: every stage
   replays from content-addressed artifacts.
 
 Three gates:
 
 * the canonical serialized reports must be **byte-identical** across all
-  four runs (the orchestrator's determinism contract; batching changes
+  three runs (the orchestrator's determinism contract; batching changes
   scheduling, never results) — always enforced;
 * the warm-cache rerun must be >= 5x faster than the cold run — always
   enforced (cache replay does no pipeline work, so this holds on any
@@ -62,7 +59,7 @@ OUT_PATH = pathlib.Path(__file__).parent / "out" / "BENCH_pipeline.json"
 
 #: Payload schema; bump on any shape change so stale reports are caught
 #: by ``perf_regression.py --check`` instead of KeyErrors downstream.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Corpus workload defaults (mirrors ``repro corpus run``).
 DEFAULT_COUNT = 200
@@ -70,9 +67,6 @@ DEFAULT_SEED = 0
 
 #: Random schedules per synthesized test (modest: relative times matter).
 DEFAULT_RUNS = 2
-
-#: batch_ms for the big-batch determinism leg (vs the ~75 ms default).
-BIG_BATCH_MS = 500.0
 
 #: Acceptance ratios.
 REQUIRED_PARALLEL_SPEEDUP = 2.5
@@ -109,11 +103,10 @@ def run_bench(
     runs: int = DEFAULT_RUNS,
     out_path: pathlib.Path = OUT_PATH,
 ) -> dict:
-    """Measure serial/parallel/big-batch/warm; write and return payload."""
+    """Measure serial/parallel/warm; write and return payload."""
     subjects = generate_corpus(CorpusConfig(seed=seed, count=count))
     specs = corpus_specs(subjects)
     config = PipelineConfig(random_runs=runs)
-    big_batch = PipelineConfig(random_runs=runs, batch_ms=BIG_BATCH_MS)
     cpu_count = os.cpu_count() or 1
 
     serial_s, serial_digests, _ = _run(specs, jobs=1, cache=None, config=config)
@@ -122,20 +115,13 @@ def run_bench(
         cold_s, cold_digests, cold_ledger = _run(
             specs, jobs=jobs, cache=ArtifactCache(cache_dir), config=config
         )
-        batch_s, batch_digests, _ = _run(
-            specs, jobs=jobs, cache=None, config=big_batch
-        )
         warm_s, warm_digests, _ = _run(
             specs, jobs=jobs, cache=ArtifactCache(cache_dir), config=config
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
-    identical = (
-        serial_digests == cold_digests
-        and serial_digests == batch_digests
-        and serial_digests == warm_digests
-    )
+    identical = serial_digests == cold_digests == warm_digests
     parallel_speedup = serial_s / cold_s
     warm_speedup = cold_s / warm_s
     parallel_gate = cpu_count >= PARALLEL_GATE_MIN_CPUS
@@ -144,7 +130,7 @@ def run_bench(
     if not identical:
         failures.append(
             "determinism: serialized reports differ across "
-            "serial/parallel/big-batch/warm runs"
+            "serial/parallel/warm runs"
         )
     if warm_speedup < REQUIRED_WARM_SPEEDUP:
         failures.append(
@@ -166,7 +152,6 @@ def run_bench(
             "random_runs": runs,
             "directed": True,
             "jobs": jobs,
-            "big_batch_ms": BIG_BATCH_MS,
         },
         "machine": {
             "cpu_count": cpu_count,
@@ -176,7 +161,6 @@ def run_bench(
         "times_s": {
             "serial": round(serial_s, 3),
             "parallel_cold": round(cold_s, 3),
-            "parallel_big_batch": round(batch_s, 3),
             "warm_cache": round(warm_s, 3),
         },
         "dispatch": {
@@ -220,9 +204,6 @@ def _summarize(payload: dict) -> str:
             times["parallel_cold"],
             speedups["parallel_vs_serial"],
             "on" if payload["required"]["parallel_gate_enforced"] else "off",
-        ),
-        "  big batch       {:8.2f}s  (batch_ms={})".format(
-            times["parallel_big_batch"], payload["scenario"]["big_batch_ms"]
         ),
         "  warm cache      {:8.2f}s  ({}x vs cold)".format(
             times["warm_cache"], speedups["warm_vs_cold"]

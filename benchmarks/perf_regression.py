@@ -92,7 +92,7 @@ EXPECTED_REPORTS = {
         "PYTHONPATH=src python benchmarks/perf_regression.py",
     ),
     "BENCH_pipeline.json": (
-        2,
+        3,
         "PYTHONPATH=src python benchmarks/bench_pipeline_e2e.py",
     ),
     "BENCH_daemon.json": (

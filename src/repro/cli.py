@@ -37,9 +37,9 @@ fans the per-subject pipeline and the per-test fuzz loop out over a
 process pool (results are bit-identical to ``--jobs 1``), ``--no-cache``
 disables the persistent content-addressed artifact cache, and
 ``--cache-dir`` points the cache somewhere other than
-``$REPRO_CACHE_DIR`` / ``~/.cache/repro-narada``.  With a pool,
-``--batch-ms`` tunes how much unit compute each worker round-trip
-carries (0 disables batching); batch boundaries never change results.
+``$REPRO_CACHE_DIR`` / ``~/.cache/repro-narada``.  With a pool, each
+worker round-trip carries ``ceil(queued units / (2 * jobs))`` units;
+batch boundaries never change results.
 
 They also share the fault-tolerance flags: ``--unit-timeout`` arms a
 per-unit wall-clock watchdog, ``--max-retries``/``--retry-backoff``
@@ -98,12 +98,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes; 1 runs inline with no pool (default)",
-    )
-    parser.add_argument(
-        "--batch-ms", type=float, default=None, metavar="MS",
-        help="target work per worker dispatch; batches of small units "
-             "are auto-sized to amortize IPC under this much compute "
-             "(default: 75; 0 disables batching; results identical)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -183,16 +177,12 @@ def _cache_from(args) -> ArtifactCache | None:
 
 
 def _pipeline_config(args, **config) -> PipelineConfig:
-    extra = {}
-    if getattr(args, "batch_ms", None) is not None:
-        extra["batch_ms"] = args.batch_ms
     return PipelineConfig(
         unit_timeout=args.unit_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         fault_inject=args.fault_inject,
         static_filter=not getattr(args, "no_static_filter", False),
-        **extra,
         **config,
     )
 
@@ -766,8 +756,8 @@ def _daemon_endpoint(args) -> dict:
 def cmd_serve(args) -> int:
     """Run the warm-pool pipeline daemon until SIGTERM/SIGINT.
 
-    The daemon owns one batched worker pool, the parsed-table and
-    batch-cost caches, and the persistent artifact cache; requests from
+    The daemon owns one batched worker pool, the parsed-table cache,
+    and the persistent artifact cache; requests from
     ``repro client`` (or any length-prefixed-JSON speaker) share all of
     them.  Signals drain gracefully: in-flight requests finish and
     answer before the process exits.

@@ -4,7 +4,7 @@ The batched pool (:mod:`repro.narada.faults`) makes one *run* cheap by
 amortizing worker spawns and pipe round-trips inside it; this module
 amortizes them across runs.  A daemon owns exactly one warm
 :class:`FaultTolerantPool` plus the in-process memo caches (parsed
-class tables, the batch-cost model) and the persistent artifact cache,
+class tables) and the persistent artifact cache,
 and serves ``detect`` / ``synthesize`` / ``corpus`` requests from many
 concurrent clients over a unix or TCP socket — the pipeline as a
 service instead of a one-shot CLI process.
@@ -482,7 +482,6 @@ class ReproDaemon:
                 self.jobs,
                 self.base_config.retry_policy(),
                 FaultLedger(),
-                batch_target_ms=self.base_config.batch_ms,
                 rebuild_after_deaths=self.max_consecutive_worker_deaths,
             )
         return self._pool
@@ -630,7 +629,7 @@ class ReproDaemon:
         """The per-request pipeline config over the daemon's base.
 
         Only deterministic pipeline parameters are per-request; the
-        fault policy and batch target belong to the daemon operator.
+        fault policy belongs to the daemon operator.
         """
         base = self.base_config.to_dict()
         for key in ("vm_seed", "rng_seed", "random_runs", "directed"):
@@ -795,10 +794,6 @@ class ReproDaemon:
                 "workers": len(pool._workers),
                 "consecutive_deaths": pool.consecutive_deaths,
                 "rebuilds": pool.rebuilds,
-                "unit_cost_ema": {
-                    stage: round(cost, 6)
-                    for stage, cost in sorted(pool.sizer._ema.items())
-                },
             }
         with self._state_lock:
             records = [r.to_dict() for r in self.stats.records[-20:]]

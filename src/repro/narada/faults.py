@@ -7,15 +7,15 @@ This module gives the orchestrator the same property at every stage:
 
 * :class:`FaultTolerantPool` — a small process pool built on per-worker
   pipes instead of ``concurrent.futures``.  Workers receive **batches**
-  of units per round-trip (auto-sized by :class:`BatchSizer` so one
-  dispatch carries ~``batch_target_ms`` of work — per-unit pipe
-  round-trips dominate when units cost single-digit milliseconds) but
-  stream **one result message per unit**, so the parent always knows
-  exactly which unit each worker is executing: a dead or hung worker is
-  blamed on *precisely* the in-flight unit (a ``BrokenProcessPool``
-  cannot say which task killed it), the results already streamed for
-  earlier units in the batch survive, the not-yet-started remainder is
-  requeued untouched, and only the blamed unit is retried.  Workers are
+  of units per round-trip (a share of the ready queue that shrinks
+  as it drains — per-unit pipe round-trips dominate when units cost
+  single-digit milliseconds) but stream **one result message per
+  unit**, so the parent always knows exactly which unit each worker is
+  executing: a dead or hung worker is blamed on *precisely* the
+  in-flight unit (a ``BrokenProcessPool`` cannot say which task killed
+  it), the results already streamed for earlier units in the batch
+  survive, the not-yet-started remainder is requeued untouched, and
+  only the blamed unit is retried.  Workers are
   persistent: one pool serves every phase of a run (and, under the
   daemon, every request), so spawn cost and per-process caches amortize
   across the whole workload.
@@ -70,16 +70,6 @@ UNWATCHED_HANG_SECONDS = 5.0
 
 #: Exit code an injected worker crash dies with (visible in waitpid).
 INJECTED_CRASH_EXIT = 13
-
-#: Default per-dispatch work target: batches are sized so one worker
-#: round-trip carries about this much compute (amortizing the pipe IPC
-#: and pickling under it) while staying small enough that crash blame,
-#: watchdog deadlines, and checkpointing remain responsive.
-DEFAULT_BATCH_TARGET_MS = 75.0
-
-#: Hard cap on units per dispatch regardless of how cheap they look.
-MAX_BATCH_UNITS = 64
-
 
 #: Consecutive worker deaths (no intervening successful unit) before
 #: the pool declares itself wedged and rebuilds every worker.
@@ -327,62 +317,6 @@ class FaultInjector:
         return bool(
             self.plan.enospc and _draw("enospc", key, 0) < self.plan.enospc
         )
-
-
-# ----------------------------------------------------------------------
-# Batch sizing.
-
-
-class BatchSizer:
-    """Adaptive units-per-dispatch from an EMA of observed unit cost.
-
-    The parent measures each unit's cost as the interval between its
-    worker's result messages (compute plus its share of pipe traffic —
-    exactly the quantity a dispatch must amortize) and keeps one
-    exponential moving average per stage, since synthesis units and fuzz
-    units live on different cost scales.  A stage with no observations
-    yet dispatches one unit — the probe that seeds the average — and
-    from then on ``size()`` targets ``target_ms`` of work per dispatch,
-    clamped to [1, ``max_units``].
-
-    Sizing only changes *when* a unit runs, never what it computes, so
-    any target (including the ``--batch-ms`` override) produces
-    byte-identical results.
-    """
-
-    __slots__ = ("target_s", "max_units", "alpha", "_ema")
-
-    def __init__(
-        self,
-        target_ms: float = DEFAULT_BATCH_TARGET_MS,
-        max_units: int = MAX_BATCH_UNITS,
-        alpha: float = 0.3,
-    ) -> None:
-        self.target_s = max(0.0, target_ms) / 1000.0
-        self.max_units = max(1, max_units)
-        self.alpha = alpha
-        self._ema: dict[str, float] = {}
-
-    def observe(self, stage: str, seconds: float) -> None:
-        seconds = max(1e-6, seconds)
-        previous = self._ema.get(stage)
-        if previous is None:
-            self._ema[stage] = seconds
-        else:
-            self._ema[stage] = (
-                self.alpha * seconds + (1.0 - self.alpha) * previous
-            )
-
-    def unit_cost(self, stage: str) -> float | None:
-        return self._ema.get(stage)
-
-    def size(self, stage: str) -> int:
-        if self.target_s <= 0.0:
-            return 1  # batching disabled: one unit per round-trip
-        ema = self._ema.get(stage)
-        if ema is None:
-            return 1  # probe dispatch seeds the average
-        return max(1, min(self.max_units, int(self.target_s / ema)))
 
 
 # ----------------------------------------------------------------------
@@ -708,10 +642,10 @@ class FaultTolerantPool:
     """Process pool with per-unit crash isolation and watchdog kills.
 
     Dispatch is one *batch* of units per worker round-trip over a
-    dedicated pipe (sized by :class:`BatchSizer` to amortize IPC under
-    ~``batch_target_ms`` of compute), but the worker streams one result
-    message per unit, so the parent always knows which unit each worker
-    is running:
+    dedicated pipe — each idle worker takes ``ceil(ready units /
+    (2 * jobs))`` of what is still queued — but the worker streams
+    one result message per unit, so the parent always knows which unit
+    each worker is running:
 
     * pipe EOF / worker death → blame exactly the in-flight unit,
       requeue the batch's not-yet-started remainder untouched, respawn
@@ -730,8 +664,7 @@ class FaultTolerantPool:
     The pool is long-lived by design: callers keep one pool across
     pipeline phases, :meth:`run` calls, and daemon requests.  Workers
     spawned for an earlier dispatch are reused (counted as
-    ``warm_reuses`` in the ledger) instead of being respawned, and the
-    batch sizer's cost model stays warm with them.
+    ``warm_reuses`` in the ledger) instead of being respawned.
     """
 
     #: Parent-side poll granularity when watchdog deadlines are armed.
@@ -743,14 +676,12 @@ class FaultTolerantPool:
         policy: RetryPolicy,
         ledger: FaultLedger,
         on_complete=None,
-        batch_target_ms: float = DEFAULT_BATCH_TARGET_MS,
         rebuild_after_deaths: int = DEFAULT_REBUILD_AFTER_DEATHS,
     ) -> None:
         self.jobs = max(1, jobs)
         self.policy = policy
         self.ledger = ledger
         self.on_complete = on_complete
-        self.sizer = BatchSizer(target_ms=batch_target_ms)
         self.rebuild_after_deaths = max(1, rebuild_after_deaths)
         #: Worker deaths since the last successful unit; a long-lived
         #: (daemon) pool uses this to spot a wedged state — workers
@@ -900,11 +831,11 @@ class FaultTolerantPool:
                 raise RunCancelled(cancel.reason())
             now = time.monotonic()
             self._ensure_workers(len(pending) + in_flight)
-            # Dispatch batches of ready units to idle workers.
+            # Each idle worker takes its share of the ready units.
             for worker in self._workers:
                 if worker.batch is not None or not pending:
                     continue
-                batch = self._take_batch(pending, now)
+                batch = self._take_batch(pending, now, self._share(pending, now))
                 if not batch:
                     break
                 try:
@@ -994,9 +925,7 @@ class FaultTolerantPool:
                     pending,
                     repr(WorkerCrash("worker process died mid-unit")),
                 )
-            now = time.monotonic()
-            self.sizer.observe(unit.stage, now - worker.started)
-            worker.started = now
+            worker.started = time.monotonic()
             worker.cursor += 1
             resolved += 1
             if reply[0] == "ok":
@@ -1043,38 +972,31 @@ class FaultTolerantPool:
         rebuilt = self._rebuild_if_wedged(pending)
         return 1 + len(remainder) + rebuilt
 
-    def _take_batch(self, pending: deque, now: float) -> list[PoolUnit]:
-        """Pop up to one dispatch's worth of backoff-ready units.
+    def _share(self, pending: deque, now: float) -> int:
+        """Units for the next dispatch: ``ceil(ready units / (2 * jobs))``.
 
-        The batch is sized for the stage of its first unit and stays
-        stage-homogeneous (stages have different cost scales, and one
-        EMA per stage keeps the model honest).
+        Recomputed for every take, so shares shrink as the queue drains
+        (9 units at ``jobs=4`` go out as 2/1/1/1 and the rest waits for
+        whichever worker frees first).  The first round hands out at
+        most half the queue, so a worker whose share holds slow units
+        does not hold the tail of the phase.
         """
-        first = self._next_ready(pending, now)
-        if first is None:
-            return []
-        batch = [first]
-        want = self.sizer.size(first.stage)
-        while len(batch) < want:
-            unit = self._next_ready(pending, now, stage=first.stage)
-            if unit is None:
-                break
-            batch.append(unit)
-        return batch
+        ready = sum(1 for unit in pending if unit.not_before <= now)
+        return -(-ready // (2 * self.jobs))
 
     @staticmethod
-    def _next_ready(
-        pending: deque, now: float, stage: str | None = None
-    ) -> PoolUnit | None:
-        """Pop the first unit whose backoff elapsed (optionally by stage)."""
+    def _take_batch(pending: deque, now: float, size: int) -> list[PoolUnit]:
+        """Pop up to ``size`` units whose backoff elapsed, in queue order."""
+        batch: list[PoolUnit] = []
         for _ in range(len(pending)):
+            if len(batch) == size:
+                break
             unit = pending.popleft()
-            if unit.not_before <= now and (
-                stage is None or unit.stage == stage
-            ):
-                return unit
-            pending.append(unit)
-        return None
+            if unit.not_before <= now:
+                batch.append(unit)
+            else:
+                pending.append(unit)
+        return batch
 
 
 class InlineRunner:

@@ -54,7 +54,6 @@ from repro.fuzz import RaceFuzzer
 from repro.lang import ClassTable, load
 from repro.narada.cache import ArtifactCache, stage_key, table_digest
 from repro.narada.faults import (
-    DEFAULT_BATCH_TARGET_MS,
     CancelToken,
     FaultInjector,
     FaultLedger,
@@ -71,13 +70,11 @@ from repro.narada.serial import (
     decode_analysis,
     decode_detection,
     decode_fuzz_bundle,
-    decode_seed_traces,
     decode_synthesis,
     encode_analysis,
     encode_detection,
     encode_fuzz_bundle,
     decode_static_facts,
-    encode_seed_traces,
     encode_static_facts,
     encode_synthesis,
     encode_test_bundle,
@@ -103,9 +100,7 @@ class PipelineConfig:
     ``retry_backoff``, ``fault_inject``) deliberately stay *out* of the
     per-stage cache-key configs below: how patiently a unit was babysat
     never changes what the unit computes, so toggling them must not
-    invalidate artifacts.  ``batch_ms`` — the per-dispatch work target
-    of the batched pool — stays out for the same reason: batch
-    boundaries change when a unit runs, never what it computes.
+    invalidate artifacts.
     """
 
     vm_seed: int = 0
@@ -117,7 +112,6 @@ class PipelineConfig:
     max_retries: int = 2
     retry_backoff: float = 0.05
     fault_inject: str | None = None
-    batch_ms: float = DEFAULT_BATCH_TARGET_MS
 
     def analysis_config(self) -> dict:
         return {"vm_seed": self.vm_seed}
@@ -159,7 +153,6 @@ class PipelineConfig:
             "max_retries": self.max_retries,
             "retry_backoff": self.retry_backoff,
             "fault_inject": self.fault_inject,
-            "batch_ms": self.batch_ms,
         }
 
     @classmethod
@@ -231,14 +224,13 @@ def _synthesize_unit(
     config: PipelineConfig,
     cache_root: str | None,
 ) -> SynthesisReport:
-    """Stages 0-3 for one subject, reusing cached stage-0/1 artifacts.
+    """Stages 0-3 for one subject, reusing cached stage-1/2b artifacts.
 
-    Two cached stages feed this unit: ``seedtrace`` (the packed seed
-    traces — stage 0) and ``analysis`` (the method summaries — stage 1).
-    Both key on the analysis config since traces depend only on the VM
-    seed.  A cached analysis skips seed execution entirely; a cached
-    seedtrace alone still skips the (interpreter-bound) seed runs while
-    the analyzer streams the restored columns.
+    Two cached stages feed this unit: ``analysis`` (the method
+    summaries, keyed on the analysis config since seed traces depend
+    only on the VM seed) and ``staticfilter`` (the lockset facts).  A
+    cached analysis skips seed execution entirely.  Each entry is read
+    once and written only when that read missed.
     """
     narada = Narada(
         table,
@@ -254,15 +246,10 @@ def _synthesize_unit(
     if cache is not None:
         dig = table_digest(table)
         analysis_key = stage_key(dig, "analysis", config.analysis_config())
-        trace_key = stage_key(dig, "seedtrace", config.analysis_config())
         cached = cache.get("analysis", analysis_key)
         if cached is not None:
             narada.use_analysis(decode_analysis(cached))
-        else:
-            cached_traces = cache.get("seedtrace", trace_key)
-            if cached_traces is not None:
-                narada.use_seed_traces(decode_seed_traces(cached_traces))
-        facts_key = None
+        facts_key = cached_facts = None
         if config.static_filter:
             # The lockset facts depend only on the program text, so the
             # staticfilter stage keys on the table digest alone.
@@ -273,13 +260,7 @@ def _synthesize_unit(
         report = narada.synthesize_for_class(target_class)
         if cached is None:
             cache.put("analysis", analysis_key, encode_analysis(narada.analysis()))
-            if cache.get("seedtrace", trace_key) is None:
-                cache.put(
-                    "seedtrace",
-                    trace_key,
-                    encode_seed_traces(narada.run_seed_suite()),
-                )
-        if facts_key is not None and cache.get("staticfilter", facts_key) is None:
+        if facts_key is not None and cached_facts is None:
             cache.put(
                 "staticfilter",
                 facts_key,
@@ -381,7 +362,7 @@ class PipelineOrchestrator:
             ``<cache root>/runs``).
         pool: an externally owned :class:`FaultTolerantPool` to dispatch
             on instead of creating one.  The daemon uses this to share
-            one warm pool (live workers, warm batch-cost model) across
+            one warm pool (live workers, parsed tables) across
             every request's orchestrator; a borrowed pool is never
             closed by :meth:`close`.
     """
@@ -428,13 +409,11 @@ class PipelineOrchestrator:
                 self.jobs,
                 self.config.retry_policy(),
                 self.fault_ledger,
-                batch_target_ms=self.config.batch_ms,
             )
         else:
             # One warm pool serves every phase, wave, and (under the
             # daemon) request: point it at the current run's ledger and
-            # retry policy without touching its live workers or its
-            # batch-cost model.
+            # retry policy without touching its live workers.
             self._pool.ledger = self.fault_ledger
             self._pool.policy = self.config.retry_policy()
         return self._pool

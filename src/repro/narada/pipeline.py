@@ -237,10 +237,6 @@ class Narada:
         """Adopt a precomputed (e.g. cache-restored) analysis result."""
         self._analysis = analysis
 
-    def use_seed_traces(self, traces: list[PackedTrace]) -> None:
-        """Adopt precomputed (e.g. cache-restored) seed traces."""
-        self._traces = traces
-
     # ------------------------------------------------------------------
     # Stage 2b: static lockset pre-filter.
 

@@ -774,7 +774,7 @@ def decode_packed_trace(data: dict):
 
 
 def encode_seed_traces(traces) -> dict:
-    """Encode the seed-suite packed traces (the "seedtrace" artifact)."""
+    """Encode the seed-suite packed traces."""
     return {
         "kind": "seedtrace",
         "version": SERIAL_VERSION,

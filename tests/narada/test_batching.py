@@ -1,11 +1,11 @@
-"""Batched-dispatch tests: sizing, mid-batch fault semantics, warm
+"""Batched-dispatch tests: share sizing, mid-batch fault semantics, warm
 reuse, and the determinism contract across batch boundaries.
 
 The invariant under test throughout: batching changes *scheduling*,
 never results.  A crash or hang on the k-th unit of a batch blames
 exactly that unit; results already streamed for earlier units survive;
 units queued behind it go back to pending with their attempt counts
-untouched; and any ``batch_ms`` produces byte-identical reports to
+untouched; and any ``jobs`` produces byte-identical reports to
 ``jobs=1``.
 """
 
@@ -22,9 +22,6 @@ from repro.narada import (
     subject_specs,
 )
 from repro.narada.faults import (
-    DEFAULT_BATCH_TARGET_MS,
-    MAX_BATCH_UNITS,
-    BatchSizer,
     FaultLedger,
     FaultTolerantPool,
     PoolUnit,
@@ -71,6 +68,16 @@ def _raise_on_marker(value, key="", attempt=0):
     return (value, attempt)
 
 
+def _worker_pid(value, key="", attempt=0):
+    return os.getpid()
+
+
+def _pid_after_slow_marker(value, key="", attempt=0):
+    if value == "SLOW":
+        time.sleep(1.0)
+    return os.getpid()
+
+
 def _units(values, fn=_echo, stage="stage"):
     return [
         PoolUnit(
@@ -92,86 +99,63 @@ def _pool(jobs=1, on_complete=None, **policy):
     )
 
 
-class TestBatchSizer:
-    def test_unknown_stage_probes_with_one_unit(self):
-        assert BatchSizer().size("never-seen") == 1
-
-    def test_fast_units_grow_the_batch(self):
-        sizer = BatchSizer(target_ms=100.0)
-        sizer.observe("s", 0.010)  # 10 ms/unit -> 10 units per 100 ms
-        assert sizer.size("s") == 10
-
-    def test_slow_units_stay_single(self):
-        sizer = BatchSizer(target_ms=75.0)
-        sizer.observe("s", 0.5)
-        assert sizer.size("s") == 1
-
-    def test_clamped_to_max_units(self):
-        sizer = BatchSizer(target_ms=75.0)
-        sizer.observe("s", 1e-9)
-        assert sizer.size("s") == MAX_BATCH_UNITS
-
-    def test_zero_target_disables_batching(self):
-        sizer = BatchSizer(target_ms=0.0)
-        sizer.observe("s", 1e-9)
-        assert sizer.size("s") == 1
-
-    def test_ema_tracks_recent_cost(self):
-        sizer = BatchSizer(alpha=0.5)
-        sizer.observe("s", 0.1)
-        sizer.observe("s", 0.2)
-        assert sizer.unit_cost("s") == pytest.approx(0.15)
-        assert sizer.unit_cost("other") is None
-
-    def test_per_stage_isolation(self):
-        sizer = BatchSizer(target_ms=100.0)
-        sizer.observe("fast", 0.001)
-        sizer.observe("slow", 1.0)
-        assert sizer.size("fast") > 1
-        assert sizer.size("slow") == 1
-
-
 class TestTakeBatch:
-    """_take_batch is pure queue surgery — testable without workers."""
+    """The share rule is pure queue surgery — testable without workers."""
 
-    def test_batches_are_stage_homogeneous(self):
-        pool = _pool()
-        pool.sizer.observe("a", 1e-6)
-        pool.sizer.observe("b", 1e-6)
-        pending = deque(
-            _units(["x"] * 3, stage="a") + _units(["y"] * 3, stage="b")
-        )
-        batch = pool._take_batch(pending, time.monotonic())
-        assert [u.stage for u in batch] == ["a", "a", "a"]
-        assert len(pending) == 3
-
-    def test_unseen_stage_gets_probe_of_one(self):
-        pool = _pool()
-        pending = deque(_units(["x"] * 5))
-        batch = pool._take_batch(pending, time.monotonic())
-        assert len(batch) == 1
+    def test_shares_shrink_as_the_ready_queue_drains(self):
+        pool = _pool(jobs=2)
+        now = time.monotonic()
+        units = _units(["x"] * 9)
+        for backed_off in (units[1], units[6]):
+            backed_off.not_before = now + 60.0
+        pending = deque(units)
+        takes = []
+        while share := pool._share(pending, now):
+            takes.append([u.key for u in pool._take_batch(pending, now, share)])
+        # 7 ready units over 2 jobs: ceil(7/4), ceil(5/4), then ones.
+        assert takes == [["u0", "u2"], ["u3", "u4"], ["u5"], ["u7"], ["u8"]]
+        assert sorted(u.key for u in pending) == ["u1", "u6"]
+        for ready, jobs, sizes in [
+            (20, 2, [5, 4, 3, 2, 2, 1, 1, 1, 1]),
+            (9, 4, [2, 1, 1, 1, 1, 1, 1, 1]),
+            (5, 1, [3, 1, 1]),
+            (2, 3, [1, 1]),
+        ]:
+            pool = _pool(jobs=jobs)
+            pending = deque(_units(["x"] * ready))
+            seen = []
+            while share := pool._share(pending, now):
+                seen.append(len(pool._take_batch(pending, now, share)))
+            assert seen == sizes, (ready, jobs)
 
     def test_backed_off_units_are_skipped(self):
         pool = _pool()
-        pool.sizer.observe("stage", 1e-6)
+        now = time.monotonic()
         units = _units(["x"] * 4)
-        units[1].not_before = time.monotonic() + 60.0
-        batch = pool._take_batch(deque(units), time.monotonic())
+        units[1].not_before = now + 60.0
+        pending = deque(units)
+        batch = pool._take_batch(pending, now, 3)
         assert [u.key for u in batch] == ["u0", "u2", "u3"]
+
+    def test_a_take_ignores_stages(self):
+        units = _units(["a", "b"], stage="synthesis") + _units(
+            ["c", "d"], stage="fuzz"
+        )
+        batch = _pool()._take_batch(deque(units), time.monotonic(), 3)
+        assert [u.stage for u in batch] == ["synthesis", "synthesis", "fuzz"]
 
 
 class TestMidBatchFaults:
     def _run_batched(self, values, fn, jobs=1, on_complete=None, **policy):
+        # With one worker the first dispatch takes u0..u2 of six units.
         pool = _pool(jobs=jobs, on_complete=on_complete, **policy)
-        # Seed the cost model so the first dispatch batches everything.
-        pool.sizer.observe("stage", 1e-6)
         with pool:
             results = pool.run(_units(values, fn=fn))
         return results, pool.ledger
 
     def test_crash_on_kth_unit_blames_only_it(self):
         completions = []
-        values = ["a", "b", "c", "CRASH", "e", "f"]
+        values = ["a", "CRASH", "c", "d", "e", "f"]
         results, ledger = self._run_batched(
             values,
             _crash_on_marker,
@@ -180,11 +164,10 @@ class TestMidBatchFaults:
         )
         assert ledger.ok()
         assert sorted(results) == [f"u{i}" for i in range(6)]
-        # The crashed unit burned exactly one attempt; the units queued
+        # The crashed unit burned exactly one attempt; the unit queued
         # behind it in the batch retried nothing.
-        assert results["u3"] == ("CRASH", 1)
-        assert results["u4"] == ("e", 0)
-        assert results["u5"] == ("f", 0)
+        assert results["u1"] == ("CRASH", 1)
+        assert results["u2"] == ("c", 0)
         assert ledger.retries == 1
         assert ledger.pool_respawns == 1
         # Results streamed before the crash were kept, not re-run.
@@ -192,24 +175,25 @@ class TestMidBatchFaults:
         assert len(completions) == 6
 
     def test_hang_on_kth_unit_is_killed_and_blamed(self):
-        values = ["a", "b", "HANG", "d"]
+        values = ["a", "HANG", "c", "d", "e", "f"]
         results, ledger = self._run_batched(
             values, _hang_on_marker, max_retries=2, unit_timeout=1.0
         )
         assert ledger.ok()
-        assert sorted(results) == ["u0", "u1", "u2", "u3"]
-        assert results["u2"] == ("HANG", 1)
-        assert results["u3"] == ("d", 0)  # requeued, attempt untouched
+        assert sorted(results) == [f"u{i}" for i in range(6)]
+        assert results["u0"] == ("a", 0)
+        assert results["u1"] == ("HANG", 1)
+        assert results["u2"] == ("c", 0)  # requeued, attempt untouched
         assert ledger.timeouts == 1
         assert ledger.pool_respawns == 1
 
     def test_ordinary_exception_does_not_kill_the_batch(self):
-        values = ["a", "BOOM", "c"]
+        values = ["a", "BOOM", "c", "d", "e", "f"]
         results, ledger = self._run_batched(
             values, _raise_on_marker, max_retries=0
         )
         # The worker survived and finished the rest of its batch.
-        assert sorted(results) == ["u0", "u2"]
+        assert sorted(results) == ["u0", "u2", "u3", "u4", "u5"]
         assert ledger.pool_respawns == 0
         assert len(ledger.failures) == 1
         failure = ledger.failures[0]
@@ -217,27 +201,72 @@ class TestMidBatchFaults:
         assert "boom in u1" in failure.error
         assert failure.attempts == 1
 
+    def test_crash_in_one_share_leaves_the_other_share_alone(self):
+        values = ["a", "b", "CRASH", "d", "e", "f", "g", "h"]
+        results, ledger = self._run_batched(
+            values, _crash_on_marker, jobs=2, max_retries=2
+        )
+        assert ledger.ok()
+        assert sorted(results) == [f"u{i}" for i in range(8)]
+        assert results["u2"] == ("CRASH", 1)
+        assert all(
+            results[key][1] == 0 for key in results if key != "u2"
+        )
+        assert ledger.retries == 1
+        assert ledger.pool_respawns == 1
+
     def test_batches_and_warm_reuses_are_counted(self):
         pool = _pool(jobs=1)
-        pool.sizer.observe("stage", 1e-6)
         with pool:
             first = pool.run(_units(["a", "b", "c"]))
             second = pool.run(_units(["d", "e", "f"]))
         assert len(first) == 3 and len(second) == 3
         ledger = pool.ledger
         assert ledger.completed == 6
-        assert ledger.batches == 2  # one dispatch per run
+        assert ledger.batches == 4  # two units, then one, per run
         # The second run reused the worker spawned by the first.
         assert ledger.warm_reuses >= 1
         assert ledger.pool_respawns == 0
 
-    def test_probe_then_grow(self):
-        """A cold stage probes with one unit, then batches the rest."""
-        pool = _pool(jobs=1)
+
+class TestGuidedDispatch:
+    def test_first_round_hands_out_half_the_queue(self):
+        pool = _pool(jobs=2)
         with pool:
-            results = pool.run(_units(["v"] * 20))
-        assert len(results) == 20
-        assert 1 < pool.ledger.batches < 20
+            results = pool.run(_units(["v"] * 10, fn=_worker_pid))
+        assert len(results) == 10
+        # 3 then 2 in the first round; the other five go out as 2/1/1/1.
+        assert pool.ledger.batches == 6
+        assert len({results[f"u{i}"] for i in range(3)}) == 1
+        assert results["u3"] == results["u4"] != results["u0"]
+
+    def test_nine_units_at_jobs_four_keep_every_worker_busy(self):
+        pool = _pool(jobs=4)
+        with pool:
+            results = pool.run(_units(["v"] * 9, fn=_worker_pid))
+        assert len(results) == 9
+        # First round: 2/1/1/1 over four distinct workers.
+        assert len({results[key] for key in ("u0", "u2", "u3", "u4")}) == 4
+        assert results["u1"] == results["u0"]
+
+    def test_a_worker_that_frees_early_takes_the_tail(self):
+        pool = _pool(jobs=2)
+        values = ["SLOW", "b", "c", "d", "e", "f"]
+        with pool:
+            results = pool.run(_units(values, fn=_pid_after_slow_marker))
+        # u0, u1 go to the first worker and u2 to the second; u3..u5
+        # wait in the queue, and the second worker, free first, takes
+        # each of them.
+        assert results["u0"] == results["u1"] != results["u2"]
+        assert results["u3"] == results["u4"] == results["u5"] == results["u2"]
+
+    def test_fewer_units_than_jobs_spawn_one_worker_per_unit(self):
+        pool = _pool(jobs=3)
+        with pool:
+            results = pool.run(_units(["v"] * 2, fn=_worker_pid))
+            assert len(pool._workers) == 2
+        assert pool.ledger.batches == 2
+        assert len(set(results.values())) == 2
 
 
 class TestPipelineDeterminism:
@@ -248,18 +277,15 @@ class TestPipelineDeterminism:
         assert orch.fault_ledger.ok()
         return outcome.digest()
 
-    @pytest.mark.parametrize("batch_ms", [0.0, DEFAULT_BATCH_TARGET_MS, 1000.0])
-    def test_byte_identical_across_batch_sizes(self, serial_digest, batch_ms):
-        config = _config(batch_ms=batch_ms)
-        with PipelineOrchestrator(jobs=2, config=config) as orch:
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_byte_identical_across_jobs(self, serial_digest, jobs):
+        with PipelineOrchestrator(jobs=jobs, config=CONFIG) as orch:
             outcome = orch.run([_spec()])[0]
         assert orch.fault_ledger.ok()
         assert outcome.digest() == serial_digest
 
-    def test_big_batches_with_crashes_stay_identical(self, serial_digest):
-        config = _config(
-            batch_ms=1000.0, fault_inject="crash:0.4", max_retries=12
-        )
+    def test_batches_with_crashes_stay_identical(self, serial_digest):
+        config = _config(fault_inject="crash:0.4", max_retries=12)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -267,11 +293,16 @@ class TestPipelineDeterminism:
         assert ledger.retries > 0
         assert outcome.digest() == serial_digest
 
-    def test_batch_ms_stays_out_of_cache_keys(self):
-        a = _config(batch_ms=10.0)
-        b = _config(batch_ms=1000.0)
-        assert a.synthesis_config("Any") == b.synthesis_config("Any")
-        assert a.detection_config("Any") == b.detection_config("Any")
+    def test_fault_knobs_stay_out_of_cache_keys(self):
+        patient = _config(
+            unit_timeout=30.0,
+            max_retries=9,
+            retry_backoff=1.0,
+            fault_inject="crash:0.1",
+        )
+        assert patient.analysis_config() == CONFIG.analysis_config()
+        assert patient.synthesis_config("Any") == CONFIG.synthesis_config("Any")
+        assert patient.detection_config("Any") == CONFIG.detection_config("Any")
 
     def test_resume_replays_nothing_checkpointed(
         self, monkeypatch, tmp_path, serial_digest
@@ -292,16 +323,15 @@ class TestPipelineDeterminism:
 
         monkeypatch.setattr(faults_mod.RunLedger, "mark_done", kill_after_four)
         cache = ArtifactCache(tmp_path / "cache")
-        config = _config(batch_ms=1000.0)
         with pytest.raises(KeyboardInterrupt):
             with PipelineOrchestrator(
-                jobs=2, cache=cache, config=config
+                jobs=2, cache=cache, config=CONFIG
             ) as orch:
                 orch.run([_spec()])
 
         monkeypatch.setattr(faults_mod.RunLedger, "mark_done", real_mark)
         with PipelineOrchestrator(
-            jobs=2, cache=cache, config=config, resume=True
+            jobs=2, cache=cache, config=CONFIG, resume=True
         ) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -341,14 +371,6 @@ class TestWarmPoolAcrossPhases:
             assert pool._workers
             assert all(w.process.is_alive() for w in pool._workers)
         assert pool.ledger.warm_reuses >= 1
-
-    def test_cli_batch_ms_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "--subjects", "C8", "--batch-ms", "250"]
-        )
-        assert args.batch_ms == 250.0
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ digests, so a warm replay digests nothing.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -72,6 +73,95 @@ def test_report_entries_store_their_report_digest(tmp_path):
     for stage in ("fuzzunit", "analysis"):
         for _, entry in _entries(tmp_path, stage):
             assert "digest" not in entry
+
+
+def test_cold_run_reads_each_entry_once_and_stores_no_seed_traces(
+    tmp_path, monkeypatch
+):
+    reads = []
+    real_get = ArtifactCache.get
+
+    def counting_get(self, stage, key):
+        reads.append((stage, key))
+        return real_get(self, stage, key)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    _run(ArtifactCache(tmp_path))
+    assert reads
+    assert len(reads) == len(set(reads))
+    assert not (tmp_path / "seedtrace").exists()
+
+
+def test_warm_replay_reads_two_entries_and_writes_none(tmp_path, monkeypatch):
+    cache = ArtifactCache(tmp_path)
+    _run(cache)
+    reads = []
+    real_get = ArtifactCache.get
+
+    def counting_get(self, stage, key):
+        reads.append(stage)
+        return real_get(self, stage, key)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    writes = _count_puts(monkeypatch)
+    warm, _ = _run(cache)
+    assert warm.synthesis_cached and warm.detection_cached
+    assert sorted(reads) == ["detection", "synthesis"]
+    assert writes == []
+
+
+def _count_puts(monkeypatch):
+    writes = []
+    real_put = ArtifactCache.put
+
+    def counting_put(self, stage, key, data):
+        writes.append((stage, key))
+        return real_put(self, stage, key, data)
+
+    monkeypatch.setattr(ArtifactCache, "put", counting_put)
+    return writes
+
+
+def test_cold_run_writes_each_entry_once(tmp_path, monkeypatch):
+    writes = _count_puts(monkeypatch)
+    _run(ArtifactCache(tmp_path))
+    assert writes
+    assert len(writes) == len(set(writes))
+    assert {stage for stage, _ in writes} == {
+        "analysis",
+        "staticfilter",
+        "synthesis",
+        "fuzzunit",
+        "detection",
+    }
+
+
+def test_resynthesis_reuses_analysis_and_facts_without_rewriting(
+    tmp_path, monkeypatch, clean_digest
+):
+    _run(ArtifactCache(tmp_path))
+    for stage in ("synthesis", "detection"):
+        shutil.rmtree(tmp_path / stage)
+    writes = _count_puts(monkeypatch)
+    outcome, _ = _run(ArtifactCache(tmp_path))
+    assert not outcome.synthesis_cached
+    assert outcome.digest() == clean_digest
+    stages = {stage for stage, _ in writes}
+    assert "synthesis" in stages
+    assert not stages & {"analysis", "staticfilter"}
+
+
+def test_lost_analysis_entry_is_recomputed(tmp_path, monkeypatch, clean_digest):
+    _run(ArtifactCache(tmp_path))
+    for stage in ("analysis", "synthesis", "detection"):
+        shutil.rmtree(tmp_path / stage)
+    writes = _count_puts(monkeypatch)
+    outcome, _ = _run(ArtifactCache(tmp_path))
+    assert outcome.digest() == clean_digest
+    assert [stage for stage, _ in writes].count("analysis") == 1
+    assert "staticfilter" not in {stage for stage, _ in writes}
+    assert _entries(tmp_path, "analysis")
+    assert not (tmp_path / "seedtrace").exists()
 
 
 def test_decoded_detection_shares_the_synthesis_tests(tmp_path):
