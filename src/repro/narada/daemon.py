@@ -4,7 +4,8 @@ The batched pool (:mod:`repro.narada.faults`) makes one *run* cheap by
 amortizing worker spawns and pipe round-trips inside it; this module
 amortizes them across runs.  A daemon owns exactly one warm
 :class:`FaultTolerantPool` plus the in-process memo caches (parsed
-class tables) and the persistent artifact cache,
+class tables in the workers, table digests by source hash) and the
+persistent artifact cache,
 and serves ``detect`` / ``synthesize`` / ``corpus`` requests from many
 concurrent clients over a unix or TCP socket — the pipeline as a
 service instead of a one-shot CLI process.
@@ -15,9 +16,12 @@ Length-prefixed JSON: each frame is a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON.  Requests are objects with
 an ``op`` key (``ping`` / ``stats`` / ``synthesize`` / ``detect`` /
 ``corpus`` / ``shutdown``); responses always carry ``ok`` plus either
-the op's result or ``error``.  A connection may issue any number of
-requests back-to-back (the benchmark client does); the stock CLI client
-sends one per connection.
+the op's result or ``error``.  Every refusal also carries an
+``error_code``: ``bad_request`` for a request that fails validation,
+``internal`` for an unexpected failure while running it, and the shed
+and protocol codes of :data:`repro.narada.serial.ERROR_CODES`.  A
+connection may issue any number of requests back-to-back (the
+benchmark client does); the stock CLI client sends one per connection.
 
 Semantics
 ---------
@@ -47,6 +51,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.narada.cache import ArtifactCache, default_cache_dir
@@ -60,6 +65,7 @@ from repro.narada.faults import (
 from repro.narada.orchestrator import (
     PipelineConfig,
     PipelineOrchestrator,
+    ProgramSource,
     SubjectSpec,
     subject_specs,
 )
@@ -92,6 +98,19 @@ DEFAULT_MAX_QUEUE_DEPTH = 8
 
 class ProtocolError(Exception):
     """Malformed frame or oversized payload on the wire."""
+
+
+class BadRequest(Exception):
+    """A request refused while validating it, before anything ran."""
+
+
+@contextmanager
+def _validating():
+    """Re-raise any error as :class:`BadRequest`, keeping its repr."""
+    try:
+        yield
+    except Exception as error:
+        raise BadRequest(repr(error)) from error
 
 
 def default_socket_path() -> str:
@@ -592,20 +611,20 @@ class ReproDaemon:
         started = time.monotonic()
         handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
         if handler is None:
-            response = {
-                "ok": False,
-                "error": f"unknown op {op!r}",
-                "ops": sorted(
-                    name[4:] for name in dir(self) if name.startswith("_op_")
-                ),
-            }
+            response = encode_error_frame("bad_request", f"unknown op {op!r}")
+            response["ops"] = sorted(
+                name[4:] for name in dir(self) if name.startswith("_op_")
+            )
         else:
             try:
                 response = handler(request)
             except Exception as error:  # noqa: BLE001 — reported to client
                 with self._state_lock:
                     self.stats.errors += 1
-                response = {"ok": False, "error": repr(error)}
+                if isinstance(error, BadRequest):
+                    response = encode_error_frame("bad_request", str(error))
+                else:
+                    response = encode_error_frame("internal", repr(error))
         elapsed = time.monotonic() - started
         response.setdefault("ok", True)
         response["op"] = op
@@ -641,12 +660,17 @@ class ReproDaemon:
 
     def _specs_from(self, request: dict) -> list[SubjectSpec]:
         if "source" in request:
-            from repro.lang import load
-
             source = request["source"]
+            if not isinstance(source, str):
+                raise TypeError(
+                    f"'source' must be a string, not {type(source).__name__}"
+                )
+            # Parses only a source this process has not seen; a source
+            # that does not parse fails here, as a bad request.
+            program = ProgramSource.of(source)
             target = request.get("target_class")
             if target is None:
-                names = load(source).class_names()
+                names = list(program.class_names)
                 if len(names) != 1:
                     raise ValueError(
                         f"target_class needed; source defines {names}"
@@ -654,7 +678,12 @@ class ReproDaemon:
                 target = names[0]
             name = request.get("name", target)
             return [
-                SubjectSpec(name=name, source=source, target_class=target)
+                SubjectSpec(
+                    name=name,
+                    source=source,
+                    target_class=target,
+                    program=program,
+                )
             ]
         keys = request.get("subjects")
         if not keys:
@@ -690,9 +719,10 @@ class ReproDaemon:
                 retry_after_s=self.admission.retry_after(),
             )
         deadline_s = request.get("deadline_s", self.default_deadline_s)
-        token = CancelToken.after(
-            float(deadline_s) if deadline_s is not None else None
-        )
+        with _validating():
+            token = CancelToken.after(
+                float(deadline_s) if deadline_s is not None else None
+            )
         if not self.admission.try_enter():
             return encode_error_frame(
                 "busy",
@@ -823,8 +853,9 @@ class ReproDaemon:
         return self._pipeline_response(request, detect=True)
 
     def _pipeline_response(self, request: dict, detect: bool) -> dict:
-        specs = self._specs_from(request)
-        config = self._request_config(request)
+        with _validating():
+            specs = self._specs_from(request)
+            config = self._request_config(request)
         return self._with_admission(
             request,
             lambda token: self._pipeline_body(specs, config, detect, token),
@@ -864,16 +895,17 @@ class ReproDaemon:
     def _op_corpus(self, request: dict) -> dict:
         from repro.corpus import CorpusConfig, run_corpus, template_names
 
-        templates = request.get("templates") or list(template_names())
-        corpus_config = CorpusConfig(
-            seed=int(request.get("seed", 0)),
-            count=int(request.get("count", 20)),
-            templates=tuple(templates),
-            min_templates=int(request.get("min_templates", 2)),
-            max_templates=int(request.get("max_templates", 4)),
-        ).validate()
-        config = self._request_config(request)
-        batch_size = int(request.get("batch_size", 25))
+        with _validating():
+            templates = request.get("templates") or list(template_names())
+            corpus_config = CorpusConfig(
+                seed=int(request.get("seed", 0)),
+                count=int(request.get("count", 20)),
+                templates=tuple(templates),
+                min_templates=int(request.get("min_templates", 2)),
+                max_templates=int(request.get("max_templates", 4)),
+            ).validate()
+            config = self._request_config(request)
+            batch_size = int(request.get("batch_size", 25))
 
         def body(token: CancelToken) -> dict:
             orch = PipelineOrchestrator(
@@ -912,7 +944,8 @@ class ReproDaemon:
         can park the pipeline for a known duration and watch concurrent
         requests queue, shed, or hit their deadlines.
         """
-        seconds = float(request.get("seconds", 0.1))
+        with _validating():
+            seconds = float(request.get("seconds", 0.1))
 
         def body(token: CancelToken) -> dict:
             end = time.monotonic() + seconds

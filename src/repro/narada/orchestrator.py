@@ -48,6 +48,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import pathlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.fuzz import RaceFuzzer
@@ -83,13 +85,74 @@ from repro.narada.serial import (
 from repro.static.filter import allocate_budgets, verdict_index
 
 
+#: Most distinct sources whose table digest and class names one process
+#: remembers.  An entry is a 32-byte key, a hex digest and a tuple of
+#: class names (about 0.5 KB with the dict's overhead), so a full memo
+#: is about half a megabyte; 1024 covers serve-mixed's 520 distinct
+#: sources.
+SOURCE_MEMO_SIZE = 1024
+
+#: sha256(source) -> (table digest, class names), least recent first.
+_SOURCE_MEMO: OrderedDict[bytes, tuple[str, tuple[str, ...]]] = OrderedDict()
+_SOURCE_MEMO_LOCK = threading.Lock()
+
+
+@dataclass(eq=False)
+class ProgramSource:
+    """One distinct program text: its table digest and class names now,
+    its class table on first use.
+
+    :meth:`of` reads the digest and class names from the process-wide
+    source memo and parses only on a miss.  The memo holds no table:
+    a table is parsed at most once per holder, when an inline unit or a
+    scorer first reads :attr:`table`, and dies with the holder.  A
+    source that fails to parse raises and is never memoized.
+    """
+
+    text: str = field(repr=False)
+    digest: str
+    class_names: tuple[str, ...]
+    _table: ClassTable | None = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, text: str) -> "ProgramSource":
+        key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+        with _SOURCE_MEMO_LOCK:
+            known = _SOURCE_MEMO.get(key)
+            if known is not None:
+                _SOURCE_MEMO.move_to_end(key)
+        if known is not None:
+            return cls(text, *known)
+        table = load(text)
+        known = (table_digest(table), tuple(table.class_names()))
+        with _SOURCE_MEMO_LOCK:
+            _SOURCE_MEMO[key] = known
+            if len(_SOURCE_MEMO) > SOURCE_MEMO_SIZE:
+                _SOURCE_MEMO.popitem(last=False)
+        return cls(text, *known, table)
+
+    @property
+    def table(self) -> ClassTable:
+        if self._table is None:
+            self._table = load(self.text)
+        return self._table
+
+
 @dataclass(frozen=True)
 class SubjectSpec:
-    """One unit of per-subject work: a program and its analyzed class."""
+    """One unit of per-subject work: a program and its analyzed class.
+
+    ``program`` is the source as its creator already described it (the
+    daemon does, to validate a request); a run uses it, and the table it
+    may carry, instead of looking the source up again.
+    """
 
     name: str
     source: str
     target_class: str
+    program: ProgramSource | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -177,9 +240,11 @@ class SubjectOutcome:
     detection_cached: bool = False
     detection_partial: bool = False
     failures: list = field(default_factory=list)
-    #: The subject's parsed class table, shared by every spec of the run
-    #: with the same source; scorers read it instead of parsing again.
-    table: ClassTable | None = field(default=None, repr=False, compare=False)
+    #: The subject's source, shared by every spec of the run with the
+    #: same source text; see :attr:`table`.
+    program: ProgramSource | None = field(
+        default=None, repr=False, compare=False
+    )
     #: Report digests stored with the cache entries this run read or
     #: wrote; ``digest`` encodes a report only when it has none.
     _synthesis_digest: str | None = field(default=None, repr=False)
@@ -197,6 +262,12 @@ class SubjectOutcome:
             self._detection_digest = report_digest(encode_detection(self.detection))
         return f"{self._synthesis_digest}/{self._detection_digest}"
 
+    @property
+    def table(self) -> ClassTable | None:
+        """The subject's class table, parsed on first read unless the
+        run already parsed it; scorers read it instead of parsing again."""
+        return None if self.program is None else self.program.table
+
 
 # ----------------------------------------------------------------------
 # Work units.  Module-level so they are picklable by the process pool;
@@ -213,13 +284,13 @@ def _load_table(source: str) -> ClassTable:
     it fuzzes.  Sized for corpus-scale waves — at 16 entries a
     200-subject corpus run thrashed the cache and re-parsed tables the
     worker had already paid for.  The inline path never calls this:
-    :meth:`PipelineOrchestrator.run` hands its units the tables it
-    parsed."""
+    its units read the run's :class:`ProgramSource` tables."""
     return load(source)
 
 
 def _synthesize_unit(
     table: ClassTable,
+    digest: str,
     target_class: str,
     config: PipelineConfig,
     cache_root: str | None,
@@ -230,7 +301,8 @@ def _synthesize_unit(
     summaries, keyed on the analysis config since seed traces depend
     only on the VM seed) and ``staticfilter`` (the lockset facts).  A
     cached analysis skips seed execution entirely.  Each entry is read
-    once and written only when that read missed.
+    once and written only when that read missed.  ``digest`` is the
+    table's digest, which the orchestrator already has.
     """
     narada = Narada(
         table,
@@ -244,8 +316,7 @@ def _synthesize_unit(
         else None
     )
     if cache is not None:
-        dig = table_digest(table)
-        analysis_key = stage_key(dig, "analysis", config.analysis_config())
+        analysis_key = stage_key(digest, "analysis", config.analysis_config())
         cached = cache.get("analysis", analysis_key)
         if cached is not None:
             narada.use_analysis(decode_analysis(cached))
@@ -253,7 +324,7 @@ def _synthesize_unit(
         if config.static_filter:
             # The lockset facts depend only on the program text, so the
             # staticfilter stage keys on the table digest alone.
-            facts_key = stage_key(dig, "staticfilter", {})
+            facts_key = stage_key(digest, "staticfilter", {})
             cached_facts = cache.get("staticfilter", facts_key)
             if cached_facts is not None:
                 narada.use_static_facts(decode_static_facts(cached_facts))
@@ -272,6 +343,7 @@ def _synthesize_unit(
 
 def _synthesize_worker(
     source: str,
+    digest: str,
     target_class: str,
     config: dict,
     cache_root: str | None,
@@ -283,7 +355,7 @@ def _synthesize_worker(
     if injector is not None:
         injector.before_unit(unit_key, attempt, in_worker=True)
     report = _synthesize_unit(
-        _load_table(source), target_class, cfg, cache_root
+        _load_table(source), digest, target_class, cfg, cache_root
     )
     return encode_synthesis(report)
 
@@ -325,21 +397,55 @@ def _fuzz_worker(
     return encode_fuzz_bundle(report)
 
 
-def _parse_specs(
-    specs: list[SubjectSpec],
-) -> tuple[list[ClassTable], list[str]]:
-    """Per spec, its class table and table digest.
+def _parse_specs(specs: list[SubjectSpec]) -> list[ProgramSource]:
+    """Per spec, its :class:`ProgramSource`.
 
-    Each distinct source is parsed once, so specs that share a source
-    (one spec per class of one program) share one table.
+    Specs that share a source (one spec per class of one program) share
+    one holder, so the run parses that source at most once.
     """
-    parsed: dict[str, tuple[ClassTable, str]] = {}
+    programs: dict[str, ProgramSource] = {}
     for spec in specs:
-        if spec.source not in parsed:
-            table = load(spec.source)
-            parsed[spec.source] = (table, table_digest(table))
-    pairs = [parsed[spec.source] for spec in specs]
-    return [table for table, _ in pairs], [dig for _, dig in pairs]
+        if spec.source not in programs:
+            programs[spec.source] = spec.program or ProgramSource.of(spec.source)
+    return [programs[spec.source] for spec in specs]
+
+
+class _RunJournal:
+    """A run's :class:`RunLedger`, created when the run first computes.
+
+    A ``--resume`` run opens its ledger at once, since the journaled
+    keys decide what counts as resumed.  Any other run holds its
+    cache-hit marks until it dispatches a unit or marks a computed key,
+    then creates the ledger and writes the held marks first, so a run
+    that computes anything journals the same lines in the same order,
+    and a run where every unit hits touches nothing on disk.
+    """
+
+    def __init__(self, path: pathlib.Path, resume: bool) -> None:
+        self.path = path
+        self.ledger = RunLedger(path, resume=True) if resume else None
+        self._held: list[tuple[str, str, str]] = []
+
+    def open(self) -> None:
+        if self.ledger is None:
+            self.ledger = RunLedger(self.path)
+            for mark in self._held:
+                self.ledger.mark_done(*mark)
+            self._held = []
+
+    def has(self, key: str) -> bool:
+        return self.ledger is not None and self.ledger.has(key)
+
+    def mark_done(self, key: str, stage: str, subject: str, hit: bool) -> None:
+        if self.ledger is None and hit:
+            self._held.append((key, stage, subject))
+            return
+        self.open()
+        self.ledger.mark_done(key, stage, subject)
+
+    def close(self) -> None:
+        if self.ledger is not None:
+            self.ledger.close()
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +579,11 @@ class PipelineOrchestrator:
     # -- fault plumbing ------------------------------------------------
 
     def _run_units(
-        self, units: list[PoolUnit], inline_fn, on_complete=None
+        self,
+        units: list[PoolUnit],
+        inline_fn,
+        on_complete=None,
+        journal: _RunJournal | None = None,
     ) -> dict[str, object]:
         """Execute units under the fault policy; ``{key: payload}``.
 
@@ -483,6 +593,8 @@ class PipelineOrchestrator:
         """
         if not units:
             return {}
+        if journal is not None:
+            journal.open()
         if self.jobs == 1:
             runner = InlineRunner(
                 self.config.retry_policy(),
@@ -498,7 +610,7 @@ class PipelineOrchestrator:
         finally:
             pool.on_complete = None
 
-    def _open_journal(self, digests: list[str]) -> RunLedger | None:
+    def _open_journal(self, digests: list[str]) -> _RunJournal | None:
         """The resume journal for this (specs, config) identity."""
         if self.cache is None:
             return None
@@ -519,11 +631,11 @@ class PipelineOrchestrator:
             if self.run_dir is not None
             else self.cache.root / "runs"
         )
-        return RunLedger(base / f"run-{run_id}.jsonl", resume=self.resume)
+        return _RunJournal(base / f"run-{run_id}.jsonl", self.resume)
 
     def _mark_done(
         self,
-        journal: RunLedger | None,
+        journal: _RunJournal | None,
         key: str,
         stage: str,
         subject: str,
@@ -533,7 +645,7 @@ class PipelineOrchestrator:
             return
         if from_cache and self.resume and journal.has(key):
             self.fault_ledger.resumed += 1
-        journal.mark_done(key, stage, subject)
+        journal.mark_done(key, stage, subject, hit=from_cache)
 
     # -- synthesis phase -----------------------------------------------
 
@@ -552,9 +664,9 @@ class PipelineOrchestrator:
     def _synthesis_phase(
         self,
         specs: list[SubjectSpec],
-        tables: list[ClassTable],
+        programs: list[ProgramSource],
         keys: list[str],
-        journal: RunLedger | None,
+        journal: _RunJournal | None,
     ) -> list[tuple[SynthesisReport, str | None, bool] | None]:
         """Per spec: (report, its cache entry's digest or None, cache
         hit?), or None for a permanently failed synthesis unit."""
@@ -587,6 +699,7 @@ class PipelineOrchestrator:
                             fn=_synthesize_worker,
                             args=(
                                 spec.source,
+                                programs[i].digest,
                                 spec.target_class,
                                 self.config.to_dict(),
                                 self._cache_root,
@@ -599,7 +712,11 @@ class PipelineOrchestrator:
         def inline_synthesis(unit: PoolUnit):
             i = index_by_key[unit.key]
             return _synthesize_unit(
-                tables[i], specs[i].target_class, self.config, self._cache_root
+                programs[i].table,
+                programs[i].digest,
+                specs[i].target_class,
+                self.config,
+                self._cache_root,
             )
 
         def on_complete(unit: PoolUnit, payload) -> None:
@@ -616,7 +733,7 @@ class PipelineOrchestrator:
             results[index_by_key[unit.key]] = (report, digest, False)
 
         self._run_units(
-            [u for _, u in pending], inline_synthesis, on_complete
+            [u for _, u in pending], inline_synthesis, on_complete, journal
         )
         for i, first in duplicates:
             results[i] = results[first]
@@ -644,11 +761,10 @@ class PipelineOrchestrator:
     def _detection_phase(
         self,
         specs: list[SubjectSpec],
-        tables: list[ClassTable],
+        programs: list[ProgramSource],
         keys: list[str],
         syntheses: list[SynthesisReport | None],
-        digests: list[str],
-        journal: RunLedger | None,
+        journal: _RunJournal | None,
     ) -> list[tuple[DetectionReport, str | None, bool, bool] | None]:
         """Per spec: (report, its cache entry's digest or None, cache
         hit?, partial?), or None when the subject had no synthesis to
@@ -683,7 +799,7 @@ class PipelineOrchestrator:
                 if budget.runs == 0:
                     continue  # all covered pairs statically pruned
                 ukey = self._fuzzunit_key(
-                    digests[i], spec.target_class, test.name, budget.runs
+                    programs[i].digest, spec.target_class, test.name, budget.runs
                 )
                 unit_cached = self._get_decoded(
                     "fuzzunit", ukey, lambda data: decode_fuzz_bundle(data, test)
@@ -720,7 +836,7 @@ class PipelineOrchestrator:
             i, test = meta[unit.key][0]
             budget = budgets_by_spec[i][test.name]
             return _fuzz_unit(
-                tables[i],
+                programs[i].table,
                 test,
                 self.config,
                 runs=budget.runs,
@@ -741,7 +857,7 @@ class PipelineOrchestrator:
             for i, test in meta[unit.key]:
                 reports[i][test.name] = fuzz
 
-        self._run_units(pending, inline_fuzz, on_complete)
+        self._run_units(pending, inline_fuzz, on_complete, journal)
         for i, per_test in reports.items():
             detection = DetectionReport(class_name=specs[i].target_class)
             complete = True
@@ -779,16 +895,16 @@ class PipelineOrchestrator:
         raise-on-failure contract of the serial fuzz loop.
         """
         self.fault_ledger = FaultLedger()
-        tables, digests = _parse_specs([spec])
+        programs = _parse_specs([spec])
         key = stage_key(
-            digests[0],
+            programs[0].digest,
             "detection",
             self.config.detection_config(spec.target_class),
         )
-        journal = self._open_journal(digests)
+        journal = self._open_journal([programs[0].digest])
         try:
             result = self._detection_phase(
-                [spec], tables, [key], [synthesis], digests, journal
+                [spec], programs, [key], [synthesis], journal
             )[0]
         finally:
             if journal is not None:
@@ -817,7 +933,8 @@ class PipelineOrchestrator:
         quarantined_before = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
-        tables, digests = _parse_specs(specs)
+        programs = _parse_specs(specs)
+        digests = [program.digest for program in programs]
         journal = self._open_journal(digests)
         try:
             if self.cancel is not None:
@@ -831,12 +948,12 @@ class PipelineOrchestrator:
                 for i, spec in enumerate(specs)
             ]
             synthesis = self._synthesis_phase(
-                specs, tables, synth_keys, journal
+                specs, programs, synth_keys, journal
             )
             outcomes = [
                 SubjectOutcome(
                     spec=spec,
-                    table=tables[i],
+                    program=programs[i],
                     synthesis=synthesis[i][0] if synthesis[i] else None,
                     synthesis_cached=bool(synthesis[i] and synthesis[i][2]),
                     _synthesis_digest=synthesis[i][1] if synthesis[i] else None,
@@ -856,10 +973,9 @@ class PipelineOrchestrator:
                 ]
                 detections = self._detection_phase(
                     specs,
-                    tables,
+                    programs,
                     detect_keys,
                     [o.synthesis for o in outcomes],
-                    digests,
                     journal,
                 )
                 for outcome, result in zip(outcomes, detections):

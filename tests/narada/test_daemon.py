@@ -17,9 +17,12 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
+import repro.narada.orchestrator as orch_mod
+from repro.lang.parser import Parser
 from repro.narada import (
     ArtifactCache,
     DaemonClient,
@@ -204,6 +207,85 @@ class TestRequestHandling:
         assert not response["ok"]
         assert "NOPE99" in response["error"]
         assert daemon.stats.errors == 1
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "synthesize", "source": "class A { int f = ²; }"},
+            {"op": "detect", "source": "class A { int f = ; }"},
+            {
+                "op": "detect",
+                "source": "class A { int f = ; }",
+                "target_class": "A",
+            },
+            {"op": "detect", "source": 42},
+            {"op": "detect", "subjects": ["NOPE99"]},
+            {"op": "detect"},
+            {"op": "explode"},
+            {"op": "detect", "subjects": ["C8"], "deadline_s": "soon"},
+            {"op": "corpus", "count": "many"},
+        ],
+        ids=[
+            "lex-error",
+            "parse-error",
+            "parse-error-with-target",
+            "non-string-source",
+            "unknown-subject",
+            "no-subjects-or-source",
+            "unknown-op",
+            "bad-deadline",
+            "bad-corpus-count",
+        ],
+    )
+    def test_invalid_request_answers_bad_request(self, daemon, request_):
+        with _client(daemon) as client:
+            response = client.request(request_)
+            assert client.request({"op": "ping"})["ok"]
+        assert response["ok"] is False
+        assert response["error_code"] == "bad_request"
+        assert response["error"]
+
+    def test_failure_inside_a_run_answers_internal(self, daemon, monkeypatch):
+        def explode(self, specs, detect=True):
+            raise RuntimeError("run exploded")
+
+        monkeypatch.setattr(PipelineOrchestrator, "run", explode)
+        with _client(daemon) as client:
+            response = client.request({"op": "detect", "subjects": ["C8"]})
+            assert client.request({"op": "ping"})["ok"]
+        assert response["ok"] is False
+        assert response["error_code"] == "internal"
+        assert response["error"] == "RuntimeError('run exploded')"
+
+    @pytest.mark.parametrize(
+        "with_target", [False, True], ids=["source-only", "named-class"]
+    )
+    def test_repeated_source_requests_parse_once(
+        self, daemon, monkeypatch, with_target
+    ):
+        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+        calls = {"n": 0}
+        real = Parser.parse_program
+
+        def counting(parser):
+            calls["n"] += 1
+            return real(parser)
+
+        monkeypatch.setattr(Parser, "parse_program", counting)
+        subject = get_subject("C8")
+        request = {"op": "detect", "source": subject.source, "runs": RUNS}
+        if with_target:
+            request["target_class"] = subject.class_name
+        parses, digests = [], []
+        with _client(daemon) as client:
+            for _ in range(3):
+                before = calls["n"]
+                response = client.request(request)
+                parses.append(calls["n"] - before)
+                (entry,) = response["subjects"].values()
+                digests.append(entry["digest"])
+        assert parses == [1, 0, 0]
+        assert digests[0] == digests[1] == digests[2]
 
     def test_concurrent_clients_are_both_served(self, daemon):
         responses = {}

@@ -70,22 +70,22 @@ _REAL_SYNTH_WORKER = orch_mod._synthesize_worker
 
 
 def _crash_first_attempt_synth(
-    source, target_class, config, cache_root, unit_key="", attempt=0
+    source, digest, target_class, config, cache_root, unit_key="", attempt=0
 ):
     if attempt == 0:
         os._exit(13)  # a real worker death, not an exception
     return _REAL_SYNTH_WORKER(
-        source, target_class, config, cache_root, unit_key, attempt
+        source, digest, target_class, config, cache_root, unit_key, attempt
     )
 
 
 def _hang_first_attempt_synth(
-    source, target_class, config, cache_root, unit_key="", attempt=0
+    source, digest, target_class, config, cache_root, unit_key="", attempt=0
 ):
     if attempt == 0:
         time.sleep(60)
     return _REAL_SYNTH_WORKER(
-        source, target_class, config, cache_root, unit_key, attempt
+        source, digest, target_class, config, cache_root, unit_key, attempt
     )
 
 
@@ -346,11 +346,11 @@ class TestGracefulDegradation:
         calls = {"n": 0}
         real = orch_mod._synthesize_unit
 
-        def fail_first(source, target_class, config, cache_root):
+        def fail_first(table, digest, target_class, config, cache_root):
             calls["n"] += 1
             if calls["n"] <= 2:  # initial try + the single retry
                 raise RuntimeError("synthesis exploded")
-            return real(source, target_class, config, cache_root)
+            return real(table, digest, target_class, config, cache_root)
 
         monkeypatch.setattr(orch_mod, "_synthesize_unit", fail_first)
         specs = subject_specs([get_subject("C8"), get_subject("C7")])
@@ -372,7 +372,7 @@ class TestGracefulDegradation:
     ):
         from repro.narada import UnitExecutionError
 
-        def always_fail(source, target_class, config, cache_root):
+        def always_fail(table, digest, target_class, config, cache_root):
             raise RuntimeError("permanently broken")
 
         monkeypatch.setattr(orch_mod, "_synthesize_unit", always_fail)
