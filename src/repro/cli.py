@@ -43,10 +43,11 @@ batch boundaries never change results.
 
 They also share the fault-tolerance flags: ``--unit-timeout`` arms a
 per-unit wall-clock watchdog, ``--max-retries``/``--retry-backoff``
-bound the retry loop, ``--resume`` skips units journaled as completed by
-an interrupted run, and ``--fault-inject crash:0.3,hang:0.1`` is the
+bound the retry loop, and ``--fault-inject crash:0.3,hang:0.1`` is the
 test-only deterministic fault hook.  None of these change cache keys or
-results — a retried run is bit-identical to a clean one.
+results — a retried run is bit-identical to a clean one.  Each finished
+unit is published to the cache at once, so rerunning an interrupted
+command is its resume: only the unfinished units run again.
 """
 
 from __future__ import annotations
@@ -139,15 +140,6 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
              "(default: 0.05)",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="skip units journaled as completed by a previous "
-             "(interrupted) run of the same subjects + config",
-    )
-    parser.add_argument(
-        "--run-dir", metavar="DIR",
-        help="resume-journal directory (default: <cache root>/runs)",
-    )
-    parser.add_argument(
         "--fault-inject", metavar="SPEC",
         help="test-only deterministic fault injection, e.g. "
              "crash:0.3,hang:0.1,corrupt:0.05",
@@ -193,10 +185,8 @@ def _orchestrator(args, **config) -> PipelineOrchestrator:
             jobs=args.jobs,
             cache=_cache_from(args),
             config=_pipeline_config(args, **config),
-            resume=args.resume,
-            run_dir=args.run_dir,
         )
-    except ValueError as error:  # e.g. --resume with --no-cache
+    except ValueError as error:  # e.g. a malformed --fault-inject spec
         raise SystemExit(f"error: {error}")
 
 
@@ -209,7 +199,6 @@ def _print_fault_summary(orch: PipelineOrchestrator, always=False) -> None:
         or ledger.timeouts
         or ledger.pool_respawns
         or ledger.quarantined
-        or ledger.resumed
     )
     if always or noteworthy:
         print()

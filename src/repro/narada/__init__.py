@@ -14,7 +14,6 @@ from repro.narada.faults import (
     FaultLedger,
     FaultPlan,
     RunCancelled,
-    RunLedger,
     UnitExecutionError,
     UnitFailure,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "ReproDaemon",
     "ResourceGovernor",
     "RunCancelled",
-    "RunLedger",
     "SubjectOutcome",
     "SubjectSpec",
     "SynthesisReport",

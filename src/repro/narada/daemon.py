@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import reprlib
 import socket
 import struct
 import threading
@@ -111,6 +112,34 @@ def _validating():
         yield
     except Exception as error:
         raise BadRequest(repr(error)) from error
+
+
+def _is_int(value, least: int | None = None) -> bool:
+    """An ``int`` that is not a ``bool``, and at least ``least`` if given."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (least is None or value >= least)
+    )
+
+
+#: The per-request pipeline parameters: (request key, config field,
+#: check, what the check accepts).  ``runs`` is a CLI-friendly alias of
+#: ``random_runs`` and wins when a request sends both.
+_CONFIG_FIELDS = (
+    ("vm_seed", "vm_seed", _is_int, "an integer"),
+    ("rng_seed", "rng_seed", lambda v: v is None or _is_int(v), "an integer or null"),
+    ("random_runs", "random_runs", lambda v: _is_int(v, 0), "an integer >= 0"),
+    ("runs", "random_runs", lambda v: _is_int(v, 0), "an integer >= 0"),
+    ("directed", "directed", lambda v: isinstance(v, bool), "a boolean"),
+)
+
+
+def _checked(key: str, value, check, wants: str):
+    """``value``, or a ValueError naming what ``key`` accepts."""
+    if not check(value):
+        raise ValueError(f"{key!r} must be {wants}, not {reprlib.repr(value)}")
+    return value
 
 
 def default_socket_path() -> str:
@@ -648,14 +677,14 @@ class ReproDaemon:
         """The per-request pipeline config over the daemon's base.
 
         Only deterministic pipeline parameters are per-request; the
-        fault policy belongs to the daemon operator.
+        fault policy belongs to the daemon operator.  A value of the
+        wrong type or range raises, so the request is refused before it
+        is admitted.
         """
         base = self.base_config.to_dict()
-        for key in ("vm_seed", "rng_seed", "random_runs", "directed"):
+        for key, field_name, check, wants in _CONFIG_FIELDS:
             if key in request:
-                base[key] = request[key]
-        if "runs" in request:  # CLI-friendly alias
-            base["random_runs"] = request["runs"]
+                base[field_name] = _checked(key, request[key], check, wants)
         return PipelineConfig.from_dict(base)
 
     def _specs_from(self, request: dict) -> list[SubjectSpec]:
@@ -905,7 +934,12 @@ class ReproDaemon:
                 max_templates=int(request.get("max_templates", 4)),
             ).validate()
             config = self._request_config(request)
-            batch_size = int(request.get("batch_size", 25))
+            batch_size = _checked(
+                "batch_size",
+                request.get("batch_size", 25),
+                lambda v: _is_int(v, 1),
+                "an integer >= 1",
+            )
 
         def body(token: CancelToken) -> dict:
             orch = PipelineOrchestrator(

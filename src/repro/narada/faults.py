@@ -26,14 +26,11 @@ This module gives the orchestrator the same property at every stage:
 * :class:`FaultLedger` / :class:`UnitFailure` — the structured run
   report of everything that went wrong: failed units carry their stage,
   subject, exception repr, traceback, and attempt count; counters cover
-  retries, pool respawns, watchdog kills, quarantined cache entries and
-  resumed (skipped) units.  ``run()`` returns partial results plus this
-  ledger instead of propagating the first worker death.
-* :class:`RunLedger` — a crash-safe append-only JSONL journal of
-  completed unit keys, so ``--resume`` after an interrupted run skips
-  straight past finished work (the artifact cache holds the results;
-  the journal records which units completed and is tolerant of a torn
-  final line).
+  retries, pool respawns, watchdog kills and quarantined cache entries.
+  ``run()`` returns partial results plus this ledger instead of
+  propagating the first worker death.  An interrupted run resumes by
+  being rerun: the orchestrator publishes each unit's result to the
+  artifact cache as the unit completes.
 * :class:`FaultInjector` — the test-only probabilistic fault hook
   (``--fault-inject crash:0.3,hang:0.1,corrupt:0.05`` or the
   ``REPRO_FAULT_INJECT`` environment variable).  Draws are sha-derived
@@ -48,9 +45,7 @@ and cache layer on top of it.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pathlib
 import signal
 import threading
 import time
@@ -361,7 +356,6 @@ class FaultLedger:
     pool_respawns: int = 0
     timeouts: int = 0
     quarantined: int = 0
-    resumed: int = 0
     batches: int = 0
     """Worker dispatches (each carries one or more units)."""
     warm_reuses: int = 0
@@ -382,7 +376,6 @@ class FaultLedger:
         self.pool_respawns += other.pool_respawns
         self.timeouts += other.timeouts
         self.quarantined += other.quarantined
-        self.resumed += other.resumed
         self.batches += other.batches
         self.warm_reuses += other.warm_reuses
 
@@ -406,7 +399,7 @@ class FaultLedger:
         lines.append(
             f"completed={self.completed} retries={self.retries} "
             f"timeouts={self.timeouts} pool_respawns={self.pool_respawns} "
-            f"quarantined={self.quarantined} resumed={self.resumed} "
+            f"quarantined={self.quarantined} "
             f"batches={self.batches} warm_reuses={self.warm_reuses}"
         )
         return "\n".join(lines)
@@ -422,71 +415,6 @@ class FaultLedger:
         from repro.narada.serial import decode_fault_ledger
 
         return decode_fault_ledger(data)
-
-
-# ----------------------------------------------------------------------
-# Checkpointed resume: the completed-unit journal.
-
-
-class RunLedger:
-    """Crash-safe append-only journal of completed unit keys.
-
-    One JSONL line per completed unit, flushed immediately so a killed
-    run loses at most the in-flight units.  Loading tolerates a torn
-    final line (the writer died mid-append) by ignoring it.
-    """
-
-    def __init__(self, path: str | pathlib.Path, resume: bool = False) -> None:
-        self.path = pathlib.Path(path)
-        self._done: set[str] = set()
-        if resume:
-            self._load()
-        else:
-            # A fresh (non-resume) run starts a fresh journal.
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn final append from a killed run
-            key = entry.get("key")
-            if isinstance(key, str):
-                self._done.add(key)
-
-    @property
-    def done(self) -> frozenset[str]:
-        return frozenset(self._done)
-
-    def has(self, key: str) -> bool:
-        return key in self._done
-
-    def mark_done(self, key: str, stage: str, subject: str) -> None:
-        if key in self._done:
-            return
-        self._done.add(key)
-        self._handle.write(
-            json.dumps({"key": key, "stage": stage, "subject": subject}) + "\n"
-        )
-        self._handle.flush()
-
-    def close(self) -> None:
-        try:
-            self._handle.close()
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -548,8 +476,9 @@ class PoolUnit:
 
     ``fn(*args, key, attempt)`` must be a module-level (picklable)
     function returning a picklable payload; ``inline_fn(unit)`` is the
-    zero-serialization equivalent used when jobs=1.  ``key`` doubles as
-    the resume-journal key and the fault-injection draw key.
+    zero-serialization equivalent used when jobs=1.  ``key`` is the
+    unit's cache key, its slot in the result map, and the
+    fault-injection draw key.
     """
 
     key: str

@@ -38,16 +38,16 @@ exceptions are isolated per unit, retried with backoff, and — when
 retries are exhausted — recorded as :class:`UnitFailure` entries in the
 run's :class:`FaultLedger` while every other unit proceeds.  ``run()``
 therefore returns *partial* results on a bad day instead of raising on
-the first casualty; completed unit keys are journaled to a crash-safe
-:class:`RunLedger` so an interrupted run can ``--resume`` past its
-finished work.
+the first casualty.  Each unit's result is published to the cache the
+moment the unit completes, and each synthesized test has its own
+``fuzzunit`` entry, so the cache is the run's checkpoint: rerunning an
+interrupted command recomputes only the units that had not finished.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import pathlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -63,12 +63,10 @@ from repro.narada.faults import (
     InlineRunner,
     PoolUnit,
     RetryPolicy,
-    RunLedger,
     UnitExecutionError,
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
-    canonical_json,
     decode_analysis,
     decode_detection,
     decode_fuzz_bundle,
@@ -410,44 +408,6 @@ def _parse_specs(specs: list[SubjectSpec]) -> list[ProgramSource]:
     return [programs[spec.source] for spec in specs]
 
 
-class _RunJournal:
-    """A run's :class:`RunLedger`, created when the run first computes.
-
-    A ``--resume`` run opens its ledger at once, since the journaled
-    keys decide what counts as resumed.  Any other run holds its
-    cache-hit marks until it dispatches a unit or marks a computed key,
-    then creates the ledger and writes the held marks first, so a run
-    that computes anything journals the same lines in the same order,
-    and a run where every unit hits touches nothing on disk.
-    """
-
-    def __init__(self, path: pathlib.Path, resume: bool) -> None:
-        self.path = path
-        self.ledger = RunLedger(path, resume=True) if resume else None
-        self._held: list[tuple[str, str, str]] = []
-
-    def open(self) -> None:
-        if self.ledger is None:
-            self.ledger = RunLedger(self.path)
-            for mark in self._held:
-                self.ledger.mark_done(*mark)
-            self._held = []
-
-    def has(self, key: str) -> bool:
-        return self.ledger is not None and self.ledger.has(key)
-
-    def mark_done(self, key: str, stage: str, subject: str, hit: bool) -> None:
-        if self.ledger is None and hit:
-            self._held.append((key, stage, subject))
-            return
-        self.open()
-        self.ledger.mark_done(key, stage, subject)
-
-    def close(self) -> None:
-        if self.ledger is not None:
-            self.ledger.close()
-
-
 # ----------------------------------------------------------------------
 # The orchestrator.
 
@@ -461,11 +421,6 @@ class PipelineOrchestrator:
         cache: persistent artifact cache, or None to always recompute.
         config: the deterministic pipeline parameters (including the
             fault-tolerance policy).
-        resume: skip units journaled as completed by a previous
-            (interrupted) run of the same specs + config; requires a
-            cache, since that is where the completed results live.
-        run_dir: where the resume journal lives (default:
-            ``<cache root>/runs``).
         pool: an externally owned :class:`FaultTolerantPool` to dispatch
             on instead of creating one.  The daemon uses this to share
             one warm pool (live workers, parsed tables) across
@@ -478,16 +433,12 @@ class PipelineOrchestrator:
         jobs: int = 1,
         cache: ArtifactCache | None = None,
         config: PipelineConfig | None = None,
-        resume: bool = False,
-        run_dir: str | pathlib.Path | None = None,
         pool: FaultTolerantPool | None = None,
         cancel: CancelToken | None = None,
     ) -> None:
         self.jobs = max(1, jobs)
         self.cache = cache
         self.config = config if config is not None else PipelineConfig()
-        self.resume = resume
-        self.run_dir = run_dir
         #: Cooperative cancellation: checked between phases and at every
         #: unit boundary inside the pool/inline runner.  The daemon sets
         #: this to the request's deadline token; a cancelled run raises
@@ -499,11 +450,6 @@ class PipelineOrchestrator:
         self._owns_pool = pool is None
         if pool is not None:
             self.jobs = max(1, pool.jobs)
-        if resume and cache is None:
-            raise ValueError(
-                "resume requires the artifact cache: completed units are "
-                "replayed from it (run without --no-cache)"
-            )
         if cache is not None:
             cache.fault_injector = self.config.injector()
 
@@ -583,18 +529,15 @@ class PipelineOrchestrator:
         units: list[PoolUnit],
         inline_fn,
         on_complete=None,
-        journal: _RunJournal | None = None,
     ) -> dict[str, object]:
         """Execute units under the fault policy; ``{key: payload}``.
 
         ``on_complete(unit, payload)`` fires in the parent as each unit
-        finishes — publication and journaling happen there, per unit,
-        so a kill mid-batch checkpoints everything already completed.
+        finishes — publication happens there, per unit, so a kill
+        mid-batch leaves everything already completed in the cache.
         """
         if not units:
             return {}
-        if journal is not None:
-            journal.open()
         if self.jobs == 1:
             runner = InlineRunner(
                 self.config.retry_policy(),
@@ -609,43 +552,6 @@ class PipelineOrchestrator:
             return pool.run(units, cancel=self.cancel)
         finally:
             pool.on_complete = None
-
-    def _open_journal(self, digests: list[str]) -> _RunJournal | None:
-        """The resume journal for this (specs, config) identity."""
-        if self.cache is None:
-            return None
-        ident = canonical_json(
-            {
-                "digests": sorted(digests),
-                "config": {
-                    "vm_seed": self.config.vm_seed,
-                    "rng_seed": self.config.rng_seed,
-                    "random_runs": self.config.random_runs,
-                    "directed": self.config.directed,
-                },
-            }
-        )
-        run_id = hashlib.sha256(ident.encode()).hexdigest()[:16]
-        base = (
-            pathlib.Path(self.run_dir)
-            if self.run_dir is not None
-            else self.cache.root / "runs"
-        )
-        return _RunJournal(base / f"run-{run_id}.jsonl", self.resume)
-
-    def _mark_done(
-        self,
-        journal: _RunJournal | None,
-        key: str,
-        stage: str,
-        subject: str,
-        from_cache: bool = False,
-    ) -> None:
-        if journal is None:
-            return
-        if from_cache and self.resume and journal.has(key):
-            self.fault_ledger.resumed += 1
-        journal.mark_done(key, stage, subject, hit=from_cache)
 
     # -- synthesis phase -----------------------------------------------
 
@@ -666,7 +572,6 @@ class PipelineOrchestrator:
         specs: list[SubjectSpec],
         programs: list[ProgramSource],
         keys: list[str],
-        journal: _RunJournal | None,
     ) -> list[tuple[SynthesisReport, str | None, bool] | None]:
         """Per spec: (report, its cache entry's digest or None, cache
         hit?), or None for a permanently failed synthesis unit."""
@@ -684,9 +589,6 @@ class PipelineOrchestrator:
             cached = self._get_decoded("synthesis", keys[i], decode_synthesis)
             if cached is not None:
                 results[i] = (cached[0], cached[1], True)
-                self._mark_done(
-                    journal, keys[i], "synthesis", spec.name, from_cache=True
-                )
             else:
                 pending.append(
                     (
@@ -729,12 +631,9 @@ class PipelineOrchestrator:
                 digest = self._put_report(
                     "synthesis", unit.key, data or encode_synthesis(report)
                 )
-            self._mark_done(journal, unit.key, "synthesis", unit.subject)
             results[index_by_key[unit.key]] = (report, digest, False)
 
-        self._run_units(
-            [u for _, u in pending], inline_synthesis, on_complete, journal
-        )
+        self._run_units([u for _, u in pending], inline_synthesis, on_complete)
         for i, first in duplicates:
             results[i] = results[first]
         return results
@@ -748,7 +647,7 @@ class PipelineOrchestrator:
 
         Finer-grained than the per-subject ``detection`` stage: these
         per-test entries are what lets an interrupted or partially
-        failed detection phase resume without re-fuzzing finished tests.
+        failed detection phase's rerun skip the tests that finished.
         ``runs`` is the test's allocated fuzz budget — a budgeted fuzz
         computes a different artifact than a full one, so it must be
         part of the address.
@@ -764,7 +663,6 @@ class PipelineOrchestrator:
         programs: list[ProgramSource],
         keys: list[str],
         syntheses: list[SynthesisReport | None],
-        journal: _RunJournal | None,
     ) -> list[tuple[DetectionReport, str | None, bool, bool] | None]:
         """Per spec: (report, its cache entry's digest or None, cache
         hit?, partial?), or None when the subject had no synthesis to
@@ -785,9 +683,6 @@ class PipelineOrchestrator:
             )
             if cached is not None:
                 results[i] = (cached[0], cached[1], True, False)
-                self._mark_done(
-                    journal, keys[i], "detection", spec.name, from_cache=True
-                )
                 continue
             reports[i] = {}
             budgets = allocate_budgets(
@@ -806,9 +701,6 @@ class PipelineOrchestrator:
                 )
                 if unit_cached is not None:
                     reports[i][test.name] = unit_cached[0]
-                    self._mark_done(
-                        journal, ukey, "fuzz", spec.name, from_cache=True
-                    )
                     continue
                 if ukey in meta:
                     # Same test of a subject named twice: one unit.
@@ -853,11 +745,10 @@ class PipelineOrchestrator:
                 self._put(
                     "fuzzunit", unit.key, data or encode_fuzz_bundle(fuzz)
                 )
-            self._mark_done(journal, unit.key, "fuzz", unit.subject)
             for i, test in meta[unit.key]:
                 reports[i][test.name] = fuzz
 
-        self._run_units(pending, inline_fuzz, on_complete, journal)
+        self._run_units(pending, inline_fuzz, on_complete)
         for i, per_test in reports.items():
             detection = DetectionReport(class_name=specs[i].target_class)
             complete = True
@@ -876,7 +767,6 @@ class PipelineOrchestrator:
                     digest = self._put_report(
                         "detection", keys[i], encode_detection(detection)
                     )
-                self._mark_done(journal, keys[i], "detection", specs[i].name)
                 results[i] = (detection, digest, False, False)
             else:
                 # Graceful degradation: every successful test's fuzz
@@ -901,14 +791,7 @@ class PipelineOrchestrator:
             "detection",
             self.config.detection_config(spec.target_class),
         )
-        journal = self._open_journal([programs[0].digest])
-        try:
-            result = self._detection_phase(
-                [spec], programs, [key], [synthesis], journal
-            )[0]
-        finally:
-            if journal is not None:
-                journal.close()
+        result = self._detection_phase([spec], programs, [key], [synthesis])[0]
         if result is None or result[3]:
             mine = [
                 f for f in self.fault_ledger.failures if f.subject == spec.name
@@ -926,8 +809,8 @@ class PipelineOrchestrator:
         Unit failures do not abort the run: the returned outcomes carry
         whatever completed (``synthesis``/``detection`` may be None or
         partial) and :attr:`fault_ledger` carries the structured record
-        of everything that failed, was retried, timed out, was
-        quarantined, or was skipped via ``resume``.
+        of everything that failed, was retried, timed out, or was
+        quarantined.
         """
         ledger = self.fault_ledger = FaultLedger()
         quarantined_before = (
@@ -935,7 +818,6 @@ class PipelineOrchestrator:
         )
         programs = _parse_specs(specs)
         digests = [program.digest for program in programs]
-        journal = self._open_journal(digests)
         try:
             if self.cancel is not None:
                 self.cancel.check()  # phase boundary
@@ -947,9 +829,7 @@ class PipelineOrchestrator:
                 )
                 for i, spec in enumerate(specs)
             ]
-            synthesis = self._synthesis_phase(
-                specs, programs, synth_keys, journal
-            )
+            synthesis = self._synthesis_phase(specs, programs, synth_keys)
             outcomes = [
                 SubjectOutcome(
                     spec=spec,
@@ -976,7 +856,6 @@ class PipelineOrchestrator:
                     programs,
                     detect_keys,
                     [o.synthesis for o in outcomes],
-                    journal,
                 )
                 for outcome, result in zip(outcomes, detections):
                     if result is None:
@@ -987,8 +866,6 @@ class PipelineOrchestrator:
                     outcome.detection_partial = partial
                     outcome._detection_digest = digest
         finally:
-            if journal is not None:
-                journal.close()
             if self.cache is not None:
                 ledger.quarantined += (
                     self.cache.stats.quarantined - quarantined_before

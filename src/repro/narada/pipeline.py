@@ -176,12 +176,11 @@ class Narada:
         rng_seed: int | None = None,
         static_filter: bool = True,
     ) -> None:
-        if isinstance(source_or_table, str):
-            self.table = load(source_or_table)
-            self._source: str | None = source_or_table
-        else:
-            self.table = source_or_table
-            self._source = None
+        self.table = (
+            load(source_or_table)
+            if isinstance(source_or_table, str)
+            else source_or_table
+        )
         self.seed = seed
         self.rng_seed = rng_seed
         self.static_filter = static_filter
@@ -189,20 +188,6 @@ class Narada:
         self._analysis: AnalysisResult | None = None
         self._traces: list[PackedTrace] | None = None
         self._static_facts = None
-
-    def source_text(self) -> str:
-        """Canonical program text for this table.
-
-        The original source when the pipeline was built from one, else
-        the pretty-printed program — in both cases text that reparses to
-        a program with identical static site ids, so worker processes
-        and cache keys can be derived from it.
-        """
-        if self._source is not None:
-            return self._source
-        from repro.lang.pretty import pretty_program
-
-        return pretty_program(self.table.program)
 
     # ------------------------------------------------------------------
     # Stage 0/1: seed execution + trace analysis.
@@ -284,31 +269,12 @@ class Narada:
             verdicts=list(getattr(pairs, "verdicts", ())),
         )
 
-    def synthesize_all(self, jobs: int = 1) -> list[SynthesisReport]:
-        """Synthesize every seeded class, optionally fanning out.
-
-        With ``jobs > 1`` each class pipeline runs in a worker process
-        via the orchestrator; results are identical to the serial order.
-        """
+    def synthesize_all(self) -> list[SynthesisReport]:
+        """Synthesize every seeded class, in class-name order."""
         classes = sorted(
             {s.class_name for s in self.analysis() if not self.table.is_builtin(s.class_name)}
         )
-        if jobs <= 1:
-            return [self.synthesize_for_class(name) for name in classes]
-        from repro.narada.orchestrator import (
-            PipelineConfig,
-            PipelineOrchestrator,
-            SubjectSpec,
-        )
-
-        source = self.source_text()
-        specs = [
-            SubjectSpec(name=name, source=source, target_class=name)
-            for name in classes
-        ]
-        config = PipelineConfig(vm_seed=self.seed, rng_seed=self.rng_seed)
-        with PipelineOrchestrator(jobs=jobs, config=config) as orch:
-            return [o.synthesis for o in orch.run(specs, detect=False)]
+        return [self.synthesize_for_class(name) for name in classes]
 
     # ------------------------------------------------------------------
     # Detector integration (Table 5).
@@ -318,35 +284,12 @@ class Narada:
         report: SynthesisReport,
         random_runs: int = 8,
         directed: bool = True,
-        jobs: int = 1,
     ) -> DetectionReport:
         """Fuzz every synthesized test of a class with detectors attached.
 
-        With ``jobs > 1`` the per-test fuzz loop fans out over a process
-        pool; schedule seeds depend only on (test name, run index), so
-        the merged report is identical to the serial one.
+        Tests the static filter pruned outright get no fuzz runs; the
+        orchestrator runs the same loop one test per unit.
         """
-        if jobs > 1:
-            from repro.narada.orchestrator import (
-                PipelineConfig,
-                PipelineOrchestrator,
-                SubjectSpec,
-            )
-
-            spec = SubjectSpec(
-                name=report.class_name,
-                source=self.source_text(),
-                target_class=report.class_name,
-            )
-            config = PipelineConfig(
-                vm_seed=self.seed,
-                rng_seed=self.rng_seed,
-                random_runs=random_runs,
-                directed=directed,
-                static_filter=self.static_filter,
-            )
-            with PipelineOrchestrator(jobs=jobs, config=config) as orch:
-                return orch.detect(spec, report)
         from repro.static.filter import allocate_budgets, verdict_index
 
         budgets = allocate_budgets(

@@ -821,7 +821,6 @@ def encode_fault_ledger(ledger) -> dict:
             "pool_respawns": ledger.pool_respawns,
             "timeouts": ledger.timeouts,
             "quarantined": ledger.quarantined,
-            "resumed": ledger.resumed,
             "batches": ledger.batches,
             "warm_reuses": ledger.warm_reuses,
         },
@@ -839,7 +838,6 @@ def decode_fault_ledger(data: dict):
         pool_respawns=counters["pool_respawns"],
         timeouts=counters["timeouts"],
         quarantined=counters["quarantined"],
-        resumed=counters["resumed"],
         # Batching-era counters; absent in pre-batching payloads.
         batches=counters.get("batches", 0),
         warm_reuses=counters.get("warm_reuses", 0),

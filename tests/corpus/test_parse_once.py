@@ -10,7 +10,6 @@ table.  These tests count parser entries, so a new re-parse anywhere on
 the path fails them.
 """
 
-import json
 import sys
 import threading
 from collections import OrderedDict
@@ -176,61 +175,21 @@ def test_memo_stays_within_its_bound_and_holds_only_digests(
     assert parses["n"] == 11
 
 
-def _journal_lines(cache_root):
-    return [
-        json.loads(line)
-        for path in sorted((cache_root / "runs").glob("*.jsonl"))
-        for line in path.read_text().splitlines()
-    ]
-
-
-def test_an_all_hit_run_writes_no_journal(tmp_path, memo):
+def test_an_all_hit_run_writes_nothing(tmp_path, memo):
     specs = subject_specs([get_subject("C8")])
     root = tmp_path / "cache"
     with PipelineOrchestrator(
         jobs=1, cache=ArtifactCache(root), config=CONFIG
     ) as orch:
         orch.run(specs)
-    for path in (root / "runs").glob("*.jsonl"):
-        path.unlink()
+    before = sorted(root.rglob("*"))
 
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(root), config=CONFIG
-    ) as orch:
+    cache = ArtifactCache(root)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         outcome = orch.run(specs)[0]
     assert outcome.synthesis_cached and outcome.detection_cached
-    assert list((root / "runs").glob("*.jsonl")) == []
-
-
-def test_a_run_whose_fuzz_units_compute_journals_its_synthesis_hit_too(
-    tmp_path, memo
-):
-    specs = subject_specs([get_subject("C8")])
-    cold_root = tmp_path / "cold"
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(cold_root), config=CONFIG
-    ) as orch:
-        orch.run(specs)
-    cold_lines = _journal_lines(cold_root)
-
-    root = tmp_path / "cache"
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(root), config=CONFIG
-    ) as orch:
-        orch.run(specs, detect=False)
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(root), config=CONFIG
-    ) as orch:
-        outcome = orch.run(specs)[0]
-    assert outcome.synthesis_cached and not outcome.detection_cached
-
-    # The synthesis hit is journaled first, then each computed fuzz unit
-    # and the detection, exactly as a run that computed everything.
-    lines = _journal_lines(root)
-    stages = [line["stage"] for line in lines]
-    assert stages[0] == "synthesis" and stages[-1] == "detection"
-    assert set(stages[1:-1]) == {"fuzz"}
-    assert lines == cold_lines
+    assert cache.stats.writes == 0
+    assert sorted(root.rglob("*")) == before
 
 
 def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(

@@ -304,44 +304,55 @@ class TestPipelineDeterminism:
         assert patient.synthesis_config("Any") == CONFIG.synthesis_config("Any")
         assert patient.detection_config("Any") == CONFIG.detection_config("Any")
 
-    def test_resume_replays_nothing_checkpointed(
+    def test_rerun_replays_everything_published(
         self, monkeypatch, tmp_path, serial_digest
     ):
-        """A batched pooled run journals per *unit* as results stream
-        in; after a kill mid-batch, --resume replays every journaled
-        unit and recomputes only the rest."""
-        import repro.narada.faults as faults_mod
+        """A batched pooled run publishes each *unit* to the cache as
+        its result streams in; after a kill mid-batch, rerunning the
+        same run replays every published unit and computes only the
+        rest."""
+        real_put = ArtifactCache.put
+        published = {"synthesis": 0, "fuzzunit": 0}
 
-        real_mark = faults_mod.RunLedger.mark_done
-        calls = {"n": 0}
+        def kill_after_four(self, stage, key, data):
+            real_put(self, stage, key, data)
+            if stage in published:
+                published[stage] += 1
+                if sum(published.values()) >= 4:
+                    raise KeyboardInterrupt
 
-        def kill_after_four(self, key, stage, subject):
-            real_mark(self, key, stage, subject)
-            calls["n"] += 1
-            if calls["n"] >= 4:
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(faults_mod.RunLedger, "mark_done", kill_after_four)
+        monkeypatch.setattr(ArtifactCache, "put", kill_after_four)
         cache = ArtifactCache(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
             with PipelineOrchestrator(
                 jobs=2, cache=cache, config=CONFIG
             ) as orch:
                 orch.run([_spec()])
+        assert published == {"synthesis": 1, "fuzzunit": 3}
 
-        monkeypatch.setattr(faults_mod.RunLedger, "mark_done", real_mark)
+        def counting(self, stage, key, data):
+            if stage in published:
+                published[stage] += 1
+            return real_put(self, stage, key, data)
+
+        published.update(synthesis=0, fuzzunit=0)
+        monkeypatch.setattr(ArtifactCache, "put", counting)
         with PipelineOrchestrator(
-            jobs=2, cache=cache, config=CONFIG, resume=True
+            jobs=2, cache=cache, config=CONFIG
         ) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
         assert outcome.digest() == serial_digest
         assert ledger.ok()
-        # The 4 journaled units (synthesis + 3 fuzz) replay; the rest
+        # The 4 published units (synthesis + 3 fuzz) replay; the rest
         # recompute — batch boundaries change neither count nor bytes.
-        assert ledger.resumed == 4
         total_units = len(outcome.synthesis.tests) + 1
         assert ledger.completed == total_units - 4
+        assert published == {
+            "synthesis": 0,
+            "fuzzunit": len(outcome.synthesis.tests) - 3,
+        }
+        assert not (tmp_path / "cache" / "runs").exists()
 
 
 class TestWarmPoolAcrossPhases:

@@ -7,6 +7,7 @@ SIGTERM drain test exercises the real ``repro serve`` subprocess the
 way an operator would.
 """
 
+import contextlib
 import json
 import os
 import pathlib
@@ -22,6 +23,7 @@ from collections import OrderedDict
 import pytest
 
 import repro.narada.orchestrator as orch_mod
+from repro.corpus import CorpusConfig, generate_corpus
 from repro.lang.parser import Parser
 from repro.narada import (
     ArtifactCache,
@@ -32,6 +34,7 @@ from repro.narada import (
     default_socket_path,
     subject_specs,
 )
+from repro.narada.cache import ATIME_JOURNAL, JOURNAL_LOCK
 from repro.narada.daemon import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -44,21 +47,26 @@ from repro.subjects import get_subject
 RUNS = 2
 
 
-@pytest.fixture
-def daemon(tmp_path):
-    """In-process daemon on a unix socket; drained at teardown."""
-    d = ReproDaemon(
-        socket_path=str(tmp_path / "daemon.sock"),
-        jobs=1,
-        cache=ArtifactCache(tmp_path / "cache"),
-    )
+@contextlib.contextmanager
+def _serving(socket_path, cache):
+    """An in-process daemon on a unix socket, drained on exit."""
+    d = ReproDaemon(socket_path=str(socket_path), jobs=1, cache=cache)
     d.bind()
     server = threading.Thread(target=d.serve_forever, daemon=True)
     server.start()
-    yield d
-    d.initiate_drain()
-    server.join(timeout=30)
+    try:
+        yield d
+    finally:
+        d.initiate_drain()
+        server.join(timeout=30)
     assert not server.is_alive()
+
+
+@pytest.fixture
+def daemon(tmp_path):
+    """In-process daemon on a unix socket; drained at teardown."""
+    with _serving(tmp_path / "daemon.sock", ArtifactCache(tmp_path / "cache")) as d:
+        yield d
 
 
 def _client(d: ReproDaemon, **kwargs) -> DaemonClient:
@@ -224,6 +232,14 @@ class TestRequestHandling:
             {"op": "explode"},
             {"op": "detect", "subjects": ["C8"], "deadline_s": "soon"},
             {"op": "corpus", "count": "many"},
+            {"op": "detect", "subjects": ["C8"], "random_runs": "4"},
+            {"op": "detect", "subjects": ["C8"], "runs": [1]},
+            {"op": "detect", "subjects": ["C8"], "random_runs": -3},
+            {"op": "detect", "subjects": ["C8"], "vm_seed": "x"},
+            {"op": "detect", "subjects": ["C8"], "vm_seed": 1.5},
+            {"op": "detect", "subjects": ["C8"], "rng_seed": "s"},
+            {"op": "detect", "subjects": ["C8"], "directed": "no"},
+            {"op": "corpus", "count": 1, "batch_size": 0},
         ],
         ids=[
             "lex-error",
@@ -235,6 +251,14 @@ class TestRequestHandling:
             "unknown-op",
             "bad-deadline",
             "bad-corpus-count",
+            "string-random-runs",
+            "list-runs",
+            "negative-random-runs",
+            "string-vm-seed",
+            "float-vm-seed",
+            "string-rng-seed",
+            "string-directed",
+            "zero-batch-size",
         ],
     )
     def test_invalid_request_answers_bad_request(self, daemon, request_):
@@ -244,6 +268,28 @@ class TestRequestHandling:
         assert response["ok"] is False
         assert response["error_code"] == "bad_request"
         assert response["error"]
+
+    def test_source_requests_leave_only_cache_entries(self, tmp_path):
+        """New sources grow the cache root by stage entries alone, which
+        the byte budget governs: no request leaves a file of its own."""
+        root = tmp_path / "budgeted"
+        cache = ArtifactCache(root, max_bytes=60_000)
+        with _serving(tmp_path / "b.sock", cache) as d:
+            with _client(d) as client:
+                for subject in generate_corpus(CorpusConfig(count=4)):
+                    response = client.request(
+                        {
+                            "op": "detect",
+                            "source": subject.source,
+                            "target_class": subject.class_name,
+                            "runs": RUNS,
+                        }
+                    )
+                    assert response["ok"]
+        stages = {"analysis", "staticfilter", "synthesis", "fuzzunit", "detection"}
+        allowed = stages | {"quarantine", ATIME_JOURNAL, JOURNAL_LOCK}
+        assert {path.name for path in root.iterdir()} <= allowed
+        assert cache.stats.evictions > 0
 
     def test_failure_inside_a_run_answers_internal(self, daemon, monkeypatch):
         def explode(self, specs, detect=True):

@@ -1,5 +1,5 @@
 """Fault-tolerance layer tests: injection, isolation, watchdog, retry,
-cache quarantine, and checkpointed resume.
+cache quarantine, and resuming an interrupted run by rerunning it.
 
 The bit-identity contract under test throughout: a run that survived
 crashes, hangs, or retries produces byte-identical reports to a clean
@@ -7,7 +7,6 @@ run (work units are pure functions of content, so a retry recomputes
 the same thing).
 """
 
-import json
 import os
 import time
 
@@ -27,7 +26,6 @@ from repro.narada.faults import (
     FaultLedger,
     FaultPlan,
     InjectedCrash,
-    RunLedger,
     UnitFailure,
     UnitTimeout,
     _draw,
@@ -383,12 +381,13 @@ class TestGracefulDegradation:
         assert excinfo.value.failure.stage == "synthesis"
 
 
-class TestCheckpointedResume:
-    def test_resume_skips_completed_units_after_kill(
+class TestRerunResumes:
+    def test_rerun_skips_completed_units_after_kill(
         self, monkeypatch, tmp_path, clean_digest
     ):
-        """Simulated kill (KeyboardInterrupt mid-detection) then
-        --resume: journaled units replay, only unfinished work runs."""
+        """Simulated kill (KeyboardInterrupt mid-detection), then the
+        same run again: the synthesis and the three finished fuzz units
+        replay from the cache, and only the unfinished tests are fuzzed."""
         real = orch_mod._fuzz_unit
         calls = {"n": 0}
 
@@ -405,61 +404,25 @@ class TestCheckpointedResume:
                 jobs=1, cache=cache, config=CONFIG
             ) as orch:
                 orch.run([_spec()])
-        journal_files = list((tmp_path / "cache" / "runs").glob("*.jsonl"))
-        assert len(journal_files) == 1
-        journaled = journal_files[0].read_text().splitlines()
-        assert len(journaled) == 4  # synthesis + the three finished units
 
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", real)
+        def counting(table, test, config, **kwargs):
+            calls["rerun"] += 1
+            return real(table, test, config, **kwargs)
+
+        calls["rerun"] = 0
+        monkeypatch.setattr(orch_mod, "_fuzz_unit", counting)
         with PipelineOrchestrator(
-            jobs=1, cache=cache, config=CONFIG, resume=True
+            jobs=1, cache=cache, config=CONFIG
         ) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
         assert outcome.digest() == clean_digest
         assert ledger.ok()
-        assert ledger.resumed == 4
+        assert outcome.synthesis_cached
         total_units = len(outcome.synthesis.tests) + 1
         assert ledger.completed == total_units - 4
-
-    def test_resume_requires_a_cache(self):
-        with pytest.raises(ValueError, match="resume requires"):
-            PipelineOrchestrator(jobs=1, resume=True)
-
-    def test_fresh_run_truncates_the_journal(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        first = RunLedger(path)
-        first.mark_done("k1", "fuzz", "C8")
-        first.close()
-        again = RunLedger(path)  # non-resume: starts over
-        assert not again.has("k1")
-        again.close()
-        assert path.read_text() == ""
-
-    def test_journal_tolerates_torn_final_line(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        ledger = RunLedger(path)
-        ledger.mark_done("k1", "synthesis", "C8")
-        ledger.mark_done("k2", "fuzz", "C8")
-        ledger.close()
-        path.write_text(path.read_text() + '{"key": "k3", "sta')  # torn
-        resumed = RunLedger(path, resume=True)
-        assert resumed.has("k1") and resumed.has("k2")
-        assert not resumed.has("k3")
-        resumed.close()
-
-    def test_mark_done_is_idempotent(self, tmp_path):
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        ledger.mark_done("k1", "fuzz", "C8")
-        ledger.mark_done("k1", "fuzz", "C8")
-        ledger.close()
-        lines = (tmp_path / "run.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0]) == {
-            "key": "k1",
-            "stage": "fuzz",
-            "subject": "C8",
-        }
+        assert calls["rerun"] == len(outcome.synthesis.tests) - 3
+        assert not (tmp_path / "cache" / "runs").exists()
 
 
 class TestFaultLedgerSerialization:
@@ -480,7 +443,6 @@ class TestFaultLedgerSerialization:
             pool_respawns=2,
             timeouts=1,
             quarantined=1,
-            resumed=7,
         )
         data = encode_fault_ledger(ledger)
         back = decode_fault_ledger(data)
@@ -507,7 +469,6 @@ class TestCliFlags:
                 "--unit-timeout", "10",
                 "--max-retries", "4",
                 "--retry-backoff", "0.1",
-                "--resume",
             ]
         )
         assert args.subjects == "C1,C8"
@@ -515,7 +476,6 @@ class TestCliFlags:
         assert args.unit_timeout == 10.0
         assert args.max_retries == 4
         assert args.retry_backoff == 0.1
-        assert args.resume
 
     def test_run_requires_file_or_subjects(self):
         from repro.cli import main
@@ -523,11 +483,11 @@ class TestCliFlags:
         with pytest.raises(SystemExit, match="MiniJ FILE or --subjects"):
             main(["run"])
 
-    def test_resume_without_cache_is_an_error(self):
+    def test_malformed_fault_spec_is_an_error(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="resume requires"):
-            main(["fuzz", "--subject", "C8", "--resume", "--no-cache"])
+        with pytest.raises(SystemExit, match="bad fault-inject entry"):
+            main(["fuzz", "--subject", "C8", "--fault-inject", "crash:lots"])
 
     def test_unknown_subject_key_is_an_error(self):
         from repro.cli import main

@@ -16,7 +16,6 @@ from repro.narada import (
 )
 from repro.narada.cache import stage_key
 from repro.narada.pipeline import DetectionReport
-from repro.narada.serial import report_digest
 from repro.subjects import all_subjects, get_subject
 
 #: Small, fast subjects — enough to cross the pool boundary for real.
@@ -251,26 +250,6 @@ class TestScheduleSeed:
         assert schedule_seed("t1", 0) == schedule_seed("t1", 0)
         assert schedule_seed("t1", 0) != schedule_seed("t1", 1)
         assert schedule_seed("t1", 0) != schedule_seed("t2", 0)
-
-
-class TestNaradaParallelApi:
-    def test_synthesize_all_jobs_matches_serial(self):
-        subject = get_subject("C8")
-        narada = Narada(subject.source)
-        serial = [report_digest(r.to_dict()) for r in narada.synthesize_all()]
-        fresh = Narada(subject.source)
-        parallel = [
-            report_digest(r.to_dict()) for r in fresh.synthesize_all(jobs=2)
-        ]
-        assert parallel == serial
-
-    def test_detect_jobs_matches_serial(self):
-        subject = get_subject("C9")
-        narada = Narada(subject.source)
-        report = narada.synthesize_for_class(subject.class_name)
-        serial = narada.detect(report, random_runs=2).to_dict()
-        parallel = narada.detect(report, random_runs=2, jobs=2).to_dict()
-        assert parallel == serial
 
 
 if __name__ == "__main__":
