@@ -256,7 +256,11 @@ def scenario_worker_kills(workdir, subjects, runs, direct):
 
 
 def scenario_enospc(workdir, subjects, runs, direct):
-    """ENOSPC on every other cache write: results unchanged, writes shed."""
+    """ENOSPC on every cache write: results unchanged, writes shed.
+
+    A run writes two entries per subject, so a partial rate could draw
+    no failure at all for a one- or two-subject request.
+    """
     failures = []
     cache = ArtifactCache(os.path.join(workdir, "cache-enospc"))
     with _daemon(
@@ -264,7 +268,7 @@ def scenario_enospc(workdir, subjects, runs, direct):
         jobs=2,
         cache=cache,
         base_config=PipelineConfig(
-            random_runs=runs, fault_inject="enospc:0.7", retry_backoff=0.0
+            random_runs=runs, fault_inject="enospc:1.0", retry_backoff=0.0
         ),
     ) as daemon:
         response = _request(

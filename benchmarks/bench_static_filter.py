@@ -3,7 +3,8 @@
 Runs the generated corpus through the staged candidate pipeline twice —
 once with the static pre-filter on (the default) and once with
 ``--no-static-filter`` semantics — and once more warm to show the
-``staticfilter`` stage replays from the artifact cache.  On top of the
+synthesis entries, which carry the filter's verdicts, replay from the
+artifact cache.  On top of the
 corpus sweep, every paper subject (C1..C9) is synthesized and fuzzed
 through the serial :class:`repro.narada.Narada` path in both modes and
 the detection payloads are digest-compared.

@@ -1,6 +1,6 @@
 """Persistent content-addressed cache of pipeline artifacts.
 
-Every pipeline stage output (analysis, synthesis, detection) is a
+Every pipeline stage output (synthesis, per-test fuzz, detection) is a
 deterministic function of three inputs, and the cache key is a digest of
 exactly those:
 
@@ -15,7 +15,14 @@ exactly those:
   version), bumped whenever pipeline semantics or encoding change, so
   artifacts from older code are never reused.
 
-Entries are JSON files under ``<root>/<stage>/<digest[:2]>/<digest>.json``.
+Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
+directory per stage, created by the first write that finds it missing,
+so a new entry costs a temp-file write and a rename, and no directory.
+The stages a pipeline run writes are ``synthesis`` and ``detection``, plus
+``fuzzunit`` (one per test) for subjects a run leaves unfinished;
+``repro analyze`` keeps its own ``analysis`` entry.  An entry in the
+older ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
+counts toward the byte budget and is evicted before any flat entry.
 Writes are crash-safe: content goes to a same-directory temp file first
 and is published with ``os.replace`` (atomic on POSIX), so a reader can
 never observe a half-written entry.  A corrupted, truncated, or
@@ -146,25 +153,30 @@ class ArtifactCache:
         self._approx_bytes: int | None = None
 
     def _path(self, stage: str, key: str) -> pathlib.Path:
-        return self.root / stage / key[:2] / f"{key}.json"
+        return self.root / stage / f"{key}.json"
 
     # ------------------------------------------------------------------
     # Entry enumeration (live entries only; quarantine and the journal
-    # live outside the ``<stage>/<aa>/<digest>.json`` shape).
+    # live outside the stage directories).
 
     def _iter_entries(self):
-        """Yield ``(rel_key, path, size, mtime)`` for every live entry."""
+        """Yield ``(rel_key, path, size, mtime)`` for every live entry.
+
+        ``rel_key`` is the entry's path below the root without its
+        suffix: ``<stage>/<digest>`` for a flat entry, and one more
+        component for an entry in the old fan-out layout.
+        """
         if not self.root.exists():
             return
         for stage_dir in sorted(self.root.iterdir()):
             if not stage_dir.is_dir() or stage_dir.name == "quarantine":
                 continue
-            for path in sorted(stage_dir.glob("*/*.json")):
+            for path in sorted(stage_dir.rglob("*.json")):
                 try:
                     stat = path.stat()
                 except OSError:
                     continue
-                rel = f"{stage_dir.name}/{path.stem}"
+                rel = path.relative_to(self.root).with_suffix("").as_posix()
                 yield rel, path, stat.st_size, stat.st_mtime
 
     def total_bytes(self) -> int:
@@ -350,6 +362,13 @@ class ArtifactCache:
         self._touch(f"{stage}/{key}")
         return data
 
+    def reject(self, stage: str, key: str, reason: str) -> None:
+        """Quarantine an entry ``get`` returned but the caller could not
+        use (it parsed, then failed to decode): the hit becomes a miss."""
+        self.stats.hits -= 1
+        self.stats.misses += 1
+        self.quarantine(stage, key, reason)
+
     def put(self, stage: str, key: str, data: dict) -> bool:
         """Publish an entry atomically (write temp file, then rename).
 
@@ -364,11 +383,15 @@ class ArtifactCache:
         tmp = path.parent / f".tmp-{os.getpid()}-{self._tmp_counter}"
         text = canonical_json(data)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
             injector = self.fault_injector
             if injector is not None and injector.enospc_write(key):
                 raise OSError(errno.ENOSPC, "injected: no space left on device")
-            tmp.write_text(text)
+            try:
+                tmp.write_text(text)
+            except FileNotFoundError:
+                # First entry of its stage: make the directory once.
+                tmp.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text)
             os.replace(tmp, path)
         except OSError:
             self.stats.write_errors += 1
@@ -406,14 +429,17 @@ class ArtifactCache:
         Recency is the journalled access time where one exists, file
         mtime otherwise (fresh cache, torn journal line, or an entry
         written by an unbudgeted worker cache sharing the root).
-        Returns the number of entries removed.
+        Entries in the old fan-out layout, which no ``get`` reads, go
+        first.  Returns the number of entries removed.
         """
         entries = list(self._iter_entries())
         total = sum(size for _, _, size, _ in entries)
         removed = 0
         if total > max_bytes:
             atimes = self._load_atimes()
-            entries.sort(key=lambda e: atimes.get(e[0], e[3]))
+            entries.sort(
+                key=lambda e: (e[0].count("/") == 1, atimes.get(e[0], e[3]))
+            )
             for _, path, size, _ in entries:
                 if total <= max_bytes:
                     break

@@ -526,7 +526,11 @@ class _Worker:
         return self.batch[self.cursor + 1 :]
 
 
-def _pool_worker(conn) -> None:
+#: How often an idle pool worker checks that its parent is alive.
+_ORPHAN_POLL_SECONDS = 0.5
+
+
+def _pool_worker(conn, parent_pid: int) -> None:
     """Worker loop: one *batch* per message, one reply streamed per unit.
 
     Each ``("batch", [(fn, args), ...])`` message is executed in order,
@@ -537,9 +541,17 @@ def _pool_worker(conn) -> None:
     a hard death (``os._exit``, segfault, SIGTERM from the watchdog)
     closes the pipe mid-batch, which the parent reads as a crash of
     exactly the in-flight unit.
+
+    A forked worker holds copies of the parent's pipe ends, so a parent
+    killed on its own never closes the pipe: the worker instead polls,
+    and exits once it has been reparented away from ``parent_pid``.
     """
     while True:
         try:
+            if not conn.poll(_ORPHAN_POLL_SECONDS):
+                if os.getppid() != parent_pid:
+                    break
+                continue
             message = conn.recv()
         except (EOFError, OSError):
             break
@@ -624,7 +636,9 @@ class FaultTolerantPool:
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = Pipe()
-        process = Process(target=_pool_worker, args=(child_conn,), daemon=True)
+        process = Process(
+            target=_pool_worker, args=(child_conn, os.getpid()), daemon=True
+        )
         process.start()
         child_conn.close()
         return _Worker(process, parent_conn)

@@ -26,11 +26,12 @@ results **bit-identical to the serial order**:
   which keeps single-job runs debuggable and exactly as cheap as the old
   serial pipeline.
 
-Every stage is backed by the persistent content-addressed
-:class:`~repro.narada.cache.ArtifactCache`: analysis, synthesis,
-per-test fuzz, and detection artifacts are keyed by (table digest,
-stage config, code salt), so a rerun with unchanged subjects skips
-straight to the first invalidated stage.
+The run is backed by the persistent content-addressed
+:class:`~repro.narada.cache.ArtifactCache`: synthesis, per-test fuzz,
+and detection artifacts are keyed by (table digest, stage config, code
+salt), so a rerun with unchanged subjects skips straight to the first
+invalidated stage.  Only entries a later run reads are written: seed
+analysis and lockset facts are recomputed inside the synthesis unit.
 
 Since the fault-tolerance PR the execution substrate is
 :mod:`repro.narada.faults`: worker death, hung units, and unit
@@ -38,10 +39,13 @@ exceptions are isolated per unit, retried with backoff, and — when
 retries are exhausted — recorded as :class:`UnitFailure` entries in the
 run's :class:`FaultLedger` while every other unit proceeds.  ``run()``
 therefore returns *partial* results on a bad day instead of raising on
-the first casualty.  Each unit's result is published to the cache the
-moment the unit completes, and each synthesized test has its own
-``fuzzunit`` entry, so the cache is the run's checkpoint: rerunning an
-interrupted command recomputes only the units that had not finished.
+the first casualty.  The cache is the run's checkpoint: a synthesis is
+published the moment its unit completes, and a subject's detection the
+moment its last fuzz unit does.  A subject the run leaves unfinished —
+a failed unit, a cancelled or interrupted run — gets one ``fuzzunit``
+entry per test it did fuzz, so rerunning the command recomputes only
+the units that had not finished.  A SIGKILL skips that last write: it
+loses the fuzzed tests of the subjects still in flight.
 """
 
 from __future__ import annotations
@@ -67,15 +71,11 @@ from repro.narada.faults import (
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
-    decode_analysis,
     decode_detection,
     decode_fuzz_bundle,
     decode_synthesis,
-    encode_analysis,
     encode_detection,
     encode_fuzz_bundle,
-    decode_static_facts,
-    encode_static_facts,
     encode_synthesis,
     encode_test_bundle,
     report_digest,
@@ -173,9 +173,6 @@ class PipelineConfig:
     max_retries: int = 2
     retry_backoff: float = 0.05
     fault_inject: str | None = None
-
-    def analysis_config(self) -> dict:
-        return {"vm_seed": self.vm_seed}
 
     def synthesis_config(self, target_class: str) -> dict:
         return {
@@ -287,20 +284,13 @@ def _load_table(source: str) -> ClassTable:
 
 
 def _synthesize_unit(
-    table: ClassTable,
-    digest: str,
-    target_class: str,
-    config: PipelineConfig,
-    cache_root: str | None,
+    table: ClassTable, target_class: str, config: PipelineConfig
 ) -> SynthesisReport:
-    """Stages 0-3 for one subject, reusing cached stage-1/2b artifacts.
+    """Stages 0-3 for one subject.
 
-    Two cached stages feed this unit: ``analysis`` (the method
-    summaries, keyed on the analysis config since seed traces depend
-    only on the VM seed) and ``staticfilter`` (the lockset facts).  A
-    cached analysis skips seed execution entirely.  Each entry is read
-    once and written only when that read missed.  ``digest`` is the
-    table's digest, which the orchestrator already has.
+    Seed analysis and the lockset facts are recomputed here rather than
+    cached: no run reads them back unless one source is synthesized
+    again for another class or RNG seed.
     """
     narada = Narada(
         table,
@@ -308,43 +298,13 @@ def _synthesize_unit(
         rng_seed=config.rng_seed,
         static_filter=config.static_filter,
     )
-    cache = (
-        ArtifactCache(cache_root, fault_injector=config.injector())
-        if cache_root is not None
-        else None
-    )
-    if cache is not None:
-        analysis_key = stage_key(digest, "analysis", config.analysis_config())
-        cached = cache.get("analysis", analysis_key)
-        if cached is not None:
-            narada.use_analysis(decode_analysis(cached))
-        facts_key = cached_facts = None
-        if config.static_filter:
-            # The lockset facts depend only on the program text, so the
-            # staticfilter stage keys on the table digest alone.
-            facts_key = stage_key(digest, "staticfilter", {})
-            cached_facts = cache.get("staticfilter", facts_key)
-            if cached_facts is not None:
-                narada.use_static_facts(decode_static_facts(cached_facts))
-        report = narada.synthesize_for_class(target_class)
-        if cached is None:
-            cache.put("analysis", analysis_key, encode_analysis(narada.analysis()))
-        if facts_key is not None and cached_facts is None:
-            cache.put(
-                "staticfilter",
-                facts_key,
-                encode_static_facts(narada.static_facts()),
-            )
-        return report
     return narada.synthesize_for_class(target_class)
 
 
 def _synthesize_worker(
     source: str,
-    digest: str,
     target_class: str,
     config: dict,
-    cache_root: str | None,
     unit_key: str = "",
     attempt: int = 0,
 ) -> dict:
@@ -352,9 +312,7 @@ def _synthesize_worker(
     injector = cfg.injector()
     if injector is not None:
         injector.before_unit(unit_key, attempt, in_worker=True)
-    report = _synthesize_unit(
-        _load_table(source), digest, target_class, cfg, cache_root
-    )
+    report = _synthesize_unit(_load_table(source), target_class, cfg)
     return encode_synthesis(report)
 
 
@@ -484,10 +442,6 @@ class PipelineOrchestrator:
 
     # -- cache plumbing ------------------------------------------------
 
-    @property
-    def _cache_root(self) -> str | None:
-        return None if self.cache is None else str(self.cache.root)
-
     def _get(self, stage: str, key: str) -> dict | None:
         return None if self.cache is None else self.cache.get(stage, key)
 
@@ -507,8 +461,7 @@ class PipelineOrchestrator:
         try:
             return decoder(data), data.get("digest")
         except Exception as error:  # noqa: BLE001 — quarantined below
-            if self.cache is not None:
-                self.cache.quarantine(stage, key, f"decode failure: {error!r}")
+            self.cache.reject(stage, key, f"decode failure: {error!r}")
             return None
 
     def _put(self, stage: str, key: str, data: dict) -> None:
@@ -601,10 +554,8 @@ class PipelineOrchestrator:
                             fn=_synthesize_worker,
                             args=(
                                 spec.source,
-                                programs[i].digest,
                                 spec.target_class,
                                 self.config.to_dict(),
-                                self._cache_root,
                             ),
                         ),
                     )
@@ -614,11 +565,7 @@ class PipelineOrchestrator:
         def inline_synthesis(unit: PoolUnit):
             i = index_by_key[unit.key]
             return _synthesize_unit(
-                programs[i].table,
-                programs[i].digest,
-                specs[i].target_class,
-                self.config,
-                self._cache_root,
+                programs[i].table, specs[i].target_class, self.config
             )
 
         def on_complete(unit: PoolUnit, payload) -> None:
@@ -666,7 +613,13 @@ class PipelineOrchestrator:
     ) -> list[tuple[DetectionReport, str | None, bool, bool] | None]:
         """Per spec: (report, its cache entry's digest or None, cache
         hit?, partial?), or None when the subject had no synthesis to
-        detect against."""
+        detect against.
+
+        A subject's detection entry is published as soon as its last
+        fuzz unit completes.  When the phase ends, however it ends, each
+        subject still without one gets a ``fuzzunit`` entry for every
+        test this run fuzzed for it; a healthy run writes none.
+        """
         results: list = [None] * len(specs)
         config_dict = self.config.to_dict()
         pending: list[PoolUnit] = []
@@ -674,6 +627,10 @@ class PipelineOrchestrator:
         meta: dict[str, list[tuple[int, object]]] = {}
         reports: dict[int, dict[str, object]] = {}
         budgets_by_spec: dict[int, dict] = {}
+        # Spec index -> its fuzz units that have not completed yet.
+        waiting: dict[int, int] = {}
+        # Keys of the units this run completed, in completion order.
+        fuzzed: list[str] = []
         for i, spec in enumerate(specs):
             if syntheses[i] is None:
                 continue  # synthesis failed; nothing to fuzz
@@ -685,6 +642,7 @@ class PipelineOrchestrator:
                 results[i] = (cached[0], cached[1], True, False)
                 continue
             reports[i] = {}
+            waiting[i] = 0
             budgets = allocate_budgets(
                 tests, verdict_index(syntheses[i]), self.config.random_runs
             )
@@ -702,6 +660,7 @@ class PipelineOrchestrator:
                 if unit_cached is not None:
                     reports[i][test.name] = unit_cached[0]
                     continue
+                waiting[i] += 1
                 if ukey in meta:
                     # Same test of a subject named twice: one unit.
                     meta[ukey].append((i, test))
@@ -724,6 +683,25 @@ class PipelineOrchestrator:
                     )
                 pending.append(unit)
 
+        def assemble(i: int) -> DetectionReport:
+            """Subject ``i``'s report from the tests fuzzed so far."""
+            detection = DetectionReport(class_name=specs[i].target_class)
+            for test in syntheses[i].tests:
+                if budgets_by_spec[i][test.name].runs == 0:
+                    detection.pruned_tests += 1
+                elif test.name in reports[i]:
+                    detection.add(reports[i][test.name])
+            return detection
+
+        def publish(i: int) -> None:
+            detection = assemble(i)
+            digest = None
+            if self.cache is not None:
+                digest = self._put_report(
+                    "detection", keys[i], encode_detection(detection)
+                )
+            results[i] = (detection, digest, False, False)
+
         def inline_fuzz(unit: PoolUnit):
             i, test = meta[unit.key][0]
             budget = budgets_by_spec[i][test.name]
@@ -738,42 +716,35 @@ class PipelineOrchestrator:
         def on_complete(unit: PoolUnit, payload) -> None:
             if isinstance(payload, dict):
                 fuzz = decode_fuzz_bundle(payload, meta[unit.key][0][1])
-                data = payload
             else:
-                fuzz, data = payload, None
-            if self.cache is not None:
-                self._put(
-                    "fuzzunit", unit.key, data or encode_fuzz_bundle(fuzz)
-                )
+                fuzz = payload
+            fuzzed.append(unit.key)
             for i, test in meta[unit.key]:
                 reports[i][test.name] = fuzz
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    publish(i)
 
-        self._run_units(pending, inline_fuzz, on_complete)
-        for i, per_test in reports.items():
-            detection = DetectionReport(class_name=specs[i].target_class)
-            complete = True
-            for test in syntheses[i].tests:
-                if budgets_by_spec[i][test.name].runs == 0:
-                    detection.pruned_tests += 1
-                    continue
-                fuzz = per_test.get(test.name)
-                if fuzz is None:
-                    complete = False
-                    continue
-                detection.add(fuzz)
-            if complete:
-                digest = None
-                if self.cache is not None:
-                    digest = self._put_report(
-                        "detection", keys[i], encode_detection(detection)
-                    )
-                results[i] = (detection, digest, False, False)
-            else:
+        for i, count in waiting.items():
+            if count == 0:
+                publish(i)  # every test replayed or pruned
+        try:
+            self._run_units(pending, inline_fuzz, on_complete)
+        finally:
+            if self.cache is not None:
+                for ukey in fuzzed:
+                    if all(results[i] is not None for i, _ in meta[ukey]):
+                        continue
+                    i, test = meta[ukey][0]
+                    fuzz = reports[i][test.name]
+                    self._put("fuzzunit", ukey, encode_fuzz_bundle(fuzz))
+        for i in reports:
+            if results[i] is None:
                 # Graceful degradation: every successful test's fuzz
                 # report is kept; the subject-level artifact is NOT
                 # cached, so a later clean run recomputes the holes
                 # instead of replaying a partial result forever.
-                results[i] = (detection, None, False, True)
+                results[i] = (assemble(i), None, False, True)
         return results
 
     def detect(

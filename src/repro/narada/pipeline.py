@@ -226,16 +226,12 @@ class Narada:
     # Stage 2b: static lockset pre-filter.
 
     def static_facts(self):
-        """Lockset facts for the program (lazy; cacheable stage)."""
+        """Lockset facts for the program (computed on first use)."""
         if self._static_facts is None:
             from repro.static.facts import analyze_program
 
             self._static_facts = analyze_program(self.table)
         return self._static_facts
-
-    def use_static_facts(self, facts) -> None:
-        """Adopt precomputed (e.g. cache-restored) static facts."""
-        self._static_facts = facts
 
     # ------------------------------------------------------------------
     # Stages 2+3: pairs, context, synthesis.

@@ -700,7 +700,12 @@ def decode_fuzz_bundle(data: dict, test: SynthesizedTest):
 
 
 def encode_static_facts(facts) -> dict:
-    """Encoding of the lockset pre-filter facts (staticfilter stage)."""
+    """Encoding of the lockset pre-filter facts.
+
+    No pipeline stage caches the facts (they are recomputed with each
+    synthesis); the pair stays as their serial form, which the e2e
+    tracer in ``benchmarks/e2e/spans.py`` wraps by name.
+    """
     return {
         "kind": "staticfilter",
         "version": SERIAL_VERSION,

@@ -300,28 +300,40 @@ class TestPipelineDeterminism:
             retry_backoff=1.0,
             fault_inject="crash:0.1",
         )
-        assert patient.analysis_config() == CONFIG.analysis_config()
         assert patient.synthesis_config("Any") == CONFIG.synthesis_config("Any")
         assert patient.detection_config("Any") == CONFIG.detection_config("Any")
 
     def test_rerun_replays_everything_published(
         self, monkeypatch, tmp_path, serial_digest
     ):
-        """A batched pooled run publishes each *unit* to the cache as
-        its result streams in; after a kill mid-batch, rerunning the
+        """A batched pooled run keeps each *unit* whose result streamed
+        in: a run interrupted mid-batch publishes a ``fuzzunit`` entry
+        per finished test of its unfinished subject, and rerunning the
         same run replays every published unit and computes only the
         rest."""
         real_put = ArtifactCache.put
         published = {"synthesis": 0, "fuzzunit": 0}
 
-        def kill_after_four(self, stage, key, data):
-            real_put(self, stage, key, data)
+        def counting(self, stage, key, data):
             if stage in published:
                 published[stage] += 1
-                if sum(published.values()) >= 4:
+            return real_put(self, stage, key, data)
+
+        real_run_units = PipelineOrchestrator._run_units
+        completed = {"synthesis": 0, "fuzz": 0}
+        kill_at = [4]
+
+        def kill_after_four(self, units, inline_fn, on_complete=None):
+            def complete(unit, payload):
+                on_complete(unit, payload)
+                completed[unit.stage] += 1
+                if sum(completed.values()) >= kill_at[0]:
                     raise KeyboardInterrupt
 
-        monkeypatch.setattr(ArtifactCache, "put", kill_after_four)
+            return real_run_units(self, units, inline_fn, complete)
+
+        monkeypatch.setattr(ArtifactCache, "put", counting)
+        monkeypatch.setattr(PipelineOrchestrator, "_run_units", kill_after_four)
         cache = ArtifactCache(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
             with PipelineOrchestrator(
@@ -330,13 +342,9 @@ class TestPipelineDeterminism:
                 orch.run([_spec()])
         assert published == {"synthesis": 1, "fuzzunit": 3}
 
-        def counting(self, stage, key, data):
-            if stage in published:
-                published[stage] += 1
-            return real_put(self, stage, key, data)
-
         published.update(synthesis=0, fuzzunit=0)
-        monkeypatch.setattr(ArtifactCache, "put", counting)
+        completed.update(synthesis=0, fuzz=0)
+        kill_at[0] = float("inf")
         with PipelineOrchestrator(
             jobs=2, cache=cache, config=CONFIG
         ) as orch:
@@ -348,10 +356,12 @@ class TestPipelineDeterminism:
         # recompute — batch boundaries change neither count nor bytes.
         total_units = len(outcome.synthesis.tests) + 1
         assert ledger.completed == total_units - 4
-        assert published == {
+        assert completed == {
             "synthesis": 0,
-            "fuzzunit": len(outcome.synthesis.tests) - 3,
+            "fuzz": len(outcome.synthesis.tests) - 3,
         }
+        # A finished subject keeps its detection entry, not its tests.
+        assert published == {"synthesis": 0, "fuzzunit": 0}
         assert not (tmp_path / "cache" / "runs").exists()
 
 

@@ -4,11 +4,12 @@ A ``synthesis`` entry holds the shared-object tables of its tests.
 ``detection`` and ``fuzzunit`` entries hold none: every fuzz report
 names its test, and decoding binds the name to the synthesis report's
 own test objects.  Synthesis and detection entries store their report
-digests, so a warm replay digests nothing.
+digests, so a warm replay digests nothing.  A healthy run writes only
+those two; ``fuzzunit`` entries come from a run that leaves a subject
+unfinished.
 """
 
 import json
-import shutil
 
 import pytest
 
@@ -35,7 +36,7 @@ def _run(cache=None, jobs=1):
 def _entries(root, stage):
     return [
         (path, json.loads(path.read_text()))
-        for path in sorted((root / stage).glob("*/*.json"))
+        for path in sorted((root / stage).glob("*.json"))
     ]
 
 
@@ -45,9 +46,34 @@ def clean_digest():
     return _run()[0].digest()
 
 
-def test_detection_and_fuzzunit_entries_name_their_tests(tmp_path):
+def test_detection_and_fuzzunit_entries_name_their_tests(
+    tmp_path, monkeypatch
+):
+    # A unit that always fails leaves the subject partial, so the run
+    # keeps its other tests as fuzzunit entries.
+    real = orchestrator_module._fuzz_unit
+    poisoned = []
+
+    def fail_one(table, test, config, **kwargs):
+        poisoned[:] = poisoned or [test.name]
+        if test.name == poisoned[0]:
+            raise RuntimeError("poisoned unit")
+        return real(table, test, config, **kwargs)
+
+    monkeypatch.setattr(orchestrator_module, "_fuzz_unit", fail_one)
+    partial, _ = _run(ArtifactCache(tmp_path))
+    assert partial.detection_partial
+    assert not _entries(tmp_path, "detection")
+    names = {test.name for test in partial.synthesis.tests}
+    units = _entries(tmp_path, "fuzzunit")
+    assert len(units) == len(partial.detection.fuzz_reports)
+    for _, unit in units:
+        assert "tables" not in unit
+        assert "digest" not in unit
+        assert unit["report"]["test"] in names - set(poisoned)
+
+    monkeypatch.setattr(orchestrator_module, "_fuzz_unit", real)
     outcome, _ = _run(ArtifactCache(tmp_path))
-    names = {test.name for test in outcome.synthesis.tests}
     (_, synthesis), = _entries(tmp_path, "synthesis")
     assert "tables" in synthesis
     (_, detection), = _entries(tmp_path, "detection")
@@ -55,11 +81,6 @@ def test_detection_and_fuzzunit_entries_name_their_tests(tmp_path):
     assert [fuzz["test"] for fuzz in detection["fuzz_reports"]] == [
         report.test.name for report in outcome.detection.fuzz_reports
     ]
-    units = _entries(tmp_path, "fuzzunit")
-    assert units
-    for _, unit in units:
-        assert "tables" not in unit
-        assert unit["report"]["test"] in names
 
 
 def test_report_entries_store_their_report_digest(tmp_path):
@@ -69,10 +90,6 @@ def test_report_entries_store_their_report_digest(tmp_path):
     assert outcome.digest() == f"{synthesis['digest']}/{detection['digest']}"
     for entry in (synthesis, detection):
         assert entry["digest"] == serial.report_digest(entry)
-    # Nothing reads the digest of any other stage's entry.
-    for stage in ("fuzzunit", "analysis"):
-        for _, entry in _entries(tmp_path, stage):
-            assert "digest" not in entry
 
 
 def test_cold_run_reads_each_entry_once_and_stores_no_seed_traces(
@@ -125,43 +142,11 @@ def _count_puts(monkeypatch):
 def test_cold_run_writes_each_entry_once(tmp_path, monkeypatch):
     writes = _count_puts(monkeypatch)
     _run(ArtifactCache(tmp_path))
-    assert writes
-    assert len(writes) == len(set(writes))
-    assert {stage for stage, _ in writes} == {
-        "analysis",
-        "staticfilter",
-        "synthesis",
-        "fuzzunit",
+    assert sorted(stage for stage, _ in writes) == ["detection", "synthesis"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
         "detection",
-    }
-
-
-def test_resynthesis_reuses_analysis_and_facts_without_rewriting(
-    tmp_path, monkeypatch, clean_digest
-):
-    _run(ArtifactCache(tmp_path))
-    for stage in ("synthesis", "detection"):
-        shutil.rmtree(tmp_path / stage)
-    writes = _count_puts(monkeypatch)
-    outcome, _ = _run(ArtifactCache(tmp_path))
-    assert not outcome.synthesis_cached
-    assert outcome.digest() == clean_digest
-    stages = {stage for stage, _ in writes}
-    assert "synthesis" in stages
-    assert not stages & {"analysis", "staticfilter"}
-
-
-def test_lost_analysis_entry_is_recomputed(tmp_path, monkeypatch, clean_digest):
-    _run(ArtifactCache(tmp_path))
-    for stage in ("analysis", "synthesis", "detection"):
-        shutil.rmtree(tmp_path / stage)
-    writes = _count_puts(monkeypatch)
-    outcome, _ = _run(ArtifactCache(tmp_path))
-    assert outcome.digest() == clean_digest
-    assert [stage for stage, _ in writes].count("analysis") == 1
-    assert "staticfilter" not in {stage for stage, _ in writes}
-    assert _entries(tmp_path, "analysis")
-    assert not (tmp_path / "seedtrace").exists()
+        "synthesis",
+    ]
 
 
 def test_decoded_detection_shares_the_synthesis_tests(tmp_path):

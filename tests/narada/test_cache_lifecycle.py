@@ -70,6 +70,43 @@ class TestLruEviction:
         assert cache.quarantine_count() == 1
 
 
+class TestOldLayout:
+    """Entries under the old ``<stage>/<aa>/<digest>.json`` fan-out."""
+
+    def _nest(self, cache: ArtifactCache, stage: str, key: str) -> None:
+        """Move a flat entry into its old fan-out directory."""
+        flat = cache._path(stage, key)
+        nested = flat.parent / key[:2] / flat.name
+        nested.parent.mkdir(exist_ok=True)
+        os.replace(flat, nested)
+
+    def test_nested_entries_are_counted_misses(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        (key,) = _fill(cache, "synthesis", 1)
+        size = cache.total_bytes()
+        self._nest(cache, "synthesis", key)
+        assert cache.get("synthesis", key) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.stats.quarantined == 0
+        assert cache.total_bytes() == size
+        assert cache.entry_count() == 1
+
+    def test_nested_entries_are_evicted_first(self, tmp_path):
+        cache = ArtifactCache(tmp_path, max_bytes=100_000)
+        flat = _fill(cache, "detection", 3)
+        entry_size = cache.total_bytes() // 3
+        (old,) = _fill(cache, "synthesis", 1)
+        self._nest(cache, "synthesis", old)
+        # The old entry is the newest by both mtime and the journal.
+        future = time.time() + 3600
+        nested = tmp_path / "synthesis" / old[:2] / f"{old}.json"
+        os.utime(nested, (future, future))
+        cache.evict(entry_size * 3)
+        assert cache.entry_count() == 3
+        assert not list((tmp_path / "synthesis").rglob("*.json"))
+        assert all(cache.get("detection", key) is not None for key in flat)
+
+
 class TestAtimeJournal:
     def test_torn_trailing_line_tolerated(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=100_000)

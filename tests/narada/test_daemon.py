@@ -286,7 +286,7 @@ class TestRequestHandling:
                         }
                     )
                     assert response["ok"]
-        stages = {"analysis", "staticfilter", "synthesis", "fuzzunit", "detection"}
+        stages = {"synthesis", "detection"}
         allowed = stages | {"quarantine", ATIME_JOURNAL, JOURNAL_LOCK}
         assert {path.name for path in root.iterdir()} <= allowed
         assert cache.stats.evictions > 0

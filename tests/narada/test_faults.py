@@ -7,11 +7,17 @@ run (work units are pure functions of content, so a retry recomputes
 the same thing).
 """
 
+import json
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.lang import load
 from repro.narada import (
     ArtifactCache,
@@ -68,23 +74,19 @@ _REAL_SYNTH_WORKER = orch_mod._synthesize_worker
 
 
 def _crash_first_attempt_synth(
-    source, digest, target_class, config, cache_root, unit_key="", attempt=0
+    source, target_class, config, unit_key="", attempt=0
 ):
     if attempt == 0:
         os._exit(13)  # a real worker death, not an exception
-    return _REAL_SYNTH_WORKER(
-        source, digest, target_class, config, cache_root, unit_key, attempt
-    )
+    return _REAL_SYNTH_WORKER(source, target_class, config, unit_key, attempt)
 
 
 def _hang_first_attempt_synth(
-    source, digest, target_class, config, cache_root, unit_key="", attempt=0
+    source, target_class, config, unit_key="", attempt=0
 ):
     if attempt == 0:
         time.sleep(60)
-    return _REAL_SYNTH_WORKER(
-        source, digest, target_class, config, cache_root, unit_key, attempt
-    )
+    return _REAL_SYNTH_WORKER(source, target_class, config, unit_key, attempt)
 
 
 class TestFaultPlan:
@@ -180,6 +182,26 @@ class TestCacheQuarantine:
         assert not outcome.synthesis_cached
         assert orch.fault_ledger.quarantined >= 1
         assert cache.stats.quarantined >= 1
+
+    def test_decode_failure_counts_as_a_miss(self, tmp_path, clean_digest):
+        """An entry that parses but fails to decode was no hit: the
+        stats move it to the misses when it is quarantined."""
+        spec = _spec()
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            orch.run([spec])
+        (path,) = (tmp_path / "synthesis").glob("*.json")
+        entry = json.loads(path.read_text())
+        entry["tests"] = [10**9]
+        path.write_text(json.dumps(entry))
+        cache = ArtifactCache(tmp_path)
+        with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+            outcome = orch.run([spec])[0]
+        assert outcome.digest() == clean_digest
+        assert not outcome.synthesis_cached and outcome.detection_cached
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
 
     def test_injected_torn_writes_quarantine_then_recompute(
         self, tmp_path, clean_digest
@@ -344,11 +366,11 @@ class TestGracefulDegradation:
         calls = {"n": 0}
         real = orch_mod._synthesize_unit
 
-        def fail_first(table, digest, target_class, config, cache_root):
+        def fail_first(table, target_class, config):
             calls["n"] += 1
             if calls["n"] <= 2:  # initial try + the single retry
                 raise RuntimeError("synthesis exploded")
-            return real(table, digest, target_class, config, cache_root)
+            return real(table, target_class, config)
 
         monkeypatch.setattr(orch_mod, "_synthesize_unit", fail_first)
         specs = subject_specs([get_subject("C8"), get_subject("C7")])
@@ -370,7 +392,7 @@ class TestGracefulDegradation:
     ):
         from repro.narada import UnitExecutionError
 
-        def always_fail(table, digest, target_class, config, cache_root):
+        def always_fail(table, target_class, config):
             raise RuntimeError("permanently broken")
 
         monkeypatch.setattr(orch_mod, "_synthesize_unit", always_fail)
@@ -423,6 +445,134 @@ class TestRerunResumes:
         assert ledger.completed == total_units - 4
         assert calls["rerun"] == len(outcome.synthesis.tests) - 3
         assert not (tmp_path / "cache" / "runs").exists()
+
+    def test_sigkill_keeps_finished_subjects(self, monkeypatch, tmp_path):
+        """SIGKILL a jobs=1 run of C8 then C7 while C7 is fuzzing: C8's
+        detection entry was published when its last unit completed, so
+        the rerun replays C8 and fuzzes only C7.  The C7 test that had
+        finished is lost with the process: no fuzzunit entry exists."""
+        specs = subject_specs([get_subject("C8"), get_subject("C7")])
+        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+            clean = [o.digest() for o in orch.run(specs)]
+        root = tmp_path / "cache"
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STALL_AFTER_FIRST_DETECTION, str(root)],
+            env={**os.environ, "PYTHONPATH": _SRC},
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list((root / "detection").glob("*.json")):
+                assert child.poll() is None, "run ended before the kill"
+                assert time.monotonic() < deadline, "no detection entry"
+                time.sleep(0.02)
+            # One more C7 unit finishes before the child stalls.
+            time.sleep(0.5)
+            child.send_signal(signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            child.kill()
+            child.wait()
+        assert len(list((root / "detection").glob("*.json"))) == 1
+        assert not (root / "fuzzunit").exists()
+
+        real = orch_mod._fuzz_unit
+        fuzzed = []
+
+        def counting(table, test, config, **kwargs):
+            fuzzed.append(test.name)
+            return real(table, test, config, **kwargs)
+
+        monkeypatch.setattr(orch_mod, "_fuzz_unit", counting)
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(root), config=CONFIG
+        ) as orch:
+            c8, c7 = orch.run(specs)
+        assert [c8.digest(), c7.digest()] == clean
+        assert c8.synthesis_cached and c8.detection_cached
+        assert c7.synthesis_cached and not c7.detection_cached
+        assert len(fuzzed) == len(c7.detection.fuzz_reports)
+
+
+#: Where ``repro`` is imported from, for the subprocesses below.
+_SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
+
+#: Child for the SIGKILL test: runs C8 then C7 inline, and stalls in its
+#: second C7 fuzz unit so the kill always lands mid-C7.
+_STALL_AFTER_FIRST_DETECTION = """
+import pathlib, sys, time
+from repro.narada import (
+    ArtifactCache, PipelineConfig, PipelineOrchestrator, subject_specs,
+)
+from repro.narada import orchestrator as orch_mod
+from repro.subjects import get_subject
+
+root = pathlib.Path(sys.argv[1])
+real = orch_mod._fuzz_unit
+after = []
+
+def stall(table, test, config, **kwargs):
+    if list((root / "detection").glob("*.json")):
+        after.append(test.name)
+        if len(after) > 1:
+            time.sleep(600)
+    return real(table, test, config, **kwargs)
+
+orch_mod._fuzz_unit = stall
+specs = subject_specs([get_subject("C8"), get_subject("C7")])
+config = PipelineConfig(random_runs=2, retry_backoff=0.0)
+with PipelineOrchestrator(jobs=1, cache=ArtifactCache(root), config=config) as orch:
+    orch.run(specs)
+"""
+
+#: Child for the orphan test: a two-worker pool that has run units,
+#: prints its worker pids, and then idles.
+_IDLE_POOL = """
+import os, time
+from repro.narada.faults import FaultLedger, FaultTolerantPool, PoolUnit, RetryPolicy
+
+def pid(unit_key="", attempt=0):
+    return os.getpid()
+
+pool = FaultTolerantPool(2, RetryPolicy(), FaultLedger())
+pool.run([PoolUnit(key=str(i), stage="s", subject="s", name=str(i), fn=pid)
+          for i in range(4)])
+print(" ".join(str(w.process.pid) for w in pool._workers), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        child = subprocess.Popen(
+            [sys.executable, "-c", _IDLE_POOL],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers = [int(pid) for pid in child.stdout.readline().split()]
+        try:
+            assert len(workers) == 2
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestFaultLedgerSerialization:
