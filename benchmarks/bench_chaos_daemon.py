@@ -221,7 +221,11 @@ def scenario_clean_and_overhead(workdir, subjects, runs, repeats, direct):
 
 
 def scenario_worker_kills(workdir, subjects, runs, direct):
-    """sha-keyed SIGKILL-grade worker deaths mid-request; answers hold."""
+    """sha-keyed SIGKILL-grade worker deaths mid-request; answers hold.
+
+    A unit is a whole subject, so a request draws once per subject and
+    attempt; at 0.5 the first four attempts of C1's unit crash.
+    """
     failures = []
     with _daemon(
         workdir,
@@ -229,7 +233,7 @@ def scenario_worker_kills(workdir, subjects, runs, direct):
         cache=None,
         base_config=PipelineConfig(
             random_runs=runs,
-            fault_inject="crash:0.35",
+            fault_inject="crash:0.5",
             max_retries=6,
             retry_backoff=0.0,
         ),

@@ -8,7 +8,7 @@ three ways and compares wall-clock and output digests:
 * **armed** — per-unit watchdog deadline + retry policy configured, but
   nothing injected: this is the clean-path cost of the fault machinery
   (deadline polling in the pool dispatch loop, SIGALRM arming inline);
-* **injected** — deterministic ``crash:0.2`` fault injection with
+* **injected** — deterministic ``crash:0.5`` fault injection with
   generous retries: every unit eventually converges, proving retried
   runs are bit-identical to clean ones (C1..C9 by default — the
   full-breadth identity check).
@@ -69,8 +69,11 @@ OVERHEAD_GATE_MIN_SECONDS = 10.0
 
 #: The injected scenario: crashes only (hangs would add a wall-clock
 #: penalty of one watchdog deadline per injection — correctness of that
-#: path is covered by the test suite, not timed here).
-FAULT_SPEC = "crash:0.2"
+#: path is covered by the test suite, not timed here).  A unit is a
+#: whole subject, so a run makes one draw per subject and attempt; at
+#: 0.5 the first attempts of C1 (four) and C4 (two) crash, so both the
+#: quick and the full run exercise the retry path.
+FAULT_SPEC = "crash:0.5"
 INJECTED_MAX_RETRIES = 10
 
 #: Watchdog deadline for the armed + injected runs.  Generous: it must

@@ -6,8 +6,8 @@ parallel dispatch actually matters) three ways and compares wall-clock:
 
 * **serial** — ``jobs=1``, no cache: the pre-orchestrator baseline path;
 * **parallel cold** — ``jobs=N`` over a fresh artifact cache: batched
-  process-pool fan-out of the per-subject pipeline and per-test fuzz
-  loop, each dispatch ``ceil(queued units / 2N)`` units;
+  process-pool fan-out of one unit per subject (synthesis, then its
+  fuzz loop), each dispatch ``ceil(queued units / 2N)`` units;
 * **warm cache** — rerun against the now-populated cache: every stage
   replays from content-addressed artifacts.
 

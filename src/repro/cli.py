@@ -33,8 +33,8 @@ writing Python:
 sequential seed tests.
 
 Pipeline-running commands share three orchestration flags: ``--jobs N``
-fans the per-subject pipeline and the per-test fuzz loop out over a
-process pool (results are bit-identical to ``--jobs 1``), ``--no-cache``
+fans subjects out over a process pool, one unit per subject (results
+are bit-identical to ``--jobs 1``), ``--no-cache``
 disables the persistent content-addressed artifact cache, and
 ``--cache-dir`` points the cache somewhere other than
 ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-narada``.  With a pool, each
@@ -42,12 +42,13 @@ worker round-trip carries ``ceil(queued units / (2 * jobs))`` units;
 batch boundaries never change results.
 
 They also share the fault-tolerance flags: ``--unit-timeout`` arms a
-per-unit wall-clock watchdog, ``--max-retries``/``--retry-backoff``
-bound the retry loop, and ``--fault-inject crash:0.3,hang:0.1`` is the
-test-only deterministic fault hook.  None of these change cache keys or
-results — a retried run is bit-identical to a clean one.  Each finished
-unit is published to the cache at once, so rerunning an interrupted
-command is its resume: only the unfinished units run again.
+wall-clock watchdog per unit (one subject's synthesis and fuzzing),
+``--max-retries``/``--retry-backoff`` bound the retry loop, and
+``--fault-inject crash:0.3,hang:0.1`` is the test-only deterministic
+fault hook.  None of these change cache keys or results — a retried run
+is bit-identical to a clean one.  Each finished subject is published to
+the cache at once, so rerunning an interrupted command is its resume:
+only the unfinished subjects run again.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import json
 import os
 import sys
 
+from repro._util.errors import SourceError
 from repro.baseline import ConTeGe
 from repro.fuzz import explore_test
 from repro.lang import ClassTable, load
@@ -73,6 +75,17 @@ from repro.subjects import all_subjects, get_subject
 from repro.synth import materialize
 
 
+def _load_file(path: str) -> tuple[ClassTable, str]:
+    """A MiniJ file's class table and source; a one-line exit when the
+    source does not lex, parse or resolve."""
+    with open(path) as handle:
+        source = handle.read()
+    try:
+        return load(source), source
+    except SourceError as error:
+        raise SystemExit(f"error: {path}:{error}")
+
+
 def _load_target(args) -> tuple[ClassTable, str, str]:
     """Resolve --subject/FILE into (class table, target class, source)."""
     if args.subject:
@@ -80,9 +93,7 @@ def _load_target(args) -> tuple[ClassTable, str, str]:
         return subject.load(), subject.class_name, subject.source
     if not args.file:
         raise SystemExit("error: provide --subject C1..C9 or a MiniJ file")
-    with open(args.file) as handle:
-        source = handle.read()
-    table = load(source)
+    table, source = _load_file(args.file)
     target = args.target_class
     if target is None:
         candidates = table.class_names()
@@ -127,7 +138,8 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-unit wall-clock watchdog deadline (default: none)",
+        help="wall-clock watchdog deadline per subject unit, synthesis "
+             "plus fuzzing (default: none)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
@@ -361,7 +373,7 @@ def cmd_fuzz(args) -> int:
     if args.static_stats:
         _static_stats([(target, report, detection)])
     if outcome.detection_partial:
-        print("(partial: some fuzz units failed; see the fault ledger)")
+        print("(partial: some tests failed to fuzz; see the fault ledger)")
     for fuzz in detection.fuzz_reports:
         if fuzz.detected:
             print()
@@ -479,8 +491,7 @@ def cmd_run(args) -> int:
         raise SystemExit(
             "error: provide a MiniJ FILE or --subjects C1,C2,... (or all)"
         )
-    with open(args.file) as handle:
-        table = load(handle.read())
+    table, _ = _load_file(args.file)
     names = [n.strip() for n in args.detectors.split(",") if n.strip()]
     try:
         pass_classes = [resolve_pass(n) for n in names]

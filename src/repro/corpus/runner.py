@@ -144,7 +144,7 @@ def score_outcome(
         score.pipeline_failed = True
         return score
     if outcome.detection_partial:
-        # Missing fuzz units can hide races; a partial subject must not
+        # Tests that failed to fuzz can hide races; a partial subject must not
         # be allowed to pass the recall gate by luck.
         score.pipeline_failed = True
 

@@ -19,6 +19,15 @@ The six binary levels, all left-associative, are one precedence table
 
 Every AST node receives a unique ``node_id`` used as its static site
 identity by the tracer, the pair generator, and the race detectors.
+
+The parser and every pass that walks the tree recurse once per level
+of nesting, so the parser counts the levels it is inside — expressions
+(parentheses, call arguments, operands, unary chains), blocks and ``if``
+statements — and raises :class:`ParseError` past :data:`MAX_NESTING`
+instead of letting Python's recursion limit end the parse, the
+resolver or the table digest with a ``RecursionError``.  A chain that
+the parser folds in a loop (``1 + 1 + 1``, ``a.f.g``) nests its tree
+one level per binary operator or member access, and is charged so.
 """
 
 from __future__ import annotations
@@ -29,6 +38,14 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 from repro.lang.types import BOOL, INT, VOID, Type, class_type
 
+
+#: Deepest nesting the parser accepts.  A level costs at most four
+#: Python frames (a parenthesized operand: expression, unary, postfix,
+#: primary), so a parse stays near 400 frames below its caller, under
+#: Python's default recursion limit of 1,000 with room for the passes
+#: that later walk the tree.  The paper subjects and the generated
+#: corpus nest at most a few levels.
+MAX_NESTING = 100
 
 #: Binary operators: token kind -> (precedence, operator text), loosest
 #: first.
@@ -59,6 +76,8 @@ class Parser:
         self._tokens = [*tokens, tokens[-1]]
         self._pos = 0
         self._next_node_id = 0
+        #: Levels of nesting the parse is inside; see :data:`MAX_NESTING`.
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token stream helpers.
@@ -94,6 +113,21 @@ class Parser:
             return None
         self._pos += 1
         return token
+
+    def _nest(self) -> None:
+        """Enter one level of nesting; raise past :data:`MAX_NESTING`.
+
+        Callers leave the level with ``self._depth -= 1`` on their way
+        out.  A raised parse is abandoned, so no level is left on error.
+        """
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            token = self._tokens[self._pos]
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels",
+                token.line,
+                token.column,
+            )
 
     def _stamp(self, node, token: Token):
         """Assign position and identity to a freshly built node."""
@@ -263,12 +297,14 @@ class Parser:
     # Statements.
 
     def _parse_block(self) -> ast.Block:
+        self._nest()
         start = self._expect(TokenKind.LBRACE)
         block = ast.Block()
         self._stamp(block, start)
         while not self._at(TokenKind.RBRACE):
             block.stmts.append(self._parse_stmt())
         self._expect(TokenKind.RBRACE)
+        self._depth -= 1
         return block
 
     def _parse_stmt(self) -> ast.Stmt:
@@ -309,6 +345,7 @@ class Parser:
         return self._stamp(node, name)
 
     def _parse_if(self) -> ast.If:
+        self._nest()  # an else-if chain recurses here, not via a block
         start = self._expect(TokenKind.KW_IF)
         self._expect(TokenKind.LPAREN)
         cond = self._parse_expr()
@@ -321,6 +358,7 @@ class Parser:
             else:
                 else_body = self._parse_block()
         node = ast.If(cond=cond, then_body=then_body, else_body=else_body)
+        self._depth -= 1
         return self._stamp(node, start)
 
     def _parse_while(self) -> ast.While:
@@ -396,34 +434,40 @@ class Parser:
         Node ids come out in the same post-order as a one-method-per-
         level descent: both operands are stamped before their operator.
         """
+        self._nest()
         left = self._parse_unary()
+        levels = 1
         while True:
             op_token = self._peek()
             entry = _BINARY_OPS.get(op_token.kind)
             if entry is None or entry[0] < min_precedence:
+                self._depth -= levels
                 return left
             precedence, op = entry
             self._pos += 1  # a binary operator is never EOF
+            self._nest()  # the fold puts ``left`` one level deeper
+            levels += 1
             right = self._parse_expr(precedence + 1)
             node = ast.Binary(op=op, left=left, right=right)
             left = self._stamp(node, op_token)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.NOT:
+        if token.kind is TokenKind.NOT or token.kind is TokenKind.MINUS:
             self._advance()
-            node = ast.Unary(op="!", operand=self._parse_unary())
-            return self._stamp(node, token)
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            node = ast.Unary(op="-", operand=self._parse_unary())
+            self._nest()
+            node = ast.Unary(op=token.text, operand=self._parse_unary())
+            self._depth -= 1
             return self._stamp(node, token)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        levels = 0
         while self._at(TokenKind.DOT):
             self._advance()
+            self._nest()  # the access puts ``expr`` one level deeper
+            levels += 1
             name = self._expect(TokenKind.IDENT, "member name")
             if self._at(TokenKind.LPAREN):
                 args = self._parse_args()
@@ -431,6 +475,7 @@ class Parser:
             else:
                 node = ast.FieldGet(target=expr, field_name=name.text)
             expr = self._stamp(node, name)
+        self._depth -= levels
         return expr
 
     def _parse_args(self) -> list[ast.Expr]:

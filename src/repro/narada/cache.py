@@ -1,8 +1,8 @@
 """Persistent content-addressed cache of pipeline artifacts.
 
-Every pipeline stage output (synthesis, per-test fuzz, detection) is a
-deterministic function of three inputs, and the cache key is a digest of
-exactly those:
+Every pipeline stage output (synthesis, detection) is a deterministic
+function of three inputs, and the cache key is a digest of exactly
+those:
 
 * the **pretty-printed class table** — canonical program text, so
   formatting/comment changes in a source file do not invalidate, while
@@ -18,9 +18,9 @@ exactly those:
 Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
 directory per stage, created by the first write that finds it missing,
 so a new entry costs a temp-file write and a rename, and no directory.
-The stages a pipeline run writes are ``synthesis`` and ``detection``, plus
-``fuzzunit`` (one per test) for subjects a run leaves unfinished;
-``repro analyze`` keeps its own ``analysis`` entry.  An entry in the
+The stages a pipeline run writes are ``synthesis`` and ``detection``,
+both when a subject's unit completes; ``repro analyze`` keeps its own
+``analysis`` entry.  An entry in the
 older ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
 counts toward the byte budget and is evicted before any flat entry.
 Writes are crash-safe: content goes to a same-directory temp file first

@@ -3,7 +3,9 @@
 Narada's value (paper §3.4) is that every seed run yields synthesized
 racy tests even when individual subjects misbehave: RaceFuzzer and
 ConTeGe both survive per-test failures by recording them and moving on.
-This module gives the orchestrator the same property at every stage:
+This module gives the orchestrator the same property per work unit (one
+subject's synthesis and fuzzing; a test whose fuzz raises is recorded
+by the unit itself):
 
 * :class:`FaultTolerantPool` — a small process pool built on per-worker
   pipes instead of ``concurrent.futures``.  Workers receive **batches**
@@ -16,7 +18,7 @@ This module gives the orchestrator the same property at every stage:
   it), the results already streamed for earlier units in the batch
   survive, the not-yet-started remainder is requeued untouched, and
   only the blamed unit is retried.  Workers are
-  persistent: one pool serves every phase of a run (and, under the
+  persistent: one pool serves every wave of a run (and, under the
   daemon, every request), so spawn cost and per-process caches amortize
   across the whole workload.
 * :class:`RetryPolicy` — per-unit wall-clock watchdog deadlines and
@@ -30,7 +32,8 @@ This module gives the orchestrator the same property at every stage:
   ``run()`` returns partial results plus this ledger instead of
   propagating the first worker death.  An interrupted run resumes by
   being rerun: the orchestrator publishes each unit's result to the
-  artifact cache as the unit completes.
+  artifact cache as the unit completes, so a rerun recomputes only the
+  subjects in flight.
 * :class:`FaultInjector` — the test-only probabilistic fault hook
   (``--fault-inject crash:0.3,hang:0.1,corrupt:0.05`` or the
   ``REPRO_FAULT_INJECT`` environment variable).  Draws are sha-derived
@@ -251,9 +254,6 @@ def draw(kind: str, key: str, attempt: int) -> float:
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
-_draw = draw  # original (private) name, kept for in-tree callers
-
-
 @dataclass(frozen=True)
 class FaultInjector:
     """Applies a :class:`FaultPlan` at the unit and cache-write hooks."""
@@ -287,11 +287,11 @@ class FaultInjector:
 
     def before_unit(self, key: str, attempt: int, in_worker: bool) -> None:
         """Maybe crash or hang at the start of a unit execution."""
-        if self.plan.crash and _draw("crash", key, attempt) < self.plan.crash:
+        if self.plan.crash and draw("crash", key, attempt) < self.plan.crash:
             if in_worker:
                 os._exit(INJECTED_CRASH_EXIT)  # a real, uncatchable death
             raise InjectedCrash(f"injected crash (unit {key[:12]})")
-        if self.plan.hang and _draw("hang", key, attempt) < self.plan.hang:
+        if self.plan.hang and draw("hang", key, attempt) < self.plan.hang:
             # In a worker the watchdog SIGTERMs us mid-sleep; inline the
             # SIGALRM watchdog interrupts the sleep with UnitTimeout.
             time.sleep(self.hang_seconds)
@@ -299,7 +299,7 @@ class FaultInjector:
     def corrupt_write(self, key: str) -> bool:
         """Should this cache entry be torn after its atomic publish?"""
         return bool(
-            self.plan.corrupt and _draw("corrupt", key, 0) < self.plan.corrupt
+            self.plan.corrupt and draw("corrupt", key, 0) < self.plan.corrupt
         )
 
     def enospc_write(self, key: str) -> bool:
@@ -310,7 +310,7 @@ class FaultInjector:
         failure as a skipped publish, not a crashed unit.
         """
         return bool(
-            self.plan.enospc and _draw("enospc", key, 0) < self.plan.enospc
+            self.plan.enospc and draw("enospc", key, 0) < self.plan.enospc
         )
 
 
@@ -360,7 +360,7 @@ class FaultLedger:
     """Worker dispatches (each carries one or more units)."""
     warm_reuses: int = 0
     """Dispatches served by an already-warm worker — every one of these
-    is a spawn a per-phase (or per-request) pool would have paid."""
+    is a spawn a per-run (or per-request) pool would have paid."""
 
     def ok(self) -> bool:
         return not self.failures
@@ -491,6 +491,32 @@ class PoolUnit:
     not_before: float = 0.0
 
 
+def _retry_or_record(
+    unit: PoolUnit,
+    policy: RetryPolicy,
+    ledger: FaultLedger,
+    error_repr: str,
+    trace: str,
+) -> bool:
+    """Charge a failed attempt to ``unit``: True to retry it (the caller
+    schedules the retry), False once it is recorded as failed."""
+    unit.attempts += 1
+    if unit.attempts <= policy.max_retries:
+        ledger.retries += 1
+        return True
+    ledger.record(
+        UnitFailure(
+            stage=unit.stage,
+            subject=unit.subject,
+            unit=unit.name,
+            error=error_repr,
+            trace=trace,
+            attempts=unit.attempts,
+        )
+    )
+    return False
+
+
 class _Worker:
     """Parent-side handle: one process, one pipe, one in-flight batch.
 
@@ -603,7 +629,7 @@ class FaultTolerantPool:
     the determinism contract of the orchestrator is preserved.
 
     The pool is long-lived by design: callers keep one pool across
-    pipeline phases, :meth:`run` calls, and daemon requests.  Workers
+    waves, :meth:`run` calls, and daemon requests.  Workers
     spawned for an earlier dispatch are reused (counted as
     ``warm_reuses`` in the ledger) instead of being respawned.
     """
@@ -686,24 +712,11 @@ class FaultTolerantPool:
         error_repr: str,
         trace: str,
     ) -> None:
-        unit.attempts += 1
-        if unit.attempts <= self.policy.max_retries:
-            self.ledger.retries += 1
+        if _retry_or_record(unit, self.policy, self.ledger, error_repr, trace):
             unit.not_before = time.monotonic() + self.policy.backoff_seconds(
                 unit.attempts
             )
             pending.append(unit)
-            return
-        self.ledger.record(
-            UnitFailure(
-                stage=unit.stage,
-                subject=unit.subject,
-                unit=unit.name,
-                error=error_repr,
-                trace=trace,
-                attempts=unit.attempts,
-            )
-        )
 
     def _respawn_after(self, worker: _Worker) -> None:
         self._discard_worker(worker)
@@ -922,7 +935,7 @@ class FaultTolerantPool:
         (9 units at ``jobs=4`` go out as 2/1/1/1 and the rest waits for
         whichever worker frees first).  The first round hands out at
         most half the queue, so a worker whose share holds slow units
-        does not hold the tail of the phase.
+        does not hold the tail of the run.
         """
         ready = sum(1 for unit in pending if unit.not_before <= now)
         return -(-ready // (2 * self.jobs))
@@ -987,21 +1000,11 @@ class InlineRunner:
                     trace = traceback.format_exc()
                     if isinstance(error, UnitTimeout):
                         self.ledger.timeouts += 1
-                    unit.attempts += 1
-                    if unit.attempts <= self.policy.max_retries:
-                        self.ledger.retries += 1
+                    if _retry_or_record(
+                        unit, self.policy, self.ledger, repr(error), trace
+                    ):
                         time.sleep(self.policy.backoff_seconds(unit.attempts))
                         continue
-                    self.ledger.record(
-                        UnitFailure(
-                            stage=unit.stage,
-                            subject=unit.subject,
-                            unit=unit.name,
-                            error=repr(error),
-                            trace=trace,
-                            attempts=unit.attempts,
-                        )
-                    )
                     break
                 else:
                     results[unit.key] = payload

@@ -1,62 +1,68 @@
 """Parallel pipeline orchestrator with stage caching and fault tolerance.
 
-The Fig. 6 pipeline is embarrassingly parallel at two granularities:
-
-* **per subject** — seed execution, analysis, pair generation, context
-  derivation and synthesis of one program are independent of every other
-  program, and
-* **per test** — the RaceFuzzer loop treats each synthesized test as an
-  independent work unit.
-
-The orchestrator fans both out over a process pool while keeping
-results **bit-identical to the serial order**:
+The Fig. 6 pipeline is embarrassingly parallel per subject: seed
+execution, analysis, pair generation, context derivation, synthesis and
+the RaceFuzzer loop over the synthesized tests of one program are
+independent of every other program.  The orchestrator makes each
+subject **one work unit** — synthesis (or the cached synthesis), then
+every budgeted test's fuzz — and fans units out over a process pool
+while keeping results **bit-identical to the serial order**:
 
 * work units are pure functions of ``(source text, target class,
   config)`` — never of pool scheduling.  Every fuzz schedule seed is
   derived from ``(test name, run index)`` (see
   :func:`repro.fuzz.racefuzzer.schedule_seed`), and each run's detector
   stack is replayed as one engine sweep keyed by
-  :func:`repro.analysis.sweep.memo_key`, so a test fuzzes the same way
-  whichever worker picks it up — and the same way on a retry;
-* results are assembled in deterministic (subject, test) order from a
-  key-addressed result map, so completion order cannot reorder them;
+  :func:`repro.analysis.sweep.memo_key`, so a subject fuzzes the same
+  way whichever worker picks it up — and the same way on a retry;
+* results are assembled in spec order from a key-addressed result map,
+  so completion order cannot reorder them;
+* a unit and :meth:`Narada.detect <repro.narada.pipeline.Narada.detect>`
+  share one fuzz loop, so budgets, pruned tests and report order have
+  one definition;
 * reports cross the process boundary in the canonical dict form of
-  :mod:`repro.narada.serial`;
+  :mod:`repro.narada.serial`, one reply per subject;
 * ``jobs=1`` bypasses the pool entirely — no pickling, no subprocesses —
   which keeps single-job runs debuggable and exactly as cheap as the old
   serial pipeline.
 
-The run is backed by the persistent content-addressed
-:class:`~repro.narada.cache.ArtifactCache`: synthesis, per-test fuzz,
-and detection artifacts are keyed by (table digest, stage config, code
-salt), so a rerun with unchanged subjects skips straight to the first
-invalidated stage.  Only entries a later run reads are written: seed
-analysis and lockset facts are recomputed inside the synthesis unit.
+Finer units did not pay where measured: a subject's fuzz calls cost a
+few milliseconds each, and on a 2-CPU machine one subject per run took
+~31 ms split over two workers against ~20.5 ms on one.  A run whose
+time one large subject dominates gets no parallelism inside that
+subject; ``jobs`` of 4 and more on 4 or more CPUs is unmeasured.
 
-Since the fault-tolerance PR the execution substrate is
-:mod:`repro.narada.faults`: worker death, hung units, and unit
-exceptions are isolated per unit, retried with backoff, and — when
-retries are exhausted — recorded as :class:`UnitFailure` entries in the
-run's :class:`FaultLedger` while every other unit proceeds.  ``run()``
-therefore returns *partial* results on a bad day instead of raising on
-the first casualty.  The cache is the run's checkpoint: a synthesis is
-published the moment its unit completes, and a subject's detection the
-moment its last fuzz unit does.  A subject the run leaves unfinished —
-a failed unit, a cancelled or interrupted run — gets one ``fuzzunit``
-entry per test it did fuzz, so rerunning the command recomputes only
-the units that had not finished.  A SIGKILL skips that last write: it
-loses the fuzzed tests of the subjects still in flight.
+The run is backed by the persistent content-addressed
+:class:`~repro.narada.cache.ArtifactCache`: synthesis and detection
+artifacts are keyed by (table digest, stage config, code salt), so a
+rerun with unchanged subjects skips straight to the first invalidated
+stage.  A subject whose synthesis entry is gone but whose
+detection entry is not synthesizes again and replays the detection.  Only entries a later run reads are written: seed analysis and
+lockset facts are recomputed inside the unit.
+
+The execution substrate is :mod:`repro.narada.faults`: worker death,
+hung units, and unit exceptions are isolated per unit, retried with
+backoff, and — when retries are exhausted — recorded as
+:class:`UnitFailure` entries in the run's :class:`FaultLedger` while
+every other unit proceeds.  A test whose fuzz raises is recorded as a
+``fuzz`` failure of that test alone; the subject's other tests still
+run, and its detection is partial.  ``run()`` therefore returns
+*partial* results on a bad day instead of raising on the first
+casualty.  The cache is the run's checkpoint: a subject's synthesis and
+detection are published the moment its unit completes.  Rerunning an
+interrupted command recomputes only the subjects it had not finished.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import threading
+import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.fuzz import RaceFuzzer
 from repro.lang import ClassTable, load
 from repro.narada.cache import ArtifactCache, stage_key, table_digest
 from repro.narada.faults import (
@@ -68,19 +74,17 @@ from repro.narada.faults import (
     PoolUnit,
     RetryPolicy,
     UnitExecutionError,
+    UnitFailure,
+    UnitTimeout,
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
     decode_detection,
-    decode_fuzz_bundle,
     decode_synthesis,
     encode_detection,
-    encode_fuzz_bundle,
     encode_synthesis,
-    encode_test_bundle,
     report_digest,
 )
-from repro.static.filter import allocate_budgets, verdict_index
 
 
 #: Most distinct sources whose table digest and class names one process
@@ -222,10 +226,11 @@ class PipelineConfig:
 class SubjectOutcome:
     """Pipeline results for one subject, plus cache/fault provenance.
 
-    ``synthesis`` is None when the synthesis unit failed permanently
-    (see :attr:`failures`); ``detection_partial`` marks a detection
-    report that is missing the fuzz results of failed units but carries
-    every successful one.
+    ``synthesis`` is None when the subject's unit failed permanently
+    without one, and ``detection`` is None when it failed after (see
+    :attr:`failures`); ``detection_partial`` marks a detection report
+    that is missing the tests whose fuzz raised but carries every other
+    test's report.
     """
 
     spec: SubjectSpec
@@ -265,32 +270,46 @@ class SubjectOutcome:
 
 
 # ----------------------------------------------------------------------
-# Work units.  Module-level so they are picklable by the process pool;
-# the inline (jobs=1) path calls the *_unit functions directly and never
-# serializes anything.  The trailing ``(unit_key, attempt)`` pair is the
-# pool's dispatch envelope: it keys the (test-only) fault injector.
+# The subject unit.  Module-level so the process pool can pickle it;
+# the inline (jobs=1) path calls :func:`_subject_unit` directly and
+# never serializes anything.  The trailing ``(unit_key, attempt)`` pair
+# is the pool's dispatch envelope: it keys the (test-only) fault
+# injector.
 
 
 @functools.lru_cache(maxsize=128)
 def _load_table(source: str) -> ClassTable:
     """Per-process table cache for pool workers, which receive source
-    text.  Workers are persistent across phases, waves, and daemon
-    requests, so each worker parses a subject once however many tests
-    it fuzzes.  Sized for corpus-scale waves — at 16 entries a
-    200-subject corpus run thrashed the cache and re-parsed tables the
-    worker had already paid for.  The inline path never calls this:
-    its units read the run's :class:`ProgramSource` tables."""
+    text.  Workers are persistent across waves and daemon requests, so
+    a worker parses a source once however many of its classes it runs.
+    Sized for corpus-scale waves — at 16 entries a 200-subject corpus
+    run thrashed the cache and re-parsed tables the worker had already
+    paid for.  The inline path never calls this: its units read the
+    run's :class:`ProgramSource` tables."""
     return load(source)
 
 
-def _synthesize_unit(
-    table: ClassTable, target_class: str, config: PipelineConfig
-) -> SynthesisReport:
-    """Stages 0-3 for one subject.
+def _subject_unit(
+    table: ClassTable,
+    target_class: str,
+    config: PipelineConfig,
+    synthesis: SynthesisReport | None,
+    detect: bool,
+    detection_entry: dict | None = None,
+) -> tuple[SynthesisReport, DetectionReport | None, list, str | None]:
+    """One subject's pipeline: synthesis unless given, then, when
+    ``detect``, RaceFuzzer on every budgeted test.
 
-    Seed analysis and the lockset facts are recomputed here rather than
-    cached: no run reads them back unless one source is synthesized
-    again for another class or RNG seed.
+    Returns ``(synthesis, detection or None, failures, replay error)``.
+    ``detection_entry`` is the subject's cached detection, read when
+    its synthesis missed: it replays when it decodes against the tests
+    synthesized here, and then nothing is fuzzed; otherwise the replay
+    error is the decode failure's repr and the tests are fuzzed.  Seed
+    analysis and the lockset facts are recomputed here rather than
+    cached.  A test whose fuzz raises becomes a ``(test name, error
+    repr, traceback)`` failure and the other tests still run: fuzzing
+    is a pure function of content, so a retry would raise again.  A
+    watchdog timeout is no test's fault, so it fails the whole unit.
     """
     narada = Narada(
         table,
@@ -298,59 +317,62 @@ def _synthesize_unit(
         rng_seed=config.rng_seed,
         static_filter=config.static_filter,
     )
-    return narada.synthesize_for_class(target_class)
+    if synthesis is None:
+        synthesis = narada.synthesize_for_class(target_class)
+    if not detect:
+        return synthesis, None, [], None
+    replay_error = None
+    if detection_entry is not None:
+        try:
+            detection = decode_detection(detection_entry, synthesis.tests)
+            return synthesis, detection, [], None
+        except Exception as error:  # noqa: BLE001 — quarantined by the caller
+            replay_error = repr(error)
+    failures: list[tuple[str, str, str]] = []
+
+    def test_failed(test, error: Exception) -> None:
+        if isinstance(error, UnitTimeout):
+            raise error
+        failures.append((test.name, repr(error), traceback.format_exc()))
+
+    detection = narada.detect(
+        synthesis, config.random_runs, config.directed, on_error=test_failed
+    )
+    return synthesis, detection, failures, replay_error
 
 
-def _synthesize_worker(
+def _subject_worker(
     source: str,
     target_class: str,
     config: dict,
+    synthesis: dict | None,
+    detect: bool,
+    detection_entry: dict | None,
     unit_key: str = "",
     attempt: int = 0,
 ) -> dict:
+    """:func:`_subject_unit` in a pool worker: ``synthesis`` is the
+    encoded report when the parent already has one.  The reply carries
+    encoded reports: the synthesis only when computed here, and the
+    detection only when fuzzed here, since a replayed entry is the
+    parent's own."""
     cfg = PipelineConfig.from_dict(config)
     injector = cfg.injector()
     if injector is not None:
         injector.before_unit(unit_key, attempt, in_worker=True)
-    report = _synthesize_unit(_load_table(source), target_class, cfg)
-    return encode_synthesis(report)
-
-
-def _fuzz_unit(
-    table: ClassTable,
-    test,
-    config: PipelineConfig,
-    runs: int | None = None,
-    rank_score: int = 0,
-):
-    fuzzer = RaceFuzzer(
-        table,
-        random_runs=config.random_runs,
-        vm_seed=config.vm_seed,
-        directed=config.directed,
+    given = None if synthesis is None else decode_synthesis(synthesis)
+    report, detection, failures, replay_error = _subject_unit(
+        _load_table(source), target_class, cfg, given, detect, detection_entry
     )
-    return fuzzer.fuzz(test, runs=runs, rank_score=rank_score)
-
-
-def _fuzz_worker(
-    source: str,
-    test_bundle: dict,
-    config: dict,
-    runs: int | None = None,
-    rank_score: int = 0,
-    unit_key: str = "",
-    attempt: int = 0,
-) -> dict:
-    from repro.narada.serial import decode_test_bundle
-
-    cfg = PipelineConfig.from_dict(config)
-    injector = cfg.injector()
-    if injector is not None:
-        injector.before_unit(unit_key, attempt, in_worker=True)
-    table = _load_table(source)
-    test = decode_test_bundle(test_bundle)
-    report = _fuzz_unit(table, test, cfg, runs=runs, rank_score=rank_score)
-    return encode_fuzz_bundle(report)
+    fuzzed = detection is not None and (
+        detection_entry is None or replay_error is not None
+    )
+    return {
+        "synthesis": encode_synthesis(report) if given is None else None,
+        "detection": encode_detection(detection) if fuzzed else None,
+        "failures": failures,
+        "replay_error": replay_error,
+    }
 
 
 def _parse_specs(specs: list[SubjectSpec]) -> list[ProgramSource]:
@@ -397,10 +419,10 @@ class PipelineOrchestrator:
         self.jobs = max(1, jobs)
         self.cache = cache
         self.config = config if config is not None else PipelineConfig()
-        #: Cooperative cancellation: checked between phases and at every
-        #: unit boundary inside the pool/inline runner.  The daemon sets
-        #: this to the request's deadline token; a cancelled run raises
-        #: :class:`RunCancelled` without poisoning the shared pool
+        #: Cooperative cancellation: checked when a run starts and at
+        #: every unit boundary inside the pool/inline runner.  The daemon
+        #: sets this to the request's deadline token; a cancelled run
+        #: raises :class:`RunCancelled` without poisoning the shared pool
         #: (idle workers stay warm, busy ones are respawned).
         self.cancel = cancel
         self.fault_ledger = FaultLedger()
@@ -421,7 +443,7 @@ class PipelineOrchestrator:
                 self.fault_ledger,
             )
         else:
-            # One warm pool serves every phase, wave, and (under the
+            # One warm pool serves every run, wave, and (under the
             # daemon) request: point it at the current run's ledger and
             # retry policy without touching its live workers.
             self._pool.ledger = self.fault_ledger
@@ -442,12 +464,8 @@ class PipelineOrchestrator:
 
     # -- cache plumbing ------------------------------------------------
 
-    def _get(self, stage: str, key: str) -> dict | None:
-        return None if self.cache is None else self.cache.get(stage, key)
-
     def _get_decoded(self, stage: str, key: str, decoder):
-        """Cached ``(decoded, stored report digest or None)`` or None;
-        bad entries quarantine.
+        """Cached ``(entry, decoded)`` or None; bad entries quarantine.
 
         The cache layer already quarantines unreadable JSON; this adds
         the same treatment for entries that parse but fail to *decode*
@@ -455,24 +473,20 @@ class PipelineOrchestrator:
         writer, or a detection entry naming a test its synthesis lacks)
         — recompute, never crash.
         """
-        data = self._get(stage, key)
+        data = None if self.cache is None else self.cache.get(stage, key)
         if data is None:
             return None
         try:
-            return decoder(data), data.get("digest")
+            return data, decoder(data)
         except Exception as error:  # noqa: BLE001 — quarantined below
             self.cache.reject(stage, key, f"decode failure: {error!r}")
             return None
-
-    def _put(self, stage: str, key: str, data: dict) -> None:
-        if self.cache is not None:
-            self.cache.put(stage, key, data)
 
     def _put_report(self, stage: str, key: str, data: dict) -> str:
         """Publish a synthesis or detection payload stamped with its
         report digest, which a later hit hands back; the digest."""
         digest = report_digest(data)
-        self._put(stage, key, {**data, "digest": digest})
+        self.cache.put(stage, key, {**data, "digest": digest})
         return digest
 
     # -- fault plumbing ------------------------------------------------
@@ -506,7 +520,172 @@ class PipelineOrchestrator:
         finally:
             pool.on_complete = None
 
-    # -- synthesis phase -----------------------------------------------
+    # -- the subject phase ---------------------------------------------
+
+    def _run_subjects(
+        self,
+        specs: list[SubjectSpec],
+        programs: list[ProgramSource],
+        detect: bool,
+        given: list[SynthesisReport] | None = None,
+    ) -> list[SubjectOutcome]:
+        """Per spec, its outcome: one unit per subject the cache lacks.
+
+        A subject's synthesis comes from ``given``, else from its cache
+        entry.  A detection decodes against its synthesis's tests, so
+        when the synthesis misses, the unit receives the raw detection
+        entry and replays it once it has synthesized; the entry is
+        quarantined, and the tests fuzzed, only when it fails to
+        decode.  A unit runs whatever the subject still lacks, and its
+        reply publishes the synthesis it computed and a detection that
+        every budgeted test completed.  A partial detection is never
+        cached, so a later clean run recomputes it.
+        """
+        outcomes = [
+            SubjectOutcome(spec=spec, program=programs[i], synthesis=None)
+            for i, spec in enumerate(specs)
+        ]
+        config_dict = self.config.to_dict()
+        units: list[PoolUnit] = []
+        # Unit key -> (spec index, synthesis key, detection key or None,
+        # the raw detection entry the unit replays or None).
+        slots: dict[str, tuple[int, str, str | None, dict | None]] = {}
+        # A spec whose key an earlier spec already has (one subject
+        # named twice) gets that spec's outcome instead of its own unit.
+        first_by_key: dict[str, int] = {}
+        duplicates: list[tuple[int, int]] = []
+        for i, spec in enumerate(specs):
+            digest = programs[i].digest
+            synth_key = stage_key(
+                digest, "synthesis", self.config.synthesis_config(spec.target_class)
+            )
+            detect_key = None
+            if detect:
+                detect_key = stage_key(
+                    digest,
+                    "detection",
+                    self.config.detection_config(spec.target_class),
+                )
+            key = detect_key or synth_key
+            if key in first_by_key:
+                duplicates.append((i, first_by_key[key]))
+                continue
+            first_by_key[key] = i
+            outcome = outcomes[i]
+            entry = detection_entry = None
+            if given is not None:
+                outcome.synthesis = given[i]
+            else:
+                cached = self._get_decoded("synthesis", synth_key, decode_synthesis)
+                if cached is not None:
+                    entry, outcome.synthesis = cached
+                    outcome.synthesis_cached = True
+                    outcome._synthesis_digest = entry.get("digest")
+            if outcome.synthesis is not None:
+                if not detect:
+                    continue
+                tests = outcome.synthesis.tests
+                cached = self._get_decoded(
+                    "detection", detect_key, lambda data: decode_detection(data, tests)
+                )
+                if cached is not None:
+                    data, outcome.detection = cached
+                    outcome.detection_cached = True
+                    outcome._detection_digest = data.get("digest")
+                    continue
+            elif detect and self.cache is not None:
+                detection_entry = self.cache.get("detection", detect_key)
+            unit = PoolUnit(
+                key=key,
+                stage="synthesis" if outcome.synthesis is None else "fuzz",
+                subject=spec.name,
+                name=spec.target_class,
+            )
+            if self.jobs > 1:
+                if outcome.synthesis is not None and entry is None:
+                    entry = encode_synthesis(outcome.synthesis)
+                unit.fn = _subject_worker
+                unit.args = (
+                    spec.source,
+                    spec.target_class,
+                    config_dict,
+                    entry,
+                    detect,
+                    detection_entry,
+                )
+            slots[key] = (i, synth_key, detect_key, detection_entry)
+            units.append(unit)
+
+        def inline_unit(unit: PoolUnit):
+            i = slots[unit.key][0]
+            return _subject_unit(
+                programs[i].table,
+                specs[i].target_class,
+                self.config,
+                outcomes[i].synthesis,
+                detect,
+                slots[unit.key][3],
+            )
+
+        def on_complete(unit: PoolUnit, payload) -> None:
+            i, synth_key, detect_key, detection_entry = slots[unit.key]
+            outcome = outcomes[i]
+            if isinstance(payload, dict):  # a pool worker's encoded reply
+                synth_data = payload["synthesis"]
+                detect_data = payload["detection"]
+                failures = payload["failures"]
+                replay_error = payload["replay_error"]
+                synthesis = outcome.synthesis
+                if synth_data is not None:
+                    synthesis = decode_synthesis(synth_data)
+                detection = None
+                if detect_data is not None:
+                    detection = decode_detection(detect_data, synthesis.tests)
+                elif detection_entry is not None and replay_error is None:
+                    detection = decode_detection(detection_entry, synthesis.tests)
+            else:
+                synthesis, detection, failures, replay_error = payload
+                synth_data = detect_data = None
+            if outcome.synthesis is None:
+                outcome.synthesis = synthesis
+                if self.cache is not None:
+                    outcome._synthesis_digest = self._put_report(
+                        "synthesis",
+                        synth_key,
+                        synth_data or encode_synthesis(synthesis),
+                    )
+            for name, error, trace in failures:
+                self.fault_ledger.record(
+                    UnitFailure(
+                        stage="fuzz",
+                        subject=unit.subject,
+                        unit=name,
+                        error=error,
+                        trace=trace,
+                        attempts=1,
+                    )
+                )
+            outcome.detection = detection
+            outcome.detection_partial = bool(failures)
+            if detection_entry is not None:
+                if replay_error is None:
+                    outcome.detection_cached = True
+                    outcome._detection_digest = detection_entry.get("digest")
+                    return
+                self.cache.reject(
+                    "detection", detect_key, f"decode failure: {replay_error}"
+                )
+            if detection is not None and not failures and self.cache is not None:
+                outcome._detection_digest = self._put_report(
+                    "detection",
+                    detect_key,
+                    detect_data or encode_detection(detection),
+                )
+
+        self._run_units(units, inline_unit, on_complete)
+        for i, first in duplicates:
+            outcomes[i] = dataclasses.replace(outcomes[first], spec=specs[i])
+        return outcomes
 
     def synthesize(self, spec: SubjectSpec) -> SynthesisReport:
         """Synthesis for one subject (inline, cache-backed).
@@ -520,233 +699,6 @@ class PipelineOrchestrator:
             raise UnitExecutionError(outcome.failures[0])
         return outcome.synthesis
 
-    def _synthesis_phase(
-        self,
-        specs: list[SubjectSpec],
-        programs: list[ProgramSource],
-        keys: list[str],
-    ) -> list[tuple[SynthesisReport, str | None, bool] | None]:
-        """Per spec: (report, its cache entry's digest or None, cache
-        hit?), or None for a permanently failed synthesis unit."""
-        results: list = [None] * len(specs)
-        pending: list[tuple[int, PoolUnit]] = []
-        # A spec whose key an earlier spec already has (one subject
-        # named twice) gets that spec's result instead of its own unit.
-        first_by_key: dict[str, int] = {}
-        duplicates: list[tuple[int, int]] = []
-        for i, spec in enumerate(specs):
-            if keys[i] in first_by_key:
-                duplicates.append((i, first_by_key[keys[i]]))
-                continue
-            first_by_key[keys[i]] = i
-            cached = self._get_decoded("synthesis", keys[i], decode_synthesis)
-            if cached is not None:
-                results[i] = (cached[0], cached[1], True)
-            else:
-                pending.append(
-                    (
-                        i,
-                        PoolUnit(
-                            key=keys[i],
-                            stage="synthesis",
-                            subject=spec.name,
-                            name=spec.target_class,
-                            fn=_synthesize_worker,
-                            args=(
-                                spec.source,
-                                spec.target_class,
-                                self.config.to_dict(),
-                            ),
-                        ),
-                    )
-                )
-        index_by_key = {unit.key: i for i, unit in pending}
-
-        def inline_synthesis(unit: PoolUnit):
-            i = index_by_key[unit.key]
-            return _synthesize_unit(
-                programs[i].table, specs[i].target_class, self.config
-            )
-
-        def on_complete(unit: PoolUnit, payload) -> None:
-            if isinstance(payload, dict):
-                report, data = decode_synthesis(payload), payload
-            else:
-                report, data = payload, None
-            digest = None
-            if self.cache is not None:
-                digest = self._put_report(
-                    "synthesis", unit.key, data or encode_synthesis(report)
-                )
-            results[index_by_key[unit.key]] = (report, digest, False)
-
-        self._run_units([u for _, u in pending], inline_synthesis, on_complete)
-        for i, first in duplicates:
-            results[i] = results[first]
-        return results
-
-    # -- detection phase -----------------------------------------------
-
-    def _fuzzunit_key(
-        self, digest: str, target_class: str, test_name: str, runs: int
-    ) -> str:
-        """Content address of one test's fuzz artifact.
-
-        Finer-grained than the per-subject ``detection`` stage: these
-        per-test entries are what lets an interrupted or partially
-        failed detection phase's rerun skip the tests that finished.
-        ``runs`` is the test's allocated fuzz budget — a budgeted fuzz
-        computes a different artifact than a full one, so it must be
-        part of the address.
-        """
-        config = dict(self.config.detection_config(target_class))
-        config["test"] = test_name
-        config["budget_runs"] = runs
-        return stage_key(digest, "fuzzunit", config)
-
-    def _detection_phase(
-        self,
-        specs: list[SubjectSpec],
-        programs: list[ProgramSource],
-        keys: list[str],
-        syntheses: list[SynthesisReport | None],
-    ) -> list[tuple[DetectionReport, str | None, bool, bool] | None]:
-        """Per spec: (report, its cache entry's digest or None, cache
-        hit?, partial?), or None when the subject had no synthesis to
-        detect against.
-
-        A subject's detection entry is published as soon as its last
-        fuzz unit completes.  When the phase ends, however it ends, each
-        subject still without one gets a ``fuzzunit`` entry for every
-        test this run fuzzed for it; a healthy run writes none.
-        """
-        results: list = [None] * len(specs)
-        config_dict = self.config.to_dict()
-        pending: list[PoolUnit] = []
-        # Unit key -> every (spec index, test) the unit's report fills.
-        meta: dict[str, list[tuple[int, object]]] = {}
-        reports: dict[int, dict[str, object]] = {}
-        budgets_by_spec: dict[int, dict] = {}
-        # Spec index -> its fuzz units that have not completed yet.
-        waiting: dict[int, int] = {}
-        # Keys of the units this run completed, in completion order.
-        fuzzed: list[str] = []
-        for i, spec in enumerate(specs):
-            if syntheses[i] is None:
-                continue  # synthesis failed; nothing to fuzz
-            tests = syntheses[i].tests
-            cached = self._get_decoded(
-                "detection", keys[i], lambda data: decode_detection(data, tests)
-            )
-            if cached is not None:
-                results[i] = (cached[0], cached[1], True, False)
-                continue
-            reports[i] = {}
-            waiting[i] = 0
-            budgets = allocate_budgets(
-                tests, verdict_index(syntheses[i]), self.config.random_runs
-            )
-            budgets_by_spec[i] = budgets
-            for test in tests:
-                budget = budgets[test.name]
-                if budget.runs == 0:
-                    continue  # all covered pairs statically pruned
-                ukey = self._fuzzunit_key(
-                    programs[i].digest, spec.target_class, test.name, budget.runs
-                )
-                unit_cached = self._get_decoded(
-                    "fuzzunit", ukey, lambda data: decode_fuzz_bundle(data, test)
-                )
-                if unit_cached is not None:
-                    reports[i][test.name] = unit_cached[0]
-                    continue
-                waiting[i] += 1
-                if ukey in meta:
-                    # Same test of a subject named twice: one unit.
-                    meta[ukey].append((i, test))
-                    continue
-                meta[ukey] = [(i, test)]
-                unit = PoolUnit(
-                    key=ukey,
-                    stage="fuzz",
-                    subject=spec.name,
-                    name=test.name,
-                )
-                if self.jobs > 1:
-                    unit.fn = _fuzz_worker
-                    unit.args = (
-                        spec.source,
-                        encode_test_bundle(test),
-                        config_dict,
-                        budget.runs,
-                        budget.score,
-                    )
-                pending.append(unit)
-
-        def assemble(i: int) -> DetectionReport:
-            """Subject ``i``'s report from the tests fuzzed so far."""
-            detection = DetectionReport(class_name=specs[i].target_class)
-            for test in syntheses[i].tests:
-                if budgets_by_spec[i][test.name].runs == 0:
-                    detection.pruned_tests += 1
-                elif test.name in reports[i]:
-                    detection.add(reports[i][test.name])
-            return detection
-
-        def publish(i: int) -> None:
-            detection = assemble(i)
-            digest = None
-            if self.cache is not None:
-                digest = self._put_report(
-                    "detection", keys[i], encode_detection(detection)
-                )
-            results[i] = (detection, digest, False, False)
-
-        def inline_fuzz(unit: PoolUnit):
-            i, test = meta[unit.key][0]
-            budget = budgets_by_spec[i][test.name]
-            return _fuzz_unit(
-                programs[i].table,
-                test,
-                self.config,
-                runs=budget.runs,
-                rank_score=budget.score,
-            )
-
-        def on_complete(unit: PoolUnit, payload) -> None:
-            if isinstance(payload, dict):
-                fuzz = decode_fuzz_bundle(payload, meta[unit.key][0][1])
-            else:
-                fuzz = payload
-            fuzzed.append(unit.key)
-            for i, test in meta[unit.key]:
-                reports[i][test.name] = fuzz
-                waiting[i] -= 1
-                if waiting[i] == 0:
-                    publish(i)
-
-        for i, count in waiting.items():
-            if count == 0:
-                publish(i)  # every test replayed or pruned
-        try:
-            self._run_units(pending, inline_fuzz, on_complete)
-        finally:
-            if self.cache is not None:
-                for ukey in fuzzed:
-                    if all(results[i] is not None for i, _ in meta[ukey]):
-                        continue
-                    i, test = meta[ukey][0]
-                    fuzz = reports[i][test.name]
-                    self._put("fuzzunit", ukey, encode_fuzz_bundle(fuzz))
-        for i in reports:
-            if results[i] is None:
-                # Graceful degradation: every successful test's fuzz
-                # report is kept; the subject-level artifact is NOT
-                # cached, so a later clean run recomputes the holes
-                # instead of replaying a partial result forever.
-                results[i] = (assemble(i), None, False, True)
-        return results
-
     def detect(
         self, spec: SubjectSpec, synthesis: SynthesisReport
     ) -> DetectionReport:
@@ -756,19 +708,12 @@ class PipelineOrchestrator:
         raise-on-failure contract of the serial fuzz loop.
         """
         self.fault_ledger = FaultLedger()
-        programs = _parse_specs([spec])
-        key = stage_key(
-            programs[0].digest,
-            "detection",
-            self.config.detection_config(spec.target_class),
-        )
-        result = self._detection_phase([spec], programs, [key], [synthesis])[0]
-        if result is None or result[3]:
-            mine = [
-                f for f in self.fault_ledger.failures if f.subject == spec.name
-            ]
-            raise UnitExecutionError(mine[0])
-        return result[0]
+        outcome = self._run_subjects(
+            [spec], _parse_specs([spec]), True, given=[synthesis]
+        )[0]
+        if outcome.detection is None or outcome.detection_partial:
+            raise UnitExecutionError(self.fault_ledger.failures[0])
+        return outcome.detection
 
     # -- the whole pipeline --------------------------------------------
 
@@ -788,54 +733,10 @@ class PipelineOrchestrator:
             self.cache.stats.quarantined if self.cache is not None else 0
         )
         programs = _parse_specs(specs)
-        digests = [program.digest for program in programs]
         try:
             if self.cancel is not None:
-                self.cancel.check()  # phase boundary
-            synth_keys = [
-                stage_key(
-                    digests[i],
-                    "synthesis",
-                    self.config.synthesis_config(spec.target_class),
-                )
-                for i, spec in enumerate(specs)
-            ]
-            synthesis = self._synthesis_phase(specs, programs, synth_keys)
-            outcomes = [
-                SubjectOutcome(
-                    spec=spec,
-                    program=programs[i],
-                    synthesis=synthesis[i][0] if synthesis[i] else None,
-                    synthesis_cached=bool(synthesis[i] and synthesis[i][2]),
-                    _synthesis_digest=synthesis[i][1] if synthesis[i] else None,
-                )
-                for i, spec in enumerate(specs)
-            ]
-            if detect:
-                if self.cancel is not None:
-                    self.cancel.check()  # phase boundary
-                detect_keys = [
-                    stage_key(
-                        digests[i],
-                        "detection",
-                        self.config.detection_config(spec.target_class),
-                    )
-                    for i, spec in enumerate(specs)
-                ]
-                detections = self._detection_phase(
-                    specs,
-                    programs,
-                    detect_keys,
-                    [o.synthesis for o in outcomes],
-                )
-                for outcome, result in zip(outcomes, detections):
-                    if result is None:
-                        continue
-                    report, digest, hit, partial = result
-                    outcome.detection = report
-                    outcome.detection_cached = hit
-                    outcome.detection_partial = partial
-                    outcome._detection_digest = digest
+                self.cancel.check()
+            outcomes = self._run_subjects(specs, programs, detect)
         finally:
             if self.cache is not None:
                 ledger.quarantined += (
@@ -846,7 +747,6 @@ class PipelineOrchestrator:
                 f for f in ledger.failures if f.subject == outcome.spec.name
             ]
         return outcomes
-
 
     def run_stream(
         self,

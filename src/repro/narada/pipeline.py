@@ -280,11 +280,15 @@ class Narada:
         report: SynthesisReport,
         random_runs: int = 8,
         directed: bool = True,
+        on_error=None,
     ) -> DetectionReport:
         """Fuzz every synthesized test of a class with detectors attached.
 
-        Tests the static filter pruned outright get no fuzz runs; the
-        orchestrator runs the same loop one test per unit.
+        Tests the static filter pruned outright get no fuzz runs.  A test
+        whose fuzz raises propagates the error, unless ``on_error`` is
+        given: then ``on_error(test, error)`` is called inside the
+        ``except`` (it may re-raise) and the report leaves that test out.
+        The orchestrator's subject unit runs this loop.
         """
         from repro.static.filter import allocate_budgets, verdict_index
 
@@ -303,7 +307,12 @@ class Narada:
             if budget.runs == 0:
                 detection.pruned_tests += 1
                 continue
-            detection.add(
-                fuzzer.fuzz(test, runs=budget.runs, rank_score=budget.score)
-            )
+            try:
+                fuzz = fuzzer.fuzz(test, runs=budget.runs, rank_score=budget.score)
+            except Exception as error:
+                if on_error is None:
+                    raise
+                on_error(test, error)
+                continue
+            detection.add(fuzz)
         return detection

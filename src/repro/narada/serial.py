@@ -679,7 +679,7 @@ def decode_detection(data: dict, tests: list[SynthesizedTest]):
 
 
 def encode_fuzz_bundle(report) -> dict:
-    """Encoding of one FuzzReport (worker -> parent, fuzzunit entries)."""
+    """Self-contained encoding of one FuzzReport (``FuzzReport.to_dict``)."""
     return {
         "kind": "fuzz",
         "version": SERIAL_VERSION,
@@ -689,6 +689,9 @@ def encode_fuzz_bundle(report) -> dict:
 
 def decode_fuzz_bundle(data: dict, test: SynthesizedTest):
     """Decode a fuzz bundle, binding it to ``test``, the test it names.
+
+    No pipeline path calls it since fuzz reports travel inside
+    detection payloads; ``benchmarks/e2e/spans.py`` wraps it by name.
 
     Raises:
         ValueError: when the bundle names a different test.
@@ -792,7 +795,12 @@ def decode_seed_traces(data: dict) -> list:
 
 
 def encode_test_bundle(test: SynthesizedTest) -> dict:
-    """Self-contained encoding of one SynthesizedTest (parent -> worker)."""
+    """Self-contained encoding of one SynthesizedTest.
+
+    No pipeline path calls it since a subject's tests stay in one unit;
+    it is kept because ``benchmarks/e2e/spans.py`` wraps every
+    ``encode_*``/``decode_*`` codec by name.
+    """
     codec = Codec()
     index = codec.encode_test(test)
     return {

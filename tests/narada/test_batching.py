@@ -15,10 +15,13 @@ from collections import deque
 
 import pytest
 
+from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus.runner import corpus_specs
 from repro.narada import (
     ArtifactCache,
     PipelineConfig,
     PipelineOrchestrator,
+    serial,
     subject_specs,
 )
 from repro.narada.faults import (
@@ -35,6 +38,13 @@ CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
 
 def _spec():
     return subject_specs([get_subject(SUBJECT)])[0]
+
+
+def _many_specs():
+    """C7, C8 and a 10-subject slice of the stock corpus."""
+    return subject_specs([get_subject("C7"), get_subject("C8")]) + corpus_specs(
+        generate_corpus(CorpusConfig(count=10))
+    )
 
 
 def _config(**overrides):
@@ -285,7 +295,9 @@ class TestPipelineDeterminism:
         assert outcome.digest() == serial_digest
 
     def test_batches_with_crashes_stay_identical(self, serial_digest):
-        config = _config(fault_inject="crash:0.4", max_retries=12)
+        # One subject is one unit, so the run draws once per attempt:
+        # at 0.8 the first two attempts of C8's unit crash.
+        config = _config(fault_inject="crash:0.8", max_retries=12)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -303,80 +315,137 @@ class TestPipelineDeterminism:
         assert patient.synthesis_config("Any") == CONFIG.synthesis_config("Any")
         assert patient.detection_config("Any") == CONFIG.detection_config("Any")
 
-    def test_rerun_replays_everything_published(
-        self, monkeypatch, tmp_path, serial_digest
+    @pytest.fixture(scope="class")
+    def serial_digests(self):
+        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+            outcomes = orch.run(_many_specs())
+        assert orch.fault_ledger.ok()
+        return [outcome.digest() for outcome in outcomes]
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_many_subjects_byte_identical_across_jobs(self, serial_digests, jobs):
+        with PipelineOrchestrator(jobs=jobs, config=CONFIG) as orch:
+            outcomes = orch.run(_many_specs())
+        assert orch.fault_ledger.ok()
+        assert [outcome.digest() for outcome in outcomes] == serial_digests
+
+    def test_cold_run_is_one_unit_per_subject(self, tmp_path, serial_digests):
+        """A cold pooled run of N subjects completes exactly N units and
+        leaves only synthesis and detection entries."""
+        specs = _many_specs()
+        with PipelineOrchestrator(
+            jobs=2, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            outcomes = orch.run(specs)
+            ledger = orch.fault_ledger
+        assert ledger.ok()
+        assert ledger.completed == len(specs)
+        assert [outcome.digest() for outcome in outcomes] == serial_digests
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "detection",
+            "synthesis",
+        ]
+        for stage in ("detection", "synthesis"):
+            assert len(list((tmp_path / stage).glob("*.json"))) == len(specs)
+
+    def test_detection_miss_on_synthesis_hit_sends_the_synthesis_entry(
+        self, monkeypatch, tmp_path
     ):
-        """A batched pooled run keeps each *unit* whose result streamed
-        in: a run interrupted mid-batch publishes a ``fuzzunit`` entry
-        per finished test of its unfinished subject, and rerunning the
-        same run replays every published unit and computes only the
-        rest."""
-        real_put = ArtifactCache.put
-        published = {"synthesis": 0, "fuzzunit": 0}
+        """Same cache, new ``random_runs``: every synthesis hits and
+        every detection misses.  The pooled units take the cached
+        synthesis entries, never a per-test bundle, and match jobs=1."""
 
-        def counting(self, stage, key, data):
-            if stage in published:
-                published[stage] += 1
-            return real_put(self, stage, key, data)
+        def refuse(test):
+            raise AssertionError("encode_test_bundle called")
 
+        monkeypatch.setattr(serial, "encode_test_bundle", refuse)
+        specs = subject_specs([get_subject("C7"), get_subject("C8")])
+        with PipelineOrchestrator(
+            jobs=2, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            orch.run(specs)
+        more = _config(random_runs=3)
+        with PipelineOrchestrator(jobs=1, config=more) as orch:
+            serial_run = [outcome.digest() for outcome in orch.run(specs)]
+        with PipelineOrchestrator(
+            jobs=2, cache=ArtifactCache(tmp_path), config=more
+        ) as orch:
+            outcomes = orch.run(specs)
+            ledger = orch.fault_ledger
+        assert ledger.ok()
+        assert ledger.completed == len(specs)
+        assert all(o.synthesis_cached and not o.detection_cached for o in outcomes)
+        assert [outcome.digest() for outcome in outcomes] == serial_run
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_detect_api_fuzzes_a_given_synthesis(self, serial_digest, jobs):
+        """``detect(spec, synthesis)`` runs one fuzz unit on the report it
+        is handed (encoded for a pool worker) and matches ``run``."""
+        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+            synthesis = orch.synthesize(_spec())
+        with PipelineOrchestrator(jobs=jobs, config=CONFIG) as orch:
+            detection = orch.detect(_spec(), synthesis)
+            assert orch.fault_ledger.completed == 1
+        digest = serial.report_digest(serial.encode_detection(detection))
+        assert digest == serial_digest.split("/")[1]
+
+    def test_rerun_replays_every_finished_subject(self, monkeypatch, tmp_path):
+        """A pooled run interrupted after its first subject's unit keeps
+        that subject's two entries; rerunning the same run replays it and
+        runs one unit for each other subject."""
+        specs = subject_specs([get_subject("C8"), get_subject("C7"), get_subject("C1")])
+        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+            clean = [outcome.digest() for outcome in orch.run(specs)]
         real_run_units = PipelineOrchestrator._run_units
-        completed = {"synthesis": 0, "fuzz": 0}
-        kill_at = [4]
+        kill = [True]
 
-        def kill_after_four(self, units, inline_fn, on_complete=None):
+        def kill_after_first(self, units, inline_fn, on_complete=None):
             def complete(unit, payload):
                 on_complete(unit, payload)
-                completed[unit.stage] += 1
-                if sum(completed.values()) >= kill_at[0]:
+                if kill[0]:
                     raise KeyboardInterrupt
 
             return real_run_units(self, units, inline_fn, complete)
 
-        monkeypatch.setattr(ArtifactCache, "put", counting)
-        monkeypatch.setattr(PipelineOrchestrator, "_run_units", kill_after_four)
-        cache = ArtifactCache(tmp_path / "cache")
+        monkeypatch.setattr(PipelineOrchestrator, "_run_units", kill_after_first)
+        root = tmp_path / "cache"
         with pytest.raises(KeyboardInterrupt):
             with PipelineOrchestrator(
-                jobs=2, cache=cache, config=CONFIG
+                jobs=2, cache=ArtifactCache(root), config=CONFIG
             ) as orch:
-                orch.run([_spec()])
-        assert published == {"synthesis": 1, "fuzzunit": 3}
+                orch.run(specs)
+        for stage in ("detection", "synthesis"):
+            assert len(list((root / stage).glob("*.json"))) == 1
 
-        published.update(synthesis=0, fuzzunit=0)
-        completed.update(synthesis=0, fuzz=0)
-        kill_at[0] = float("inf")
+        kill[0] = False
         with PipelineOrchestrator(
-            jobs=2, cache=cache, config=CONFIG
+            jobs=2, cache=ArtifactCache(root), config=CONFIG
         ) as orch:
-            outcome = orch.run([_spec()])[0]
+            outcomes = orch.run(specs)
             ledger = orch.fault_ledger
-        assert outcome.digest() == serial_digest
+        assert [outcome.digest() for outcome in outcomes] == clean
         assert ledger.ok()
-        # The 4 published units (synthesis + 3 fuzz) replay; the rest
-        # recompute — batch boundaries change neither count nor bytes.
-        total_units = len(outcome.synthesis.tests) + 1
-        assert ledger.completed == total_units - 4
-        assert completed == {
-            "synthesis": 0,
-            "fuzz": len(outcome.synthesis.tests) - 3,
-        }
-        # A finished subject keeps its detection entry, not its tests.
-        assert published == {"synthesis": 0, "fuzzunit": 0}
-        assert not (tmp_path / "cache" / "runs").exists()
+        assert ledger.completed == len(specs) - 1
+        assert sum(o.detection_cached for o in outcomes) == 1
+        assert sorted(path.name for path in root.iterdir()) == [
+            "detection",
+            "synthesis",
+        ]
 
 
-class TestWarmPoolAcrossPhases:
-    def test_one_pool_spans_synthesis_and_detection(self):
-        """Detection-phase dispatches reuse synthesis-phase workers."""
+class TestWarmPool:
+    def test_one_pool_spans_runs(self):
+        """A second run on one orchestrator reuses the first's workers."""
         with PipelineOrchestrator(jobs=2, config=CONFIG) as orch:
             orch.run([_spec()])
-            ledger = orch.fault_ledger
             pool = orch._pool
+            orch.run(subject_specs([get_subject("C7")]))
+            ledger = orch.fault_ledger
+            assert orch._pool is pool
         assert ledger.ok()
-        assert pool is not None
         assert ledger.pool_respawns == 0
-        assert ledger.warm_reuses >= 1
-        assert ledger.batches >= 2  # at least synthesis + one fuzz batch
+        assert ledger.batches == 1
+        assert ledger.warm_reuses == 1
 
     def test_borrowed_pool_survives_orchestrator_close(self):
         pool = FaultTolerantPool(2, CONFIG.retry_policy(), FaultLedger())

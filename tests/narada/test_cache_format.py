@@ -1,12 +1,10 @@
 """Cache entry format: stored digests and detection entries that name tests.
 
-A ``synthesis`` entry holds the shared-object tables of its tests.
-``detection`` and ``fuzzunit`` entries hold none: every fuzz report
-names its test, and decoding binds the name to the synthesis report's
-own test objects.  Synthesis and detection entries store their report
-digests, so a warm replay digests nothing.  A healthy run writes only
-those two; ``fuzzunit`` entries come from a run that leaves a subject
-unfinished.
+A ``synthesis`` entry holds the shared-object tables of its tests.  A
+``detection`` entry holds none: every fuzz report names its test, and
+decoding binds the name to the synthesis report's own test objects.
+Both entries store their report digests, so a warm replay digests
+nothing.  They are the only entries a pipeline run writes.
 """
 
 import json
@@ -46,33 +44,7 @@ def clean_digest():
     return _run()[0].digest()
 
 
-def test_detection_and_fuzzunit_entries_name_their_tests(
-    tmp_path, monkeypatch
-):
-    # A unit that always fails leaves the subject partial, so the run
-    # keeps its other tests as fuzzunit entries.
-    real = orchestrator_module._fuzz_unit
-    poisoned = []
-
-    def fail_one(table, test, config, **kwargs):
-        poisoned[:] = poisoned or [test.name]
-        if test.name == poisoned[0]:
-            raise RuntimeError("poisoned unit")
-        return real(table, test, config, **kwargs)
-
-    monkeypatch.setattr(orchestrator_module, "_fuzz_unit", fail_one)
-    partial, _ = _run(ArtifactCache(tmp_path))
-    assert partial.detection_partial
-    assert not _entries(tmp_path, "detection")
-    names = {test.name for test in partial.synthesis.tests}
-    units = _entries(tmp_path, "fuzzunit")
-    assert len(units) == len(partial.detection.fuzz_reports)
-    for _, unit in units:
-        assert "tables" not in unit
-        assert "digest" not in unit
-        assert unit["report"]["test"] in names - set(poisoned)
-
-    monkeypatch.setattr(orchestrator_module, "_fuzz_unit", real)
+def test_detection_entries_name_their_tests(tmp_path):
     outcome, _ = _run(ArtifactCache(tmp_path))
     (_, synthesis), = _entries(tmp_path, "synthesis")
     assert "tables" in synthesis
@@ -218,3 +190,4 @@ def test_version_6_entries_are_clean_misses(tmp_path, monkeypatch, clean_digest)
     assert orch.fault_ledger.quarantined == 0
     assert cache.quarantine_count() == 0
     assert cache.entry_count() == 2 * filled
+

@@ -142,9 +142,9 @@ def _journal_worker(root: str, worker: int, barrier, rounds: int) -> None:
     barrier.wait(30)
     for i in range(rounds):
         key = f"{worker}{i:03d}" + "b" * 60
-        cache.put("fuzzunit", key, {"worker": worker, "i": i})
+        cache.put("detection", key, {"worker": worker, "i": i})
         other = f"{1 - worker}{i:03d}" + "b" * 60
-        cache.get("fuzzunit", other)
+        cache.get("detection", other)
 
 
 class TestTwoProcessJournal:

@@ -18,6 +18,7 @@ import time
 import pytest
 
 import repro
+from repro.fuzz import RaceFuzzer
 from repro.lang import load
 from repro.narada import (
     ArtifactCache,
@@ -27,6 +28,7 @@ from repro.narada import (
 )
 from repro.narada import orchestrator as orch_mod
 from repro.narada.cache import stage_key, table_digest
+from repro.narada.pipeline import Narada
 from repro.narada.faults import (
     FaultInjector,
     FaultLedger,
@@ -34,7 +36,7 @@ from repro.narada.faults import (
     InjectedCrash,
     UnitFailure,
     UnitTimeout,
-    _draw,
+    draw,
     watchdog,
 )
 from repro.narada.serial import decode_fault_ledger, encode_fault_ledger
@@ -70,23 +72,22 @@ def clean_digest():
 # them by reference (workers are forked after monkeypatching, so the
 # patched module state is visible on both sides of the pipe).
 
-_REAL_SYNTH_WORKER = orch_mod._synthesize_worker
+_REAL_WORKER = orch_mod._subject_worker
 
 
-def _crash_first_attempt_synth(
-    source, target_class, config, unit_key="", attempt=0
-):
-    if attempt == 0:
+# The pool calls a unit's function with ``(unit_key, attempt)`` last.
+
+
+def _crash_first_attempt(*args):
+    if args[-1] == 0:
         os._exit(13)  # a real worker death, not an exception
-    return _REAL_SYNTH_WORKER(source, target_class, config, unit_key, attempt)
+    return _REAL_WORKER(*args)
 
 
-def _hang_first_attempt_synth(
-    source, target_class, config, unit_key="", attempt=0
-):
-    if attempt == 0:
+def _hang_first_attempt(*args):
+    if args[-1] == 0:
         time.sleep(60)
-    return _REAL_SYNTH_WORKER(source, target_class, config, unit_key, attempt)
+    return _REAL_WORKER(*args)
 
 
 class TestFaultPlan:
@@ -106,11 +107,11 @@ class TestFaultPlan:
             FaultPlan.parse("crash:lots")
 
     def test_draws_are_deterministic_and_keyed(self):
-        assert _draw("crash", "k1", 0) == _draw("crash", "k1", 0)
-        assert _draw("crash", "k1", 0) != _draw("crash", "k1", 1)
-        assert _draw("crash", "k1", 0) != _draw("hang", "k1", 0)
-        assert _draw("crash", "k1", 0) != _draw("crash", "k2", 0)
-        assert 0.0 <= _draw("crash", "k1", 0) < 1.0
+        assert draw("crash", "k1", 0) == draw("crash", "k1", 0)
+        assert draw("crash", "k1", 0) != draw("crash", "k1", 1)
+        assert draw("crash", "k1", 0) != draw("hang", "k1", 0)
+        assert draw("crash", "k1", 0) != draw("crash", "k2", 0)
+        assert 0.0 <= draw("crash", "k1", 0) < 1.0
 
 
 class TestFaultInjector:
@@ -203,6 +204,64 @@ class TestCacheQuarantine:
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lost_synthesis_replays_the_detection_entry(
+        self, tmp_path, monkeypatch, clean_digest, jobs
+    ):
+        """A subject whose synthesis entry is gone (say, evicted) is
+        synthesized again, but its detection entry replays: no test is
+        fuzzed, in the unit or in a pool worker."""
+        spec = _spec()
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            orch.run([spec])
+        (path,) = (tmp_path / "synthesis").glob("*.json")
+        path.unlink()
+
+        def no_fuzz(self, *args, **kwargs):
+            raise AssertionError("a replayed detection fuzzes nothing")
+
+        monkeypatch.setattr(RaceFuzzer, "fuzz", no_fuzz)
+        cache = ArtifactCache(tmp_path)
+        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+            outcome = orch.run([spec])[0]
+            assert orch.fault_ledger.failures == []
+        assert outcome.digest() == clean_digest
+        assert not outcome.synthesis_cached and outcome.detection_cached
+        assert not outcome.detection_partial
+        assert path.exists()
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreplayable_detection_entry_is_quarantined_and_refuzzed(
+        self, tmp_path, clean_digest, jobs
+    ):
+        """A detection entry read on a synthesis miss that names a test
+        the new synthesis lacks is quarantined, and the tests fuzz."""
+        spec = _spec()
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            orch.run([spec])
+        (tmp_path / "synthesis").glob("*.json").__next__().unlink()
+        (path,) = (tmp_path / "detection").glob("*.json")
+        entry = json.loads(path.read_text())
+        entry["fuzz_reports"][0]["test"] = "no_such_test"
+        path.write_text(json.dumps(entry))
+        cache = ArtifactCache(tmp_path)
+        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+            outcome = orch.run([spec])[0]
+        assert outcome.digest() == clean_digest
+        assert not outcome.synthesis_cached and not outcome.detection_cached
+        assert cache.stats.quarantined == 1
+        reason = tmp_path / "quarantine" / "detection" / path.name
+        assert "no_such_test" in reason.with_suffix(".reason.txt").read_text()
+        assert json.loads(path.read_text())["fuzz_reports"][0]["test"] != (
+            "no_such_test"
+        )
+
     def test_injected_torn_writes_quarantine_then_recompute(
         self, tmp_path, clean_digest
     ):
@@ -225,14 +284,10 @@ class TestCacheQuarantine:
 
 
 class TestCrashIsolation:
-    def test_worker_crash_mid_synthesis_phase_is_retried(
-        self, monkeypatch, clean_digest
-    ):
+    def test_worker_crash_mid_unit_is_retried(self, monkeypatch, clean_digest):
         """A worker that dies mid-unit is blamed on exactly that unit;
         the pool respawns and the retry converges bit-identically."""
-        monkeypatch.setattr(
-            orch_mod, "_synthesize_worker", _crash_first_attempt_synth
-        )
+        monkeypatch.setattr(orch_mod, "_subject_worker", _crash_first_attempt)
         with PipelineOrchestrator(jobs=2, config=CONFIG) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -242,9 +297,11 @@ class TestCrashIsolation:
         assert outcome.digest() == clean_digest
 
     def test_probabilistic_crash_injection_converges(self, clean_digest):
-        """The real --fault-inject path: injected worker deaths across
-        both phases, generous retries, bit-identical results."""
-        config = _config(fault_inject="crash:0.5", max_retries=12)
+        """The real --fault-inject path: injected worker deaths,
+        generous retries, bit-identical results."""
+        # One subject is one unit, so the run draws once per attempt:
+        # at 0.8 the first two attempts of C8's unit crash.
+        config = _config(fault_inject="crash:0.8", max_retries=12)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -254,7 +311,9 @@ class TestCrashIsolation:
         assert outcome.digest() == clean_digest
 
     def test_inline_injected_crashes_converge(self, clean_digest):
-        config = _config(fault_inject="crash:0.5", max_retries=12)
+        # One subject is one unit, so the run draws once per attempt:
+        # at 0.8 the first two attempts of C8's unit crash.
+        config = _config(fault_inject="crash:0.8", max_retries=12)
         with PipelineOrchestrator(jobs=1, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -278,9 +337,7 @@ class TestWatchdog:
     def test_pooled_hung_unit_is_killed_and_retried(
         self, monkeypatch, clean_digest
     ):
-        monkeypatch.setattr(
-            orch_mod, "_synthesize_worker", _hang_first_attempt_synth
-        )
+        monkeypatch.setattr(orch_mod, "_subject_worker", _hang_first_attempt)
         config = _config(unit_timeout=2.0)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()], detect=False)[0]
@@ -293,22 +350,26 @@ class TestWatchdog:
     def test_inline_hung_unit_hits_sigalrm_watchdog(
         self, monkeypatch, clean_digest
     ):
+        """A hang inside one test's fuzz times out the whole subject
+        unit, which the retry recomputes; no test is blamed for it."""
         calls = {"n": 0}
-        real = orch_mod._fuzz_unit
+        real = RaceFuzzer.fuzz
 
-        def hang_once(table, test, config, **kwargs):
+        def hang_once(self, test, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 time.sleep(60)
-            return real(table, test, config, **kwargs)
+            return real(self, test, **kwargs)
 
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", hang_once)
+        monkeypatch.setattr(RaceFuzzer, "fuzz", hang_once)
         config = _config(unit_timeout=1.0)
         with PipelineOrchestrator(jobs=1, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
         assert ledger.ok()
-        assert ledger.timeouts >= 1
+        assert ledger.timeouts == 1
+        assert ledger.retries == 1
+        assert not outcome.detection_partial
         assert outcome.digest() == clean_digest
 
 
@@ -316,20 +377,22 @@ class TestGracefulDegradation:
     def test_permanent_fuzz_failure_yields_partial_detection(
         self, monkeypatch, tmp_path, clean_digest
     ):
-        """One test that always fails leaves a partial detection report
-        carrying every other test's results — and the partial subject
-        artifact is never cached, so a later clean run heals it."""
-        real = orch_mod._fuzz_unit
-        poisoned = {"name": None}
+        """One test that always raises leaves a partial detection report
+        carrying every other test's report.  The test is tried once (a
+        retry would raise again), the partial detection is never cached,
+        and a later clean run heals it from the cached synthesis."""
+        real = RaceFuzzer.fuzz
+        poisoned = {"name": None, "calls": 0}
 
-        def fail_one(table, test, config, **kwargs):
+        def fail_one(self, test, **kwargs):
             if poisoned["name"] is None:
                 poisoned["name"] = test.name
             if test.name == poisoned["name"]:
-                raise RuntimeError("poisoned unit")
-            return real(table, test, config, **kwargs)
+                poisoned["calls"] += 1
+                raise RuntimeError("poisoned test")
+            return real(self, test, **kwargs)
 
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", fail_one)
+        monkeypatch.setattr(RaceFuzzer, "fuzz", fail_one)
         cache = ArtifactCache(tmp_path / "cache")
         config = _config(max_retries=1)
         with PipelineOrchestrator(jobs=1, cache=cache, config=config) as orch:
@@ -341,38 +404,43 @@ class TestGracefulDegradation:
         failure = outcome.failures[0]
         assert failure.stage == "fuzz"
         assert failure.subject == SUBJECT
-        assert failure.attempts == 2  # initial try + one retry
-        assert "poisoned unit" in failure.error
+        assert failure.unit == poisoned["name"]
+        assert failure.attempts == 1
+        assert poisoned["calls"] == 1
+        assert ledger.retries == 0
+        assert "poisoned test" in failure.error
         assert "RuntimeError" in failure.trace
-        assert (
-            len(outcome.detection.fuzz_reports)
-            == len(outcome.synthesis.tests) - 1
-        )
+        others = [t.name for t in outcome.synthesis.tests]
+        others.remove(poisoned["name"])
+        assert [r.test.name for r in outcome.detection.fuzz_reports] == others
         assert failure.unit in ledger.describe()
+        # The synthesis is published; the partial detection is not.
+        assert len(list((tmp_path / "cache" / "synthesis").glob("*.json"))) == 1
+        assert not (tmp_path / "cache" / "detection").exists()
 
-        # The healing run: cached fuzzunit artifacts replay, only the
-        # poisoned unit recomputes, and the digest matches clean.
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", real)
+        # The healing run: the synthesis replays and one unit fuzzes
+        # every test again.
+        monkeypatch.setattr(RaceFuzzer, "fuzz", real)
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             healed = orch.run([_spec()])[0]
         assert orch.fault_ledger.ok()
-        assert not healed.detection_partial
+        assert healed.synthesis_cached and not healed.detection_partial
         assert healed.digest() == clean_digest
-        assert orch.fault_ledger.completed == 1  # just the healed unit
+        assert orch.fault_ledger.completed == 1
 
     def test_permanent_synthesis_failure_leaves_other_subjects_intact(
         self, monkeypatch
     ):
         calls = {"n": 0}
-        real = orch_mod._synthesize_unit
+        real = Narada.synthesize_for_class
 
-        def fail_first(table, target_class, config):
+        def fail_first(self, class_name):
             calls["n"] += 1
             if calls["n"] <= 2:  # initial try + the single retry
                 raise RuntimeError("synthesis exploded")
-            return real(table, target_class, config)
+            return real(self, class_name)
 
-        monkeypatch.setattr(orch_mod, "_synthesize_unit", fail_first)
+        monkeypatch.setattr(Narada, "synthesize_for_class", fail_first)
         specs = subject_specs([get_subject("C8"), get_subject("C7")])
         config = _config(max_retries=1)
         with PipelineOrchestrator(jobs=1, config=config) as orch:
@@ -392,10 +460,10 @@ class TestGracefulDegradation:
     ):
         from repro.narada import UnitExecutionError
 
-        def always_fail(table, target_class, config):
+        def always_fail(self, class_name):
             raise RuntimeError("permanently broken")
 
-        monkeypatch.setattr(orch_mod, "_synthesize_unit", always_fail)
+        monkeypatch.setattr(Narada, "synthesize_for_class", always_fail)
         config = _config(max_retries=0)
         with PipelineOrchestrator(jobs=1, config=config) as orch:
             with pytest.raises(UnitExecutionError) as excinfo:
@@ -403,54 +471,88 @@ class TestGracefulDegradation:
         assert excinfo.value.failure.stage == "synthesis"
 
 
-class TestRerunResumes:
-    def test_rerun_skips_completed_units_after_kill(
-        self, monkeypatch, tmp_path, clean_digest
+    def test_failed_unit_names_the_first_missing_report(
+        self, monkeypatch, tmp_path
     ):
-        """Simulated kill (KeyboardInterrupt mid-detection), then the
-        same run again: the synthesis and the three finished fuzz units
-        replay from the cache, and only the unfinished tests are fuzzed."""
-        real = orch_mod._fuzz_unit
-        calls = {"n": 0}
+        """A unit that fails for good is a ``synthesis`` failure when it
+        started without one, and a ``fuzz`` failure when it started
+        from a cached synthesis, which the outcome keeps."""
 
-        def kill_after_three(table, test, config, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise KeyboardInterrupt
-            return real(table, test, config, **kwargs)
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("detection exploded")
 
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", kill_after_three)
         cache = ArtifactCache(tmp_path / "cache")
+        config = _config(max_retries=0)
+        with PipelineOrchestrator(jobs=1, cache=cache, config=config) as orch:
+            orch.run([_spec()], detect=False)
+        monkeypatch.setattr(Narada, "detect", broken)
+        with PipelineOrchestrator(jobs=1, cache=cache, config=config) as orch:
+            outcome = orch.run([_spec()])[0]
+        assert outcome.synthesis_cached
+        assert outcome.detection is None
+        assert [(f.stage, f.unit) for f in outcome.failures] == [
+            ("fuzz", outcome.synthesis.class_name)
+        ]
+        with PipelineOrchestrator(jobs=1, config=config) as orch:
+            outcome = orch.run([_spec()])[0]
+        assert outcome.synthesis is None
+        assert [f.stage for f in outcome.failures] == ["synthesis"]
+
+
+class TestRerunResumes:
+    def test_rerun_recomputes_only_the_unfinished_subject(
+        self, monkeypatch, tmp_path
+    ):
+        """Simulated kill (KeyboardInterrupt while C7 fuzzes), then the
+        same run again: C8, whose unit completed, replays from the
+        cache, and C7 runs again as one unit."""
+        specs = subject_specs([get_subject("C8"), get_subject("C7")])
+        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+            clean = [o.digest() for o in orch.run(specs)]
+        c7_class = specs[1].target_class
+        real = RaceFuzzer.fuzz
+        calls = {"c7": 0, "rerun": 0}
+
+        def kill_in_c7(self, test, **kwargs):
+            if test.name.startswith(c7_class):
+                calls["c7"] += 1
+                if calls["c7"] > 1:
+                    raise KeyboardInterrupt
+            return real(self, test, **kwargs)
+
+        monkeypatch.setattr(RaceFuzzer, "fuzz", kill_in_c7)
+        root = tmp_path / "cache"
         with pytest.raises(KeyboardInterrupt):
             with PipelineOrchestrator(
-                jobs=1, cache=cache, config=CONFIG
+                jobs=1, cache=ArtifactCache(root), config=CONFIG
             ) as orch:
-                orch.run([_spec()])
+                orch.run(specs)
+        assert len(list((root / "synthesis").glob("*.json"))) == 1
+        assert len(list((root / "detection").glob("*.json"))) == 1
 
-        def counting(table, test, config, **kwargs):
+        def counting(self, test, **kwargs):
             calls["rerun"] += 1
-            return real(table, test, config, **kwargs)
+            return real(self, test, **kwargs)
 
-        calls["rerun"] = 0
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", counting)
+        monkeypatch.setattr(RaceFuzzer, "fuzz", counting)
         with PipelineOrchestrator(
-            jobs=1, cache=cache, config=CONFIG
+            jobs=1, cache=ArtifactCache(root), config=CONFIG
         ) as orch:
-            outcome = orch.run([_spec()])[0]
+            c8, c7 = orch.run(specs)
             ledger = orch.fault_ledger
-        assert outcome.digest() == clean_digest
+        assert [c8.digest(), c7.digest()] == clean
         assert ledger.ok()
-        assert outcome.synthesis_cached
-        total_units = len(outcome.synthesis.tests) + 1
-        assert ledger.completed == total_units - 4
-        assert calls["rerun"] == len(outcome.synthesis.tests) - 3
-        assert not (tmp_path / "cache" / "runs").exists()
+        assert c8.synthesis_cached and c8.detection_cached
+        assert not c7.synthesis_cached and not c7.detection_cached
+        assert ledger.completed == 1
+        assert calls["rerun"] == len(c7.detection.fuzz_reports)
+        assert sorted(p.name for p in root.iterdir()) == ["detection", "synthesis"]
 
     def test_sigkill_keeps_finished_subjects(self, monkeypatch, tmp_path):
         """SIGKILL a jobs=1 run of C8 then C7 while C7 is fuzzing: C8's
-        detection entry was published when its last unit completed, so
-        the rerun replays C8 and fuzzes only C7.  The C7 test that had
-        finished is lost with the process: no fuzzunit entry exists."""
+        entries were published when its unit completed, so the rerun
+        replays C8 and runs only C7.  The C7 work done before the kill
+        is lost with the process."""
         specs = subject_specs([get_subject("C8"), get_subject("C7")])
         with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
             clean = [o.digest() for o in orch.run(specs)]
@@ -465,31 +567,32 @@ class TestRerunResumes:
                 assert child.poll() is None, "run ended before the kill"
                 assert time.monotonic() < deadline, "no detection entry"
                 time.sleep(0.02)
-            # One more C7 unit finishes before the child stalls.
+            # One more C7 test finishes before the child stalls.
             time.sleep(0.5)
             child.send_signal(signal.SIGKILL)
             assert child.wait(timeout=30) == -signal.SIGKILL
         finally:
             child.kill()
             child.wait()
+        assert len(list((root / "synthesis").glob("*.json"))) == 1
         assert len(list((root / "detection").glob("*.json"))) == 1
-        assert not (root / "fuzzunit").exists()
+        assert sorted(p.name for p in root.iterdir()) == ["detection", "synthesis"]
 
-        real = orch_mod._fuzz_unit
+        real = RaceFuzzer.fuzz
         fuzzed = []
 
-        def counting(table, test, config, **kwargs):
+        def counting(self, test, **kwargs):
             fuzzed.append(test.name)
-            return real(table, test, config, **kwargs)
+            return real(self, test, **kwargs)
 
-        monkeypatch.setattr(orch_mod, "_fuzz_unit", counting)
+        monkeypatch.setattr(RaceFuzzer, "fuzz", counting)
         with PipelineOrchestrator(
             jobs=1, cache=ArtifactCache(root), config=CONFIG
         ) as orch:
             c8, c7 = orch.run(specs)
         assert [c8.digest(), c7.digest()] == clean
         assert c8.synthesis_cached and c8.detection_cached
-        assert c7.synthesis_cached and not c7.detection_cached
+        assert not c7.synthesis_cached and not c7.detection_cached
         assert len(fuzzed) == len(c7.detection.fuzz_reports)
 
 
@@ -497,27 +600,27 @@ class TestRerunResumes:
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 #: Child for the SIGKILL test: runs C8 then C7 inline, and stalls in its
-#: second C7 fuzz unit so the kill always lands mid-C7.
+#: second C7 test's fuzz so the kill always lands mid-C7.
 _STALL_AFTER_FIRST_DETECTION = """
 import pathlib, sys, time
+from repro.fuzz import RaceFuzzer
 from repro.narada import (
     ArtifactCache, PipelineConfig, PipelineOrchestrator, subject_specs,
 )
-from repro.narada import orchestrator as orch_mod
 from repro.subjects import get_subject
 
 root = pathlib.Path(sys.argv[1])
-real = orch_mod._fuzz_unit
+real = RaceFuzzer.fuzz
 after = []
 
-def stall(table, test, config, **kwargs):
+def stall(self, test, **kwargs):
     if list((root / "detection").glob("*.json")):
         after.append(test.name)
         if len(after) > 1:
             time.sleep(600)
-    return real(table, test, config, **kwargs)
+    return real(self, test, **kwargs)
 
-orch_mod._fuzz_unit = stall
+RaceFuzzer.fuzz = stall
 specs = subject_specs([get_subject("C8"), get_subject("C7")])
 config = PipelineConfig(random_runs=2, retry_backoff=0.0)
 with PipelineOrchestrator(jobs=1, cache=ArtifactCache(root), config=config) as orch:
