@@ -17,7 +17,7 @@ from repro.deadlock.goodlock import GoodLockDetector, PotentialDeadlock
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import TestRunner, lazy_template
+from repro.synth.runner import TemplateSource, TestRunner
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder
 from repro.trace.events import LockEvent
@@ -68,10 +68,16 @@ class DeadlockFuzzer:
         self._random_runs = random_runs
         self._vm_seed = vm_seed
 
-    def fuzz(self, test: SynthesizedTest) -> DeadlockFuzzReport:
+    def fuzz(
+        self, test: SynthesizedTest, templates: TemplateSource | None = None
+    ) -> DeadlockFuzzReport:
+        """Fuzz one test; ``templates`` shares seed collection with
+        other tests (built with this fuzzer's table and VM seed)."""
         report = DeadlockFuzzReport(test=test)
         # Materialized on the first run and forked by every run.
-        template = lazy_template(self._table, test, self._vm_seed)
+        if templates is None:
+            templates = TemplateSource(self._table, self._vm_seed)
+        template = templates.template(test)
         try:
             self._random_phase(test, template, report)
             if not report.manifested:

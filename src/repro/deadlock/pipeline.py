@@ -15,7 +15,7 @@ from repro.deadlock.synth import (
 )
 from repro.lang import ClassTable, load
 from repro.runtime import VM
-from repro.synth import SynthesizedTest, TestSynthesizer
+from repro.synth import SynthesizedTest, TemplateSource, TestSynthesizer
 from repro.trace import ColumnarRecorder, PackedTrace
 
 
@@ -85,4 +85,5 @@ class DeadlockPipeline:
         fuzzer = DeadlockFuzzer(
             self.table, random_runs=random_runs, vm_seed=self.seed
         )
-        return [fuzzer.fuzz(test) for test in report.tests]
+        templates = TemplateSource(self.table, self.seed, report.tests)
+        return [fuzzer.fuzz(test, templates=templates) for test in report.tests]

@@ -25,7 +25,7 @@ from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import TestRunner, lazy_template
+from repro.synth.runner import TemplateSource, TestRunner
 from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder
 
@@ -89,7 +89,7 @@ class BoundedExplorer:
         stack: list[list[int]] = [[]]
         seen_prefixes: set[tuple[int, ...]] = set()
         # Materialized on the first schedule and forked by every one.
-        template = lazy_template(self._table, test, self._vm_seed)
+        template = TemplateSource(self._table, self._vm_seed).template(test)
         while stack and result.schedules_run < self._max_schedules:
             prefix = stack.pop()
             branches = self._run_schedule(template(), prefix, result)

@@ -25,7 +25,7 @@ from repro.detect.fasttrack import FastTrackDetector
 from repro.detect.report import RaceSet
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler
-from repro.synth.runner import TestRunner, lazy_template
+from repro.synth.runner import TemplateSource, TestRunner
 from repro.synth.synthesizer import SynthesizedTest
 from repro.trace.columnar import OP_READ, OP_WRITE, ColumnarRecorder
 from repro.trace.events import AccessEvent
@@ -115,7 +115,7 @@ class CoverageGuidedFuzzer:
         interests = interest_union((InterleavingCoverageProbe, FastTrackDetector))
         stale = 0
         # Materialized on the first run and forked by every run.
-        template = lazy_template(self._table, test, self._vm_seed)
+        template = TemplateSource(self._table, self._vm_seed).template(test)
         for run_index in range(self._max_runs):
             probe = InterleavingCoverageProbe()
             detector = FastTrackDetector()

@@ -47,7 +47,7 @@ from repro.fuzz.probes import AdjacencyProbe
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.runtime.vm import ThreadStatus
-from repro.synth.runner import PreparedRun, TestRunner, lazy_template
+from repro.synth.runner import PreparedRun, TemplateSource, TestRunner
 from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder, PackedTrace
 from repro.trace.events import AccessEvent
@@ -178,6 +178,7 @@ class RaceFuzzer:
         test: SynthesizedTest,
         runs: int | None = None,
         rank_score: int = 0,
+        templates: TemplateSource | None = None,
     ) -> FuzzReport:
         """Fuzz one test, optionally under a per-test run budget.
 
@@ -185,7 +186,9 @@ class RaceFuzzer:
         this call (the staged candidate pipeline allocates budgets per
         test from the static verdicts); schedule seeds still depend
         only on (test name, run index), so a budgeted prefix of runs is
-        bit-identical to the same prefix of a full fuzz.
+        bit-identical to the same prefix of a full fuzz.  ``templates``
+        shares seed collection with other tests' fuzz calls; it must
+        have been built with this fuzzer's table and VM seed.
         """
         budget = self._random_runs if runs is None else runs
         report = FuzzReport(
@@ -201,7 +204,9 @@ class RaceFuzzer:
         memo: dict[str, tuple] = {}
         # Materialized on the first run, inside the try below, and
         # forked by every run after that.
-        template = lazy_template(self._table, test, self._vm_seed)
+        if templates is None:
+            templates = TemplateSource(self._table, self._vm_seed)
+        template = templates.template(test)
         try:
             self._random_phase(test, template, report, memo, budget)
             if self._directed:

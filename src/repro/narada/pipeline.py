@@ -26,7 +26,7 @@ from repro.fuzz import FuzzReport, RaceFuzzer
 from repro.lang import ClassTable, load, pretty_class
 from repro.pairs import RacyPair, generate_pairs
 from repro.runtime import VM
-from repro.synth import SynthesizedTest, TestSynthesizer
+from repro.synth import SynthesizedTest, TemplateSource, TestSynthesizer
 from repro.trace import ColumnarRecorder, PackedTrace
 
 
@@ -301,6 +301,13 @@ class Narada:
             vm_seed=self.seed,
             directed=directed,
         )
+        # Seed collection is shared by the tests fuzzed here, and only
+        # by them: the trie keeps no VM a budgeted test no longer needs.
+        templates = TemplateSource(
+            self.table,
+            vm_seed=self.seed,
+            tests=[t for t in report.tests if budgets[t.name].runs],
+        )
         detection = DetectionReport(class_name=report.class_name)
         for test in report.tests:
             budget = budgets[test.name]
@@ -308,7 +315,12 @@ class Narada:
                 detection.pruned_tests += 1
                 continue
             try:
-                fuzz = fuzzer.fuzz(test, runs=budget.runs, rank_score=budget.score)
+                fuzz = fuzzer.fuzz(
+                    test,
+                    runs=budget.runs,
+                    rank_score=budget.score,
+                    templates=templates,
+                )
             except Exception as error:
                 if on_error is None:
                     raise

@@ -36,7 +36,7 @@ Hot-path architecture (see DESIGN.md, "Performance architecture"):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro._util.errors import MiniJRuntimeError
 from repro.lang import ast
@@ -161,56 +161,6 @@ class Interpreter:
         self._field_types_cache: dict[str, dict[str, str]] = {}
         self._field_inits_cache: dict[str, tuple[ast.FieldDecl, ...]] = {}
 
-        # Type-keyed dispatch tables (replace isinstance chains).
-        self._exec_table = {
-            ast.Block: self._exec_block,
-            ast.VarDecl: self._exec_vardecl,
-            ast.AssignVar: self._exec_assignvar,
-            ast.AssignField: self._exec_field_write,
-            ast.If: self._exec_if,
-            ast.While: self._exec_while,
-            ast.Return: self._exec_return,
-            ast.Sync: self._exec_sync,
-            ast.Assert: self._exec_assert,
-            ast.Fork: self._exec_fork,
-            ast.ExprStmt: self._exec_exprstmt,
-        }
-        self._eval_table = {
-            ast.Rand: self._eval_rand,
-            ast.FieldGet: self._eval_field_get,
-            ast.New: self._eval_new,
-            ast.Call: self._eval_call,
-            ast.Binary: self._eval_binary,
-            ast.Unary: self._eval_unary,
-            # Pure node kinds appear here too so that _eval stays correct
-            # when handed one directly.
-            ast.IntLit: self._eval_pure_gen,
-            ast.BoolLit: self._eval_pure_gen,
-            ast.NullLit: self._eval_pure_gen,
-            ast.This: self._eval_pure_gen,
-            ast.VarRef: self._eval_pure_gen,
-        }
-        self._pure_table = {
-            ast.IntLit: self._pure_intlit,
-            ast.BoolLit: self._pure_intlit,  # same shape: .value
-            ast.NullLit: self._pure_nulllit,
-            ast.This: self._pure_this,
-            ast.VarRef: self._pure_varref,
-            ast.Rand: self._pure_rand,
-            ast.Binary: self._pure_binary,
-            ast.Unary: self._pure_unary,
-        }
-        self._pure_exec_table = {
-            ast.Block: self._pure_block,
-            ast.VarDecl: self._pure_vardecl,
-            ast.AssignVar: self._pure_assignvar,
-            ast.If: self._pure_if,
-            ast.While: self._pure_while,
-            ast.Return: self._pure_return,
-            ast.Assert: self._pure_assert,
-            ast.ExprStmt: self._pure_exprstmt,
-        }
-
     def clone(self, heap: Heap, rng, label_source) -> "Interpreter":
         """A new interpreter over ``heap`` that continues this one's
         call numbering.
@@ -324,12 +274,11 @@ class Interpreter:
         """
         frame = Frame(locals=env, call_index=0, depth=0, class_name="<client>",
                       method="<client>")
-        exec_table = self._exec_table
         for stmt in stmts:
             if self._stmt_pure(stmt):
                 self._exec_pure(stmt, frame, thread)
             else:
-                yield from exec_table[stmt.__class__](stmt, frame, thread)
+                yield from _EXEC[stmt.__class__](self, stmt, frame, thread)
             if frame.returned:
                 break
 
@@ -368,29 +317,28 @@ class Interpreter:
         if self._stmt_pure(stmt):
             self._exec_pure(stmt, frame, thread)
             return
-        yield from self._exec_table[stmt.__class__](stmt, frame, thread)
+        yield from _EXEC[stmt.__class__](self, stmt, frame, thread)
 
     def _exec_block(self, stmt: ast.Block, frame: Frame, thread: ThreadContext):
-        exec_table = self._exec_table
         for inner in stmt.stmts:
             if self._stmt_pure(inner):
                 self._exec_pure(inner, frame, thread)
             else:
-                yield from exec_table[inner.__class__](inner, frame, thread)
+                yield from _EXEC[inner.__class__](self, inner, frame, thread)
             if frame.returned:
                 return
 
     def _exec_vardecl(self, stmt: ast.VarDecl, frame: Frame, thread: ThreadContext):
         # Impure path: stmt.init is present and emits events (a pure or
         # absent initializer is handled by _pure_vardecl).
-        value = yield from self._eval_table[stmt.init.__class__](
-            stmt.init, frame, thread
+        value = yield from _EVAL[stmt.init.__class__](
+            self, stmt.init, frame, thread
         )
         frame.locals[stmt.name] = value
 
     def _exec_assignvar(self, stmt: ast.AssignVar, frame: Frame, thread: ThreadContext):
-        value = yield from self._eval_table[stmt.value.__class__](
-            stmt.value, frame, thread
+        value = yield from _EVAL[stmt.value.__class__](
+            self, stmt.value, frame, thread
         )
         frame.locals[stmt.name] = value
 
@@ -399,8 +347,8 @@ class Interpreter:
         if self._expr_pure(cond_expr):
             cond = self._eval_pure(cond_expr, frame, thread)
         else:
-            cond = yield from self._eval_table[cond_expr.__class__](
-                cond_expr, frame, thread
+            cond = yield from _EVAL[cond_expr.__class__](
+                self, cond_expr, frame, thread
             )
         self._require_bool(cond, stmt.line, thread)
         branch = stmt.then_body if cond else stmt.else_body
@@ -409,7 +357,7 @@ class Interpreter:
         if self._stmt_pure(branch):
             self._exec_pure(branch, frame, thread)
         else:
-            yield from self._exec_table[branch.__class__](branch, frame, thread)
+            yield from _EXEC[branch.__class__](self, branch, frame, thread)
 
     def _exec_while(self, stmt: ast.While, frame: Frame, thread: ThreadContext):
         cond_expr = stmt.cond
@@ -420,8 +368,8 @@ class Interpreter:
             if cond_pure:
                 cond = self._eval_pure(cond_expr, frame, thread)
             else:
-                cond = yield from self._eval_table[cond_expr.__class__](
-                    cond_expr, frame, thread
+                cond = yield from _EVAL[cond_expr.__class__](
+                    self, cond_expr, frame, thread
                 )
             self._require_bool(cond, stmt.line, thread)
             if not cond:
@@ -429,20 +377,20 @@ class Interpreter:
             if body_pure:
                 self._exec_pure(body, frame, thread)
             else:
-                yield from self._exec_table[body.__class__](body, frame, thread)
+                yield from _EXEC[body.__class__](self, body, frame, thread)
             if frame.returned:
                 return
 
     def _exec_return(self, stmt: ast.Return, frame: Frame, thread: ThreadContext):
         if stmt.value is not None:
-            frame.return_value = yield from self._eval_table[stmt.value.__class__](
-                stmt.value, frame, thread
+            frame.return_value = yield from _EVAL[stmt.value.__class__](
+                self, stmt.value, frame, thread
             )
         frame.returned = True
 
     def _exec_assert(self, stmt: ast.Assert, frame: Frame, thread: ThreadContext):
-        cond = yield from self._eval_table[stmt.cond.__class__](
-            stmt.cond, frame, thread
+        cond = yield from _EVAL[stmt.cond.__class__](
+            self, stmt.cond, frame, thread
         )
         self._assert_check(cond, stmt, frame, thread)
 
@@ -460,7 +408,7 @@ class Interpreter:
         )
 
     def _exec_exprstmt(self, stmt: ast.ExprStmt, frame: Frame, thread: ThreadContext):
-        yield from self._eval_table[stmt.expr.__class__](stmt.expr, frame, thread)
+        yield from _EVAL[stmt.expr.__class__](self, stmt.expr, frame, thread)
 
     def _assert_check(
         self, cond: Value, stmt: ast.Assert, frame: Frame, thread: ThreadContext
@@ -480,16 +428,16 @@ class Interpreter:
         if self._expr_pure(target_expr):
             target = self._eval_pure(target_expr, frame, thread)
         else:
-            target = yield from self._eval_table[target_expr.__class__](
-                target_expr, frame, thread
+            target = yield from _EVAL[target_expr.__class__](
+                self, target_expr, frame, thread
             )
         obj = self._require_object(target, stmt.line, thread)
         value_expr = stmt.value
         if self._expr_pure(value_expr):
             value = self._eval_pure(value_expr, frame, thread)
         else:
-            value = yield from self._eval_table[value_expr.__class__](
-                value_expr, frame, thread
+            value = yield from _EVAL[value_expr.__class__](
+                self, value_expr, frame, thread
             )
         fields = obj.fields
         name = stmt.field_name
@@ -524,8 +472,8 @@ class Interpreter:
         if self._expr_pure(lock_expr):
             lock_value = self._eval_pure(lock_expr, frame, thread)
         else:
-            lock_value = yield from self._eval_table[lock_expr.__class__](
-                lock_expr, frame, thread
+            lock_value = yield from _EVAL[lock_expr.__class__](
+                self, lock_expr, frame, thread
             )
         obj = self._require_object(lock_value, stmt.line, thread)
         yield from self._acquire(obj, frame, thread, stmt.node_id)
@@ -533,19 +481,18 @@ class Interpreter:
         if self._stmt_pure(body):
             self._exec_pure(body, frame, thread)
         else:
-            yield from self._exec_table[body.__class__](body, frame, thread)
+            yield from _EXEC[body.__class__](self, body, frame, thread)
         yield from self._release(obj, frame, thread, stmt.node_id)
 
     # ------------------------------------------------------------------
     # Statement execution (pure path: plain recursion, no yields).
 
     def _exec_pure(self, stmt: ast.Stmt, frame: Frame, thread: ThreadContext) -> None:
-        self._pure_exec_table[stmt.__class__](stmt, frame, thread)
+        _PURE_EXEC[stmt.__class__](self, stmt, frame, thread)
 
     def _pure_block(self, stmt: ast.Block, frame: Frame, thread: ThreadContext) -> None:
-        table = self._pure_exec_table
         for inner in stmt.stmts:
-            table[inner.__class__](inner, frame, thread)
+            _PURE_EXEC[inner.__class__](self, inner, frame, thread)
             if frame.returned:
                 return
 
@@ -562,24 +509,24 @@ class Interpreter:
         cond = self._eval_pure(stmt.cond, frame, thread)
         self._require_bool(cond, stmt.line, thread)
         if cond:
-            self._pure_exec_table[stmt.then_body.__class__](
-                stmt.then_body, frame, thread
+            _PURE_EXEC[stmt.then_body.__class__](
+                self, stmt.then_body, frame, thread
             )
         elif stmt.else_body is not None:
-            self._pure_exec_table[stmt.else_body.__class__](
-                stmt.else_body, frame, thread
+            _PURE_EXEC[stmt.else_body.__class__](
+                self, stmt.else_body, frame, thread
             )
 
     def _pure_while(self, stmt: ast.While, frame: Frame, thread: ThreadContext) -> None:
         cond_expr = stmt.cond
         body = stmt.body
-        body_exec = self._pure_exec_table[body.__class__]
+        body_exec = _PURE_EXEC[body.__class__]
         while True:
             cond = self._eval_pure(cond_expr, frame, thread)
             self._require_bool(cond, stmt.line, thread)
             if not cond:
                 return
-            body_exec(body, frame, thread)
+            body_exec(self, body, frame, thread)
             if frame.returned:
                 return
 
@@ -645,22 +592,18 @@ class Interpreter:
     # Expression evaluation (pure path).
 
     def _eval_pure(self, expr: ast.Expr, frame: Frame, thread: ThreadContext):
-        return self._pure_table[expr.__class__](expr, frame, thread)
+        return _PURE_EVAL[expr.__class__](self, expr, frame, thread)
 
-    @staticmethod
-    def _pure_intlit(expr, frame, thread):
+    def _pure_intlit(self, expr, frame, thread):
         return expr.value
 
-    @staticmethod
-    def _pure_nulllit(expr, frame, thread):
+    def _pure_nulllit(self, expr, frame, thread):
         return None
 
-    @staticmethod
-    def _pure_this(expr, frame, thread):
+    def _pure_this(self, expr, frame, thread):
         return frame.this
 
-    @staticmethod
-    def _pure_varref(expr, frame, thread):
+    def _pure_varref(self, expr, frame, thread):
         try:
             return frame.locals[expr.name]
         except KeyError:
@@ -714,10 +657,10 @@ class Interpreter:
             return None
         if self._expr_pure(expr):
             return self._eval_pure(expr, frame, thread)
-        return (yield from self._eval_table[expr.__class__](expr, frame, thread))
+        return (yield from _EVAL[expr.__class__](self, expr, frame, thread))
 
     def _eval_pure_gen(self, expr, frame, thread):
-        # Generator-shaped wrapper so _eval_table is total over Expr.
+        # Generator-shaped wrapper so _EVAL is total over Expr.
         return self._eval_pure(expr, frame, thread)
         yield  # pragma: no cover - makes this a generator function
 
@@ -759,8 +702,8 @@ class Interpreter:
         if self._expr_pure(target_expr):
             target = self._eval_pure(target_expr, frame, thread)
         else:
-            target = yield from self._eval_table[target_expr.__class__](
-                target_expr, frame, thread
+            target = yield from _EVAL[target_expr.__class__](
+                self, target_expr, frame, thread
             )
         obj = self._require_object(target, expr.line, thread)
         name = expr.field_name
@@ -798,8 +741,8 @@ class Interpreter:
             if self._expr_pure(arg_expr):
                 args.append(self._eval_pure(arg_expr, frame, thread))
             else:
-                arg = yield from self._eval_table[arg_expr.__class__](
-                    arg_expr, frame, thread
+                arg = yield from _EVAL[arg_expr.__class__](
+                    self, arg_expr, frame, thread
                 )
                 args.append(arg)
         class_name = expr.class_name
@@ -939,16 +882,16 @@ class Interpreter:
         if self._expr_pure(target_expr):
             target = self._eval_pure(target_expr, frame, thread)
         else:
-            target = yield from self._eval_table[target_expr.__class__](
-                target_expr, frame, thread
+            target = yield from _EVAL[target_expr.__class__](
+                self, target_expr, frame, thread
             )
         args: list[Value] = []
         for arg_expr in expr.args:
             if self._expr_pure(arg_expr):
                 args.append(self._eval_pure(arg_expr, frame, thread))
             else:
-                arg = yield from self._eval_table[arg_expr.__class__](
-                    arg_expr, frame, thread
+                arg = yield from _EVAL[arg_expr.__class__](
+                    self, arg_expr, frame, thread
                 )
                 args.append(arg)
         obj = self._require_object(target, expr.line, thread)
@@ -1268,7 +1211,7 @@ class Interpreter:
             if self._stmt_pure(body):
                 self._exec_pure(body, frame, thread)
             else:
-                yield from self._exec_table[body.__class__](body, frame, thread)
+                yield from _EXEC[body.__class__](self, body, frame, thread)
             if decl.synchronized:
                 yield from self._release(receiver_obj, frame, thread, node_id)
         finally:
@@ -1375,15 +1318,15 @@ class Interpreter:
         if self._expr_pure(left_expr):
             left = self._eval_pure(left_expr, frame, thread)
         else:
-            left = yield from self._eval_table[left_expr.__class__](
-                left_expr, frame, thread
+            left = yield from _EVAL[left_expr.__class__](
+                self, left_expr, frame, thread
             )
         right_expr = expr.right
         if self._expr_pure(right_expr):
             right = self._eval_pure(right_expr, frame, thread)
         else:
-            right = yield from self._eval_table[right_expr.__class__](
-                right_expr, frame, thread
+            right = yield from _EVAL[right_expr.__class__](
+                self, right_expr, frame, thread
             )
         return self._apply_binop(op, left, right, expr.line, thread)
 
@@ -1394,3 +1337,57 @@ def _default_for(kind: str) -> Value:
     if kind == "bool":
         return False
     return None
+
+
+# Type-keyed dispatch tables (replace isinstance chains).  They hold
+# plain functions, called with the interpreter as their first argument:
+# per-instance tables of bound methods would make every interpreter a
+# reference cycle that only the cyclic garbage collector frees.
+_EXEC: dict[type, Callable] = {
+    ast.Block: Interpreter._exec_block,
+    ast.VarDecl: Interpreter._exec_vardecl,
+    ast.AssignVar: Interpreter._exec_assignvar,
+    ast.AssignField: Interpreter._exec_field_write,
+    ast.If: Interpreter._exec_if,
+    ast.While: Interpreter._exec_while,
+    ast.Return: Interpreter._exec_return,
+    ast.Sync: Interpreter._exec_sync,
+    ast.Assert: Interpreter._exec_assert,
+    ast.Fork: Interpreter._exec_fork,
+    ast.ExprStmt: Interpreter._exec_exprstmt,
+}
+_EVAL: dict[type, Callable] = {
+    ast.Rand: Interpreter._eval_rand,
+    ast.FieldGet: Interpreter._eval_field_get,
+    ast.New: Interpreter._eval_new,
+    ast.Call: Interpreter._eval_call,
+    ast.Binary: Interpreter._eval_binary,
+    ast.Unary: Interpreter._eval_unary,
+    # Pure node kinds appear here too so that _eval stays correct
+    # when handed one directly.
+    ast.IntLit: Interpreter._eval_pure_gen,
+    ast.BoolLit: Interpreter._eval_pure_gen,
+    ast.NullLit: Interpreter._eval_pure_gen,
+    ast.This: Interpreter._eval_pure_gen,
+    ast.VarRef: Interpreter._eval_pure_gen,
+}
+_PURE_EVAL: dict[type, Callable] = {
+    ast.IntLit: Interpreter._pure_intlit,
+    ast.BoolLit: Interpreter._pure_intlit,  # same shape: .value
+    ast.NullLit: Interpreter._pure_nulllit,
+    ast.This: Interpreter._pure_this,
+    ast.VarRef: Interpreter._pure_varref,
+    ast.Rand: Interpreter._pure_rand,
+    ast.Binary: Interpreter._pure_binary,
+    ast.Unary: Interpreter._pure_unary,
+}
+_PURE_EXEC: dict[type, Callable] = {
+    ast.Block: Interpreter._pure_block,
+    ast.VarDecl: Interpreter._pure_vardecl,
+    ast.AssignVar: Interpreter._pure_assignvar,
+    ast.If: Interpreter._pure_if,
+    ast.While: Interpreter._pure_while,
+    ast.Return: Interpreter._pure_return,
+    ast.Assert: Interpreter._pure_assert,
+    ast.ExprStmt: Interpreter._pure_exprstmt,
+}

@@ -24,7 +24,8 @@ Hot-path architecture (see DESIGN.md, "Performance architecture"):
   rest, yielding :data:`~repro.trace.events.SKIPPED_EVENT` after
   burning the label.  The schedule, labels, and every delivered event
   are bit-identical to an unfiltered run.  Manual :meth:`Execution.step`
-  driving (the fuzzers inspect returned events) never elides.
+  driving (the fuzzers inspect returned events) elides only when the
+  driver sets the filter itself, as seed collection does.
 * **Runnable cache** — the runnable-thread list is rebuilt only when
   some thread's status actually changes, in thread-creation order so
   seeded random schedules are unchanged.
@@ -119,6 +120,26 @@ class ExecutionResult:
         return self.completed and not self.faults and not self.deadlocked
 
 
+class LabelCounter:
+    """The global trace-label counter a VM shares with its interpreter.
+
+    The interpreter holds the bound :meth:`take`, which refers to this
+    counter only.  Handing it the VM's own bound method instead would
+    tie the VM and its interpreter into a reference cycle that only the
+    cyclic garbage collector frees.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0) -> None:
+        self.value = value
+
+    def take(self) -> int:
+        label = self.value
+        self.value = label + 1
+        return label
+
+
 class VM:
     """A MiniJ virtual machine for one resolved program."""
 
@@ -126,9 +147,9 @@ class VM:
         self.table = table
         self.heap = Heap()
         self.rng = random.Random(seed)
-        self._label = 0
+        self._labels = LabelCounter()
         self._next_thread_id = 0
-        self.interp = Interpreter(table, self.heap, self.rng, self.next_label)
+        self.interp = Interpreter(table, self.heap, self.rng, self._labels.take)
         # Resuming a generator nested N MiniJ-frames deep traverses the
         # whole `yield from` chain; give the interpreter headroom so the
         # MiniJ stack-overflow check fires before Python's own.
@@ -147,17 +168,22 @@ class VM:
         copy = VM.__new__(VM)
         copy.table = self.table
         copy.heap = self.heap.clone()
-        copy.rng = random.Random()
+        # Random() would seed itself from os.urandom before setstate
+        # overwrote that seed; __new__ skips the wasted seeding.
+        copy.rng = random.Random.__new__(random.Random)
         copy.rng.setstate(self.rng.getstate())
-        copy._label = self._label
+        copy._labels = LabelCounter(self._labels.value)
         copy._next_thread_id = self._next_thread_id
-        copy.interp = self.interp.clone(copy.heap, copy.rng, copy.next_label)
+        copy.interp = self.interp.clone(copy.heap, copy.rng, copy._labels.take)
         return copy
 
+    @property
+    def _label(self) -> int:
+        """The label the next event will carry."""
+        return self._labels.value
+
     def next_label(self) -> int:
-        label = self._label
-        self._label += 1
-        return label
+        return self._labels.take()
 
     def new_thread_ctx(self) -> ThreadContext:
         ctx = ThreadContext(thread_id=self._next_thread_id)

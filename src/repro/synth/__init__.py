@@ -1,7 +1,7 @@
 """Stage 3 of Narada: test synthesis and execution (§3.4, Algorithm 1)."""
 
 from repro.synth.collect import Capture, SeedCollector
-from repro.synth.runner import RunOutcome, TestRunner
+from repro.synth.runner import RunOutcome, TemplateSource, TestRunner
 from repro.synth.synthesizer import (
     MaterializedTest,
     SynthesizedTest,
@@ -16,6 +16,7 @@ __all__ = [
     "RunOutcome",
     "SeedCollector",
     "SynthesizedTest",
+    "TemplateSource",
     "TestRunner",
     "TestSynthesizer",
     "materialize",

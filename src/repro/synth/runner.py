@@ -5,23 +5,32 @@ given the VM seed, so a test can be replayed under many schedules while
 keeping the racy thread bodies and target sites stable.  It is also the
 costly part of preparing a run, because it re-executes seed-test
 prefixes.  So a test is materialized once, as a *template*
-(:func:`lazy_template`), and every run executes on a fork of it
-(:meth:`MaterializedTest.fork`).  A fork's VM is an exact clone of the
-template's, so a forked run executes exactly like a run on a freshly
+(:meth:`TemplateSource.template`), and every run executes on a fork of
+it (:meth:`MaterializedTest.fork`).  A fork's VM is an exact clone of
+the template's, so a forked run executes exactly like a run on a freshly
 materialized VM, and the template itself never runs.  The setup phase
-runs on every run, with listeners attached.
+runs on every run, with listeners attached.  The templates of one
+source collect their seed calls through one
+:class:`~repro.synth.collect.SeedTrie`, so a prefix that several tests
+share is collected once.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.lang.classtable import ClassTable
 from repro.runtime.scheduler import Scheduler, SequentialScheduler
 from repro.runtime.vm import VM, Execution, ExecutionResult, Listener
-from repro.synth.synthesizer import MaterializedTest, SynthesizedTest, materialize
+from repro.synth.collect import SeedTrie
+from repro.synth.synthesizer import (
+    MaterializedTest,
+    SynthesizedTest,
+    collection_key,
+    materialize,
+)
 
 #: Step budget for the concurrent phase of one synthesized-test run.
 RUN_MAX_STEPS = 100_000
@@ -166,16 +175,34 @@ class TestRunner:
         )
 
 
-def lazy_template(
-    table: ClassTable, test: SynthesizedTest, vm_seed: int = 0
-) -> Callable[[], MaterializedTest]:
-    """A callable that materializes ``test`` on its first call and
-    returns the same template on every later call.
+class TemplateSource:
+    """Lazily materialized templates over one shared seed trie.
 
-    The fuzzers pass the template to :meth:`TestRunner.run` or
-    :meth:`TestRunner.prepare` for each run, so a test is materialized
-    at most once per fuzz, and never if it never runs.  A
-    :class:`~repro._util.errors.SynthesisError` surfaces from the first
-    call, which is where materializing for the first run raises it.
+    One source serves one fuzz call, or one loop over a class's tests
+    (``Narada.detect``), and is dropped with it.  ``tests`` are the
+    tests that will ask for a template, in any order: the trie keeps a
+    prefix's VM only while one of them still extends it.
     """
-    return functools.cache(lambda: materialize(test, VM(table, seed=vm_seed)))
+
+    def __init__(
+        self,
+        table: ClassTable,
+        vm_seed: int = 0,
+        tests: Iterable[SynthesizedTest] = (),
+    ) -> None:
+        self._trie = SeedTrie(
+            VM(table, seed=vm_seed), [collection_key(test) for test in tests]
+        )
+
+    def template(self, test: SynthesizedTest) -> Callable[[], MaterializedTest]:
+        """A callable that materializes ``test`` on its first call and
+        returns the same template on every later call.
+
+        The fuzzers pass the template to :meth:`TestRunner.run` or
+        :meth:`TestRunner.prepare` for each run, so a test is
+        materialized at most once per fuzz, and never if it never runs.
+        A :class:`~repro._util.errors.SynthesisError` surfaces from the
+        first call, which is where materializing for the first run
+        raises it.
+        """
+        return functools.cache(lambda: materialize(test, self._trie))

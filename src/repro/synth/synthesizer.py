@@ -34,7 +34,7 @@ from repro.lang import ast
 from repro.lang.classtable import ClassTable
 from repro.pairs.generator import RacyPair
 from repro.runtime.values import ObjRef, Value
-from repro.synth.collect import SeedCollector
+from repro.synth.collect import Key, SeedCollector, SeedTrie
 from repro.runtime.vm import VM
 
 #: node_id namespace for statements fabricated by the synthesizer; far
@@ -163,13 +163,31 @@ class MaterializedTest:
         return "\n".join(lines)
 
 
+def _collected_calls(plan: TestPlan) -> list[PlannedCall]:
+    """The calls :class:`Materializer` collects, in collection order:
+    the setters, then the two racy calls."""
+    return [
+        *plan.left.setter_calls,
+        *plan.right.setter_calls,
+        plan.left.racy_call,
+        plan.right.racy_call,
+    ]
+
+
+def collection_key(test: SynthesizedTest) -> Key:
+    """The ``(seed test, ordinal)`` of each call ``test`` collects."""
+    return tuple(
+        (call.summary.test_name, call.summary.ordinal)
+        for call in _collected_calls(test.plan)
+    )
+
+
 class Materializer:
     """Binds a plan's slots to concrete objects (Algorithm 1, lines 1-5)."""
 
-    def __init__(self, test: SynthesizedTest, vm: VM) -> None:
+    def __init__(self, test: SynthesizedTest, vm: VM | SeedTrie) -> None:
         self._test = test
-        self._vm = vm
-        self._collector = SeedCollector(vm)
+        self._seeds = vm
         self._env: dict[str, Value] = {}
         self._bound: dict[int, str] = {}
         self._next_node = SYNTH_NODE_BASE
@@ -177,12 +195,15 @@ class Materializer:
 
     def materialize(self) -> MaterializedTest:
         plan = self._test.plan
-        setters = [*plan.left.setter_calls, *plan.right.setter_calls]
-        calls = [*setters, plan.left.racy_call, plan.right.racy_call]
-        captures = [
-            self._collector.collect(call.summary.test_name, call.summary.ordinal)
-            for call in calls
-        ]
+        calls = _collected_calls(plan)
+        setters = calls[:-2]
+        key = collection_key(self._test)
+        if isinstance(self._seeds, SeedTrie):
+            vm, captures = self._seeds.collect(key)
+        else:
+            vm = self._seeds
+            collector = SeedCollector(vm)
+            captures = tuple(collector.collect(*seed) for seed in key)
         # Algorithm 1 collects every invocation's receiver up front
         # (lines 1-4); only the arguments are re-arranged by
         # shareObjects.  Pre-binding receivers to their *own* captures
@@ -209,7 +230,7 @@ class Materializer:
         ]
         return MaterializedTest(
             test=self._test,
-            vm=self._vm,
+            vm=vm,
             env=self._env,
             setup_stmts=setup,
             thread_stmts=(left_stmts, right_stmts),
@@ -315,8 +336,12 @@ def _class_type_of(name: str):
     return class_type(name)
 
 
-def materialize(test: SynthesizedTest, vm: VM) -> MaterializedTest:
+def materialize(test: SynthesizedTest, vm: VM | SeedTrie) -> MaterializedTest:
     """Bind a synthesized test to concrete objects in ``vm``.
+
+    Given a :class:`~repro.synth.collect.SeedTrie` instead of a VM, the
+    seed calls are collected through the trie, and the test's VM is the
+    trie's node for its whole collection sequence: run forks of it only.
 
     Raises:
         SynthesisError: when seed collection cannot supply the objects.

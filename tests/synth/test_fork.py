@@ -5,13 +5,21 @@ schedule on a fork of that template (``MaterializedTest.fork``).  That
 is sound because of the two properties pinned here: a forked run records
 the same trace and ends with the same results as a run on a freshly
 materialized VM, and running a fork leaves the template untouched.
+
+Templates of one ``TemplateSource`` share seed collection through a
+``SeedTrie``: each prefix of collection calls runs once, on a clone of
+its parent prefix's VM.  The same two properties hold for them, and for
+the trie's stored VMs.
 """
 
 import copy
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
+from repro._util.errors import SynthesisError
 from repro.corpus import CorpusConfig
 from repro.corpus.generator import generate_corpus
 from repro.corpus.runner import corpus_specs
@@ -23,9 +31,15 @@ from repro.lang import load
 from repro.narada import Narada, subject_specs
 from repro.runtime import VM, RandomScheduler, RoundRobinScheduler
 from repro.runtime.heap import Heap
-from repro.synth import TestRunner, materialize
+from repro.runtime.interp import Interpreter
+from repro.static.filter import allocate_budgets, verdict_index
+from repro.subjects import get_subject
+from repro.synth import SeedCollector, TemplateSource, TestRunner, materialize
+from repro.synth import collect as collect_module
 from repro.synth import runner as runner_module
+from repro.synth.synthesizer import collection_key
 from repro.trace.columnar import ColumnarRecorder
+from repro.trace.events import InvokeEvent
 
 RANDOM_SEEDS = (0, 1, 2)
 CORPUS_SLICE = 10
@@ -77,18 +91,26 @@ def _schedulers():
 
 
 def test_forked_runs_equal_fresh_runs(synthesized):
+    """Forks of a template, and of a template built through a trie that
+    every test of the subject shares, run as a fresh materialization."""
     table, tests = synthesized
     assert tests
+    templates = TemplateSource(table, tests=tests)
     for test in tests:
         template = materialize(test, VM(table))
+        shared = templates.template(test)()
         for label, make in _schedulers():
             fresh = _run(table, test, make())
             forked = _run(table, template, make())
             assert forked == fresh, (test.name, label)
+            assert _run(table, shared, make()) == fresh, (test.name, label)
 
 
 def _snapshot(mat):
-    vm = mat.vm
+    return (*_vm_snapshot(mat.vm), dict(mat.env))
+
+
+def _vm_snapshot(vm):
     objects = [
         (
             obj.ref,
@@ -109,7 +131,6 @@ def _snapshot(mat):
         vm._label,
         vm._next_thread_id,
         vm.interp._next_call_index,
-        dict(mat.env),
     )
 
 
@@ -130,6 +151,120 @@ def test_running_a_fork_leaves_the_template_unchanged():
             assert _snapshot(template) == before, test.name
         # ... and forking itself copies every counter exactly.
         assert _snapshot(template.fork()) == before
+
+
+def test_running_forks_leaves_every_trie_node_unchanged():
+    spec = subject_specs(None)[0]
+    table = load(spec.source)
+    tests = Narada(table).synthesize_for_class(spec.target_class).tests
+    templates = TemplateSource(table, tests=tests)
+    nodes = templates._trie._nodes
+    half = len(tests) // 2
+    made = [templates.template(test)() for test in tests[:half]]
+    before = {key: _vm_snapshot(vm) for key, (vm, _) in nodes.items()}
+    assert len(before) > 1
+    for template in made:
+        for _, make in _schedulers():
+            TestRunner(table).run(template, make())
+    # Extending the stored prefixes clones them, too.
+    made += [templates.template(test)() for test in tests[half:]]
+    for key, snapshot in before.items():
+        if key in nodes:
+            assert _vm_snapshot(nodes[key][0]) == snapshot, key
+    # Every test has collected: no node past the root is left.
+    assert list(nodes) == [()]
+
+
+@pytest.fixture
+def collect_calls(monkeypatch):
+    calls = []
+    original = SeedCollector.collect
+
+    def counting(self, test_name, ordinal):
+        calls.append((test_name, ordinal))
+        return original(self, test_name, ordinal)
+
+    monkeypatch.setattr(SeedCollector, "collect", counting)
+    return calls
+
+
+#: Collect runs of the paper subjects of the benchmark's paper-fuzz
+#: workload at two random runs: one per distinct prefix of the budgeted
+#: tests' collection sequences.  Collecting every test from a fresh VM
+#: took 184 for C1 and 576 in all.
+PAPER_FUZZ_COLLECTS = {"C1": 55, "C3": 51, "C6": 151, "C7": 19, "C9": 15}
+
+
+def test_detect_collects_each_prefix_once(collect_calls):
+    counts = {}
+    for subject in PAPER_FUZZ_COLLECTS:
+        (spec,) = subject_specs([get_subject(subject)])
+        narada = Narada(spec.source)
+        report = narada.synthesize_for_class(spec.target_class)
+        budgets = allocate_budgets(report.tests, verdict_index(report), 2)
+        prefixes = {
+            key[:depth]
+            for key in (
+                collection_key(test)
+                for test in report.tests
+                if budgets[test.name].runs
+            )
+            for depth in range(1, len(key) + 1)
+        }
+        before = len(collect_calls)
+        narada.detect(report, random_runs=2, directed=False)
+        counts[subject] = len(collect_calls) - before
+        assert counts[subject] == len(prefixes), subject
+    assert counts == PAPER_FUZZ_COLLECTS
+    assert sum(counts.values()) == 291
+
+
+def test_collection_elides_everything_but_invocations(monkeypatch):
+    spec = subject_specs(None)[0]
+    table = load(spec.source)
+    tests = Narada(table).synthesize_for_class(spec.target_class).tests
+
+    def collect_all(key):
+        vm = VM(table)
+        collector = SeedCollector(vm)
+        captures = [collector.collect(*seed) for seed in key]
+        return _vm_snapshot(vm), captures
+
+    keys = sorted({collection_key(test) for test in tests})
+    elided = [collect_all(key) for key in keys]
+    # Full emission: the interpreter ignores the collector's filter.
+    requested = []
+    real_filter = Interpreter.set_emit_filter
+
+    def full_emission(self, wanted):
+        requested.append(wanted)
+        real_filter(self, None)
+
+    monkeypatch.setattr(Interpreter, "set_emit_filter", full_emission)
+    full = [collect_all(key) for key in keys]
+    assert {InvokeEvent} in requested
+    assert elided == full
+
+
+def _emits_everything(interp):
+    return (
+        interp._emit_invoke,
+        interp._emit_return,
+        interp._emit_alloc,
+        interp._emit_read,
+        interp._emit_write,
+    ) == (True,) * 5
+
+
+@pytest.mark.parametrize("budget", [collect_module.MAX_COLLECT_STEPS, 1])
+def test_a_failed_collection_restores_the_emit_filter(monkeypatch, budget):
+    table, test = _c1()
+    monkeypatch.setattr(collect_module, "MAX_COLLECT_STEPS", budget)
+    vm = VM(table)
+    name, _ = collection_key(test)[0]
+    with pytest.raises(SynthesisError):
+        SeedCollector(vm).collect(name, 10_000)
+    assert _emits_everything(vm.interp)
 
 
 def test_heap_clone_shares_nothing_mutable():
@@ -155,15 +290,73 @@ def test_heap_clone_shares_nothing_mutable():
 def test_collection_failure_still_marks_synthesis_failed():
     table, test = _c1()
     # Ask the collector for an invocation past the end of its seed test.
-    broken = copy.deepcopy(test)
-    racy = broken.plan.right.racy_call
-    racy.summary = dataclasses.replace(racy.summary, ordinal=10_000)
+    broken = _broken(test, test.name)
     report = RaceFuzzer(table, random_runs=2).fuzz(broken)
     assert report.synthesis_failed
     assert report.random_runs == 0
     assert report.directed_attempts == 0
     assert "SynthesisError" in report.failure_trace
     assert not report.detected and report.trace_events == 0
+
+
+def _broken(test, name):
+    """``test`` renamed, with a right racy call no seed run reaches."""
+    broken = copy.deepcopy(test)
+    broken.name = name
+    racy = broken.plan.right.racy_call
+    racy.summary = dataclasses.replace(racy.summary, ordinal=10_000)
+    return broken
+
+
+def test_tests_sharing_a_broken_prefix_all_fail(collect_calls):
+    table, test = _c1()
+    first, second = _broken(test, "BrokenA"), _broken(test, "BrokenB")
+    assert collection_key(first) == collection_key(second)
+    assert collection_key(first)[:-1] == collection_key(test)[:-1]
+    templates = TemplateSource(table, tests=[first, second, test])
+    fuzzer = RaceFuzzer(table, random_runs=2)
+    for broken in (first, second):
+        report = fuzzer.fuzz(broken, templates=templates)
+        assert report.synthesis_failed, broken.name
+        assert report.random_runs == 0
+        assert report.directed_attempts == 0
+        assert "SynthesisError" in report.failure_trace
+        assert not report.detected and report.trace_events == 0
+    # The failed collection was stored for neither test: both ran it.
+    assert collect_calls.count(collection_key(first)[-1]) == 2
+    # The parent prefix survived both failures, and the test that
+    # shares only it fuzzes as it does alone.
+    before = len(collect_calls)
+    shared = fuzzer.fuzz(test, templates=templates)
+    assert collect_calls[before:] == [collection_key(test)[-1]]
+    assert shared.to_dict() == RaceFuzzer(table, random_runs=2).fuzz(test).to_dict()
+
+
+def test_vms_and_templates_die_without_the_cycle_collector(monkeypatch):
+    table, test = _c1()
+    made = []
+    original = runner_module.materialize
+
+    def keeping(test, vm):
+        template = original(test, vm)
+        made.append(weakref.ref(template))
+        return template
+
+    monkeypatch.setattr(runner_module, "materialize", keeping)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        vm = VM(table)
+        vm.run_test(table.program.tests[0].name)
+        clone = vm.clone()
+        refs = [weakref.ref(x) for x in (vm, vm.interp, vm.heap, clone)]
+        del vm, clone
+        assert [ref() for ref in refs] == [None] * len(refs)
+        RaceFuzzer(table, random_runs=2).fuzz(test)
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture
