@@ -18,8 +18,9 @@ wedged pool — then gates that:
   RSS governor) cost < 5% per-request service latency (min-of-many
   no-op round-trips) versus a disarmed daemon.
 
-All injection is deterministic (sha-keyed draws from
-:class:`repro.narada.faults.FaultPlan`), so a failing scenario replays
+All injection is deterministic: worker kills and ENOSPC are sha-keyed
+draws from :class:`repro.narada.faults.FaultPlan`, and the wire
+scenarios send fixed hand-built frames, so a failing scenario replays
 bit-identically under a debugger.
 
 Usage::

@@ -247,21 +247,8 @@ def cmd_subjects(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from repro.narada.cache import stage_key, table_digest
-    from repro.narada.serial import decode_analysis, encode_analysis
-
     table, target, source = _load_target(args)
-    narada = Narada(table)
-    cache = _cache_from(args)
-    if cache is not None:
-        key = stage_key(table_digest(table), "analysis", {"vm_seed": 0})
-        cached = cache.get("analysis", key)
-        if cached is not None:
-            narada.use_analysis(decode_analysis(cached))
-    analysis = narada.analysis()
-    if cache is not None and cached is None:
-        cache.put("analysis", key, encode_analysis(analysis))
-    summaries = analysis.for_class(target)
+    summaries = Narada(table).analysis().for_class(target)
     if args.json:
         print(json.dumps([_summary_json(s) for s in summaries], indent=2))
         return 0

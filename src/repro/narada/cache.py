@@ -19,10 +19,13 @@ Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
 directory per stage, created by the first write that finds it missing,
 so a new entry costs a temp-file write and a rename, and no directory.
 The stages a pipeline run writes are ``synthesis`` and ``detection``,
-both when a subject's unit completes; ``repro analyze`` keeps its own
-``analysis`` entry.  An entry in the
-older ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
+both when a subject's unit completes.  An entry in the older
+``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
 counts toward the byte budget and is evicted before any flat entry.
+A budgeted cache evicts least-recently-used entries first, and an
+entry's file mtime is its recency: a write publishes a fresh file and
+a hit sets the mtime to now, so the root holds nothing but stage
+directories and ``quarantine/``.
 Writes are crash-safe: content goes to a same-directory temp file first
 and is published with ``os.replace`` (atomic on POSIX), so a reader can
 never observe a half-written entry.  A corrupted, truncated, or
@@ -35,9 +38,7 @@ error: the pipeline recomputes and the operator keeps the evidence.
 
 from __future__ import annotations
 
-import contextlib
 import errno
-import fcntl
 import hashlib
 import json
 import os
@@ -56,19 +57,6 @@ CODE_SALT = "narada-pipeline-v7"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Access-time journal filename (lives at the cache root).  One JSON
-#: line per touch; torn trailing lines (crashed writer) are skipped.
-ATIME_JOURNAL = "atime.journal"
-
-#: ``flock`` target guarding the journal across processes: appends take
-#: it shared, compaction exclusive.  A separate file, because compaction
-#: replaces the journal's inode.
-JOURNAL_LOCK = "atime.journal.lock"
-
-#: Rewrite the journal down to one line per live entry after this many
-#: appends; bounds journal growth without an fsync-per-touch cost.
-_JOURNAL_COMPACT_EVERY = 2048
 
 #: Quarantine GC defaults: keep at most this many entries, and none
 #: older than this.  Both are per-cache-root, across all stages.
@@ -141,13 +129,13 @@ class ArtifactCache:
         self.stats = CacheStats()
         self.fault_injector = fault_injector
         #: Byte budget for live entries (quarantine excluded); ``None``
-        #: disables eviction entirely — worker-process caches stay
-        #: journal-free and the daemon's cache enforces the budget.
+        #: disables eviction entirely — worker-process caches never
+        #: touch an entry on a hit and the daemon's cache enforces the
+        #: budget.
         self.max_bytes = max_bytes
         self.quarantine_max_entries = max(0, quarantine_max_entries)
         self.quarantine_max_age_s = max(0.0, quarantine_max_age_s)
         self._tmp_counter = 0
-        self._journal_appends = 0
         #: Running estimate of live-entry bytes, seeded by a scan on the
         #: first budgeted ``put``; ``evict`` rescans for exactness.
         self._approx_bytes: int | None = None
@@ -156,15 +144,14 @@ class ArtifactCache:
         return self.root / stage / f"{key}.json"
 
     # ------------------------------------------------------------------
-    # Entry enumeration (live entries only; quarantine and the journal
-    # live outside the stage directories).
+    # Entry enumeration (live entries only; quarantine lives outside
+    # the stage directories).
 
     def _iter_entries(self):
-        """Yield ``(rel_key, path, size, mtime)`` for every live entry.
+        """Yield ``(flat, path, size, mtime)`` for every live entry.
 
-        ``rel_key`` is the entry's path below the root without its
-        suffix: ``<stage>/<digest>`` for a flat entry, and one more
-        component for an entry in the old fan-out layout.
+        ``flat`` is false for an entry in the old fan-out layout, one
+        directory below its stage; ``mtime`` is the entry's recency.
         """
         if not self.root.exists():
             return
@@ -176,8 +163,8 @@ class ArtifactCache:
                     stat = path.stat()
                 except OSError:
                     continue
-                rel = path.relative_to(self.root).with_suffix("").as_posix()
-                yield rel, path, stat.st_size, stat.st_mtime
+                flat = path.parent == stage_dir
+                yield flat, path, stat.st_size, stat.st_mtime
 
     def total_bytes(self) -> int:
         """Exact byte total of live entries (rescans the tree)."""
@@ -191,78 +178,6 @@ class ArtifactCache:
         if not qroot.exists():
             return 0
         return sum(1 for _ in qroot.glob("*/*.json"))
-
-    # ------------------------------------------------------------------
-    # Access-time journal.  Appends are O(1); readers tolerate torn
-    # trailing lines, so a writer killed mid-append costs at most one
-    # recency observation (the entry falls back to file mtime).
-
-    @property
-    def _journal_path(self) -> pathlib.Path:
-        return self.root / ATIME_JOURNAL
-
-    @contextlib.contextmanager
-    def _journal_lock(self, mode: int):
-        """Hold ``flock(mode)`` on the journal lock file.
-
-        Without it, a compaction in one process drops every line another
-        process appends between the compaction's read and its
-        ``os.replace``.
-        """
-        with open(self.root / JOURNAL_LOCK, "a") as handle:
-            fcntl.flock(handle, mode)
-            yield
-
-    def _touch(self, rel_key: str) -> None:
-        if self.max_bytes is None:
-            return
-        line = json.dumps({"k": rel_key, "t": round(time.time(), 3)})
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with self._journal_lock(fcntl.LOCK_SH):
-                with open(self._journal_path, "a") as handle:
-                    handle.write(line + "\n")
-        except OSError:
-            return  # recency tracking is best-effort
-        self._journal_appends += 1
-        if self._journal_appends >= _JOURNAL_COMPACT_EVERY:
-            self._compact_journal()
-
-    def _load_atimes(self) -> dict[str, float]:
-        """Latest journalled access time per entry; torn lines skipped."""
-        atimes: dict[str, float] = {}
-        try:
-            text = self._journal_path.read_text()
-        except OSError:
-            return atimes
-        for line in text.splitlines():
-            try:
-                record = json.loads(line)
-                atimes[record["k"]] = float(record["t"])
-            except (ValueError, KeyError, TypeError):
-                continue  # torn or garbled line: at worst a stale atime
-        return atimes
-
-    def _compact_journal(self) -> None:
-        """Rewrite the journal to one line per live entry, atomically."""
-        tmp = self.root / f".{ATIME_JOURNAL}.tmp-{os.getpid()}"
-        try:
-            with self._journal_lock(fcntl.LOCK_EX):
-                atimes = self._load_atimes()
-                live = {rel for rel, _, _, _ in self._iter_entries()}
-                lines = [
-                    json.dumps({"k": rel, "t": stamp})
-                    for rel, stamp in sorted(atimes.items())
-                    if rel in live
-                ]
-                tmp.write_text("".join(line + "\n" for line in lines))
-                os.replace(tmp, self._journal_path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-        self._journal_appends = 0
 
     def quarantine(self, stage: str, key: str, reason: str) -> None:
         """Move a bad entry to ``quarantine/<stage>/`` with a reason file.
@@ -359,7 +274,11 @@ class ArtifactCache:
             )
             return None
         self.stats.hits += 1
-        self._touch(f"{stage}/{key}")
+        if self.max_bytes is not None:
+            try:
+                os.utime(path)  # the hit is the entry's recency
+            except OSError:
+                pass  # evicted meanwhile, or a read-only root
         return data
 
     def reject(self, stage: str, key: str, reason: str) -> None:
@@ -407,7 +326,6 @@ class ArtifactCache:
                 pass
             raise
         self.stats.writes += 1
-        self._touch(f"{stage}/{key}")
         injector = self.fault_injector
         if injector is not None and injector.corrupt_write(key):
             # Test-only torn-write simulation: shear the published entry
@@ -426,20 +344,16 @@ class ArtifactCache:
     def evict(self, max_bytes: int) -> int:
         """Evict least-recently-used entries until ≤ ``max_bytes`` live.
 
-        Recency is the journalled access time where one exists, file
-        mtime otherwise (fresh cache, torn journal line, or an entry
-        written by an unbudgeted worker cache sharing the root).
-        Entries in the old fan-out layout, which no ``get`` reads, go
-        first.  Returns the number of entries removed.
+        Recency is file mtime: ``put`` publishes a fresh file and a
+        budgeted ``get`` hit sets it to now.  Entries in the old fan-out
+        layout, which no ``get`` reads, go first.  Returns the number of
+        entries removed.
         """
         entries = list(self._iter_entries())
         total = sum(size for _, _, size, _ in entries)
         removed = 0
         if total > max_bytes:
-            atimes = self._load_atimes()
-            entries.sort(
-                key=lambda e: (e[0].count("/") == 1, atimes.get(e[0], e[3]))
-            )
+            entries.sort(key=lambda e: (e[0], e[3]))
             for _, path, size, _ in entries:
                 if total <= max_bytes:
                     break
@@ -450,7 +364,6 @@ class ArtifactCache:
                 total -= size
                 removed += 1
             self.stats.evictions += removed
-            self._compact_journal()
         self._approx_bytes = total
         return removed
 

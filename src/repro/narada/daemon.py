@@ -603,6 +603,8 @@ class ReproDaemon:
                     if self._draining.is_set():
                         break
                     continue
+                except OSError:
+                    break  # the peer reset or vanished: nothing to answer
                 except ProtocolError as error:
                     # The stream is desynced; answer with a structured
                     # error frame (best-effort — the peer may be the

@@ -171,19 +171,11 @@ class UnitExecutionError(Exception):
 class FaultPlan:
     """Parsed ``--fault-inject`` spec: per-kind injection probabilities.
 
-    The first three kinds are worker-level (PR 5): ``crash`` kills the
-    worker process mid-unit, ``hang`` sleeps past the watchdog,
-    ``corrupt`` tears a cache entry after its atomic publish.  The rest
-    are the daemon-layer chaos kinds:
-
-    * ``enospc`` — a cache write raises ``OSError(ENOSPC)`` before the
-      temp file is published (the cache must degrade to a non-caching
-      pipeline, never crash the unit);
-    * ``torn_frame`` / ``oversize_frame`` / ``slow_client`` — wire-level
-      client misbehavior, consumed by the chaos bench's client driver
-      (``benchmarks/bench_chaos_daemon.py``) to decide per request
-      whether to shear a frame, send an oversized length prefix, or
-      stall mid-frame.
+    ``crash`` kills the worker process mid-unit, ``hang`` sleeps past
+    the watchdog, ``corrupt`` tears a cache entry after its atomic
+    publish, and ``enospc`` makes a cache write raise
+    ``OSError(ENOSPC)`` before the temp file is published (the cache
+    must degrade to a non-caching pipeline, never crash the unit).
 
     All kinds share the sha-keyed :func:`draw` discipline: injections
     are a pure function of ``(kind, key, attempt)``, so a chaos run is
@@ -194,19 +186,8 @@ class FaultPlan:
     hang: float = 0.0
     corrupt: float = 0.0
     enospc: float = 0.0
-    torn_frame: float = 0.0
-    oversize_frame: float = 0.0
-    slow_client: float = 0.0
 
-    KINDS = (
-        "crash",
-        "hang",
-        "corrupt",
-        "enospc",
-        "torn_frame",
-        "oversize_frame",
-        "slow_client",
-    )
+    KINDS = ("crash", "hang", "corrupt", "enospc")
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -246,9 +227,7 @@ def draw(kind: str, key: str, attempt: int) -> float:
 
     Keyed on content only — never on wall clock, process identity, or
     pool scheduling — so a fault-injected run is reproducible, and on
-    the attempt index so retries redraw and eventually pass.  Public:
-    the daemon chaos bench keys its client-side misbehavior (torn
-    frames, stalls) on the same discipline.
+    the attempt index so retries redraw and eventually pass.
     """
     digest = hashlib.sha256(f"{kind}\x1f{key}\x1f{attempt}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)

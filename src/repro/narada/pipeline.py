@@ -218,10 +218,6 @@ class Narada:
             self._analysis = analyze_traces(self.run_seed_suite())
         return self._analysis
 
-    def use_analysis(self, analysis: AnalysisResult) -> None:
-        """Adopt a precomputed (e.g. cache-restored) analysis result."""
-        self._analysis = analysis
-
     # ------------------------------------------------------------------
     # Stage 2b: static lockset pre-filter.
 

@@ -1,4 +1,4 @@
-"""Cache lifecycle: LRU byte budgets, the crash-safe atime journal,
+"""Cache lifecycle: LRU byte budgets with entry mtimes as recency,
 quarantine GC, ENOSPC resilience, and the `repro cache` CLI."""
 
 import json
@@ -8,8 +8,6 @@ import time
 
 from repro.cli import main as cli_main
 from repro.narada import ArtifactCache, FaultInjector, FaultPlan
-from repro.narada import cache as cache_mod
-from repro.narada.cache import ATIME_JOURNAL
 
 
 def _fill(cache: ArtifactCache, stage: str, count: int, payload_bytes: int = 200):
@@ -59,7 +57,8 @@ class TestLruEviction:
         cache = ArtifactCache(tmp_path)
         _fill(cache, "analysis", 3)
         assert cache.stats.evictions == 0
-        assert not (tmp_path / ATIME_JOURNAL).exists()
+        assert not (tmp_path / "atime.journal").exists()
+        assert {path.name for path in tmp_path.iterdir()} == {"analysis"}
 
     def test_quarantine_excluded_from_budget(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=100_000)
@@ -97,7 +96,7 @@ class TestOldLayout:
         entry_size = cache.total_bytes() // 3
         (old,) = _fill(cache, "synthesis", 1)
         self._nest(cache, "synthesis", old)
-        # The old entry is the newest by both mtime and the journal.
+        # The old entry is the newest by mtime.
         future = time.time() + 3600
         nested = tmp_path / "synthesis" / old[:2] / f"{old}.json"
         os.utime(nested, (future, future))
@@ -107,56 +106,77 @@ class TestOldLayout:
         assert all(cache.get("detection", key) is not None for key in flat)
 
 
-class TestAtimeJournal:
-    def test_torn_trailing_line_tolerated(self, tmp_path):
+class TestMtimeRecency:
+    def test_recency_survives_a_restart(self, tmp_path):
+        keys = _fill(ArtifactCache(tmp_path, max_bytes=100_000), "analysis", 4)
+        time.sleep(0.01)
+        assert ArtifactCache(tmp_path, max_bytes=100_000).get(
+            "analysis", keys[0]
+        ) is not None
+        fresh = ArtifactCache(tmp_path, max_bytes=100_000)
+        fresh.evict(fresh.total_bytes() // 4)
+        # The hit in another instance made keys[0] the newest entry.
+        assert fresh.get("analysis", keys[0]) is not None
+        assert all(fresh.get("analysis", key) is None for key in keys[1:])
+
+    def test_unbudgeted_hit_leaves_mtime_alone(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        (key,) = _fill(cache, "analysis", 1)
+        path = cache._path("analysis", key)
+        old = time.time() - 3600
+        os.utime(path, (old, old))
+        assert cache.get("analysis", key) is not None
+        assert path.stat().st_mtime == old
+
+    def test_hit_on_a_vanished_entry_still_returns_it(self, tmp_path, monkeypatch):
         cache = ArtifactCache(tmp_path, max_bytes=100_000)
-        _fill(cache, "analysis", 3)
-        journal = tmp_path / ATIME_JOURNAL
-        with open(journal, "a") as handle:
-            handle.write('{"k": "analysis/zz", "t": 1')  # crashed writer
-        atimes = cache._load_atimes()
-        assert len(atimes) == 3  # torn line skipped, not fatal
-        assert cache.evict(0) == 3  # eviction still works
+        (key,) = _fill(cache, "analysis", 1)
+        real_utime = os.utime
 
-    def test_compaction_keeps_latest_per_key(self, tmp_path):
-        cache = ArtifactCache(tmp_path, max_bytes=100_000)
-        keys = _fill(cache, "analysis", 2)
-        for _ in range(5):
-            cache.get("analysis", keys[0])
-        cache._compact_journal()
-        lines = (tmp_path / ATIME_JOURNAL).read_text().splitlines()
-        assert len(lines) == 2  # one line per live entry
-        parsed = {json.loads(line)["k"] for line in lines}
-        assert parsed == {f"analysis/{k}" for k in keys}
+        def evicted_first(path, *args, **kwargs):
+            os.unlink(path)  # another process evicts it after the read
+            return real_utime(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", evicted_first)
+        data = cache.get("analysis", key)
+        assert data is not None and data["i"] == 0
+        assert cache.stats.hits == 1
+        assert not cache._path("analysis", key).exists()
 
 
-def _journal_worker(root: str, worker: int, barrier, rounds: int) -> None:
-    """One of two processes sharing a budgeted cache root.
+#: Budget of the two-process test: about a tenth of what they write.
+_SHARED_BUDGET = 20_000
 
-    Compacts the journal every few appends, so compactions (read,
-    rewrite, ``os.replace``) keep overlapping the other process's
-    appends.
+
+def _sharing_worker(root: str, worker: int, barrier, rounds: int) -> None:
+    """One of two processes putting and getting in one budgeted root.
+
+    Each reads the other's entries, so its hits touch entries the other
+    process is evicting.  It ends with the evict ``repro cache evict``
+    would make: a process's running byte estimate counts only its own
+    writes, so only a rescan after both have written sees them all.
     """
-    cache_mod._JOURNAL_COMPACT_EVERY = 3
-    cache = ArtifactCache(root, max_bytes=60_000)
+    cache = ArtifactCache(root, max_bytes=_SHARED_BUDGET)
     barrier.wait(30)
     for i in range(rounds):
         key = f"{worker}{i:03d}" + "b" * 60
-        cache.put("detection", key, {"worker": worker, "i": i})
+        cache.put("detection", key, {"worker": worker, "i": i, "pad": "x" * 200})
         other = f"{1 - worker}{i:03d}" + "b" * 60
         cache.get("detection", other)
+    assert cache.stats.evictions > 0
+    cache.evict(_SHARED_BUDGET)
 
 
-class TestTwoProcessJournal:
-    def test_concurrent_compaction_loses_no_live_entry(self, tmp_path):
-        """Two processes put/get into one budgeted root while each keeps
-        compacting the atime journal: every entry still on disk at the
-        end must still have its journal line."""
+class TestTwoProcessRoot:
+    def test_shared_root_holds_only_entries_within_budget(self, tmp_path):
+        """Two processes put and get in one budgeted root: neither
+        raises, and the root is left with stage directories alone and
+        its bytes inside the budget."""
         ctx = multiprocessing.get_context("spawn")
         barrier = ctx.Barrier(2)
         procs = [
             ctx.Process(
-                target=_journal_worker, args=(str(tmp_path), w, barrier, 150)
+                target=_sharing_worker, args=(str(tmp_path), w, barrier, 150)
             )
             for w in (0, 1)
         ]
@@ -170,10 +190,14 @@ class TestTwoProcessJournal:
             for proc in procs:
                 if proc.is_alive():
                     proc.kill()
-        cache = ArtifactCache(tmp_path, max_bytes=60_000)
-        live = {rel for rel, _, _, _ in cache._iter_entries()}
-        assert live
-        assert live - set(cache._load_atimes()) == set()
+        assert {path.name for path in tmp_path.iterdir()} <= {
+            "detection",
+            "quarantine",
+        }
+        cache = ArtifactCache(tmp_path, max_bytes=_SHARED_BUDGET)
+        assert 0 < cache.total_bytes() <= _SHARED_BUDGET
+        for path in (tmp_path / "detection").glob("*.json"):
+            assert cache.get("detection", path.stem) is not None
 
 
 class TestQuarantineGC:

@@ -34,7 +34,6 @@ from repro.narada import (
     default_socket_path,
     subject_specs,
 )
-from repro.narada.cache import ATIME_JOURNAL, JOURNAL_LOCK
 from repro.narada.daemon import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -286,8 +285,7 @@ class TestRequestHandling:
                         }
                     )
                     assert response["ok"]
-        stages = {"synthesis", "detection"}
-        allowed = stages | {"quarantine", ATIME_JOURNAL, JOURNAL_LOCK}
+        allowed = {"synthesis", "detection", "quarantine"}
         assert {path.name for path in root.iterdir()} <= allowed
         assert cache.stats.evictions > 0
 

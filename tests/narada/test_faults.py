@@ -102,6 +102,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan.parse("crash:0.3,explode:1.0")
 
+    @pytest.mark.parametrize("kind", ["torn_frame", "oversize_frame", "slow_client"])
+    def test_wire_kinds_are_unknown(self, kind):
+        # The chaos bench builds its bad frames by hand; a plan that
+        # accepted these kinds would inject nothing.
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.parse(f"{kind}:1")
+
     def test_bad_rate_is_an_error(self):
         with pytest.raises(ValueError, match="bad fault-inject entry"):
             FaultPlan.parse("crash:lots")

@@ -158,6 +158,32 @@ class TestFrameEdgeCases:
             response = client.request({"op": "ping"})
             assert response["ok"] is True
 
+    def test_reset_while_idle_closes_quietly(self, daemon):
+        """A peer reset during the idle wait for a frame ends the
+        handler without an exception, and the daemon keeps serving."""
+
+        class ResetConnection:
+            closed = False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.closed = True
+
+            def settimeout(self, seconds):
+                pass
+
+            def recv(self, count):
+                raise ConnectionResetError("reset by peer")
+
+        conn = ResetConnection()
+        daemon._handle_connection(conn)
+        assert conn.closed
+        assert daemon.stats.protocol_errors == 0
+        with DaemonClient(socket_path=daemon.socket_path) as client:
+            assert client.request({"op": "ping"})["ok"] is True
+
 
 class TestAdmissionShedding:
     def test_queue_full_sheds_busy_with_retry_hint(self, daemon):
