@@ -28,6 +28,7 @@ from repro.narada import (
     PipelineOrchestrator,
     SubjectSpec,
     SynthesisReport,
+    UnitExecutionError,
 )
 from repro.subjects import SubjectInfo, all_subjects
 
@@ -75,9 +76,12 @@ def synthesis_for(key: str) -> tuple[SubjectInfo, Narada, SynthesisReport]:
 
 def detection_for(key: str) -> DetectionReport:
     if key not in _detection:
-        subject, _, report = synthesis_for(key)
+        subject, _, _ = synthesis_for(key)
         with _orchestrator() as orch:
-            _detection[key] = orch.detect(_spec(subject), report)
+            outcome = orch.run([_spec(subject)])[0]
+        if outcome.detection is None or outcome.detection_partial:
+            raise UnitExecutionError(outcome.failures[0])
+        _detection[key] = outcome.detection
     return _detection[key]
 
 

@@ -50,11 +50,13 @@ from repro.corpus import (  # noqa: E402
     generate_corpus,
     run_corpus,
 )
+from repro.corpus.generator import MAX_TEMPLATES, MIN_TEMPLATES  # noqa: E402
 from repro.narada import (  # noqa: E402
     ArtifactCache,
     PipelineConfig,
     PipelineOrchestrator,
 )
+from repro.narada.orchestrator import WAVE_SIZE  # noqa: E402
 
 OUT_PATH = pathlib.Path(__file__).parent / "out" / "BENCH_corpus.json"
 
@@ -74,14 +76,14 @@ DEFAULT_RUNS = 2
 REQUIRED_WARM_SPEEDUP = 5.0
 
 
-def _run(config, jobs, cache_dir, runs, batch_size):
+def _run(config, jobs, cache_dir, runs):
     start = time.perf_counter()
     with PipelineOrchestrator(
         jobs=jobs,
         cache=ArtifactCache(cache_dir),
         config=PipelineConfig(random_runs=runs),
     ) as orch:
-        result = run_corpus(config, orch, batch_size=batch_size)
+        result = run_corpus(config, orch)
     return time.perf_counter() - start, result
 
 
@@ -90,7 +92,6 @@ def run_bench(
     seed: int = DEFAULT_SEED,
     jobs: int = 2,
     runs: int = DEFAULT_RUNS,
-    batch_size: int = 25,
     out_path: pathlib.Path = OUT_PATH,
 ) -> dict:
     """Generate, pipeline twice, score; write and return the payload."""
@@ -103,8 +104,8 @@ def run_bench(
 
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-corpus-")
     try:
-        cold_s, cold = _run(config, jobs, cache_dir, runs, batch_size)
-        warm_s, warm = _run(config, jobs, cache_dir, runs, batch_size)
+        cold_s, cold = _run(config, jobs, cache_dir, runs)
+        warm_s, warm = _run(config, jobs, cache_dir, runs)
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -131,10 +132,10 @@ def run_bench(
             "seed": seed,
             "random_runs": runs,
             "jobs": jobs,
-            "batch_size": batch_size,
+            "batch_size": WAVE_SIZE,
             "templates": list(config.templates),
-            "min_templates": config.min_templates,
-            "max_templates": config.max_templates,
+            "min_templates": MIN_TEMPLATES,
+            "max_templates": MAX_TEMPLATES,
         },
         "machine": {
             "cpu_count": cpu_count,
@@ -252,7 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--runs", type=int, default=DEFAULT_RUNS)
-    parser.add_argument("--batch-size", type=int, default=25)
     parser.add_argument("--out", type=pathlib.Path, default=OUT_PATH)
     args = parser.parse_args(argv)
     payload = run_bench(
@@ -260,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         jobs=args.jobs,
         runs=args.runs,
-        batch_size=args.batch_size,
         out_path=args.out,
     )
     print(_summarize(payload))

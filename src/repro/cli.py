@@ -32,14 +32,16 @@ writing Python:
 ``FILE`` is a MiniJ source file containing the library classes and its
 sequential seed tests.
 
-Pipeline-running commands share three orchestration flags: ``--jobs N``
+Each command takes only the flags it reads (README.md tabulates them).
+The commands that run the orchestrator share its flags: ``--jobs N``
 fans subjects out over a process pool, one unit per subject (results
-are bit-identical to ``--jobs 1``), ``--no-cache``
-disables the persistent content-addressed artifact cache, and
-``--cache-dir`` points the cache somewhere other than
-``$REPRO_CACHE_DIR`` / ``~/.cache/repro-narada``.  With a pool, each
-worker round-trip carries ``ceil(queued units / (2 * jobs))`` units;
-batch boundaries never change results.
+are bit-identical to ``--jobs 1``), ``--no-cache`` disables the
+persistent content-addressed artifact cache, ``--cache-dir`` points the
+cache somewhere other than ``$REPRO_CACHE_DIR`` /
+``~/.cache/repro-narada``, and ``--no-static-filter`` turns the static
+lockset pre-filter off.  With a pool, each worker round-trip carries
+``ceil(queued units / (2 * jobs))`` units; batch boundaries never
+change results.
 
 They also share the fault-tolerance flags: ``--unit-timeout`` arms a
 wall-clock watchdog per unit (one subject's synthesis and fuzzing),
@@ -48,7 +50,9 @@ wall-clock watchdog per unit (one subject's synthesis and fuzzing),
 fault hook.  None of these change cache keys or results — a retried run
 is bit-identical to a clean one.  Each finished subject is published to
 the cache at once, so rerunning an interrupted command is its resume:
-only the unfinished subjects run again.
+only the unfinished subjects run again.  ``--trace-stats``,
+``--static-stats`` and ``--json`` go only on the commands that print
+them.
 """
 
 from __future__ import annotations
@@ -105,8 +109,12 @@ def _load_target(args) -> tuple[ClassTable, str, str]:
     return table, target, source
 
 
+def _add_json(parser: argparse.ArgumentParser, text="JSON output") -> None:
+    parser.add_argument("--json", action="store_true", help=text)
+
+
 def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """Orchestration flags shared by every pipeline-running command."""
+    """Orchestration flags of every command that runs the orchestrator."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes; 1 runs inline with no pool (default)",
@@ -121,20 +129,9 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
              "~/.cache/repro-narada)",
     )
     parser.add_argument(
-        "--trace-stats", action="store_true",
-        help="print packed-trace statistics: per-stage event counts, "
-             "packed bytes, detector events/sec, rows in repeat blocks, "
-             "fuzz memo hit rate",
-    )
-    parser.add_argument(
         "--no-static-filter", action="store_true",
         help="disable the static lockset pre-filter: every candidate "
              "pair gets the full fuzz budget (pre-filter-era behavior)",
-    )
-    parser.add_argument(
-        "--static-stats", action="store_true",
-        help="print the candidate funnel: pairs generated / statically "
-             "pruned (by reason) / ranked / tests fuzzed vs skipped",
     )
     parser.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
@@ -158,6 +155,25 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_report_args(
+    parser: argparse.ArgumentParser, static_stats: bool = True
+) -> None:
+    """``--trace-stats``, and ``--static-stats`` for a command that has
+    a candidate funnel to print."""
+    parser.add_argument(
+        "--trace-stats", action="store_true",
+        help="print packed-trace statistics: per-stage event counts, "
+             "packed bytes, detector events/sec, rows in repeat blocks, "
+             "fuzz memo hit rate",
+    )
+    if static_stats:
+        parser.add_argument(
+            "--static-stats", action="store_true",
+            help="print the candidate funnel: pairs generated / statically "
+                 "pruned (by reason) / ranked / tests fuzzed vs skipped",
+        )
+
+
 def _add_target_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", nargs="?", help="MiniJ source file")
     parser.add_argument(
@@ -167,12 +183,10 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--class", dest="target_class", help="class under analysis"
     )
-    parser.add_argument("--json", action="store_true", help="JSON output")
-    _add_pipeline_args(parser)
 
 
 def _cache_from(args) -> ArtifactCache | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
     return ArtifactCache(
         args.cache_dir,
@@ -186,7 +200,7 @@ def _pipeline_config(args, **config) -> PipelineConfig:
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         fault_inject=args.fault_inject,
-        static_filter=not getattr(args, "no_static_filter", False),
+        static_filter=not args.no_static_filter,
         **config,
     )
 
@@ -488,7 +502,6 @@ def cmd_run(args) -> int:
     test_names = (
         [args.test] if args.test else [t.name for t in table.program.tests]
     )
-    trace_stats = getattr(args, "trace_stats", False)
     traces = []
     total_rows = 0
     sweep_seconds = 0.0
@@ -513,7 +526,7 @@ def cmd_run(args) -> int:
                 failures += 1
             passes = [cls() for cls in pass_classes]
             trace = recorder.packed
-            if trace_stats:
+            if args.trace_stats:
                 traces.append(trace)
             total_rows += len(trace)
             started = time.perf_counter()
@@ -531,7 +544,7 @@ def cmd_run(args) -> int:
             print(f"    race on {key[0]}.{key[1]} between sites {key[2]}")
         if races or failures:
             exit_code = 1
-    if trace_stats:
+    if args.trace_stats:
         rate = total_rows / sweep_seconds if sweep_seconds > 0 else float("inf")
         print(
             f"\n-- trace stats --\n{_repetition(traces)}\n"
@@ -632,8 +645,6 @@ def _corpus_config(args):
             seed=args.seed,
             count=args.count,
             templates=templates,
-            min_templates=args.min_templates,
-            max_templates=args.max_templates,
         ).validate()
     except ValueError as error:
         raise SystemExit(f"error: {error}")
@@ -691,31 +702,10 @@ def cmd_corpus_run(args) -> int:
 
     config = _corpus_config(args)
     with _orchestrator(args, random_runs=args.runs) as orch:
-        result = run_corpus(config, orch, batch_size=args.batch_size)
+        result = run_corpus(config, orch)
         problems = result.problems()
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "subjects": result.subjects,
-                        "recall": result.recall,
-                        "precision": result.precision,
-                        "pair_precision": result.pair_precision,
-                        "pruned_pairs": result.pruned_pairs,
-                        "pruned_fraction": result.pruned_fraction,
-                        "pruned_oracle_races": result.pruned_oracle_races,
-                        "oracle_races": result.oracle_races,
-                        "detected_races": result.detected_races,
-                        "missed_races": result.missed_races,
-                        "deadlock_expected": result.deadlock_expected,
-                        "deadlock_observed": result.deadlock_observed,
-                        "failed_subjects": result.failed_subjects,
-                        "problems": problems,
-                        "digests": result.digests,
-                    },
-                    indent=2,
-                )
-            )
+            print(json.dumps(result.to_dict(), indent=2))
         else:
             print(result.summary())
             for problem in problems:
@@ -802,10 +792,7 @@ def _client_request(args) -> dict:
         if args.vm_seed is not None:
             request["vm_seed"] = args.vm_seed
     elif args.client_command == "corpus":
-        request.update(
-            seed=args.seed, count=args.count, runs=args.runs,
-            batch_size=args.batch_size,
-        )
+        request.update(seed=args.seed, count=args.count, runs=args.runs)
         if args.templates:
             request["templates"] = [
                 t.strip() for t in args.templates.split(",") if t.strip()
@@ -1097,31 +1084,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("subjects", help="list the paper subjects")
-    p.add_argument("--json", action="store_true")
+    _add_json(p)
     p.set_defaults(func=cmd_subjects)
 
     p = sub.add_parser("analyze", help="print sequential-trace summaries")
     _add_target_args(p)
+    _add_json(p)
+    _add_report_args(p, static_stats=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("pairs", help="print potential racy pairs")
     _add_target_args(p)
+    _add_json(p)
+    _add_pipeline_args(p)
+    _add_report_args(p)
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("synth", help="synthesize racy tests")
     _add_target_args(p)
+    _add_json(p)
+    _add_pipeline_args(p)
+    _add_report_args(p, static_stats=False)
     p.add_argument("--show", type=int, default=3, help="tests to render")
     p.add_argument("--all", action="store_true", help="render all tests")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fuzz", help="synthesize + run the detector backend")
     _add_target_args(p)
+    _add_json(p)
+    _add_pipeline_args(p)
+    _add_report_args(p)
     p.add_argument("--runs", type=int, default=6, help="random schedules/test")
     p.add_argument("--no-directed", action="store_true")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("chess", help="bounded systematic exploration")
     _add_target_args(p)
+    _add_pipeline_args(p)
+    _add_report_args(p, static_stats=False)
     p.add_argument("--bound", type=int, default=2, help="preemption bound")
     p.add_argument("--tests", type=int, default=3, help="tests to explore")
     p.add_argument("--max-schedules", type=int, default=2000)
@@ -1131,6 +1131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "emit", help="emit synthesized tests as standalone MiniJ source"
     )
     _add_target_args(p)
+    _add_pipeline_args(p)
+    _add_report_args(p, static_stats=False)
     p.add_argument("--count", type=int, default=3, help="tests to emit")
     p.add_argument("--all", action="store_true")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
@@ -1156,6 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fault-tolerant pipeline instead of a MiniJ file",
     )
     _add_pipeline_args(p)
+    _add_report_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("deadlock", help="synthesize + confirm deadlock tests")
@@ -1177,6 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect", action="store_true", help="include Table 5")
     p.add_argument("--runs", type=int, default=4)
     _add_pipeline_args(p)
+    _add_report_args(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser(
@@ -1195,15 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--templates", metavar="T1,T2",
             help="template pool (default: all; see repro.corpus.templates)",
         )
-        sp.add_argument(
-            "--min-templates", type=int, default=2, metavar="N",
-            help="minimum templates per subject (default: 2)",
-        )
-        sp.add_argument(
-            "--max-templates", type=int, default=4, metavar="N",
-            help="maximum templates per subject (default: 4)",
-        )
-        sp.add_argument("--json", action="store_true", help="JSON output")
+        _add_json(sp)
 
     g = corpus_sub.add_parser(
         "generate",
@@ -1224,10 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(r)
     r.add_argument(
         "--runs", type=int, default=2, help="random schedules/test"
-    )
-    r.add_argument(
-        "--batch-size", type=int, default=25, metavar="N",
-        help="orchestrator wave size (bounds memory; results identical)",
     )
     _add_pipeline_args(r)
     r.set_defaults(func=cmd_corpus_run)
@@ -1292,17 +1284,12 @@ def build_parser() -> argparse.ArgumentParser:
              "covering a daemon that is still binding)",
     )
     client_sub = p.add_subparsers(dest="client_command", required=True)
-
-    def _add_json(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--json", action="store_true", help="raw JSON response"
-        )
-
+    raw = "raw JSON response"
     cp = client_sub.add_parser("ping", help="daemon liveness + uptime")
     cs = client_sub.add_parser("stats", help="cache/pool/request counters")
     csd = client_sub.add_parser("shutdown", help="ask the daemon to drain")
     for leaf in (cp, cs, csd):
-        _add_json(leaf)
+        _add_json(leaf, raw)
         leaf.set_defaults(func=cmd_client)
 
     for op, title in (
@@ -1326,7 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--deadline", type=float, default=None, metavar="SECONDS",
             help="per-request deadline enforced by the daemon",
         )
-        _add_json(cd)
+        _add_json(cd, raw)
         cd.set_defaults(func=cmd_client)
 
     cc = client_sub.add_parser(
@@ -1336,12 +1323,11 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--count", type=int, default=20, metavar="N")
     cc.add_argument("--runs", type=int, default=2)
     cc.add_argument("--templates", metavar="T1,T2")
-    cc.add_argument("--batch-size", type=int, default=25, metavar="N")
     cc.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-request deadline enforced by the daemon",
     )
-    _add_json(cc)
+    _add_json(cc, raw)
     cc.set_defaults(func=cmd_client)
 
     p = sub.add_parser(
@@ -1361,7 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="entry count, byte total, quarantine load"
     )
     _add_cache_dir(chs)
-    chs.add_argument("--json", action="store_true", help="JSON output")
+    _add_json(chs)
     chs.set_defaults(func=cmd_cache_stats)
 
     che = cache_sub.add_parser(

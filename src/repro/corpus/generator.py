@@ -30,6 +30,11 @@ from repro.lang.build import class_decl as build_class
 from repro.lang.build import constructor as build_ctor
 from repro.lang.pretty import pretty_program
 
+#: Templates composed into one subject: each subject draws a width in
+#: ``[MIN_TEMPLATES, MAX_TEMPLATES]`` from its own RNG.
+MIN_TEMPLATES = 2
+MAX_TEMPLATES = 4
+
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -38,8 +43,6 @@ class CorpusConfig:
     seed: int = 0
     count: int = 200
     templates: tuple[str, ...] = template_names()
-    min_templates: int = 2
-    max_templates: int = 4
     key_prefix: str = "G"
 
     def validate(self) -> "CorpusConfig":
@@ -50,8 +53,6 @@ class CorpusConfig:
             )
         if not self.templates:
             raise ValueError("template pool is empty")
-        if not 1 <= self.min_templates <= self.max_templates:
-            raise ValueError("need 1 <= min_templates <= max_templates")
         return self
 
 
@@ -136,7 +137,7 @@ def generate_subject(
     """Subject ``index`` of the configured corpus."""
     config.validate()
     rng = subject_rng(config.seed, index)
-    width = rng.randint(config.min_templates, config.max_templates)
+    width = rng.randint(MIN_TEMPLATES, MAX_TEMPLATES)
     chosen = [rng.choice(config.templates) for _ in range(width)]
     class_name = f"Gen{index:03d}"
     return compose_subject(

@@ -266,6 +266,28 @@ class CorpusResult:
                 )
         return out
 
+    def to_dict(self) -> dict:
+        """The headline metrics, the recall problems and the per-subject
+        digests: the ``corpus run --json`` output and the daemon's
+        ``corpus`` reply."""
+        return {
+            "subjects": self.subjects,
+            "recall": self.recall,
+            "precision": self.precision,
+            "pair_precision": self.pair_precision,
+            "pruned_pairs": self.pruned_pairs,
+            "pruned_fraction": self.pruned_fraction,
+            "pruned_oracle_races": self.pruned_oracle_races,
+            "oracle_races": self.oracle_races,
+            "detected_races": self.detected_races,
+            "missed_races": self.missed_races,
+            "deadlock_expected": self.deadlock_expected,
+            "deadlock_observed": self.deadlock_observed,
+            "failed_subjects": self.failed_subjects,
+            "problems": self.problems(),
+            "digests": self.digests,
+        }
+
     def summary(self) -> str:
         return (
             f"{self.subjects} subject(s): "
@@ -286,12 +308,11 @@ def run_corpus(
     config: CorpusConfig,
     orchestrator: PipelineOrchestrator,
     subjects: list[GeneratedSubject] | None = None,
-    batch_size: int = 25,
 ) -> CorpusResult:
     """Generate (unless given), run, and score a corpus.
 
-    Streams subjects through the orchestrator in waves of
-    ``batch_size`` via :meth:`PipelineOrchestrator.run_stream`, scoring
+    Streams subjects through the orchestrator in waves via
+    :meth:`PipelineOrchestrator.run_stream`, scoring
     and releasing each outcome as it arrives — 200 subjects' worth of
     fuzz reports never coexist in memory.
     """
@@ -300,10 +321,7 @@ def run_corpus(
     by_key = {s.key: s for s in subjects}
     scores: list[SubjectScore] = []
     digests: dict[str, str] = {}
-    stream = orchestrator.run_stream(
-        corpus_specs(subjects), detect=True, batch_size=batch_size
-    )
-    for outcome in stream:
+    for outcome in orchestrator.run_stream(corpus_specs(subjects)):
         subject = by_key[outcome.spec.name]
         scores.append(score_outcome(subject, outcome))
         digests[outcome.spec.name] = outcome.digest()

@@ -15,9 +15,11 @@ Protocol
 Length-prefixed JSON: each frame is a 4-byte big-endian unsigned length
 followed by that many bytes of UTF-8 JSON.  Requests are objects with
 an ``op`` key (``ping`` / ``stats`` / ``synthesize`` / ``detect`` /
-``corpus`` / ``shutdown``); responses always carry ``ok`` plus either
-the op's result or ``error``.  Every refusal also carries an
-``error_code``: ``bad_request`` for a request that fails validation,
+``corpus`` / ``shutdown``) and the fields that op reads
+(:data:`_OP_FIELDS`); responses always carry ``ok`` plus either the
+op's result or ``error``.  Every refusal also carries an
+``error_code``: ``bad_request`` for a request that fails validation or
+names a field its op does not read,
 ``internal`` for an unexpected failure while running it, and the shed
 and protocol codes of :data:`repro.narada.serial.ERROR_CODES`.  A
 connection may issue any number of requests back-to-back (the
@@ -124,15 +126,32 @@ def _is_int(value, least: int | None = None) -> bool:
 
 
 #: The per-request pipeline parameters: (request key, config field,
-#: check, what the check accepts).  ``runs`` is a CLI-friendly alias of
-#: ``random_runs`` and wins when a request sends both.
+#: check, what the check accepts).  ``runs`` sets ``random_runs``, the
+#: random schedules per test, under the name the CLI flag has.
 _CONFIG_FIELDS = (
     ("vm_seed", "vm_seed", _is_int, "an integer"),
-    ("rng_seed", "rng_seed", lambda v: v is None or _is_int(v), "an integer or null"),
-    ("random_runs", "random_runs", lambda v: _is_int(v, 0), "an integer >= 0"),
     ("runs", "random_runs", lambda v: _is_int(v, 0), "an integer >= 0"),
     ("directed", "directed", lambda v: isinstance(v, bool), "a boolean"),
 )
+
+_CONFIG_KEYS = tuple(key for key, _, _, _ in _CONFIG_FIELDS)
+
+_PIPELINE_FIELDS = frozenset(
+    {"source", "target_class", "name", "subjects", "deadline_s", *_CONFIG_KEYS}
+)
+
+#: The fields each op reads besides ``op``.  A request naming any
+#: other field is refused with ``bad_request``: a client that sends a
+#: field the daemon does not read learns so instead of being ignored.
+_OP_FIELDS = {
+    "ping": frozenset(),
+    "stats": frozenset(),
+    "shutdown": frozenset(),
+    "sleep": frozenset({"seconds", "deadline_s"}),
+    "synthesize": _PIPELINE_FIELDS,
+    "detect": _PIPELINE_FIELDS,
+    "corpus": frozenset({"seed", "count", "templates", "deadline_s", *_CONFIG_KEYS}),
+}
 
 
 def _checked(key: str, value, check, wants: str):
@@ -640,15 +659,19 @@ class ReproDaemon:
             request_id = f"r{self._request_counter:06d}"
             self.stats.requests += 1
         started = time.monotonic()
-        handler = getattr(self, f"_op_{op}", None) if isinstance(op, str) else None
-        if handler is None:
+        fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
+        if fields is None:
             response = encode_error_frame("bad_request", f"unknown op {op!r}")
-            response["ops"] = sorted(
-                name[4:] for name in dir(self) if name.startswith("_op_")
-            )
+            response["ops"] = sorted(_OP_FIELDS)
         else:
             try:
-                response = handler(request)
+                unknown = sorted(request.keys() - fields - {"op"})
+                if unknown:
+                    raise BadRequest(
+                        f"unknown field(s) {unknown} for op {op!r}; "
+                        f"it reads {sorted(fields)}"
+                    )
+                response = getattr(self, f"_op_{op}")(request)
             except Exception as error:  # noqa: BLE001 — reported to client
                 with self._state_lock:
                     self.stats.errors += 1
@@ -791,7 +814,14 @@ class ReproDaemon:
             self.admission.leave()
 
     def _post_run_maintenance(self) -> None:
-        """Housekeeping at the only safe point: run lock held, pool idle."""
+        """Housekeeping at the only safe point: run lock held, pool idle.
+
+        A budgeted cache is brought back within its budget by a rescan
+        of the root, which also counts what other processes sharing it
+        wrote since: a ``put`` checks only this process's own estimate.
+        """
+        if self.cache is not None and self.cache.max_bytes is not None:
+            self.cache.evict(self.cache.max_bytes)
         governor = self.governor
         pool = self._pool
         if governor is not None and governor.recycle_pending:
@@ -932,16 +962,8 @@ class ReproDaemon:
                 seed=int(request.get("seed", 0)),
                 count=int(request.get("count", 20)),
                 templates=tuple(templates),
-                min_templates=int(request.get("min_templates", 2)),
-                max_templates=int(request.get("max_templates", 4)),
             ).validate()
             config = self._request_config(request)
-            batch_size = _checked(
-                "batch_size",
-                request.get("batch_size", 25),
-                lambda v: _is_int(v, 1),
-                "an integer >= 1",
-            )
 
         def body(token: CancelToken) -> dict:
             orch = PipelineOrchestrator(
@@ -952,23 +974,13 @@ class ReproDaemon:
                 cancel=token,
             )
             try:
-                result = run_corpus(corpus_config, orch, batch_size=batch_size)
+                result = run_corpus(corpus_config, orch)
             finally:
                 orch.close()
-            ledger = orch.fault_ledger
             return {
                 "ok": True,
-                "subjects": result.subjects,
-                "recall": result.recall,
-                "precision": result.precision,
-                "pair_precision": result.pair_precision,
-                "oracle_races": result.oracle_races,
-                "detected_races": result.detected_races,
-                "missed_races": result.missed_races,
-                "failed_subjects": result.failed_subjects,
-                "problems": result.problems(),
-                "digests": result.digests,
-                "ledger": encode_fault_ledger(ledger),
+                **result.to_dict(),
+                "ledger": encode_fault_ledger(orch.fault_ledger),
             }
 
         return self._with_admission(request, body)

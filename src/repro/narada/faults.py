@@ -35,8 +35,8 @@ by the unit itself):
   artifact cache as the unit completes, so a rerun recomputes only the
   subjects in flight.
 * :class:`FaultInjector` — the test-only probabilistic fault hook
-  (``--fault-inject crash:0.3,hang:0.1,corrupt:0.05`` or the
-  ``REPRO_FAULT_INJECT`` environment variable).  Draws are sha-derived
+  (``--fault-inject crash:0.3,hang:0.1,corrupt:0.05``; pool workers
+  receive the spec in their unit's config).  Draws are sha-derived
   from ``(kind, unit key, attempt)`` — deterministic per revision,
   independent of pool scheduling, and different per attempt so injected
   failures are transient and retries converge.
@@ -57,10 +57,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process, connection
-
-#: Environment variable carrying a fault-injection spec into worker
-#: processes (test-only; same syntax as ``--fault-inject``).
-FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 
 #: How long an injected hang sleeps when no watchdog deadline exists, so
 #: an unwatched hang degrades to latency instead of blocking forever.
@@ -244,14 +240,13 @@ class FaultInjector:
     def from_spec(
         cls, spec: str | None, unit_timeout: float | None = None
     ) -> "FaultInjector | None":
-        """Injector for a spec string (or the env fallback), or None.
+        """Injector for a spec string, or None.
 
         An injected hang must outlive the watchdog deadline to trigger
         it, but must still terminate when no deadline is armed — so the
         sleep is ``3 * unit_timeout`` when one exists and a small
         constant otherwise.
         """
-        spec = spec if spec is not None else os.environ.get(FAULT_INJECT_ENV)
         if not spec:
             return None
         plan = FaultPlan.parse(spec)

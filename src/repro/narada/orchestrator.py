@@ -94,6 +94,11 @@ from repro.narada.serial import (
 #: sources.
 SOURCE_MEMO_SIZE = 1024
 
+#: Subjects per wave of :meth:`PipelineOrchestrator.run_stream`: it
+#: bounds how many subjects' reports a corpus run holds at once, and
+#: wave boundaries never change a result.
+WAVE_SIZE = 25
+
 #: sha256(source) -> (table digest, class names), least recent first.
 _SOURCE_MEMO: OrderedDict[bytes, tuple[str, tuple[str, ...]]] = OrderedDict()
 _SOURCE_MEMO_LOCK = threading.Lock()
@@ -169,7 +174,6 @@ class PipelineConfig:
     """
 
     vm_seed: int = 0
-    rng_seed: int | None = None
     random_runs: int = 8
     directed: bool = True
     static_filter: bool = True
@@ -181,7 +185,6 @@ class PipelineConfig:
     def synthesis_config(self, target_class: str) -> dict:
         return {
             "vm_seed": self.vm_seed,
-            "rng_seed": self.rng_seed,
             "target_class": target_class,
             "static_filter": self.static_filter,
         }
@@ -201,13 +204,12 @@ class PipelineConfig:
         )
 
     def injector(self) -> FaultInjector | None:
-        """The configured (or env-keyed) fault injector, if any."""
+        """The configured fault injector, if any."""
         return FaultInjector.from_spec(self.fault_inject, self.unit_timeout)
 
     def to_dict(self) -> dict:
         return {
             "vm_seed": self.vm_seed,
-            "rng_seed": self.rng_seed,
             "random_runs": self.random_runs,
             "directed": self.directed,
             "static_filter": self.static_filter,
@@ -312,10 +314,7 @@ def _subject_unit(
     watchdog timeout is no test's fault, so it fails the whole unit.
     """
     narada = Narada(
-        table,
-        seed=config.vm_seed,
-        rng_seed=config.rng_seed,
-        static_filter=config.static_filter,
+        table, seed=config.vm_seed, static_filter=config.static_filter
     )
     if synthesis is None:
         synthesis = narada.synthesize_for_class(target_class)
@@ -527,12 +526,11 @@ class PipelineOrchestrator:
         specs: list[SubjectSpec],
         programs: list[ProgramSource],
         detect: bool,
-        given: list[SynthesisReport] | None = None,
     ) -> list[SubjectOutcome]:
         """Per spec, its outcome: one unit per subject the cache lacks.
 
-        A subject's synthesis comes from ``given``, else from its cache
-        entry.  A detection decodes against its synthesis's tests, so
+        A subject's synthesis comes from its cache entry when there is
+        one.  A detection decodes against its synthesis's tests, so
         when the synthesis misses, the unit receives the raw detection
         entry and replays it once it has synthesized; the entry is
         quarantined, and the tests fuzzed, only when it fails to
@@ -573,14 +571,11 @@ class PipelineOrchestrator:
             first_by_key[key] = i
             outcome = outcomes[i]
             entry = detection_entry = None
-            if given is not None:
-                outcome.synthesis = given[i]
-            else:
-                cached = self._get_decoded("synthesis", synth_key, decode_synthesis)
-                if cached is not None:
-                    entry, outcome.synthesis = cached
-                    outcome.synthesis_cached = True
-                    outcome._synthesis_digest = entry.get("digest")
+            cached = self._get_decoded("synthesis", synth_key, decode_synthesis)
+            if cached is not None:
+                entry, outcome.synthesis = cached
+                outcome.synthesis_cached = True
+                outcome._synthesis_digest = entry.get("digest")
             if outcome.synthesis is not None:
                 if not detect:
                     continue
@@ -602,8 +597,6 @@ class PipelineOrchestrator:
                 name=spec.target_class,
             )
             if self.jobs > 1:
-                if outcome.synthesis is not None and entry is None:
-                    entry = encode_synthesis(outcome.synthesis)
                 unit.fn = _subject_worker
                 unit.args = (
                     spec.source,
@@ -699,22 +692,6 @@ class PipelineOrchestrator:
             raise UnitExecutionError(outcome.failures[0])
         return outcome.synthesis
 
-    def detect(
-        self, spec: SubjectSpec, synthesis: SynthesisReport
-    ) -> DetectionReport:
-        """Detection for one already-synthesized subject.
-
-        Like :meth:`synthesize`, the single-subject API keeps the
-        raise-on-failure contract of the serial fuzz loop.
-        """
-        self.fault_ledger = FaultLedger()
-        outcome = self._run_subjects(
-            [spec], _parse_specs([spec]), True, given=[synthesis]
-        )[0]
-        if outcome.detection is None or outcome.detection_partial:
-            raise UnitExecutionError(self.fault_ledger.failures[0])
-        return outcome.detection
-
     # -- the whole pipeline --------------------------------------------
 
     def run(
@@ -748,33 +725,26 @@ class PipelineOrchestrator:
             ]
         return outcomes
 
-    def run_stream(
-        self,
-        specs: list[SubjectSpec],
-        detect: bool = True,
-        batch_size: int = 25,
-    ):
+    def run_stream(self, specs: list[SubjectSpec], detect: bool = True):
         """Corpus-scale :meth:`run`: yield outcomes in spec order, in waves.
 
         ``run`` holds every subject's synthesis and fuzz artifacts alive
         until the whole list finishes — fine for nine subjects, hostile
         to hundreds.  This generator cuts the spec list into waves of
-        ``batch_size``, runs each wave through the normal (cached,
+        :data:`WAVE_SIZE`, runs each wave through the normal (cached,
         fault-tolerant, deterministic) ``run``, and yields outcomes as
         each wave completes, so a caller that scores-and-drops keeps at
         most one wave's reports in memory.
 
         Results are identical to one big ``run``: work units are pure
-        functions of (source, target class, config), so batch boundaries
+        functions of (source, target class, config), so wave boundaries
         cannot change what any unit computes — only when it runs.  The
         per-``run`` fault ledgers are absorbed into one aggregate, left
         on :attr:`fault_ledger` when the stream is exhausted.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         aggregate = FaultLedger()
-        for start in range(0, len(specs), batch_size):
-            yield from self.run(specs[start : start + batch_size], detect=detect)
+        for start in range(0, len(specs), WAVE_SIZE):
+            yield from self.run(specs[start : start + WAVE_SIZE], detect=detect)
             aggregate.absorb(self.fault_ledger)
         self.fault_ledger = aggregate
 

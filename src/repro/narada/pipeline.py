@@ -15,7 +15,6 @@ never hard-code per-detector event lists.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 
@@ -173,7 +172,6 @@ class Narada:
         self,
         source_or_table: str | ClassTable,
         seed: int = 0,
-        rng_seed: int | None = None,
         static_filter: bool = True,
     ) -> None:
         self.table = (
@@ -182,9 +180,7 @@ class Narada:
             else source_or_table
         )
         self.seed = seed
-        self.rng_seed = rng_seed
         self.static_filter = static_filter
-        self._rng = random.Random(rng_seed) if rng_seed is not None else None
         self._analysis: AnalysisResult | None = None
         self._traces: list[PackedTrace] | None = None
         self._static_facts = None
@@ -242,7 +238,7 @@ class Narada:
             facts=self.static_facts() if self.static_filter else None,
             static_filter=self.static_filter,
         )
-        plans = derive_plans(pairs, analysis, self.table, rng=self._rng)
+        plans = derive_plans(pairs, analysis, self.table)
         tests = TestSynthesizer(
             self.table, name_prefix=f"{class_name}Racy"
         ).synthesize(plans)

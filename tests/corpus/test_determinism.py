@@ -5,6 +5,7 @@ subject ``i`` of seed ``s`` depends only on ``(s, i)`` — regeneration,
 count extension, and pipeline parallelism must all be invisible.
 """
 
+import repro.narada.orchestrator as orch_mod
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.narada import PipelineConfig, PipelineOrchestrator
 
@@ -36,8 +37,9 @@ class TestGenerationDeterminism:
 
 
 class TestPipelineDeterminism:
-    def test_outcome_digests_identical_across_jobs(self):
+    def test_outcome_digests_identical_across_jobs(self, monkeypatch):
         """--jobs 2 must be bit-identical to inline execution."""
+        monkeypatch.setattr(orch_mod, "WAVE_SIZE", 2)
         config = CorpusConfig(seed=3, count=3)
         results = {}
         for jobs in (1, 2):
@@ -46,20 +48,21 @@ class TestPipelineDeterminism:
                 cache=None,
                 config=PipelineConfig(random_runs=2),
             ) as orch:
-                results[jobs] = run_corpus(config, orch, batch_size=2)
+                results[jobs] = run_corpus(config, orch)
         assert results[1].digests == results[2].digests
         assert results[1].recall == results[2].recall == 1.0
 
-    def test_batch_size_does_not_change_results(self):
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        """Wave boundaries (one wave per subject, or one for all four)
+        never change a result."""
         config = CorpusConfig(seed=3, count=4)
         digests = {}
-        for batch_size in (1, 4):
+        for wave_size in (1, 4):
+            monkeypatch.setattr(orch_mod, "WAVE_SIZE", wave_size)
             with PipelineOrchestrator(
                 jobs=1,
                 cache=None,
                 config=PipelineConfig(random_runs=2),
             ) as orch:
-                digests[batch_size] = run_corpus(
-                    config, orch, batch_size=batch_size
-                ).digests
+                digests[wave_size] = run_corpus(config, orch).digests
         assert digests[1] == digests[4]

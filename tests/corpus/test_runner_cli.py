@@ -15,7 +15,7 @@ class TestRunCorpus:
         with PipelineOrchestrator(
             jobs=1, cache=None, config=PipelineConfig(random_runs=2)
         ) as orch:
-            result = run_corpus(config, orch, batch_size=2)
+            result = run_corpus(config, orch)
         assert result.subjects == 4
         assert result.recall == 1.0
         assert result.missed_races == 0

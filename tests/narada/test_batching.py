@@ -377,18 +377,6 @@ class TestPipelineDeterminism:
         assert all(o.synthesis_cached and not o.detection_cached for o in outcomes)
         assert [outcome.digest() for outcome in outcomes] == serial_run
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_detect_api_fuzzes_a_given_synthesis(self, serial_digest, jobs):
-        """``detect(spec, synthesis)`` runs one fuzz unit on the report it
-        is handed (encoded for a pool worker) and matches ``run``."""
-        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
-            synthesis = orch.synthesize(_spec())
-        with PipelineOrchestrator(jobs=jobs, config=CONFIG) as orch:
-            detection = orch.detect(_spec(), synthesis)
-            assert orch.fault_ledger.completed == 1
-        digest = serial.report_digest(serial.encode_detection(detection))
-        assert digest == serial_digest.split("/")[1]
-
     def test_rerun_replays_every_finished_subject(self, monkeypatch, tmp_path):
         """A pooled run interrupted after its first subject's unit keeps
         that subject's two entries; rerunning the same run replays it and

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 COUNTER_SRC = """
 class Counter {
@@ -173,3 +173,66 @@ class TestErrors:
         path.write_text("class A { } class B { } test T { A a = new A(); }")
         with pytest.raises(SystemExit):
             main(["pairs", str(path)])
+
+
+_ORCHESTRATION = (
+    "--jobs", "--no-cache", "--cache-dir", "--no-static-filter",
+    "--unit-timeout", "--max-retries", "--retry-backoff", "--fault-inject",
+)
+
+#: Every (command, flag) pair a command accepted without reading it, or
+#: that had one value in use and became a constant.
+_REMOVED = [
+    *((("analyze",), flag) for flag in (*_ORCHESTRATION, "--static-stats")),
+    *(
+        ((command,), flag)
+        for command in ("deadlock", "contege")
+        for flag in (*_ORCHESTRATION, "--trace-stats", "--static-stats", "--json")
+    ),
+    (("synth",), "--static-stats"),
+    *(
+        ((command,), flag)
+        for command in ("chess", "emit")
+        for flag in ("--static-stats", "--json")
+    ),
+    *(
+        (command, flag)
+        for command in (("corpus", "run"), ("serve",))
+        for flag in ("--trace-stats", "--static-stats")
+    ),
+    (("corpus", "run"), "--batch-size"),
+    (("client", "corpus"), "--batch-size"),
+    *(
+        (("corpus", sub), flag)
+        for sub in ("generate", "run")
+        for flag in ("--min-templates", "--max-templates")
+    ),
+]
+
+#: A value for each removed flag that took one.
+_VALUES = {
+    "--jobs": "2", "--cache-dir": "cache", "--unit-timeout": "1",
+    "--max-retries": "1", "--retry-backoff": "0", "--fault-inject": "crash:0",
+    "--batch-size": "5", "--min-templates": "2", "--max-templates": "4",
+}
+
+_TARGET = ("analyze", "deadlock", "contege", "synth", "chess", "emit")
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "command, flag", _REMOVED, ids=[f"{' '.join(c)} {f}" for c, f in _REMOVED]
+    )
+    def test_removed_flag_is_a_usage_error(self, command, flag, capsys):
+        argv = [*command, *(["--subject", "C8"] if command[0] in _TARGET else [])]
+        argv += [flag, *([_VALUES[flag]] if flag in _VALUES else [])]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_analyze_keeps_what_it_reads(self):
+        args = build_parser().parse_args(
+            ["analyze", "--subject", "C8", "--trace-stats", "--json"]
+        )
+        assert args.trace_stats and args.json

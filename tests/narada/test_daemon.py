@@ -239,6 +239,13 @@ class TestRequestHandling:
             {"op": "detect", "subjects": ["C8"], "rng_seed": "s"},
             {"op": "detect", "subjects": ["C8"], "directed": "no"},
             {"op": "corpus", "count": 1, "batch_size": 0},
+            # Fields the op does not read, with well-typed values.
+            {"op": "detect", "subjects": ["C8"], "random_runs": 2},
+            {"op": "synthesize", "subjects": ["C8"], "rng_seed": 1},
+            {"op": "corpus", "count": 1, "batch_size": 25},
+            {"op": "corpus", "count": 1, "min_templates": 2},
+            {"op": "detect", "subjects": ["C8"], "runz": 2},
+            {"op": "ping", "verbose": True},
         ],
         ids=[
             "lex-error",
@@ -258,6 +265,12 @@ class TestRequestHandling:
             "string-rng-seed",
             "string-directed",
             "zero-batch-size",
+            "random-runs-field",
+            "rng-seed-field",
+            "batch-size-field",
+            "min-templates-field",
+            "unknown-field",
+            "ping-extra-field",
         ],
     )
     def test_invalid_request_answers_bad_request(self, daemon, request_):
@@ -267,6 +280,25 @@ class TestRequestHandling:
         assert response["ok"] is False
         assert response["error_code"] == "bad_request"
         assert response["error"]
+
+    def test_budget_counts_writes_of_other_processes(self, tmp_path):
+        """A budgeted daemon's root is back within budget after its next
+        request, whatever another cache on the root wrote meanwhile,
+        even when that request writes nothing itself."""
+        root = tmp_path / "shared"
+        budget = 200_000
+        cache = ArtifactCache(root, max_bytes=budget)
+        request = {"op": "detect", "subjects": ["C8"], "runs": RUNS}
+        with _serving(tmp_path / "b.sock", cache) as d:
+            with _client(d) as client:
+                assert client.request(request)["ok"]
+                other = ArtifactCache(root)
+                for i in range(40):
+                    other.put("detection", f"{i:064x}", {"pad": "x" * 10_000})
+                assert cache.total_bytes() > budget
+                response = client.request(request)
+        assert response["subjects"]["C8"]["detection_cached"]
+        assert cache.total_bytes() <= budget
 
     def test_source_requests_leave_only_cache_entries(self, tmp_path):
         """New sources grow the cache root by stage entries alone, which

@@ -122,14 +122,17 @@ class TestFaultPlan:
 
 
 class TestFaultInjector:
-    def test_no_spec_no_env_means_no_injector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+    def test_no_spec_means_no_injector(self, monkeypatch):
+        # The spec travels in the pipeline config, never the environment.
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
         assert FaultInjector.from_spec(None) is None
         assert FaultInjector.from_spec("crash:0.0") is None
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:0.2")
-        injector = FaultInjector.from_spec(None, unit_timeout=2.0)
+    def test_config_path(self):
+        """A pool worker rebuilds its injector from the config dict it
+        is sent with each unit."""
+        sent = PipelineConfig(fault_inject="hang:0.2", unit_timeout=2.0).to_dict()
+        injector = PipelineConfig.from_dict(sent).injector()
         assert injector is not None
         assert injector.plan.hang == 0.2
         # The injected hang must outlive the watchdog deadline.
