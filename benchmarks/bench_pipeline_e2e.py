@@ -81,7 +81,7 @@ def _run(specs, jobs, cache, config):
     digests = {}
     start = time.perf_counter()
     with PipelineOrchestrator(jobs=jobs, cache=cache, config=config) as orch:
-        for outcome in orch.run_stream(specs, detect=True):
+        for outcome in orch.run_stream(specs):
             digests[outcome.spec.name] = outcome.digest()
         ledger = orch.fault_ledger
     elapsed = time.perf_counter() - start

@@ -32,8 +32,9 @@ writing Python:
 ``FILE`` is a MiniJ source file containing the library classes and its
 sequential seed tests.
 
-Each command takes only the flags it reads (README.md tabulates them).
-The commands that run the orchestrator share its flags: ``--jobs N``
+Each command takes only the flags it reads (README.md tabulates them);
+``run FILE`` refuses the orchestration flags and ``--static-stats``,
+which only ``run --subjects`` reads.  The commands that run the orchestrator share its flags: ``--jobs N``
 fans subjects out over a process pool, one unit per subject (results
 are bit-identical to ``--jobs 1``), ``--no-cache`` disables the
 persistent content-addressed artifact cache, ``--cache-dir`` points the
@@ -113,65 +114,74 @@ def _add_json(parser: argparse.ArgumentParser, text="JSON output") -> None:
     parser.add_argument("--json", action="store_true", help=text)
 
 
-def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
-    """Orchestration flags of every command that runs the orchestrator."""
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes; 1 runs inline with no pool (default)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every stage instead of using the artifact cache",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="artifact cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro-narada)",
-    )
-    parser.add_argument(
-        "--no-static-filter", action="store_true",
-        help="disable the static lockset pre-filter: every candidate "
-             "pair gets the full fuzz budget (pre-filter-era behavior)",
-    )
-    parser.add_argument(
-        "--unit-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock watchdog deadline per subject unit, synthesis "
-             "plus fuzzing (default: none)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries per failed/hung unit before recording a failure "
-             "(default: 2)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
-        help="base retry backoff; attempt n waits backoff*2^(n-1) "
-             "(default: 0.05)",
-    )
-    parser.add_argument(
-        "--fault-inject", metavar="SPEC",
-        help="test-only deterministic fault injection, e.g. "
-             "crash:0.3,hang:0.1,corrupt:0.05",
-    )
+def _add_pipeline_args(parser: argparse.ArgumentParser) -> list:
+    """Orchestration flags of every command that runs the orchestrator;
+    their actions."""
+    return [
+        parser.add_argument(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes; 1 runs inline with no pool (default)",
+        ),
+        parser.add_argument(
+            "--no-cache", action="store_true",
+            help="recompute every stage instead of using the artifact cache",
+        ),
+        parser.add_argument(
+            "--cache-dir", metavar="DIR",
+            help="artifact cache root (default: $REPRO_CACHE_DIR or "
+                 "~/.cache/repro-narada)",
+        ),
+        parser.add_argument(
+            "--no-static-filter", action="store_true",
+            help="disable the static lockset pre-filter: every candidate "
+                 "pair gets the full fuzz budget (pre-filter-era behavior)",
+        ),
+        parser.add_argument(
+            "--unit-timeout", type=float, default=None, metavar="SECONDS",
+            help="wall-clock watchdog deadline per subject unit, synthesis "
+                 "plus fuzzing (default: none)",
+        ),
+        parser.add_argument(
+            "--max-retries", type=int, default=2, metavar="N",
+            help="retries per failed/hung unit before recording a failure "
+                 "(default: 2)",
+        ),
+        parser.add_argument(
+            "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
+            help="base retry backoff; attempt n waits backoff*2^(n-1) "
+                 "(default: 0.05)",
+        ),
+        parser.add_argument(
+            "--fault-inject", metavar="SPEC",
+            help="test-only deterministic fault injection, e.g. "
+                 "crash:0.3,hang:0.1,corrupt:0.05",
+        ),
+    ]
 
 
 def _add_report_args(
     parser: argparse.ArgumentParser, static_stats: bool = True
-) -> None:
+) -> list:
     """``--trace-stats``, and ``--static-stats`` for a command that has
-    a candidate funnel to print."""
-    parser.add_argument(
-        "--trace-stats", action="store_true",
-        help="print packed-trace statistics: per-stage event counts, "
-             "packed bytes, detector events/sec, rows in repeat blocks, "
-             "fuzz memo hit rate",
-    )
-    if static_stats:
+    a candidate funnel to print; their actions."""
+    actions = [
         parser.add_argument(
-            "--static-stats", action="store_true",
-            help="print the candidate funnel: pairs generated / statically "
-                 "pruned (by reason) / ranked / tests fuzzed vs skipped",
+            "--trace-stats", action="store_true",
+            help="print packed-trace statistics: per-stage event counts, "
+                 "packed bytes, detector events/sec, rows in repeat blocks, "
+                 "fuzz memo hit rate",
         )
+    ]
+    if static_stats:
+        actions.append(
+            parser.add_argument(
+                "--static-stats", action="store_true",
+                help="print the candidate funnel: pairs generated / "
+                     "statically pruned (by reason) / ranked / tests "
+                     "fuzzed vs skipped",
+            )
+        )
+    return actions
 
 
 def _add_target_args(parser: argparse.ArgumentParser) -> None:
@@ -487,7 +497,20 @@ def cmd_run(args) -> int:
     from repro.trace.columnar import ColumnarRecorder
 
     if args.subjects:
+        for dest, (_, default) in args.subjects_only.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
         return _run_subjects_pipeline(args)
+    given = [
+        flag
+        for dest, (flag, _) in args.subjects_only.items()
+        if getattr(args, dest) is not None
+    ]
+    if given:
+        args.parser.error(
+            f"{', '.join(given)}: only the --subjects mode takes "
+            f"{'this flag' if len(given) == 1 else 'these flags'}"
+        )
     if not args.file:
         raise SystemExit(
             "error: provide a MiniJ FILE or --subjects C1,C2,... (or all)"
@@ -1157,9 +1180,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subject keys (or 'all'): run the "
         "fault-tolerant pipeline instead of a MiniJ file",
     )
-    _add_pipeline_args(p)
-    _add_report_args(p)
-    p.set_defaults(func=cmd_run)
+    # FILE mode reads --trace-stats and none of the others: a default
+    # of None shows cmd_run which were given, and the --subjects mode
+    # restores the real defaults.
+    subjects_only = [
+        action
+        for action in (*_add_pipeline_args(p), *_add_report_args(p))
+        if action.dest != "trace_stats"
+    ]
+    p.set_defaults(
+        func=cmd_run,
+        parser=p,
+        subjects_only={
+            a.dest: (a.option_strings[0], a.default) for a in subjects_only
+        },
+        **{a.dest: None for a in subjects_only},
+    )
 
     p = sub.add_parser("deadlock", help="synthesize + confirm deadlock tests")
     _add_target_args(p)

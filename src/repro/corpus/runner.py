@@ -3,8 +3,10 @@
 The pipeline reports races as ``(class, field, site pair)``; the oracle
 speaks ``(field, method pair)``.  The bridge is purely static: every AST
 node id inside a method body belongs to exactly one method, so a site
-pair maps to a method pair by table lookup.  Scoring is then set
-arithmetic per subject:
+pair maps to a method pair by lookup in the subject's site map
+(:meth:`ClassTable.site_methods <repro.lang.classtable.ClassTable.site_methods>`,
+which a replay reads from the cache).  Scoring is then set arithmetic
+per subject:
 
 * **recall** — oracle races whose key appears among the detected races.
   The corpus is constructed so every true race is expressible under any
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.corpus.generator import CorpusConfig, GeneratedSubject, generate_corpus
-from repro.lang import ClassTable, ast
 from repro.narada.orchestrator import (
     PipelineOrchestrator,
     SubjectOutcome,
@@ -43,28 +44,6 @@ def corpus_specs(subjects: list[GeneratedSubject]) -> list[SubjectSpec]:
         SubjectSpec(name=s.key, source=s.source, target_class=s.class_name)
         for s in subjects
     ]
-
-
-def site_method_map(table: ClassTable) -> dict[int, str]:
-    """node id -> name of the method whose body contains it."""
-    mapping: dict[int, str] = {}
-
-    def walk(node, method_name: str) -> None:
-        node_id = getattr(node, "node_id", -1)
-        if node_id >= 0:
-            mapping[node_id] = method_name
-        for value in vars(node).values():
-            if isinstance(value, (ast.Stmt, ast.Expr)):
-                walk(value, method_name)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, (ast.Stmt, ast.Expr)):
-                        walk(item, method_name)
-
-    for cls in table.program.classes:
-        for method in cls.methods:
-            walk(method.body, method.name)
-    return mapping
 
 
 def race_keys_of(records, sites: dict[int, str]) -> set[RaceKey]:
@@ -148,7 +127,7 @@ def score_outcome(
         # be allowed to pass the recall gate by luck.
         score.pipeline_failed = True
 
-    sites = site_method_map(outcome.table)
+    sites = outcome.program.sites
     verdicts = outcome.synthesis.verdicts
     aligned = len(verdicts) == len(outcome.synthesis.pairs)
     for i, pair in enumerate(outcome.synthesis.pairs):

@@ -159,6 +159,31 @@ class ClassTable:
                 return method
         return None
 
+    def site_methods(self) -> dict[int, str]:
+        """node id -> name of the method whose body contains it.
+
+        Every node id inside a method body belongs to exactly one
+        method, so a race's site pair maps to a method pair by lookup.
+        """
+        mapping: dict[int, str] = {}
+
+        def walk(node, method_name: str) -> None:
+            node_id = getattr(node, "node_id", -1)
+            if node_id >= 0:
+                mapping[node_id] = method_name
+            for value in vars(node).values():
+                if isinstance(value, (ast.Stmt, ast.Expr)):
+                    walk(value, method_name)
+                elif isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, (ast.Stmt, ast.Expr)):
+                            walk(item, method_name)
+
+        for cls in self.program.classes:
+            for method in cls.methods:
+                walk(method.body, method.name)
+        return mapping
+
     def field_type(self, class_name: str, field_name: str) -> Type | None:
         """Declared type of ``class_name.field_name``, or None."""
         return self._field_types.get(class_name, {}).get(field_name)

@@ -18,8 +18,18 @@ those:
 Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
 directory per stage, created by the first write that finds it missing,
 so a new entry costs a temp-file write and a rename, and no directory.
-The stages a pipeline run writes are ``synthesis`` and ``detection``,
-both when a subject's unit completes.  An entry in the older
+A pipeline run writes three stages:
+
+* ``synthesis`` and ``detection`` — a subject's reports, written when
+  its unit completes;
+* ``source`` — what a replay needs of one source text without parsing
+  it (table digest, class names, site map), keyed by the source text's
+  own sha256 rather than a table digest.  It is written only by a
+  process that parsed the source and then found its synthesis entry
+  already cached: a cold run writes none, and the first replay in a
+  fresh process writes the entries the next replay reads.
+
+An entry in the older
 ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
 counts toward the byte budget and is evicted before any flat entry.
 A budgeted cache evicts least-recently-used entries first, and an
@@ -64,6 +74,15 @@ DEFAULT_QUARANTINE_MAX_ENTRIES = 512
 DEFAULT_QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 
 
+def _scan(directory) -> list[os.DirEntry]:
+    """The entries of ``directory``; none when it is gone or unreadable."""
+    try:
+        with os.scandir(directory) as entries:
+            return list(entries)
+    except OSError:
+        return []
+
+
 def default_cache_dir() -> pathlib.Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-narada``."""
     env = os.environ.get(CACHE_DIR_ENV)
@@ -83,7 +102,11 @@ def table_digest(table: ClassTable) -> str:
 
 
 def stage_key(table_dig: str, stage: str, config: dict) -> str:
-    """Content address of one stage artifact for one program."""
+    """Content address of one stage artifact for one program.
+
+    ``table_dig`` is the program's table digest, except for the
+    ``source`` stage, which the hex sha256 of the source text keys.
+    """
     payload = {
         "table": table_dig,
         "stage": stage,
@@ -148,23 +171,30 @@ class ArtifactCache:
     # the stage directories).
 
     def _iter_entries(self):
-        """Yield ``(flat, path, size, mtime)`` for every live entry.
+        """Yield ``(flat, mtime, size, path)`` for every live entry.
 
         ``flat`` is false for an entry in the old fan-out layout, one
         directory below its stage; ``mtime`` is the entry's recency.
+        One ``os.scandir`` per directory and one ``stat`` per entry, in
+        directory order: only an over-budget ``evict`` sorts.
         """
-        if not self.root.exists():
-            return
-        for stage_dir in sorted(self.root.iterdir()):
-            if not stage_dir.is_dir() or stage_dir.name == "quarantine":
+        for stage in _scan(self.root):
+            if stage.name == "quarantine" or not stage.is_dir():
                 continue
-            for path in sorted(stage_dir.rglob("*.json")):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                flat = path.parent == stage_dir
-                yield flat, path, stat.st_size, stat.st_mtime
+            for item in _scan(stage.path):
+                if item.is_dir():
+                    # The old fan-out layout: <stage>/<digest[:2]>/<key>.json.
+                    files = [(False, old) for old in _scan(item.path)]
+                else:
+                    files = [(True, item)]
+                for flat, file in files:
+                    if not file.name.endswith(".json"):
+                        continue
+                    try:
+                        stat = file.stat()
+                    except OSError:
+                        continue
+                    yield flat, stat.st_mtime, stat.st_size, file.path
 
     def total_bytes(self) -> int:
         """Exact byte total of live entries (rescans the tree)."""
@@ -353,12 +383,12 @@ class ArtifactCache:
         total = sum(size for _, _, size, _ in entries)
         removed = 0
         if total > max_bytes:
-            entries.sort(key=lambda e: (e[0], e[3]))
-            for _, path, size, _ in entries:
+            entries.sort()  # old layout first, then least recent
+            for _, _, size, path in entries:
                 if total <= max_bytes:
                     break
                 try:
-                    path.unlink()
+                    os.unlink(path)
                 except OSError:
                     continue
                 total -= size

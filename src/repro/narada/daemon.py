@@ -719,9 +719,10 @@ class ReproDaemon:
                 raise TypeError(
                     f"'source' must be a string, not {type(source).__name__}"
                 )
-            # Parses only a source this process has not seen; a source
-            # that does not parse fails here, as a bad request.
-            program = ProgramSource.of(source)
+            # Parses only a source neither this process nor the cache
+            # knows; a source that does not parse fails here, as a bad
+            # request.
+            program = ProgramSource.of(source, self.cache)
             target = request.get("target_class")
             if target is None:
                 names = list(program.class_names)

@@ -80,8 +80,10 @@ from repro.narada.faults import (
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
     decode_detection,
+    decode_source,
     decode_synthesis,
     encode_detection,
+    encode_source,
     encode_synthesis,
     report_digest,
 )
@@ -104,25 +106,37 @@ _SOURCE_MEMO: OrderedDict[bytes, tuple[str, tuple[str, ...]]] = OrderedDict()
 _SOURCE_MEMO_LOCK = threading.Lock()
 
 
+def _remember(key: bytes, known: tuple[str, tuple[str, ...]]) -> None:
+    with _SOURCE_MEMO_LOCK:
+        _SOURCE_MEMO[key] = known
+        if len(_SOURCE_MEMO) > SOURCE_MEMO_SIZE:
+            _SOURCE_MEMO.popitem(last=False)
+
+
 @dataclass(eq=False)
 class ProgramSource:
     """One distinct program text: its table digest and class names now,
-    its class table on first use.
+    its class table and site map on first use.
 
     :meth:`of` reads the digest and class names from the process-wide
-    source memo and parses only on a miss.  The memo holds no table:
-    a table is parsed at most once per holder, when an inline unit or a
-    scorer first reads :attr:`table`, and dies with the holder.  A
-    source that fails to parse raises and is never memoized.
+    source memo, then from the source's ``source`` cache entry, and
+    parses only when both miss.  The memo holds no table and no site
+    map: a table is parsed at most once per holder, when an inline unit
+    or :attr:`sites` first needs it, and dies with the holder.  A source
+    that fails to parse raises and is never memoized or cached.
     """
 
     text: str = field(repr=False)
     digest: str
     class_names: tuple[str, ...]
     _table: ClassTable | None = field(default=None, repr=False)
+    _sites: dict[int, str] | None = field(default=None, repr=False)
+    #: The key of the ``source`` entry :meth:`of` parsed for want of;
+    #: :meth:`save` writes the entry and clears it.
+    _unsaved_key: str | None = field(default=None, repr=False)
 
     @classmethod
-    def of(cls, text: str) -> "ProgramSource":
+    def of(cls, text: str, cache: ArtifactCache | None = None) -> "ProgramSource":
         key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
         with _SOURCE_MEMO_LOCK:
             known = _SOURCE_MEMO.get(key)
@@ -130,19 +144,48 @@ class ProgramSource:
                 _SOURCE_MEMO.move_to_end(key)
         if known is not None:
             return cls(text, *known)
+        entry_key = stage_key(key.hex(), "source", {})
+        entry = None if cache is None else cache.get("source", entry_key)
+        if entry is not None:
+            try:
+                digest, class_names, sites = decode_source(entry)
+            except ValueError as error:
+                cache.reject("source", entry_key, f"decode failure: {error!r}")
+            else:
+                _remember(key, (digest, class_names))
+                return cls(text, digest, class_names, _sites=sites)
         table = load(text)
         known = (table_digest(table), tuple(table.class_names()))
-        with _SOURCE_MEMO_LOCK:
-            _SOURCE_MEMO[key] = known
-            if len(_SOURCE_MEMO) > SOURCE_MEMO_SIZE:
-                _SOURCE_MEMO.popitem(last=False)
-        return cls(text, *known, table)
+        _remember(key, known)
+        return cls(text, *known, table, _unsaved_key=entry_key)
 
     @property
     def table(self) -> ClassTable:
         if self._table is None:
             self._table = load(self.text)
         return self._table
+
+    @property
+    def sites(self) -> dict[int, str]:
+        """node id -> name of the method whose body contains it
+        (:meth:`ClassTable.site_methods`); scorers read it."""
+        if self._sites is None:
+            self._sites = self.table.site_methods()
+        return self._sites
+
+    def save(self, cache: ArtifactCache) -> None:
+        """Write this source's ``source`` entry if :meth:`of` parsed it.
+
+        The orchestrator calls this when the source's synthesis entry
+        hits: the entry then spares the next process's replay its only
+        parse.  A source whose synthesis missed is not saved, so a cold
+        run writes nothing beyond its reports.
+        """
+        key, self._unsaved_key = self._unsaved_key, None
+        if key is not None:
+            cache.put(
+                "source", key, encode_source(self.digest, self.class_names, self.sites)
+            )
 
 
 @dataclass(frozen=True)
@@ -243,7 +286,7 @@ class SubjectOutcome:
     detection_partial: bool = False
     failures: list = field(default_factory=list)
     #: The subject's source, shared by every spec of the run with the
-    #: same source text; see :attr:`table`.
+    #: same source text; scorers read its :attr:`~ProgramSource.sites`.
     program: ProgramSource | None = field(
         default=None, repr=False, compare=False
     )
@@ -263,12 +306,6 @@ class SubjectOutcome:
         if self._detection_digest is None:
             self._detection_digest = report_digest(encode_detection(self.detection))
         return f"{self._synthesis_digest}/{self._detection_digest}"
-
-    @property
-    def table(self) -> ClassTable | None:
-        """The subject's class table, parsed on first read unless the
-        run already parsed it; scorers read it instead of parsing again."""
-        return None if self.program is None else self.program.table
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +411,10 @@ def _subject_worker(
     }
 
 
-def _parse_specs(specs: list[SubjectSpec]) -> list[ProgramSource]:
-    """Per spec, its :class:`ProgramSource`.
+def _parse_specs(
+    specs: list[SubjectSpec], cache: ArtifactCache | None
+) -> list[ProgramSource]:
+    """Per spec, its :class:`ProgramSource`, read through ``cache``.
 
     Specs that share a source (one spec per class of one program) share
     one holder, so the run parses that source at most once.
@@ -383,7 +422,9 @@ def _parse_specs(specs: list[SubjectSpec]) -> list[ProgramSource]:
     programs: dict[str, ProgramSource] = {}
     for spec in specs:
         if spec.source not in programs:
-            programs[spec.source] = spec.program or ProgramSource.of(spec.source)
+            programs[spec.source] = spec.program or ProgramSource.of(
+                spec.source, cache
+            )
     return [programs[spec.source] for spec in specs]
 
 
@@ -576,6 +617,7 @@ class PipelineOrchestrator:
                 entry, outcome.synthesis = cached
                 outcome.synthesis_cached = True
                 outcome._synthesis_digest = entry.get("digest")
+                programs[i].save(self.cache)
             if outcome.synthesis is not None:
                 if not detect:
                     continue
@@ -709,7 +751,7 @@ class PipelineOrchestrator:
         quarantined_before = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
-        programs = _parse_specs(specs)
+        programs = _parse_specs(specs, self.cache)
         try:
             if self.cancel is not None:
                 self.cancel.check()
@@ -725,7 +767,7 @@ class PipelineOrchestrator:
             ]
         return outcomes
 
-    def run_stream(self, specs: list[SubjectSpec], detect: bool = True):
+    def run_stream(self, specs: list[SubjectSpec]):
         """Corpus-scale :meth:`run`: yield outcomes in spec order, in waves.
 
         ``run`` holds every subject's synthesis and fuzz artifacts alive
@@ -744,7 +786,7 @@ class PipelineOrchestrator:
         """
         aggregate = FaultLedger()
         for start in range(0, len(specs), WAVE_SIZE):
-            yield from self.run(specs[start : start + WAVE_SIZE], detect=detect)
+            yield from self.run(specs[start : start + WAVE_SIZE])
             aggregate.absorb(self.fault_ledger)
         self.fault_ledger = aggregate
 

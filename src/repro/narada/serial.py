@@ -36,6 +36,8 @@ replays and worker boundaries.
 A synthesis or detection cache entry is the payload plus its
 :func:`report_digest` under ``digest``, computed when the entry is
 written, so a cache hit never encodes a report again just to digest it.
+A ``source`` entry (:func:`encode_source`) carries no report: it is
+what a replay needs of one source text instead of parsing it.
 """
 
 from __future__ import annotations
@@ -676,6 +678,52 @@ def decode_detection(data: dict, tests: list[SynthesizedTest]):
             )
         report.add(_decode_fuzz_report(fuzz, test))
     return report
+
+
+def encode_source(
+    table_digest: str, class_names: tuple[str, ...], sites: dict[int, str]
+) -> dict:
+    """Encode what a replay needs of one source text: its table digest,
+    its class names and its site map, the site ids grouped by method."""
+    methods: dict[str, list[int]] = {}
+    for node_id, name in sorted(sites.items()):
+        methods.setdefault(name, []).append(node_id)
+    return {
+        "kind": "source",
+        "version": SERIAL_VERSION,
+        "table": table_digest,
+        "class_names": list(class_names),
+        "sites": methods,
+    }
+
+
+def decode_source(data: dict) -> tuple[str, tuple[str, ...], dict[int, str]]:
+    """``(table digest, class names, site map)`` of a source entry.
+
+    Raises:
+        ValueError: when the entry is not a well-typed source entry.
+    """
+    digest = data.get("table")
+    names = data.get("class_names")
+    methods = data.get("sites")
+    if (
+        data.get("kind") != "source"
+        or not isinstance(digest, str)
+        or len(digest) != 64
+        or not isinstance(names, list)
+        or not all(isinstance(name, str) for name in names)
+        or not isinstance(methods, dict)
+    ):
+        raise ValueError("ill-typed source entry")
+    sites: dict[int, str] = {}
+    for name, node_ids in methods.items():
+        if not isinstance(node_ids, list) or not all(
+            type(node_id) is int for node_id in node_ids
+        ):
+            raise ValueError(f"ill-typed site ids for method {name!r}")
+        for node_id in node_ids:
+            sites[node_id] = name
+    return digest, tuple(names), sites
 
 
 def encode_fuzz_bundle(report) -> dict:

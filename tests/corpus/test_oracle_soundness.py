@@ -11,7 +11,7 @@ under-claims) — and deadlock potential must match observed deadlocks.
 import pytest
 
 from repro.corpus import compose_subject, template_names
-from repro.corpus.runner import race_keys_of, site_method_map
+from repro.corpus.runner import race_keys_of
 from repro.fuzz import explore_test
 from repro.lang import load
 from repro.narada import PipelineConfig, PipelineOrchestrator, SubjectSpec
@@ -34,7 +34,7 @@ def _explore(subject):
         jobs=1, cache=None, config=PipelineConfig()
     ) as orch:
         report = orch.synthesize(spec)
-    sites = site_method_map(table)
+    sites = table.site_methods()
     observed = set()
     deadlocked = False
     for test in report.tests:

@@ -1,15 +1,20 @@
-"""Each subject's source is parsed once per orchestrator run, and a
-source this process has seen is not parsed again for its digest.
+"""Each subject's source is parsed once per orchestrator run, a source
+this process has seen is not parsed again for its digest, and a source
+an earlier process replayed is not parsed at all.
 
 The orchestrator parses every distinct source at most once, derives the
 table digest from that table, hands the table to its inline units, and
-leaves it on ``SubjectOutcome.table`` for the corpus scorer.  The table
-digest is memoized by source hash, and a run parses a memoized source
-only when an inline unit or a reader of ``.table`` first needs its
-table.  These tests count parser entries, so a new re-parse anywhere on
-the path fails them.
+leaves the source's site map on ``SubjectOutcome.program`` for the
+corpus scorer.  The table digest is memoized by source hash, and a run
+parses a memoized source only when an inline unit or a reader of
+``.sites`` first needs its table.  A process that parses a source and
+then finds its synthesis cached writes the source's ``source`` entry
+(digest, class names, site map), which spares the next process the
+parse.  These tests count parser entries, so a new re-parse anywhere on
+the path fails them; clearing the memo stands for a fresh process.
 """
 
+import json
 import sys
 import threading
 from collections import OrderedDict
@@ -19,7 +24,6 @@ import pytest
 import repro.narada.orchestrator as orch_mod
 from repro._util.errors import ParseError
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
-from repro.corpus.runner import site_method_map
 from repro.lang import load
 from repro.lang.parser import Parser
 from repro.narada import (
@@ -48,25 +52,43 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty source memo, so every source starts unseen."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", fresh)
+    return fresh
+
+
+def _source_entries(root) -> int:
+    return len(list((root / "source").glob("*.json")))
+
+
 def test_corpus_run_parses_each_subject_once_cold_and_warm(
-    tmp_path, parses
+    tmp_path, memo, parses
 ):
+    """Cold: 10 parses and no source entry.  The first warm process
+    parses each source once more and writes its entry; the next one
+    parses nothing."""
     config = CorpusConfig(count=10)
     subjects = generate_corpus(config)
-    cache = ArtifactCache(tmp_path / "cache")
-
-    parses["n"] = 0
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        cold = run_corpus(config, orch, subjects=subjects)
-    assert parses["n"] == 10
-
-    parses["n"] = 0
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        warm = run_corpus(config, orch, subjects=subjects)
-    assert parses["n"] == 10
-
-    assert cold.recall == warm.recall == 1.0
-    assert warm.digests == cold.digests
+    root = tmp_path / "cache"
+    results, parsed, entries = [], [], []
+    for _ in range(3):
+        memo.clear()
+        parses["n"] = 0
+        cache = ArtifactCache(root)
+        with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+            results.append(run_corpus(config, orch, subjects=subjects))
+        parsed.append(parses["n"])
+        entries.append(_source_entries(root))
+    assert parsed == [10, 10, 0]
+    assert entries == [0, 10, 10]
+    assert cache.stats.writes == 0
+    cold, warm, replay = results
+    assert cold.recall == warm.recall == replay.recall == 1.0
+    assert warm.digests == cold.digests == replay.digests
+    assert replay.to_dict() == cold.to_dict()
 
 
 def test_specs_sharing_a_source_share_one_parse(parses):
@@ -81,16 +103,8 @@ def test_specs_sharing_a_source_share_one_parse(parses):
     with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
         outcomes = orch.run(specs)
     assert parses["n"] == 1
-    assert outcomes[0].table is outcomes[1].table
+    assert outcomes[0].program is outcomes[1].program
     assert all(o.detection is not None for o in outcomes)
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty source memo, so every source starts unseen."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", fresh)
-    return fresh
 
 
 def _c2_specs():
@@ -101,7 +115,7 @@ def _c2_specs():
     ]
 
 
-def test_repeat_run_on_a_warm_cache_parses_nothing_until_table_is_read(
+def test_repeat_run_on_a_warm_cache_parses_nothing_until_sites_are_read(
     tmp_path, memo, parses
 ):
     specs = subject_specs([get_subject("C8")])
@@ -116,11 +130,14 @@ def test_repeat_run_on_a_warm_cache_parses_nothing_until_table_is_read(
     assert warm.synthesis_cached and warm.detection_cached
     assert warm.digest() == cold.digest()
 
-    table = warm.table
+    # A memo hit reads no source entry and writes none: the sites come
+    # from a parse, once.
+    sites = warm.program.sites
     assert parses["n"] == 1
-    assert warm.table is table  # parsed once, then kept
+    assert warm.program.sites is sites
     assert parses["n"] == 1
-    assert site_method_map(table) == site_method_map(load(specs[0].source))
+    assert sites == load(specs[0].source).site_methods()
+    assert not (tmp_path / "cache" / "source").exists()
 
 
 def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
@@ -134,7 +151,7 @@ def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         outcomes = orch.run(_c2_specs())
     assert parses["n"] == 0
-    assert outcomes[0].table is outcomes[1].table
+    assert outcomes[0].program.sites is outcomes[1].program.sites
     assert parses["n"] == 1
 
 
@@ -192,22 +209,35 @@ def test_an_all_hit_run_writes_nothing(tmp_path, memo):
     assert sorted(root.rglob("*")) == before
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["memo", "memo+entries"])
 def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
-    monkeypatch, memo
+    monkeypatch, tmp_path, memo, cached
 ):
     # Daemon connection threads look sources up concurrently; a lost
     # update would overgrow the memo, raise from a key evicted under
-    # another thread, or pair a source with another's digest.
+    # another thread, pair a source with another's digest or site map,
+    # or drop a cache hit from the counts.
     monkeypatch.setattr(orch_mod, "SOURCE_MEMO_SIZE", 3)
     sources = [s.source for s in generate_corpus(CorpusConfig(count=6))]
     expected = {s: orch_mod.table_digest(load(s)) for s in sources}
-    errors, sizes = [], []
+    sites = {s: load(s).site_methods() for s in sources}
+    cache = None
+    if cached:
+        cache = ArtifactCache(tmp_path / "cache")
+        for source in sources:
+            ProgramSource.of(source).save(cache)
+        memo.clear()
+        cache.stats.writes = 0
+    errors, sizes, from_entries = [], [], []
 
     def lookups(offset):
         try:
             for i in range(24):
                 source = sources[(offset + i) % len(sources)]
-                assert ProgramSource.of(source).digest == expected[source]
+                program = ProgramSource.of(source, cache)
+                from_entries.append(program._sites is not None)
+                assert program.digest == expected[source]
+                assert program.sites == sites[source]
                 sizes.append(len(memo))
         except Exception as error:  # noqa: BLE001 — reported below
             errors.append(error)
@@ -228,3 +258,70 @@ def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
     assert errors == []
     assert len(sizes) == 8 * 24
     assert max(sizes) <= 3
+    if cached:
+        assert cache.stats.hits == sum(from_entries) > 0
+        assert (cache.stats.misses, cache.stats.writes) == (0, 0)
+
+
+def _bad_entry(kind: str, path) -> None:
+    if kind == "corrupt":
+        path.write_text(path.read_text()[:40])
+    elif kind == "stale":
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "version": data["version"] - 1}))
+    elif kind == "wrong-type":
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "sites": {"m": ["7"]}}))
+    else:  # wrong-digest-type
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "table": 7}))
+
+
+@pytest.mark.parametrize(
+    "kind", ["corrupt", "stale", "wrong-type", "wrong-digest-type"]
+)
+def test_a_bad_source_entry_is_quarantined_and_the_source_parsed(
+    tmp_path, memo, parses, kind
+):
+    specs = subject_specs([get_subject("C8")])
+    root = tmp_path / "cache"
+    digests = []
+    for _ in range(2):  # cold, then the replay that writes the entry
+        memo.clear()
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(root), config=CONFIG
+        ) as orch:
+            digests.append(orch.run(specs)[0].digest())
+    (path,) = (root / "source").glob("*.json")
+    _bad_entry(kind, path)
+
+    memo.clear()
+    parses["n"] = 0
+    cache = ArtifactCache(root)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        outcome = orch.run(specs)[0]
+    assert parses["n"] == 1
+    assert cache.stats.quarantined == 1
+    assert orch.fault_ledger.quarantined == 1
+    assert len(list((root / "quarantine" / "source").glob("*.json"))) == 1
+    assert outcome.synthesis_cached and outcome.detection_cached
+    assert outcome.digest() == digests[0] == digests[1]
+    # The parse wrote a good entry back, and the next process reads it.
+    memo.clear()
+    parses["n"] = 0
+    with PipelineOrchestrator(
+        jobs=1, cache=ArtifactCache(root), config=CONFIG
+    ) as orch:
+        assert orch.run(specs)[0].digest() == digests[0]
+    assert parses["n"] == 0
+
+
+def test_a_source_that_fails_to_parse_gets_no_entry(tmp_path, memo, parses):
+    bad = "class A { int f = ; }"
+    cache = ArtifactCache(tmp_path / "cache")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            ProgramSource.of(bad, cache)
+    assert parses["n"] == 2
+    assert cache.stats.writes == 0
+    assert not (tmp_path / "cache" / "source").exists()

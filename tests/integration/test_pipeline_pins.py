@@ -92,8 +92,8 @@ class _Tee:
         self.orchestrator = orchestrator
         self.payloads: dict[str, str] = {}
 
-    def run_stream(self, *args, **kwargs):
-        for outcome in self.orchestrator.run_stream(*args, **kwargs):
+    def run_stream(self, specs):
+        for outcome in self.orchestrator.run_stream(specs):
             self.payloads[outcome.spec.name] = payload_digest(outcome)
             yield outcome
 

@@ -231,6 +231,34 @@ class TestRemovedFlags:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [*_ORCHESTRATION, "--static-stats"], ids=lambda f: f"run FILE {f}"
+    )
+    def test_run_file_mode_refuses_a_subjects_mode_flag(
+        self, flag, counter_file, capsys
+    ):
+        # --jobs 1 is the default value, and is refused all the same.
+        value = {**_VALUES, "--jobs": "1"}.get(flag)
+        argv = ["run", counter_file, "--runs", "1", flag]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ([value] if value is not None else []))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: only the --subjects mode takes this flag" in err
+
+    def test_run_file_mode_keeps_trace_stats(self, counter_file, capsys):
+        main(["run", counter_file, "--runs", "1", "--trace-stats"])
+        assert "-- trace stats --" in capsys.readouterr().out
+
+    def test_run_subjects_mode_keeps_every_flag(self, tmp_path, capsys):
+        argv = ["run", "--subjects", "C8", "--runs", "1", "--static-stats"]
+        argv += ["--jobs", "1", "--cache-dir", str(tmp_path / "cache")]
+        argv += ["--max-retries", "1", "--retry-backoff", "0", "--trace-stats"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "C8:" in out and "-- fault ledger --" in out
+        assert (tmp_path / "cache").is_dir()
+
     def test_analyze_keeps_what_it_reads(self):
         args = build_parser().parse_args(
             ["analyze", "--subject", "C8", "--trace-stats", "--json"]

@@ -31,6 +31,7 @@ from repro.narada import (
     PipelineConfig,
     PipelineOrchestrator,
     ReproDaemon,
+    SubjectSpec,
     default_socket_path,
     subject_specs,
 )
@@ -70,6 +71,16 @@ def daemon(tmp_path):
 
 def _client(d: ReproDaemon, **kwargs) -> DaemonClient:
     return DaemonClient(socket_path=d.socket_path, **kwargs)
+
+
+def _source_request(subject) -> dict:
+    """A ``detect`` request carrying a generated subject's source."""
+    return {
+        "op": "detect",
+        "source": subject.source,
+        "target_class": subject.class_name,
+        "runs": RUNS,
+    }
 
 
 class TestFraming:
@@ -362,6 +373,58 @@ class TestRequestHandling:
                 digests.append(entry["digest"])
         assert parses == [1, 0, 0]
         assert digests[0] == digests[1] == digests[2]
+
+    def test_a_new_source_writes_no_source_entry(self, daemon, monkeypatch):
+        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+        subject = generate_corpus(CorpusConfig(count=1))[0]
+        with _client(daemon) as client:
+            response = client.request(_source_request(subject))
+        assert response["ok"]
+        entry = response["subjects"][subject.class_name]
+        assert not entry["synthesis_cached"]
+        assert not (daemon.cache.root / "source").exists()
+
+    def test_fresh_daemon_replays_a_filled_root_with_no_parse(
+        self, tmp_path, monkeypatch
+    ):
+        """Two earlier processes fill the root: a cold run writes the
+        reports and a replay the ``source`` entries.  A restarted daemon
+        then validates and replays every request from the cache alone."""
+        root = tmp_path / "cache"
+        subjects = generate_corpus(CorpusConfig(count=3))
+        specs = [
+            SubjectSpec(name=s.class_name, source=s.source, target_class=s.class_name)
+            for s in subjects
+        ]
+        config = PipelineConfig(random_runs=RUNS)
+        for _ in range(2):
+            monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+            with PipelineOrchestrator(
+                jobs=1, cache=ArtifactCache(root), config=config
+            ) as orch:
+                digests = [outcome.digest() for outcome in orch.run(specs)]
+        assert len(list((root / "source").iterdir())) == 3
+
+        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+        calls = {"n": 0}
+        real = Parser.parse_program
+
+        def counting(parser):
+            calls["n"] += 1
+            return real(parser)
+
+        monkeypatch.setattr(Parser, "parse_program", counting)
+        cache = ArtifactCache(root)
+        with _serving(tmp_path / "f.sock", cache) as d:
+            with _client(d) as client:
+                responses = [
+                    client.request(_source_request(s)) for s in subjects
+                ]
+        assert calls["n"] == 0
+        entries = [r["subjects"][s.class_name] for r, s in zip(responses, subjects)]
+        assert all(e["synthesis_cached"] and e["detection_cached"] for e in entries)
+        assert [e["digest"] for e in entries] == digests
+        assert cache.stats.writes == 0
 
     def test_concurrent_clients_are_both_served(self, daemon):
         responses = {}
