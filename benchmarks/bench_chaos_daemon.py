@@ -58,6 +58,8 @@ from repro.narada import (  # noqa: E402
 from repro.narada.daemon import MAX_FRAME_BYTES, recv_frame  # noqa: E402
 from repro.subjects import get_subject  # noqa: E402
 
+from _crash_rate import crash_draws, recoverable_rate, show  # noqa: E402
+
 OUT_PATH = pathlib.Path(__file__).parent / "out" / "BENCH_chaos.json"
 
 #: Payload schema; bump on any shape change so stale reports are caught
@@ -221,26 +223,58 @@ def scenario_clean_and_overhead(workdir, subjects, runs, repeats, direct):
     )
 
 
-def scenario_worker_kills(workdir, subjects, runs, direct):
+#: Retries the worker-kills daemon allows a unit (attempts 0..6).
+KILL_MAX_RETRIES = 6
+
+
+def _kill_plan(subjects, runs):
+    """The first (subject, run count, rate), ``runs`` tried first, at
+    which the subject's unit crashes its first attempt and passes a
+    later one, and every draw looked at on the way."""
+    seen = {}
+    for candidate in dict.fromkeys([runs, *range(1, 9)]):
+        config = PipelineConfig(random_runs=candidate)
+        for key in subjects:
+            draws = crash_draws(
+                subject_specs([get_subject(key)]), config, KILL_MAX_RETRIES
+            )
+            for name, row in draws.items():
+                seen[f"{name}@runs={candidate}"] = row
+            rate = recoverable_rate(draws)
+            if rate is not None:
+                return (key, candidate, rate), seen
+    return None, seen
+
+
+def scenario_worker_kills(workdir, subjects, runs):
     """sha-keyed SIGKILL-grade worker deaths mid-request; answers hold.
 
     A unit is a whole subject, so a request draws once per subject and
-    attempt; at 0.5 the first four attempts of C1's unit crash.
+    attempt.  The scenario computes those draws and requests one subject
+    at a run count and crash rate (:func:`_kill_plan`) where the first
+    attempt crashes and a later one passes, so the retry path runs.
     """
     failures = []
+    plan, seen = _kill_plan(subjects, runs)
+    if plan is None:
+        failures.append(f"no recoverable crash rate; draws: {show(seen)}")
+        return _scenario("worker_kills", failures)
+    key, kill_runs, rate = plan
+    fault_inject = f"crash:{rate!r}"
+    direct = _direct_digests([key], kill_runs)
     with _daemon(
         workdir,
         jobs=2,
         cache=None,
         base_config=PipelineConfig(
-            random_runs=runs,
-            fault_inject="crash:0.5",
-            max_retries=6,
+            random_runs=kill_runs,
+            fault_inject=fault_inject,
+            max_retries=KILL_MAX_RETRIES,
             retry_backoff=0.0,
         ),
     ) as daemon:
         response = _request(
-            daemon, {"op": "detect", "subjects": subjects, "runs": runs}
+            daemon, {"op": "detect", "subjects": [key], "runs": kill_runs}
         )
         if not response.get("ok"):
             failures.append(f"detect failed under crashes: {response.get('error')}")
@@ -257,7 +291,14 @@ def scenario_worker_kills(workdir, subjects, runs, direct):
         respawns = (
             response.get("ledger", {}).get("counters", {}).get("pool_respawns")
         )
-    return _scenario("worker_kills", failures, pool_respawns=respawns)
+    return _scenario(
+        "worker_kills",
+        failures,
+        subject=key,
+        random_runs=kill_runs,
+        fault_inject=fault_inject,
+        pool_respawns=respawns,
+    )
 
 
 def scenario_enospc(workdir, subjects, runs, direct):
@@ -488,7 +529,7 @@ def run_bench(
             scenario_clean_and_overhead(
                 workdir, subjects, runs, repeats, direct
             ),
-            scenario_worker_kills(workdir, subjects, runs, direct),
+            scenario_worker_kills(workdir, subjects, runs),
             scenario_enospc(workdir, subjects, runs, direct),
             scenario_torn_frame(workdir),
             scenario_oversize_frame(workdir),

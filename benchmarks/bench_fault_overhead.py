@@ -8,10 +8,10 @@ three ways and compares wall-clock and output digests:
 * **armed** — per-unit watchdog deadline + retry policy configured, but
   nothing injected: this is the clean-path cost of the fault machinery
   (deadline polling in the pool dispatch loop, SIGALRM arming inline);
-* **injected** — deterministic ``crash:0.5`` fault injection with
-  generous retries: every unit eventually converges, proving retried
-  runs are bit-identical to clean ones (C1..C9 by default — the
-  full-breadth identity check).
+* **injected** — deterministic crash injection, at a rate picked from
+  the run's draws, with generous retries: every unit converges,
+  proving retried runs are bit-identical to clean ones (C1..C9 by
+  default — the full-breadth identity check).
 
 Gates:
 
@@ -48,6 +48,8 @@ from repro.narada import (  # noqa: E402
 )
 from repro.subjects import get_subject  # noqa: E402
 
+from _crash_rate import crash_draws, recoverable_rate, show  # noqa: E402
+
 OUT_PATH = pathlib.Path(__file__).parent / "out" / "BENCH_fault.json"
 
 #: Payload schema; bump on any shape change so stale reports are caught
@@ -70,10 +72,9 @@ OVERHEAD_GATE_MIN_SECONDS = 10.0
 #: The injected scenario: crashes only (hangs would add a wall-clock
 #: penalty of one watchdog deadline per injection — correctness of that
 #: path is covered by the test suite, not timed here).  A unit is a
-#: whole subject, so a run makes one draw per subject and attempt; at
-#: 0.5 the first attempts of C1 (four) and C4 (two) crash, so both the
-#: quick and the full run exercise the retry path.
-FAULT_SPEC = "crash:0.5"
+#: whole subject, so a run makes one draw per subject and attempt; the
+#: rate is picked from those draws (``_crash_rate.recoverable_rate``)
+#: so that some unit crashes and every unit converges.
 INJECTED_MAX_RETRIES = 10
 
 #: Watchdog deadline for the armed + injected runs.  Generous: it must
@@ -104,12 +105,15 @@ def run_bench(
 
     baseline_cfg = PipelineConfig(random_runs=runs)
     armed_cfg = PipelineConfig(random_runs=runs, unit_timeout=UNIT_TIMEOUT_S)
+    draws = crash_draws(specs, baseline_cfg, INJECTED_MAX_RETRIES)
+    rate = recoverable_rate(draws)
+    fault_spec = None if rate is None else f"crash:{rate!r}"
     injected_cfg = PipelineConfig(
         random_runs=runs,
         unit_timeout=UNIT_TIMEOUT_S,
         max_retries=INJECTED_MAX_RETRIES,
         retry_backoff=0.0,
-        fault_inject=FAULT_SPEC,
+        fault_inject=fault_spec,
     )
 
     baseline_s, baseline_digests, _ = _run(specs, jobs, baseline_cfg)
@@ -123,6 +127,8 @@ def run_bench(
     overhead_gate = baseline_s >= OVERHEAD_GATE_MIN_SECONDS
 
     failures = []
+    if rate is None:
+        failures.append(f"no recoverable crash rate; draws: {show(draws)}")
     if not identical:
         failures.append(
             "determinism: digests differ across baseline/armed/injected runs"
@@ -153,7 +159,7 @@ def run_bench(
             "subjects": [spec.name for spec in specs],
             "random_runs": runs,
             "jobs": jobs,
-            "fault_spec": FAULT_SPEC,
+            "fault_spec": fault_spec,
             "unit_timeout_s": UNIT_TIMEOUT_S,
             "injected_max_retries": INJECTED_MAX_RETRIES,
         },

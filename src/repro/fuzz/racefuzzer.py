@@ -25,19 +25,28 @@ FastTrack, Eraser and adjacency-probe handlers.  That split enables
 **interleaving-digest memoization**: runs of one test whose packed
 streams digest equal would feed the detectors bit-identical input, so
 the detector replay is skipped and the memoized race sets are unioned
-instead.  Directed attempts in particular re-produce the same
-interleaving over and over (every candidate pair whose sites never
-fire degenerates to the same drive-to-completion schedule), so the
-memo hit rate is substantial exactly where the old path burned the
-most redundant detector work.  See DESIGN.md §8 for why a digest match
-is sound.
+instead.  See DESIGN.md §8 for why a digest match is sound.
+
+**Directed replay.**  A directed run is a function of the test, the
+leader and where its two drives stop: until the lead drive reaches
+its site, no step depends on that site, and likewise for the chase.
+So every attempt whose lead misses its site makes the same run, as
+does every attempt whose chase misses after the same lead stop.  Each
+``fuzz()`` call keeps, per leader, the accesses its lead stepped past
+when it missed (and per lead stop, the chase's), resolves an
+attempt's stops from them before preparing it, and replays the record
+of an already executed run instead of executing it again: the same
+counters and the same memo hit the run would have produced.  So most
+memo hits are replays, which skip execution as well as the sweep: on
+C1 C3 C6 C7 C9 at ``random_runs=2``, 17 of the 315 hits come from
+executed runs.  See DESIGN.md §8 for why a replay is sound.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.analysis.sweep import interest_union, memo_key, run_sweep
 from repro.detect.eraser import EraserDetector
@@ -63,6 +72,9 @@ _FUZZ_PASS_NAMES = tuple(p.name for p in _FUZZ_PASSES)
 #: so the recording holds every row the passes handle (see
 #: interest_union in analysis/sweep.py).
 _FUZZ_INTERESTS = interest_union(_FUZZ_PASSES)
+
+#: Key of the directed-drive record of a failed ``prepare``.
+_UNPREPARED = "unprepared"
 
 
 def schedule_seed(test_name: str, run_index: int) -> int:
@@ -158,6 +170,18 @@ class FuzzReport:
         return encode_fuzz_bundle(self)
 
 
+class _Run(NamedTuple):
+    """What one executed run adds to a report: scalars only, so a
+    directed record keeps neither the trace nor the VM alive."""
+
+    events: int
+    nbytes: int
+    digest: str
+    deadlocked: bool
+    timed_out: bool
+    faults: int
+
+
 class RaceFuzzer:
     """Detects and confirms races in synthesized multithreaded tests."""
 
@@ -248,44 +272,55 @@ class RaceFuzzer:
 
     def _absorb(
         self, report: FuzzReport, outcome, packed: PackedTrace, memo: dict
-    ) -> None:
-        """Fold one run's packed trace into the report, memoizing by
-        interleaving digest.
+    ) -> _Run:
+        """Measure one executed run, fold it into the report and return
+        its measurement, memoizing by interleaving digest.
 
         A digest hit means this run's detector-relevant event stream is
         byte-identical to an earlier run's, so replaying the (pure)
         detectors would reproduce exactly the memoized race sets —
         union those instead of feeding the detectors again.
         """
-        report.trace_events += len(packed)
-        report.packed_bytes += packed.nbytes()
         digest = memo_key(_FUZZ_PASS_NAMES, packed)
-        entry = memo.get(digest)
-        if entry is None:
-            report.memo_misses += 1
+        hit = digest in memo
+        if not hit:
             fasttrack = FastTrackDetector()
             eraser = EraserDetector()
             probe = AdjacencyProbe()
             run_sweep((fasttrack, eraser, probe), packed)
-            entry = memo[digest] = (
-                fasttrack.races,
-                eraser.races,
-                probe.confirmed,
-            )
-        else:
+            memo[digest] = (fasttrack.races, eraser.races, probe.confirmed)
+        result = outcome.concurrent_result
+        run = _Run(
+            events=len(packed),
+            nbytes=packed.nbytes(),
+            digest=digest,
+            deadlocked=result is not None and result.deadlocked,
+            timed_out=result is not None and result.timed_out,
+            faults=0 if result is None else len(result.faults),
+        )
+        self._fold(report, run, memo, hit)
+        return run
+
+    @staticmethod
+    def _fold(report: FuzzReport, run: _Run, memo: dict, hit: bool) -> None:
+        """Fold a measured run into the report.  A replayed run is a
+        hit: its digest entered ``memo`` when it executed."""
+        report.trace_events += run.events
+        report.packed_bytes += run.nbytes
+        if hit:
             report.memo_hits += 1
-        fasttrack_races, eraser_races, confirmed = entry
+        else:
+            report.memo_misses += 1
+        fasttrack_races, eraser_races, confirmed = memo[run.digest]
         report.detected.merge(fasttrack_races)
         report.detected.merge(eraser_races)
         report.confirmed_raw |= confirmed
         report.reproduced = report.confirmed_raw & report.detected.static_keys()
-        result = outcome.concurrent_result
-        if result is not None:
-            if result.deadlocked:
-                report.deadlocks += 1
-            if result.timed_out:
-                report.timeouts += 1
-            report.faults += len(result.faults)
+        if run.deadlocked:
+            report.deadlocks += 1
+        if run.timed_out:
+            report.timeouts += 1
+        report.faults += run.faults
 
     # ------------------------------------------------------------------
     # Directed phase.
@@ -315,6 +350,19 @@ class RaceFuzzer:
         for sites in sorted(test.target_sites()):
             site_targets.setdefault(sites, None)
 
+        # This call's directed drives, keyed by what decides a run (see
+        # _decided) and scoped to the call like the memo:
+        # - ("lead", leader): the node ids the lead stepped past when it
+        #   missed;
+        # - ("chase", leader, first): the lead's address at ``first`` and
+        #   the (node id, address) pairs the chase stepped past when it
+        #   missed;
+        # - ("run", leader, stop1, stop2): (run, confirmed) of the
+        #   executed run whose drives stopped at those sites (None:
+        #   never);
+        # - _UNPREPARED: (None, False), once ``prepare`` has failed.
+        drives: dict = {}
+
         def settled(sites: tuple[int, int], record) -> bool:
             if record is not None:
                 return record.static_key() in report.reproduced
@@ -330,7 +378,8 @@ class RaceFuzzer:
             for first, second in orders:
                 for leader in (0, 1):
                     self._directed_attempt(
-                        test, template, report, first, second, leader, memo
+                        test, template, report, first, second, leader, memo,
+                        drives,
                     )
                     if settled(sites, record):
                         break
@@ -347,27 +396,50 @@ class RaceFuzzer:
         second_site: int,
         leader: int,
         memo: dict,
+        drives: dict,
     ) -> bool:
+        key = _decided(drives, leader, first_site, second_site)
+        if key in drives:
+            run, confirmed = drives[key]
+            report.directed_attempts += 1
+            if run is not None:
+                self._fold(report, run, memo, hit=True)
+            return confirmed
         recorder = ColumnarRecorder(test.name, interests=_FUZZ_INTERESTS)
         runner = TestRunner(self._table, listeners=(recorder,))
         prepared = runner.prepare(template())
         report.directed_attempts += 1
         if not prepared.ok:
+            drives[_UNPREPARED] = (None, False)
             return False
         assert prepared.thread_ids is not None
         lead_tid = prepared.thread_ids[leader]
         chase_tid = prepared.thread_ids[1 - leader]
 
-        address = self._drive_until(prepared, lead_tid, chase_tid, first_site, None)
+        lead_seen: set = set()
+        address = self._drive_until(
+            prepared, lead_tid, chase_tid, first_site, None, lead_seen
+        )
         confirmed = False
-        if address is not None:
+        if address is None:
+            drives[("lead", leader)] = lead_seen
+        else:
+            chase_seen: set = set()
             hit = self._drive_until(
-                prepared, chase_tid, lead_tid, second_site, address
+                prepared, chase_tid, lead_tid, second_site, address, chase_seen
             )
             confirmed = hit is not None
+            if not confirmed:
+                drives[("chase", leader, first_site)] = (address, chase_seen)
         # Drain so detectors see a complete execution and threads finish.
         outcome = runner.finish(prepared, RoundRobinScheduler())
-        self._absorb(report, outcome, recorder.packed, memo)
+        run = self._absorb(report, outcome, recorder.packed, memo)
+        stops = (
+            first_site if address is not None else None,
+            second_site if confirmed else None,
+        )
+        assert key is None or key == ("run", leader, *stops), key
+        drives[("run", leader, *stops)] = (run, confirmed)
         return confirmed
 
     @staticmethod
@@ -377,9 +449,15 @@ class RaceFuzzer:
         other: int,
         site: int,
         address: tuple | None,
+        seen: set,
     ):
         """Step ``preferred`` until it performs an access at ``site``
-        (optionally on ``address``); returns the address or None."""
+        (optionally on ``address``); returns the address or None.
+
+        ``seen`` collects the accesses of ``preferred`` that the drive
+        stepped past: their node ids, or with an ``address`` their
+        (node id, address) pairs.
+        """
         execution = prepared.execution
         assert execution is not None
         for _ in range(DIRECTED_PHASE_STEPS):
@@ -394,10 +472,40 @@ class RaceFuzzer:
                     continue
                 return None
             event = execution.step(preferred)
-            if (
-                isinstance(event, AccessEvent)
-                and event.node_id == site
-                and (address is None or event.address() == address)
-            ):
-                return event.address()
+            if not isinstance(event, AccessEvent):
+                continue
+            if address is None:
+                if event.node_id == site:
+                    return event.address()
+                seen.add(event.node_id)
+            else:
+                at = (event.node_id, event.address())
+                if at == (site, address):
+                    return address
+                seen.add(at)
         return None
+
+
+def _decided(drives: dict, leader: int, first: int, second: int):
+    """The ``drives`` key of the run an attempt would make, or None
+    while a drive it depends on has not missed yet.
+
+    A drive stops at the first access of its site (and address), so a
+    site among the accesses that a missed drive stepped past is where
+    the drive stops, and any other site is a miss again.
+    """
+    if _UNPREPARED in drives:
+        return _UNPREPARED
+    both = ("run", leader, first, second)
+    if both in drives:
+        # The same attempt, executed before with both drives stopping.
+        return both
+    chase = drives.get(("chase", leader, first))
+    if chase is None:
+        lead = drives.get(("lead", leader))
+        if lead is None or first in lead:
+            return None
+        return ("run", leader, None, None)
+    # Only a lead that stopped at ``first`` has a chase.
+    address, seen = chase
+    return ("run", leader, first, second if (second, address) in seen else None)

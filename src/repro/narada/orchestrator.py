@@ -122,8 +122,9 @@ class ProgramSource:
     source memo, then from the source's ``source`` cache entry, and
     parses only when both miss.  The memo holds no table and no site
     map: a table is parsed at most once per holder, when an inline unit
-    or :attr:`sites` first needs it, and dies with the holder.  A source
-    that fails to parse raises and is never memoized or cached.
+    or :attr:`sites` first needs it, and dies with the holder.  A memo
+    hit's :attr:`sites` reads the ``source`` entry before it parses.  A
+    source that fails to parse raises and is never memoized or cached.
     """
 
     text: str = field(repr=False)
@@ -131,33 +132,32 @@ class ProgramSource:
     class_names: tuple[str, ...]
     _table: ClassTable | None = field(default=None, repr=False)
     _sites: dict[int, str] | None = field(default=None, repr=False)
-    #: The key of the ``source`` entry :meth:`of` parsed for want of;
-    #: :meth:`save` writes the entry and clears it.
-    _unsaved_key: str | None = field(default=None, repr=False)
+    #: The cache a memo hit's :attr:`sites` reads the entry from first.
+    _reader: ArtifactCache | None = field(default=None, repr=False)
+    #: Whether this holder parsed for want of its ``source`` entry; it
+    #: writes the entry once :meth:`save` is called, and clears this.
+    _owed: bool = field(default=False, repr=False)
+    #: The cache :meth:`save` was given, for an entry owed later.
+    _saving: ArtifactCache | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, text: str, cache: ArtifactCache | None = None) -> "ProgramSource":
-        key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+        key = _text_key(text)
         with _SOURCE_MEMO_LOCK:
             known = _SOURCE_MEMO.get(key)
             if known is not None:
                 _SOURCE_MEMO.move_to_end(key)
         if known is not None:
-            return cls(text, *known)
-        entry_key = stage_key(key.hex(), "source", {})
-        entry = None if cache is None else cache.get("source", entry_key)
+            return cls(text, *known, _reader=cache)
+        entry = None if cache is None else _read_source(cache, key)
         if entry is not None:
-            try:
-                digest, class_names, sites = decode_source(entry)
-            except ValueError as error:
-                cache.reject("source", entry_key, f"decode failure: {error!r}")
-            else:
-                _remember(key, (digest, class_names))
-                return cls(text, digest, class_names, _sites=sites)
+            digest, class_names, sites = entry
+            _remember(key, (digest, class_names))
+            return cls(text, digest, class_names, _sites=sites)
         table = load(text)
         known = (table_digest(table), tuple(table.class_names()))
         _remember(key, known)
-        return cls(text, *known, table, _unsaved_key=entry_key)
+        return cls(text, *known, table, _owed=True)
 
     @property
     def table(self) -> ClassTable:
@@ -170,22 +170,62 @@ class ProgramSource:
         """node id -> name of the method whose body contains it
         (:meth:`ClassTable.site_methods`); scorers read it."""
         if self._sites is None:
-            self._sites = self.table.site_methods()
+            reader, self._reader = self._reader, None
+            entry = None
+            if reader is not None:
+                entry = _read_source(reader, _text_key(self.text))
+            if entry is not None:
+                self._sites = entry[2]
+            else:
+                self._sites = self.table.site_methods()
+                if reader is not None:
+                    self._owed = True
+                    if self._saving is not None:
+                        self.save(self._saving)
         return self._sites
 
     def save(self, cache: ArtifactCache) -> None:
-        """Write this source's ``source`` entry if :meth:`of` parsed it.
+        """Write this source's ``source`` entry if this holder parsed
+        for want of it, now or when :attr:`sites` does.
 
         The orchestrator calls this when the source's synthesis entry
-        hits: the entry then spares the next process's replay its only
-        parse.  A source whose synthesis missed is not saved, so a cold
-        run writes nothing beyond its reports.
+        hits: the entry then spares the next replay its only parse.  A
+        source whose synthesis missed is not saved, so a cold run
+        writes nothing beyond its reports.
         """
-        key, self._unsaved_key = self._unsaved_key, None
-        if key is not None:
+        self._saving = cache
+        if self._owed:
+            self._owed = False
             cache.put(
-                "source", key, encode_source(self.digest, self.class_names, self.sites)
+                "source",
+                _entry_key(_text_key(self.text)),
+                encode_source(self.digest, self.class_names, self.sites),
             )
+
+
+def _text_key(text: str) -> bytes:
+    """The source memo's key for ``text``."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
+
+def _entry_key(key: bytes) -> str:
+    """The ``source`` cache key of the source whose memo key is ``key``."""
+    return stage_key(key.hex(), "source", {})
+
+
+def _read_source(cache: ArtifactCache, key: bytes) -> tuple | None:
+    """The decoded ``source`` entry of the source whose memo key is
+    ``key``, or None when it is missing or fails to decode (and is then
+    quarantined)."""
+    entry_key = _entry_key(key)
+    entry = cache.get("source", entry_key)
+    if entry is None:
+        return None
+    try:
+        return decode_source(entry)
+    except ValueError as error:
+        cache.reject("source", entry_key, f"decode failure: {error!r}")
+        return None
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ parses a memoized source only when an inline unit or a reader of
 ``.sites`` first needs its table.  A process that parses a source and
 then finds its synthesis cached writes the source's ``source`` entry
 (digest, class names, site map), which spares the next process the
-parse.  These tests count parser entries, so a new re-parse anywhere on
-the path fails them; clearing the memo stands for a fresh process.
+parse; a memo hit reads that entry for its site map.  These tests
+count parser entries, so a new re-parse anywhere on the path fails
+them; clearing the memo stands for a fresh process.
 """
 
 import json
@@ -119,9 +120,17 @@ def test_repeat_run_on_a_warm_cache_parses_nothing_until_sites_are_read(
     tmp_path, memo, parses
 ):
     specs = subject_specs([get_subject("C8")])
-    cache = ArtifactCache(tmp_path / "cache")
+    root = tmp_path / "cache"
+    cache = ArtifactCache(root)
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         cold = orch.run(specs)[0]
+    # A replay in a fresh process parses once and writes the source entry.
+    memo.clear()
+    writes = cache.stats.writes
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        orch.run(specs)[0].program.sites
+    assert cache.stats.writes == writes + 1
+    assert _source_entries(root) == 1
 
     parses["n"] = 0
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
@@ -130,14 +139,48 @@ def test_repeat_run_on_a_warm_cache_parses_nothing_until_sites_are_read(
     assert warm.synthesis_cached and warm.detection_cached
     assert warm.digest() == cold.digest()
 
-    # A memo hit reads no source entry and writes none: the sites come
-    # from a parse, once.
+    # A memo hit reads its sites from the source entry, once.
+    hits = cache.stats.hits
+    sites = warm.program.sites
+    assert warm.program.sites is sites
+    assert parses["n"] == 0
+    assert cache.stats.hits == hits + 1
+    assert sites == load(specs[0].source).site_methods()
+
+
+def test_a_memo_hit_without_an_entry_parses_for_its_sites_and_saves_them(
+    tmp_path, memo, parses
+):
+    specs = subject_specs([get_subject("C8")])
+    root = tmp_path / "cache"
+    cache = ArtifactCache(root)
+    # A memo hit whose synthesis misses parses for its sites and writes
+    # no source entry: a cold run writes nothing beyond its reports.
+    ProgramSource.of(specs[0].source)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        cold = orch.run(specs)[0]
+    assert not cold.synthesis_cached
+    assert cold.program.sites
+    assert not (root / "source").exists()
+
+    # One whose synthesis hits writes the entry when it parses ...
+    parses["n"] = 0
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        warm = orch.run(specs)[0]
+    assert warm.synthesis_cached and parses["n"] == 0
+    writes = cache.stats.writes
     sites = warm.program.sites
     assert parses["n"] == 1
-    assert warm.program.sites is sites
+    assert cache.stats.writes == writes + 1
+    assert _source_entries(root) == 1
+
+    # ... and the next repeat run reads it instead of parsing.
+    writes = cache.stats.writes
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        again = orch.run(specs)[0]
+    assert again.program.sites == sites
     assert parses["n"] == 1
-    assert sites == load(specs[0].source).site_methods()
-    assert not (tmp_path / "cache" / "source").exists()
+    assert cache.stats.writes == writes
 
 
 def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
@@ -228,14 +271,13 @@ def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
             ProgramSource.of(source).save(cache)
         memo.clear()
         cache.stats.writes = 0
-    errors, sizes, from_entries = [], [], []
+    errors, sizes = [], []
 
     def lookups(offset):
         try:
             for i in range(24):
                 source = sources[(offset + i) % len(sources)]
                 program = ProgramSource.of(source, cache)
-                from_entries.append(program._sites is not None)
                 assert program.digest == expected[source]
                 assert program.sites == sites[source]
                 sizes.append(len(memo))
@@ -259,7 +301,9 @@ def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
     assert len(sizes) == 8 * 24
     assert max(sizes) <= 3
     if cached:
-        assert cache.stats.hits == sum(from_entries) > 0
+        # Each lookup reads its entry once: a memo miss for its digest,
+        # a memo hit for its sites.
+        assert cache.stats.hits == len(sizes)
         assert (cache.stats.misses, cache.stats.writes) == (0, 0)
 
 
