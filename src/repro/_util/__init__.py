@@ -1,7 +1,6 @@
 """Internal utilities shared by the repro packages."""
 
 from repro._util.errors import (
-    AnalysisError,
     DeadlockError,
     LexError,
     MiniJRuntimeError,
@@ -13,7 +12,6 @@ from repro._util.errors import (
 )
 
 __all__ = [
-    "AnalysisError",
     "DeadlockError",
     "LexError",
     "MiniJRuntimeError",

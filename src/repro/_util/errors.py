@@ -85,7 +85,3 @@ class DeadlockError(ReproError):
 
 class SynthesisError(ReproError):
     """Raised when the synthesizer cannot build a runnable test."""
-
-
-class AnalysisError(ReproError):
-    """Raised when trace analysis encounters an inconsistent trace."""

@@ -164,11 +164,5 @@ class AnalysisResult:
     def methods_seen(self) -> set[tuple[str, str]]:
         return {s.method_id() for s in self.summaries}
 
-    def all_accesses(self) -> list[tuple[MethodSummary, AccessRecord]]:
-        return [(s, a) for s in self.summaries for a in s.accesses]
-
-    def all_writeables(self) -> list[tuple[MethodSummary, WriteableEntry]]:
-        return [(s, w) for s in self.summaries for w in s.writeables]
-
     def merge(self, other: "AnalysisResult") -> "AnalysisResult":
         return AnalysisResult(self.summaries + other.summaries)

@@ -52,11 +52,6 @@ class AccessPath:
             raise ValueError(f"{self} has no owner prefix")
         return AccessPath(self.root, self.fields[:-1])
 
-    def last_field(self) -> str:
-        if not self.fields:
-            raise ValueError(f"{self} names a root, not a field")
-        return self.fields[-1]
-
     def prefixes(self) -> list["AccessPath"]:
         """All proper prefixes, longest first (for prefix fallback, §4)."""
         return [
@@ -67,12 +62,6 @@ class AccessPath:
     @property
     def depth(self) -> int:
         return len(self.fields)
-
-    def is_receiver_root(self) -> bool:
-        return self.root == RECEIVER
-
-    def is_return_root(self) -> bool:
-        return self.root == RETURN
 
     def __str__(self) -> str:
         if self.root == RECEIVER:

@@ -82,12 +82,6 @@ class CoverageReport:
     #: Coverage size after each run (monotone; flat tail = saturation).
     growth: list[int] = field(default_factory=list)
 
-    @property
-    def saturated(self) -> bool:
-        return (
-            len(self.growth) >= 2 and self.growth[-1] == self.growth[-2]
-        )
-
 
 class CoverageGuidedFuzzer:
     """Run schedules until interleaving coverage stops growing."""

@@ -133,9 +133,6 @@ class FuzzReport:
     def reproduced_records(self) -> list[RaceRecord]:
         return [r for r in self.detected if r.static_key() in self.reproduced]
 
-    def unreproduced_records(self) -> list[RaceRecord]:
-        return [r for r in self.detected if r.static_key() not in self.reproduced]
-
     def harmful(self) -> list[RaceRecord]:
         return [
             r

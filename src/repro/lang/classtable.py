@@ -188,9 +188,6 @@ class ClassTable:
         """Declared type of ``class_name.field_name``, or None."""
         return self._field_types.get(class_name, {}).get(field_name)
 
-    def field_names(self, class_name: str) -> list[str]:
-        return list(self._field_types.get(class_name, {}))
-
     def implements(self, class_name: str) -> frozenset[str]:
         return self._implements.get(class_name, frozenset())
 

@@ -71,9 +71,6 @@ class RacyPair:
     def involves_write(self) -> bool:
         return self.first.access.is_write or self.second.access.is_write
 
-    def method_ids(self) -> tuple[tuple[str, str], tuple[str, str]]:
-        return (self.first.method_id(), self.second.method_id())
-
     def add_sites(self, first_site: int, second_site: int) -> None:
         self.site_pairs.add(
             (min(first_site, second_site), max(first_site, second_site))

@@ -162,8 +162,5 @@ class Heap:
         except KeyError:
             raise MiniJRuntimeError("dangling-ref", f"object #{ref}") from None
 
-    def deref(self, handle: ObjRef) -> HeapObject:
-        return self.get(handle.ref)
-
     def objects(self) -> list[HeapObject]:
         return list(self._objects.values())

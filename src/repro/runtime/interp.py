@@ -1,7 +1,7 @@
-"""Generator-based small-step interpreter for MiniJ.
+"""Frame-stack interpreter for MiniJ.
 
-Every *visible action* (field access, lock, unlock, call, return, alloc)
-is ``yield``-ed as a trace event; the scheduler advances a thread by one
+Every *visible action* (field access, lock, unlock, call, return, alloc,
+wait, notify) is one trace event; the scheduler advances a thread by one
 event at a time.  Purely local computation between two events executes
 atomically — which matches the memory model relevant for races: only
 shared-memory and synchronization operations are interleaving points.
@@ -10,44 +10,52 @@ Because of this structure, ``count = count + 1`` really is a READ event
 followed by a WRITE event with a schedulable gap in between, so lost
 updates and other classic races manifest concretely in the VM.
 
-Hot-path architecture (see DESIGN.md, "Performance architecture"):
+Engine (see DESIGN.md, "Performance architecture"):
 
-* **Purity fast path** — expressions and statements that cannot emit an
-  event (no field access, call, allocation, or class-typed ``rand()``)
-  are classified once per AST node and then evaluated by plain recursive
-  functions instead of generators.  This removes the generator-creation
-  and ``yield from`` delegation cost for the local computation between
-  two events without moving any interleaving point: pure code never
-  yielded in the first place.
-* **Type-keyed dispatch** — statement and expression handlers are looked
-  up in ``dict``s keyed on the node's class, replacing the long
-  ``isinstance`` chains.
+* **Compiled units** — each method body, each class's field
+  initializers and each client statement is compiled once, on first
+  use, into a flat tuple of instructions memoized on its AST node.  An
+  instruction is a tuple ``(handler, *operands)`` run as
+  ``handler(thread, frame, op)``: one per visible action, which returns
+  its event, plus the few that bind locals, jump or save a temporary,
+  which return None.  A pure subtree (no field access, call, allocation
+  or class-typed ``rand()``) compiles to one value op of the same shape
+  that computes its value.  Tuples keep the code of a program a fraction
+  of the size closures would, which matters because a worker keeps many
+  parsed programs alive.
+* **Explicit frames** — a thread is a :class:`FrameStack` iterator over
+  linked :class:`Frame` records (pc, locals, temporaries); ``next()``
+  runs instructions until one returns an event.  The Python stack does
+  not grow with MiniJ call depth, so :data:`MAX_CALL_DEPTH` alone
+  bounds recursion.
 * **Resolution caches** — method lookup, constructor lookup, and the
-  per-class field-layout dicts used at allocation are memoized per
-  (class, name) so the AST is never re-scanned on the hot path.
+  per-class field layouts and initializer code used at allocation are
+  memoized per (class, name) so the AST is never re-scanned on the hot
+  path.
 * **Event-construction elision** — when the driving
   :class:`~repro.runtime.vm.Execution` reports that no listener
   subscribes to an event kind, the interpreter burns the label and
-  yields :data:`~repro.trace.events.SKIPPED_EVENT` instead of building
-  the event object.  Labels and yield points are unchanged, so the
+  returns :data:`~repro.trace.events.SKIPPED_EVENT` instead of building
+  the event object.  Labels and scheduling points are unchanged, so the
   observable stream (and any recorded golden trace) is bit-identical.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable
 
 from repro._util.errors import MiniJRuntimeError
 from repro.lang import ast
-from repro.lang.classtable import ClassTable
+from repro.lang.classtable import BUILTIN_METHODS, ClassTable
 from repro.runtime.heap import Heap, HeapObject
-from repro.runtime.values import ObjRef, Value, values_equal
+from repro.runtime.values import ObjRef, Value, default_value, values_equal
 from repro.trace.events import (
     SKIPPED_EVENT,
     AllocEvent,
     BlockedEvent,
-    Event,
     InvokeEvent,
     LockEvent,
     NotifyEvent,
@@ -58,41 +66,16 @@ from repro.trace.events import (
     WriteEvent,
 )
 
-#: Default bound on nested library calls per thread.  Each MiniJ frame
-#: costs a dozen-plus Python frames in the ``yield from`` delegation
-#: chain, so this is kept well below Python's own recursion limit (which
-#: the VM also raises defensively).
+#: Default bound on nested library calls per thread, a MiniJ-level
+#: stack overflow.  Frames live on the heap, not the Python stack.
 MAX_CALL_DEPTH = 64
 
 _MISSING = object()
 
 
-@dataclass(slots=True)
-class Frame:
-    """One activation record.
-
-    ``call_index`` scopes the invocation (0 = client level); ``depth`` is
-    the library-call nesting depth (client = 0).
-    """
-
-    locals: dict[str, Value] = field(default_factory=dict)
-    this: ObjRef | None = None
-    class_name: str = ""
-    method: str = ""
-    call_index: int = 0
-    depth: int = 0
-    is_constructor: bool = False
-    returned: bool = False
-    return_value: Value = None
-
-    @property
-    def is_client(self) -> bool:
-        return self.call_index == 0
-
-
 @dataclass
 class ForkRequest:
-    """Yielded by the interpreter when client code executes ``fork {}``.
+    """Returned by a thread when client code executes ``fork {}``.
 
     Not a trace event: the Execution intercepts it, spawns the child
     thread (emitting the real ForkEvent), and resumes the parent.  The
@@ -125,11 +108,98 @@ class ThreadContext:
         return cache
 
 
+#: A compiled op: a tuple ``(handler, *operands)``, run as
+#: ``handler(thread, frame, op)``.  An instruction's handler returns its
+#: event, or None to run on; a value op's handler returns the value.
+Op = tuple
+
+
+class Code:
+    """A compiled unit: its instructions and the frame layout they use.
+
+    ``exit_pc`` is where ``return`` jumps (the release of a synchronized
+    method's monitor, or the epilogue); ``params`` name a method's
+    parameters in order.
+    """
+
+    __slots__ = ("instrs", "ntemps", "exit_pc", "params")
+
+    def __init__(self, instrs, ntemps: int, exit_pc: int = 0, params=()) -> None:
+        self.instrs: tuple[Op, ...] = tuple(instrs)
+        self.ntemps = ntemps
+        self.exit_pc = exit_pc
+        self.params: tuple[str, ...] = params
+
+
+class Frame:
+    """One activation record.
+
+    ``call_index`` scopes the invocation (0 = client level); ``depth`` is
+    the library-call nesting depth (client = 0).  ``temps`` hold the
+    values of impure subexpressions until their consumer runs.  Method
+    frames also carry the ``decl``, call-site ``node_id``, ``from_client``
+    flag and the caller temporary ``dst`` that receives ``ret``;
+    field-initializer frames carry the allocation site's ``node_id``.
+    """
+
+    __slots__ = (
+        "instrs", "pc", "exit_pc", "temps", "locals", "this", "call_index",
+        "depth", "method", "parent", "ret", "decl", "node_id", "from_client",
+        "dst",
+    )
+
+    def __init__(self, code: Code, locals, this, call_index, depth, method,
+                 parent=None) -> None:
+        self.instrs = code.instrs
+        self.pc = 0
+        self.exit_pc = code.exit_pc
+        self.temps = [None] * code.ntemps
+        self.locals: dict[str, Value] = locals
+        self.this: ObjRef | None = this
+        self.call_index: int = call_index
+        self.depth: int = depth
+        self.method: str = method
+        self.parent: Frame | None = parent
+        self.ret: Value = None
+
+
+class FrameStack:
+    """One VM thread's frames, advanced one event per ``next()``.
+
+    Each ``next()`` runs instructions of the top frame until one returns
+    an event (or a :class:`ForkRequest`).  The call after the last event
+    raises ``StopIteration``, carrying the called method's return value
+    for a thread started by :meth:`Interpreter.call_method`.
+    """
+
+    __slots__ = ("interp", "ctx", "tid", "frame")
+
+    def __init__(self, interp: "Interpreter", ctx: ThreadContext, frame: Frame) -> None:
+        self.interp = interp
+        self.ctx = ctx
+        self.tid = ctx.thread_id
+        self.frame = frame
+
+    def __iter__(self) -> "FrameStack":
+        return self
+
+    def __next__(self):
+        while True:
+            frame = self.frame
+            pc = frame.pc
+            frame.pc = pc + 1
+            op = frame.instrs[pc]
+            event = op[0](self, frame, op)
+            if event is not None:
+                return event
+
+
 class Interpreter:
-    """Executes MiniJ code for one VM, one generator per thread.
+    """Executes MiniJ code for one VM, one :class:`FrameStack` per thread.
 
     The interpreter does not schedule anything itself: callers drive the
-    generators returned by :meth:`run_client_stmts` and receive events.
+    iterators returned by :meth:`run_client_stmts` and
+    :meth:`call_method` and receive events.
     """
 
     def __init__(self, table: ClassTable, heap: Heap, rng, label_source) -> None:
@@ -159,7 +229,7 @@ class Interpreter:
         self._method_cache: dict[tuple[str, str], ast.MethodDecl | None] = {}
         self._ctor_cache: dict[str, ast.MethodDecl | None] = {}
         self._field_types_cache: dict[str, dict[str, str]] = {}
-        self._field_inits_cache: dict[str, tuple[ast.FieldDecl, ...]] = {}
+        self._field_inits_cache: dict[str, Code | None] = {}
 
     def clone(self, heap: Heap, rng, label_source) -> "Interpreter":
         """A new interpreter over ``heap`` that continues this one's
@@ -205,82 +275,22 @@ class Interpreter:
             self._emit_write = want(WriteEvent)
 
     # ------------------------------------------------------------------
-    # Purity classification.
-
-    def _expr_pure(self, expr: ast.Expr) -> bool:
-        pure = getattr(expr, "_rt_pure", None)
-        if pure is None:
-            pure = self._classify_expr(expr)
-            expr._rt_pure = pure
-        return pure
-
-    def _stmt_pure(self, stmt: ast.Stmt) -> bool:
-        pure = getattr(stmt, "_rt_pure", None)
-        if pure is None:
-            pure = self._classify_stmt(stmt)
-            stmt._rt_pure = pure
-        return pure
-
-    def _classify_expr(self, expr: ast.Expr) -> bool:
-        cls = expr.__class__
-        if cls in (ast.IntLit, ast.BoolLit, ast.NullLit, ast.This, ast.VarRef):
-            return True
-        if cls is ast.Rand:
-            result_type = expr.result_type
-            return result_type is None or result_type.kind != "class"
-        if cls is ast.Binary:
-            return self._classify_expr(expr.left) and self._classify_expr(expr.right)
-        if cls is ast.Unary:
-            return self._classify_expr(expr.operand)
-        # FieldGet, New, Call — all emit events.
-        return False
-
-    def _classify_stmt(self, stmt: ast.Stmt) -> bool:
-        cls = stmt.__class__
-        if cls is ast.Block:
-            return all(self._stmt_pure(s) for s in stmt.stmts)
-        if cls is ast.VarDecl:
-            return stmt.init is None or self._classify_expr(stmt.init)
-        if cls is ast.AssignVar:
-            return self._classify_expr(stmt.value)
-        if cls is ast.If:
-            return (
-                self._classify_expr(stmt.cond)
-                and self._stmt_pure(stmt.then_body)
-                and (stmt.else_body is None or self._stmt_pure(stmt.else_body))
-            )
-        if cls is ast.While:
-            return self._classify_expr(stmt.cond) and self._stmt_pure(stmt.body)
-        if cls is ast.Return:
-            return stmt.value is None or self._classify_expr(stmt.value)
-        if cls is ast.Assert:
-            return self._classify_expr(stmt.cond)
-        if cls is ast.ExprStmt:
-            return self._classify_expr(stmt.expr)
-        # AssignField, Sync, Fork — all emit events (or fork).
-        return False
-
-    # ------------------------------------------------------------------
     # Entry points.
 
     def run_client_stmts(
         self, stmts: list[ast.Stmt], thread: ThreadContext, env: dict[str, Value]
-    ) -> Iterator[Event]:
+    ) -> FrameStack:
         """Execute client (test body) statements in the given thread.
 
         ``env`` is the client variable environment; it is mutated in
         place so callers can observe client variables afterwards (this is
         how the synthesizer's ``collectObjects`` captures references).
         """
-        frame = Frame(locals=env, call_index=0, depth=0, class_name="<client>",
-                      method="<client>")
-        for stmt in stmts:
-            if self._stmt_pure(stmt):
-                self._exec_pure(stmt, frame, thread)
-            else:
-                yield from _EXEC[stmt.__class__](self, stmt, frame, thread)
-            if frame.returned:
-                break
+        units = [_compiled(stmt, _statement_unit) for stmt in stmts]
+        instrs = (*chain.from_iterable(unit.instrs for unit in units), _FINISH)
+        code = Code(instrs, max((unit.ntemps for unit in units), default=0),
+                    exit_pc=len(instrs) - 1)
+        return FrameStack(self, thread, Frame(code, env, None, 0, 0, "<client>"))
 
     def call_method(
         self,
@@ -292,812 +302,19 @@ class Interpreter:
         caller_depth: int = 0,
         node_id: int = -1,
         caller_call_index: int = 0,
-    ) -> Iterator[Event]:
+    ) -> FrameStack:
         """Invoke ``receiver.method(args)`` directly (no client statement).
 
         Used by synthesized-test thread bodies and the fuzzer.  The
-        generator's return value is the method's return value.
+        final ``StopIteration`` carries the method's return value.
         """
-        return self._invoke(
-            thread,
-            receiver,
-            method_name,
-            args,
-            from_client=from_client,
-            caller_depth=caller_depth,
-            node_id=node_id,
-            caller_call_index=caller_call_index,
-        )
+        call = (_call_direct, receiver, method_name, args, from_client, node_id)
+        code = Code((call, _RESULT), 1)
+        frame = Frame(code, {}, None, caller_call_index, caller_depth, "<client>")
+        return FrameStack(self, thread, frame)
 
     # ------------------------------------------------------------------
-    # Statement execution (impure path: generators).
-
-    def _exec(self, stmt: ast.Stmt, frame: Frame, thread: ThreadContext):
-        """Execute one statement; generic entry kept for compatibility."""
-        if self._stmt_pure(stmt):
-            self._exec_pure(stmt, frame, thread)
-            return
-        yield from _EXEC[stmt.__class__](self, stmt, frame, thread)
-
-    def _exec_block(self, stmt: ast.Block, frame: Frame, thread: ThreadContext):
-        for inner in stmt.stmts:
-            if self._stmt_pure(inner):
-                self._exec_pure(inner, frame, thread)
-            else:
-                yield from _EXEC[inner.__class__](self, inner, frame, thread)
-            if frame.returned:
-                return
-
-    def _exec_vardecl(self, stmt: ast.VarDecl, frame: Frame, thread: ThreadContext):
-        # Impure path: stmt.init is present and emits events (a pure or
-        # absent initializer is handled by _pure_vardecl).
-        value = yield from _EVAL[stmt.init.__class__](
-            self, stmt.init, frame, thread
-        )
-        frame.locals[stmt.name] = value
-
-    def _exec_assignvar(self, stmt: ast.AssignVar, frame: Frame, thread: ThreadContext):
-        value = yield from _EVAL[stmt.value.__class__](
-            self, stmt.value, frame, thread
-        )
-        frame.locals[stmt.name] = value
-
-    def _exec_if(self, stmt: ast.If, frame: Frame, thread: ThreadContext):
-        cond_expr = stmt.cond
-        if self._expr_pure(cond_expr):
-            cond = self._eval_pure(cond_expr, frame, thread)
-        else:
-            cond = yield from _EVAL[cond_expr.__class__](
-                self, cond_expr, frame, thread
-            )
-        self._require_bool(cond, stmt.line, thread)
-        branch = stmt.then_body if cond else stmt.else_body
-        if branch is None:
-            return
-        if self._stmt_pure(branch):
-            self._exec_pure(branch, frame, thread)
-        else:
-            yield from _EXEC[branch.__class__](self, branch, frame, thread)
-
-    def _exec_while(self, stmt: ast.While, frame: Frame, thread: ThreadContext):
-        cond_expr = stmt.cond
-        body = stmt.body
-        cond_pure = self._expr_pure(cond_expr)
-        body_pure = self._stmt_pure(body)
-        while True:
-            if cond_pure:
-                cond = self._eval_pure(cond_expr, frame, thread)
-            else:
-                cond = yield from _EVAL[cond_expr.__class__](
-                    self, cond_expr, frame, thread
-                )
-            self._require_bool(cond, stmt.line, thread)
-            if not cond:
-                break
-            if body_pure:
-                self._exec_pure(body, frame, thread)
-            else:
-                yield from _EXEC[body.__class__](self, body, frame, thread)
-            if frame.returned:
-                return
-
-    def _exec_return(self, stmt: ast.Return, frame: Frame, thread: ThreadContext):
-        if stmt.value is not None:
-            frame.return_value = yield from _EVAL[stmt.value.__class__](
-                self, stmt.value, frame, thread
-            )
-        frame.returned = True
-
-    def _exec_assert(self, stmt: ast.Assert, frame: Frame, thread: ThreadContext):
-        cond = yield from _EVAL[stmt.cond.__class__](
-            self, stmt.cond, frame, thread
-        )
-        self._assert_check(cond, stmt, frame, thread)
-
-    def _exec_fork(self, stmt: ast.Fork, frame: Frame, thread: ThreadContext):
-        if not frame.is_client:
-            raise MiniJRuntimeError(
-                "fork-in-library",
-                f"fork at line {stmt.line} outside a test body",
-                thread.thread_id,
-            )
-        yield ForkRequest(
-            stmts=stmt.body.stmts,
-            env=dict(frame.locals),
-            node_id=stmt.node_id,
-        )
-
-    def _exec_exprstmt(self, stmt: ast.ExprStmt, frame: Frame, thread: ThreadContext):
-        yield from _EVAL[stmt.expr.__class__](self, stmt.expr, frame, thread)
-
-    def _assert_check(
-        self, cond: Value, stmt: ast.Assert, frame: Frame, thread: ThreadContext
-    ) -> None:
-        if cond is not True:
-            raise MiniJRuntimeError(
-                "assertion-failed",
-                f"assert at line {stmt.line} in "
-                f"{frame.class_name}.{frame.method}",
-                thread.thread_id,
-            )
-
-    def _exec_field_write(
-        self, stmt: ast.AssignField, frame: Frame, thread: ThreadContext
-    ):
-        target_expr = stmt.target
-        if self._expr_pure(target_expr):
-            target = self._eval_pure(target_expr, frame, thread)
-        else:
-            target = yield from _EVAL[target_expr.__class__](
-                self, target_expr, frame, thread
-            )
-        obj = self._require_object(target, stmt.line, thread)
-        value_expr = stmt.value
-        if self._expr_pure(value_expr):
-            value = self._eval_pure(value_expr, frame, thread)
-        else:
-            value = yield from _EVAL[value_expr.__class__](
-                self, value_expr, frame, thread
-            )
-        fields = obj.fields
-        name = stmt.field_name
-        if name not in fields:
-            raise MiniJRuntimeError(
-                "no-such-field",
-                f"{obj.class_name}.{name} at line {stmt.line}",
-                thread.thread_id,
-            )
-        old_value = fields[name]
-        fields[name] = value
-        if self._emit_write:
-            yield WriteEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=stmt.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                class_name=obj.class_name,
-                field_name=name,
-                value=value,
-                old_value=old_value,
-                locks_held=thread.locks_held(),
-                in_constructor=thread.ctor_depth > 0,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-
-    def _exec_sync(self, stmt: ast.Sync, frame: Frame, thread: ThreadContext):
-        lock_expr = stmt.lock
-        if self._expr_pure(lock_expr):
-            lock_value = self._eval_pure(lock_expr, frame, thread)
-        else:
-            lock_value = yield from _EVAL[lock_expr.__class__](
-                self, lock_expr, frame, thread
-            )
-        obj = self._require_object(lock_value, stmt.line, thread)
-        yield from self._acquire(obj, frame, thread, stmt.node_id)
-        body = stmt.body
-        if self._stmt_pure(body):
-            self._exec_pure(body, frame, thread)
-        else:
-            yield from _EXEC[body.__class__](self, body, frame, thread)
-        yield from self._release(obj, frame, thread, stmt.node_id)
-
-    # ------------------------------------------------------------------
-    # Statement execution (pure path: plain recursion, no yields).
-
-    def _exec_pure(self, stmt: ast.Stmt, frame: Frame, thread: ThreadContext) -> None:
-        _PURE_EXEC[stmt.__class__](self, stmt, frame, thread)
-
-    def _pure_block(self, stmt: ast.Block, frame: Frame, thread: ThreadContext) -> None:
-        for inner in stmt.stmts:
-            _PURE_EXEC[inner.__class__](self, inner, frame, thread)
-            if frame.returned:
-                return
-
-    def _pure_vardecl(self, stmt: ast.VarDecl, frame: Frame, thread: ThreadContext) -> None:
-        if stmt.init is not None:
-            frame.locals[stmt.name] = self._eval_pure(stmt.init, frame, thread)
-        else:
-            frame.locals[stmt.name] = _default_for(stmt.decl_type.kind)
-
-    def _pure_assignvar(self, stmt: ast.AssignVar, frame: Frame, thread: ThreadContext) -> None:
-        frame.locals[stmt.name] = self._eval_pure(stmt.value, frame, thread)
-
-    def _pure_if(self, stmt: ast.If, frame: Frame, thread: ThreadContext) -> None:
-        cond = self._eval_pure(stmt.cond, frame, thread)
-        self._require_bool(cond, stmt.line, thread)
-        if cond:
-            _PURE_EXEC[stmt.then_body.__class__](
-                self, stmt.then_body, frame, thread
-            )
-        elif stmt.else_body is not None:
-            _PURE_EXEC[stmt.else_body.__class__](
-                self, stmt.else_body, frame, thread
-            )
-
-    def _pure_while(self, stmt: ast.While, frame: Frame, thread: ThreadContext) -> None:
-        cond_expr = stmt.cond
-        body = stmt.body
-        body_exec = _PURE_EXEC[body.__class__]
-        while True:
-            cond = self._eval_pure(cond_expr, frame, thread)
-            self._require_bool(cond, stmt.line, thread)
-            if not cond:
-                return
-            body_exec(self, body, frame, thread)
-            if frame.returned:
-                return
-
-    def _pure_return(self, stmt: ast.Return, frame: Frame, thread: ThreadContext) -> None:
-        if stmt.value is not None:
-            frame.return_value = self._eval_pure(stmt.value, frame, thread)
-        frame.returned = True
-
-    def _pure_assert(self, stmt: ast.Assert, frame: Frame, thread: ThreadContext) -> None:
-        cond = self._eval_pure(stmt.cond, frame, thread)
-        self._assert_check(cond, stmt, frame, thread)
-
-    def _pure_exprstmt(self, stmt: ast.ExprStmt, frame: Frame, thread: ThreadContext) -> None:
-        self._eval_pure(stmt.expr, frame, thread)
-
-    # ------------------------------------------------------------------
-    # Monitors.
-
-    def _acquire(self, obj: HeapObject, frame: Frame, thread: ThreadContext, node_id: int):
-        monitor = obj.monitor
-        tid = thread.thread_id
-        while not monitor.can_acquire(tid):
-            yield BlockedEvent(
-                label=self._next_label(),
-                thread_id=tid,
-                node_id=node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                owner_thread=monitor.owner if monitor.owner is not None else -1,
-            )
-        depth = monitor.acquire(tid)
-        held = thread.held
-        held[obj.ref] = held.get(obj.ref, 0) + 1
-        thread.locks_cache = None
-        yield LockEvent(
-            label=self._next_label(),
-            thread_id=tid,
-            node_id=node_id,
-            call_index=frame.call_index,
-            obj=obj.ref,
-            reentrancy=depth,
-        )
-
-    def _release(self, obj: HeapObject, frame: Frame, thread: ThreadContext, node_id: int):
-        depth = obj.monitor.release(thread.thread_id)
-        held = thread.held
-        remaining = held.get(obj.ref, 0) - 1
-        if remaining <= 0:
-            held.pop(obj.ref, None)
-        else:
-            held[obj.ref] = remaining
-        thread.locks_cache = None
-        yield UnlockEvent(
-            label=self._next_label(),
-            thread_id=thread.thread_id,
-            node_id=node_id,
-            call_index=frame.call_index,
-            obj=obj.ref,
-            reentrancy=depth,
-        )
-
-    # ------------------------------------------------------------------
-    # Expression evaluation (pure path).
-
-    def _eval_pure(self, expr: ast.Expr, frame: Frame, thread: ThreadContext):
-        return _PURE_EVAL[expr.__class__](self, expr, frame, thread)
-
-    def _pure_intlit(self, expr, frame, thread):
-        return expr.value
-
-    def _pure_nulllit(self, expr, frame, thread):
-        return None
-
-    def _pure_this(self, expr, frame, thread):
-        return frame.this
-
-    def _pure_varref(self, expr, frame, thread):
-        try:
-            return frame.locals[expr.name]
-        except KeyError:
-            raise MiniJRuntimeError(
-                "undefined-variable",
-                f"{expr.name} at line {expr.line}",
-                thread.thread_id,
-            ) from None
-
-    def _pure_rand(self, expr, frame, thread):
-        # Class-typed rand() allocates and is classified impure; only the
-        # int draw reaches this path.
-        return self._rng.randrange(1 << 16)
-
-    def _pure_unary(self, expr, frame, thread):
-        operand = self._eval_pure(expr.operand, frame, thread)
-        if expr.op == "!":
-            self._require_bool(operand, expr.line, thread)
-            return not operand
-        self._require_int(operand, expr.line, thread)
-        return -operand
-
-    def _pure_binary(self, expr, frame, thread):
-        op = expr.op
-        if op == "&&":
-            left = self._eval_pure(expr.left, frame, thread)
-            self._require_bool(left, expr.line, thread)
-            if not left:
-                return False
-            right = self._eval_pure(expr.right, frame, thread)
-            self._require_bool(right, expr.line, thread)
-            return right
-        if op == "||":
-            left = self._eval_pure(expr.left, frame, thread)
-            self._require_bool(left, expr.line, thread)
-            if left:
-                return True
-            right = self._eval_pure(expr.right, frame, thread)
-            self._require_bool(right, expr.line, thread)
-            return right
-        left = self._eval_pure(expr.left, frame, thread)
-        right = self._eval_pure(expr.right, frame, thread)
-        return self._apply_binop(op, left, right, expr.line, thread)
-
-    # ------------------------------------------------------------------
-    # Expression evaluation (impure path: generators).
-
-    def _eval(self, expr: ast.Expr | None, frame: Frame, thread: ThreadContext):
-        """Evaluate one expression; generic entry kept for compatibility."""
-        if expr is None:
-            return None
-        if self._expr_pure(expr):
-            return self._eval_pure(expr, frame, thread)
-        return (yield from _EVAL[expr.__class__](self, expr, frame, thread))
-
-    def _eval_pure_gen(self, expr, frame, thread):
-        # Generator-shaped wrapper so _EVAL is total over Expr.
-        return self._eval_pure(expr, frame, thread)
-        yield  # pragma: no cover - makes this a generator function
-
-    def _eval_unary(self, expr: ast.Unary, frame: Frame, thread: ThreadContext):
-        operand = yield from self._eval(expr.operand, frame, thread)
-        if expr.op == "!":
-            self._require_bool(operand, expr.line, thread)
-            return not operand
-        self._require_int(operand, expr.line, thread)
-        return -operand
-
-    def _eval_rand(self, expr: ast.Rand, frame: Frame, thread: ThreadContext):
-        result_type = expr.result_type
-        if result_type is not None and result_type.kind == "class":
-            class_name = result_type.name
-            if self._table.is_interface(class_name) or not self._table.has_class(
-                class_name
-            ):
-                class_name = "Opaque"
-            obj = self._alloc_object(class_name, lib_allocated=True)
-            if self._emit_alloc:
-                yield AllocEvent(
-                    label=self._next_label(),
-                    thread_id=thread.thread_id,
-                    node_id=expr.node_id,
-                    call_index=frame.call_index,
-                    ref=obj.ref,
-                    class_name=obj.class_name,
-                    in_library=True,
-                )
-            else:
-                self._next_label()
-                yield SKIPPED_EVENT
-            return obj.handle()
-        return self._rng.randrange(1 << 16)
-
-    def _eval_field_get(self, expr: ast.FieldGet, frame: Frame, thread: ThreadContext):
-        target_expr = expr.target
-        if self._expr_pure(target_expr):
-            target = self._eval_pure(target_expr, frame, thread)
-        else:
-            target = yield from _EVAL[target_expr.__class__](
-                self, target_expr, frame, thread
-            )
-        obj = self._require_object(target, expr.line, thread)
-        name = expr.field_name
-        fields = obj.fields
-        if name not in fields:
-            if obj.elements is not None and name == "length":
-                return len(obj.elements)
-            raise MiniJRuntimeError(
-                "no-such-field",
-                f"{obj.class_name}.{name} at line {expr.line}",
-                thread.thread_id,
-            )
-        value = fields[name]
-        if self._emit_read:
-            yield ReadEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                class_name=obj.class_name,
-                field_name=name,
-                value=value,
-                locks_held=thread.locks_held(),
-                in_constructor=thread.ctor_depth > 0,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        return value
-
-    def _eval_new(self, expr: ast.New, frame: Frame, thread: ThreadContext):
-        args: list[Value] = []
-        for arg_expr in expr.args:
-            if self._expr_pure(arg_expr):
-                args.append(self._eval_pure(arg_expr, frame, thread))
-            else:
-                arg = yield from _EVAL[arg_expr.__class__](
-                    self, arg_expr, frame, thread
-                )
-                args.append(arg)
-        class_name = expr.class_name
-
-        if self._table.is_builtin(class_name):
-            return (yield from self._alloc_builtin(expr, class_name, args, frame, thread))
-
-        obj = self._alloc_object(class_name, lib_allocated=not frame.is_client)
-        if self._emit_alloc:
-            yield AllocEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                ref=obj.ref,
-                class_name=class_name,
-                in_library=not frame.is_client,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        yield from self._run_field_initializers(obj, expr, frame, thread)
-        ctor = self._resolve_constructor(class_name)
-        if ctor is not None:
-            yield from self._invoke_decl(
-                thread,
-                obj.handle(),
-                ctor,
-                args,
-                from_client=frame.is_client,
-                caller_depth=frame.depth,
-                node_id=expr.node_id,
-                caller_call_index=frame.call_index,
-            )
-        return obj.handle()
-
-    def _alloc_builtin(
-        self,
-        expr: ast.New,
-        class_name: str,
-        args: list[Value],
-        frame: Frame,
-        thread: ThreadContext,
-    ):
-        if class_name in ("IntArray", "RefArray"):
-            length = args[0]
-            self._require_int(length, expr.line, thread)
-            elem_kind = "int" if class_name == "IntArray" else "class"
-            obj = self._heap.alloc(
-                class_name,
-                {},
-                lib_allocated=not frame.is_client,
-                array_length=length,
-                array_elem_kind=elem_kind,
-            )
-        else:  # Opaque
-            obj = self._heap.alloc(class_name, {}, lib_allocated=not frame.is_client)
-        if self._emit_alloc:
-            yield AllocEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                ref=obj.ref,
-                class_name=class_name,
-                in_library=not frame.is_client,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        return obj.handle()
-
-    def _alloc_object(self, class_name: str, lib_allocated: bool) -> HeapObject:
-        field_types = self._field_types_cache.get(class_name)
-        if field_types is None:
-            if self._table.is_builtin(class_name):
-                field_types = {}
-            else:
-                field_types = {
-                    f.name: f.field_type.kind
-                    for f in self._table.class_decl(class_name).fields
-                }
-            self._field_types_cache[class_name] = field_types
-        return self._heap.alloc(class_name, field_types, lib_allocated=lib_allocated)
-
-    def _run_field_initializers(
-        self, obj: HeapObject, new_expr: ast.New, frame: Frame, thread: ThreadContext
-    ):
-        """Run declared field initializers as constructor-context writes."""
-        inits = self._field_inits_cache.get(obj.class_name)
-        if inits is None:
-            cls = self._table.class_decl(obj.class_name)
-            inits = tuple(f for f in cls.fields if f.init is not None)
-            self._field_inits_cache[obj.class_name] = inits
-        if not inits:
-            # Keep call-index numbering identical to the uncached
-            # interpreter, which scoped a (possibly empty) initializer
-            # frame for every allocation.
-            self._fresh_call_index()
-            return
-        init_frame = Frame(
-            this=obj.handle(),
-            class_name=obj.class_name,
-            method="<fieldinit>",
-            call_index=self._fresh_call_index(),
-            depth=frame.depth + 1,
-            is_constructor=True,
-        )
-        thread.ctor_depth += 1
-        try:
-            for field_decl in inits:
-                value = yield from self._eval(field_decl.init, init_frame, thread)
-                old_value = obj.fields[field_decl.name]
-                obj.fields[field_decl.name] = value
-                if self._emit_write:
-                    yield WriteEvent(
-                        label=self._next_label(),
-                        thread_id=thread.thread_id,
-                        node_id=new_expr.node_id,
-                        call_index=init_frame.call_index,
-                        obj=obj.ref,
-                        class_name=obj.class_name,
-                        field_name=field_decl.name,
-                        value=value,
-                        old_value=old_value,
-                        locks_held=thread.locks_held(),
-                        in_constructor=True,
-                    )
-                else:
-                    self._next_label()
-                    yield SKIPPED_EVENT
-        finally:
-            thread.ctor_depth -= 1
-
-    def _eval_call(self, expr: ast.Call, frame: Frame, thread: ThreadContext):
-        target_expr = expr.target
-        if self._expr_pure(target_expr):
-            target = self._eval_pure(target_expr, frame, thread)
-        else:
-            target = yield from _EVAL[target_expr.__class__](
-                self, target_expr, frame, thread
-            )
-        args: list[Value] = []
-        for arg_expr in expr.args:
-            if self._expr_pure(arg_expr):
-                args.append(self._eval_pure(arg_expr, frame, thread))
-            else:
-                arg = yield from _EVAL[arg_expr.__class__](
-                    self, arg_expr, frame, thread
-                )
-                args.append(arg)
-        obj = self._require_object(target, expr.line, thread)
-        method_name = expr.method
-        if (
-            method_name in ("wait", "notify", "notifyAll")
-            and not args
-            and self._resolve_method(obj.class_name, method_name) is None
-        ):
-            # java.lang.Object condition methods, available on any object.
-            return (yield from self._condition_op(obj, expr, frame, thread))
-        if self._table.is_builtin(obj.class_name):
-            return (yield from self._call_native(obj, expr, args, frame, thread))
-        decl = self._resolve_method(obj.class_name, method_name)
-        if decl is None:
-            raise MiniJRuntimeError(
-                "no-such-method",
-                f"{obj.class_name}.{method_name}",
-                thread.thread_id,
-            )
-        return (
-            yield from self._invoke_decl(
-                thread,
-                obj.handle(),
-                decl,
-                args,
-                from_client=frame.is_client,
-                caller_depth=frame.depth,
-                node_id=expr.node_id,
-                caller_call_index=frame.call_index,
-            )
-        )
-
-    def _call_native(
-        self,
-        obj: HeapObject,
-        expr: ast.Call,
-        args: list[Value],
-        frame: Frame,
-        thread: ThreadContext,
-    ):
-        method = expr.method
-        if obj.elements is None or method not in ("get", "set", "length"):
-            raise MiniJRuntimeError(
-                "no-such-method",
-                f"{obj.class_name}.{method} at line {expr.line}",
-                thread.thread_id,
-            )
-        if method == "length":
-            return len(obj.elements)
-        index = args[0]
-        self._require_int(index, expr.line, thread)
-        if not 0 <= index < len(obj.elements):
-            raise MiniJRuntimeError(
-                "index-out-of-bounds",
-                f"index {index} of {obj.class_name}#{obj.ref} "
-                f"(length {len(obj.elements)}) at line {expr.line}",
-                thread.thread_id,
-            )
-        if method == "get":
-            value = obj.elements[index]
-            if self._emit_read:
-                yield ReadEvent(
-                    label=self._next_label(),
-                    thread_id=thread.thread_id,
-                    node_id=expr.node_id,
-                    call_index=frame.call_index,
-                    obj=obj.ref,
-                    class_name=obj.class_name,
-                    field_name="elem",
-                    value=value,
-                    locks_held=thread.locks_held(),
-                    elem_index=index,
-                    in_constructor=thread.ctor_depth > 0,
-                )
-            else:
-                self._next_label()
-                yield SKIPPED_EVENT
-            return value
-        old_value = obj.elements[index]
-        obj.elements[index] = args[1]
-        if self._emit_write:
-            yield WriteEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                class_name=obj.class_name,
-                field_name="elem",
-                value=args[1],
-                old_value=old_value,
-                locks_held=thread.locks_held(),
-                elem_index=index,
-                in_constructor=thread.ctor_depth > 0,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        return None
-
-    # ------------------------------------------------------------------
-    # Condition synchronization: wait / notify / notifyAll.
-
-    def _condition_op(self, obj: HeapObject, expr: ast.Call, frame: Frame,
-                      thread: ThreadContext):
-        """``java.lang.Object`` monitor methods on any object.
-
-        ``wait`` fully releases the monitor (emitting a real UnlockEvent
-        so happens-before detectors see the release), parks the thread
-        in the wait set, and — once removed by a notify — reacquires the
-        monitor at its previous reentrancy depth (a real LockEvent).
-        Wake-ups may be spurious, exactly like Java: a parked thread
-        re-checks its wait-set membership whenever the monitor's state
-        changes.
-        """
-        monitor = obj.monitor
-        if monitor.owner != thread.thread_id:
-            raise MiniJRuntimeError(
-                "illegal-monitor-state",
-                f"{expr.method} on #{obj.ref} without owning its monitor "
-                f"at line {expr.line}",
-                thread.thread_id,
-            )
-        if expr.method in ("notify", "notifyAll"):
-            if expr.method == "notifyAll":
-                woken = tuple(sorted(monitor.wait_set))
-                monitor.wait_set.clear()
-            elif monitor.wait_set:
-                chosen = min(monitor.wait_set)
-                monitor.wait_set.discard(chosen)
-                woken = (chosen,)
-            else:
-                woken = ()
-            yield NotifyEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                woken=woken,
-                notify_all=expr.method == "notifyAll",
-            )
-            return None
-
-        # wait(): release completely, park, reacquire at saved depth.
-        saved_depth = monitor.depth
-        while monitor.depth > 0:
-            monitor.release(thread.thread_id)
-        thread.held.pop(obj.ref, None)
-        thread.locks_cache = None
-        monitor.wait_set.add(thread.thread_id)
-        yield UnlockEvent(
-            label=self._next_label(),
-            thread_id=thread.thread_id,
-            node_id=expr.node_id,
-            call_index=frame.call_index,
-            obj=obj.ref,
-            reentrancy=0,
-        )
-        yield WaitEvent(
-            label=self._next_label(),
-            thread_id=thread.thread_id,
-            node_id=expr.node_id,
-            call_index=frame.call_index,
-            obj=obj.ref,
-        )
-        while thread.thread_id in monitor.wait_set:
-            yield BlockedEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                owner_thread=monitor.owner if monitor.owner is not None else -1,
-            )
-        while not monitor.can_acquire(thread.thread_id):
-            yield BlockedEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=expr.node_id,
-                call_index=frame.call_index,
-                obj=obj.ref,
-                owner_thread=monitor.owner if monitor.owner is not None else -1,
-            )
-        for _ in range(saved_depth):
-            monitor.acquire(thread.thread_id)
-        thread.held[obj.ref] = saved_depth
-        thread.locks_cache = None
-        yield LockEvent(
-            label=self._next_label(),
-            thread_id=thread.thread_id,
-            node_id=expr.node_id,
-            call_index=frame.call_index,
-            obj=obj.ref,
-            reentrancy=saved_depth,
-        )
-        return None
-
-    # ------------------------------------------------------------------
-    # Invocation machinery.
-
-    def _fresh_call_index(self) -> int:
-        index = self._next_call_index
-        self._next_call_index += 1
-        return index
+    # Resolution caches.
 
     def _resolve_method(
         self, class_name: str, method_name: str
@@ -1118,276 +335,919 @@ class Interpreter:
             self._ctor_cache[class_name] = ctor
         return ctor
 
-    def _invoke(
-        self,
-        thread: ThreadContext,
-        receiver: ObjRef,
-        method_name: str,
-        args: list[Value],
-        from_client: bool,
-        caller_depth: int,
-        node_id: int,
-        caller_call_index: int,
-    ):
-        decl = self._resolve_method(receiver.class_name, method_name)
-        if decl is None:
-            raise MiniJRuntimeError(
-                "no-such-method",
-                f"{receiver.class_name}.{method_name}",
-                thread.thread_id,
-            )
-        return (
-            yield from self._invoke_decl(
-                thread,
-                receiver,
-                decl,
-                args,
-                from_client=from_client,
-                caller_depth=caller_depth,
-                node_id=node_id,
-                caller_call_index=caller_call_index,
-            )
-        )
+    def _field_inits(self, class_name: str) -> Code | None:
+        """The class's field-initializer code, None when it has none."""
+        code = self._field_inits_cache.get(class_name, _MISSING)
+        if code is _MISSING:
+            code = _compiled(self._table.class_decl(class_name), _initializer_unit)
+            self._field_inits_cache[class_name] = code
+        return code
 
-    def _invoke_decl(
-        self,
-        thread: ThreadContext,
-        receiver: ObjRef,
-        decl: ast.MethodDecl,
-        args: list[Value],
-        from_client: bool,
-        caller_depth: int,
-        node_id: int,
-        caller_call_index: int,
-    ):
-        if caller_depth + 1 > self.max_call_depth:
-            raise MiniJRuntimeError(
-                "stack-overflow",
-                f"calling {receiver.class_name}.{decl.name}",
-                thread.thread_id,
-            )
-        if len(args) != len(decl.params):
-            raise MiniJRuntimeError(
-                "arity-mismatch",
-                f"{receiver.class_name}.{decl.name} expects "
-                f"{len(decl.params)} argument(s), got {len(args)}",
-                thread.thread_id,
-            )
-        call_index = self._fresh_call_index()
-        if self._emit_invoke:
-            yield InvokeEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=node_id,
-                call_index=caller_call_index,
-                receiver=receiver.ref,
-                class_name=receiver.class_name,
-                method=decl.name,
-                args=tuple(args),
-                from_client=from_client,
-                is_constructor=decl.is_constructor,
-                new_call_index=call_index,
-                depth=caller_depth + 1,
-            )
-        else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        frame = Frame(
-            locals={p.name: v for p, v in zip(decl.params, args)},
-            this=receiver,
-            class_name=receiver.class_name,
-            method=decl.name,
-            call_index=call_index,
-            depth=caller_depth + 1,
-            is_constructor=decl.is_constructor,
-        )
-        if decl.is_constructor:
-            thread.ctor_depth += 1
-        receiver_obj = self._heap.get(receiver.ref)
-        body = decl.body
-        try:
-            if decl.synchronized:
-                yield from self._acquire(receiver_obj, frame, thread, node_id)
-            if self._stmt_pure(body):
-                self._exec_pure(body, frame, thread)
+    def _alloc_object(self, class_name: str, lib_allocated: bool) -> HeapObject:
+        field_types = self._field_types_cache.get(class_name)
+        if field_types is None:
+            if self._table.is_builtin(class_name):
+                field_types = {}
             else:
-                yield from _EXEC[body.__class__](self, body, frame, thread)
-            if decl.synchronized:
-                yield from self._release(receiver_obj, frame, thread, node_id)
-        finally:
-            if decl.is_constructor:
-                thread.ctor_depth -= 1
-        if self._emit_return:
-            yield ReturnEvent(
-                label=self._next_label(),
-                thread_id=thread.thread_id,
-                node_id=node_id,
-                call_index=caller_call_index,
-                value=frame.return_value,
-                to_client=from_client,
-                returning_call_index=call_index,
-                method=decl.name,
-                class_name=receiver.class_name,
-            )
+                field_types = {
+                    f.name: f.field_type.kind
+                    for f in self._table.class_decl(class_name).fields
+                }
+            self._field_types_cache[class_name] = field_types
+        return self._heap.alloc(class_name, field_types, lib_allocated=lib_allocated)
+
+
+# ----------------------------------------------------------------------
+# Compiler: AST -> Code.  Compilation reads only the AST, so a unit is
+# memoized on its node and shared by every VM over the same program.
+
+
+def _compiled(node, build: Callable) -> Code | None:
+    try:
+        return node._rt_code
+    except AttributeError:
+        code = node._rt_code = build(node)
+        return code
+
+
+def _statement_unit(stmt: ast.Stmt) -> Code:
+    compiler = _Compiler()
+    return Code(compiler.stmt(stmt), compiler.ntemps)
+
+
+def _method_unit(decl: ast.MethodDecl) -> Code:
+    compiler = _Compiler()
+    prologue, epilogue = [], [_EPILOGUE]
+    if decl.synchronized:
+        temp = compiler.temp()
+        # node_id None: the monitor events carry the call site's id.
+        prologue = [(_acquire, _THIS, temp, None, decl.line)]
+        epilogue = [(_release, temp, None), _EPILOGUE]
+    body = compiler.stmt(decl.body)
+    return Code(
+        prologue + body + epilogue,
+        compiler.ntemps,
+        exit_pc=len(prologue) + len(body),
+        params=tuple(param.name for param in decl.params),
+    )
+
+
+def _initializer_unit(cls: ast.ClassDecl) -> Code | None:
+    compiler = _Compiler()
+    instrs = []
+    for decl in cls.fields:
+        if decl.init is not None:
+            code, value = compiler.expr(decl.init)
+            instrs += code + [(_init_write, value, decl.name)]
+    return Code(instrs + [_INIT_END], compiler.ntemps) if instrs else None
+
+
+#: Expressions whose value is a constant or ``this``: evaluating them
+#: later than their position can neither fault nor be observed.
+_CONSTANT = (ast.IntLit, ast.BoolLit, ast.NullLit, ast.This)
+
+#: Expressions whose instruction leaves the value in a temporary.
+_ACTIONS = (ast.FieldGet, ast.Call, ast.New, ast.Rand)
+
+
+class _Compiler:
+    """Compiles one unit.
+
+    ``stmt`` returns a list of instructions.  ``expr`` returns
+    ``(code, value)``: ``code`` performs the expression's visible actions
+    and ``value`` is a value op computing the rest, which its consumer
+    evaluates once, right after ``code``, in evaluation order.  A pure
+    expression has no code.  Jumps are relative, so units concatenate.
+    """
+
+    def __init__(self) -> None:
+        self.ntemps = 0
+        #: Release instructions of the enclosing ``synchronized`` blocks;
+        #: ``return`` runs them, innermost first, before leaving.
+        self.releases: list[Op] = []
+
+    def temp(self, count: int = 1) -> int:
+        index = self.ntemps
+        self.ntemps += count
+        return index
+
+    # Statements -------------------------------------------------------
+
+    def stmt(self, stmt: ast.Stmt) -> list[Op]:
+        return getattr(self, "stmt_" + stmt.__class__.__name__.lower())(stmt)
+
+    def stmt_block(self, stmt: ast.Block) -> list[Op]:
+        return [op for inner in stmt.stmts for op in self.stmt(inner)]
+
+    def stmt_vardecl(self, stmt: ast.VarDecl) -> list[Op]:
+        if stmt.init is None:
+            default = (_const, default_value(stmt.decl_type.kind))
+            return [(_setlocal, stmt.name, default)]
+        code, value = self.expr(stmt.init)
+        return code + [(_setlocal, stmt.name, value)]
+
+    def stmt_assignvar(self, stmt: ast.AssignVar) -> list[Op]:
+        code, value = self.expr(stmt.value)
+        return code + [(_setlocal, stmt.name, value)]
+
+    def stmt_assignfield(self, stmt: ast.AssignField) -> list[Op]:
+        code, target = self.expr(stmt.target)
+        value_code, value = self.expr(stmt.value)
+        if value_code:
+            # The target is dereferenced before the value's actions run.
+            temp = self.temp()
+            code += [(_store, (_checked_ref, target, stmt.line), temp)]
+            target = (_temp, temp)
+        return code + value_code + [
+            (_putfield, target, value, stmt.field_name, stmt.node_id, stmt.line)
+        ]
+
+    def stmt_if(self, stmt: ast.If) -> list[Op]:
+        code, cond = self.expr(stmt.cond)
+        then = self.stmt(stmt.then_body)
+        if stmt.else_body is None:
+            return code + [(_branch, cond, stmt.line, len(then))] + then
+        other = self.stmt(stmt.else_body)
+        return (
+            code + [(_branch, cond, stmt.line, len(then) + 1)]
+            + then + [(_jump, len(other))] + other
+        )
+
+    def stmt_while(self, stmt: ast.While) -> list[Op]:
+        code, cond = self.expr(stmt.cond)
+        body = self.stmt(stmt.body)
+        head = code + [(_branch, cond, stmt.line, len(body) + 1)]
+        return head + body + [(_jump, -(len(head) + len(body) + 1))]
+
+    def stmt_return(self, stmt: ast.Return) -> list[Op]:
+        code, value = ([], _NULL) if stmt.value is None else self.expr(stmt.value)
+        if not self.releases:
+            return code + [(_return, value)]
+        return code + [(_set_return, value), *reversed(self.releases), _EXIT]
+
+    def stmt_sync(self, stmt: ast.Sync) -> list[Op]:
+        code, lock = self.expr(stmt.lock)
+        temp = self.temp()
+        release = (_release, temp, stmt.node_id)
+        self.releases.append(release)
+        body = self.stmt(stmt.body)
+        self.releases.pop()
+        acquire = (_acquire, lock, temp, stmt.node_id, stmt.line)
+        return code + [acquire] + body + [release]
+
+    def stmt_assert(self, stmt: ast.Assert) -> list[Op]:
+        code, cond = self.expr(stmt.cond)
+        return code + [(_assert, cond, stmt.line)]
+
+    def stmt_fork(self, stmt: ast.Fork) -> list[Op]:
+        return [(_fork, stmt.body.stmts, stmt.node_id, stmt.line)]
+
+    def stmt_exprstmt(self, stmt: ast.ExprStmt) -> list[Op]:
+        code, value = self.expr(stmt.expr)
+        if code and isinstance(stmt.expr, _ACTIONS):
+            return code  # the value waits in a temporary nobody reads
+        return code + [(_discard, value)]
+
+    # Expressions ------------------------------------------------------
+
+    def expr(self, expr: ast.Expr) -> tuple[list[Op], Op]:
+        return getattr(self, "expr_" + expr.__class__.__name__.lower())(expr)
+
+    def expr_intlit(self, expr) -> tuple[list[Op], Op]:
+        return [], (_const, expr.value)
+
+    expr_boollit = expr_intlit
+
+    def expr_nulllit(self, expr) -> tuple[list[Op], Op]:
+        return [], _NULL
+
+    def expr_this(self, expr) -> tuple[list[Op], Op]:
+        return [], _THIS
+
+    def expr_varref(self, expr: ast.VarRef) -> tuple[list[Op], Op]:
+        return [], (_var, expr.name, expr.line)
+
+    def expr_rand(self, expr: ast.Rand) -> tuple[list[Op], Op]:
+        result_type = expr.result_type
+        if result_type is None or result_type.kind != "class":
+            return [], _RAND
+        dst = self.temp()
+        return [(_rand_object, result_type.name, expr.node_id, dst)], (_temp, dst)
+
+    def expr_unary(self, expr: ast.Unary) -> tuple[list[Op], Op]:
+        code, operand = self.expr(expr.operand)
+        return code, (_not if expr.op == "!" else _negate, operand, expr.line)
+
+    def expr_binary(self, expr: ast.Binary) -> tuple[list[Op], Op]:
+        if expr.op not in ("&&", "||"):
+            code, (left, right) = self.operands([expr.left, expr.right])
+            fast = _INT_OPS.get(expr.op)
+            return code, (_binary, expr.op, left, right, expr.line, fast)
+        stop = expr.op == "||"
+        code, left = self.expr(expr.left)
+        right_code, right = self.expr(expr.right)
+        if not right_code:
+            return code, (_logic, stop, left, right, expr.line)
+        dst = self.temp()
+        right_code += [(_store, (_checked_bool, right, expr.line), dst)]
+        shortcut = (_shortcut, left, stop, expr.line, dst, len(right_code))
+        return code + [shortcut] + right_code, (_temp, dst)
+
+    def expr_fieldget(self, expr: ast.FieldGet) -> tuple[list[Op], Op]:
+        code, target = self.expr(expr.target)
+        dst = self.temp()
+        code.append((_getfield, target, expr.field_name, expr.node_id, expr.line, dst))
+        return code, (_temp, dst)
+
+    def expr_call(self, expr: ast.Call) -> tuple[list[Op], Op]:
+        code, (target, *args) = self.operands([expr.target, *expr.args])
+        waits = expr.method == "wait" and not args
+        # A wait site also keeps the monitor's object and saved depth.
+        dst = self.temp(3 if waits else 1)
+        code.append((
+            _call, target, tuple(args), expr.method, expr.node_id, expr.line, dst,
+            waits,
+        ))
+        if waits:
+            code += [(handler, expr.node_id, dst + 1) for handler in _WAIT_HANDLERS]
+        return code, (_temp, dst)
+
+    def expr_new(self, expr: ast.New) -> tuple[list[Op], Op]:
+        code, args = self.operands(expr.args)
+        dst = self.temp(2)  # the new object's handle, then the ctor args
+        if expr.class_name in BUILTIN_METHODS:
+            code.append((
+                _new_builtin, tuple(args), expr.class_name, expr.node_id, expr.line,
+                dst,
+            ))
         else:
-            self._next_label()
-            yield SKIPPED_EVENT
-        return frame.return_value
+            code += [
+                (_alloc, tuple(args), expr.class_name, expr.node_id, dst),
+                (_initialize, expr.class_name, expr.node_id, dst),
+                (_construct, expr.class_name, expr.node_id, dst),
+            ]
+        return code, (_temp, dst)
 
-    # ------------------------------------------------------------------
-    # Fault helpers.
+    def operands(self, exprs: list[ast.Expr]) -> tuple[list[Op], list[Op]]:
+        """Compile the operands of one consumer in evaluation order.
 
-    def _require_object(self, value: Value, line: int, thread: ThreadContext) -> HeapObject:
-        if not isinstance(value, ObjRef):
-            kind = "null-dereference" if value is None else "type-error"
-            raise MiniJRuntimeError(
-                kind, f"dereference of {value!r} at line {line}", thread.thread_id
-            )
-        return self._heap.get(value.ref)
-
-    def _require_bool(self, value: Value, line: int, thread: ThreadContext) -> None:
-        if value is not True and value is not False:
-            raise MiniJRuntimeError(
-                "type-error", f"expected bool at line {line}, got {value!r}",
-                thread.thread_id,
-            )
-
-    def _require_int(self, value: Value, line: int, thread: ThreadContext) -> None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MiniJRuntimeError(
-                "type-error", f"expected int at line {line}, got {value!r}",
-                thread.thread_id,
-            )
-
-    def _apply_binop(self, op: str, left, right, line: int, thread: ThreadContext):
-        """Non-short-circuit binary operators, Java semantics."""
-        if op == "==":
-            return values_equal(left, right)
-        if op == "!=":
-            return not values_equal(left, right)
-        self._require_int(left, line, thread)
-        self._require_int(right, line, thread)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op in ("/", "%"):
-            if right == 0:
-                raise MiniJRuntimeError(
-                    "division-by-zero", f"at line {line}", thread.thread_id
-                )
-            # Match Java semantics: truncation toward zero.
-            quotient = abs(left) // abs(right)
-            if (left < 0) != (right < 0):
-                quotient = -quotient
-            if op == "/":
-                return quotient
-            return left - quotient * right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise AssertionError(f"unknown operator {op}")
-
-    def _eval_binary(self, expr: ast.Binary, frame: Frame, thread: ThreadContext):
-        op = expr.op
-        if op == "&&":
-            left = yield from self._eval(expr.left, frame, thread)
-            self._require_bool(left, expr.line, thread)
-            if not left:
-                return False
-            right = yield from self._eval(expr.right, frame, thread)
-            self._require_bool(right, expr.line, thread)
-            return right
-        if op == "||":
-            left = yield from self._eval(expr.left, frame, thread)
-            self._require_bool(left, expr.line, thread)
-            if left:
-                return True
-            right = yield from self._eval(expr.right, frame, thread)
-            self._require_bool(right, expr.line, thread)
-            return right
-
-        left_expr = expr.left
-        if self._expr_pure(left_expr):
-            left = self._eval_pure(left_expr, frame, thread)
-        else:
-            left = yield from _EVAL[left_expr.__class__](
-                self, left_expr, frame, thread
-            )
-        right_expr = expr.right
-        if self._expr_pure(right_expr):
-            right = self._eval_pure(right_expr, frame, thread)
-        else:
-            right = yield from _EVAL[right_expr.__class__](
-                self, right_expr, frame, thread
-            )
-        return self._apply_binop(op, left, right, expr.line, thread)
+        An operand evaluated before a later operand's actions is saved
+        to a temporary at its own position; the ones after the last
+        action are left to the consumer.
+        """
+        parts = [self.expr(e) for e in exprs]
+        last = max((i for i, (code, _) in enumerate(parts) if code), default=-1)
+        code, values = [], []
+        for i, (e, (part, value)) in enumerate(zip(exprs, parts)):
+            code += part
+            settled = isinstance(e, _CONSTANT) or (part and isinstance(e, _ACTIONS))
+            if i < last and not settled:
+                temp = self.temp()
+                code.append((_store, value, temp))
+                value = (_temp, temp)
+            values.append(value)
+        return code, values
 
 
-def _default_for(kind: str) -> Value:
-    if kind == "int":
-        return 0
-    if kind == "bool":
-        return False
+# ----------------------------------------------------------------------
+# Checks and faults.
+
+
+def _deref(run: FrameStack, value: Value, line: int) -> HeapObject:
+    if isinstance(value, ObjRef):
+        return run.interp._heap.get(value.ref)
+    kind = "null-dereference" if value is None else "type-error"
+    raise MiniJRuntimeError(kind, f"dereference of {value!r} at line {line}", run.tid)
+
+
+def _bool(run: FrameStack, value: Value, line: int) -> bool:
+    if value is not True and value is not False:
+        raise MiniJRuntimeError(
+            "type-error", f"expected bool at line {line}, got {value!r}", run.tid
+        )
+    return value
+
+
+def _int(run: FrameStack, value: Value, line: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MiniJRuntimeError(
+            "type-error", f"expected int at line {line}, got {value!r}", run.tid
+        )
+    return value
+
+
+_INT_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+def _binop(run: FrameStack, op: str, left, right, line: int):
+    """Non-short-circuit binary operators, Java semantics."""
+    if op == "==":
+        return values_equal(left, right)
+    if op == "!=":
+        return not values_equal(left, right)
+    _int(run, left, line)
+    _int(run, right, line)
+    if op not in ("/", "%"):
+        return _INT_OPS[op](left, right)
+    if right == 0:
+        raise MiniJRuntimeError("division-by-zero", f"at line {line}", run.tid)
+    # Match Java semantics: truncation toward zero.
+    quotient = abs(left) // abs(right)
+    if (left < 0) != (right < 0):
+        quotient = -quotient
+    return quotient if op == "/" else left - quotient * right
+
+
+# ----------------------------------------------------------------------
+# Value ops: pure, evaluated inside an instruction as ``v[0](run, f, v)``.
+
+
+def _const(run: FrameStack, f: Frame, op: Op) -> Value:
+    return op[1]
+
+
+def _null(run: FrameStack, f: Frame, op: Op) -> None:
     return None
 
 
-# Type-keyed dispatch tables (replace isinstance chains).  They hold
-# plain functions, called with the interpreter as their first argument:
-# per-instance tables of bound methods would make every interpreter a
-# reference cycle that only the cyclic garbage collector frees.
-_EXEC: dict[type, Callable] = {
-    ast.Block: Interpreter._exec_block,
-    ast.VarDecl: Interpreter._exec_vardecl,
-    ast.AssignVar: Interpreter._exec_assignvar,
-    ast.AssignField: Interpreter._exec_field_write,
-    ast.If: Interpreter._exec_if,
-    ast.While: Interpreter._exec_while,
-    ast.Return: Interpreter._exec_return,
-    ast.Sync: Interpreter._exec_sync,
-    ast.Assert: Interpreter._exec_assert,
-    ast.Fork: Interpreter._exec_fork,
-    ast.ExprStmt: Interpreter._exec_exprstmt,
-}
-_EVAL: dict[type, Callable] = {
-    ast.Rand: Interpreter._eval_rand,
-    ast.FieldGet: Interpreter._eval_field_get,
-    ast.New: Interpreter._eval_new,
-    ast.Call: Interpreter._eval_call,
-    ast.Binary: Interpreter._eval_binary,
-    ast.Unary: Interpreter._eval_unary,
-    # Pure node kinds appear here too so that _eval stays correct
-    # when handed one directly.
-    ast.IntLit: Interpreter._eval_pure_gen,
-    ast.BoolLit: Interpreter._eval_pure_gen,
-    ast.NullLit: Interpreter._eval_pure_gen,
-    ast.This: Interpreter._eval_pure_gen,
-    ast.VarRef: Interpreter._eval_pure_gen,
-}
-_PURE_EVAL: dict[type, Callable] = {
-    ast.IntLit: Interpreter._pure_intlit,
-    ast.BoolLit: Interpreter._pure_intlit,  # same shape: .value
-    ast.NullLit: Interpreter._pure_nulllit,
-    ast.This: Interpreter._pure_this,
-    ast.VarRef: Interpreter._pure_varref,
-    ast.Rand: Interpreter._pure_rand,
-    ast.Binary: Interpreter._pure_binary,
-    ast.Unary: Interpreter._pure_unary,
-}
-_PURE_EXEC: dict[type, Callable] = {
-    ast.Block: Interpreter._pure_block,
-    ast.VarDecl: Interpreter._pure_vardecl,
-    ast.AssignVar: Interpreter._pure_assignvar,
-    ast.If: Interpreter._pure_if,
-    ast.While: Interpreter._pure_while,
-    ast.Return: Interpreter._pure_return,
-    ast.Assert: Interpreter._pure_assert,
-    ast.ExprStmt: Interpreter._pure_exprstmt,
-}
+def _this(run: FrameStack, f: Frame, op: Op) -> ObjRef | None:
+    return f.this
+
+
+def _temp(run: FrameStack, f: Frame, op: Op) -> Value:
+    return f.temps[op[1]]
+
+
+def _rand(run: FrameStack, f: Frame, op: Op) -> int:
+    # Class-typed rand() allocates and compiles to an instruction; only
+    # the int draw is a value op.
+    return run.interp._rng.randrange(1 << 16)
+
+
+_NULL, _THIS, _RAND = (_null,), (_this,), (_rand,)
+
+
+def _var(run: FrameStack, f: Frame, op: Op) -> Value:
+    try:
+        return f.locals[op[1]]
+    except KeyError:
+        raise MiniJRuntimeError(
+            "undefined-variable", f"{op[1]} at line {op[2]}", run.tid
+        ) from None
+
+
+def _not(run: FrameStack, f: Frame, op: Op) -> bool:
+    _, operand, line = op
+    return not _bool(run, operand[0](run, f, operand), line)
+
+
+def _negate(run: FrameStack, f: Frame, op: Op) -> int:
+    _, operand, line = op
+    return -_int(run, operand[0](run, f, operand), line)
+
+
+def _binary(run: FrameStack, f: Frame, op: Op) -> Value:
+    _, name, left, right, line, fast = op
+    lhs = left[0](run, f, left)
+    rhs = right[0](run, f, right)
+    if fast is not None and lhs.__class__ is int and rhs.__class__ is int:
+        return fast(lhs, rhs)
+    return _binop(run, name, lhs, rhs, line)
+
+
+def _logic(run: FrameStack, f: Frame, op: Op) -> bool:
+    """``&&`` (stop False) or ``||`` (stop True) over pure operands."""
+    _, stop, left, right, line = op
+    if _bool(run, left[0](run, f, left), line) is stop:
+        return stop
+    return _bool(run, right[0](run, f, right), line)
+
+
+def _checked_bool(run: FrameStack, f: Frame, op: Op) -> bool:
+    _, value, line = op
+    return _bool(run, value[0](run, f, value), line)
+
+
+def _checked_ref(run: FrameStack, f: Frame, op: Op) -> Value:
+    _, value, line = op
+    target = value[0](run, f, value)
+    _deref(run, target, line)
+    return target
+
+
+# ----------------------------------------------------------------------
+# Local instructions: no event, the thread runs on.
+
+
+def _store(run: FrameStack, f: Frame, op: Op) -> None:
+    _, value, dst = op
+    f.temps[dst] = value[0](run, f, value)
+
+
+def _discard(run: FrameStack, f: Frame, op: Op) -> None:
+    value = op[1]
+    value[0](run, f, value)
+
+
+def _setlocal(run: FrameStack, f: Frame, op: Op) -> None:
+    _, name, value = op
+    f.locals[name] = value[0](run, f, value)
+
+
+def _jump(run: FrameStack, f: Frame, op: Op) -> None:
+    f.pc += op[1]
+
+
+def _branch(run: FrameStack, f: Frame, op: Op) -> None:
+    """Jump ``offset`` instructions ahead when ``cond`` is false."""
+    _, cond, line, offset = op
+    if not _bool(run, cond[0](run, f, cond), line):
+        f.pc += offset
+
+
+def _shortcut(run: FrameStack, f: Frame, op: Op) -> None:
+    """Short-circuit ``&&``/``||`` whose right operand has actions."""
+    _, left, stop, line, dst, offset = op
+    if _bool(run, left[0](run, f, left), line) is stop:
+        f.temps[dst] = stop
+        f.pc += offset
+
+
+def _assert(run: FrameStack, f: Frame, op: Op) -> None:
+    _, cond, line = op
+    if cond[0](run, f, cond) is not True:
+        owner = "<client>" if f.this is None else f.this.class_name
+        raise MiniJRuntimeError(
+            "assertion-failed", f"assert at line {line} in {owner}.{f.method}", run.tid
+        )
+
+
+def _return(run: FrameStack, f: Frame, op: Op) -> None:
+    value = op[1]
+    f.ret = value[0](run, f, value)
+    f.pc = f.exit_pc
+
+
+def _set_return(run: FrameStack, f: Frame, op: Op) -> None:
+    """``return`` inside ``synchronized``: the releases and exit follow."""
+    value = op[1]
+    f.ret = value[0](run, f, value)
+
+
+def _exit(run: FrameStack, f: Frame, op: Op) -> None:
+    f.pc = f.exit_pc
+
+
+def _finish(run: FrameStack, f: Frame, op: Op):
+    f.pc -= 1
+    raise StopIteration
+
+
+def _result(run: FrameStack, f: Frame, op: Op):
+    f.pc -= 1
+    raise StopIteration(f.temps[0])
+
+
+def _fork(run: FrameStack, f: Frame, op: Op) -> ForkRequest:
+    _, stmts, node_id, line = op
+    if f.call_index != 0:
+        raise MiniJRuntimeError(
+            "fork-in-library", f"fork at line {line} outside a test body", run.tid
+        )
+    return ForkRequest(stmts=stmts, env=dict(f.locals), node_id=node_id)
+
+
+# ----------------------------------------------------------------------
+# Events.  The five data kinds may be elided (label burned, SKIPPED_EVENT
+# returned); synchronization events are always built.
+
+
+def _read(run, f, node_id, obj, name, value, index):
+    interp = run.interp
+    if interp._emit_read:
+        ctx = run.ctx
+        return ReadEvent(
+            interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
+            obj.class_name, name, value, ctx.locks_held(), index,
+            ctx.ctor_depth > 0,
+        )
+    interp._next_label()
+    return SKIPPED_EVENT
+
+
+def _write(run, f, node_id, obj, name, value, index, old_value):
+    interp = run.interp
+    if interp._emit_write:
+        ctx = run.ctx
+        return WriteEvent(
+            interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
+            obj.class_name, name, value, ctx.locks_held(), index,
+            ctx.ctor_depth > 0, old_value,
+        )
+    interp._next_label()
+    return SKIPPED_EVENT
+
+
+def _allocated(run, f, node_id, obj, in_library):
+    interp = run.interp
+    if interp._emit_alloc:
+        return AllocEvent(
+            interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
+            obj.class_name, in_library,
+        )
+    interp._next_label()
+    return SKIPPED_EVENT
+
+
+def _blocked(run, f, node_id, obj):
+    owner = obj.monitor.owner
+    return BlockedEvent(
+        run.interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
+        -1 if owner is None else owner,
+    )
+
+
+# ----------------------------------------------------------------------
+# Field access.
+
+
+def _getfield(run: FrameStack, f: Frame, op: Op):
+    _, target, name, node_id, line, dst = op
+    obj = _deref(run, target[0](run, f, target), line)
+    try:
+        value = obj.fields[name]
+    except KeyError:
+        if obj.elements is not None and name == "length":
+            f.temps[dst] = len(obj.elements)
+            return None
+        raise MiniJRuntimeError(
+            "no-such-field", f"{obj.class_name}.{name} at line {line}", run.tid
+        ) from None
+    f.temps[dst] = value
+    return _read(run, f, node_id, obj, name, value, None)
+
+
+def _putfield(run: FrameStack, f: Frame, op: Op):
+    _, target, value, name, node_id, line = op
+    obj = _deref(run, target[0](run, f, target), line)
+    new = value[0](run, f, value)
+    fields = obj.fields
+    if name not in fields:
+        raise MiniJRuntimeError(
+            "no-such-field", f"{obj.class_name}.{name} at line {line}", run.tid
+        )
+    old = fields[name]
+    fields[name] = new
+    return _write(run, f, node_id, obj, name, new, None, old)
+
+
+# ----------------------------------------------------------------------
+# Monitors.
+
+
+def _acquire(run: FrameStack, f: Frame, op: Op):
+    """Enter the monitor of ``lock`` into ``temp``; node_id None = call site.
+
+    A failed attempt returns one BlockedEvent and retries next step.
+    The retry evaluates ``lock`` again: an operand that names an object
+    is ``this``, a local or a temporary, none of which can change while
+    the thread waits.
+    """
+    _, lock, temp, node_id, line = op
+    obj = _deref(run, lock[0](run, f, lock), line)
+    site = f.node_id if node_id is None else node_id
+    monitor = obj.monitor
+    tid = run.tid
+    if not monitor.can_acquire(tid):
+        f.pc -= 1
+        return _blocked(run, f, site, obj)
+    f.temps[temp] = obj
+    depth = monitor.acquire(tid)
+    ctx = run.ctx
+    ctx.held[obj.ref] = ctx.held.get(obj.ref, 0) + 1
+    ctx.locks_cache = None
+    return LockEvent(run.interp._next_label(), tid, site, f.call_index, obj.ref, depth)
+
+
+def _release(run: FrameStack, f: Frame, op: Op):
+    _, temp, node_id = op
+    obj = f.temps[temp]
+    tid = run.tid
+    depth = obj.monitor.release(tid)
+    held = run.ctx.held
+    remaining = held.get(obj.ref, 0) - 1
+    if remaining <= 0:
+        held.pop(obj.ref, None)
+    else:
+        held[obj.ref] = remaining
+    run.ctx.locks_cache = None
+    return UnlockEvent(
+        run.interp._next_label(), tid, f.node_id if node_id is None else node_id,
+        f.call_index, obj.ref, depth,
+    )
+
+
+# ----------------------------------------------------------------------
+# Calls.
+
+
+def _invoke(run, f, receiver, decl, args, from_client, node_id, dst):
+    """Push a frame running ``decl`` on ``receiver``; returns the
+    invoke event.  The callee's epilogue stores its return value in the
+    caller's temporary ``dst``."""
+    interp = run.interp
+    depth = f.depth + 1
+    if depth > interp.max_call_depth:
+        raise MiniJRuntimeError(
+            "stack-overflow", f"calling {receiver.class_name}.{decl.name}", run.tid
+        )
+    if len(args) != len(decl.params):
+        raise MiniJRuntimeError(
+            "arity-mismatch",
+            f"{receiver.class_name}.{decl.name} expects "
+            f"{len(decl.params)} argument(s), got {len(args)}",
+            run.tid,
+        )
+    call_index = interp._next_call_index
+    interp._next_call_index = call_index + 1
+    code = _compiled(decl, _method_unit)
+    callee = run.frame = Frame(
+        code, dict(zip(code.params, args)), receiver, call_index, depth, decl.name, f
+    )
+    callee.decl = decl
+    callee.node_id = node_id
+    callee.from_client = from_client
+    callee.dst = dst
+    if decl.is_constructor:
+        run.ctx.ctor_depth += 1
+    if interp._emit_invoke:
+        return InvokeEvent(
+            interp._next_label(), run.tid, node_id, f.call_index, receiver.ref,
+            receiver.class_name, decl.name, tuple(args), from_client,
+            decl.is_constructor, call_index, depth,
+        )
+    interp._next_label()
+    return SKIPPED_EVENT
+
+
+def _epilogue(run: FrameStack, f: Frame, op: Op):
+    decl = f.decl
+    if decl.is_constructor:
+        run.ctx.ctor_depth -= 1
+    caller = run.frame = f.parent
+    value = caller.temps[f.dst] = f.ret
+    interp = run.interp
+    if interp._emit_return:
+        return ReturnEvent(
+            interp._next_label(), run.tid, f.node_id, caller.call_index, value,
+            f.from_client, f.call_index, decl.name, f.this.class_name,
+        )
+    interp._next_label()
+    return SKIPPED_EVENT
+
+
+def _call_direct(run: FrameStack, f: Frame, op: Op):
+    """The first instruction of a :meth:`Interpreter.call_method` thread."""
+    _, receiver, method, args, from_client, node_id = op
+    decl = run.interp._resolve_method(receiver.class_name, method)
+    if decl is None:
+        raise MiniJRuntimeError(
+            "no-such-method", f"{receiver.class_name}.{method}", run.tid
+        )
+    return _invoke(run, f, receiver, decl, args, from_client, node_id, 0)
+
+
+_CONDITION_METHODS = ("wait", "notify", "notifyAll")
+
+
+def _call(run: FrameStack, f: Frame, op: Op):
+    """``target.method(args)``: a user method, an array method, or one of
+    ``java.lang.Object``'s condition methods (``waits``: a ``wait()``
+    site, followed by its three wait ops)."""
+    _, target, args, method, node_id, line, dst, waits = op
+    receiver = target[0](run, f, target)
+    values = [arg[0](run, f, arg) for arg in args]
+    obj = _deref(run, receiver, line)
+    interp = run.interp
+    if (
+        method in _CONDITION_METHODS
+        and not values
+        and interp._resolve_method(obj.class_name, method) is None
+    ):
+        return _condition_op(run, f, obj, method, node_id, line, dst)
+    if obj.class_name in BUILTIN_METHODS:
+        return _native(run, f, obj, method, values, node_id, line, dst)
+    decl = interp._resolve_method(obj.class_name, method)
+    if decl is None:
+        raise MiniJRuntimeError("no-such-method", f"{obj.class_name}.{method}", run.tid)
+    if waits:
+        f.pc += len(_WAIT_HANDLERS)  # a user-defined wait(): return past them
+    return _invoke(run, f, obj.handle(), decl, values, f.call_index == 0, node_id, dst)
+
+
+def _native(run, f, obj, method, args, node_id, line, dst):
+    """``get``/``set``/``length`` on the builtin arrays."""
+    elements = obj.elements
+    if elements is None or method not in ("get", "set", "length"):
+        raise MiniJRuntimeError(
+            "no-such-method", f"{obj.class_name}.{method} at line {line}", run.tid
+        )
+    if method == "length":
+        f.temps[dst] = len(elements)
+        return None
+    index = _int(run, args[0], line)
+    if not 0 <= index < len(elements):
+        raise MiniJRuntimeError(
+            "index-out-of-bounds",
+            f"index {index} of {obj.class_name}#{obj.ref} "
+            f"(length {len(elements)}) at line {line}",
+            run.tid,
+        )
+    if method == "get":
+        value = f.temps[dst] = elements[index]
+        return _read(run, f, node_id, obj, "elem", value, index)
+    old = elements[index]
+    elements[index] = args[1]
+    f.temps[dst] = None
+    return _write(run, f, node_id, obj, "elem", args[1], index, old)
+
+
+def _condition_op(run, f, obj, method, node_id, line, dst):
+    """``java.lang.Object`` monitor methods on any object.
+
+    ``wait`` fully releases the monitor (a real UnlockEvent, so
+    happens-before detectors see the release) and parks the thread in
+    the wait set; the wait ops that follow a ``wait()`` site then emit
+    the WaitEvent and, once a notify removed the thread, reacquire the
+    monitor at its previous reentrancy depth (a real LockEvent).  Like
+    Java, a parked thread re-checks its wait-set membership whenever
+    the monitor's state changes.
+    """
+    monitor = obj.monitor
+    tid = run.tid
+    if monitor.owner != tid:
+        raise MiniJRuntimeError(
+            "illegal-monitor-state",
+            f"{method} on #{obj.ref} without owning its monitor at line {line}",
+            tid,
+        )
+    f.temps[dst] = None
+    label = run.interp._next_label()
+    if method != "wait":
+        if method == "notifyAll":
+            woken = tuple(sorted(monitor.wait_set))
+            monitor.wait_set.clear()
+        elif monitor.wait_set:
+            chosen = min(monitor.wait_set)
+            monitor.wait_set.discard(chosen)
+            woken = (chosen,)
+        else:
+            woken = ()
+        return NotifyEvent(
+            label, tid, node_id, f.call_index, obj.ref, woken, method == "notifyAll"
+        )
+    f.temps[dst + 1] = obj
+    f.temps[dst + 2] = monitor.depth
+    while monitor.depth > 0:
+        monitor.release(tid)
+    run.ctx.held.pop(obj.ref, None)
+    run.ctx.locks_cache = None
+    monitor.wait_set.add(tid)
+    return UnlockEvent(label, tid, node_id, f.call_index, obj.ref, 0)
+
+
+# The steps of ``wait()`` after its release: op ``(handler, node_id,
+# temp)``, with the object in ``temp`` and the saved depth in ``temp + 1``.
+
+
+def _waited(run: FrameStack, f: Frame, op: Op):
+    _, node_id, temp = op
+    return WaitEvent(
+        run.interp._next_label(), run.tid, node_id, f.call_index, f.temps[temp].ref
+    )
+
+
+def _parked(run: FrameStack, f: Frame, op: Op):
+    _, node_id, temp = op
+    obj = f.temps[temp]
+    if run.tid in obj.monitor.wait_set:
+        f.pc -= 1
+        return _blocked(run, f, node_id, obj)
+    return None
+
+
+def _reacquire(run: FrameStack, f: Frame, op: Op):
+    _, node_id, temp = op
+    obj = f.temps[temp]
+    monitor = obj.monitor
+    tid = run.tid
+    if not monitor.can_acquire(tid):
+        f.pc -= 1
+        return _blocked(run, f, node_id, obj)
+    saved = f.temps[temp + 1]
+    for _ in range(saved):
+        monitor.acquire(tid)
+    run.ctx.held[obj.ref] = saved
+    run.ctx.locks_cache = None
+    return LockEvent(
+        run.interp._next_label(), tid, node_id, f.call_index, obj.ref, saved
+    )
+
+
+_WAIT_HANDLERS = (_waited, _parked, _reacquire)
+
+
+# ----------------------------------------------------------------------
+# Allocation.
+
+
+def _rand_object(run: FrameStack, f: Frame, op: Op):
+    """Class-typed ``rand()``: a fresh library-private object."""
+    _, class_name, node_id, dst = op
+    interp = run.interp
+    table = interp._table
+    if table.is_interface(class_name) or not table.has_class(class_name):
+        class_name = "Opaque"
+    obj = interp._alloc_object(class_name, lib_allocated=True)
+    f.temps[dst] = obj.handle()
+    return _allocated(run, f, node_id, obj, True)
+
+
+def _new_builtin(run: FrameStack, f: Frame, op: Op):
+    _, args, class_name, node_id, line, dst = op
+    values = [arg[0](run, f, arg) for arg in args]
+    in_library = f.call_index != 0
+    heap = run.interp._heap
+    if class_name == "Opaque":
+        obj = heap.alloc(class_name, {}, lib_allocated=in_library)
+    else:
+        obj = heap.alloc(
+            class_name,
+            {},
+            lib_allocated=in_library,
+            array_length=_int(run, values[0], line),
+            array_elem_kind="int" if class_name == "IntArray" else "class",
+        )
+    f.temps[dst] = obj.handle()
+    return _allocated(run, f, node_id, obj, in_library)
+
+
+# ``new C(args)``: allocate, run the field initializers, then the
+# constructor.  ``dst`` receives the handle and ``dst + 1`` the args.
+
+
+def _alloc(run: FrameStack, f: Frame, op: Op):
+    _, args, class_name, node_id, dst = op
+    values = [arg[0](run, f, arg) for arg in args]
+    in_library = f.call_index != 0
+    obj = run.interp._alloc_object(class_name, in_library)
+    f.temps[dst] = obj.handle()
+    f.temps[dst + 1] = values
+    return _allocated(run, f, node_id, obj, in_library)
+
+
+def _initialize(run: FrameStack, f: Frame, op: Op) -> None:
+    _, class_name, node_id, dst = op
+    # Every allocation uses up a call index, initializers or not.
+    interp = run.interp
+    call_index = interp._next_call_index
+    interp._next_call_index = call_index + 1
+    code = interp._field_inits(class_name)
+    if code is not None:
+        frame = run.frame = Frame(
+            code, {}, f.temps[dst], call_index, f.depth + 1, "<fieldinit>", f
+        )
+        frame.node_id = node_id
+        run.ctx.ctor_depth += 1
+
+
+def _construct(run: FrameStack, f: Frame, op: Op):
+    _, class_name, node_id, dst = op
+    ctor = run.interp._resolve_constructor(class_name)
+    if ctor is None:
+        return None
+    return _invoke(run, f, f.temps[dst], ctor, f.temps[dst + 1],
+                   f.call_index == 0, node_id, dst + 1)
+
+
+def _init_write(run: FrameStack, f: Frame, op: Op):
+    """One field initializer's write, a constructor-context access."""
+    _, value, name = op
+    new = value[0](run, f, value)
+    obj = run.interp._heap.get(f.this.ref)
+    old = obj.fields[name]
+    obj.fields[name] = new
+    return _write(run, f, f.node_id, obj, name, new, None, old)
+
+
+def _init_end(run: FrameStack, f: Frame, op: Op) -> None:
+    run.ctx.ctor_depth -= 1
+    run.frame = f.parent
+
+
+_EXIT, _FINISH, _RESULT = (_exit,), (_finish,), (_result,)
+_EPILOGUE, _INIT_END = (_epilogue,), (_init_end,)

@@ -4,7 +4,10 @@
 trace-label counter and the interpreter.  :class:`Execution` owns a set
 of threads, advances them one *event* at a time under a scheduler, and
 dispatches every event to registered listeners (trace recorders, race
-detectors, fuzzer probes).
+detectors, fuzzer probes).  A MiniJ thread is the interpreter's
+:class:`~repro.runtime.interp.FrameStack`: its frames live on the heap,
+so running a VM needs no more Python stack at MiniJ call depth 64 than
+at depth 1, and the VM leaves the process recursion limit alone.
 
 A single VM can host several executions in sequence — exactly what the
 synthesized tests need: run seed-test prefixes to collect objects, run
@@ -21,7 +24,7 @@ Hot-path architecture (see DESIGN.md, "Performance architecture"):
 * **Event elision** — while :meth:`Execution.run` or
   :meth:`Execution.run_single` drives the loop, the interpreter is told
   which event kinds have a subscriber and skips *constructing* the
-  rest, yielding :data:`~repro.trace.events.SKIPPED_EVENT` after
+  rest, returning :data:`~repro.trace.events.SKIPPED_EVENT` after
   burning the label.  The schedule, labels, and every delivered event
   are bit-identical to an unfiltered run.  Manual :meth:`Execution.step`
   driving (the fuzzers inspect returned events) elides only when the
@@ -34,7 +37,6 @@ Hot-path architecture (see DESIGN.md, "Performance architecture"):
 from __future__ import annotations
 
 import enum
-import sys
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
@@ -150,11 +152,6 @@ class VM:
         self._labels = LabelCounter()
         self._next_thread_id = 0
         self.interp = Interpreter(table, self.heap, self.rng, self._labels.take)
-        # Resuming a generator nested N MiniJ-frames deep traverses the
-        # whole `yield from` chain; give the interpreter headroom so the
-        # MiniJ stack-overflow check fires before Python's own.
-        if sys.getrecursionlimit() < 20_000:
-            sys.setrecursionlimit(20_000)
 
     def clone(self) -> "VM":
         """An exact copy of this VM that shares nothing mutable with it.
@@ -231,7 +228,8 @@ class VM:
 class Execution:
     """A set of VM threads advanced under a scheduler.
 
-    Threads are added with :meth:`spawn`; each is a generator of events.
+    Threads are added with :meth:`spawn`; each is an iterator of events,
+    for MiniJ code a :class:`~repro.runtime.interp.FrameStack`.
     :meth:`step` advances one thread by one event and dispatches it to
     the listeners; :meth:`run` drives scheduling until every thread is
     done, a deadlock is reached, or the step budget runs out.
@@ -239,7 +237,7 @@ class Execution:
 
     def __init__(self, vm: VM, listeners: tuple[Listener, ...] = ()) -> None:
         self._vm = vm
-        self._listeners = list(listeners)
+        self._listeners = tuple(listeners)
         self._threads: dict[int, VMThread] = {}
         self._last_scheduled: int | None = None
         self.steps = 0
@@ -247,7 +245,6 @@ class Execution:
         self._dispatch_map: dict[type, tuple[Callable[[Event], None], ...]] = {}
         # Runnable tids in thread-creation order; None = needs rebuild.
         self._runnable_cache: list[int] | None = None
-        self._running = False
         self._quiescent = False
 
     # ------------------------------------------------------------------
@@ -328,12 +325,6 @@ class Execution:
             for tid, thread in self._threads.items()
             if thread.status in (ThreadStatus.RUNNABLE, ThreadStatus.BLOCKED)
         ]
-
-    def add_listener(self, listener: Listener) -> None:
-        self._listeners.append(listener)
-        self._dispatch_map.clear()
-        if self._running:
-            self._vm.interp.set_emit_filter(self._wanted_kinds())
 
     # ------------------------------------------------------------------
     # Stepping.
@@ -427,7 +418,6 @@ class Execution:
         interp = self._vm.interp
         step = self.step
         pick = scheduler.pick
-        self._running = True
         interp.set_emit_filter(self._wanted_kinds())
         try:
             while True:
@@ -447,7 +437,6 @@ class Execution:
                     break
                 step(pick(runnable, self._last_scheduled))
         finally:
-            self._running = False
             interp.set_emit_filter(None)
         result.steps = self.steps
         result.faults = [
@@ -467,7 +456,6 @@ class Execution:
         """
         thread = self._threads[tid]
         interp = self._vm.interp
-        self._running = True
         interp.set_emit_filter(self._wanted_kinds())
         try:
             steps = 0
@@ -481,7 +469,6 @@ class Execution:
                 self.step(tid)
                 steps += 1
         finally:
-            self._running = False
             interp.set_emit_filter(None)
         return thread
 

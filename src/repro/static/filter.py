@@ -91,11 +91,6 @@ class CandidateSet(list):
         super().__init__(pairs)
         self.verdicts: list[PairVerdict] = list(verdicts)
 
-    def verdict_for(self, index: int) -> PairVerdict | None:
-        if index < len(self.verdicts):
-            return self.verdicts[index]
-        return None
-
     def pruned_count(self) -> int:
         return sum(1 for v in self.verdicts if v.pruned)
 

@@ -48,10 +48,6 @@ class RunOutcome:
     execution: Execution | None = None
 
     @property
-    def ran_concurrently(self) -> bool:
-        return self.concurrent_result is not None
-
-    @property
     def clean(self) -> bool:
         return (
             self.setup_result.clean

@@ -1,5 +1,7 @@
 """Suite-wide fixtures."""
 
+import sys
+
 import pytest
 
 
@@ -13,3 +15,17 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
     throwaway root.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-cache"))
+
+
+@pytest.fixture(autouse=True)
+def _recursion_limit_unchanged():
+    """Fail any test that leaves ``sys.getrecursionlimit()`` changed.
+
+    The recursion limit is process-global: nothing in the package may
+    move it, and a test that moves it must put it back.
+    """
+    before = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == before, (
+        f"recursion limit changed from {before} to {sys.getrecursionlimit()}"
+    )
