@@ -75,6 +75,7 @@ from repro.narada import (
     SubjectSpec,
     subject_specs,
 )
+from repro.narada.cache import EntryDecodeError
 from repro.runtime import VM
 from repro.subjects import all_subjects, get_subject
 from repro.synth import materialize
@@ -1415,6 +1416,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # e.g. `repro synth | head`
         return 0
+    except EntryDecodeError as error:  # a replay read a bad entry late
+        raise SystemExit(f"error: {error}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -56,6 +56,7 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 
+from repro._util.errors import ReproError
 from repro.lang import ClassTable
 from repro.lang.pretty import pretty_program
 from repro.narada.faults import FaultInjector
@@ -72,6 +73,37 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: older than this.  Both are per-cache-root, across all stages.
 DEFAULT_QUARANTINE_MAX_ENTRIES = 512
 DEFAULT_QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
+
+
+class Entry(dict):
+    """A cache entry as :meth:`ArtifactCache.get` returns it: the parsed
+    payload, plus the JSON ``text`` it was parsed from, which a replay
+    decodes its deferred part from (:mod:`repro.narada.serial`)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, data: dict, text: str) -> None:
+        super().__init__(data)
+        self.text = text
+
+    def __reduce__(self):
+        # A pool worker is sent the payload alone.
+        return dict, (dict(self),)
+
+
+class EntryDecodeError(ReproError):
+    """A cache entry that was served as a hit failed to decode later,
+    when a reader first touched its deferred part.  The entry is
+    quarantined by then, so the next run recomputes it."""
+
+    def __init__(self, stage: str, key: str, cause: Exception) -> None:
+        self.stage = stage
+        self.key = key
+        self.cause = cause
+        super().__init__(
+            f"cached {stage} entry {key} failed to decode: {cause!r}; "
+            "it is quarantined and the next run recomputes it"
+        )
 
 
 def _scan(directory) -> list[os.DirEntry]:
@@ -271,7 +303,7 @@ class ArtifactCache:
         self.stats.quarantine_dropped += dropped
         return dropped
 
-    def get(self, stage: str, key: str) -> dict | None:
+    def get(self, stage: str, key: str) -> Entry | None:
         """Load an entry; unreadable/corrupt/stale entries are misses."""
         path = self._path(stage, key)
         try:
@@ -309,7 +341,7 @@ class ArtifactCache:
                 os.utime(path)  # the hit is the entry's recency
             except OSError:
                 pass  # evicted meanwhile, or a read-only root
-        return data
+        return Entry(data, text)
 
     def reject(self, stage: str, key: str, reason: str) -> None:
         """Quarantine an entry ``get`` returned but the caller could not
@@ -317,6 +349,17 @@ class ArtifactCache:
         self.stats.hits -= 1
         self.stats.misses += 1
         self.quarantine(stage, key, reason)
+
+    def rejecter(self, stage: str, key: str):
+        """``on_failure`` for an entry whose decode finishes after the
+        hit was served: it rejects the entry and returns the
+        :class:`EntryDecodeError` to raise."""
+
+        def failed(error: Exception) -> EntryDecodeError:
+            self.reject(stage, key, f"decode failure: {error!r}")
+            return EntryDecodeError(stage, key, error)
+
+        return failed
 
     def put(self, stage: str, key: str, data: dict) -> bool:
         """Publish an entry atomically (write temp file, then rename).

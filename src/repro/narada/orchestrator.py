@@ -64,7 +64,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.lang import ClassTable, load
-from repro.narada.cache import ArtifactCache, stage_key, table_digest
+from repro.narada.cache import (
+    ArtifactCache,
+    EntryDecodeError,
+    stage_key,
+    table_digest,
+)
 from repro.narada.faults import (
     CancelToken,
     FaultInjector,
@@ -79,6 +84,7 @@ from repro.narada.faults import (
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
+    complete,
     decode_detection,
     decode_source,
     decode_synthesis,
@@ -611,11 +617,15 @@ class PipelineOrchestrator:
         """Per spec, its outcome: one unit per subject the cache lacks.
 
         A subject's synthesis comes from its cache entry when there is
-        one.  A detection decodes against its synthesis's tests, so
-        when the synthesis misses, the unit receives the raw detection
-        entry and replays it once it has synthesized; the entry is
-        quarantined, and the tests fuzzed, only when it fails to
-        decode.  A unit runs whatever the subject still lacks, and its
+        one, with its plans and summary bodies left to decode when first
+        read; when the subject's tests will fuzz, they decode before its
+        unit is built, so that a bad entry is still quarantined and its
+        synthesis recomputed.  A detection decodes against its
+        synthesis's tests, so when the synthesis misses, the unit
+        receives the raw detection entry and replays it once it has
+        synthesized; the entry is quarantined, and the tests fuzzed,
+        only when it fails to decode.  A unit runs whatever the subject
+        still lacks, and its
         reply publishes the synthesis it computed and a detection that
         every budgeted test completed.  A partial detection is never
         cached, so a later clean run recomputes it.
@@ -652,7 +662,13 @@ class PipelineOrchestrator:
             first_by_key[key] = i
             outcome = outcomes[i]
             entry = detection_entry = None
-            cached = self._get_decoded("synthesis", synth_key, decode_synthesis)
+            cached = self._get_decoded(
+                "synthesis",
+                synth_key,
+                lambda data: decode_synthesis(
+                    data, data.text, self.cache.rejecter("synthesis", synth_key)
+                ),
+            )
             if cached is not None:
                 entry, outcome.synthesis = cached
                 outcome.synthesis_cached = True
@@ -670,6 +686,14 @@ class PipelineOrchestrator:
                     outcome.detection_cached = True
                     outcome._detection_digest = data.get("digest")
                     continue
+                # Every test fuzzes, so the unit reads every plan: decode
+                # them now, while a bad entry can still be recomputed.
+                try:
+                    complete(outcome.synthesis)
+                except EntryDecodeError:
+                    entry = outcome.synthesis = None
+                    outcome.synthesis_cached = False
+                    outcome._synthesis_digest = None
             elif detect and self.cache is not None:
                 detection_entry = self.cache.get("detection", detect_key)
             unit = PoolUnit(

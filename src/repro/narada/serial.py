@@ -25,8 +25,9 @@ dict form:
 The codec groups shared objects into five intern tables (summaries,
 slots, pairs, plans, tests); references between encoded values are
 indices into those tables.  Tables only ever reference *earlier* tables
-(pairs -> summaries, plans -> pairs/slots, tests -> plans/pairs), so
-decoding is a single pass in table order.
+(pairs -> summaries, plans -> pairs/slots, tests -> plans/pairs).  A
+decoder follows the references from the payload's id lists and decodes
+each index once, on first use.
 
 Decoded packed traces round-trip the intern indexes, so a restored
 seed trace digests identically to the original — which keeps the sweep
@@ -38,12 +39,30 @@ A synthesis or detection cache entry is the payload plus its
 written, so a cache hit never encodes a report again just to digest it.
 A ``source`` entry (:func:`encode_source`) carries no report: it is
 what a replay needs of one source text instead of parsing it.
+
+A replayed synthesis report decodes only what its usual readers use
+(scoring, the daemon's reply, fuzz-report binding): the top-level id
+lists, each checked to be in range; the pairs, with each side's summary
+header; the verdicts; and the tests, as name plus covered pairs.  The
+plans, the slots and the summary bodies (``accesses``, ``writeables``,
+``access_projection``, ``summaries``) wait until one of them is first
+read (:func:`_pending`).  Then all of them decode at once, through the
+same index memo, so shared objects keep their identity.  Until then
+the report holds the entry's JSON text and parses it again on that
+first read.  It holds no parsed table: a ``str`` is one object the
+garbage collector never scans, while the parsed tables of one stock
+corpus entry are a median 458 dicts and lists (about 12,000 for a wave
+of 25) that every collection would walk while they lived.  The
+deferred part reaches the objects it completes through weak
+references, so a replayed report is no reference cycle and dies with
+its last reader.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from typing import Any
 
 from repro.analysis.model import AccessRecord, MethodSummary, WriteableEntry
@@ -57,6 +76,7 @@ from repro.context.plan import (
     TestPlan,
 )
 from repro.detect.report import AccessInfo, RaceRecord, RaceSet
+from repro.narada.pipeline import DetectionReport, SynthesisReport
 from repro.pairs.generator import PairSide, RacyPair
 from repro.runtime.values import ObjRef, Value
 from repro.synth.synthesizer import SynthesizedTest
@@ -180,20 +200,28 @@ def _encode_summary(summary: MethodSummary) -> dict:
     }
 
 
-def _decode_summary(data: dict) -> MethodSummary:
-    return MethodSummary(
-        test_name=data["test_name"],
-        ordinal=data["ordinal"],
-        class_name=data["class_name"],
-        method=data["method"],
-        is_constructor=data["is_constructor"],
-        receiver_ref=data["receiver_ref"],
-        arg_refs=tuple(data["arg_refs"]),
-        arg_classes=tuple(data["arg_classes"]),
-        return_class=data["return_class"],
-        invoke_label=data["invoke_label"],
-        accesses=[_decode_access(a) for a in data["accesses"]],
-        writeables=[
+def _summary_head(data: dict) -> dict:
+    """The fields of an encoded summary that a replay decodes eagerly."""
+    return {
+        "test_name": data["test_name"],
+        "ordinal": data["ordinal"],
+        "class_name": data["class_name"],
+        "method": data["method"],
+        "is_constructor": data["is_constructor"],
+        "receiver_ref": data["receiver_ref"],
+        "arg_refs": tuple(data["arg_refs"]),
+        "arg_classes": tuple(data["arg_classes"]),
+        "return_class": data["return_class"],
+        "invoke_label": data["invoke_label"],
+        "faulted": data["faulted"],
+    }
+
+
+def _decode_summary_body(data: dict) -> dict:
+    """The fields of an encoded summary that a replay defers."""
+    return {
+        "accesses": [_decode_access(a) for a in data["accesses"]],
+        "writeables": [
             WriteableEntry(
                 lhs=decode_path(w["lhs"]),
                 rhs=decode_path(w["rhs"]),
@@ -202,18 +230,87 @@ def _decode_summary(data: dict) -> MethodSummary:
             )
             for w in data["writeables"]
         ],
-        access_projection={
+        "access_projection": {
             label: (writeable, unprotected)
             for label, writeable, unprotected in data["access_projection"]
         },
-        summaries={
+        "summaries": {
             label: {
                 (decode_path(lhs), decode_path(rhs)) for lhs, rhs in pairs
             }
             for label, pairs in data["summaries"]
         },
-        faulted=data["faulted"],
+    }
+
+
+def _decode_summary(data: dict) -> MethodSummary:
+    return MethodSummary(**_summary_head(data), **_decode_summary_body(data))
+
+
+def _pending(cls: type, *fields: str) -> type:
+    """The stand-in subclass of dataclass ``cls`` for a replayed object
+    whose ``fields`` are not decoded yet.
+
+    The first read of one of them, or an ``==`` or ``repr``, calls
+    ``_deferred.load()``, which sets the fields and makes the object an
+    instance of ``cls``, so every later read is a plain attribute hit.
+    ``cls`` itself gets no ``__getattr__``: a class with one reads every
+    attribute of every instance about twice as slowly, since CPython then
+    calls a hook on each read instead of specializing it.
+    """
+    deferred = frozenset(fields)
+
+    def __getattr__(self, name: str):
+        if name not in deferred:
+            raise AttributeError(
+                f"{cls.__name__!r} object has no attribute {name!r}"
+            )
+        self._deferred.load()
+        return getattr(self, name)
+
+    def __eq__(self, other):
+        self._deferred.load()
+        return self == other
+
+    def __repr__(self) -> str:
+        self._deferred.load()
+        return repr(self)
+
+    return type(
+        f"Pending{cls.__name__}",
+        (cls,),
+        {
+            "__slots__": (),
+            "__getattr__": __getattr__,
+            "__eq__": __eq__,
+            "__repr__": __repr__,
+            "__hash__": None,
+        },
     )
+
+
+_PendingSummary = _pending(
+    MethodSummary, "accesses", "writeables", "access_projection", "summaries"
+)
+_PendingTest = _pending(SynthesizedTest, "plan")
+_PendingReport = _pending(SynthesisReport, "plans")
+
+
+def _partial(cls: type, deferred: "_DeferredPart", fields: dict):
+    """A ``cls`` instance (a :func:`_pending` class) holding ``fields``
+    and waiting on ``deferred`` for the rest."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    obj.__dict__["_deferred"] = deferred
+    return obj
+
+
+def _settle(obj, fields: dict) -> None:
+    """Give a :func:`_partial` object its deferred fields and make it an
+    instance of its dataclass."""
+    obj.__dict__.update(fields)
+    del obj.__dict__["_deferred"]
+    obj.__class__ = type(obj).__base__
 
 
 def _encode_static_key(key: tuple) -> list:
@@ -242,7 +339,12 @@ class Codec:
         self._content_index: dict[str, dict[str, int]] = {
             key: {} for key in self.TABLE_KEYS
         }
-        self._decoded: dict[str, list] = {}
+        #: Decoding: the tables read, and per table index -> object.
+        self._tables: dict = {}
+        self._decoded: dict[str, dict[int, Any]] = {
+            key: {} for key in self.TABLE_KEYS
+        }
+        self._deferred: _DeferredPart | None = None
 
     # -- encoding ------------------------------------------------------
 
@@ -379,44 +481,67 @@ class Codec:
     # -- decoding ------------------------------------------------------
 
     @classmethod
-    def from_tables(cls, payload: dict) -> "Codec":
-        """Decode the intern tables of an encoded payload, in order."""
-        tables = payload["tables"]
+    def reading(
+        cls, tables: dict, deferred: "_DeferredPart | None" = None
+    ) -> "Codec":
+        """A decoder over ``tables``, the intern tables of a payload.
+
+        Each index decodes once, on first use, so an object shared in
+        the encoded graph is one object in the decoded graph.  With
+        ``deferred``, a summary decodes its header only and a test its
+        name and covered pairs; both then wait on ``deferred``.
+        """
         codec = cls()
-        codec._decoded["summaries"] = [
-            _decode_summary(d) for d in tables.get("summaries", [])
-        ]
-        codec._decoded["slots"] = [
-            ObjectSlot(
-                class_name=d["class_name"], origin=d["origin"], note=d["note"]
-            )
-            for d in tables.get("slots", [])
-        ]
-        codec._decoded["pairs"] = [
-            codec._decode_pair(d) for d in tables.get("pairs", [])
-        ]
-        codec._decoded["plans"] = [
-            codec._decode_plan(d) for d in tables.get("plans", [])
-        ]
-        codec._decoded["tests"] = [
-            codec._decode_test(d) for d in tables.get("tests", [])
-        ]
+        codec._tables = tables
+        codec._deferred = deferred
         return codec
 
+    def _memo(self, table: str, index: int, decode):
+        memo = self._decoded[table]
+        obj = memo.get(index)
+        if obj is None:
+            obj = memo[index] = decode(self._tables[table][index])
+        return obj
+
     def summary(self, index: int) -> MethodSummary:
-        return self._decoded["summaries"][index]
+        return self._memo("summaries", index, self._summary_entry)
 
     def slot(self, index: int | None) -> ObjectSlot | None:
-        return None if index is None else self._decoded["slots"][index]
+        if index is None:
+            return None
+        return self._memo(
+            "slots",
+            index,
+            lambda d: ObjectSlot(
+                class_name=d["class_name"], origin=d["origin"], note=d["note"]
+            ),
+        )
 
     def pair(self, index: int) -> RacyPair:
-        return self._decoded["pairs"][index]
+        return self._memo("pairs", index, self._decode_pair)
 
     def plan(self, index: int) -> TestPlan:
-        return self._decoded["plans"][index]
+        return self._memo("plans", index, self._decode_plan)
 
     def test(self, index: int) -> SynthesizedTest:
-        return self._decoded["tests"][index]
+        return self._memo("tests", index, self._test_entry)
+
+    def _summary_entry(self, data: dict) -> MethodSummary:
+        if self._deferred is None:
+            return _decode_summary(data)
+        return _partial(_PendingSummary, self._deferred, _summary_head(data))
+
+    def _test_entry(self, data: dict) -> SynthesizedTest:
+        if self._deferred is None:
+            return self._decode_test(data)
+        return _partial(
+            _PendingTest,
+            self._deferred,
+            {
+                "name": data["name"],
+                "covered_pairs": [self.pair(i) for i in data["covered_pairs"]],
+            },
+        )
 
     def _decode_side(self, data: dict) -> PairSide:
         return PairSide(
@@ -471,6 +596,85 @@ class Codec:
             plan=self.plan(data["plan"]),
             covered_pairs=[self.pair(i) for i in data["covered_pairs"]],
         )
+
+
+class _DeferredPart:
+    """The part of one replayed synthesis report decoded on first read.
+
+    It holds the entry's JSON text and weak references to the objects
+    decoded from it so far: the report, its pairs, and the summaries
+    and tests that wait on this part.  :meth:`load` parses the text
+    again and decodes, against an index memo seeded with those objects,
+    every summary body, every test's plan and the report's plans.  A
+    load that fails is handed to ``on_failure``, whose exception every
+    read then raises; without one the decode error itself propagates.
+    """
+
+    __slots__ = ("text", "on_failure", "failure", "refs")
+
+    def __init__(self, text: str, on_failure=None) -> None:
+        self.text = text
+        self.on_failure = on_failure
+        self.failure: Exception | None = None
+        self.refs: tuple = ()
+
+    def hold(self, codec: Codec, report) -> None:
+        """Remember what ``codec`` decoded eagerly for ``report``."""
+        self.refs = (
+            weakref.ref(report),
+            {
+                table: {i: weakref.ref(obj) for i, obj in memo.items()}
+                for table, memo in codec._decoded.items()
+            },
+        )
+
+    def load(self) -> None:
+        if self.failure is not None:
+            raise self.failure
+        try:
+            payload = json.loads(self.text)
+            codec = Codec.reading(payload["tables"])
+            report_ref, refs = self.refs
+            for table, memo in refs.items():
+                for index, ref in memo.items():
+                    obj = ref()
+                    if obj is not None:
+                        codec._decoded[table][index] = obj
+            summaries = codec._tables["summaries"]
+            bodies = [
+                (summary, _decode_summary_body(summaries[index]))
+                for index, summary in codec._decoded["summaries"].items()
+            ]
+            tests = codec._tables["tests"]
+            plans = [
+                (test, codec.plan(tests[index]["plan"]))
+                for index, test in codec._decoded["tests"].items()
+            ]
+            report = report_ref()
+            if report is not None:
+                report_plans = [codec.plan(i) for i in payload["plans"]]
+        except Exception as error:
+            if self.on_failure is None:
+                raise
+            self.failure = self.on_failure(error)
+            self.text = None
+            raise self.failure from error
+        for summary, body in bodies:
+            _settle(summary, body)
+        for test, plan in plans:
+            _settle(test, {"plan": plan})
+        if report is not None:
+            _settle(report, {"plans": report_plans})
+        self.text = None
+        self.refs = ()
+
+
+def complete(report) -> None:
+    """Decode now whatever a replayed synthesis ``report`` deferred (a
+    no-op for a report with nothing deferred)."""
+    deferred = report.__dict__.get("_deferred")
+    if deferred is not None:
+        deferred.load()
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +807,7 @@ def encode_analysis(result) -> dict:
 def decode_analysis(data: dict):
     from repro.analysis.model import AnalysisResult
 
-    codec = Codec.from_tables(data)
+    codec = Codec.reading(data["tables"])
     return AnalysisResult([codec.summary(i) for i in data["order"]])
 
 
@@ -627,23 +831,50 @@ def encode_synthesis(report) -> dict:
     }
 
 
-def decode_synthesis(data: dict):
-    from repro.narada.pipeline import SynthesisReport
+def _ids(data: dict, table: str) -> list[int]:
+    """The top-level id list ``data[table]``, each id in range."""
+    ids = data[table]
+    size = len(data["tables"][table])
+    if not isinstance(ids, list) or not all(
+        type(i) is int and 0 <= i < size for i in ids
+    ):
+        raise ValueError(f"{table} ids out of range of their table")
+    return ids
+
+
+def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
+    """Decode a synthesis payload.
+
+    ``text`` is the JSON text ``data`` was parsed from, when there is
+    one (a cache entry's): then the plans, the slots and the summary
+    bodies wait until one of them is first read, and decode from
+    ``text`` parsed again.  ``on_failure(error)`` turns a failure of
+    that later decode into the exception to raise.  Without ``text``
+    everything decodes now.
+    """
     from repro.static.filter import PairVerdict
 
-    codec = Codec.from_tables(data)
-    return SynthesisReport(
-        class_name=data["class_name"],
-        method_count=data["method_count"],
-        loc=data["loc"],
-        pairs=[codec.pair(i) for i in data["pairs"]],
-        plans=[codec.plan(i) for i in data["plans"]],
-        tests=[codec.test(i) for i in data["tests"]],
-        seconds=data["seconds"],
-        verdicts=[
+    pair_ids, plan_ids, test_ids = (
+        _ids(data, table) for table in ("pairs", "plans", "tests")
+    )
+    deferred = None if text is None else _DeferredPart(text, on_failure)
+    codec = Codec.reading(data["tables"], deferred)
+    fields = {
+        "class_name": data["class_name"],
+        "method_count": data["method_count"],
+        "loc": data["loc"],
+        "pairs": [codec.pair(i) for i in pair_ids],
+        "tests": [codec.test(i) for i in test_ids],
+        "seconds": data["seconds"],
+        "verdicts": [
             PairVerdict.from_dict(v) for v in data.get("verdicts", ())
         ],
-    )
+    }
+    if deferred is None:
+        return SynthesisReport(plans=[codec.plan(i) for i in plan_ids], **fields)
+    report = _partial(_PendingReport, deferred, fields)
+    deferred.hold(codec, report)
+    return report
 
 
 def encode_detection(report) -> dict:
@@ -663,8 +894,6 @@ def decode_detection(data: dict, tests: list[SynthesizedTest]):
     Raises:
         ValueError: when a fuzz report names a test not in ``tests``.
     """
-    from repro.narada.pipeline import DetectionReport
-
     by_name = {test.name: test for test in tests}
     report = DetectionReport(
         class_name=data["class_name"], pruned_tests=data["pruned_tests"]
@@ -860,8 +1089,7 @@ def encode_test_bundle(test: SynthesizedTest) -> dict:
 
 
 def decode_test_bundle(data: dict) -> SynthesizedTest:
-    codec = Codec.from_tables(data)
-    return codec.test(data["test"])
+    return Codec.reading(data["tables"]).test(data["test"])
 
 
 def encode_fault_ledger(ledger) -> dict:

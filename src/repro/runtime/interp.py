@@ -286,10 +286,10 @@ class Interpreter:
         place so callers can observe client variables afterwards (this is
         how the synthesizer's ``collectObjects`` captures references).
         """
-        units = [_compiled(stmt, _statement_unit) for stmt in stmts]
-        instrs = (*chain.from_iterable(unit.instrs for unit in units), _FINISH)
-        code = Code(instrs, max((unit.ntemps for unit in units), default=0),
-                    exit_pc=len(instrs) - 1)
+        if isinstance(stmts, ClientStmts):
+            code = _compiled(stmts, _client_code)
+        else:
+            code = _client_code(stmts)
         return FrameStack(self, thread, Frame(code, env, None, 0, 0, "<client>"))
 
     def call_method(
@@ -368,6 +368,31 @@ def _compiled(node, build: Callable) -> Code | None:
     except AttributeError:
         code = node._rt_code = build(node)
         return code
+
+
+class ClientStmts(list):
+    """A list of client statements that keeps its compiled unit.
+
+    :meth:`Interpreter.run_client_stmts` compiles a plain list on every
+    call.  A list that is run many times (a materialized test's setup
+    and thread bodies run once per fuzz run) is built as a
+    ``ClientStmts`` and compiled on its first run only.  The unit lives
+    on the list, so no other list is ever handed it; the list must not
+    change once it has run.
+    """
+
+    __slots__ = ("_rt_code",)
+
+
+def _client_code(stmts: list[ast.Stmt]) -> Code:
+    """A list of client statements as one unit that ends the thread."""
+    units = [_compiled(stmt, _statement_unit) for stmt in stmts]
+    instrs = (*chain.from_iterable(unit.instrs for unit in units), _FINISH)
+    return Code(
+        instrs,
+        max((unit.ntemps for unit in units), default=0),
+        exit_pc=len(instrs) - 1,
+    )
 
 
 def _statement_unit(stmt: ast.Stmt) -> Code:

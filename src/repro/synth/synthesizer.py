@@ -33,6 +33,7 @@ from repro.context.plan import PlannedCall, SeedArg, SidePlan, SlotArg, TestPlan
 from repro.lang import ast
 from repro.lang.classtable import ClassTable
 from repro.pairs.generator import RacyPair
+from repro.runtime.interp import ClientStmts
 from repro.runtime.values import ObjRef, Value
 from repro.synth.collect import Key, SeedCollector, SeedTrie
 from repro.runtime.vm import VM
@@ -124,6 +125,8 @@ class MaterializedTest:
     test: SynthesizedTest
     vm: VM
     env: dict[str, Value]
+    #: Both kinds of list are :class:`~repro.runtime.interp.ClientStmts`,
+    #: so a template and its forks compile each one once.
     setup_stmts: list[ast.Stmt]
     thread_stmts: tuple[list[ast.Stmt], list[ast.Stmt]]
 
@@ -218,16 +221,16 @@ class Materializer:
             ):
                 self._bind(receiver.slot_id, capture.receiver, "r")
 
-        setup = [
+        setup = ClientStmts(
             self._build_call_stmt(call, capture)
             for call, capture in zip(setters, captures)
-        ]
-        left_stmts = [
-            self._build_call_stmt(plan.left.racy_call, captures[len(setters)])
-        ]
-        right_stmts = [
-            self._build_call_stmt(plan.right.racy_call, captures[len(setters) + 1])
-        ]
+        )
+        left_stmts = ClientStmts(
+            [self._build_call_stmt(plan.left.racy_call, captures[len(setters)])]
+        )
+        right_stmts = ClientStmts(
+            [self._build_call_stmt(plan.right.racy_call, captures[len(setters) + 1])]
+        )
         return MaterializedTest(
             test=self._test,
             vm=vm,

@@ -1,0 +1,384 @@
+"""A replayed synthesis report decodes only what its readers use.
+
+A cache hit decodes the id lists, the pairs with their summaries'
+headers, the verdicts and the tests' names and covered pairs.  The
+plans, the slots and the summary bodies decode from the entry's JSON
+text when one of them is first read.  These tests check that the hot
+readers (scoring, the daemon's reply) never trigger that decode, that a
+fully read replay equals an eager decode object for object, that the
+replay keeps no parsed table alive, and that a deferred decode that
+fails is quarantined and recomputed.
+"""
+
+import dataclasses
+import gc
+import json
+import types
+from collections import OrderedDict
+
+import pytest
+
+import repro.narada.orchestrator as orch_mod
+from repro.analysis.model import MethodSummary
+from repro.context import plan as plan_module
+from repro.corpus import CorpusConfig, generate_corpus, run_corpus
+from repro.corpus.runner import corpus_specs
+from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
+from repro.narada import serial
+from repro.narada.cache import EntryDecodeError, stage_key
+from repro.narada.orchestrator import subject_specs
+from repro.pairs.generator import RacyPair
+from repro.subjects import all_subjects, get_subject
+from repro.synth.synthesizer import SynthesizedTest
+from tests.narada.test_daemon import _client, _serving
+
+CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
+
+#: The corpus slice of ``CORPUS_PIN`` (tests/integration/test_pipeline_pins.py).
+SLICE = CorpusConfig(seed=0, count=20)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty source memo, so a replay starts like a fresh process."""
+    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+
+
+@pytest.fixture
+def deferred_decodes(monkeypatch):
+    """Counts of plan and summary-body decodes from now on."""
+    counts = {"plans": 0, "bodies": 0}
+    real_plan = serial.Codec._decode_plan
+    real_body = serial._decode_summary_body
+
+    def counting_plan(self, data):
+        counts["plans"] += 1
+        return real_plan(self, data)
+
+    def counting_body(data):
+        counts["bodies"] += 1
+        return real_body(data)
+
+    monkeypatch.setattr(serial.Codec, "_decode_plan", counting_plan)
+    monkeypatch.setattr(serial, "_decode_summary_body", counting_body)
+    return counts
+
+
+def _run(cache, specs, config=CONFIG):
+    with PipelineOrchestrator(jobs=1, cache=cache, config=config) as orch:
+        return orch.run(specs), orch
+
+
+def _c8():
+    return subject_specs([get_subject("C8")])
+
+
+def _entries(root, stage):
+    return sorted((root / stage).glob("*.json"))
+
+
+def _entry(root, stage):
+    (path,) = _entries(root, stage)
+    return path
+
+
+# ----------------------------------------------------------------------
+# (a) The hot readers decode no plan and no summary body.
+
+
+def test_warm_corpus_replay_decodes_no_plan_and_no_summary_body(
+    tmp_path, memo, deferred_decodes
+):
+    cache = ArtifactCache(tmp_path)
+    subjects = generate_corpus(SLICE)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        cold = run_corpus(SLICE, orch, subjects=subjects)
+    orch_mod._SOURCE_MEMO.clear()
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        warm = run_corpus(SLICE, orch, subjects=subjects)
+    assert warm.digests == cold.digests
+    assert warm.recall == 1.0
+    assert [s.detected for s in warm.scores] == [s.detected for s in cold.scores]
+    assert deferred_decodes == {"plans": 0, "bodies": 0}
+    # The counters do count: an eager decode of one entry moves both.
+    serial.decode_synthesis(json.loads(_entries(tmp_path, "synthesis")[0].read_text()))
+    assert deferred_decodes["plans"] > 0 and deferred_decodes["bodies"] > 0
+
+
+def test_daemon_detect_hit_decodes_no_plan_and_no_summary_body(
+    tmp_path, deferred_decodes
+):
+    request = {"op": "detect", "subjects": ["C8"], "runs": 2}
+    with _serving(tmp_path / "d.sock", ArtifactCache(tmp_path / "cache")) as d:
+        with _client(d) as client:
+            cold = client.request(request)
+            deferred_decodes.update(plans=0, bodies=0)
+            warm = client.request(request)
+    entry = warm["subjects"]["C8"]
+    assert entry["synthesis_cached"] and entry["detection_cached"]
+    assert entry["digest"] == cold["subjects"]["C8"]["digest"]
+    assert deferred_decodes == {"plans": 0, "bodies": 0}
+
+
+# ----------------------------------------------------------------------
+# (b) A fully read replay is the eager decode, object for object.
+
+
+#: The types the codec interns, whose instances a decoded graph shares;
+#: ``ObjectSlot`` compares by identity, so no two decodes are ``==``.
+SHARED = (
+    MethodSummary,
+    RacyPair,
+    SynthesizedTest,
+    plan_module.ObjectSlot,
+    plan_module.TestPlan,
+)
+
+
+def _assert_same(a, b) -> None:
+    """``a == b`` for two decoded graphs, field by field, where every
+    shared object of one stands for exactly one object of the other (so
+    slots are matched one to one instead of compared by identity and
+    slot id)."""
+    forward, backward = {}, {}
+
+    def walk(x, y):
+        assert type(x) is type(y)
+        if isinstance(x, (list, tuple)):
+            assert len(x) == len(y)
+            for u, v in zip(x, y):
+                walk(u, v)
+            return
+        if not dataclasses.is_dataclass(x):
+            assert x == y
+            return
+        if isinstance(x, SHARED):
+            if id(x) in forward or id(y) in backward:
+                assert forward.get(id(x)) == id(y)
+                assert backward.get(id(y)) == id(x)
+                return
+            forward[id(x)], backward[id(y)] = id(y), id(x)
+        for f in dataclasses.fields(x):
+            # A slot's id is a process-wide counter, which no encoding
+            # keeps.
+            if f.compare and f.name != "slot_id":
+                walk(getattr(x, f.name), getattr(y, f.name))
+
+    walk(a, b)
+
+
+def _replay_matches_eager(root, outcomes, config):
+    """Each outcome's cached synthesis replays, fully read, the same as
+    its eager decode, and so does its detection bound to the replay."""
+    cache = ArtifactCache(root)
+    for outcome in outcomes:
+        digest, target = outcome.program.digest, outcome.spec.target_class
+        synth_key = stage_key(
+            digest, "synthesis", config.synthesis_config(target)
+        )
+        detect_key = stage_key(
+            digest, "detection", config.detection_config(target)
+        )
+        entry = cache.get("synthesis", synth_key)
+        replayed = serial.decode_synthesis(entry, entry.text)
+        eager = serial.decode_synthesis(json.loads(entry.text))
+        assert "_deferred" in replayed.__dict__
+        detection = cache.get("detection", detect_key)
+        replayed_detection = serial.decode_detection(detection, replayed.tests)
+        eager_detection = serial.decode_detection(detection, eager.tests)
+        assert "_deferred" in replayed.__dict__
+        assert replayed.pairs == eager.pairs  # reads every summary body
+        assert "_deferred" not in replayed.__dict__
+        _assert_same(
+            (replayed, replayed_detection), (eager, eager_detection)
+        )
+        stored = {k: v for k, v in entry.items() if k != "digest"}
+        assert serial.canonical_json(
+            serial.encode_synthesis(replayed)
+        ) == serial.canonical_json(stored)
+
+
+def test_fully_read_paper_replays_equal_the_eager_decode(tmp_path):
+    config = PipelineConfig(random_runs=1)
+    outcomes, _ = _run(ArtifactCache(tmp_path), subject_specs(), config)
+    assert len(outcomes) == len(all_subjects())
+    _replay_matches_eager(tmp_path, outcomes, config)
+
+
+def test_fully_read_corpus_replays_equal_the_eager_decode(tmp_path):
+    specs = corpus_specs(generate_corpus(SLICE))
+    outcomes, _ = _run(ArtifactCache(tmp_path), specs)
+    assert len(outcomes) == SLICE.count
+    _replay_matches_eager(tmp_path, outcomes, CONFIG)
+
+
+def test_replay_keeps_shared_objects_shared(tmp_path):
+    cache = ArtifactCache(tmp_path)
+    _run(cache, _c8())
+    (warm,), _ = _run(cache, _c8())
+    report = warm.synthesis
+    assert "_deferred" in report.__dict__
+    tests = report.tests
+    plans = report.plans
+    assert all("_deferred" not in test.__dict__ for test in tests)
+    # Each test's plan is one of the report's plans, and each plan's
+    # pair is one of its pairs, whose summaries its racy calls make.
+    plan_ids = {id(plan) for plan in plans}
+    assert all(id(test.plan) in plan_ids for test in tests)
+    pair_ids = {id(pair) for pair in report.pairs}
+    for plan in plans:
+        assert id(plan.pair) in pair_ids
+        assert plan.left.racy_call.summary is plan.left.side.summary
+        assert {id(plan.left.side.summary), id(plan.right.side.summary)} == {
+            id(plan.pair.first.summary),
+            id(plan.pair.second.summary),
+        }
+
+
+# ----------------------------------------------------------------------
+# (c) The deferred part is one string; no parsed table stays reachable.
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instances and
+    containers (not through classes, modules or function globals)."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            continue
+        if isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+            continue
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def _containers(value, into):
+    if isinstance(value, (dict, list)):
+        into.add(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            _containers(item, into)
+    return into
+
+
+def test_replay_holds_its_deferred_part_as_one_string(tmp_path, monkeypatch):
+    cache = ArtifactCache(tmp_path)
+    _run(cache, _c8())
+    served = []
+    real_get = ArtifactCache.get
+
+    def keeping_get(self, stage, key):
+        entry = real_get(self, stage, key)
+        served.append(entry)
+        return entry
+
+    monkeypatch.setattr(ArtifactCache, "get", keeping_get)
+    (warm,), _ = _run(cache, _c8())
+    assert warm.synthesis_cached and warm.detection_cached
+    (synthesis,) = [e for e in served if e.get("kind") == "synthesis"]
+    deferred = warm.synthesis.__dict__["_deferred"]
+    assert deferred.text is synthesis.text
+    # `served` keeps every parsed entry alive, so no id below is reused.
+    parsed = {id(entry) for entry in served}
+    tables = _containers(synthesis["tables"], set())
+    reachable = _reachable(warm)
+    assert not parsed & set(reachable)
+    assert not tables & set(reachable)
+    texts = {id(entry.text) for entry in served} & set(reachable)
+    assert texts == {id(synthesis.text)}
+
+
+# ----------------------------------------------------------------------
+# (d) A deferred decode that fails is quarantined and recomputed.
+
+
+def _corrupt_one_plan(root):
+    path = _entry(root, "synthesis")
+    entry = json.loads(path.read_text())
+    entry["tables"]["plans"][0]["left"]["racy_call"]["summary"] = 10**9
+    path.write_text(json.dumps(entry))
+
+
+@pytest.fixture
+def corrupted(tmp_path):
+    """A cache filled by a clean C8 run whose synthesis entry then had
+    one plan corrupted; ``(root, clean outcome)``."""
+    (clean,), _ = _run(ArtifactCache(tmp_path), _c8())
+    _corrupt_one_plan(tmp_path)
+    return tmp_path, clean
+
+
+def _scored(outcome) -> tuple:
+    """What scoring reads of an outcome: pair identities, verdicts, test
+    names and the races of each fuzz report."""
+    synthesis, detection = outcome.synthesis, outcome.detection
+    return (
+        [
+            (pair.field, pair.first.method_id(), pair.second.method_id())
+            for pair in synthesis.pairs
+        ],
+        [verdict.pruned for verdict in synthesis.verdicts],
+        [test.name for test in synthesis.tests],
+        [
+            (fuzz.test.name, sorted(fuzz.detected.static_keys()), fuzz.deadlocks)
+            for fuzz in detection.fuzz_reports
+        ],
+    )
+
+
+def test_scoring_replays_an_entry_with_a_corrupt_plan(corrupted):
+    root, clean = corrupted
+    cache = ArtifactCache(root)
+    (warm,), orch = _run(cache, _c8())
+    assert warm.synthesis_cached and warm.detection_cached
+    assert warm.digest() == clean.digest()
+    assert _scored(warm) == _scored(clean)
+    assert cache.stats.quarantined == orch.fault_ledger.quarantined == 0
+
+
+def test_a_corrupt_plan_read_after_the_run_is_quarantined(corrupted):
+    root, clean = corrupted
+    cache = ArtifactCache(root)
+    (warm,), _ = _run(cache, _c8())
+    with pytest.raises(EntryDecodeError) as raised:
+        getattr(warm.synthesis, "plans")
+    error = raised.value
+    assert error.stage == "synthesis"
+    assert error.key == _entry(root / "quarantine", "synthesis").stem
+    assert isinstance(error.cause, IndexError)
+    assert "synthesis" in str(error) and error.key in str(error)
+    assert cache.stats.quarantined == 1
+    assert not list((root / "synthesis").glob("*.json"))
+    (reason,) = (root / "quarantine" / "synthesis").glob("*.reason.txt")
+    assert "decode failure" in reason.read_text()
+    # Every later read of the report's deferred part raises the same.
+    with pytest.raises(EntryDecodeError):
+        getattr(warm.synthesis.tests[0], "plan")
+    # The next run recomputes the entry.
+    (again,), _ = _run(ArtifactCache(root), _c8())
+    assert not again.synthesis_cached and again.detection_cached
+    assert again.digest() == clean.digest()
+    assert len(again.synthesis.plans) == len(clean.synthesis.plans)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_detection_miss_recomputes_a_corrupt_plan(corrupted, jobs):
+    root, clean = corrupted
+    _entry(root, "detection").unlink()
+    cache = ArtifactCache(root)
+    with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+        (outcome,) = orch.run(_c8())
+        assert orch.fault_ledger.failures == []
+        assert orch.fault_ledger.quarantined == 1
+    assert not outcome.synthesis_cached and not outcome.detection_cached
+    assert outcome.digest() == clean.digest()
+    assert (root / "quarantine" / "synthesis").exists()
+    (replayed,), _ = _run(ArtifactCache(root), _c8())
+    assert replayed.synthesis_cached and replayed.detection_cached
+    eager = serial.decode_synthesis(serial.encode_synthesis(clean.synthesis))
+    _assert_same(replayed.synthesis.plans, eager.plans)

@@ -168,3 +168,30 @@ class TestRunnerBehaviour:
             # Seed itself faults now, so building already fails; this
             # guards against silent acceptance of faulting seeds.
             build_tests(source)
+
+    def test_a_template_compiles_its_statement_lists_once(self, monkeypatch):
+        """Every run of a template and its forks reuses the code of its
+        setup and thread statement lists; a fresh list compiles anew."""
+        import repro.runtime.interp as interp
+
+        compiled = []
+        real = interp._client_code
+
+        def counting(stmts):
+            compiled.append(stmts)
+            return real(stmts)
+
+        monkeypatch.setattr(interp, "_client_code", counting)
+        table, tests = build_tests()
+        test = next(t for t in tests if t.plan.left.setter_calls)
+        template = materialize(test, VM(table))
+        compiled.clear()  # seed collection runs the seed test's body
+        runner = TestRunner(table)
+        outcomes = [runner.run(template, RoundRobinScheduler()) for _ in range(3)]
+        assert all(outcome.clean for outcome in outcomes)
+        lists = [template.setup_stmts, *template.thread_stmts]
+        assert len(compiled) == 3
+        assert all(any(s is c for c in compiled) for s in lists)
+        copy = type(template.setup_stmts)(template.setup_stmts)
+        template.fork().vm.run_client_stmts(copy, env=dict(template.env))
+        assert len(compiled) == 4 and compiled[-1] is copy
