@@ -6,6 +6,14 @@ pre-optimization baselines recorded below.  Results land in
 ``benchmarks/out/BENCH_vm.json``; the process exits non-zero if the
 hot-path overhaul's acceptance ratios regress.
 
+Raw events/sec on a shared machine moves with the CPU's speed of the
+moment, so each scenario also records ``speed_scale``: the end-to-end
+benchmark's reference loop (``e2e/workloads.py``), timed just before
+and just after the scenario, as :data:`REFERENCE_CHUNK_S` over its mean
+chunk time.  Dividing ``events_per_sec`` by ``speed_scale`` gives the
+rate at the reference speed, comparable across runs; the gate itself
+still compares the raw rates.
+
 ``--check`` skips measurement and instead validates the recorded
 ``benchmarks/out/BENCH_*.json`` reports: each expected file must exist
 and carry the current ``schema_version``, otherwise the gate fails with
@@ -24,15 +32,23 @@ import argparse
 import json
 import pathlib
 import platform
+import statistics
 import sys
+from array import array
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+sys.path.insert(0, str(pathlib.Path(__file__).parent / "e2e"))
 
 from vm_scenarios import LOOP_N, SCENARIOS, measure  # noqa: E402
+from workloads import REFERENCE_CHUNK_S, reference_chunk  # noqa: E402
 
 #: BENCH_vm.json payload schema.  v1 was the unversioned original; v2
-#: added this field.  Bump on any shape change.
-SCHEMA_VERSION = 2
+#: added this field; v3 added each scenario's ``speed_scale``.  Bump on
+#: any shape change.
+SCHEMA_VERSION = 3
+
+#: Reference-loop chunks timed on each side of a scenario.
+SPEED_CHUNKS = 10
 
 #: Pre-overhaul throughput (events/sec, best-of-3) on the same scenarios,
 #: measured at the seed revision before the VM hot-path PR.
@@ -51,9 +67,26 @@ REQUIRED_SPEEDUP = {
 }
 
 
+def speed_scale(table: array) -> float:
+    """:data:`REFERENCE_CHUNK_S` over the mean time of a few reference
+    chunks: above 1 when the CPU runs faster than the reference."""
+    chunks = [reference_chunk(table) for _ in range(SPEED_CHUNKS)]
+    return REFERENCE_CHUNK_S / statistics.mean(chunks)
+
+
+def measure_scaled(name: str, rounds: int, table: array) -> dict:
+    """:func:`measure` plus the speed scale around it."""
+    before = speed_scale(table)
+    stats = measure(name, rounds=rounds)
+    stats["speed_scale"] = round((before + speed_scale(table)) / 2, 3)
+    return stats
+
+
 def collect(rounds: int) -> dict:
     """Measure every scenario and assemble the BENCH_vm.json payload."""
-    current = {name: measure(name, rounds=rounds) for name in SCENARIOS}
+    # Larger than a CPU cache, every page written, as the e2e probe's.
+    table = array("q", [1]) * (1 << 20)
+    current = {name: measure_scaled(name, rounds, table) for name in SCENARIOS}
     speedup = {
         name: round(current[name]["events_per_sec"] / baseline, 2)
         for name, baseline in BASELINE_EVENTS_PER_SEC.items()
@@ -187,7 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, stats in sorted(payload["current"].items()):
         ratio = payload["speedup"].get(name)
         suffix = f"  ({ratio}x baseline)" if ratio is not None else ""
-        print(f"{name:18s} {stats['events_per_sec']:>12,.0f} ev/s{suffix}")
+        print(
+            f"{name:18s} {stats['events_per_sec']:>12,.0f} ev/s"
+            f"  speed {stats['speed_scale']:.2f}{suffix}"
+        )
     print(f"report: {path}")
     if payload["failures"]:
         print("PERF REGRESSION:", "; ".join(payload["failures"]))

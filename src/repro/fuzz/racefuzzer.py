@@ -59,7 +59,6 @@ from repro.runtime.vm import ThreadStatus
 from repro.synth.runner import PreparedRun, TemplateSource, TestRunner
 from repro.synth.synthesizer import MaterializedTest, SynthesizedTest
 from repro.trace.columnar import ColumnarRecorder, PackedTrace
-from repro.trace.events import AccessEvent
 
 #: Step budget for each phase of a directed confirmation attempt.
 DIRECTED_PHASE_STEPS = 20_000
@@ -413,24 +412,27 @@ class RaceFuzzer:
         lead_tid = prepared.thread_ids[leader]
         chase_tid = prepared.thread_ids[1 - leader]
 
+        packed = recorder.packed
         lead_seen: set = set()
-        address = self._drive_until(
-            prepared, lead_tid, chase_tid, first_site, None, lead_seen
-        )
         confirmed = False
-        if address is None:
-            drives[("lead", leader)] = lead_seen
-        else:
-            chase_seen: set = set()
-            hit = self._drive_until(
-                prepared, chase_tid, lead_tid, second_site, address, chase_seen
+        with prepared.execution.elide():
+            address = self._drive_until(
+                prepared, packed, lead_tid, chase_tid, first_site, None, lead_seen
             )
-            confirmed = hit is not None
-            if not confirmed:
-                drives[("chase", leader, first_site)] = (address, chase_seen)
+            if address is None:
+                drives[("lead", leader)] = lead_seen
+            else:
+                chase_seen: set = set()
+                hit = self._drive_until(
+                    prepared, packed, chase_tid, lead_tid, second_site, address,
+                    chase_seen,
+                )
+                confirmed = hit is not None
+                if not confirmed:
+                    drives[("chase", leader, first_site)] = (address, chase_seen)
         # Drain so detectors see a complete execution and threads finish.
         outcome = runner.finish(prepared, RoundRobinScheduler())
-        run = self._absorb(report, outcome, recorder.packed, memo)
+        run = self._absorb(report, outcome, packed, memo)
         stops = (
             first_site if address is not None else None,
             second_site if confirmed else None,
@@ -442,6 +444,7 @@ class RaceFuzzer:
     @staticmethod
     def _drive_until(
         prepared: PreparedRun,
+        packed: PackedTrace,
         preferred: int,
         other: int,
         site: int,
@@ -451,6 +454,8 @@ class RaceFuzzer:
         """Step ``preferred`` until it performs an access at ``site``
         (optionally on ``address``); returns the address or None.
 
+        Each access is read back from the row it adds to ``packed``,
+        the run's recording, which records every read and write.
         ``seen`` collects the accesses of ``preferred`` that the drive
         stepped past: their node ids, or with an ``address`` their
         (node id, address) pairs.
@@ -468,15 +473,17 @@ class RaceFuzzer:
                     execution.step(other)
                     continue
                 return None
-            event = execution.step(preferred)
-            if not isinstance(event, AccessEvent):
+            row = len(packed)
+            execution.step(preferred)
+            at = packed.access(row)
+            if at is None:
                 continue
             if address is None:
-                if event.node_id == site:
-                    return event.address()
-                seen.add(event.node_id)
+                node_id, at_address = at
+                if node_id == site:
+                    return at_address
+                seen.add(node_id)
             else:
-                at = (event.node_id, event.address())
                 if at == (site, address):
                     return address
                 seen.add(at)

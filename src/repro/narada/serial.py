@@ -1037,15 +1037,11 @@ def encode_packed_trace(packed) -> dict:
 
 
 def decode_packed_trace(data: dict):
-    from array import array
-
-    from repro.trace.columnar import PackedTrace
+    from repro.trace.columnar import COLUMNS, ROW, PackedTrace
 
     packed = PackedTrace(test_name=data["test_name"])
-    for name in PackedTrace.COLUMNS:
-        setattr(
-            packed, name, array(PackedTrace._TYPECODES[name], data["columns"][name])
-        )
+    columns = [data["columns"][name] for name in COLUMNS]
+    packed._buf = bytearray(b"".join(map(ROW.pack, *columns)))
     packed.strtab = list(data["strtab"])
     packed.locktab = [frozenset(locks) for locks in data["locktab"]]
     packed.addrtab = [tuple(key) for key in data["addrtab"]]

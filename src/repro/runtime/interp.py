@@ -32,11 +32,15 @@ Engine (see DESIGN.md, "Performance architecture"):
   per-class field layouts and initializer code used at allocation are
   memoized per (class, name) so the AST is never re-scanned on the hot
   path.
-* **Event-construction elision** — when the driving
-  :class:`~repro.runtime.vm.Execution` reports that no listener
-  subscribes to an event kind, the interpreter burns the label and
-  returns :data:`~repro.trace.events.SKIPPED_EVENT` instead of building
-  the event object.  Labels and scheduling points are unchanged, so the
+* **Three-way emission** — the driving
+  :class:`~repro.runtime.vm.Execution` sets, per data kind (invoke,
+  return, alloc, read, write), what its instruction does with the
+  event: build the event object, skip it (no listener subscribes), or
+  write its row straight into the packed trace of a
+  :class:`~repro.trace.columnar.ColumnarRecorder` that is the only
+  listener.  Skipping and writing burn the label and return
+  :data:`~repro.trace.events.SKIPPED_EVENT` without building an
+  object.  Labels and scheduling points are unchanged, so the
   observable stream (and any recorded golden trace) is bit-identical.
 """
 
@@ -69,6 +73,12 @@ from repro.trace.events import (
 #: Default bound on nested library calls per thread, a MiniJ-level
 #: stack overflow.  Frames live on the heap, not the Python stack.
 MAX_CALL_DEPTH = 64
+
+#: The data kinds in :meth:`Interpreter.set_emit` order.
+EMIT_KINDS = (InvokeEvent, ReturnEvent, AllocEvent, ReadEvent, WriteEvent)
+
+#: Emission modes that build every event.
+EMIT_EVENTS = (True,) * len(EMIT_KINDS)
 
 _MISSING = object()
 
@@ -218,12 +228,10 @@ class Interpreter:
         self._next_call_index = 1
         self.max_call_depth = MAX_CALL_DEPTH
 
-        # Event-construction elision flags (managed by Execution.run).
-        self._emit_invoke = True
-        self._emit_return = True
-        self._emit_alloc = True
-        self._emit_read = True
-        self._emit_write = True
+        # Per data kind: True builds the event, None skips it, a row
+        # writer writes its row (set by the driving Execution).
+        self._emit_invoke = self._emit_return = self._emit_alloc = True
+        self._emit_read = self._emit_write = True
 
         # Per-class resolution caches.
         self._method_cache: dict[tuple[str, str], ast.MethodDecl | None] = {}
@@ -236,8 +244,8 @@ class Interpreter:
         call numbering.
 
         The resolution caches depend only on the class table, so the
-        copy starts with them filled; its emit filter starts open, as
-        every interpreter's does between runs.
+        copy starts with them filled; it builds every event, as every
+        interpreter does between runs.
         """
         copy = Interpreter(self._table, heap, rng, label_source)
         copy._next_call_index = self._next_call_index
@@ -249,30 +257,22 @@ class Interpreter:
         return copy
 
     # ------------------------------------------------------------------
-    # Event-construction elision (driven by Execution.run).
+    # Emission (driven by Execution).
 
-    def set_emit_filter(self, wanted: set[type] | None) -> None:
-        """Restrict which high-volume event kinds are materialized.
+    def set_emit(self, modes: tuple) -> None:
+        """Set what the five data kinds emit.
 
-        ``wanted`` is the set of event classes some listener subscribes
-        to, or None for "construct everything".  Matching is
-        subclass-aware, so an interest in ``AccessEvent`` keeps both
-        reads and writes materialized.  Only the five data kinds are
-        ever elided; synchronization events are always built because
-        the Execution itself inspects them.
+        ``modes`` holds one entry each for invoke, return, alloc, read
+        and write: True builds the event, None skips it, and a callable
+        (a :class:`~repro.trace.columnar.PackedTrace` row writer such as
+        ``read_row``) is handed the event's fields in its constructor
+        order.  :data:`EMIT_EVENTS` builds everything.  Synchronization
+        events are always built because the Execution inspects them.
         """
-        if wanted is None:
-            self._emit_invoke = self._emit_return = self._emit_alloc = True
-            self._emit_read = self._emit_write = True
-        else:
-            def want(cls: type) -> bool:
-                return any(issubclass(cls, interest) for interest in wanted)
-
-            self._emit_invoke = want(InvokeEvent)
-            self._emit_return = want(ReturnEvent)
-            self._emit_alloc = want(AllocEvent)
-            self._emit_read = want(ReadEvent)
-            self._emit_write = want(WriteEvent)
+        (
+            self._emit_invoke, self._emit_return, self._emit_alloc,
+            self._emit_read, self._emit_write,
+        ) = modes
 
     # ------------------------------------------------------------------
     # Entry points.
@@ -382,6 +382,16 @@ class ClientStmts(list):
     """
 
     __slots__ = ("_rt_code",)
+
+
+def client_body(test: ast.TestDecl) -> ClientStmts:
+    """The body statements of ``test``, made once per parsed test, so
+    the body compiles on its first run only, as method bodies do."""
+    try:
+        return test._rt_body
+    except AttributeError:
+        body = test._rt_body = ClientStmts(test.body.stmts)
+        return body
 
 
 def _client_code(stmts: list[ast.Stmt]) -> Code:
@@ -847,44 +857,62 @@ def _fork(run: FrameStack, f: Frame, op: Op) -> ForkRequest:
 
 
 # ----------------------------------------------------------------------
-# Events.  The five data kinds may be elided (label burned, SKIPPED_EVENT
-# returned); synchronization events are always built.
+# Events.  Each of the five data kinds is built, skipped or written as a
+# row (see Interpreter.set_emit); skipping and writing burn the label
+# and return SKIPPED_EVENT.  Synchronization events are always built.
 
 
 def _read(run, f, node_id, obj, name, value, index):
     interp = run.interp
-    if interp._emit_read:
-        ctx = run.ctx
+    emit = interp._emit_read
+    ctx = run.ctx
+    if emit is True:
         return ReadEvent(
             interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
             obj.class_name, name, value, ctx.locks_held(), index,
             ctx.ctor_depth > 0,
         )
-    interp._next_label()
+    label = interp._next_label()
+    if emit is not None:
+        emit(
+            label, run.tid, node_id, f.call_index, obj.ref, obj.class_name,
+            name, value, ctx.locks_held(), index, ctx.ctor_depth > 0,
+        )
     return SKIPPED_EVENT
 
 
 def _write(run, f, node_id, obj, name, value, index, old_value):
     interp = run.interp
-    if interp._emit_write:
-        ctx = run.ctx
+    emit = interp._emit_write
+    ctx = run.ctx
+    if emit is True:
         return WriteEvent(
             interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
             obj.class_name, name, value, ctx.locks_held(), index,
             ctx.ctor_depth > 0, old_value,
         )
-    interp._next_label()
+    label = interp._next_label()
+    if emit is not None:
+        emit(
+            label, run.tid, node_id, f.call_index, obj.ref, obj.class_name,
+            name, value, ctx.locks_held(), index, ctx.ctor_depth > 0,
+            old_value,
+        )
     return SKIPPED_EVENT
 
 
 def _allocated(run, f, node_id, obj, in_library):
     interp = run.interp
-    if interp._emit_alloc:
+    emit = interp._emit_alloc
+    if emit is True:
         return AllocEvent(
             interp._next_label(), run.tid, node_id, f.call_index, obj.ref,
             obj.class_name, in_library,
         )
-    interp._next_label()
+    label = interp._next_label()
+    if emit is not None:
+        emit(label, run.tid, node_id, f.call_index, obj.ref, obj.class_name,
+             in_library)
     return SKIPPED_EVENT
 
 
@@ -1009,13 +1037,20 @@ def _invoke(run, f, receiver, decl, args, from_client, node_id, dst):
     callee.dst = dst
     if decl.is_constructor:
         run.ctx.ctor_depth += 1
-    if interp._emit_invoke:
+    emit = interp._emit_invoke
+    if emit is True:
         return InvokeEvent(
             interp._next_label(), run.tid, node_id, f.call_index, receiver.ref,
             receiver.class_name, decl.name, tuple(args), from_client,
             decl.is_constructor, call_index, depth,
         )
-    interp._next_label()
+    label = interp._next_label()
+    if emit is not None:
+        emit(
+            label, run.tid, node_id, f.call_index, receiver.ref,
+            receiver.class_name, decl.name, args, from_client,
+            decl.is_constructor, call_index, depth,
+        )
     return SKIPPED_EVENT
 
 
@@ -1026,12 +1061,18 @@ def _epilogue(run: FrameStack, f: Frame, op: Op):
     caller = run.frame = f.parent
     value = caller.temps[f.dst] = f.ret
     interp = run.interp
-    if interp._emit_return:
+    emit = interp._emit_return
+    if emit is True:
         return ReturnEvent(
             interp._next_label(), run.tid, f.node_id, caller.call_index, value,
             f.from_client, f.call_index, decl.name, f.this.class_name,
         )
-    interp._next_label()
+    label = interp._next_label()
+    if emit is not None:
+        emit(
+            label, run.tid, f.node_id, caller.call_index, value,
+            f.from_client, f.call_index, decl.name, f.this.class_name,
+        )
     return SKIPPED_EVENT
 
 

@@ -20,15 +20,24 @@ Hot-path architecture (see DESIGN.md, "Performance architecture"):
   calling every ``on_event`` for every event, the Execution builds a
   per-event-class tuple of the bound callbacks that actually subscribe
   to that class (listeners may declare an ``interests`` tuple of event
-  classes; no declaration means "everything").
-* **Event elision** — while :meth:`Execution.run` or
-  :meth:`Execution.run_single` drives the loop, the interpreter is told
-  which event kinds have a subscriber and skips *constructing* the
-  rest, returning :data:`~repro.trace.events.SKIPPED_EVENT` after
-  burning the label.  The schedule, labels, and every delivered event
-  are bit-identical to an unfiltered run.  Manual :meth:`Execution.step`
-  driving (the fuzzers inspect returned events) elides only when the
-  driver sets the filter itself, as seed collection does.
+  classes; no declaration means "everything").  Which listeners
+  subscribe to a class, and what the interpreter emits, is worked out
+  once per listener shape (:class:`_Plan`) and shared by every
+  Execution with listeners of that shape.
+* **Three-way emission** — while :meth:`Execution.run` or
+  :meth:`Execution.run_single` drives the loop, or inside
+  :meth:`Execution.elide`, each data kind (invoke, return, alloc, read,
+  write) is built as an event only if some listener needs the object.
+  A kind nobody subscribes to is skipped; when the only listener is a
+  :class:`~repro.trace.columnar.ColumnarRecorder`, a kind it records is
+  written as a row straight into its packed trace.  Either way the
+  interpreter burns the label and returns
+  :data:`~repro.trace.events.SKIPPED_EVENT`, which the Execution treats
+  as a step with nothing to dispatch.  The schedule, labels, every
+  delivered event and every recorded row are bit-identical to an
+  unfiltered run.  Manual :meth:`Execution.step` driving builds every
+  event unless the caller enters :meth:`Execution.elide`, as seed
+  collection and the directed drives do.
 * **Runnable cache** — the runnable-thread list is rebuilt only when
   some thread's status actually changes, in thread-creation order so
   seeded random schedules are unchanged.
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
 
@@ -49,7 +59,14 @@ from repro._util.errors import (
 from repro.lang import ast
 from repro.lang.classtable import ClassTable
 from repro.runtime.heap import Heap
-from repro.runtime.interp import ForkRequest, Interpreter, ThreadContext
+from repro.runtime.interp import (
+    EMIT_EVENTS,
+    EMIT_KINDS,
+    ForkRequest,
+    Interpreter,
+    ThreadContext,
+    client_body,
+)
 from repro.runtime.scheduler import Scheduler, SequentialScheduler
 from repro.runtime.values import Value
 from repro.trace.events import (
@@ -76,6 +93,14 @@ class Listener(Protocol):
     receive every event.  Declaring interests lets the Execution skip
     both dispatch *and construction* of unobserved high-volume events,
     so only declare kinds the listener genuinely never reads.
+
+    A listener with a ``packed`` attribute (a
+    :class:`~repro.trace.columnar.PackedTrace`, as on
+    :class:`~repro.trace.columnar.ColumnarRecorder`) records rows: when
+    it is an execution's only listener, the interpreter writes the data
+    kinds it subscribes to into ``packed`` while :meth:`Execution.run`,
+    :meth:`Execution.run_single` or :meth:`Execution.elide` drives, and
+    those events never reach ``on_event``.
     """
 
     def on_event(self, event: Event) -> None: ...  # pragma: no cover
@@ -205,7 +230,7 @@ class VM:
         test = self.table.program.test_decl(test_name)
         if test is None:
             raise MiniJRuntimeError("no-such-test", test_name)
-        return self.run_client_stmts(test.body.stmts, listeners, env, max_steps)
+        return self.run_client_stmts(client_body(test), listeners, env, max_steps)
 
     def run_client_stmts(
         self,
@@ -237,7 +262,10 @@ class Execution:
 
     def __init__(self, vm: VM, listeners: tuple[Listener, ...] = ()) -> None:
         self._vm = vm
-        self._listeners = tuple(listeners)
+        self._listeners = listeners = tuple(listeners)
+        self._plan = plan = _plan_of(listeners)
+        # The interpreter's emission modes while this execution drives.
+        self._emit = plan.modes(listeners)
         self._threads: dict[int, VMThread] = {}
         self._last_scheduled: int | None = None
         self.steps = 0
@@ -367,9 +395,9 @@ class Execution:
             return fault_event
 
         if event is SKIPPED_EVENT:
-            # An elided event: label burned, scheduling point taken, but
-            # nobody subscribed — nothing to dispatch.  Elided kinds are
-            # never synchronization events, so the thread stays runnable.
+            # An elided event or a row written at the source: label
+            # burned, scheduling point taken, nothing to dispatch.  Only
+            # data kinds are elided, so the thread stays runnable.
             if prev_status is not _RUNNABLE:
                 thread.status = _RUNNABLE
                 thread.blocked_on = None
@@ -418,7 +446,7 @@ class Execution:
         interp = self._vm.interp
         step = self.step
         pick = scheduler.pick
-        interp.set_emit_filter(self._wanted_kinds())
+        interp.set_emit(self._emit)
         try:
             while True:
                 runnable = self.runnable_threads()
@@ -437,7 +465,7 @@ class Execution:
                     break
                 step(pick(runnable, self._last_scheduled))
         finally:
-            interp.set_emit_filter(None)
+            interp.set_emit(EMIT_EVENTS)
         result.steps = self.steps
         result.faults = [
             (tid, thread.fault)
@@ -456,7 +484,7 @@ class Execution:
         """
         thread = self._threads[tid]
         interp = self._vm.interp
-        interp.set_emit_filter(self._wanted_kinds())
+        interp.set_emit(self._emit)
         try:
             steps = 0
             while thread.status in (ThreadStatus.RUNNABLE, ThreadStatus.BLOCKED):
@@ -469,32 +497,34 @@ class Execution:
                 self.step(tid)
                 steps += 1
         finally:
-            interp.set_emit_filter(None)
+            interp.set_emit(EMIT_EVENTS)
         return thread
+
+    @contextmanager
+    def elide(self):
+        """Emit as :meth:`run` does while the caller drives :meth:`step`.
+
+        Inside the block, kinds no listener subscribes to are skipped
+        and a sole recorder's rows are written at the source, so
+        :meth:`step` returns :data:`SKIPPED_EVENT` for them; a caller
+        that needs an access reads it from the recorded trace.
+        """
+        interp = self._vm.interp
+        interp.set_emit(self._emit)
+        try:
+            yield self
+        finally:
+            interp.set_emit(EMIT_EVENTS)
 
     # ------------------------------------------------------------------
     # Internals.
 
-    def _wanted_kinds(self) -> set[type] | None:
-        """Union of listener interests, or None when someone wants all."""
-        wanted: set[type] = set()
-        for listener in self._listeners:
-            interests = getattr(listener, "interests", None)
-            if interests is None:
-                return None
-            wanted.update(interests)
-        return wanted
-
     def _bind(self, cls: type) -> tuple[Callable[[Event], None], ...]:
         """Build (and memoize) the subscriber tuple for one event class."""
-        handlers = []
-        for listener in self._listeners:
-            interests = getattr(listener, "interests", None)
-            if interests is None or any(
-                issubclass(cls, interest) for interest in interests
-            ):
-                handlers.append(listener.on_event)
-        bound = tuple(handlers)
+        listeners = self._listeners
+        bound = tuple(
+            listeners[index].on_event for index in self._plan.subscribers(cls)
+        )
         self._dispatch_map[cls] = bound
         return bound
 
@@ -521,3 +551,73 @@ class Execution:
             self._wake_waiters(obj_ref)
         thread.ctx.held.clear()
         thread.ctx.locks_cache = None
+
+
+#: The row writers of a ``packed`` trace, in :data:`EMIT_KINDS` order.
+_ROW_WRITERS = ("invoke_row", "return_row", "alloc_row", "read_row", "write_row")
+
+
+class _Plan:
+    """What one shape of listener set asks of an execution.
+
+    The shape is each listener's ``interests`` and whether the set is a
+    single row-recording listener (see :class:`Listener`).  A plan
+    holds, per data kind, whether the interpreter builds it (True),
+    skips it (None) or writes it with the named row writer, and per
+    event class which listeners (by position) subscribe.  Both are
+    worked out once per shape.
+    """
+
+    __slots__ = ("interests", "sink", "emit", "_subscribers")
+
+    def __init__(self, interests: tuple, sink: bool) -> None:
+        self.interests = interests
+        self.sink = sink
+        self._subscribers: dict[type, tuple[int, ...]] = {}
+        self.emit = tuple(
+            None if not self.subscribers(kind) else writer if sink else True
+            for kind, writer in zip(EMIT_KINDS, _ROW_WRITERS)
+        )
+
+    def subscribers(self, cls: type) -> tuple[int, ...]:
+        """Positions of the listeners that receive events of ``cls``."""
+        picked = self._subscribers.get(cls)
+        if picked is None:
+            picked = self._subscribers[cls] = tuple(
+                index
+                for index, interests in enumerate(self.interests)
+                if interests is None
+                or any(issubclass(cls, interest) for interest in interests)
+            )
+        return picked
+
+    def modes(self, listeners: tuple) -> tuple:
+        """The :meth:`Interpreter.set_emit` modes for ``listeners``:
+        :attr:`emit` with each writer name bound to the recorder."""
+        if not self.sink:
+            return self.emit
+        packed = listeners[0].packed
+        return tuple(
+            getattr(packed, mode) if mode.__class__ is str else mode
+            for mode in self.emit
+        )
+
+
+#: Plans by listener shape.  Shapes come from the listener classes and
+#: interest tuples the code defines, so the table stays small; a plan
+#: is a function of its key, so sharing it across executions, tests and
+#: threads changes only how often it is worked out.
+_PLANS: dict[tuple, _Plan] = {}
+
+
+def _plan_of(listeners: tuple) -> _Plan:
+    interests = tuple(getattr(listener, "interests", None) for listener in listeners)
+    sink = len(listeners) == 1 and hasattr(listeners[0], "packed")
+    key = (interests, sink)
+    try:
+        plan = _PLANS.get(key)
+    except TypeError:  # unhashable interests: a plan for this execution
+        return _Plan(interests, sink)
+    if plan is None:
+        plan = _PLANS[key] = _Plan(interests, sink)
+    return plan

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro._util.errors import SynthesisError
+from repro.runtime.interp import client_body
 from repro.runtime.values import ObjRef, Value
 from repro.runtime.vm import Execution, ThreadStatus, VM
 from repro.trace.events import InvokeEvent
@@ -58,6 +59,32 @@ class Capture:
         return value
 
 
+class _Watcher:
+    """Captures the ``ordinal``-th client invocation of a seed test.
+
+    A module-level class, so a collection leaves no per-call class (a
+    reference cycle) behind for the garbage collector.
+    """
+
+    interests = (InvokeEvent,)
+
+    def __init__(self, ordinal: int) -> None:
+        self.ordinal = ordinal
+        self.count = 0
+        self.capture: Capture | None = None
+
+    def on_event(self, event) -> None:
+        if event.from_client:
+            if self.count == self.ordinal:
+                self.capture = Capture(
+                    receiver=ObjRef(event.receiver, event.class_name),
+                    args=event.args,
+                    class_name=event.class_name,
+                    method=event.method,
+                )
+            self.count += 1
+
+
 class SeedCollector:
     """Collects object references from partial seed-test executions.
 
@@ -81,37 +108,18 @@ class SeedCollector:
         if test is None:
             raise SynthesisError(f"unknown seed test {test_name}")
 
-        captured: list[Capture] = []
-        invocation_count = [0]
-
-        class _Watcher:
-            interests = (InvokeEvent,)
-
-            def on_event(self, event):
-                if event.from_client:
-                    if invocation_count[0] == ordinal:
-                        captured.append(
-                            Capture(
-                                receiver=ObjRef(event.receiver, event.class_name),
-                                args=event.args,
-                                class_name=event.class_name,
-                                method=event.method,
-                            )
-                        )
-                    invocation_count[0] += 1
-
+        watcher = _Watcher(ordinal)
         env: dict[str, Value] = {}
-        execution = Execution(self._vm, listeners=(_Watcher(),))
+        execution = Execution(self._vm, listeners=(watcher,))
+        body = client_body(test)
         tid = execution.spawn(
-            lambda ctx: self._vm.interp.run_client_stmts(test.body.stmts, ctx, env),
+            lambda ctx: self._vm.interp.run_client_stmts(body, ctx, env),
             name=f"collect:{test_name}#{ordinal}",
         )
         thread = execution.thread(tid)
         steps = 0
-        interp = self._vm.interp
-        interp.set_emit_filter(set(_Watcher.interests))
-        try:
-            while not captured and thread.status in (
+        with execution.elide():
+            while watcher.capture is None and thread.status in (
                 ThreadStatus.RUNNABLE,
                 ThreadStatus.BLOCKED,
             ):
@@ -121,9 +129,7 @@ class SeedCollector:
                     )
                 execution.step(tid)
                 steps += 1
-        finally:
-            interp.set_emit_filter(None)
-        if not captured:
+        if watcher.capture is None:
             raise SynthesisError(
                 f"seed test {test_name} ended before client invocation #{ordinal}"
                 + (f" (thread {thread.status.value})" if thread.fault is None else
@@ -131,7 +137,7 @@ class SeedCollector:
             )
         # Suspend: the generator is simply abandoned here, leaving the
         # captured objects in their pre-invocation state.
-        return captured[0]
+        return watcher.capture
 
 
 class SeedTrie:

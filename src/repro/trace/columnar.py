@@ -7,28 +7,35 @@ every downstream pass — the access analyzer, the race detectors, the
 fuzz loop — pay per-event allocation, attribute lookup, and dispatch
 costs, and makes the trace itself the dominant share of pipeline RSS.
 
-:class:`PackedTrace` stores the same stream as parallel ``array``
-columns: one opcode byte per event plus fixed integer operand columns,
-with strings, lock sets, access addresses, and rare payloads interned
-into side tables.  Three access protocols sit on top:
+:class:`PackedTrace` stores the same stream as fixed 92-byte rows of
+20 integer fields, appended to one ``bytearray``: one opcode byte per
+event plus fixed integer operands, with strings, lock sets, access
+addresses, and rare payloads interned into side tables.  Rows are
+written either from events (:meth:`PackedTrace.append`) or straight
+from the interpreter, which hands a row's fields to the per-kind row
+writers (``read_row``, ``write_row``, ...) and builds no event at all.
+Three access protocols sit on top:
 
-* **streaming feed** — consumers iterate the raw columns directly
-  (``packed.op``, ``packed.tid``, ...).  Detectors and probes declare
-  per-opcode row handlers and the sweep engine (``analysis/sweep.py``)
-  runs the whole pass stack in one walk over these columns — no
-  per-event object; the interned address id (``packed.adr``) replaces
-  the per-access ``(obj, field, elem)`` tuple key.
+* **streaming feed** — consumers read the columns directly
+  (``packed.op``, ``packed.tid``, ...): tuples derived from the rows
+  on first read.  Detectors and probes declare per-opcode row handlers
+  and the sweep engine (``analysis/sweep.py``) runs the whole pass
+  stack in one walk over these columns — no per-event object; the
+  interned address id (``packed.adr``) replaces the per-access
+  ``(obj, field, elem)`` tuple key.
 * **lazy object view** — ``packed.event(i)`` / iteration reconstruct
   ordinary :class:`~repro.trace.events.Event` objects on demand for
   code that wants rich events (the analyzer, formatters, tests).  A
   reconstructed event is equal to the one originally recorded.
-* **content digest** — :meth:`PackedTrace.digest` hashes the columns
-  and side tables, giving a cheap identity for a whole interleaving;
-  the fuzz loop memoizes detector results per digest (see
-  ``fuzz/racefuzzer.py`` and DESIGN.md §8).
+* **content digest** — :meth:`PackedTrace.digest` hashes the row
+  buffer and side tables, giving a cheap identity for a whole
+  interleaving; the fuzz loop memoizes detector results per digest
+  (see ``fuzz/racefuzzer.py`` and DESIGN.md §8).
 
 :class:`ColumnarRecorder` is the listener that packs events as they are
-emitted, so no intermediate ``Trace`` list ever exists.  Its
+emitted, so no intermediate ``Trace`` list ever exists; when it is an
+execution's only listener, the interpreter writes its data rows into
+:attr:`ColumnarRecorder.packed` directly (``runtime/vm.py``).  Its
 ``interests`` default to None (record everything — the seed-suite
 path); analysis consumers pass the ``interest_union`` of their pass
 stack (see ``analysis/sweep.py``) and sweep the passes afterwards.
@@ -37,8 +44,8 @@ stack (see ``analysis/sweep.py``) and sweep the passes afterwards.
 from __future__ import annotations
 
 import hashlib
+import struct
 import sys
-from array import array
 
 from repro.runtime.values import ObjRef, Value
 from repro.trace.events import (
@@ -97,9 +104,32 @@ _VK_CELL = 4
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
+#: Column names in row order (the serialization schema).
+COLUMNS = (
+    "op", "label", "tid", "node", "call",
+    "x", "y", "z", "cls", "fld", "lck", "adr", "aux", "flags",
+    "vkind", "vint", "vcls", "okind", "oint", "ocls",
+)
+
+#: Each column's ``array`` typecode; a row packs them in order.
+_TYPECODES = {
+    "op": "B", "label": "q", "tid": "i", "node": "i", "call": "i",
+    "x": "q", "y": "q", "z": "q", "cls": "i", "fld": "i",
+    "lck": "i", "adr": "i", "aux": "i", "flags": "B",
+    "vkind": "b", "vint": "q", "vcls": "i",
+    "okind": "b", "oint": "q", "ocls": "i",
+}
+
+#: One row: the columns' typecodes in order, standard sizes and no
+#: padding, so a row is exactly the bytes the 20 columns would hold.
+ROW = struct.Struct("=" + "".join(_TYPECODES[name] for name in COLUMNS))
+_pack = ROW.pack
+
+_COLUMN_SET = frozenset(COLUMNS)
+
 
 class PackedTrace:
-    """An event sequence stored as parallel integer columns.
+    """An event sequence stored as fixed rows of integer fields.
 
     The feed protocol: ``op[i]`` selects the kind of row ``i``; the
     generic operand columns carry the kind-specific payload:
@@ -128,36 +158,25 @@ class PackedTrace:
     ``label``/``tid``/``node``/``call`` are populated for every row.
     ``adr`` interns the access address ``(obj, field, elem)`` into a
     dense id so detectors key per-variable state on a single int.
+
+    The rows live in one ``bytearray``, :data:`ROW` each.  The column
+    attributes are tuples derived from it on first read and dropped
+    again by the next row written.
     """
 
     __slots__ = (
-        "test_name",
-        "op", "label", "tid", "node", "call",
-        "x", "y", "z", "cls", "fld", "lck", "adr", "aux", "flags",
-        "vkind", "vint", "vcls", "okind", "oint", "ocls",
+        "test_name", "_buf", "_viewed",
+        *COLUMNS,
         "strtab", "locktab", "addrtab", "cells",
-        "_strid", "_lockid", "_addrid", "_packers", "_unpackers",
+        "_strid", "_lockid", "_addrid",
     )
 
-    #: Column names in declaration order (the serialization schema).
-    COLUMNS = (
-        "op", "label", "tid", "node", "call",
-        "x", "y", "z", "cls", "fld", "lck", "adr", "aux", "flags",
-        "vkind", "vint", "vcls", "okind", "oint", "ocls",
-    )
-
-    _TYPECODES = {
-        "op": "B", "label": "q", "tid": "i", "node": "i", "call": "i",
-        "x": "q", "y": "q", "z": "q", "cls": "i", "fld": "i",
-        "lck": "i", "adr": "i", "aux": "i", "flags": "B",
-        "vkind": "b", "vint": "q", "vcls": "i",
-        "okind": "b", "oint": "q", "ocls": "i",
-    }
+    COLUMNS = COLUMNS
 
     def __init__(self, test_name: str = "") -> None:
         self.test_name = test_name
-        for name in self.COLUMNS:
-            setattr(self, name, array(self._TYPECODES[name]))
+        self._buf = bytearray()
+        self._viewed = False
         self.strtab: list[str] = []
         self.locktab: list[frozenset[int]] = []
         self.addrtab: list[tuple[int, int, int]] = []
@@ -165,28 +184,23 @@ class PackedTrace:
         self._strid: dict[str, int] = {}
         self._lockid: dict[frozenset, int] = {}
         self._addrid: dict[tuple[int, int, int], int] = {}
-        self._packers = {
-            InvokeEvent: self._pack_invoke,
-            ReturnEvent: self._pack_return,
-            AllocEvent: self._pack_alloc,
-            ReadEvent: self._pack_read,
-            WriteEvent: self._pack_write,
-            LockEvent: self._pack_lock,
-            UnlockEvent: self._pack_unlock,
-            BlockedEvent: self._pack_blocked,
-            WaitEvent: self._pack_wait,
-            NotifyEvent: self._pack_notify,
-            ForkEvent: self._pack_fork,
-            JoinEvent: self._pack_join,
-            FaultEvent: self._pack_fault,
-        }
-        self._unpackers = (
-            self._event_invoke, self._event_return, self._event_alloc,
-            self._event_read, self._event_write, self._event_lock,
-            self._event_unlock, self._event_blocked, self._event_wait,
-            self._event_notify, self._event_fork, self._event_join,
-            self._event_fault,
-        )
+
+    # -- the derived column view ----------------------------------------
+
+    def __getattr__(self, name: str):
+        # Only reached for an unset slot: a column not derived yet.
+        if name not in _COLUMN_SET:
+            raise AttributeError(name)
+        columns = tuple(zip(*ROW.iter_unpack(self._buf))) or ((),) * len(COLUMNS)
+        for column_name, column in zip(COLUMNS, columns):
+            setattr(self, column_name, column)
+        self._viewed = True
+        return getattr(self, name)
+
+    def _drop_view(self) -> None:
+        for name in COLUMNS:
+            delattr(self, name)
+        self._viewed = False
 
     # -- interning -----------------------------------------------------
 
@@ -240,222 +254,289 @@ class PackedTrace:
             return vint == 1
         return self.cells[vint]
 
-    # -- packing -------------------------------------------------------
+    # -- row writers ---------------------------------------------------
+    #
+    # One per data kind, taking the fields of the kind's event in its
+    # constructor order: the interpreter calls them with the values it
+    # would have built the event from, and the event packers below
+    # call them with the event's fields, so both paths write the same
+    # row and intern in the same order.
+
+    def invoke_row(
+        self, label, tid, node, call, receiver, class_name, method, args,
+        from_client, is_constructor, new_call_index, depth,
+    ) -> None:
+        if self._viewed:
+            self._drop_view()
+        cls = self._str(class_name)
+        fld = self._str(method)
+        self._buf += _pack(
+            OP_INVOKE, label, tid, node, call, receiver, new_call_index,
+            depth, cls, fld, -1, -1, self._cell(tuple(args)) if args else -1,
+            (1 if from_client else 0) | (2 if is_constructor else 0),
+            _VK_NONE, 0, -1, _VK_NONE, 0, -1,
+        )
+
+    def return_row(
+        self, label, tid, node, call, value, to_client, returning_call_index,
+        method, class_name,
+    ) -> None:
+        if self._viewed:
+            self._drop_view()
+        vk, vi, vc = self._value(value)
+        cls = self._str(class_name)
+        fld = self._str(method)
+        self._buf += _pack(
+            OP_RETURN, label, tid, node, call, returning_call_index, 0, 0,
+            cls, fld, -1, -1, -1, 1 if to_client else 0, vk, vi, vc,
+            _VK_NONE, 0, -1,
+        )
+
+    def alloc_row(self, label, tid, node, call, ref, class_name, in_library) -> None:
+        if self._viewed:
+            self._drop_view()
+        self._buf += _pack(
+            OP_ALLOC, label, tid, node, call, ref, 0, 0, self._str(class_name),
+            -1, -1, -1, -1, 1 if in_library else 0, _VK_NONE, 0, -1,
+            _VK_NONE, 0, -1,
+        )
+
+    def read_row(
+        self, label, tid, node, call, obj, class_name, field_name, value,
+        locks_held, elem_index, in_constructor,
+    ) -> None:
+        # A read row is a write row without an old value.
+        self.write_row(
+            label, tid, node, call, obj, class_name, field_name, value,
+            locks_held, elem_index, in_constructor, None, OP_READ,
+        )
+
+    def write_row(
+        self, label, tid, node, call, obj, class_name, field_name, value,
+        locks_held, elem_index, in_constructor, old_value, op=OP_WRITE,
+    ) -> None:
+        if self._viewed:
+            self._drop_view()
+        strid = self._strid
+        fld = strid.get(field_name)
+        if fld is None:
+            fld = self._str(field_name)
+        if value.__class__ is int and _I64_MIN <= value <= _I64_MAX:
+            vk, vi, vc = _VK_INT, value, -1
+        else:
+            vk, vi, vc = self._value(value)
+        if old_value.__class__ is int and _I64_MIN <= old_value <= _I64_MAX:
+            ok, oi, oc = _VK_INT, old_value, -1
+        else:
+            ok, oi, oc = self._value(old_value)
+        cls = strid.get(class_name)
+        if cls is None:
+            cls = self._str(class_name)
+        lck = self._lockid.get(locks_held)
+        if lck is None:
+            lck = self._locks(locks_held)
+        elem = -1 if elem_index is None else elem_index
+        adr = self._addrid.get((obj, fld, elem))
+        if adr is None:
+            adr = self._addr(obj, fld, elem)
+        self._buf += _pack(
+            op, label, tid, node, call, obj, elem, 0, cls, fld, lck, adr, -1,
+            1 if in_constructor else 0, vk, vi, vc, ok, oi, oc,
+        )
+
+    def _put(
+        self, op, e, x=0, y=0, fld=-1, aux=-1, flags=0,
+    ) -> None:
+        """A row of a kind that has no value, lock or address fields."""
+        if self._viewed:
+            self._drop_view()
+        self._buf += _pack(
+            op, e.label, e.thread_id, e.node_id, e.call_index, x, y, 0, -1,
+            fld, -1, -1, aux, flags, _VK_NONE, 0, -1, _VK_NONE, 0, -1,
+        )
+
+    # -- packing events ------------------------------------------------
 
     def append(self, event: Event) -> None:
-        """Pack one event onto the columns (the recorder hot path)."""
-        self._packers[event.__class__](event)
-
-    def _row(
-        self, op, e, x=0, y=0, z=0, cls=-1, fld=-1, lck=-1, adr=-1,
-        aux=-1, flags=0, vkind=_VK_NONE, vint=0, vcls=-1,
-        okind=_VK_NONE, oint=0, ocls=-1,
-    ) -> None:
-        self.op.append(op)
-        self.label.append(e.label)
-        self.tid.append(e.thread_id)
-        self.node.append(e.node_id)
-        self.call.append(e.call_index)
-        self.x.append(x)
-        self.y.append(y)
-        self.z.append(z)
-        self.cls.append(cls)
-        self.fld.append(fld)
-        self.lck.append(lck)
-        self.adr.append(adr)
-        self.aux.append(aux)
-        self.flags.append(flags)
-        self.vkind.append(vkind)
-        self.vint.append(vint)
-        self.vcls.append(vcls)
-        self.okind.append(okind)
-        self.oint.append(oint)
-        self.ocls.append(ocls)
+        """Pack one event as a row (the recorder's listener path)."""
+        _PACKERS[event.__class__](self, event)
 
     def _pack_invoke(self, e: InvokeEvent) -> None:
-        self._row(
-            OP_INVOKE, e, x=e.receiver, y=e.new_call_index, z=e.depth,
-            cls=self._str(e.class_name), fld=self._str(e.method),
-            aux=self._cell(e.args) if e.args else -1,
-            flags=(1 if e.from_client else 0) | (2 if e.is_constructor else 0),
+        self.invoke_row(
+            e.label, e.thread_id, e.node_id, e.call_index, e.receiver,
+            e.class_name, e.method, e.args, e.from_client, e.is_constructor,
+            e.new_call_index, e.depth,
         )
 
     def _pack_return(self, e: ReturnEvent) -> None:
-        vk, vi, vc = self._value(e.value)
-        self._row(
-            OP_RETURN, e, x=e.returning_call_index,
-            cls=self._str(e.class_name), fld=self._str(e.method),
-            flags=1 if e.to_client else 0, vkind=vk, vint=vi, vcls=vc,
+        self.return_row(
+            e.label, e.thread_id, e.node_id, e.call_index, e.value,
+            e.to_client, e.returning_call_index, e.method, e.class_name,
         )
 
     def _pack_alloc(self, e: AllocEvent) -> None:
-        self._row(
-            OP_ALLOC, e, x=e.ref, cls=self._str(e.class_name),
-            flags=1 if e.in_library else 0,
+        self.alloc_row(
+            e.label, e.thread_id, e.node_id, e.call_index, e.ref,
+            e.class_name, e.in_library,
         )
 
     def _pack_read(self, e: ReadEvent) -> None:
-        fld = self._str(e.field_name)
-        elem = -1 if e.elem_index is None else e.elem_index
-        vk, vi, vc = self._value(e.value)
-        self._row(
-            OP_READ, e, x=e.obj, y=elem, cls=self._str(e.class_name),
-            fld=fld, lck=self._locks(e.locks_held),
-            adr=self._addr(e.obj, fld, elem),
-            flags=1 if e.in_constructor else 0, vkind=vk, vint=vi, vcls=vc,
+        self.read_row(
+            e.label, e.thread_id, e.node_id, e.call_index, e.obj,
+            e.class_name, e.field_name, e.value, e.locks_held,
+            e.elem_index, e.in_constructor,
         )
 
     def _pack_write(self, e: WriteEvent) -> None:
-        fld = self._str(e.field_name)
-        elem = -1 if e.elem_index is None else e.elem_index
-        vk, vi, vc = self._value(e.value)
-        ok, oi, oc = self._value(e.old_value)
-        self._row(
-            OP_WRITE, e, x=e.obj, y=elem, cls=self._str(e.class_name),
-            fld=fld, lck=self._locks(e.locks_held),
-            adr=self._addr(e.obj, fld, elem),
-            flags=1 if e.in_constructor else 0, vkind=vk, vint=vi, vcls=vc,
-            okind=ok, oint=oi, ocls=oc,
+        self.write_row(
+            e.label, e.thread_id, e.node_id, e.call_index, e.obj,
+            e.class_name, e.field_name, e.value, e.locks_held,
+            e.elem_index, e.in_constructor, e.old_value,
         )
 
     def _pack_lock(self, e: LockEvent) -> None:
-        self._row(OP_LOCK, e, x=e.obj, y=e.reentrancy)
+        self._put(OP_LOCK, e, e.obj, e.reentrancy)
 
     def _pack_unlock(self, e: UnlockEvent) -> None:
-        self._row(OP_UNLOCK, e, x=e.obj, y=e.reentrancy)
+        self._put(OP_UNLOCK, e, e.obj, e.reentrancy)
 
     def _pack_blocked(self, e: BlockedEvent) -> None:
-        self._row(OP_BLOCKED, e, x=e.obj, y=e.owner_thread)
+        self._put(OP_BLOCKED, e, e.obj, e.owner_thread)
 
     def _pack_wait(self, e: WaitEvent) -> None:
-        self._row(OP_WAIT, e, x=e.obj)
+        self._put(OP_WAIT, e, e.obj)
 
     def _pack_notify(self, e: NotifyEvent) -> None:
-        self._row(
-            OP_NOTIFY, e, x=e.obj,
+        self._put(
+            OP_NOTIFY, e, e.obj,
             aux=self._cell(e.woken) if e.woken else -1,
             flags=1 if e.notify_all else 0,
         )
 
     def _pack_fork(self, e: ForkEvent) -> None:
-        self._row(OP_FORK, e, x=e.child_thread)
+        self._put(OP_FORK, e, e.child_thread)
 
     def _pack_join(self, e: JoinEvent) -> None:
-        self._row(OP_JOIN, e, x=e.child_thread)
+        self._put(OP_JOIN, e, e.child_thread)
 
     def _pack_fault(self, e: FaultEvent) -> None:
-        self._row(
-            OP_FAULT, e, fld=self._str(e.kind),
+        fld = self._str(e.kind)
+        self._put(
+            OP_FAULT, e, fld=fld,
             aux=self._cell(e.message) if e.message else -1,
         )
 
     # -- lazy object view ----------------------------------------------
+    #
+    # Events are rebuilt from unpacked rows, not from the column view,
+    # so a trace that is only iterated (the access analyzer's seed
+    # traces) never holds derived columns.
 
     def __len__(self) -> int:
-        return len(self.op)
+        return len(self._buf) // ROW.size
 
     def __iter__(self):
-        event = self.event
-        for i in range(len(self.op)):
-            yield event(i)
+        for row in ROW.iter_unpack(self._buf):
+            yield _UNPACKERS[row[0]](self, row)
 
     def event(self, i: int) -> Event:
         """Reconstruct the rich event object for row ``i``."""
-        return self._unpackers[self.op[i]](i)
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError(f"row {i} of {size}")
+        row = ROW.unpack_from(self._buf, i * ROW.size)
+        return _UNPACKERS[row[0]](self, row)
 
-    def _base(self, i: int) -> tuple[int, int, int, int]:
-        return (self.label[i], self.tid[i], self.node[i], self.call[i])
-
-    def _event_invoke(self, i: int) -> InvokeEvent:
-        aux = self.aux[i]
+    def _event_invoke(self, row: tuple) -> InvokeEvent:
+        _, label, tid, node, call, x, y, z, cls, fld, _, _, aux, flags, *_ = row
         return InvokeEvent(
-            *self._base(i), receiver=self.x[i],
-            class_name=self.strtab[self.cls[i]],
-            method=self.strtab[self.fld[i]],
-            args=() if aux < 0 else self.cells[aux],
-            from_client=bool(self.flags[i] & 1),
-            is_constructor=bool(self.flags[i] & 2),
-            new_call_index=self.y[i], depth=self.z[i],
+            label, tid, node, call, x, self.strtab[cls], self.strtab[fld],
+            () if aux < 0 else self.cells[aux], bool(flags & 1),
+            bool(flags & 2), y, z,
         )
 
-    def _event_return(self, i: int) -> ReturnEvent:
+    def _event_return(self, row: tuple) -> ReturnEvent:
+        _, label, tid, node, call, x, _, _, cls, fld, *_ = row
         return ReturnEvent(
-            *self._base(i),
-            value=self._unvalue(self.vkind[i], self.vint[i], self.vcls[i]),
-            to_client=bool(self.flags[i] & 1),
-            returning_call_index=self.x[i],
-            method=self.strtab[self.fld[i]],
-            class_name=self.strtab[self.cls[i]],
+            label, tid, node, call, self._unvalue(*row[14:17]),
+            bool(row[13] & 1), x, self.strtab[fld], self.strtab[cls],
         )
 
-    def _event_alloc(self, i: int) -> AllocEvent:
+    def _event_alloc(self, row: tuple) -> AllocEvent:
+        _, label, tid, node, call, x, _, _, cls, _, _, _, _, flags, *_ = row
         return AllocEvent(
-            *self._base(i), ref=self.x[i],
-            class_name=self.strtab[self.cls[i]],
-            in_library=bool(self.flags[i] & 1),
+            label, tid, node, call, x, self.strtab[cls], bool(flags & 1)
         )
 
-    def _access_fields(self, i: int) -> dict:
-        return dict(
-            obj=self.x[i],
-            class_name=self.strtab[self.cls[i]],
-            field_name=self.strtab[self.fld[i]],
-            value=self._unvalue(self.vkind[i], self.vint[i], self.vcls[i]),
-            locks_held=self.locktab[self.lck[i]],
-            elem_index=None if self.y[i] < 0 else self.y[i],
-            in_constructor=bool(self.flags[i] & 1),
+    def _event_read(self, row: tuple) -> ReadEvent:
+        return ReadEvent(*self._access_fields(row))
+
+    def _event_write(self, row: tuple) -> WriteEvent:
+        return WriteEvent(*self._access_fields(row), self._unvalue(*row[17:20]))
+
+    def _access_fields(self, row: tuple) -> tuple:
+        _, label, tid, node, call, x, y, _, cls, fld, lck, _, _, flags, *_ = row
+        return (
+            label, tid, node, call, x, self.strtab[cls], self.strtab[fld],
+            self._unvalue(*row[14:17]), self.locktab[lck],
+            None if y < 0 else y, bool(flags & 1),
         )
 
-    def _event_read(self, i: int) -> ReadEvent:
-        return ReadEvent(*self._base(i), **self._access_fields(i))
+    def _event_lock(self, row: tuple) -> LockEvent:
+        return LockEvent(*row[1:7])
 
-    def _event_write(self, i: int) -> WriteEvent:
-        return WriteEvent(
-            *self._base(i), **self._access_fields(i),
-            old_value=self._unvalue(self.okind[i], self.oint[i], self.ocls[i]),
-        )
+    def _event_unlock(self, row: tuple) -> UnlockEvent:
+        return UnlockEvent(*row[1:7])
 
-    def _event_lock(self, i: int) -> LockEvent:
-        return LockEvent(*self._base(i), obj=self.x[i], reentrancy=self.y[i])
+    def _event_blocked(self, row: tuple) -> BlockedEvent:
+        return BlockedEvent(*row[1:7])
 
-    def _event_unlock(self, i: int) -> UnlockEvent:
-        return UnlockEvent(*self._base(i), obj=self.x[i], reentrancy=self.y[i])
+    def _event_wait(self, row: tuple) -> WaitEvent:
+        return WaitEvent(*row[1:6])
 
-    def _event_blocked(self, i: int) -> BlockedEvent:
-        return BlockedEvent(
-            *self._base(i), obj=self.x[i], owner_thread=self.y[i]
-        )
-
-    def _event_wait(self, i: int) -> WaitEvent:
-        return WaitEvent(*self._base(i), obj=self.x[i])
-
-    def _event_notify(self, i: int) -> NotifyEvent:
-        aux = self.aux[i]
+    def _event_notify(self, row: tuple) -> NotifyEvent:
+        aux = row[12]
         return NotifyEvent(
-            *self._base(i), obj=self.x[i],
-            woken=() if aux < 0 else self.cells[aux],
-            notify_all=bool(self.flags[i] & 1),
+            *row[1:6], () if aux < 0 else self.cells[aux], bool(row[13] & 1)
         )
 
-    def _event_fork(self, i: int) -> ForkEvent:
-        return ForkEvent(*self._base(i), child_thread=self.x[i])
+    def _event_fork(self, row: tuple) -> ForkEvent:
+        return ForkEvent(*row[1:6])
 
-    def _event_join(self, i: int) -> JoinEvent:
-        return JoinEvent(*self._base(i), child_thread=self.x[i])
+    def _event_join(self, row: tuple) -> JoinEvent:
+        return JoinEvent(*row[1:6])
 
-    def _event_fault(self, i: int) -> FaultEvent:
-        aux = self.aux[i]
+    def _event_fault(self, row: tuple) -> FaultEvent:
+        aux = row[12]
         return FaultEvent(
-            *self._base(i), kind=self.strtab[self.fld[i]],
-            message="" if aux < 0 else self.cells[aux],
+            *row[1:5], self.strtab[row[9]], "" if aux < 0 else self.cells[aux]
         )
 
     # -- report-side accessors (used by sweep-pass reporting) ----------
 
     def address_at(self, i: int) -> tuple[int, str, int | None]:
         """The event-model address tuple of access row ``i``."""
-        obj, fld, elem = self.addrtab[self.adr[i]]
+        return self._address(self.adr[i])
+
+    def _address(self, adr: int) -> tuple[int, str, int | None]:
+        obj, fld, elem = self.addrtab[adr]
         return (obj, self.strtab[fld], None if elem < 0 else elem)
+
+    def access(self, i: int) -> tuple[int, tuple[int, str, int | None]] | None:
+        """``(node id, address)`` of row ``i`` when it is a read or a
+        write; None when it is another kind or not recorded yet.
+
+        Reads the row buffer, not the column view, so a caller may ask
+        after every step of a run that is still recording.
+        """
+        offset = i * ROW.size
+        buf = self._buf
+        if offset >= len(buf) or not OP_READ <= buf[offset] <= OP_WRITE:
+            return None
+        row = ROW.unpack_from(buf, offset)
+        return row[3], self._address(row[11])
 
     def value_at(self, i: int) -> Value:
         return self._unvalue(self.vkind[i], self.vint[i], self.vcls[i])
@@ -467,20 +548,18 @@ class PackedTrace:
 
     def memory_events(self) -> list[AccessEvent]:
         """All field reads and writes, in order (materialized)."""
-        op = self.op
         return [
-            self.event(i)
-            for i in range(len(op))
-            if op[i] == OP_READ or op[i] == OP_WRITE
+            _UNPACKERS[row[0]](self, row)
+            for row in ROW.iter_unpack(self._buf)
+            if OP_READ <= row[0] <= OP_WRITE
         ]
 
     def client_invocations(self) -> list[InvokeEvent]:
         """Invocations made directly from the client (test body)."""
-        op, flags = self.op, self.flags
         return [
-            self.event(i)
-            for i in range(len(op))
-            if op[i] == OP_INVOKE and flags[i] & 1
+            self._event_invoke(row)
+            for row in ROW.iter_unpack(self._buf)
+            if row[0] == OP_INVOKE and row[13] & 1
         ]
 
     def to_trace(self) -> Trace:
@@ -496,11 +575,10 @@ class PackedTrace:
         identical — same events, same order, same labels, same values —
         which is exactly the memoization key the fuzz loop needs: a
         digest match implies the detectors would see a bit-identical
-        input stream (see DESIGN.md §8 on collision safety).
+        input stream (see DESIGN.md §8 on collision safety).  Rows are
+        fixed-width, so equal row buffers are equal columns.
         """
-        h = hashlib.sha256()
-        for name in self.COLUMNS:
-            h.update(getattr(self, name).tobytes())
+        h = hashlib.sha256(self._buf)
         h.update("\x1f".join(self.strtab).encode())
         for locks in self.locktab:
             h.update(b"L")
@@ -511,19 +589,17 @@ class PackedTrace:
         return h.hexdigest()
 
     def nbytes(self) -> int:
-        """Resident size of the packed columns plus side tables.
+        """Resident size of the packed rows plus side tables.
 
-        Column bytes are exact (``len * itemsize``); side tables are
-        measured with ``sys.getsizeof`` per interned object plus the
-        holding lists, so the reported footprint reflects what the
-        tables actually cost — the old estimate (string lengths and
-        flat per-entry constants) undercounted CPython object headers
-        several-fold, which skewed before/after memory comparisons.
+        Row bytes are exact (:data:`ROW` per row, the bytes the 20
+        columns would hold as arrays); side tables are measured with
+        ``sys.getsizeof`` per interned object plus the holding lists,
+        so the reported footprint reflects what the tables actually
+        cost — the old estimate (string lengths and flat per-entry
+        constants) undercounted CPython object headers several-fold,
+        which skewed before/after memory comparisons.
         """
-        total = 0
-        for name in self.COLUMNS:
-            col = getattr(self, name)
-            total += len(col) * col.itemsize
+        total = len(self._buf)
         getsizeof = sys.getsizeof
         total += (
             getsizeof(self.strtab)
@@ -547,15 +623,44 @@ class PackedTrace:
     def counts(self) -> dict[str, int]:
         """Event count per kind (e.g. for ``--trace-stats``)."""
         totals = [0] * len(OP_NAMES)
-        for op in self.op:
+        # The opcode is each row's first byte.
+        for op in self._buf[::ROW.size]:
             totals[op] += 1
         return {
             name: count for name, count in zip(OP_NAMES, totals) if count
         }
 
 
+_PACKERS = {
+    InvokeEvent: PackedTrace._pack_invoke,
+    ReturnEvent: PackedTrace._pack_return,
+    AllocEvent: PackedTrace._pack_alloc,
+    ReadEvent: PackedTrace._pack_read,
+    WriteEvent: PackedTrace._pack_write,
+    LockEvent: PackedTrace._pack_lock,
+    UnlockEvent: PackedTrace._pack_unlock,
+    BlockedEvent: PackedTrace._pack_blocked,
+    WaitEvent: PackedTrace._pack_wait,
+    NotifyEvent: PackedTrace._pack_notify,
+    ForkEvent: PackedTrace._pack_fork,
+    JoinEvent: PackedTrace._pack_join,
+    FaultEvent: PackedTrace._pack_fault,
+}
+
+#: Indexed by opcode.
+_UNPACKERS = (
+    PackedTrace._event_invoke, PackedTrace._event_return,
+    PackedTrace._event_alloc, PackedTrace._event_read,
+    PackedTrace._event_write, PackedTrace._event_lock,
+    PackedTrace._event_unlock, PackedTrace._event_blocked,
+    PackedTrace._event_wait, PackedTrace._event_notify,
+    PackedTrace._event_fork, PackedTrace._event_join,
+    PackedTrace._event_fault,
+)
+
+
 class ColumnarRecorder:
-    """A listener that packs the event stream straight into columns.
+    """A listener that packs the event stream straight into rows.
 
     The streaming analogue of :class:`~repro.trace.recorder.Recorder`:
     no intermediate event list is built.  ``interests`` defaults to None
@@ -563,7 +668,9 @@ class ColumnarRecorder:
     ``interest_union`` of an analysis-pass stack to record exactly the
     stream those passes consume, then sweep them over :attr:`packed`.
     Elision is membership-only, so scheduling points and labels do not
-    depend on the interests.
+    depend on the interests.  When the recorder is an execution's only
+    listener, the interpreter writes its data rows into :attr:`packed`
+    itself and only synchronization events reach :attr:`on_event`.
     """
 
     def __init__(self, test_name: str = "", interests=None) -> None:
@@ -574,6 +681,7 @@ class ColumnarRecorder:
 
 
 __all__ = [
+    "COLUMNS",
     "ColumnarRecorder",
     "OP_ALLOC",
     "OP_BLOCKED",
@@ -590,4 +698,5 @@ __all__ = [
     "OP_WAIT",
     "OP_WRITE",
     "PackedTrace",
+    "ROW",
 ]

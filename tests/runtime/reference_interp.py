@@ -116,8 +116,8 @@ class Interpreter:
         call numbering.
 
         The resolution caches depend only on the class table, so the
-        copy starts with them filled; its emit filter starts open, as
-        every interpreter's does between runs.
+        copy starts with them filled; it builds every event, as every
+        interpreter does between runs.
         """
         copy = Interpreter(self._table, heap, rng, label_source)
         copy._next_call_index = self._next_call_index
@@ -131,28 +131,21 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Event-construction elision (driven by Execution.run).
 
-    def set_emit_filter(self, wanted: set[type] | None) -> None:
-        """Restrict which high-volume event kinds are materialized.
+    def set_emit(self, modes: tuple) -> None:
+        """Set which of the five data kinds are materialized.
 
-        ``wanted`` is the set of event classes some listener subscribes
-        to, or None for "construct everything".  Matching is
-        subclass-aware, so an interest in ``AccessEvent`` keeps both
-        reads and writes materialized.  Only the five data kinds are
-        ever elided; synchronization events are always built because
+        ``modes`` follows the engine's ``Interpreter.set_emit``: per
+        invoke, return, alloc, read and write, True builds the event,
+        None elides it, and a row writer asks for the row at the
+        source.  This interpreter builds the event for a row writer
+        instead; the Execution hands it to the recorder, which packs
+        the same row.  Synchronization events are always built because
         the Execution itself inspects them.
         """
-        if wanted is None:
-            self._emit_invoke = self._emit_return = self._emit_alloc = True
-            self._emit_read = self._emit_write = True
-        else:
-            def want(cls: type) -> bool:
-                return any(issubclass(cls, interest) for interest in wanted)
-
-            self._emit_invoke = want(InvokeEvent)
-            self._emit_return = want(ReturnEvent)
-            self._emit_alloc = want(AllocEvent)
-            self._emit_read = want(ReadEvent)
-            self._emit_write = want(WriteEvent)
+        (
+            self._emit_invoke, self._emit_return, self._emit_alloc,
+            self._emit_read, self._emit_write,
+        ) = (mode is not None for mode in modes)
 
     # ------------------------------------------------------------------
     # Purity classification.

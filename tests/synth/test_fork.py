@@ -31,7 +31,7 @@ from repro.lang import load
 from repro.narada import Narada, subject_specs
 from repro.runtime import VM, RandomScheduler, RoundRobinScheduler
 from repro.runtime.heap import Heap
-from repro.runtime.interp import Interpreter
+from repro.runtime.interp import EMIT_EVENTS, Interpreter
 from repro.static.filter import allocate_budgets, verdict_index
 from repro.subjects import get_subject
 from repro.synth import SeedCollector, TemplateSource, TestRunner, materialize
@@ -39,7 +39,6 @@ from repro.synth import collect as collect_module
 from repro.synth import runner as runner_module
 from repro.synth.synthesizer import collection_key
 from repro.trace.columnar import ColumnarRecorder
-from repro.trace.events import InvokeEvent
 
 RANDOM_SEEDS = (0, 1, 2)
 CORPUS_SLICE = 10
@@ -234,15 +233,16 @@ def test_collection_elides_everything_but_invocations(monkeypatch):
     elided = [collect_all(key) for key in keys]
     # Full emission: the interpreter ignores the collector's filter.
     requested = []
-    real_filter = Interpreter.set_emit_filter
+    real_set_emit = Interpreter.set_emit
 
-    def full_emission(self, wanted):
-        requested.append(wanted)
-        real_filter(self, None)
+    def full_emission(self, modes):
+        requested.append(modes)
+        real_set_emit(self, EMIT_EVENTS)
 
-    monkeypatch.setattr(Interpreter, "set_emit_filter", full_emission)
+    monkeypatch.setattr(Interpreter, "set_emit", full_emission)
     full = [collect_all(key) for key in keys]
-    assert {InvokeEvent} in requested
+    # Invocations built, every other data kind skipped.
+    assert (True, None, None, None, None) in requested
     assert elided == full
 
 

@@ -93,6 +93,31 @@ class TestSeedCollector:
         with pytest.raises(SynthesisError):
             collector.collect("Nope", 0)
 
+    def test_a_seed_test_body_compiles_once(self, monkeypatch):
+        """Collections and runs of one parsed test share its compiled
+        body, across VMs; another parse of the source compiles anew."""
+        import repro.runtime.interp as interp
+
+        compiled = []
+        real = interp._client_code
+
+        def counting(stmts):
+            compiled.append(stmts)
+            return real(stmts)
+
+        monkeypatch.setattr(interp, "_client_code", counting)
+        table = load(WRAPPER)
+        for _ in range(2):
+            vm = VM(table)
+            collector = SeedCollector(vm)
+            collector.collect("Seed", 0)
+            collector.collect("Seed", 1)
+            assert vm.run_test("Seed")[0].clean
+        assert len(compiled) == 1
+        assert compiled[0] == table.program.test_decl("Seed").body.stmts
+        VM(load(WRAPPER)).run_test("Seed")
+        assert len(compiled) == 2
+
 
 class TestMaterialization:
     def test_shared_slot_binds_to_one_object(self):
