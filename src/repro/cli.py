@@ -73,6 +73,7 @@ from repro.narada import (
     PipelineConfig,
     PipelineOrchestrator,
     SubjectSpec,
+    UnitExecutionError,
     subject_specs,
 )
 from repro.narada.cache import EntryDecodeError
@@ -244,9 +245,18 @@ def _print_fault_summary(orch: PipelineOrchestrator, always=False) -> None:
 
 def _synthesize(args, target: str, source: str):
     """Run (or replay from cache) the synthesis pipeline for a target."""
+    return _synthesis_outcome(args, target, source).synthesis
+
+
+def _synthesis_outcome(args, target: str, source: str):
+    """The outcome of synthesizing a target, which says whether the
+    report was replayed from the cache."""
     spec = SubjectSpec(name=target, source=source, target_class=target)
     with _orchestrator(args) as orch:
-        return orch.synthesize(spec)
+        outcome = orch.run([spec], detect=False)[0]
+    if outcome.synthesis is None:
+        raise UnitExecutionError(outcome.failures[0])
+    return outcome
 
 
 def cmd_subjects(args) -> int:
@@ -324,9 +334,12 @@ def cmd_pairs(args) -> int:
 
 def cmd_synth(args) -> int:
     table, target, source = _load_target(args)
-    report = _synthesize(args, target, source)
+    outcome = _synthesis_outcome(args, target, source)
+    report, cached = outcome.synthesis, outcome.synthesis_cached
     tests = report.tests if args.all else report.tests[: args.show]
     if args.json:
+        # `seconds` is the synthesis compute time, which a replay
+        # (`cached`) reads from the run that computed the report.
         print(
             json.dumps(
                 {
@@ -334,6 +347,7 @@ def cmd_synth(args) -> int:
                     "pairs": report.pair_count,
                     "tests": report.test_count,
                     "seconds": report.seconds,
+                    "cached": cached,
                     "rendered": [
                         materialize(t, VM(table)).render() for t in tests
                     ],
@@ -342,10 +356,10 @@ def cmd_synth(args) -> int:
             )
         )
         return 0
-    print(
-        f"{report.pair_count} pairs -> {report.test_count} tests "
-        f"in {report.seconds:.2f}s\n"
-    )
+    timing = f"in {report.seconds:.2f}s"
+    if cached:
+        timing = f"(replayed from the cache; synthesized {timing})"
+    print(f"{report.pair_count} pairs -> {report.test_count} tests {timing}\n")
     for test in tests:
         print(f"--- {test.name} ({len(test.covered_pairs)} pair(s)) ---")
         print(materialize(test, VM(table)).render())

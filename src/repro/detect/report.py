@@ -34,24 +34,29 @@ def collect_constant_write_sites(program: ast.Program) -> set[int]:
     races the paper triages as benign.
     """
     sites: set[int] = set()
-
-    def walk(node) -> None:
-        if isinstance(node, ast.AssignField) and isinstance(
-            node.value, (ast.IntLit, ast.BoolLit, ast.NullLit)
-        ):
-            sites.add(node.node_id)
-        for value in vars(node).values():
-            if isinstance(value, (ast.Stmt, ast.Expr)):
-                walk(value)
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, (ast.Stmt, ast.Expr)):
-                        walk(item)
-
     for cls in program.classes:
         for method in cls.methods:
-            walk(method.body)
+            _collect_constant_writes(method.body, sites)
     return sites
+
+
+def _collect_constant_writes(node, sites: set[int]) -> None:
+    """Add the constant-write sites at and below ``node`` to ``sites``.
+
+    Module-level rather than a closure: a recursive closure is a
+    reference cycle that only the cyclic collector frees.
+    """
+    if isinstance(node, ast.AssignField) and isinstance(
+        node.value, (ast.IntLit, ast.BoolLit, ast.NullLit)
+    ):
+        sites.add(node.node_id)
+    for value in vars(node).values():
+        if isinstance(value, (ast.Stmt, ast.Expr)):
+            _collect_constant_writes(value, sites)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, (ast.Stmt, ast.Expr)):
+                    _collect_constant_writes(item, sites)
 
 
 def constant_write_sites(table: ClassTable) -> frozenset[int]:

@@ -29,6 +29,12 @@ A pipeline run writes three stages:
   already cached: a cold run writes none, and the first replay in a
   fresh process writes the entries the next replay reads.
 
+A ``synthesis`` entry is two canonical JSON documents on two lines, a
+head and a body (:func:`repro.narada.serial.split_synthesis`); the
+head records the body's byte length and sha256 under ``body``, and
+:meth:`ArtifactCache.get` parses the head only, checking the body
+against both.  Other entries are one document on one line.
+
 An entry in the older
 ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
 counts toward the byte budget and is evicted before any flat entry.
@@ -60,7 +66,12 @@ from repro._util.errors import ReproError
 from repro.lang import ClassTable
 from repro.lang.pretty import pretty_program
 from repro.narada.faults import FaultInjector
-from repro.narada.serial import SERIAL_VERSION, canonical_json
+from repro.narada.serial import (
+    SERIAL_VERSION,
+    canonical_json,
+    merge_parts,
+    parse_body,
+)
 
 #: Bump to invalidate every cached artifact after a semantic change to
 #: any pipeline stage (analysis rules, synthesis, fuzz seed derivation).
@@ -77,8 +88,9 @@ DEFAULT_QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 
 class Entry(dict):
     """A cache entry as :meth:`ArtifactCache.get` returns it: the parsed
-    payload, plus the JSON ``text`` it was parsed from, which a replay
-    decodes its deferred part from (:mod:`repro.narada.serial`)."""
+    payload, or a two-part entry's head, plus the entry's ``text``,
+    from whose body a replay decodes its deferred part
+    (:mod:`repro.narada.serial`)."""
 
     __slots__ = ("text",)
 
@@ -87,8 +99,38 @@ class Entry(dict):
         self.text = text
 
     def __reduce__(self):
-        # A pool worker is sent the payload alone.
-        return dict, (dict(self),)
+        # A pool worker is sent the whole payload, head and body merged.
+        if "\n" not in self.text:
+            return dict, (dict(self),)
+        return dict, (merge_parts(dict(self), parse_body(self.text)),)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _parse(text: str) -> dict:
+    """The payload of an entry's ``text``, or the head of a two-part
+    entry, whose body must match the length and sha256 it records.
+
+    Raises:
+        ValueError: when the text is no well-framed entry.
+    """
+    data, end = _DECODER.raw_decode(text)
+    if type(data) is not dict:
+        raise ValueError("cache entry is not an object")
+    framing = data.pop("body", None)
+    if framing is None:
+        if end != len(text):
+            raise ValueError("extra data after the entry")
+        return data
+    if text[end : end + 1] != "\n" or type(framing) is not dict:
+        raise ValueError("entry head is not followed by its body")
+    body = text[end + 1 :].encode()
+    if len(body) != framing.get("length") or (
+        hashlib.sha256(body).hexdigest() != framing.get("sha256")
+    ):
+        raise ValueError("entry body does not match its head")
+    return data
 
 
 class EntryDecodeError(ReproError):
@@ -316,10 +358,8 @@ class ArtifactCache:
             self.quarantine(stage, key, f"unreadable entry: {error!r}")
             return None
         try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("cache entry is not an object")
-        except (ValueError, UnicodeDecodeError) as error:
+            data = _parse(text)
+        except ValueError as error:
             # Truncated or garbled entry: quarantine and report a miss
             # so the pipeline recomputes instead of crashing.
             self.stats.misses += 1
@@ -361,19 +401,32 @@ class ArtifactCache:
 
         return failed
 
-    def put(self, stage: str, key: str, data: dict) -> bool:
+    def put(
+        self, stage: str, key: str, data: dict, body: dict | None = None
+    ) -> bool:
         """Publish an entry atomically (write temp file, then rename).
 
-        Returns ``True`` on success.  Filesystem failures (ENOSPC, EIO,
-        a read-only root) are absorbed: the temp file is cleaned up,
-        ``stats.write_errors`` ticks, and the caller gets ``False`` —
-        a full disk must never take down the request that computed the
-        artifact, only skip memoizing it.
+        With ``body``, the entry is two documents: ``data``, its head,
+        records the body's length and sha256, and ``body`` follows it on
+        the next line.  Returns ``True`` on success.  Filesystem
+        failures (ENOSPC, EIO, a read-only root) are absorbed: the temp
+        file is cleaned up, ``stats.write_errors`` ticks, and the caller
+        gets ``False`` — a full disk must never take down the request
+        that computed the artifact, only skip memoizing it.
         """
         path = self._path(stage, key)
         self._tmp_counter += 1
         tmp = path.parent / f".tmp-{os.getpid()}-{self._tmp_counter}"
-        text = canonical_json(data)
+        if body is None:
+            text = canonical_json(data)
+        else:
+            tail = canonical_json(body)
+            encoded = tail.encode()
+            framing = {
+                "length": len(encoded),
+                "sha256": hashlib.sha256(encoded).hexdigest(),
+            }
+            text = f"{canonical_json({**data, 'body': framing})}\n{tail}"
         try:
             injector = self.fault_injector
             if injector is not None and injector.enospc_write(key):

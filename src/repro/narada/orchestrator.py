@@ -92,6 +92,7 @@ from repro.narada.serial import (
     encode_source,
     encode_synthesis,
     report_digest,
+    split_synthesis,
 )
 
 
@@ -570,9 +571,14 @@ class PipelineOrchestrator:
 
     def _put_report(self, stage: str, key: str, data: dict) -> str:
         """Publish a synthesis or detection payload stamped with its
-        report digest, which a later hit hands back; the digest."""
+        report digest, which a later hit hands back; the digest.  A
+        synthesis entry is a head and a body, of which a hit parses
+        the head alone."""
         digest = report_digest(data)
-        self.cache.put(stage, key, {**data, "digest": digest})
+        body = None
+        if stage == "synthesis":
+            data, body = split_synthesis(data)
+        self.cache.put(stage, key, {**data, "digest": digest}, body)
         return digest
 
     # -- fault plumbing ------------------------------------------------

@@ -40,22 +40,24 @@ written, so a cache hit never encodes a report again just to digest it.
 A ``source`` entry (:func:`encode_source`) carries no report: it is
 what a replay needs of one source text instead of parsing it.
 
-A replayed synthesis report decodes only what its usual readers use
-(scoring, the daemon's reply, fuzz-report binding): the top-level id
-lists, each checked to be in range; the pairs, with each side's summary
-header; the verdicts; and the tests, as name plus covered pairs.  The
-plans, the slots and the summary bodies (``accesses``, ``writeables``,
-``access_projection``, ``summaries``) wait until one of them is first
-read (:func:`_pending`).  Then all of them decode at once, through the
-same index memo, so shared objects keep their identity.  Until then
-the report holds the entry's JSON text and parses it again on that
-first read.  It holds no parsed table: a ``str`` is one object the
-garbage collector never scans, while the parsed tables of one stock
-corpus entry are a median 458 dicts and lists (about 12,000 for a wave
-of 25) that every collection would walk while they lived.  The
-deferred part reaches the objects it completes through weak
-references, so a replayed report is no reference cycle and dies with
-its last reader.
+A synthesis cache entry is two JSON documents, one line each
+(:func:`split_synthesis`): a **head** holding what a replay reads, and a
+**body** holding the rest; :func:`merge_parts` puts them back together
+into the payload.  A replayed synthesis report parses and decodes only
+the head: the top-level id lists, each checked to be in range; the
+pairs, with each side's summary header; the verdicts; and the tests, as
+name plus covered pairs.  The plans, the slots, the summary bodies
+(``accesses``, ``writeables``, ``access_projection``, ``summaries``)
+and the pair sides' ``access`` records are in the body, which is parsed
+only when one of them is first read (:func:`_pending`).  Then all of
+them decode at once, through the same index memo, so shared objects
+keep their identity.  Until then the report holds the entry's text.  It
+holds no parsed table: a ``str`` is one object the garbage collector
+never scans, while the parsed tables of one stock corpus entry are a
+median 458 dicts and lists (about 12,000 for a wave of 25) that every
+collection would walk while they lived.  The deferred part reaches the
+objects it completes through weak references, so a replayed report is
+no reference cycle and dies with its last reader.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from repro.synth.synthesizer import SynthesizedTest
 
 #: Bump when the encoding changes shape; cache keys include it so stale
 #: artifacts from older encodings are never decoded.
-SERIAL_VERSION = 7
+SERIAL_VERSION = 8
 
 #: Top-level keys that legitimately differ between identical runs (wall
 #: clock); stripped before hashing for determinism comparisons.
@@ -292,6 +294,7 @@ def _pending(cls: type, *fields: str) -> type:
 _PendingSummary = _pending(
     MethodSummary, "accesses", "writeables", "access_projection", "summaries"
 )
+_PendingSide = _pending(PairSide, "access")
 _PendingTest = _pending(SynthesizedTest, "plan")
 _PendingReport = _pending(SynthesisReport, "plans")
 
@@ -310,7 +313,8 @@ def _settle(obj, fields: dict) -> None:
     instance of its dataclass."""
     obj.__dict__.update(fields)
     del obj.__dict__["_deferred"]
-    obj.__class__ = type(obj).__base__
+    # Through ``object``: a frozen dataclass refuses its own setattr.
+    object.__setattr__(obj, "__class__", type(obj).__base__)
 
 
 def _encode_static_key(key: tuple) -> list:
@@ -488,8 +492,9 @@ class Codec:
 
         Each index decodes once, on first use, so an object shared in
         the encoded graph is one object in the decoded graph.  With
-        ``deferred``, a summary decodes its header only and a test its
-        name and covered pairs; both then wait on ``deferred``.
+        ``deferred``, ``tables`` are a two-part entry's head: a summary
+        decodes its header only, a pair side its summary and a test its
+        name and covered pairs; they then wait on ``deferred``.
         """
         codec = cls()
         codec._tables = tables
@@ -544,10 +549,10 @@ class Codec:
         )
 
     def _decode_side(self, data: dict) -> PairSide:
-        return PairSide(
-            summary=self.summary(data["summary"]),
-            access=_decode_access(data["access"]),
-        )
+        summary = self.summary(data["summary"])
+        if self._deferred is not None:
+            return _partial(_PendingSide, self._deferred, {"summary": summary})
+        return PairSide(summary=summary, access=_decode_access(data["access"]))
 
     def _decode_pair(self, data: dict) -> RacyPair:
         return RacyPair(
@@ -601,13 +606,14 @@ class Codec:
 class _DeferredPart:
     """The part of one replayed synthesis report decoded on first read.
 
-    It holds the entry's JSON text and weak references to the objects
-    decoded from it so far: the report, its pairs, and the summaries
-    and tests that wait on this part.  :meth:`load` parses the text
-    again and decodes, against an index memo seeded with those objects,
-    every summary body, every test's plan and the report's plans.  A
-    load that fails is handed to ``on_failure``, whose exception every
-    read then raises; without one the decode error itself propagates.
+    It holds the two-part entry's text and weak references to the
+    objects decoded from its head: the report, its pairs and their
+    sides, and the summaries and tests that wait on this part.
+    :meth:`load` parses the body and decodes, against an index memo
+    seeded with those objects, every summary body, every side's access,
+    every test's plan and the report's plans.  A load that fails is
+    handed to ``on_failure``, whose exception every read then raises;
+    without one the decode error itself propagates.
     """
 
     __slots__ = ("text", "on_failure", "failure", "refs")
@@ -626,41 +632,64 @@ class _DeferredPart:
                 table: {i: weakref.ref(obj) for i, obj in memo.items()}
                 for table, memo in codec._decoded.items()
             },
+            {
+                i: (weakref.ref(pair.first), weakref.ref(pair.second))
+                for i, pair in codec._decoded["pairs"].items()
+            },
         )
 
     def load(self) -> None:
         if self.failure is not None:
             raise self.failure
         try:
-            payload = json.loads(self.text)
-            codec = Codec.reading(payload["tables"])
-            report_ref, refs = self.refs
+            text = self.text
+            body = parse_body(text)
+            tables = body["tables"]
+            codec = Codec.reading(tables)
+            report_ref, refs, side_refs = self.refs
+            whole = True
             for table, memo in refs.items():
                 for index, ref in memo.items():
                     obj = ref()
-                    if obj is not None:
+                    if obj is None:
+                        whole = False
+                    else:
                         codec._decoded[table][index] = obj
-            summaries = codec._tables["summaries"]
+            if not whole:
+                # A reader dropped an object the head decoded, so a plan
+                # may decode its row again, which head and body complete.
+                head = _DECODER.raw_decode(text)[0]
+                codec._tables = merge_parts(head, body)["tables"]
+            summaries, pairs, tests = (
+                tables[table] for table in ("summaries", "pairs", "tests")
+            )
             bodies = [
                 (summary, _decode_summary_body(summaries[index]))
                 for index, summary in codec._decoded["summaries"].items()
             ]
-            tests = codec._tables["tests"]
+            accesses = [
+                (side, {"access": _decode_access(pairs[index][which]["access"])})
+                for index, sides in side_refs.items()
+                for which, ref in zip(("first", "second"), sides)
+                if (side := ref()) is not None
+            ]
             plans = [
                 (test, codec.plan(tests[index]["plan"]))
                 for index, test in codec._decoded["tests"].items()
             ]
             report = report_ref()
             if report is not None:
-                report_plans = [codec.plan(i) for i in payload["plans"]]
+                report_plans = [codec.plan(i) for i in _ids(body, "plans")]
         except Exception as error:
             if self.on_failure is None:
                 raise
             self.failure = self.on_failure(error)
             self.text = None
             raise self.failure from error
-        for summary, body in bodies:
-            _settle(summary, body)
+        for summary, fields in bodies:
+            _settle(summary, fields)
+        for side, fields in accesses:
+            _settle(side, fields)
         for test, plan in plans:
             _settle(test, {"plan": plan})
         if report is not None:
@@ -831,6 +860,118 @@ def encode_synthesis(report) -> dict:
     }
 
 
+#: What the head of a synthesis entry keeps of each row a replay reads,
+#: per intern table: ``True`` keeps a field whole, a dict keeps the
+#: fields it names of a nested object.  The rest of the row, and every
+#: row no replay reads, goes to the body.
+_HEAD_ROWS = {
+    "summaries": dict.fromkeys(
+        (
+            "test_name",
+            "ordinal",
+            "class_name",
+            "method",
+            "is_constructor",
+            "receiver_ref",
+            "arg_refs",
+            "arg_classes",
+            "return_class",
+            "invoke_label",
+            "faulted",
+        ),
+        True,
+    ),
+    "pairs": {
+        "field": True,
+        "same_site": True,
+        "site_pairs": True,
+        "first": {"summary": True},
+        "second": {"summary": True},
+    },
+    "tests": {"name": True, "covered_pairs": True},
+}
+
+
+def _cut(row: dict, spec: dict) -> tuple[dict, dict]:
+    """``(head, body)`` of ``row`` as ``spec`` (a :data:`_HEAD_ROWS`
+    value) divides it."""
+    head, body = {}, {}
+    for key, value in row.items():
+        keep = spec.get(key)
+        if keep is None:
+            body[key] = value
+        elif keep is True:
+            head[key] = value
+        else:
+            head[key], body[key] = _cut(value, keep)
+    return head, body
+
+
+def split_synthesis(data: dict) -> tuple[dict, dict]:
+    """``(head, body)`` of a synthesis payload, two documents whose
+    :func:`merge_parts` is ``data``.
+
+    The head holds what a replay decodes: every top-level field but the
+    plan ids, and the rows it reaches from the pair and test ids, cut to
+    their :data:`_HEAD_ROWS` fields.  Every other row of those tables
+    stands in the head as ``{}``, so each table keeps its length.  The
+    body holds the rest: the plan ids, the plan and slot tables, and
+    what the head left of each row.
+    """
+    tables = data["tables"]
+    reached = {"tests": set(data["tests"]), "pairs": set(data["pairs"])}
+    for index in reached["tests"]:
+        reached["pairs"].update(tables["tests"][index]["covered_pairs"])
+    reached["summaries"] = {
+        tables["pairs"][index][side]["summary"]
+        for index in reached["pairs"]
+        for side in ("first", "second")
+    }
+    head_tables = {}
+    body_tables = {"slots": tables["slots"], "plans": tables["plans"]}
+    for table, spec in _HEAD_ROWS.items():
+        rows = [
+            _cut(row, spec) if index in reached[table] else ({}, row)
+            for index, row in enumerate(tables[table])
+        ]
+        head_tables[table] = [head for head, _ in rows]
+        body_tables[table] = [body for _, body in rows]
+    head = {k: v for k, v in data.items() if k not in ("plans", "tables")}
+    head["tables"] = head_tables
+    return head, {"plans": data["plans"], "tables": body_tables}
+
+
+def merge_parts(head, body):
+    """The document whose :func:`split_synthesis` is ``(head, body)``:
+    dicts merge key by key and lists of one length item by item.
+
+    Raises:
+        ValueError: when the two disagree on the shape of a value, or
+            both hold a plain value at one place.
+    """
+    if type(head) is dict and type(body) is dict:
+        merged = dict(head)
+        for key, value in body.items():
+            merged[key] = merge_parts(head[key], value) if key in head else value
+        return merged
+    if type(head) is list and type(body) is list and len(head) == len(body):
+        return [merge_parts(h, b) for h, b in zip(head, body)]
+    raise ValueError("head and body of an entry overlap")
+
+
+_DECODER = json.JSONDecoder()
+
+
+def parse_body(text: str) -> dict:
+    """The body of a two-part entry's ``text``: the JSON document after
+    its first newline, which ends the head."""
+    start = text.index("\n") + 1
+    body, end = _DECODER.raw_decode(text, start)
+    if end != len(text) or type(body) is not dict:
+        raise ValueError("an entry body is not one JSON object")
+    return body
+
+
 def _ids(data: dict, table: str) -> list[int]:
     """The top-level id list ``data[table]``, each id in range."""
     ids = data[table]
@@ -845,18 +986,17 @@ def _ids(data: dict, table: str) -> list[int]:
 def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
     """Decode a synthesis payload.
 
-    ``text`` is the JSON text ``data`` was parsed from, when there is
-    one (a cache entry's): then the plans, the slots and the summary
-    bodies wait until one of them is first read, and decode from
-    ``text`` parsed again.  ``on_failure(error)`` turns a failure of
-    that later decode into the exception to raise.  Without ``text``
-    everything decodes now.
+    ``text``, when given, is the text of a two-part cache entry and
+    ``data`` its parsed head: then the plans, the slots, the summary
+    bodies and the pair sides' accesses wait until one of them is first
+    read, and decode from the body of ``text``.  ``on_failure(error)``
+    turns a failure of that later decode into the exception to raise.
+    Without ``text``, ``data`` is the whole payload and everything
+    decodes now.
     """
     from repro.static.filter import PairVerdict
 
-    pair_ids, plan_ids, test_ids = (
-        _ids(data, table) for table in ("pairs", "plans", "tests")
-    )
+    pair_ids, test_ids = (_ids(data, table) for table in ("pairs", "tests"))
     deferred = None if text is None else _DeferredPart(text, on_failure)
     codec = Codec.reading(data["tables"], deferred)
     fields = {
@@ -871,7 +1011,8 @@ def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
         ],
     }
     if deferred is None:
-        return SynthesisReport(plans=[codec.plan(i) for i in plan_ids], **fields)
+        plans = [codec.plan(i) for i in _ids(data, "plans")]
+        return SynthesisReport(plans=plans, **fields)
     report = _partial(_PendingReport, deferred, fields)
     deferred.hold(codec, report)
     return report

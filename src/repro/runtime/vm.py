@@ -380,7 +380,9 @@ class Execution:
             return None
         except MiniJRuntimeError as fault:
             thread.status = ThreadStatus.FAULTED
-            thread.fault = fault
+            # Kept without its traceback, whose frames (this one among
+            # them) would tie the execution into a reference cycle.
+            thread.fault = fault.with_traceback(None)
             self._runnable_cache = None
             self._force_release_monitors(thread)
             fault_event = FaultEvent(

@@ -164,48 +164,50 @@ def _ctor_leaks_this(ctor: ast.MethodDecl) -> bool:
     chain or as a ``sync`` lock; anywhere else (call argument or
     receiver, assignment value, return) conservatively counts as an
     escape — another thread could then observe the object
-    mid-construction.
+    mid-construction.  The three walkers are module-level, not
+    closures: mutually recursive closures form a reference cycle per
+    call that only the cyclic collector frees.
     """
+    return _stmt_leaks(ctor.body)
 
-    def chain_leaks(expr) -> bool:
-        # `expr` is used purely as the owner of a field access; a
-        # this-rooted FieldGet chain is fine.
-        if isinstance(expr, ast.This):
-            return False
-        if isinstance(expr, ast.FieldGet):
-            return chain_leaks(expr.target)
-        return expr_leaks(expr)
 
-    def expr_leaks(expr) -> bool:
-        if expr is None:
-            return False
-        if isinstance(expr, ast.This):
-            return True
-        if isinstance(expr, ast.FieldGet):
-            return chain_leaks(expr.target)
-        return any(expr_leaks(c) for c in _child_nodes(expr))
-
-    def stmt_leaks(stmt) -> bool:
-        if stmt is None:
-            return False
-        if isinstance(stmt, ast.AssignField):
-            return chain_leaks(stmt.target) or expr_leaks(stmt.value)
-        if isinstance(stmt, ast.Sync):
-            lock_ok = isinstance(stmt.lock, ast.This) or not expr_leaks(
-                stmt.lock
-            )
-            return (not lock_ok) or stmt_leaks(stmt.body)
-        for child in _child_nodes(stmt):
-            leaked = (
-                expr_leaks(child)
-                if isinstance(child, ast.Expr)
-                else stmt_leaks(child)
-            )
-            if leaked:
-                return True
+def _chain_leaks(expr) -> bool:
+    # `expr` is used purely as the owner of a field access; a
+    # this-rooted FieldGet chain is fine.
+    if isinstance(expr, ast.This):
         return False
+    if isinstance(expr, ast.FieldGet):
+        return _chain_leaks(expr.target)
+    return _expr_leaks(expr)
 
-    return stmt_leaks(ctor.body)
+
+def _expr_leaks(expr) -> bool:
+    if expr is None:
+        return False
+    if isinstance(expr, ast.This):
+        return True
+    if isinstance(expr, ast.FieldGet):
+        return _chain_leaks(expr.target)
+    return any(_expr_leaks(c) for c in _child_nodes(expr))
+
+
+def _stmt_leaks(stmt) -> bool:
+    if stmt is None:
+        return False
+    if isinstance(stmt, ast.AssignField):
+        return _chain_leaks(stmt.target) or _expr_leaks(stmt.value)
+    if isinstance(stmt, ast.Sync):
+        lock_ok = isinstance(stmt.lock, ast.This) or not _expr_leaks(stmt.lock)
+        return (not lock_ok) or _stmt_leaks(stmt.body)
+    for child in _child_nodes(stmt):
+        leaked = (
+            _expr_leaks(child)
+            if isinstance(child, ast.Expr)
+            else _stmt_leaks(child)
+        )
+        if leaked:
+            return True
+    return False
 
 
 def _contains_this(node) -> bool:

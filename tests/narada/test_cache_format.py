@@ -31,11 +31,19 @@ def _run(cache=None, jobs=1):
     return outcomes[0], orch
 
 
+def _payload(path):
+    """The payload an entry file holds: a two-part entry's head and
+    body merged, without the head's framing."""
+    head, _, body = path.read_text().partition("\n")
+    data = json.loads(head)
+    if not body:
+        return data
+    del data["body"]
+    return serial.merge_parts(data, json.loads(body))
+
+
 def _entries(root, stage):
-    return [
-        (path, json.loads(path.read_text()))
-        for path in sorted((root / stage).glob("*.json"))
-    ]
+    return [(path, _payload(path)) for path in sorted((root / stage).glob("*.json"))]
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +111,9 @@ def _count_puts(monkeypatch):
     writes = []
     real_put = ArtifactCache.put
 
-    def counting_put(self, stage, key, data):
+    def counting_put(self, stage, key, *data):
         writes.append((stage, key))
-        return real_put(self, stage, key, data)
+        return real_put(self, stage, key, *data)
 
     monkeypatch.setattr(ArtifactCache, "put", counting_put)
     return writes
@@ -171,13 +179,7 @@ def test_warm_replay_computes_no_digest(tmp_path, monkeypatch, clean_digest, job
     assert warm.digest() == clean_digest
 
 
-def test_version_6_entries_are_clean_misses(tmp_path, monkeypatch, clean_digest):
-    # Fill the cache as a version-6 writer would: keys and entries both
-    # carry the old serial version.
-    with monkeypatch.context() as old:
-        old.setattr(serial, "SERIAL_VERSION", 6)
-        old.setattr(cache_module, "SERIAL_VERSION", 6)
-        _run(ArtifactCache(tmp_path))
+def _assert_old_entries_are_clean_misses(tmp_path, clean_digest):
     filled = ArtifactCache(tmp_path).entry_count()
     assert filled > 0
 
@@ -191,3 +193,28 @@ def test_version_6_entries_are_clean_misses(tmp_path, monkeypatch, clean_digest)
     assert cache.quarantine_count() == 0
     assert cache.entry_count() == 2 * filled
 
+
+def test_version_6_entries_are_clean_misses(tmp_path, monkeypatch, clean_digest):
+    # Fill the cache as a version-6 writer would: keys and entries both
+    # carry the old serial version.
+    with monkeypatch.context() as old:
+        old.setattr(serial, "SERIAL_VERSION", 6)
+        old.setattr(cache_module, "SERIAL_VERSION", 6)
+        _run(ArtifactCache(tmp_path))
+    _assert_old_entries_are_clean_misses(tmp_path, clean_digest)
+
+
+def test_version_7_single_document_entries_are_clean_misses(
+    tmp_path, monkeypatch, clean_digest
+):
+    # A version-7 writer kept each synthesis entry as one document.
+    with monkeypatch.context() as old:
+        old.setattr(serial, "SERIAL_VERSION", 7)
+        old.setattr(cache_module, "SERIAL_VERSION", 7)
+        old.setattr(
+            orchestrator_module, "split_synthesis", lambda data: (data, None)
+        )
+        _run(ArtifactCache(tmp_path))
+    (path,) = (tmp_path / "synthesis").glob("*.json")
+    assert "\n" not in path.read_text()
+    _assert_old_entries_are_clean_misses(tmp_path, clean_digest)

@@ -81,6 +81,24 @@ class TestSynthCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["class"] == "Counter"
         assert data["tests"] == len(data["rendered"])
+        assert data["cached"] is False
+
+    def test_synth_replay_says_so(self, capsys, counter_file):
+        assert main(["synth", counter_file, "--all"]) == 0
+        cold = capsys.readouterr().out
+        assert main(["synth", counter_file, "--all"]) == 0
+        warm = capsys.readouterr().out
+        cold_header, cold_rest = cold.split("\n", 1)
+        warm_header, warm_rest = warm.split("\n", 1)
+        assert "replayed" not in cold_header
+        seconds = cold_header.rsplit(" in ", 1)[1]
+        assert warm_header.endswith(
+            f"(replayed from the cache; synthesized in {seconds})"
+        )
+        assert warm_rest == cold_rest
+        assert main(["synth", counter_file, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["cached"] is True
 
 
 class TestFuzzCommand:

@@ -1,13 +1,15 @@
-"""A replayed synthesis report decodes only what its readers use.
+"""A replayed synthesis report parses and decodes only what its readers use.
 
-A cache hit decodes the id lists, the pairs with their summaries'
-headers, the verdicts and the tests' names and covered pairs.  The
-plans, the slots and the summary bodies decode from the entry's JSON
-text when one of them is first read.  These tests check that the hot
-readers (scoring, the daemon's reply) never trigger that decode, that a
-fully read replay equals an eager decode object for object, that the
-replay keeps no parsed table alive, and that a deferred decode that
-fails is quarantined and recomputed.
+A synthesis entry is a head and a body.  A cache hit parses the head
+and decodes the id lists, the pairs with their summaries' headers, the
+verdicts and the tests' names and covered pairs.  The plans, the slots,
+the summary bodies and the pair sides' accesses decode from the body
+when one of them is first read.  These tests check that the hot readers
+(scoring, the daemon's reply) never parse the body, that head and body
+merge back into the encoded report, that a fully read replay equals an
+eager decode object for object, that the replay keeps no parsed table
+alive, and that a deferred decode that fails is quarantined and
+recomputed.
 """
 
 import dataclasses
@@ -24,12 +26,14 @@ from repro.context import plan as plan_module
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.corpus.runner import corpus_specs
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
+from repro.narada import cache as cache_module
 from repro.narada import serial
 from repro.narada.cache import EntryDecodeError, stage_key
 from repro.narada.orchestrator import subject_specs
 from repro.pairs.generator import RacyPair
 from repro.subjects import all_subjects, get_subject
 from repro.synth.synthesizer import SynthesizedTest
+from tests.narada.test_cache_format import _payload
 from tests.narada.test_daemon import _client, _serving
 
 CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
@@ -44,23 +48,40 @@ def memo(monkeypatch):
     monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
 
 
+#: What a hot reader of a replay never does: parse an entry's body,
+#: or decode a plan, a summary body or an access record (of a summary
+#: body or of a pair side).
+NOTHING_DEFERRED = {"body_parses": 0, "plans": 0, "bodies": 0, "accesses": 0}
+
+
 @pytest.fixture
 def deferred_decodes(monkeypatch):
-    """Counts of plan and summary-body decodes from now on."""
-    counts = {"plans": 0, "bodies": 0}
-    real_plan = serial.Codec._decode_plan
-    real_body = serial._decode_summary_body
+    """Counts of body parses and of plan, summary-body and access
+    decodes from now on."""
+    counts = dict(NOTHING_DEFERRED)
 
-    def counting_plan(self, data):
-        counts["plans"] += 1
-        return real_plan(self, data)
+    def counting(name, real):
+        def count(*args):
+            counts[name] += 1
+            return real(*args)
 
-    def counting_body(data):
-        counts["bodies"] += 1
-        return real_body(data)
+        return count
 
-    monkeypatch.setattr(serial.Codec, "_decode_plan", counting_plan)
-    monkeypatch.setattr(serial, "_decode_summary_body", counting_body)
+    monkeypatch.setattr(
+        serial.Codec, "_decode_plan", counting("plans", serial.Codec._decode_plan)
+    )
+    for module in (serial, cache_module):
+        monkeypatch.setattr(
+            module, "parse_body", counting("body_parses", serial.parse_body)
+        )
+    monkeypatch.setattr(
+        serial,
+        "_decode_summary_body",
+        counting("bodies", serial._decode_summary_body),
+    )
+    monkeypatch.setattr(
+        serial, "_decode_access", counting("accesses", serial._decode_access)
+    )
     return counts
 
 
@@ -82,6 +103,13 @@ def _entry(root, stage):
     return path
 
 
+def _write_entry(path, payload):
+    """Write ``payload``, head and body, as a well-framed entry."""
+    cache = ArtifactCache(path.parent.parent)
+    head, body = serial.split_synthesis(payload)
+    assert cache.put(path.parent.name, path.stem, head, body)
+
+
 # ----------------------------------------------------------------------
 # (a) The hot readers decode no plan and no summary body.
 
@@ -99,10 +127,14 @@ def test_warm_corpus_replay_decodes_no_plan_and_no_summary_body(
     assert warm.digests == cold.digests
     assert warm.recall == 1.0
     assert [s.detected for s in warm.scores] == [s.detected for s in cold.scores]
-    assert deferred_decodes == {"plans": 0, "bodies": 0}
-    # The counters do count: an eager decode of one entry moves both.
-    serial.decode_synthesis(json.loads(_entries(tmp_path, "synthesis")[0].read_text()))
-    assert deferred_decodes["plans"] > 0 and deferred_decodes["bodies"] > 0
+    assert deferred_decodes == NOTHING_DEFERRED
+    # The counters do count: reading a replay's plans moves each of them.
+    path = next(
+        p for p in _entries(tmp_path, "synthesis") if _payload(p)["plans"]
+    )
+    entry = ArtifactCache(tmp_path).get("synthesis", path.stem)
+    assert serial.decode_synthesis(entry, entry.text).plans
+    assert all(deferred_decodes[name] > 0 for name in NOTHING_DEFERRED)
 
 
 def test_daemon_detect_hit_decodes_no_plan_and_no_summary_body(
@@ -112,12 +144,12 @@ def test_daemon_detect_hit_decodes_no_plan_and_no_summary_body(
     with _serving(tmp_path / "d.sock", ArtifactCache(tmp_path / "cache")) as d:
         with _client(d) as client:
             cold = client.request(request)
-            deferred_decodes.update(plans=0, bodies=0)
+            deferred_decodes.update(NOTHING_DEFERRED)
             warm = client.request(request)
     entry = warm["subjects"]["C8"]
     assert entry["synthesis_cached"] and entry["detection_cached"]
     assert entry["digest"] == cold["subjects"]["C8"]["digest"]
-    assert deferred_decodes == {"plans": 0, "bodies": 0}
+    assert deferred_decodes == NOTHING_DEFERRED
 
 
 # ----------------------------------------------------------------------
@@ -180,8 +212,9 @@ def _replay_matches_eager(root, outcomes, config):
             digest, "detection", config.detection_config(target)
         )
         entry = cache.get("synthesis", synth_key)
+        payload = _payload(cache._path("synthesis", synth_key))
         replayed = serial.decode_synthesis(entry, entry.text)
-        eager = serial.decode_synthesis(json.loads(entry.text))
+        eager = serial.decode_synthesis(payload)
         assert "_deferred" in replayed.__dict__
         detection = cache.get("detection", detect_key)
         replayed_detection = serial.decode_detection(detection, replayed.tests)
@@ -192,10 +225,11 @@ def _replay_matches_eager(root, outcomes, config):
         _assert_same(
             (replayed, replayed_detection), (eager, eager_detection)
         )
-        stored = {k: v for k, v in entry.items() if k != "digest"}
+        stored = {k: v for k, v in payload.items() if k != "digest"}
         assert serial.canonical_json(
             serial.encode_synthesis(replayed)
         ) == serial.canonical_json(stored)
+        assert payload["digest"] == serial.report_digest(stored)
 
 
 def test_fully_read_paper_replays_equal_the_eager_decode(tmp_path):
@@ -210,6 +244,18 @@ def test_fully_read_corpus_replays_equal_the_eager_decode(tmp_path):
     outcomes, _ = _run(ArtifactCache(tmp_path), specs)
     assert len(outcomes) == SLICE.count
     _replay_matches_eager(tmp_path, outcomes, CONFIG)
+
+
+def test_head_and_body_merge_into_the_encoded_report():
+    specs = subject_specs() + corpus_specs(generate_corpus(SLICE))
+    with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+        outcomes = orch.run(specs, detect=False)
+    assert len(outcomes) == len(all_subjects()) + SLICE.count
+    for outcome in outcomes:
+        data = serial.encode_synthesis(outcome.synthesis)
+        head, body = serial.split_synthesis(data)
+        assert serial.merge_parts(head, body) == data
+        assert "plans" in body and "plans" not in head
 
 
 def test_replay_keeps_shared_objects_shared(tmp_path):
@@ -233,6 +279,37 @@ def test_replay_keeps_shared_objects_shared(tmp_path):
             id(plan.pair.first.summary),
             id(plan.pair.second.summary),
         }
+
+
+def test_a_test_kept_without_its_report_still_reads_its_plan(
+    tmp_path, monkeypatch
+):
+    """A plan may reach a pair or summary whose object the reader has
+    dropped; the load then completes that row from the head."""
+    cache = ArtifactCache(tmp_path)
+    _run(cache, _c8())
+    path = _entry(tmp_path, "synthesis")
+    entry = cache.get("synthesis", path.stem)
+    report = serial.decode_synthesis(entry, entry.text)
+    kept = len(report.tests) - 1
+    test = report.tests[kept]
+    del report, entry
+    gc.collect()
+    merges = []
+    real_merge = serial.merge_parts
+
+    def merge(head, body):
+        merges.append(head)
+        return real_merge(head, body)
+
+    monkeypatch.setattr(serial, "merge_parts", merge)
+    plan = test.plan
+    assert merges and merges[0]["kind"] == "synthesis"  # the head is read
+    expected = serial.decode_synthesis(_payload(path)).tests[kept]
+    _assert_same(
+        (test.name, test.covered_pairs, plan),
+        (expected.name, expected.covered_pairs, expected.plan),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +376,9 @@ def test_replay_holds_its_deferred_part_as_one_string(tmp_path, monkeypatch):
 
 def _corrupt_one_plan(root):
     path = _entry(root, "synthesis")
-    entry = json.loads(path.read_text())
+    entry = _payload(path)
     entry["tables"]["plans"][0]["left"]["racy_call"]["summary"] = 10**9
-    path.write_text(json.dumps(entry))
+    _write_entry(path, entry)
 
 
 @pytest.fixture

@@ -1,0 +1,182 @@
+"""The two-part layout of a synthesis cache entry.
+
+A synthesis entry is a head line and a body line.  The head records the
+body's byte length and sha256, and ``ArtifactCache.get`` parses the
+head alone and checks the body against both, so an entry torn or
+garbled anywhere is a quarantined miss at ``get``, never a hit whose
+deferred decode fails later.  A pool worker that fuzzes a cached
+synthesis is sent head and body merged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
+from repro.narada import cache as cache_module
+from repro.narada import serial
+from repro.narada.orchestrator import subject_specs
+from repro.subjects import get_subject
+from tests.narada.test_cache_format import _payload
+
+CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
+
+
+def _c8():
+    return subject_specs([get_subject("C8")])
+
+
+def _run(cache, jobs=1, config=CONFIG):
+    with PipelineOrchestrator(jobs=jobs, cache=cache, config=config) as orch:
+        (outcome,) = orch.run(_c8())
+    return outcome, orch
+
+
+def _only(root, stage):
+    (path,) = (root / stage).glob("*.json")
+    return path
+
+
+@pytest.fixture(scope="module")
+def filled(tmp_path_factory):
+    """A cache filled by a clean C8 run: ``(root, outcome)``."""
+    root = tmp_path_factory.mktemp("filled")
+    outcome, _ = _run(ArtifactCache(root))
+    return root, outcome
+
+
+def _copy(filled, tmp_path):
+    root, _ = filled
+    for path in root.rglob("*.json"):
+        target = tmp_path / path.relative_to(root)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(path.read_bytes())
+    return tmp_path
+
+
+def test_head_records_the_body_it_is_followed_by(filled):
+    root, outcome = filled
+    text = _only(root, "synthesis").read_text()
+    head_line, body_line = text.split("\n")
+    head = json.loads(head_line)
+    framing = head.pop("body")
+    assert framing == {
+        "length": len(body_line.encode()),
+        "sha256": hashlib.sha256(body_line.encode()).hexdigest(),
+    }
+    payload = serial.merge_parts(head, json.loads(body_line))
+    stored = {k: v for k, v in payload.items() if k != "digest"}
+    assert stored == serial.encode_synthesis(outcome.synthesis)
+    assert head["digest"] == serial.report_digest(stored)
+    # The head holds no plan, slot or access record (and the merge
+    # above refuses a value that both parts hold).
+    assert "plans" not in head and set(head["tables"]) == {
+        "summaries",
+        "pairs",
+        "tests",
+    }
+    assert all(
+        set(side) == {"summary"}
+        for pair in head["tables"]["pairs"]
+        for side in (pair["first"], pair["second"])
+    )
+    for detection in (root / "detection").glob("*.json"):
+        assert "\n" not in detection.read_text()
+
+
+def _torn(text: str, where: str) -> str:
+    """``text`` damaged at ``where``."""
+    split = text.index("\n")
+    if where == "inside the head":
+        return text[: split // 2]
+    if where == "before the separator":
+        return text[:split]
+    if where == "after the separator":
+        return text[: split + 1]
+    if where == "inside the body":
+        return text[: split + 1 + (len(text) - split) // 2]
+    assert where == "one body byte flipped"
+    at = split + 1 + (len(text) - split) // 2
+    flipped = "1" if text[at] != "1" else "2"
+    return text[:at] + flipped + text[at + 1 :]
+
+
+DAMAGE = (
+    "inside the head",
+    "before the separator",
+    "after the separator",
+    "inside the body",
+    "one body byte flipped",
+)
+
+
+@pytest.mark.parametrize("where", DAMAGE)
+def test_a_damaged_entry_is_a_quarantined_miss_at_get(filled, tmp_path, where):
+    root = _copy(filled, tmp_path)
+    path = _only(root, "synthesis")
+    path.write_text(_torn(path.read_text(), where))
+    cache = ArtifactCache(root)
+    assert cache.get("synthesis", path.stem) is None
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+    assert cache.stats.quarantined == 1
+    (reason,) = (root / "quarantine" / "synthesis").glob("*.reason.txt")
+    assert "unreadable entry" in reason.read_text()
+
+
+@pytest.mark.parametrize("where", DAMAGE)
+def test_a_damaged_entry_is_recomputed_in_the_same_run(filled, tmp_path, where):
+    _, clean = filled
+    root = _copy(filled, tmp_path)
+    path = _only(root, "synthesis")
+    path.write_text(_torn(path.read_text(), where))
+    cache = ArtifactCache(root)
+    outcome, orch = _run(cache)
+    assert not outcome.synthesis_cached and outcome.detection_cached
+    assert outcome.digest() == clean.digest()
+    assert cache.stats.quarantined == orch.fault_ledger.quarantined == 1
+    assert cache.get("synthesis", path.stem) is not None
+
+
+def test_torn_writes_recover(filled, tmp_path):
+    """``corrupt:1.0`` shears every published entry, a synthesis
+    entry inside its body; the next clean run quarantines them and
+    recomputes the same reports."""
+    _, clean = filled
+    torn = PipelineConfig(
+        random_runs=2, retry_backoff=0.0, fault_inject="corrupt:1.0"
+    )
+    _run(ArtifactCache(tmp_path), config=torn)
+    text = _only(tmp_path, "synthesis").read_text()
+    assert 0 < len(text) and "\n" in text  # sheared past the head
+    cache = ArtifactCache(tmp_path)
+    outcome, _ = _run(cache)
+    assert not outcome.synthesis_cached and not outcome.detection_cached
+    assert outcome.digest() == clean.digest()
+    assert cache.stats.quarantined == 2
+    warm, _ = _run(ArtifactCache(tmp_path))
+    assert warm.synthesis_cached and warm.detection_cached
+    assert warm.digest() == clean.digest()
+
+
+def test_a_pool_worker_is_sent_the_merged_payload(filled, tmp_path, monkeypatch):
+    """A synthesis hit whose detection misses fuzzes on a pool worker,
+    which is sent head and body merged, not the head alone."""
+    _, clean = filled
+    root = _copy(filled, tmp_path)
+    _only(root, "detection").unlink()
+    merged = _payload(_only(root, "synthesis"))
+    sent = []
+    real_reduce = cache_module.Entry.__reduce__
+
+    def recording_reduce(self):
+        reduced = real_reduce(self)
+        sent.append(reduced[1][0])
+        return reduced
+
+    monkeypatch.setattr(cache_module.Entry, "__reduce__", recording_reduce)
+    outcome, orch = _run(ArtifactCache(root), jobs=2)
+    assert outcome.synthesis_cached and not outcome.detection_cached
+    assert orch.fault_ledger.failures == []
+    assert outcome.digest() == clean.digest()
+    assert sent == [merged]

@@ -203,9 +203,10 @@ class TestCacheQuarantine:
         ) as orch:
             orch.run([spec])
         (path,) = (tmp_path / "synthesis").glob("*.json")
-        entry = json.loads(path.read_text())
+        head, body = path.read_text().split("\n")
+        entry = json.loads(head)
         entry["tests"] = [10**9]
-        path.write_text(json.dumps(entry))
+        path.write_text(json.dumps(entry) + "\n" + body)
         cache = ArtifactCache(tmp_path)
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
