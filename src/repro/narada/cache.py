@@ -24,10 +24,10 @@ A pipeline run writes three stages:
   its unit completes;
 * ``source`` — what a replay needs of one source text without parsing
   it (table digest, class names, site map), keyed by the source text's
-  own sha256 rather than a table digest.  It is written only by a
-  process that parsed the source and then found its synthesis entry
-  already cached: a cold run writes none, and the first replay in a
-  fresh process writes the entries the next replay reads.
+  own sha256 rather than a table digest.  It is written by the
+  process that parses the source for want of it, right after the
+  parse, so a cold run writes one per new source and a replay in a
+  fresh process parses nothing.
 
 A ``synthesis`` entry is two canonical JSON documents on two lines, a
 head and a body (:func:`repro.narada.serial.split_synthesis`); the
@@ -56,9 +56,11 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import pathlib
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -66,12 +68,7 @@ from repro._util.errors import ReproError
 from repro.lang import ClassTable
 from repro.lang.pretty import pretty_program
 from repro.narada.faults import FaultInjector
-from repro.narada.serial import (
-    SERIAL_VERSION,
-    canonical_json,
-    merge_parts,
-    parse_body,
-)
+from repro.narada.serial import SERIAL_VERSION, canonical_json
 
 #: Bump to invalidate every cached artifact after a semantic change to
 #: any pipeline stage (analysis rules, synthesis, fuzz seed derivation).
@@ -97,12 +94,6 @@ class Entry(dict):
     def __init__(self, data: dict, text: str) -> None:
         super().__init__(data)
         self.text = text
-
-    def __reduce__(self):
-        # A pool worker is sent the whole payload, head and body merged.
-        if "\n" not in self.text:
-            return dict, (dict(self),)
-        return dict, (merge_parts(dict(self), parse_body(self.text)),)
 
 
 _DECODER = json.JSONDecoder()
@@ -212,7 +203,6 @@ class ArtifactCache:
 
     root: pathlib.Path
     stats: CacheStats = field(default_factory=CacheStats)
-    _tmp_counter: int = 0
 
     def __init__(
         self,
@@ -232,10 +222,14 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self.quarantine_max_entries = max(0, quarantine_max_entries)
         self.quarantine_max_age_s = max(0.0, quarantine_max_age_s)
-        self._tmp_counter = 0
+        #: Temp-file numbers; a temp name also carries the pid and the
+        #: writing thread, since a daemon's request threads write too.
+        self._tmp_ids = itertools.count(1)
         #: Running estimate of live-entry bytes, seeded by a scan on the
         #: first budgeted ``put``; ``evict`` rescans for exactness.
         self._approx_bytes: int | None = None
+        #: Serializes the estimate and ``evict`` across those threads.
+        self._budget_lock = threading.Lock()
 
     def _path(self, stage: str, key: str) -> pathlib.Path:
         return self.root / stage / f"{key}.json"
@@ -415,8 +409,9 @@ class ArtifactCache:
         that computed the artifact, only skip memoizing it.
         """
         path = self._path(stage, key)
-        self._tmp_counter += 1
-        tmp = path.parent / f".tmp-{os.getpid()}-{self._tmp_counter}"
+        tmp = path.parent / (
+            f".tmp-{os.getpid()}-{threading.get_ident()}-{next(self._tmp_ids)}"
+        )
         if body is None:
             text = canonical_json(data)
         else:
@@ -459,11 +454,13 @@ class ArtifactCache:
             text = path.read_text()
             path.write_text(text[: max(1, len(text) // 3)])
         if self.max_bytes is not None:
-            if self._approx_bytes is None:
-                self._approx_bytes = self.total_bytes()
-            else:
-                self._approx_bytes += len(text)
-            if self._approx_bytes > self.max_bytes:
+            with self._budget_lock:
+                if self._approx_bytes is None:
+                    self._approx_bytes = self.total_bytes()
+                else:
+                    self._approx_bytes += len(text)
+                over = self._approx_bytes > self.max_bytes
+            if over:
                 self.evict(self.max_bytes)
         return True
 
@@ -475,22 +472,23 @@ class ArtifactCache:
         layout, which no ``get`` reads, go first.  Returns the number of
         entries removed.
         """
-        entries = list(self._iter_entries())
-        total = sum(size for _, _, size, _ in entries)
-        removed = 0
-        if total > max_bytes:
-            entries.sort()  # old layout first, then least recent
-            for _, _, size, path in entries:
-                if total <= max_bytes:
-                    break
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                total -= size
-                removed += 1
-            self.stats.evictions += removed
-        self._approx_bytes = total
+        with self._budget_lock:
+            entries = list(self._iter_entries())
+            total = sum(size for _, _, size, _ in entries)
+            removed = 0
+            if total > max_bytes:
+                entries.sort()  # old layout first, then least recent
+                for _, _, size, path in entries:
+                    if total <= max_bytes:
+                        break
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        continue
+                    total -= size
+                    removed += 1
+                self.stats.evictions += removed
+            self._approx_bytes = total
         return removed
 
     def clear(self) -> None:

@@ -37,8 +37,10 @@ The run is backed by the persistent content-addressed
 artifacts are keyed by (table digest, stage config, code salt), so a
 rerun with unchanged subjects skips straight to the first invalidated
 stage.  A subject whose synthesis entry is gone but whose
-detection entry is not synthesizes again and replays the detection.  Only entries a later run reads are written: seed analysis and
-lockset facts are recomputed inside the unit.
+detection entry is not synthesizes again and replays the detection.
+Only entries a later run reads are written: seed analysis and lockset
+facts are recomputed inside the unit, and a source's ``source`` entry
+is written by the holder that parses it (:class:`ProgramSource`).
 
 The execution substrate is :mod:`repro.narada.faults`: worker death,
 hung units, and unit exceptions are isolated per unit, retried with
@@ -64,12 +66,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.lang import ClassTable, load
-from repro.narada.cache import (
-    ArtifactCache,
-    EntryDecodeError,
-    stage_key,
-    table_digest,
-)
+from repro.narada.cache import ArtifactCache, stage_key, table_digest
 from repro.narada.faults import (
     CancelToken,
     FaultInjector,
@@ -84,13 +81,14 @@ from repro.narada.faults import (
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
-    complete,
     decode_detection,
     decode_source,
     decode_synthesis,
     encode_detection,
     encode_source,
     encode_synthesis,
+    merge_parts,
+    parse_body,
     report_digest,
     split_synthesis,
 )
@@ -131,6 +129,8 @@ class ProgramSource:
     map: a table is parsed at most once per holder, when an inline unit
     or :attr:`sites` first needs it, and dies with the holder.  A memo
     hit's :attr:`sites` reads the ``source`` entry before it parses.  A
+    holder that parses for want of its ``source`` entry writes the entry
+    at once, so a source is parsed at most once per cache root.  A
     source that fails to parse raises and is never memoized or cached.
     """
 
@@ -141,11 +141,6 @@ class ProgramSource:
     _sites: dict[int, str] | None = field(default=None, repr=False)
     #: The cache a memo hit's :attr:`sites` reads the entry from first.
     _reader: ArtifactCache | None = field(default=None, repr=False)
-    #: Whether this holder parsed for want of its ``source`` entry; it
-    #: writes the entry once :meth:`save` is called, and clears this.
-    _owed: bool = field(default=False, repr=False)
-    #: The cache :meth:`save` was given, for an entry owed later.
-    _saving: ArtifactCache | None = field(default=None, repr=False)
 
     @classmethod
     def of(cls, text: str, cache: ArtifactCache | None = None) -> "ProgramSource":
@@ -164,7 +159,10 @@ class ProgramSource:
         table = load(text)
         known = (table_digest(table), tuple(table.class_names()))
         _remember(key, known)
-        return cls(text, *known, table, _owed=True)
+        program = cls(text, *known, table)
+        if cache is not None:
+            program._write(cache, key)
+        return program
 
     @property
     def table(self) -> ClassTable:
@@ -180,34 +178,23 @@ class ProgramSource:
             reader, self._reader = self._reader, None
             entry = None
             if reader is not None:
-                entry = _read_source(reader, _text_key(self.text))
+                key = _text_key(self.text)
+                entry = _read_source(reader, key)
             if entry is not None:
                 self._sites = entry[2]
             else:
                 self._sites = self.table.site_methods()
                 if reader is not None:
-                    self._owed = True
-                    if self._saving is not None:
-                        self.save(self._saving)
+                    self._write(reader, key)
         return self._sites
 
-    def save(self, cache: ArtifactCache) -> None:
-        """Write this source's ``source`` entry if this holder parsed
-        for want of it, now or when :attr:`sites` does.
-
-        The orchestrator calls this when the source's synthesis entry
-        hits: the entry then spares the next replay its only parse.  A
-        source whose synthesis missed is not saved, so a cold run
-        writes nothing beyond its reports.
-        """
-        self._saving = cache
-        if self._owed:
-            self._owed = False
-            cache.put(
-                "source",
-                _entry_key(_text_key(self.text)),
-                encode_source(self.digest, self.class_names, self.sites),
-            )
+    def _write(self, cache: ArtifactCache, key: bytes) -> None:
+        """Write this source's ``source`` entry; ``key`` is its memo key."""
+        cache.put(
+            "source",
+            _entry_key(key),
+            encode_source(self.digest, self.class_names, self.sites),
+        )
 
 
 def _text_key(text: str) -> bytes:
@@ -551,22 +538,24 @@ class PipelineOrchestrator:
 
     # -- cache plumbing ------------------------------------------------
 
-    def _get_decoded(self, stage: str, key: str, decoder):
-        """Cached ``(entry, decoded)`` or None; bad entries quarantine.
+    def _synthesis_hit(self, key: str, entry, whole: bool):
+        """``(payload, report)`` of a cached synthesis entry, or None
+        when it fails to decode, quarantined: recompute, never crash.
 
-        The cache layer already quarantines unreadable JSON; this adds
-        the same treatment for entries that parse but fail to *decode*
-        (a structurally valid payload from a semantically incompatible
-        writer, or a detection entry naming a test its synthesis lacks)
-        — recompute, never crash.
+        With ``whole``, head and body are merged and decoded now, and
+        the payload is that merged dict, the one a pool worker is sent.
+        Otherwise the head alone decodes, and the body waits for its
+        first reader.
         """
-        data = None if self.cache is None else self.cache.get(stage, key)
-        if data is None:
-            return None
         try:
-            return data, decoder(data)
-        except Exception as error:  # noqa: BLE001 — quarantined below
-            self.cache.reject(stage, key, f"decode failure: {error!r}")
+            if whole:
+                payload = merge_parts(dict(entry), parse_body(entry.text))
+                return payload, decode_synthesis(payload)
+            return entry, decode_synthesis(
+                entry, entry.text, self.cache.rejecter("synthesis", key)
+            )
+        except Exception as error:  # noqa: BLE001 — quarantined here
+            self.cache.reject("synthesis", key, f"decode failure: {error!r}")
             return None
 
     def _put_report(self, stage: str, key: str, data: dict) -> str:
@@ -624,17 +613,18 @@ class PipelineOrchestrator:
 
         A subject's synthesis comes from its cache entry when there is
         one, with its plans and summary bodies left to decode when first
-        read; when the subject's tests will fuzz, they decode before its
-        unit is built, so that a bad entry is still quarantined and its
-        synthesis recomputed.  A detection decodes against its
-        synthesis's tests, so when the synthesis misses, the unit
+        read.  Its detection entry is read first: when the subject's
+        tests will fuzz, the synthesis entry's head and body are merged
+        and decoded whole, once, before its unit is built, so that a bad
+        entry is still quarantined and its synthesis recomputed; a pool
+        worker is sent that merged payload.  A detection decodes against
+        its synthesis's tests, so when the synthesis misses, the unit
         receives the raw detection entry and replays it once it has
-        synthesized; the entry is quarantined, and the tests fuzzed,
-        only when it fails to decode.  A unit runs whatever the subject
-        still lacks, and its
-        reply publishes the synthesis it computed and a detection that
-        every budgeted test completed.  A partial detection is never
-        cached, so a later clean run recomputes it.
+        synthesized; the entry is quarantined, and the tests fuzzed, only
+        when it fails to decode.  A unit runs whatever the subject still
+        lacks, and its reply publishes the synthesis it computed and a
+        detection that every budgeted test completed.  A partial
+        detection is never cached, so a later clean run recomputes it.
         """
         outcomes = [
             SubjectOutcome(spec=spec, program=programs[i], synthesis=None)
@@ -667,41 +657,38 @@ class PipelineOrchestrator:
                 continue
             first_by_key[key] = i
             outcome = outcomes[i]
-            entry = detection_entry = None
-            cached = self._get_decoded(
-                "synthesis",
-                synth_key,
-                lambda data: decode_synthesis(
-                    data, data.text, self.cache.rejecter("synthesis", synth_key)
-                ),
-            )
-            if cached is not None:
-                entry, outcome.synthesis = cached
-                outcome.synthesis_cached = True
-                outcome._synthesis_digest = entry.get("digest")
-                programs[i].save(self.cache)
-            if outcome.synthesis is not None:
-                if not detect:
-                    continue
-                tests = outcome.synthesis.tests
-                cached = self._get_decoded(
-                    "detection", detect_key, lambda data: decode_detection(data, tests)
+            entry = detection_entry = hit = None
+            if self.cache is not None:
+                entry = self.cache.get("synthesis", synth_key)
+                if detect:
+                    detection_entry = self.cache.get("detection", detect_key)
+            if entry is not None:
+                # Tests that fuzz read every plan: decode them now, while
+                # a bad entry can still be recomputed.
+                hit = self._synthesis_hit(
+                    synth_key, entry, detect and detection_entry is None
                 )
-                if cached is not None:
-                    data, outcome.detection = cached
-                    outcome.detection_cached = True
-                    outcome._detection_digest = data.get("digest")
-                    continue
-                # Every test fuzzes, so the unit reads every plan: decode
-                # them now, while a bad entry can still be recomputed.
+            if hit is not None and detection_entry is not None:
                 try:
-                    complete(outcome.synthesis)
-                except EntryDecodeError:
-                    entry = outcome.synthesis = None
-                    outcome.synthesis_cached = False
-                    outcome._synthesis_digest = None
-            elif detect and self.cache is not None:
-                detection_entry = self.cache.get("detection", detect_key)
+                    outcome.detection = decode_detection(
+                        detection_entry, hit[1].tests
+                    )
+                except Exception as error:  # noqa: BLE001 — quarantined here
+                    self.cache.reject(
+                        "detection", detect_key, f"decode failure: {error!r}"
+                    )
+                    detection_entry = None
+                    hit = self._synthesis_hit(synth_key, entry, True)
+                else:
+                    outcome.detection_cached = True
+                    outcome._detection_digest = detection_entry.get("digest")
+            payload = None
+            if hit is not None:
+                payload, outcome.synthesis = hit
+                outcome.synthesis_cached = True
+                outcome._synthesis_digest = payload.get("digest")
+                if not detect or outcome.detection_cached:
+                    continue
             unit = PoolUnit(
                 key=key,
                 stage="synthesis" if outcome.synthesis is None else "fuzz",
@@ -714,9 +701,9 @@ class PipelineOrchestrator:
                     spec.source,
                     spec.target_class,
                     config_dict,
-                    entry,
+                    payload,
                     detect,
-                    detection_entry,
+                    None if detection_entry is None else dict(detection_entry),
                 )
             slots[key] = (i, synth_key, detect_key, detection_entry)
             units.append(unit)

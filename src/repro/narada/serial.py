@@ -698,14 +698,6 @@ class _DeferredPart:
         self.refs = ()
 
 
-def complete(report) -> None:
-    """Decode now whatever a replayed synthesis ``report`` deferred (a
-    no-op for a report with nothing deferred)."""
-    deferred = report.__dict__.get("_deferred")
-    if deferred is not None:
-        deferred.load()
-
-
 # ----------------------------------------------------------------------
 # Fuzz reports.  They carry no shared objects of their own: a report
 # names its test, and decoding binds that name to a test object the

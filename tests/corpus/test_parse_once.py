@@ -7,12 +7,12 @@ table digest from that table, hands the table to its inline units, and
 leaves the source's site map on ``SubjectOutcome.program`` for the
 corpus scorer.  The table digest is memoized by source hash, and a run
 parses a memoized source only when an inline unit or a reader of
-``.sites`` first needs its table.  A process that parses a source and
-then finds its synthesis cached writes the source's ``source`` entry
-(digest, class names, site map), which spares the next process the
-parse; a memo hit reads that entry for its site map.  These tests
-count parser entries, so a new re-parse anywhere on the path fails
-them; clearing the memo stands for a fresh process.
+``.sites`` first needs its table.  A holder that parses for want of
+the source's ``source`` entry (digest, class names, site map) writes
+the entry at once, which spares every later process the parse; a memo
+hit reads that entry for its site map.  These tests count parser
+entries, so a new re-parse anywhere on the path fails them; clearing
+the memo stands for a fresh process.
 """
 
 import json
@@ -68,9 +68,8 @@ def _source_entries(root) -> int:
 def test_corpus_run_parses_each_subject_once_cold_and_warm(
     tmp_path, memo, parses
 ):
-    """Cold: 10 parses and no source entry.  The first warm process
-    parses each source once more and writes its entry; the next one
-    parses nothing."""
+    """Cold: 10 parses, each writing its source entry.  The warm
+    processes after it parse nothing and write nothing."""
     config = CorpusConfig(count=10)
     subjects = generate_corpus(config)
     root = tmp_path / "cache"
@@ -83,8 +82,8 @@ def test_corpus_run_parses_each_subject_once_cold_and_warm(
             results.append(run_corpus(config, orch, subjects=subjects))
         parsed.append(parses["n"])
         entries.append(_source_entries(root))
-    assert parsed == [10, 10, 0]
-    assert entries == [0, 10, 10]
+    assert parsed == [10, 0, 0]
+    assert entries == [10, 10, 10]
     assert cache.stats.writes == 0
     cold, warm, replay = results
     assert cold.recall == warm.recall == replay.recall == 1.0
@@ -124,15 +123,19 @@ def test_repeat_run_on_a_warm_cache_parses_nothing_until_sites_are_read(
     cache = ArtifactCache(root)
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         cold = orch.run(specs)[0]
-    # A replay in a fresh process parses once and writes the source entry.
-    memo.clear()
-    writes = cache.stats.writes
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        orch.run(specs)[0].program.sites
-    assert cache.stats.writes == writes + 1
+    # The cold run parsed once and wrote the source entry ...
+    assert parses["n"] == 1
     assert _source_entries(root) == 1
 
+    # ... so a replay in a fresh process parses nothing and writes nothing.
+    memo.clear()
     parses["n"] = 0
+    writes = cache.stats.writes
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        assert orch.run(specs)[0].program.sites
+    assert parses["n"] == 0
+    assert cache.stats.writes == writes
+
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         warm = orch.run(specs)[0]
     assert parses["n"] == 0
@@ -154,22 +157,31 @@ def test_a_memo_hit_without_an_entry_parses_for_its_sites_and_saves_them(
     specs = subject_specs([get_subject("C8")])
     root = tmp_path / "cache"
     cache = ArtifactCache(root)
-    # A memo hit whose synthesis misses parses for its sites and writes
-    # no source entry: a cold run writes nothing beyond its reports.
+    # A memo hit whose synthesis misses parses once, for its inline
+    # unit's table; reading its sites finds no source entry, takes the
+    # site map from that table and writes the entry.
     ProgramSource.of(specs[0].source)
+    parses["n"] = 0
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         cold = orch.run(specs)[0]
-    assert not cold.synthesis_cached
-    assert cold.program.sites
+    assert not cold.synthesis_cached and parses["n"] == 1
     assert not (root / "source").exists()
+    writes = cache.stats.writes
+    sites = cold.program.sites
+    assert parses["n"] == 1
+    assert cache.stats.writes == writes + 1
+    assert _source_entries(root) == 1
 
-    # One whose synthesis hits writes the entry when it parses ...
+    # One whose synthesis hits parses for its sites and writes the
+    # entry when the entry is gone ...
+    (entry,) = (root / "source").glob("*.json")
+    entry.unlink()
     parses["n"] = 0
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         warm = orch.run(specs)[0]
     assert warm.synthesis_cached and parses["n"] == 0
     writes = cache.stats.writes
-    sites = warm.program.sites
+    assert warm.program.sites == sites
     assert parses["n"] == 1
     assert cache.stats.writes == writes + 1
     assert _source_entries(root) == 1
@@ -194,7 +206,11 @@ def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         outcomes = orch.run(_c2_specs())
     assert parses["n"] == 0
+    # The site map comes from the cold run's source entry; the table,
+    # which nothing cached, is parsed once for both specs.
     assert outcomes[0].program.sites is outcomes[1].program.sites
+    assert parses["n"] == 0
+    assert outcomes[0].program.table is outcomes[1].program.table
     assert parses["n"] == 1
 
 
@@ -252,25 +268,29 @@ def test_an_all_hit_run_writes_nothing(tmp_path, memo):
     assert sorted(root.rglob("*")) == before
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["memo", "memo+entries"])
+@pytest.mark.parametrize(
+    "cached", [False, True, "empty"], ids=["memo", "memo+entries", "memo+writes"]
+)
 def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
     monkeypatch, tmp_path, memo, cached
 ):
     # Daemon connection threads look sources up concurrently; a lost
     # update would overgrow the memo, raise from a key evicted under
     # another thread, pair a source with another's digest or site map,
-    # or drop a cache hit from the counts.
+    # or drop a cache hit from the counts.  On an empty root each
+    # thread that parses writes the source's entry.
     monkeypatch.setattr(orch_mod, "SOURCE_MEMO_SIZE", 3)
     sources = [s.source for s in generate_corpus(CorpusConfig(count=6))]
     expected = {s: orch_mod.table_digest(load(s)) for s in sources}
     sites = {s: load(s).site_methods() for s in sources}
     cache = None
-    if cached:
+    if cached == "empty":
         cache = ArtifactCache(tmp_path / "cache")
+    elif cached:
         for source in sources:
-            ProgramSource.of(source).save(cache)
+            ProgramSource.of(source, ArtifactCache(tmp_path / "cache"))
         memo.clear()
-        cache.stats.writes = 0
+        cache = ArtifactCache(tmp_path / "cache")
     errors, sizes = [], []
 
     def lookups(offset):
@@ -300,7 +320,18 @@ def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
     assert errors == []
     assert len(sizes) == 8 * 24
     assert max(sizes) <= 3
-    if cached:
+    if cached == "empty":
+        # Every entry holds its own source's digest and site map.
+        reader = ArtifactCache(tmp_path / "cache")
+        for source in sources:
+            assert orch_mod._read_source(reader, orch_mod._text_key(source)) == (
+                expected[source],
+                tuple(load(source).class_names()),
+                sites[source],
+            )
+        assert reader.stats.hits == len(sources)
+        assert len(list((tmp_path / "cache" / "source").iterdir())) == 6
+    elif cached:
         # Each lookup reads its entry once: a memo miss for its digest,
         # a memo hit for its sites.
         assert cache.stats.hits == len(sizes)
@@ -329,13 +360,11 @@ def test_a_bad_source_entry_is_quarantined_and_the_source_parsed(
 ):
     specs = subject_specs([get_subject("C8")])
     root = tmp_path / "cache"
-    digests = []
-    for _ in range(2):  # cold, then the replay that writes the entry
-        memo.clear()
-        with PipelineOrchestrator(
-            jobs=1, cache=ArtifactCache(root), config=CONFIG
-        ) as orch:
-            digests.append(orch.run(specs)[0].digest())
+    # The cold run writes the source entry.
+    with PipelineOrchestrator(
+        jobs=1, cache=ArtifactCache(root), config=CONFIG
+    ) as orch:
+        cold = orch.run(specs)[0].digest()
     (path,) = (root / "source").glob("*.json")
     _bad_entry(kind, path)
 
@@ -349,14 +378,14 @@ def test_a_bad_source_entry_is_quarantined_and_the_source_parsed(
     assert orch.fault_ledger.quarantined == 1
     assert len(list((root / "quarantine" / "source").glob("*.json"))) == 1
     assert outcome.synthesis_cached and outcome.detection_cached
-    assert outcome.digest() == digests[0] == digests[1]
+    assert outcome.digest() == cold
     # The parse wrote a good entry back, and the next process reads it.
     memo.clear()
     parses["n"] = 0
     with PipelineOrchestrator(
         jobs=1, cache=ArtifactCache(root), config=CONFIG
     ) as orch:
-        assert orch.run(specs)[0].digest() == digests[0]
+        assert orch.run(specs)[0].digest() == cold
     assert parses["n"] == 0
 
 

@@ -4,10 +4,12 @@ A ``synthesis`` entry holds the shared-object tables of its tests.  A
 ``detection`` entry holds none: every fuzz report names its test, and
 decoding binds the name to the synthesis report's own test objects.
 Both entries store their report digests, so a warm replay digests
-nothing.  They are the only entries a pipeline run writes.
+nothing.  Beside them, a run writes only the ``source`` entry of a
+source it parsed.
 """
 
 import json
+from collections import OrderedDict
 
 import pytest
 
@@ -120,11 +122,18 @@ def _count_puts(monkeypatch):
 
 
 def test_cold_run_writes_each_entry_once(tmp_path, monkeypatch):
+    # An empty source memo, so the run parses C8 as a fresh process does.
+    monkeypatch.setattr(orchestrator_module, "_SOURCE_MEMO", OrderedDict())
     writes = _count_puts(monkeypatch)
     _run(ArtifactCache(tmp_path))
-    assert sorted(stage for stage, _ in writes) == ["detection", "synthesis"]
+    assert sorted(stage for stage, _ in writes) == [
+        "detection",
+        "source",
+        "synthesis",
+    ]
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "detection",
+        "source",
         "synthesis",
     ]
 

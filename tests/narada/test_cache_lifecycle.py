@@ -4,6 +4,8 @@ quarantine GC, ENOSPC resilience, and the `repro cache` CLI."""
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 from repro.cli import main as cli_main
@@ -198,6 +200,38 @@ class TestTwoProcessRoot:
         assert 0 < cache.total_bytes() <= _SHARED_BUDGET
         for path in (tmp_path / "detection").glob("*.json"):
             assert cache.get("detection", path.stem) is not None
+
+
+class TestThreadedWrites:
+    def test_concurrent_puts_publish_each_entry_under_its_own_key(
+        self, tmp_path
+    ):
+        """A daemon's request threads write beside its run: no two
+        threads may share a temp file, or one key would be published
+        with another's content."""
+        cache = ArtifactCache(tmp_path)
+        keys = [[f"{t}{i:03d}" + "c" * 60 for i in range(40)] for t in range(8)]
+
+        def puts(mine):
+            for key in mine:
+                cache.put("source", key, {"key": key, "pad": "x" * 200})
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=puts, args=(k,)) for k in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats.writes == 8 * 40
+        assert not list(tmp_path.rglob(".tmp-*"))
+        for mine in keys:
+            for key in mine:
+                assert cache.get("source", key)["key"] == key
 
 
 class TestQuarantineGC:

@@ -328,7 +328,7 @@ class TestRequestHandling:
                         }
                     )
                     assert response["ok"]
-        allowed = {"synthesis", "detection", "quarantine"}
+        allowed = {"source", "synthesis", "detection", "quarantine"}
         assert {path.name for path in root.iterdir()} <= allowed
         assert cache.stats.evictions > 0
 
@@ -374,22 +374,28 @@ class TestRequestHandling:
         assert parses == [1, 0, 0]
         assert digests[0] == digests[1] == digests[2]
 
-    def test_a_new_source_writes_no_source_entry(self, daemon, monkeypatch):
+    def test_a_new_source_writes_one_source_entry(self, daemon, monkeypatch):
+        """The request parses the new source and writes its entry at
+        once; a repeat parses nothing and writes nothing."""
         monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
         subject = generate_corpus(CorpusConfig(count=1))[0]
         with _client(daemon) as client:
             response = client.request(_source_request(subject))
-        assert response["ok"]
+            writes = daemon.cache.stats.writes
+            repeat = client.request(_source_request(subject))
+        assert response["ok"] and repeat["ok"]
         entry = response["subjects"][subject.class_name]
         assert not entry["synthesis_cached"]
-        assert not (daemon.cache.root / "source").exists()
+        assert len(list((daemon.cache.root / "source").iterdir())) == 1
+        assert repeat["subjects"][subject.class_name]["detection_cached"]
+        assert daemon.cache.stats.writes == writes
 
     def test_fresh_daemon_replays_a_filled_root_with_no_parse(
         self, tmp_path, monkeypatch
     ):
-        """Two earlier processes fill the root: a cold run writes the
-        reports and a replay the ``source`` entries.  A restarted daemon
-        then validates and replays every request from the cache alone."""
+        """One earlier process fills the root: a cold run writes the
+        reports and the ``source`` entries.  A restarted daemon then
+        validates and replays every request from the cache alone."""
         root = tmp_path / "cache"
         subjects = generate_corpus(CorpusConfig(count=3))
         specs = [
@@ -397,12 +403,11 @@ class TestRequestHandling:
             for s in subjects
         ]
         config = PipelineConfig(random_runs=RUNS)
-        for _ in range(2):
-            monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
-            with PipelineOrchestrator(
-                jobs=1, cache=ArtifactCache(root), config=config
-            ) as orch:
-                digests = [outcome.digest() for outcome in orch.run(specs)]
+        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(root), config=config
+        ) as orch:
+            digests = [outcome.digest() for outcome in orch.run(specs)]
         assert len(list((root / "source").iterdir())) == 3
 
         monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())

@@ -26,7 +26,6 @@ from repro.context import plan as plan_module
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.corpus.runner import corpus_specs
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
-from repro.narada import cache as cache_module
 from repro.narada import serial
 from repro.narada.cache import EntryDecodeError, stage_key
 from repro.narada.orchestrator import subject_specs
@@ -70,7 +69,7 @@ def deferred_decodes(monkeypatch):
     monkeypatch.setattr(
         serial.Codec, "_decode_plan", counting("plans", serial.Codec._decode_plan)
     )
-    for module in (serial, cache_module):
+    for module in (serial, orch_mod):
         monkeypatch.setattr(
             module, "parse_body", counting("body_parses", serial.parse_body)
         )

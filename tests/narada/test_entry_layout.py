@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
-from repro.narada import cache as cache_module
 from repro.narada import serial
 from repro.narada.orchestrator import subject_specs
 from repro.subjects import get_subject
@@ -167,16 +166,16 @@ def test_a_pool_worker_is_sent_the_merged_payload(filled, tmp_path, monkeypatch)
     _only(root, "detection").unlink()
     merged = _payload(_only(root, "synthesis"))
     sent = []
-    real_reduce = cache_module.Entry.__reduce__
+    real_run_units = PipelineOrchestrator._run_units
 
-    def recording_reduce(self):
-        reduced = real_reduce(self)
-        sent.append(reduced[1][0])
-        return reduced
+    def recording_run_units(self, units, *args):
+        sent.extend(unit.args[3] for unit in units)
+        return real_run_units(self, units, *args)
 
-    monkeypatch.setattr(cache_module.Entry, "__reduce__", recording_reduce)
+    monkeypatch.setattr(PipelineOrchestrator, "_run_units", recording_run_units)
     outcome, orch = _run(ArtifactCache(root), jobs=2)
     assert outcome.synthesis_cached and not outcome.detection_cached
     assert orch.fault_ledger.failures == []
     assert outcome.digest() == clean.digest()
     assert sent == [merged]
+    assert type(sent[0]) is dict

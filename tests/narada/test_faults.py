@@ -273,6 +273,34 @@ class TestCacheQuarantine:
             "no_such_test"
         )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_synthesis_hit_with_an_undecodable_detection_refuzzes(
+        self, tmp_path, clean_digest, jobs
+    ):
+        """A detection entry that names a test its cached synthesis
+        lacks is quarantined; the synthesis still replays, decoded
+        whole, and its tests fuzz."""
+        spec = _spec()
+        with PipelineOrchestrator(
+            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
+        ) as orch:
+            orch.run([spec])
+        (path,) = (tmp_path / "detection").glob("*.json")
+        entry = json.loads(path.read_text())
+        entry["fuzz_reports"][0]["test"] = "no_such_test"
+        path.write_text(json.dumps(entry))
+        cache = ArtifactCache(tmp_path)
+        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+            outcome = orch.run([spec])[0]
+            assert orch.fault_ledger.failures == []
+        assert outcome.digest() == clean_digest
+        assert outcome.synthesis_cached and not outcome.detection_cached
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
+        assert json.loads(path.read_text())["fuzz_reports"][0]["test"] != (
+            "no_such_test"
+        )
+
     def test_injected_torn_writes_quarantine_then_recompute(
         self, tmp_path, clean_digest
     ):
@@ -587,7 +615,13 @@ class TestRerunResumes:
             child.wait()
         assert len(list((root / "synthesis").glob("*.json"))) == 1
         assert len(list((root / "detection").glob("*.json"))) == 1
-        assert sorted(p.name for p in root.iterdir()) == ["detection", "synthesis"]
+        # The child parsed both sources and wrote their entries at once.
+        assert len(list((root / "source").glob("*.json"))) == 2
+        assert sorted(p.name for p in root.iterdir()) == [
+            "detection",
+            "source",
+            "synthesis",
+        ]
 
         real = RaceFuzzer.fuzz
         fuzzed = []
