@@ -46,24 +46,19 @@ def corpus_specs(subjects: list[GeneratedSubject]) -> list[SubjectSpec]:
     ]
 
 
-def race_keys_of(records, sites: dict[int, str]) -> set[RaceKey]:
-    """Map detected race records to oracle-comparable keys.
+def race_keys_of(static_keys, sites: dict[int, str]) -> set[RaceKey]:
+    """Map detected races, by their static keys ``(class, field, site
+    pair)`` (``RaceSet.static_keys()``), to oracle-comparable keys.
 
     A site outside any method body (a client-level access in a test
-    body) maps to ``<client>`` — never an oracle key, so such a record
+    body) maps to ``<client>`` — never an oracle key, so such a race
     counts against precision instead of silently disappearing.
     """
     keys: set[RaceKey] = set()
-    for record in records:
-        methods = tuple(
-            sorted(
-                (
-                    sites.get(record.first.node_id, "<client>"),
-                    sites.get(record.second.node_id, "<client>"),
-                )
-            )
-        )
-        keys.add((record.field_name, methods))
+    for _, field_name, (site_a, site_b) in static_keys:
+        first = sites.get(site_a, "<client>")
+        second = sites.get(site_b, "<client>")
+        keys.add((field_name, tuple(sorted((first, second)))))
     return keys
 
 
@@ -139,7 +134,7 @@ def score_outcome(
         if aligned and verdicts[i].pruned:
             score.pruned_pairs.add(pair_key)
     for fuzz in outcome.detection.fuzz_reports:
-        score.detected |= race_keys_of(fuzz.detected, sites)
+        score.detected |= race_keys_of(fuzz.detected.static_keys(), sites)
         if fuzz.deadlocks:
             score.deadlock_observed = True
     return score

@@ -29,11 +29,13 @@ A pipeline run writes three stages:
   parse, so a cold run writes one per new source and a replay in a
   fresh process parses nothing.
 
-A ``synthesis`` entry is two canonical JSON documents on two lines, a
-head and a body (:func:`repro.narada.serial.split_synthesis`); the
-head records the body's byte length and sha256 under ``body``, and
+A ``synthesis`` or ``detection`` entry is two canonical JSON documents
+on two lines, a head and a body
+(:func:`repro.narada.serial.split_synthesis`,
+:func:`repro.narada.serial.split_detection`); the head records the
+body's byte length and sha256 under ``body``, and
 :meth:`ArtifactCache.get` parses the head only, checking the body
-against both.  Other entries are one document on one line.
+against both.  A ``source`` entry is one document on one line.
 
 An entry in the older
 ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
@@ -222,6 +224,9 @@ class ArtifactCache:
         self.max_bytes = max_bytes
         self.quarantine_max_entries = max(0, quarantine_max_entries)
         self.quarantine_max_age_s = max(0.0, quarantine_max_age_s)
+        #: ``root`` as a ``str``: entry paths are built as strings, which
+        #: costs a fraction of a ``Path`` join on every ``get`` and ``put``.
+        self._dir = os.fspath(self.root)
         #: Temp-file numbers; a temp name also carries the pid and the
         #: writing thread, since a daemon's request threads write too.
         self._tmp_ids = itertools.count(1)
@@ -231,8 +236,8 @@ class ArtifactCache:
         #: Serializes the estimate and ``evict`` across those threads.
         self._budget_lock = threading.Lock()
 
-    def _path(self, stage: str, key: str) -> pathlib.Path:
-        return self.root / stage / f"{key}.json"
+    def _path(self, stage: str, key: str) -> str:
+        return f"{self._dir}{os.sep}{stage}{os.sep}{key}.json"
 
     # ------------------------------------------------------------------
     # Entry enumeration (live entries only; quarantine lives outside
@@ -295,7 +300,7 @@ class ArtifactCache:
             # Quarantine is best-effort; fall back to plain eviction so
             # a poisoned entry can never be served again.
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 return
         self.stats.evictions += 1
@@ -343,7 +348,10 @@ class ArtifactCache:
         """Load an entry; unreadable/corrupt/stale entries are misses."""
         path = self._path(stage, key)
         try:
-            text = path.read_text()
+            # Unbuffered: ``read`` sizes one bytes object by the file's
+            # size, and no 8 KB read buffer is allocated for each entry.
+            with open(path, "rb", buffering=0) as file:
+                text = file.read().decode()
         except OSError:
             self.stats.misses += 1
             return None
@@ -409,40 +417,44 @@ class ArtifactCache:
         that computed the artifact, only skip memoizing it.
         """
         path = self._path(stage, key)
-        tmp = path.parent / (
-            f".tmp-{os.getpid()}-{threading.get_ident()}-{next(self._tmp_ids)}"
+        directory = os.path.dirname(path)
+        tmp = (
+            f"{directory}{os.sep}.tmp-{os.getpid()}-{threading.get_ident()}-"
+            f"{next(self._tmp_ids)}"
         )
         if body is None:
-            text = canonical_json(data)
+            encoded = canonical_json(data).encode()
         else:
-            tail = canonical_json(body)
-            encoded = tail.encode()
+            tail = canonical_json(body).encode()
             framing = {
-                "length": len(encoded),
-                "sha256": hashlib.sha256(encoded).hexdigest(),
+                "length": len(tail),
+                "sha256": hashlib.sha256(tail).hexdigest(),
             }
-            text = f"{canonical_json({**data, 'body': framing})}\n{tail}"
+            head = canonical_json({**data, "body": framing}).encode()
+            encoded = b"%s\n%s" % (head, tail)
         try:
             injector = self.fault_injector
             if injector is not None and injector.enospc_write(key):
                 raise OSError(errno.ENOSPC, "injected: no space left on device")
             try:
-                tmp.write_text(text)
+                file = open(tmp, "wb")
             except FileNotFoundError:
                 # First entry of its stage: make the directory once.
-                tmp.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text)
+                os.makedirs(directory, exist_ok=True)
+                file = open(tmp, "wb")
+            with file:
+                file.write(encoded)
             os.replace(tmp, path)
         except OSError:
             self.stats.write_errors += 1
             try:
-                tmp.unlink()
+                os.unlink(tmp)
             except OSError:
                 pass
             return False
         except BaseException:
             try:
-                tmp.unlink()
+                os.unlink(tmp)
             except OSError:
                 pass
             raise
@@ -451,14 +463,14 @@ class ArtifactCache:
         if injector is not None and injector.corrupt_write(key):
             # Test-only torn-write simulation: shear the published entry
             # so the next read exercises the quarantine path.
-            text = path.read_text()
-            path.write_text(text[: max(1, len(text) // 3)])
+            with open(path, "wb") as file:
+                file.write(encoded[: max(1, len(encoded) // 3)])
         if self.max_bytes is not None:
             with self._budget_lock:
                 if self._approx_bytes is None:
                     self._approx_bytes = self.total_bytes()
                 else:
-                    self._approx_bytes += len(text)
+                    self._approx_bytes += len(encoded)
                 over = self._approx_bytes > self.max_bytes
             if over:
                 self.evict(self.max_bytes)

@@ -90,6 +90,7 @@ from repro.narada.serial import (
     merge_parts,
     parse_body,
     report_digest,
+    split_detection,
     split_synthesis,
 )
 
@@ -195,6 +196,12 @@ class ProgramSource:
             _entry_key(key),
             encode_source(self.digest, self.class_names, self.sites),
         )
+
+
+def _whole(entry) -> dict:
+    """The payload of a two-part cache entry: its head and body merged
+    into one plain dict, which a pool worker can be sent."""
+    return merge_parts(dict(entry), parse_body(entry.text))
 
 
 def _text_key(text: str) -> bytes:
@@ -374,9 +381,9 @@ def _subject_unit(
     ``detect``, RaceFuzzer on every budgeted test.
 
     Returns ``(synthesis, detection or None, failures, replay error)``.
-    ``detection_entry`` is the subject's cached detection, read when
-    its synthesis missed: it replays when it decodes against the tests
-    synthesized here, and then nothing is fuzzed; otherwise the replay
+    ``detection_entry`` is the subject's cached detection payload, read
+    when its synthesis missed: it replays when it decodes against the
+    tests synthesized here, and then nothing is fuzzed; otherwise the replay
     error is the decode failure's repr and the tests are fuzzed.  Seed
     analysis and the lockset facts are recomputed here rather than
     cached.  A test whose fuzz raises becomes a ``(test name, error
@@ -549,7 +556,7 @@ class PipelineOrchestrator:
         """
         try:
             if whole:
-                payload = merge_parts(dict(entry), parse_body(entry.text))
+                payload = _whole(entry)
                 return payload, decode_synthesis(payload)
             return entry, decode_synthesis(
                 entry, entry.text, self.cache.rejecter("synthesis", key)
@@ -560,13 +567,14 @@ class PipelineOrchestrator:
 
     def _put_report(self, stage: str, key: str, data: dict) -> str:
         """Publish a synthesis or detection payload stamped with its
-        report digest, which a later hit hands back; the digest.  A
-        synthesis entry is a head and a body, of which a hit parses
-        the head alone."""
+        report digest, which a later hit hands back; the digest.  The
+        entry is a head and a body, of which a hit parses the head
+        alone."""
         digest = report_digest(data)
-        body = None
         if stage == "synthesis":
             data, body = split_synthesis(data)
+        else:
+            data, body = split_detection(data)
         self.cache.put(stage, key, {**data, "digest": digest}, body)
         return digest
 
@@ -617,11 +625,13 @@ class PipelineOrchestrator:
         tests will fuzz, the synthesis entry's head and body are merged
         and decoded whole, once, before its unit is built, so that a bad
         entry is still quarantined and its synthesis recomputed; a pool
-        worker is sent that merged payload.  A detection decodes against
-        its synthesis's tests, so when the synthesis misses, the unit
-        receives the raw detection entry and replays it once it has
-        synthesized; the entry is quarantined, and the tests fuzzed, only
-        when it fails to decode.  A unit runs whatever the subject still
+        worker is sent that merged payload.  A detection hit decodes its
+        head against the synthesis's tests, and each fuzz report's race
+        records wait in the entry's body until first read.  When the
+        synthesis misses, the unit receives the detection entry's head
+        and body merged and replays it once it has synthesized; the
+        entry is quarantined, and the tests fuzzed, only when it fails
+        to decode.  A unit runs whatever the subject still
         lacks, and its reply publishes the synthesis it computed and a
         detection that every budgeted test completed.  A partial
         detection is never cached, so a later clean run recomputes it.
@@ -633,7 +643,7 @@ class PipelineOrchestrator:
         config_dict = self.config.to_dict()
         units: list[PoolUnit] = []
         # Unit key -> (spec index, synthesis key, detection key or None,
-        # the raw detection entry the unit replays or None).
+        # the merged detection payload the unit replays or None).
         slots: dict[str, tuple[int, str, str | None, dict | None]] = {}
         # A spec whose key an earlier spec already has (one subject
         # named twice) gets that spec's outcome instead of its own unit.
@@ -671,7 +681,10 @@ class PipelineOrchestrator:
             if hit is not None and detection_entry is not None:
                 try:
                     outcome.detection = decode_detection(
-                        detection_entry, hit[1].tests
+                        detection_entry,
+                        hit[1].tests,
+                        detection_entry.text,
+                        self.cache.rejecter("detection", detect_key),
                     )
                 except Exception as error:  # noqa: BLE001 — quarantined here
                     self.cache.reject(
@@ -689,6 +702,16 @@ class PipelineOrchestrator:
                 outcome._synthesis_digest = payload.get("digest")
                 if not detect or outcome.detection_cached:
                     continue
+            if detection_entry is not None:
+                # The unit replays the entry against the tests it
+                # synthesizes, which read every record: merge it now.
+                try:
+                    detection_entry = _whole(detection_entry)
+                except Exception as error:  # noqa: BLE001 — quarantined here
+                    self.cache.reject(
+                        "detection", detect_key, f"decode failure: {error!r}"
+                    )
+                    detection_entry = None
             unit = PoolUnit(
                 key=key,
                 stage="synthesis" if outcome.synthesis is None else "fuzz",
@@ -703,7 +726,7 @@ class PipelineOrchestrator:
                     config_dict,
                     payload,
                     detect,
-                    None if detection_entry is None else dict(detection_entry),
+                    detection_entry,
                 )
             slots[key] = (i, synth_key, detect_key, detection_entry)
             units.append(unit)

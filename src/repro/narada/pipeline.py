@@ -70,9 +70,11 @@ class SynthesisReport:
 class DetectionReport:
     """Table-5 shaped output for one analyzed class.
 
-    The merged per-race view backing every aggregate property is
-    memoized: building it walks every record of every fuzz report, and
-    the table/CLI layers read several properties back to back.  Add fuzz
+    :attr:`detected` and :attr:`reproduced` count static keys, which a
+    replayed report holds without decoding a race record.  The merged
+    per-race view backing the other aggregate properties is memoized:
+    building it walks every record of every fuzz report, and the
+    table/CLI layers read several properties back to back.  Add fuzz
     reports through :meth:`add` (or call :meth:`invalidate` after
     mutating :attr:`fuzz_reports` directly) so the memo is dropped at
     the mutation point rather than silently serving stale counts.
@@ -111,13 +113,26 @@ class DetectionReport:
         self._union_memo = merged
         return merged
 
+    def _union_keys(self) -> tuple[set[tuple], set[tuple]]:
+        """``(detected, reproduced)`` static keys over every fuzz report,
+        as :meth:`_union_records` counts them: a race is reproduced when
+        a report that detected it reproduced it.  Read from the race
+        sets' keys, so a replayed report decodes no record for them."""
+        detected: set[tuple] = set()
+        reproduced: set[tuple] = set()
+        for report in self.fuzz_reports:
+            keys = report.detected.static_keys()
+            detected |= keys
+            reproduced |= keys & report.reproduced
+        return detected, reproduced
+
     @property
     def detected(self) -> int:
-        return len(self._union_records())
+        return len(self._union_keys()[0])
 
     @property
     def reproduced(self) -> int:
-        return sum(1 for _, repro, _ in self._union_records().values() if repro)
+        return len(self._union_keys()[1])
 
     @property
     def harmful(self) -> int:

@@ -40,24 +40,34 @@ written, so a cache hit never encodes a report again just to digest it.
 A ``source`` entry (:func:`encode_source`) carries no report: it is
 what a replay needs of one source text instead of parsing it.
 
-A synthesis cache entry is two JSON documents, one line each
-(:func:`split_synthesis`): a **head** holding what a replay reads, and a
-**body** holding the rest; :func:`merge_parts` puts them back together
-into the payload.  A replayed synthesis report parses and decodes only
-the head: the top-level id lists, each checked to be in range; the
-pairs, with each side's summary header; the verdicts; and the tests, as
-name plus covered pairs.  The plans, the slots, the summary bodies
-(``accesses``, ``writeables``, ``access_projection``, ``summaries``)
-and the pair sides' ``access`` records are in the body, which is parsed
-only when one of them is first read (:func:`_pending`).  Then all of
-them decode at once, through the same index memo, so shared objects
-keep their identity.  Until then the report holds the entry's text.  It
-holds no parsed table: a ``str`` is one object the garbage collector
-never scans, while the parsed tables of one stock corpus entry are a
-median 458 dicts and lists (about 12,000 for a wave of 25) that every
-collection would walk while they lived.  The deferred part reaches the
-objects it completes through weak references, so a replayed report is
-no reference cycle and dies with its last reader.
+Synthesis and detection cache entries are two JSON documents, one
+line each (:func:`split_synthesis`, :func:`split_detection`): a
+**head** holding what a replay reads, and a **body** holding the rest;
+:func:`merge_parts` puts them back together into the payload.  A
+replayed report parses and decodes only the head, and the body is
+parsed only when a field it holds is first read (:func:`_pending`).
+Until then the report holds the entry's text.
+
+* A synthesis head holds the top-level id lists, each checked to be in
+  range; the pairs, with each side's summary header; the verdicts; and
+  the tests, as name plus covered pairs.  The plans, the slots, the
+  summary bodies (``accesses``, ``writeables``, ``access_projection``,
+  ``summaries``) and the pair sides' ``access`` records are in the
+  body.  They all decode at once, through the same index memo, so
+  shared objects keep their identity.
+* A detection head holds every field of each fuzz report but its race
+  records, and in their place the records' sorted static keys.  A
+  replayed race set holds those keys (``static_keys()``, which scoring
+  and the report's ``detected``/``reproduced`` counts read) and decodes
+  its records, checked against the keys, on first read.
+
+A replay holds no parsed table: a ``str`` is one object the garbage
+collector never scans, while the parsed tables of one stock corpus
+synthesis entry are a median 458 dicts and lists (about 12,000 for a
+wave of 25) that every collection would walk while they lived.  The
+deferred part reaches the objects it completes through weak
+references, so a replayed report is no reference cycle and dies with
+its last reader.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ from repro.context.plan import (
     TestPlan,
 )
 from repro.detect.report import AccessInfo, RaceRecord, RaceSet
+from repro.fuzz import FuzzReport
 from repro.narada.pipeline import DetectionReport, SynthesisReport
 from repro.pairs.generator import PairSide, RacyPair
 from repro.runtime.values import ObjRef, Value
@@ -85,7 +96,7 @@ from repro.synth.synthesizer import SynthesizedTest
 
 #: Bump when the encoding changes shape; cache keys include it so stale
 #: artifacts from older encodings are never decoded.
-SERIAL_VERSION = 8
+SERIAL_VERSION = 9
 
 #: Top-level keys that legitimately differ between identical runs (wall
 #: clock); stripped before hashing for determinism comparisons.
@@ -297,9 +308,10 @@ _PendingSummary = _pending(
 _PendingSide = _pending(PairSide, "access")
 _PendingTest = _pending(SynthesizedTest, "plan")
 _PendingReport = _pending(SynthesisReport, "plans")
+_PendingRaceSet = _pending(RaceSet, "races")
 
 
-def _partial(cls: type, deferred: "_DeferredPart", fields: dict):
+def _partial(cls: type, deferred: "_Deferred", fields: dict):
     """A ``cls`` instance (a :func:`_pending` class) holding ``fields``
     and waiting on ``deferred`` for the rest."""
     obj = cls.__new__(cls)
@@ -603,16 +615,15 @@ class Codec:
         )
 
 
-class _DeferredPart:
-    """The part of one replayed synthesis report decoded on first read.
+class _Deferred:
+    """What one replayed report decodes from its entry's body on the
+    first read of a deferred field.
 
     It holds the two-part entry's text and weak references to the
-    objects decoded from its head: the report, its pairs and their
-    sides, and the summaries and tests that wait on this part.
-    :meth:`load` parses the body and decodes, against an index memo
-    seeded with those objects, every summary body, every side's access,
-    every test's plan and the report's plans.  A load that fails is
-    handed to ``on_failure``, whose exception every read then raises;
+    stand-ins (:func:`_partial` objects) that wait on it.  :meth:`load`
+    parses the body, decodes what the stand-ins still alive lack
+    (:meth:`_decode`) and settles them all at once.  A load that fails
+    is handed to ``on_failure``, whose exception every read then raises;
     without one the decode error itself propagates.
     """
 
@@ -622,7 +633,40 @@ class _DeferredPart:
         self.text = text
         self.on_failure = on_failure
         self.failure: Exception | None = None
-        self.refs: tuple = ()
+        self.refs: tuple | list = []
+
+    def _decode(self, body: dict) -> list[tuple[object, dict]]:
+        """``(stand-in, its deferred fields)`` for each live stand-in."""
+        raise NotImplementedError
+
+    def load(self) -> None:
+        if self.failure is not None:
+            raise self.failure
+        try:
+            settled = self._decode(parse_body(self.text))
+        except Exception as error:
+            if self.on_failure is None:
+                raise
+            self.failure = self.on_failure(error)
+            self.text = None
+            raise self.failure from error
+        for obj, fields in settled:
+            _settle(obj, fields)
+        self.text = None
+        self.refs = ()
+
+
+class _DeferredPart(_Deferred):
+    """The part of one replayed synthesis report decoded on first read.
+
+    Its references reach the objects decoded from the head: the report,
+    its pairs and their sides, and the summaries and tests that wait on
+    this part.  A load decodes, against an index memo seeded with those
+    objects, every summary body, every side's access, every test's plan
+    and the report's plans.
+    """
+
+    __slots__ = ()
 
     def hold(self, codec: Codec, report) -> None:
         """Remember what ``codec`` decoded eagerly for ``report``."""
@@ -638,64 +682,75 @@ class _DeferredPart:
             },
         )
 
-    def load(self) -> None:
-        if self.failure is not None:
-            raise self.failure
-        try:
-            text = self.text
-            body = parse_body(text)
-            tables = body["tables"]
-            codec = Codec.reading(tables)
-            report_ref, refs, side_refs = self.refs
-            whole = True
-            for table, memo in refs.items():
-                for index, ref in memo.items():
-                    obj = ref()
-                    if obj is None:
-                        whole = False
-                    else:
-                        codec._decoded[table][index] = obj
-            if not whole:
-                # A reader dropped an object the head decoded, so a plan
-                # may decode its row again, which head and body complete.
-                head = _DECODER.raw_decode(text)[0]
-                codec._tables = merge_parts(head, body)["tables"]
-            summaries, pairs, tests = (
-                tables[table] for table in ("summaries", "pairs", "tests")
-            )
-            bodies = [
-                (summary, _decode_summary_body(summaries[index]))
-                for index, summary in codec._decoded["summaries"].items()
-            ]
-            accesses = [
-                (side, {"access": _decode_access(pairs[index][which]["access"])})
-                for index, sides in side_refs.items()
-                for which, ref in zip(("first", "second"), sides)
-                if (side := ref()) is not None
-            ]
-            plans = [
-                (test, codec.plan(tests[index]["plan"]))
-                for index, test in codec._decoded["tests"].items()
-            ]
-            report = report_ref()
-            if report is not None:
-                report_plans = [codec.plan(i) for i in _ids(body, "plans")]
-        except Exception as error:
-            if self.on_failure is None:
-                raise
-            self.failure = self.on_failure(error)
-            self.text = None
-            raise self.failure from error
-        for summary, fields in bodies:
-            _settle(summary, fields)
-        for side, fields in accesses:
-            _settle(side, fields)
-        for test, plan in plans:
-            _settle(test, {"plan": plan})
+    def _decode(self, body: dict) -> list[tuple[object, dict]]:
+        tables = body["tables"]
+        codec = Codec.reading(tables)
+        report_ref, refs, side_refs = self.refs
+        whole = True
+        for table, memo in refs.items():
+            for index, ref in memo.items():
+                obj = ref()
+                if obj is None:
+                    whole = False
+                else:
+                    codec._decoded[table][index] = obj
+        if not whole:
+            # A reader dropped an object the head decoded, so a plan may
+            # decode its row again, which head and body complete.
+            head = _DECODER.raw_decode(self.text)[0]
+            codec._tables = merge_parts(head, body)["tables"]
+        summaries, pairs, tests = (
+            tables[table] for table in ("summaries", "pairs", "tests")
+        )
+        settled: list[tuple[object, dict]] = [
+            (summary, _decode_summary_body(summaries[index]))
+            for index, summary in codec._decoded["summaries"].items()
+        ]
+        settled += [
+            (side, {"access": _decode_access(pairs[index][which]["access"])})
+            for index, sides in side_refs.items()
+            for which, ref in zip(("first", "second"), sides)
+            if (side := ref()) is not None
+        ]
+        settled += [
+            (test, {"plan": codec.plan(tests[index]["plan"])})
+            for index, test in codec._decoded["tests"].items()
+        ]
+        report = report_ref()
         if report is not None:
-            _settle(report, {"plans": report_plans})
-        self.text = None
-        self.refs = ()
+            plans = [codec.plan(i) for i in _ids(body, "plans")]
+            settled.append((report, {"plans": plans}))
+        return settled
+
+
+class _DeferredRaces(_Deferred):
+    """The race records of one replayed detection report.
+
+    Its references reach, per fuzz report in entry order, that report's
+    race set, which holds the static keys the entry's head lists.  A
+    load decodes each live race set's records and checks that their
+    keys are the head's keys.  A replayed race set is read, never added
+    to, before its records are.
+    """
+
+    __slots__ = ()
+
+    def _decode(self, body: dict) -> list[tuple[object, dict]]:
+        reports = body["fuzz_reports"]
+        if len(reports) != len(self.refs):
+            raise ValueError("entry head and body hold different fuzz reports")
+        settled: list[tuple[object, dict]] = []
+        for ref, fuzz in zip(self.refs, reports):
+            race_set = ref()
+            if race_set is None:
+                continue
+            races = fuzz["detected"]["races"]
+            records = [_decode_race(race) for race in races]
+            keys = {record.static_key() for record in records}
+            if len(keys) != len(records) or keys != race_set._seen:
+                raise ValueError("race records disagree with their head keys")
+            settled.append((race_set, {"races": records}))
+        return settled
 
 
 # ----------------------------------------------------------------------
@@ -780,13 +835,28 @@ def _encode_fuzz_report(report) -> dict:
     }
 
 
-def _decode_fuzz_report(data: dict, test: SynthesizedTest):
-    from repro.fuzz import FuzzReport
-
-    race_set = RaceSet(dynamic_count=data["detected"]["dynamic_count"])
-    for race in data["detected"]["races"]:
-        race_set.races.append(_decode_race(race))
-    race_set._seen = {r.static_key() for r in race_set.races}
+def _decode_fuzz_report(
+    data: dict, test: SynthesizedTest, deferred: "_DeferredRaces | None" = None
+):
+    """Decode an encoded fuzz report bound to ``test``.  With
+    ``deferred``, ``data`` is its part of a detection entry's head, and
+    its race set holds the head's static keys and waits on ``deferred``
+    for its records."""
+    detected = data["detected"]
+    if deferred is None:
+        race_set = RaceSet(dynamic_count=detected["dynamic_count"])
+        race_set.races = [_decode_race(race) for race in detected["races"]]
+        race_set._seen = {r.static_key() for r in race_set.races}
+    else:
+        race_set = _partial(
+            _PendingRaceSet,
+            deferred,
+            {
+                "_seen": {_decode_static_key(k) for k in detected["keys"]},
+                "dynamic_count": detected["dynamic_count"],
+            },
+        )
+        deferred.refs.append(weakref.ref(race_set))
     return FuzzReport(
         test=test,
         detected=race_set,
@@ -933,9 +1003,45 @@ def split_synthesis(data: dict) -> tuple[dict, dict]:
     return head, {"plans": data["plans"], "tables": body_tables}
 
 
+def _race_key(race: dict) -> list:
+    """The static key of an encoded race record, encoded: class, field
+    and the sorted node ids of its two sides."""
+    sites = sorted((race["first"]["node_id"], race["second"]["node_id"]))
+    return [race["class_name"], race["field_name"], sites]
+
+
+def split_detection(data: dict) -> tuple[dict, dict]:
+    """``(head, body)`` of a detection payload, two documents whose
+    :func:`merge_parts` is ``data``.
+
+    The head is the payload with each fuzz report's race records
+    replaced by their sorted static keys, under ``keys`` beside
+    ``dynamic_count``.  The body holds the records, per fuzz report in
+    order.
+    """
+    reports, races = [], []
+    for fuzz in data["fuzz_reports"]:
+        detected = fuzz["detected"]
+        keys = sorted(_race_key(race) for race in detected["races"])
+        reports.append(
+            {
+                **fuzz,
+                "detected": {
+                    "dynamic_count": detected["dynamic_count"],
+                    "keys": keys,
+                },
+            }
+        )
+        races.append({"detected": {"races": detected["races"]}})
+    return {**data, "fuzz_reports": reports}, {"fuzz_reports": races}
+
+
 def merge_parts(head, body):
-    """The document whose :func:`split_synthesis` is ``(head, body)``:
-    dicts merge key by key and lists of one length item by item.
+    """The document whose :func:`split_synthesis` or
+    :func:`split_detection` is ``(head, body)``: dicts merge key by key
+    and lists of one length item by item.  Where the body holds race
+    records (``races``), the head's ``keys``, which index them, are
+    dropped.
 
     Raises:
         ValueError: when the two disagree on the shape of a value, or
@@ -943,6 +1049,8 @@ def merge_parts(head, body):
     """
     if type(head) is dict and type(body) is dict:
         merged = dict(head)
+        if "races" in body:
+            merged.pop("keys", None)
         for key, value in body.items():
             merged[key] = merge_parts(head[key], value) if key in head else value
         return merged
@@ -1021,13 +1129,27 @@ def encode_detection(report) -> dict:
     }
 
 
-def decode_detection(data: dict, tests: list[SynthesizedTest]):
+def decode_detection(
+    data: dict,
+    tests: list[SynthesizedTest],
+    text: str | None = None,
+    on_failure=None,
+):
     """Decode a detection payload against its synthesis report's tests.
+
+    ``text``, when given, is the text of a two-part cache entry and
+    ``data`` its parsed head: then each fuzz report's race set holds the
+    static keys the head lists, and its records wait until they are
+    first read (``races``, iteration or ``len``) and decode from the
+    body of ``text``.  ``on_failure`` is as for
+    :func:`decode_synthesis`.  Without ``text``, ``data`` is the whole
+    payload and everything decodes now.
 
     Raises:
         ValueError: when a fuzz report names a test not in ``tests``.
     """
     by_name = {test.name: test for test in tests}
+    deferred = None if text is None else _DeferredRaces(text, on_failure)
     report = DetectionReport(
         class_name=data["class_name"], pruned_tests=data["pruned_tests"]
     )
@@ -1038,7 +1160,7 @@ def decode_detection(data: dict, tests: list[SynthesizedTest]):
                 f"detection entry names test {fuzz['test']!r}, "
                 "which its synthesis does not have"
             )
-        report.add(_decode_fuzz_report(fuzz, test))
+        report.add(_decode_fuzz_report(fuzz, test, deferred))
     return report
 
 

@@ -42,7 +42,7 @@ def _explore(subject):
         # The claim below is only meaningful over the *complete*
         # bounded schedule space.
         assert result.exhausted, f"{test.name}: schedule cap hit"
-        observed |= race_keys_of(result.races, sites)
+        observed |= race_keys_of(result.races.static_keys(), sites)
         deadlocked = deadlocked or bool(result.deadlock_schedules)
     pruned = set()
     assert len(report.verdicts) == len(report.pairs)

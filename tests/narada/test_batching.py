@@ -31,6 +31,7 @@ from repro.narada.faults import (
     RetryPolicy,
 )
 from repro.subjects import get_subject
+from tests.narada.test_faults import crashing_config
 
 SUBJECT = "C8"
 CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
@@ -295,9 +296,7 @@ class TestPipelineDeterminism:
         assert outcome.digest() == serial_digest
 
     def test_batches_with_crashes_stay_identical(self, serial_digest):
-        # One subject is one unit, so the run draws once per attempt:
-        # at 0.8 the first two attempts of C8's unit crash.
-        config = _config(fault_inject="crash:0.8", max_retries=12)
+        config = crashing_config(_spec(), CONFIG)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger

@@ -5,7 +5,7 @@ A ``synthesis`` entry holds the shared-object tables of its tests.  A
 decoding binds the name to the synthesis report's own test objects.
 Both entries store their report digests, so a warm replay digests
 nothing.  Beside them, a run writes only the ``source`` entry of a
-source it parsed.
+source it parsed.  Entries of an older serial version are clean misses.
 """
 
 import json
@@ -225,5 +225,21 @@ def test_version_7_single_document_entries_are_clean_misses(
         )
         _run(ArtifactCache(tmp_path))
     (path,) = (tmp_path / "synthesis").glob("*.json")
+    assert "\n" not in path.read_text()
+    _assert_old_entries_are_clean_misses(tmp_path, clean_digest)
+
+
+def test_version_8_single_document_detection_entries_are_clean_misses(
+    tmp_path, monkeypatch, clean_digest
+):
+    # A version-8 writer kept each detection entry as one document.
+    with monkeypatch.context() as old:
+        old.setattr(serial, "SERIAL_VERSION", 8)
+        old.setattr(cache_module, "SERIAL_VERSION", 8)
+        old.setattr(
+            orchestrator_module, "split_detection", lambda data: (data, None)
+        )
+        _run(ArtifactCache(tmp_path))
+    (path,) = (tmp_path / "detection").glob("*.json")
     assert "\n" not in path.read_text()
     _assert_old_entries_are_clean_misses(tmp_path, clean_digest)

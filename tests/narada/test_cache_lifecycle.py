@@ -4,6 +4,7 @@ quarantine GC, ENOSPC resilience, and the `repro cache` CLI."""
 import json
 import multiprocessing
 import os
+import pathlib
 import sys
 import threading
 import time
@@ -76,7 +77,7 @@ class TestOldLayout:
 
     def _nest(self, cache: ArtifactCache, stage: str, key: str) -> None:
         """Move a flat entry into its old fan-out directory."""
-        flat = cache._path(stage, key)
+        flat = pathlib.Path(cache._path(stage, key))
         nested = flat.parent / key[:2] / flat.name
         nested.parent.mkdir(exist_ok=True)
         os.replace(flat, nested)
@@ -124,7 +125,7 @@ class TestMtimeRecency:
     def test_unbudgeted_hit_leaves_mtime_alone(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         (key,) = _fill(cache, "analysis", 1)
-        path = cache._path("analysis", key)
+        path = pathlib.Path(cache._path("analysis", key))
         old = time.time() - 3600
         os.utime(path, (old, old))
         assert cache.get("analysis", key) is not None
@@ -143,7 +144,7 @@ class TestMtimeRecency:
         data = cache.get("analysis", key)
         assert data is not None and data["i"] == 0
         assert cache.stats.hits == 1
-        assert not cache._path("analysis", key).exists()
+        assert not pathlib.Path(cache._path("analysis", key)).exists()
 
 
 #: Budget of the two-process test: about a tenth of what they write.

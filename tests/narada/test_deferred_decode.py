@@ -1,20 +1,23 @@
-"""A replayed synthesis report parses and decodes only what its readers use.
+"""A replayed report parses and decodes only what its readers use.
 
-A synthesis entry is a head and a body.  A cache hit parses the head
-and decodes the id lists, the pairs with their summaries' headers, the
-verdicts and the tests' names and covered pairs.  The plans, the slots,
-the summary bodies and the pair sides' accesses decode from the body
-when one of them is first read.  These tests check that the hot readers
-(scoring, the daemon's reply) never parse the body, that head and body
-merge back into the encoded report, that a fully read replay equals an
-eager decode object for object, that the replay keeps no parsed table
-alive, and that a deferred decode that fails is quarantined and
-recomputed.
+Synthesis and detection entries are a head and a body.  A synthesis hit
+parses the head and decodes the id lists, the pairs with their
+summaries' headers, the verdicts and the tests' names and covered
+pairs.  The plans, the slots, the summary bodies and the pair sides'
+accesses decode from the body when one of them is first read.  A
+detection hit decodes each fuzz report from the head, its race set
+holding the races' static keys; the race records decode from the body
+when first read.  These tests check that the hot readers (scoring, the
+daemon's reply) never parse a body, that head and body merge back into
+the encoded report, that a fully read replay equals an eager decode
+object for object, that the replay keeps no parsed table alive, and
+that a deferred decode that fails is quarantined and recomputed.
 """
 
 import dataclasses
 import gc
 import json
+import pathlib
 import types
 from collections import OrderedDict
 
@@ -25,6 +28,7 @@ from repro.analysis.model import MethodSummary
 from repro.context import plan as plan_module
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.corpus.runner import corpus_specs
+from repro.detect.report import RaceSet
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import serial
 from repro.narada.cache import EntryDecodeError, stage_key
@@ -48,15 +52,21 @@ def memo(monkeypatch):
 
 
 #: What a hot reader of a replay never does: parse an entry's body,
-#: or decode a plan, a summary body or an access record (of a summary
-#: body or of a pair side).
-NOTHING_DEFERRED = {"body_parses": 0, "plans": 0, "bodies": 0, "accesses": 0}
+#: or decode a plan, a summary body, an access record (of a summary
+#: body or of a pair side) or a race record.
+NOTHING_DEFERRED = {
+    "body_parses": 0,
+    "plans": 0,
+    "bodies": 0,
+    "accesses": 0,
+    "races": 0,
+}
 
 
 @pytest.fixture
 def deferred_decodes(monkeypatch):
-    """Counts of body parses and of plan, summary-body and access
-    decodes from now on."""
+    """Counts of body parses and of plan, summary-body, access and
+    race-record decodes from now on."""
     counts = dict(NOTHING_DEFERRED)
 
     def counting(name, real):
@@ -80,6 +90,9 @@ def deferred_decodes(monkeypatch):
     )
     monkeypatch.setattr(
         serial, "_decode_access", counting("accesses", serial._decode_access)
+    )
+    monkeypatch.setattr(
+        serial, "_decode_race", counting("races", serial._decode_race)
     )
     return counts
 
@@ -110,7 +123,7 @@ def _write_entry(path, payload):
 
 
 # ----------------------------------------------------------------------
-# (a) The hot readers decode no plan and no summary body.
+# (a) The hot readers decode no plan, no summary body and no race record.
 
 
 def test_warm_corpus_replay_decodes_no_plan_and_no_summary_body(
@@ -127,12 +140,14 @@ def test_warm_corpus_replay_decodes_no_plan_and_no_summary_body(
     assert warm.recall == 1.0
     assert [s.detected for s in warm.scores] == [s.detected for s in cold.scores]
     assert deferred_decodes == NOTHING_DEFERRED
-    # The counters do count: reading a replay's plans moves each of them.
-    path = next(
-        p for p in _entries(tmp_path, "synthesis") if _payload(p)["plans"]
+    # The counters do count: reading a replay's plans and race records
+    # moves each of them.
+    outcomes, _ = _run(cache, corpus_specs(subjects))
+    assert all(o.synthesis_cached and o.detection_cached for o in outcomes)
+    assert any(o.synthesis.plans for o in outcomes)
+    assert any(
+        len(fuzz.detected) for o in outcomes for fuzz in o.detection.fuzz_reports
     )
-    entry = ArtifactCache(tmp_path).get("synthesis", path.stem)
-    assert serial.decode_synthesis(entry, entry.text).plans
     assert all(deferred_decodes[name] > 0 for name in NOTHING_DEFERRED)
 
 
@@ -148,6 +163,25 @@ def test_daemon_detect_hit_decodes_no_plan_and_no_summary_body(
     entry = warm["subjects"]["C8"]
     assert entry["synthesis_cached"] and entry["detection_cached"]
     assert entry["digest"] == cold["subjects"]["C8"]["digest"]
+    assert deferred_decodes == NOTHING_DEFERRED
+
+
+def test_daemon_detect_hit_counts_races_from_their_keys(
+    tmp_path, deferred_decodes
+):
+    """A ``detect`` hit's ``detected`` and ``reproduced`` counts come
+    from the head's race keys: they equal the cold reply's, with no race
+    record decoded and no entry body parsed."""
+    request = {"op": "detect", "subjects": ["C8"], "runs": 2}
+    with _serving(tmp_path / "d.sock", ArtifactCache(tmp_path / "cache")) as d:
+        with _client(d) as client:
+            cold = client.request(request)["subjects"]["C8"]
+            deferred_decodes.update(NOTHING_DEFERRED)
+            warm = client.request(request)["subjects"]["C8"]
+    assert warm["detection_cached"] and not cold["detection_cached"]
+    assert cold["detected"] > 0 and cold["reproduced"] > 0
+    counts = ("detected", "reproduced")
+    assert [warm[k] for k in counts] == [cold[k] for k in counts]
     assert deferred_decodes == NOTHING_DEFERRED
 
 
@@ -211,24 +245,39 @@ def _replay_matches_eager(root, outcomes, config):
             digest, "detection", config.detection_config(target)
         )
         entry = cache.get("synthesis", synth_key)
-        payload = _payload(cache._path("synthesis", synth_key))
+        payload = _payload(pathlib.Path(cache._path("synthesis", synth_key)))
         replayed = serial.decode_synthesis(entry, entry.text)
         eager = serial.decode_synthesis(payload)
         assert "_deferred" in replayed.__dict__
         detection = cache.get("detection", detect_key)
-        replayed_detection = serial.decode_detection(detection, replayed.tests)
-        eager_detection = serial.decode_detection(detection, eager.tests)
+        detection_payload = _payload(
+            pathlib.Path(cache._path("detection", detect_key))
+        )
+        replayed_detection = serial.decode_detection(
+            detection, replayed.tests, detection.text
+        )
+        eager_detection = serial.decode_detection(detection_payload, eager.tests)
         assert "_deferred" in replayed.__dict__
         assert replayed.pairs == eager.pairs  # reads every summary body
         assert "_deferred" not in replayed.__dict__
+        race_sets = [fuzz.detected for fuzz in replayed_detection.fuzz_reports]
+        assert all("_deferred" in races.__dict__ for races in race_sets)
+        if race_sets:
+            # Reading one race set's records settles every one of them.
+            assert isinstance(race_sets[0].races, list)
+        assert all(type(races) is RaceSet for races in race_sets)
         _assert_same(
             (replayed, replayed_detection), (eager, eager_detection)
         )
-        stored = {k: v for k, v in payload.items() if k != "digest"}
-        assert serial.canonical_json(
-            serial.encode_synthesis(replayed)
-        ) == serial.canonical_json(stored)
-        assert payload["digest"] == serial.report_digest(stored)
+        for data, report, encode in (
+            (payload, replayed, serial.encode_synthesis),
+            (detection_payload, replayed_detection, serial.encode_detection),
+        ):
+            stored = {k: v for k, v in data.items() if k != "digest"}
+            assert serial.canonical_json(encode(report)) == (
+                serial.canonical_json(stored)
+            )
+            assert data["digest"] == serial.report_digest(stored)
 
 
 def test_fully_read_paper_replays_equal_the_eager_decode(tmp_path):
@@ -357,16 +406,20 @@ def test_replay_holds_its_deferred_part_as_one_string(tmp_path, monkeypatch):
     (warm,), _ = _run(cache, _c8())
     assert warm.synthesis_cached and warm.detection_cached
     (synthesis,) = [e for e in served if e.get("kind") == "synthesis"]
+    (detection,) = [e for e in served if e.get("kind") == "detection"]
     deferred = warm.synthesis.__dict__["_deferred"]
     assert deferred.text is synthesis.text
+    for fuzz in warm.detection.fuzz_reports:
+        assert fuzz.detected.__dict__["_deferred"].text is detection.text
     # `served` keeps every parsed entry alive, so no id below is reused.
     parsed = {id(entry) for entry in served}
     tables = _containers(synthesis["tables"], set())
+    tables |= _containers(detection["fuzz_reports"], set())
     reachable = _reachable(warm)
     assert not parsed & set(reachable)
     assert not tables & set(reachable)
     texts = {id(entry.text) for entry in served} & set(reachable)
-    assert texts == {id(synthesis.text)}
+    assert texts == {id(synthesis.text), id(detection.text)}
 
 
 # ----------------------------------------------------------------------
@@ -458,3 +511,40 @@ def test_a_detection_miss_recomputes_a_corrupt_plan(corrupted, jobs):
     assert replayed.synthesis_cached and replayed.detection_cached
     eager = serial.decode_synthesis(serial.encode_synthesis(clean.synthesis))
     _assert_same(replayed.synthesis.plans, eager.plans)
+
+
+def test_race_records_that_disagree_with_the_head_are_quarantined(tmp_path):
+    """A detection body whose race records are not the ones its head
+    keys: scoring, which reads the keys, still replays the entry, but
+    the first read of the records raises and quarantines it, and the
+    next run fuzzes again."""
+    (clean,), _ = _run(ArtifactCache(tmp_path), _c8())
+    path = _entry(tmp_path, "detection")
+    payload = _payload(path)
+    head, _ = serial.split_detection(payload)
+    record = next(
+        race
+        for fuzz in payload["fuzz_reports"]
+        for race in fuzz["detected"]["races"]
+    )
+    record["first"]["node_id"] = 10**9
+    _, body = serial.split_detection(payload)
+    assert ArtifactCache(tmp_path).put("detection", path.stem, head, body)
+    cache = ArtifactCache(tmp_path)
+    (warm,), orch = _run(cache, _c8())
+    assert warm.synthesis_cached and warm.detection_cached
+    assert _scored(warm) == _scored(clean)
+    assert warm.detection.detected == clean.detection.detected
+    assert cache.stats.quarantined == orch.fault_ledger.quarantined == 0
+    with pytest.raises(EntryDecodeError) as raised:
+        [len(fuzz.detected) for fuzz in warm.detection.fuzz_reports]
+    error = raised.value
+    assert error.stage == "detection" and error.key == path.stem
+    assert isinstance(error.cause, ValueError)
+    assert cache.stats.quarantined == 1
+    assert not path.exists()
+    (reason,) = (tmp_path / "quarantine" / "detection").glob("*.reason.txt")
+    assert "decode failure" in reason.read_text()
+    (again,), _ = _run(ArtifactCache(tmp_path), _c8())
+    assert again.synthesis_cached and not again.detection_cached
+    assert again.digest() == clean.digest()

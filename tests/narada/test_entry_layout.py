@@ -1,11 +1,13 @@
-"""The two-part layout of a synthesis cache entry.
+"""The two-part layout of synthesis and detection cache entries.
 
-A synthesis entry is a head line and a body line.  The head records the
-body's byte length and sha256, and ``ArtifactCache.get`` parses the
-head alone and checks the body against both, so an entry torn or
-garbled anywhere is a quarantined miss at ``get``, never a hit whose
-deferred decode fails later.  A pool worker that fuzzes a cached
-synthesis is sent head and body merged.
+A synthesis or detection entry is a head line and a body line.  The
+head records the body's byte length and sha256, and
+``ArtifactCache.get`` parses the head alone and checks the body against
+both, so an entry torn or garbled anywhere is a quarantined miss at
+``get``, never a hit whose deferred decode fails later.  A detection
+head holds each fuzz report's race keys in place of its records, which
+the body holds.  A pool worker that fuzzes a cached synthesis, or
+replays a cached detection, is sent head and body merged.
 """
 
 import hashlib
@@ -54,20 +56,33 @@ def _copy(filled, tmp_path):
     return tmp_path
 
 
-def test_head_records_the_body_it_is_followed_by(filled):
-    root, outcome = filled
-    text = _only(root, "synthesis").read_text()
-    head_line, body_line = text.split("\n")
+def _parts(path):
+    """``(head, body)`` of a two-part entry file, once its head is shown
+    to record the length and sha256 of the body it is followed by; the
+    head without that framing."""
+    head_line, body_line = path.read_text().split("\n")
     head = json.loads(head_line)
     framing = head.pop("body")
     assert framing == {
         "length": len(body_line.encode()),
         "sha256": hashlib.sha256(body_line.encode()).hexdigest(),
     }
-    payload = serial.merge_parts(head, json.loads(body_line))
+    return head, json.loads(body_line)
+
+
+def _stored(head, body):
+    """The payload head and body merge into, without its digest, after
+    checking the digest."""
+    payload = serial.merge_parts(head, body)
     stored = {k: v for k, v in payload.items() if k != "digest"}
-    assert stored == serial.encode_synthesis(outcome.synthesis)
     assert head["digest"] == serial.report_digest(stored)
+    return stored
+
+
+def test_synthesis_head_records_the_body_it_is_followed_by(filled):
+    root, outcome = filled
+    head, body = _parts(_only(root, "synthesis"))
+    assert _stored(head, body) == serial.encode_synthesis(outcome.synthesis)
     # The head holds no plan, slot or access record (and the merge
     # above refuses a value that both parts hold).
     assert "plans" not in head and set(head["tables"]) == {
@@ -80,8 +95,33 @@ def test_head_records_the_body_it_is_followed_by(filled):
         for pair in head["tables"]["pairs"]
         for side in (pair["first"], pair["second"])
     )
-    for detection in (root / "detection").glob("*.json"):
-        assert "\n" not in detection.read_text()
+
+
+def test_detection_head_holds_race_keys_in_place_of_records(filled):
+    root, outcome = filled
+    head, body = _parts(_only(root, "detection"))
+    assert _stored(head, body) == serial.encode_detection(outcome.detection)
+    fuzz_reports = outcome.detection.fuzz_reports
+    assert len(head["fuzz_reports"]) == len(body["fuzz_reports"])
+    assert len(fuzz_reports) == len(head["fuzz_reports"])
+    assert any(fuzz.detected.static_keys() for fuzz in fuzz_reports)
+    for fuzz, in_head, in_body in zip(
+        fuzz_reports, head["fuzz_reports"], body["fuzz_reports"]
+    ):
+        keys = in_head["detected"]["keys"]
+        assert keys == sorted(keys)
+        assert {serial._decode_static_key(k) for k in keys} == (
+            fuzz.detected.static_keys()
+        )
+        assert in_head["detected"]["dynamic_count"] == fuzz.detected.dynamic_count
+        assert in_body == {
+            "detected": {
+                "races": [serial._encode_race(r) for r in fuzz.detected]
+            }
+        }
+    # A source entry stays one document.
+    for source in (root / "source").glob("*.json"):
+        assert "\n" not in source.read_text()
 
 
 def _torn(text: str, where: str) -> str:
@@ -110,31 +150,41 @@ DAMAGE = (
 )
 
 
+STAGES = ("synthesis", "detection")
+
+
+@pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("where", DAMAGE)
-def test_a_damaged_entry_is_a_quarantined_miss_at_get(filled, tmp_path, where):
+def test_a_damaged_entry_is_a_quarantined_miss_at_get(
+    filled, tmp_path, where, stage
+):
     root = _copy(filled, tmp_path)
-    path = _only(root, "synthesis")
+    path = _only(root, stage)
     path.write_text(_torn(path.read_text(), where))
     cache = ArtifactCache(root)
-    assert cache.get("synthesis", path.stem) is None
+    assert cache.get(stage, path.stem) is None
     assert (cache.stats.hits, cache.stats.misses) == (0, 1)
     assert cache.stats.quarantined == 1
-    (reason,) = (root / "quarantine" / "synthesis").glob("*.reason.txt")
+    (reason,) = (root / "quarantine" / stage).glob("*.reason.txt")
     assert "unreadable entry" in reason.read_text()
 
 
+@pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("where", DAMAGE)
-def test_a_damaged_entry_is_recomputed_in_the_same_run(filled, tmp_path, where):
+def test_a_damaged_entry_is_recomputed_in_the_same_run(
+    filled, tmp_path, where, stage
+):
     _, clean = filled
     root = _copy(filled, tmp_path)
-    path = _only(root, "synthesis")
+    path = _only(root, stage)
     path.write_text(_torn(path.read_text(), where))
     cache = ArtifactCache(root)
     outcome, orch = _run(cache)
-    assert not outcome.synthesis_cached and outcome.detection_cached
+    assert outcome.synthesis_cached == (stage != "synthesis")
+    assert outcome.detection_cached == (stage != "detection")
     assert outcome.digest() == clean.digest()
     assert cache.stats.quarantined == orch.fault_ledger.quarantined == 1
-    assert cache.get("synthesis", path.stem) is not None
+    assert cache.get(stage, path.stem) is not None
 
 
 def test_torn_writes_recover(filled, tmp_path):
@@ -179,3 +229,29 @@ def test_a_pool_worker_is_sent_the_merged_payload(filled, tmp_path, monkeypatch)
     assert outcome.digest() == clean.digest()
     assert sent == [merged]
     assert type(sent[0]) is dict
+
+
+def test_a_pool_worker_replaying_a_detection_is_sent_the_merged_payload(
+    filled, tmp_path, monkeypatch
+):
+    """A detection hit whose synthesis misses replays on a pool worker,
+    which is sent the detection entry's head and body merged."""
+    _, clean = filled
+    root = _copy(filled, tmp_path)
+    _only(root, "synthesis").unlink()
+    merged = _payload(_only(root, "detection"))
+    sent = []
+    real_run_units = PipelineOrchestrator._run_units
+
+    def recording_run_units(self, units, *args):
+        sent.extend(unit.args[5] for unit in units)
+        return real_run_units(self, units, *args)
+
+    monkeypatch.setattr(PipelineOrchestrator, "_run_units", recording_run_units)
+    outcome, orch = _run(ArtifactCache(root), jobs=2)
+    assert not outcome.synthesis_cached and outcome.detection_cached
+    assert orch.fault_ledger.failures == []
+    assert outcome.digest() == clean.digest()
+    assert sent == [merged]
+    assert type(sent[0]) is dict
+    assert all("keys" not in fuzz["detected"] for fuzz in sent[0]["fuzz_reports"])

@@ -27,6 +27,7 @@ from repro.narada import (
     subject_specs,
 )
 from repro.narada import orchestrator as orch_mod
+from repro.narada import serial
 from repro.narada.cache import stage_key, table_digest
 from repro.narada.pipeline import Narada
 from repro.narada.faults import (
@@ -41,6 +42,7 @@ from repro.narada.faults import (
 )
 from repro.narada.serial import decode_fault_ledger, encode_fault_ledger
 from repro.subjects import get_subject
+from tests.narada.test_cache_format import _payload
 
 SUBJECT = "C8"
 
@@ -57,6 +59,37 @@ def _config(**overrides):
     base = CONFIG.to_dict()
     base.update(overrides)
     return PipelineConfig.from_dict(base)
+
+
+def crashing_config(spec, config):
+    """``config`` with an injected crash rate at which the first attempts
+    of ``spec``'s unit crash and a later one passes, and the retries to
+    reach it.
+
+    A crash draw is keyed on the unit key, ``spec``'s detection stage
+    key, which moves with the serial version, so a fixed rate can go
+    inert: the rate is picked from the draws instead.
+    """
+    key = stage_key(
+        orch_mod.ProgramSource.of(spec.source).digest,
+        "detection",
+        config.detection_config(spec.target_class),
+    )
+    draws = [draw("crash", key, attempt) for attempt in range(64)]
+    passing = next(i for i in range(1, 64) if draws[i] > max(draws[:i]))
+    rate = (max(draws[:passing]) + draws[passing]) / 2
+    overrides = {"fault_inject": f"crash:{rate}", "max_retries": passing}
+    return PipelineConfig.from_dict({**config.to_dict(), **overrides})
+
+
+def _rename_first_test(path, name):
+    """Make the detection entry at ``path`` name test ``name`` in its
+    first fuzz report, written back in the layout the cache writes."""
+    entry = _payload(path)
+    entry["fuzz_reports"][0]["test"] = name
+    head, body = serial.split_detection(entry)
+    cache = ArtifactCache(path.parent.parent)
+    assert cache.put("detection", path.stem, head, body)
 
 
 @pytest.fixture(scope="module")
@@ -154,14 +187,15 @@ class TestCacheQuarantine:
         cache = ArtifactCache(tmp_path)
         key = "ab" * 32
         cache.put("synthesis", key, {"kind": "synthesis", "x": 1})
-        cache._path("synthesis", key).write_bytes(b"\x00\xffnot json{{{")
+        path = pathlib.Path(cache._path("synthesis", key))
+        path.write_bytes(b"\x00\xffnot json{{{")
         assert cache.get("synthesis", key) is None
         assert cache.stats.quarantined == 1
         moved = tmp_path / "quarantine" / "synthesis" / f"{key}.json"
         reason = tmp_path / "quarantine" / "synthesis" / f"{key}.reason.txt"
         assert moved.exists()
         assert "unreadable entry" in reason.read_text()
-        assert not cache._path("synthesis", key).exists()
+        assert not path.exists()
         # And the next get is a plain miss, not a repeat quarantine.
         assert cache.get("synthesis", key) is None
         assert cache.stats.quarantined == 1
@@ -258,9 +292,7 @@ class TestCacheQuarantine:
             orch.run([spec])
         (tmp_path / "synthesis").glob("*.json").__next__().unlink()
         (path,) = (tmp_path / "detection").glob("*.json")
-        entry = json.loads(path.read_text())
-        entry["fuzz_reports"][0]["test"] = "no_such_test"
-        path.write_text(json.dumps(entry))
+        _rename_first_test(path, "no_such_test")
         cache = ArtifactCache(tmp_path)
         with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
@@ -269,9 +301,7 @@ class TestCacheQuarantine:
         assert cache.stats.quarantined == 1
         reason = tmp_path / "quarantine" / "detection" / path.name
         assert "no_such_test" in reason.with_suffix(".reason.txt").read_text()
-        assert json.loads(path.read_text())["fuzz_reports"][0]["test"] != (
-            "no_such_test"
-        )
+        assert _payload(path)["fuzz_reports"][0]["test"] != "no_such_test"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_synthesis_hit_with_an_undecodable_detection_refuzzes(
@@ -286,9 +316,7 @@ class TestCacheQuarantine:
         ) as orch:
             orch.run([spec])
         (path,) = (tmp_path / "detection").glob("*.json")
-        entry = json.loads(path.read_text())
-        entry["fuzz_reports"][0]["test"] = "no_such_test"
-        path.write_text(json.dumps(entry))
+        _rename_first_test(path, "no_such_test")
         cache = ArtifactCache(tmp_path)
         with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
@@ -297,9 +325,7 @@ class TestCacheQuarantine:
         assert outcome.synthesis_cached and not outcome.detection_cached
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
-        assert json.loads(path.read_text())["fuzz_reports"][0]["test"] != (
-            "no_such_test"
-        )
+        assert _payload(path)["fuzz_reports"][0]["test"] != "no_such_test"
 
     def test_injected_torn_writes_quarantine_then_recompute(
         self, tmp_path, clean_digest
@@ -338,9 +364,7 @@ class TestCrashIsolation:
     def test_probabilistic_crash_injection_converges(self, clean_digest):
         """The real --fault-inject path: injected worker deaths,
         generous retries, bit-identical results."""
-        # One subject is one unit, so the run draws once per attempt:
-        # at 0.8 the first two attempts of C8's unit crash.
-        config = _config(fault_inject="crash:0.8", max_retries=12)
+        config = crashing_config(_spec(), CONFIG)
         with PipelineOrchestrator(jobs=2, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger
@@ -350,9 +374,7 @@ class TestCrashIsolation:
         assert outcome.digest() == clean_digest
 
     def test_inline_injected_crashes_converge(self, clean_digest):
-        # One subject is one unit, so the run draws once per attempt:
-        # at 0.8 the first two attempts of C8's unit crash.
-        config = _config(fault_inject="crash:0.8", max_retries=12)
+        config = crashing_config(_spec(), CONFIG)
         with PipelineOrchestrator(jobs=1, config=config) as orch:
             outcome = orch.run([_spec()])[0]
             ledger = orch.fault_ledger

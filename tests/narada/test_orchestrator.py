@@ -1,6 +1,7 @@
 """Orchestrator, artifact cache, and determinism-contract tests."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -151,7 +152,7 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path)
         key = "ef" * 32
         cache.put("detection", key, {"kind": "detection", "n": 2})
-        path = cache._path("detection", key)
+        path = pathlib.Path(cache._path("detection", key))
         path.write_text(path.read_text()[:7])  # simulate a torn write
         assert cache.get("detection", key) is None
         assert cache.stats.evictions == 1
@@ -165,7 +166,7 @@ class TestArtifactCache:
     def test_non_object_entry_is_evicted(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = "0a" * 32
-        path = cache._path("analysis", key)
+        path = pathlib.Path(cache._path("analysis", key))
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps([1, 2, 3]))
         assert cache.get("analysis", key) is None
@@ -190,7 +191,7 @@ class TestArtifactCache:
             "synthesis",
             CONFIG.synthesis_config(spec.target_class),
         )
-        path = cache._path("synthesis", key)
+        path = pathlib.Path(cache._path("synthesis", key))
         assert path.exists()
         path.write_text("{" + path.read_text()[1:40])
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
