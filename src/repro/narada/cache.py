@@ -30,12 +30,13 @@ A pipeline run writes three stages:
   fresh process parses nothing.
 
 A ``synthesis`` or ``detection`` entry is two canonical JSON documents
-on two lines, a head and a body
-(:func:`repro.narada.serial.split_synthesis`,
-:func:`repro.narada.serial.split_detection`); the head records the
-body's byte length and sha256 under ``body``, and
-:meth:`ArtifactCache.get` parses the head only, checking the body
-against both.  A ``source`` entry is one document on one line.
+on two lines, a head and a body: the head holds what a replay reads
+(:func:`repro.narada.serial.synthesis_head`,
+:func:`repro.narada.serial.detection_head`) and its ``digest``, the
+sha256 of the body, which is the report's canonical bytes
+(:func:`repro.narada.serial.report_bytes`).  :meth:`ArtifactCache.get`
+parses the head only, and checks the body against that digest.  A
+``source`` entry is one document on one line.
 
 An entry in the older
 ``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
@@ -101,9 +102,12 @@ class Entry(dict):
 _DECODER = json.JSONDecoder()
 
 
-def _parse(text: str) -> dict:
+def _parse(raw: bytes, text: str) -> dict:
     """The payload of an entry's ``text``, or the head of a two-part
-    entry, whose body must match the length and sha256 it records.
+    entry: a head that carries ``digest``, the sha256 of the body that
+    must follow it.  The body is hashed in ``raw``, the entry's bytes,
+    from its first newline on, where
+    :func:`repro.narada.serial.parse_body` reads it.
 
     Raises:
         ValueError: when the text is no well-framed entry.
@@ -111,18 +115,16 @@ def _parse(text: str) -> dict:
     data, end = _DECODER.raw_decode(text)
     if type(data) is not dict:
         raise ValueError("cache entry is not an object")
-    framing = data.pop("body", None)
-    if framing is None:
+    digest = data.get("digest")
+    if digest is None:
         if end != len(text):
             raise ValueError("extra data after the entry")
         return data
-    if text[end : end + 1] != "\n" or type(framing) is not dict:
+    if text[end : end + 1] != "\n":
         raise ValueError("entry head is not followed by its body")
-    body = text[end + 1 :].encode()
-    if len(body) != framing.get("length") or (
-        hashlib.sha256(body).hexdigest() != framing.get("sha256")
-    ):
-        raise ValueError("entry body does not match its head")
+    body = memoryview(raw)[raw.index(b"\n") + 1 :]
+    if hashlib.sha256(body).hexdigest() != digest:
+        raise ValueError("entry body does not match its head's digest")
     return data
 
 
@@ -351,7 +353,8 @@ class ArtifactCache:
             # Unbuffered: ``read`` sizes one bytes object by the file's
             # size, and no 8 KB read buffer is allocated for each entry.
             with open(path, "rb", buffering=0) as file:
-                text = file.read().decode()
+                raw = file.read()
+            text = raw.decode()
         except OSError:
             self.stats.misses += 1
             return None
@@ -360,7 +363,7 @@ class ArtifactCache:
             self.quarantine(stage, key, f"unreadable entry: {error!r}")
             return None
         try:
-            data = _parse(text)
+            data = _parse(raw, text)
         except ValueError as error:
             # Truncated or garbled entry: quarantine and report a miss
             # so the pipeline recomputes instead of crashing.
@@ -404,13 +407,13 @@ class ArtifactCache:
         return failed
 
     def put(
-        self, stage: str, key: str, data: dict, body: dict | None = None
+        self, stage: str, key: str, data: dict, body: bytes | None = None
     ) -> bool:
         """Publish an entry atomically (write temp file, then rename).
 
         With ``body``, the entry is two documents: ``data``, its head,
-        records the body's length and sha256, and ``body`` follows it on
-        the next line.  Returns ``True`` on success.  Filesystem
+        whose ``digest`` is the sha256 of ``body``, and the ``body``
+        bytes on the next line.  Returns ``True`` on success.  Filesystem
         failures (ENOSPC, EIO, a read-only root) are absorbed: the temp
         file is cleaned up, ``stats.write_errors`` ticks, and the caller
         gets ``False`` — a full disk must never take down the request
@@ -422,16 +425,9 @@ class ArtifactCache:
             f"{directory}{os.sep}.tmp-{os.getpid()}-{threading.get_ident()}-"
             f"{next(self._tmp_ids)}"
         )
-        if body is None:
-            encoded = canonical_json(data).encode()
-        else:
-            tail = canonical_json(body).encode()
-            framing = {
-                "length": len(tail),
-                "sha256": hashlib.sha256(tail).hexdigest(),
-            }
-            head = canonical_json({**data, "body": framing}).encode()
-            encoded = b"%s\n%s" % (head, tail)
+        encoded = canonical_json(data).encode()
+        if body is not None:
+            encoded = b"%s\n%s" % (encoded, body)
         try:
             injector = self.fault_injector
             if injector is not None and injector.enospc_write(key):

@@ -161,6 +161,20 @@ def _checked(key: str, value, check, wants: str):
     return value
 
 
+def _seconds(key: str, value):
+    """``value`` if it is a number of seconds, not a ``bool``, from 0 to
+    the longest timeout a lock takes (``threading.TIMEOUT_MAX``), which
+    NaN and infinity are not; else a ValueError naming ``key``."""
+    return _checked(
+        key,
+        value,
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and 0 <= v <= threading.TIMEOUT_MAX,
+        f"a number of seconds from 0 to {threading.TIMEOUT_MAX:.0f}",
+    )
+
+
 def default_socket_path() -> str:
     """``$REPRO_DAEMON_SOCKET`` or ``<cache root>/daemon.sock``."""
     env = os.environ.get(DAEMON_SOCKET_ENV)
@@ -773,11 +787,11 @@ class ReproDaemon:
                 f" > budget {governor.budget_mb:.0f}MB)",
                 retry_after_s=self.admission.retry_after(),
             )
-        deadline_s = request.get("deadline_s", self.default_deadline_s)
-        with _validating():
-            token = CancelToken.after(
-                float(deadline_s) if deadline_s is not None else None
-            )
+        deadline_s = self.default_deadline_s
+        if "deadline_s" in request:
+            with _validating():
+                deadline_s = _seconds("deadline_s", request["deadline_s"])
+        token = CancelToken.after(deadline_s)
         if not self.admission.try_enter():
             return encode_error_frame(
                 "busy",
@@ -960,8 +974,13 @@ class ReproDaemon:
         with _validating():
             templates = request.get("templates") or list(template_names())
             corpus_config = CorpusConfig(
-                seed=int(request.get("seed", 0)),
-                count=int(request.get("count", 20)),
+                seed=_checked("seed", request.get("seed", 0), _is_int, "an integer"),
+                count=_checked(
+                    "count",
+                    request.get("count", 20),
+                    lambda v: _is_int(v, 0),
+                    "an integer >= 0",
+                ),
                 templates=tuple(templates),
             ).validate()
             config = self._request_config(request)
@@ -994,7 +1013,7 @@ class ReproDaemon:
         requests queue, shed, or hit their deadlines.
         """
         with _validating():
-            seconds = float(request.get("seconds", 0.1))
+            seconds = _seconds("seconds", request.get("seconds", 0.1))
 
         def body(token: CancelToken) -> dict:
             end = time.monotonic() + seconds

@@ -81,17 +81,18 @@ from repro.narada.faults import (
 )
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
+    VOLATILE_KEYS,
     decode_detection,
     decode_source,
     decode_synthesis,
     encode_detection,
     encode_source,
     encode_synthesis,
-    merge_parts,
+    detection_head,
     parse_body,
+    report_bytes,
     report_digest,
-    split_detection,
-    split_synthesis,
+    synthesis_head,
 )
 
 
@@ -199,9 +200,14 @@ class ProgramSource:
 
 
 def _whole(entry) -> dict:
-    """The payload of a two-part cache entry: its head and body merged
-    into one plain dict, which a pool worker can be sent."""
-    return merge_parts(dict(entry), parse_body(entry.text))
+    """The payload of a two-part cache entry as one plain dict, which a
+    pool worker can be sent: its body, the report, plus the head's
+    digest and the volatile keys the body leaves out."""
+    payload = parse_body(entry.text)
+    payload.update(
+        (key, entry[key]) for key in ("digest", *VOLATILE_KEYS) if key in entry
+    )
+    return payload
 
 
 def _text_key(text: str) -> bytes:
@@ -549,8 +555,9 @@ class PipelineOrchestrator:
         """``(payload, report)`` of a cached synthesis entry, or None
         when it fails to decode, quarantined: recompute, never crash.
 
-        With ``whole``, head and body are merged and decoded now, and
-        the payload is that merged dict, the one a pool worker is sent.
+        With ``whole``, the entry's body is parsed and decoded now, and
+        the payload is :func:`_whole`'s dict, the one a pool worker is
+        sent.
         Otherwise the head alone decodes, and the body waits for its
         first reader.
         """
@@ -566,16 +573,14 @@ class PipelineOrchestrator:
             return None
 
     def _put_report(self, stage: str, key: str, data: dict) -> str:
-        """Publish a synthesis or detection payload stamped with its
-        report digest, which a later hit hands back; the digest.  The
-        entry is a head and a body, of which a hit parses the head
-        alone."""
-        digest = report_digest(data)
-        if stage == "synthesis":
-            data, body = split_synthesis(data)
-        else:
-            data, body = split_detection(data)
-        self.cache.put(stage, key, {**data, "digest": digest}, body)
+        """Publish a synthesis or detection payload; its report digest,
+        which a later hit hands back.  The entry's body is the report's
+        canonical bytes, and its head, which a hit parses alone, stores
+        their sha256 under ``digest``."""
+        body = report_bytes(data)
+        digest = hashlib.sha256(body).hexdigest()
+        head = synthesis_head(data) if stage == "synthesis" else detection_head(data)
+        self.cache.put(stage, key, {**head, "digest": digest}, body)
         return digest
 
     # -- fault plumbing ------------------------------------------------
@@ -622,14 +627,14 @@ class PipelineOrchestrator:
         A subject's synthesis comes from its cache entry when there is
         one, with its plans and summary bodies left to decode when first
         read.  Its detection entry is read first: when the subject's
-        tests will fuzz, the synthesis entry's head and body are merged
-        and decoded whole, once, before its unit is built, so that a bad
-        entry is still quarantined and its synthesis recomputed; a pool
-        worker is sent that merged payload.  A detection hit decodes its
+        tests will fuzz, the synthesis entry's body, the whole report,
+        is parsed and decoded once, before its unit is built, so that a
+        bad entry is still quarantined and its synthesis recomputed; a
+        pool worker is sent that payload.  A detection hit decodes its
         head against the synthesis's tests, and each fuzz report's race
         records wait in the entry's body until first read.  When the
-        synthesis misses, the unit receives the detection entry's head
-        and body merged and replays it once it has synthesized; the
+        synthesis misses, the unit receives the detection entry's whole
+        payload and replays it once it has synthesized; the
         entry is quarantined, and the tests fuzzed, only when it fails
         to decode.  A unit runs whatever the subject still
         lacks, and its reply publishes the synthesis it computed and a
@@ -643,7 +648,7 @@ class PipelineOrchestrator:
         config_dict = self.config.to_dict()
         units: list[PoolUnit] = []
         # Unit key -> (spec index, synthesis key, detection key or None,
-        # the merged detection payload the unit replays or None).
+        # the whole detection payload the unit replays or None).
         slots: dict[str, tuple[int, str, str | None, dict | None]] = {}
         # A spec whose key an earlier spec already has (one subject
         # named twice) gets that spec's outcome instead of its own unit.
@@ -704,7 +709,7 @@ class PipelineOrchestrator:
                     continue
             if detection_entry is not None:
                 # The unit replays the entry against the tests it
-                # synthesizes, which read every record: merge it now.
+                # synthesizes, which read every record: parse it now.
                 try:
                     detection_entry = _whole(detection_entry)
                 except Exception as error:  # noqa: BLE001 — quarantined here

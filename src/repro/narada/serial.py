@@ -34,17 +34,17 @@ seed trace digests identically to the original — which keeps the sweep
 engine's :func:`repro.analysis.sweep.memo_key` stable across cache
 replays and worker boundaries.
 
-A synthesis or detection cache entry is the payload plus its
-:func:`report_digest` under ``digest``, computed when the entry is
-written, so a cache hit never encodes a report again just to digest it.
-A ``source`` entry (:func:`encode_source`) carries no report: it is
-what a replay needs of one source text instead of parsing it.
+A synthesis or detection cache entry is two JSON documents, one line
+each: a **head** holding what a replay reads (:func:`synthesis_head`,
+:func:`detection_head`), and a **body** that is the report's canonical
+bytes (:func:`report_bytes`), the text :func:`report_digest` hashes.
+The head stores that digest under ``digest``, computed when the entry
+is written, so a cache hit never encodes a report again just to digest
+it, and the cache checks the body against it.  A ``source`` entry
+(:func:`encode_source`) carries no report: it is what a replay needs of
+one source text instead of parsing it.
 
-Synthesis and detection cache entries are two JSON documents, one
-line each (:func:`split_synthesis`, :func:`split_detection`): a
-**head** holding what a replay reads, and a **body** holding the rest;
-:func:`merge_parts` puts them back together into the payload.  A
-replayed report parses and decodes only the head, and the body is
+A replayed report parses and decodes only the head, and the body is
 parsed only when a field it holds is first read (:func:`_pending`).
 Until then the report holds the entry's text.
 
@@ -52,9 +52,10 @@ Until then the report holds the entry's text.
   range; the pairs, with each side's summary header; the verdicts; and
   the tests, as name plus covered pairs.  The plans, the slots, the
   summary bodies (``accesses``, ``writeables``, ``access_projection``,
-  ``summaries``) and the pair sides' ``access`` records are in the
-  body.  They all decode at once, through the same index memo, so
-  shared objects keep their identity.
+  ``summaries``) and the pair sides' ``access`` records are read from
+  the body.  They all decode at once, through the same index memo, so
+  shared objects keep their identity; a row whose head object a reader
+  dropped decodes again from the body, which holds every row whole.
 * A detection head holds every field of each fuzz report but its race
   records, and in their place the records' sorted static keys.  A
   replayed race set holds those keys (``static_keys()``, which scoring
@@ -96,7 +97,7 @@ from repro.synth.synthesizer import SynthesizedTest
 
 #: Bump when the encoding changes shape; cache keys include it so stale
 #: artifacts from older encodings are never decoded.
-SERIAL_VERSION = 9
+SERIAL_VERSION = 10
 
 #: Top-level keys that legitimately differ between identical runs (wall
 #: clock); stripped before hashing for determinism comparisons.
@@ -663,7 +664,8 @@ class _DeferredPart(_Deferred):
     its pairs and their sides, and the summaries and tests that wait on
     this part.  A load decodes, against an index memo seeded with those
     objects, every summary body, every side's access, every test's plan
-    and the report's plans.
+    and the report's plans.  The body holds every row whole, so a row
+    whose object a reader dropped decodes again from the body alone.
     """
 
     __slots__ = ()
@@ -686,19 +688,11 @@ class _DeferredPart(_Deferred):
         tables = body["tables"]
         codec = Codec.reading(tables)
         report_ref, refs, side_refs = self.refs
-        whole = True
         for table, memo in refs.items():
             for index, ref in memo.items():
                 obj = ref()
-                if obj is None:
-                    whole = False
-                else:
+                if obj is not None:
                     codec._decoded[table][index] = obj
-        if not whole:
-            # A reader dropped an object the head decoded, so a plan may
-            # decode its row again, which head and body complete.
-            head = _DECODER.raw_decode(self.text)[0]
-            codec._tables = merge_parts(head, body)["tables"]
         summaries, pairs, tests = (
             tables[table] for table in ("summaries", "pairs", "tests")
         )
@@ -924,8 +918,8 @@ def encode_synthesis(report) -> dict:
 
 #: What the head of a synthesis entry keeps of each row a replay reads,
 #: per intern table: ``True`` keeps a field whole, a dict keeps the
-#: fields it names of a nested object.  The rest of the row, and every
-#: row no replay reads, goes to the body.
+#: fields it names of a nested object.  The body, the whole report,
+#: holds every row whole.
 _HEAD_ROWS = {
     "summaries": dict.fromkeys(
         (
@@ -954,31 +948,23 @@ _HEAD_ROWS = {
 }
 
 
-def _cut(row: dict, spec: dict) -> tuple[dict, dict]:
-    """``(head, body)`` of ``row`` as ``spec`` (a :data:`_HEAD_ROWS`
-    value) divides it."""
-    head, body = {}, {}
-    for key, value in row.items():
-        keep = spec.get(key)
-        if keep is None:
-            body[key] = value
-        elif keep is True:
-            head[key] = value
-        else:
-            head[key], body[key] = _cut(value, keep)
-    return head, body
+def _cut(row: dict, spec: dict) -> dict:
+    """The fields of ``row`` that ``spec`` (a :data:`_HEAD_ROWS` value)
+    keeps."""
+    return {
+        key: row[key] if keep is True else _cut(row[key], keep)
+        for key, keep in spec.items()
+    }
 
 
-def split_synthesis(data: dict) -> tuple[dict, dict]:
-    """``(head, body)`` of a synthesis payload, two documents whose
-    :func:`merge_parts` is ``data``.
+def synthesis_head(data: dict) -> dict:
+    """The head of a synthesis payload's cache entry.
 
-    The head holds what a replay decodes: every top-level field but the
-    plan ids, and the rows it reaches from the pair and test ids, cut to
+    It holds what a replay decodes: every top-level field but the plan
+    ids, and the rows it reaches from the pair and test ids, cut to
     their :data:`_HEAD_ROWS` fields.  Every other row of those tables
     stands in the head as ``{}``, so each table keeps its length.  The
-    body holds the rest: the plan ids, the plan and slot tables, and
-    what the head left of each row.
+    entry's body, the whole report, holds the rest.
     """
     tables = data["tables"]
     reached = {"tests": set(data["tests"]), "pairs": set(data["pairs"])}
@@ -989,18 +975,15 @@ def split_synthesis(data: dict) -> tuple[dict, dict]:
         for index in reached["pairs"]
         for side in ("first", "second")
     }
-    head_tables = {}
-    body_tables = {"slots": tables["slots"], "plans": tables["plans"]}
-    for table, spec in _HEAD_ROWS.items():
-        rows = [
-            _cut(row, spec) if index in reached[table] else ({}, row)
+    head = {k: v for k, v in data.items() if k not in ("plans", "tables")}
+    head["tables"] = {
+        table: [
+            _cut(row, spec) if index in reached[table] else {}
             for index, row in enumerate(tables[table])
         ]
-        head_tables[table] = [head for head, _ in rows]
-        body_tables[table] = [body for _, body in rows]
-    head = {k: v for k, v in data.items() if k not in ("plans", "tables")}
-    head["tables"] = head_tables
-    return head, {"plans": data["plans"], "tables": body_tables}
+        for table, spec in _HEAD_ROWS.items()
+    }
+    return head
 
 
 def _race_key(race: dict) -> list:
@@ -1010,16 +993,12 @@ def _race_key(race: dict) -> list:
     return [race["class_name"], race["field_name"], sites]
 
 
-def split_detection(data: dict) -> tuple[dict, dict]:
-    """``(head, body)`` of a detection payload, two documents whose
-    :func:`merge_parts` is ``data``.
-
-    The head is the payload with each fuzz report's race records
-    replaced by their sorted static keys, under ``keys`` beside
-    ``dynamic_count``.  The body holds the records, per fuzz report in
-    order.
-    """
-    reports, races = [], []
+def detection_head(data: dict) -> dict:
+    """The head of a detection payload's cache entry: the payload with
+    each fuzz report's race records replaced by their sorted static
+    keys, under ``keys`` beside ``dynamic_count``.  The entry's body,
+    the whole report, holds the records."""
+    reports = []
     for fuzz in data["fuzz_reports"]:
         detected = fuzz["detected"]
         keys = sorted(_race_key(race) for race in detected["races"])
@@ -1032,31 +1011,7 @@ def split_detection(data: dict) -> tuple[dict, dict]:
                 },
             }
         )
-        races.append({"detected": {"races": detected["races"]}})
-    return {**data, "fuzz_reports": reports}, {"fuzz_reports": races}
-
-
-def merge_parts(head, body):
-    """The document whose :func:`split_synthesis` or
-    :func:`split_detection` is ``(head, body)``: dicts merge key by key
-    and lists of one length item by item.  Where the body holds race
-    records (``races``), the head's ``keys``, which index them, are
-    dropped.
-
-    Raises:
-        ValueError: when the two disagree on the shape of a value, or
-            both hold a plain value at one place.
-    """
-    if type(head) is dict and type(body) is dict:
-        merged = dict(head)
-        if "races" in body:
-            merged.pop("keys", None)
-        for key, value in body.items():
-            merged[key] = merge_parts(head[key], value) if key in head else value
-        return merged
-    if type(head) is list and type(body) is list and len(head) == len(body):
-        return [merge_parts(h, b) for h, b in zip(head, body)]
-    raise ValueError("head and body of an entry overlap")
+    return {**data, "fuzz_reports": reports}
 
 
 _DECODER = json.JSONDecoder()
@@ -1437,6 +1392,16 @@ def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def report_bytes(data: dict) -> bytes:
+    """The canonical bytes of an encoded report, without its volatile
+    keys and stored ``digest``: what :func:`report_digest` hashes, and
+    the body of the report's two-part cache entry."""
+    stripped = {
+        k: v for k, v in data.items() if k not in VOLATILE_KEYS and k != "digest"
+    }
+    return canonical_json(stripped).encode()
+
+
 def report_digest(data: dict) -> str:
     """Content digest of an encoded report, ignoring volatile keys.
 
@@ -1446,7 +1411,4 @@ def report_digest(data: dict) -> str:
     and detection cache entries store this value under ``digest``, which
     the digest itself leaves out.
     """
-    stripped = {
-        k: v for k, v in data.items() if k not in VOLATILE_KEYS and k != "digest"
-    }
-    return hashlib.sha256(canonical_json(stripped).encode()).hexdigest()
+    return hashlib.sha256(report_bytes(data)).hexdigest()

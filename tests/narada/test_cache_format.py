@@ -8,6 +8,7 @@ nothing.  Beside them, a run writes only the ``source`` entry of a
 source it parsed.  Entries of an older serial version are clean misses.
 """
 
+import hashlib
 import json
 from collections import OrderedDict
 
@@ -34,14 +35,34 @@ def _run(cache=None, jobs=1):
 
 
 def _payload(path):
-    """The payload an entry file holds: a two-part entry's head and
-    body merged, without the head's framing."""
+    """The payload an entry file holds: a two-part entry's body, the
+    report, with the head's digest and volatile keys."""
     head, _, body = path.read_text().partition("\n")
     data = json.loads(head)
     if not body:
         return data
-    del data["body"]
-    return serial.merge_parts(data, json.loads(body))
+    payload = json.loads(body)
+    for key in ("digest", *serial.VOLATILE_KEYS):
+        if key in data:
+            payload[key] = data[key]
+    return payload
+
+
+def _put_entry(path, payload, head_from=None):
+    """Write ``payload`` to the two-part entry file ``path`` as a run
+    writes it: the report's canonical bytes as the body, under the head
+    cut from ``head_from`` (``payload`` itself by default) carrying the
+    body's sha256."""
+    body = serial.report_bytes(payload)
+    cut = (
+        serial.synthesis_head
+        if payload["kind"] == "synthesis"
+        else serial.detection_head
+    )
+    head = cut(head_from or payload)
+    head["digest"] = hashlib.sha256(body).hexdigest()
+    cache = ArtifactCache(path.parent.parent)
+    assert cache.put(path.parent.name, path.stem, head, body)
 
 
 def _entries(root, stage):
@@ -152,7 +173,7 @@ def test_unknown_test_name_is_quarantined_and_recomputed(tmp_path, clean_digest)
     _run(cache)
     (path, detection), = _entries(tmp_path, "detection")
     detection["fuzz_reports"][0]["test"] = "NoSuchTest"
-    path.write_text(json.dumps(detection))
+    _put_entry(path, detection)
     outcome, orch = _run(cache)
     assert not outcome.detection_cached
     assert outcome.digest() == clean_digest
@@ -213,6 +234,21 @@ def test_version_6_entries_are_clean_misses(tmp_path, monkeypatch, clean_digest)
     _assert_old_entries_are_clean_misses(tmp_path, clean_digest)
 
 
+def _single_document(stage):
+    """``PipelineOrchestrator._put_report`` as an older writer ran it for
+    ``stage``: the payload and its digest as one document."""
+    real = PipelineOrchestrator._put_report
+
+    def put_report(self, stage_, key, data):
+        if stage_ != stage:
+            return real(self, stage_, key, data)
+        digest = serial.report_digest(data)
+        self.cache.put(stage_, key, {**data, "digest": digest})
+        return digest
+
+    return put_report
+
+
 def test_version_7_single_document_entries_are_clean_misses(
     tmp_path, monkeypatch, clean_digest
 ):
@@ -221,7 +257,7 @@ def test_version_7_single_document_entries_are_clean_misses(
         old.setattr(serial, "SERIAL_VERSION", 7)
         old.setattr(cache_module, "SERIAL_VERSION", 7)
         old.setattr(
-            orchestrator_module, "split_synthesis", lambda data: (data, None)
+            PipelineOrchestrator, "_put_report", _single_document("synthesis")
         )
         _run(ArtifactCache(tmp_path))
     (path,) = (tmp_path / "synthesis").glob("*.json")
@@ -237,9 +273,36 @@ def test_version_8_single_document_detection_entries_are_clean_misses(
         old.setattr(serial, "SERIAL_VERSION", 8)
         old.setattr(cache_module, "SERIAL_VERSION", 8)
         old.setattr(
-            orchestrator_module, "split_detection", lambda data: (data, None)
+            PipelineOrchestrator, "_put_report", _single_document("detection")
         )
         _run(ArtifactCache(tmp_path))
     (path,) = (tmp_path / "detection").glob("*.json")
     assert "\n" not in path.read_text()
+    _assert_old_entries_are_clean_misses(tmp_path, clean_digest)
+
+
+def _as_version_9(path):
+    """Rewrite the two-part entry file ``path`` in the version-9 framing:
+    the head records its body's length and sha256 under ``body``."""
+    head, body = path.read_bytes().split(b"\n")
+    data = json.loads(head)
+    data["body"] = {
+        "length": len(body),
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }
+    path.write_bytes(serial.canonical_json(data).encode() + b"\n" + body)
+
+
+def test_version_9_two_part_entries_are_clean_misses(
+    tmp_path, monkeypatch, clean_digest
+):
+    # A version-9 writer framed each two-part entry's body with its
+    # length and sha256.
+    with monkeypatch.context() as old:
+        old.setattr(serial, "SERIAL_VERSION", 9)
+        old.setattr(cache_module, "SERIAL_VERSION", 9)
+        _run(ArtifactCache(tmp_path))
+    for stage in ("synthesis", "detection"):
+        (path,) = (tmp_path / stage).glob("*.json")
+        _as_version_9(path)
     _assert_old_entries_are_clean_misses(tmp_path, clean_digest)

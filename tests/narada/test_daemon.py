@@ -257,6 +257,23 @@ class TestRequestHandling:
             {"op": "corpus", "count": 1, "min_templates": 2},
             {"op": "detect", "subjects": ["C8"], "runz": 2},
             {"op": "ping", "verbose": True},
+            # Durations must be numbers of seconds from 0 up: a NaN sleep
+            # would hold the run lock for good, and a 1e300 deadline
+            # overflows the lock's timeout.
+            {"op": "sleep", "seconds": float("nan")},
+            {"op": "sleep", "seconds": float("inf")},
+            {"op": "sleep", "seconds": -5},
+            {"op": "sleep", "seconds": True},
+            {"op": "sleep", "seconds": "1"},
+            {"op": "sleep", "seconds": 0.01, "deadline_s": float("nan")},
+            {"op": "sleep", "seconds": 0.01, "deadline_s": 1e300},
+            {"op": "sleep", "seconds": 0.01, "deadline_s": -1},
+            {"op": "sleep", "seconds": 0.01, "deadline_s": False},
+            {"op": "detect", "subjects": ["C8"], "deadline_s": float("inf")},
+            {"op": "corpus", "count": True},
+            {"op": "corpus", "count": -5},
+            {"op": "corpus", "count": 1, "seed": "3"},
+            {"op": "corpus", "count": 1, "seed": 1.9},
         ],
         ids=[
             "lex-error",
@@ -282,15 +299,38 @@ class TestRequestHandling:
             "min-templates-field",
             "unknown-field",
             "ping-extra-field",
+            "nan-sleep",
+            "infinite-sleep",
+            "negative-sleep",
+            "bool-sleep",
+            "string-sleep",
+            "nan-deadline",
+            "huge-deadline",
+            "negative-deadline",
+            "bool-deadline",
+            "infinite-deadline",
+            "bool-corpus-count",
+            "negative-corpus-count",
+            "string-corpus-seed",
+            "float-corpus-seed",
         ],
     )
     def test_invalid_request_answers_bad_request(self, daemon, request_):
-        with _client(daemon) as client:
+        # A timeout, so that a request which holds the daemon fails the
+        # test instead of hanging it.
+        with _client(daemon, timeout=30) as client:
             response = client.request(request_)
             assert client.request({"op": "ping"})["ok"]
         assert response["ok"] is False
         assert response["error_code"] == "bad_request"
         assert response["error"]
+
+    def test_sleep_takes_whole_seconds_and_deadline(self, daemon):
+        with _client(daemon, timeout=30) as client:
+            response = client.request(
+                {"op": "sleep", "seconds": 0, "deadline_s": 5}
+            )
+        assert response["ok"] and response["slept_s"] == 0
 
     def test_budget_counts_writes_of_other_processes(self, tmp_path):
         """A budgeted daemon's root is back within budget after its next

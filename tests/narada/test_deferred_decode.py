@@ -8,12 +8,13 @@ accesses decode from the body when one of them is first read.  A
 detection hit decodes each fuzz report from the head, its race set
 holding the races' static keys; the race records decode from the body
 when first read.  These tests check that the hot readers (scoring, the
-daemon's reply) never parse a body, that head and body merge back into
-the encoded report, that a fully read replay equals an eager decode
-object for object, that the replay keeps no parsed table alive, and
-that a deferred decode that fails is quarantined and recomputed.
+daemon's reply) never parse a body, that a head is a cut of the encoded
+report, that a fully read replay equals an eager decode object for
+object, that the replay keeps no parsed table alive, and that a
+deferred decode that fails is quarantined and recomputed.
 """
 
+import copy
 import dataclasses
 import gc
 import json
@@ -30,13 +31,14 @@ from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.corpus.runner import corpus_specs
 from repro.detect.report import RaceSet
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
+from repro.narada import cache as cache_module
 from repro.narada import serial
 from repro.narada.cache import EntryDecodeError, stage_key
 from repro.narada.orchestrator import subject_specs
 from repro.pairs.generator import RacyPair
 from repro.subjects import all_subjects, get_subject
 from repro.synth.synthesizer import SynthesizedTest
-from tests.narada.test_cache_format import _payload
+from tests.narada.test_cache_format import _payload, _put_entry
 from tests.narada.test_daemon import _client, _serving
 
 CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
@@ -113,13 +115,6 @@ def _entries(root, stage):
 def _entry(root, stage):
     (path,) = _entries(root, stage)
     return path
-
-
-def _write_entry(path, payload):
-    """Write ``payload``, head and body, as a well-framed entry."""
-    cache = ArtifactCache(path.parent.parent)
-    head, body = serial.split_synthesis(payload)
-    assert cache.put(path.parent.name, path.stem, head, body)
 
 
 # ----------------------------------------------------------------------
@@ -294,16 +289,29 @@ def test_fully_read_corpus_replays_equal_the_eager_decode(tmp_path):
     _replay_matches_eager(tmp_path, outcomes, CONFIG)
 
 
-def test_head_and_body_merge_into_the_encoded_report():
+def _is_cut(head, data) -> bool:
+    """Whether ``head`` keeps only values ``data`` holds at the same
+    place: a dict some of its keys, a list every item (each cut)."""
+    if type(head) is dict:
+        return type(data) is dict and all(
+            key in data and _is_cut(value, data[key])
+            for key, value in head.items()
+        )
+    if type(head) is list and type(data) is list and len(head) == len(data):
+        return all(_is_cut(h, d) for h, d in zip(head, data))
+    return head == data
+
+
+def test_a_synthesis_head_is_a_cut_of_the_encoded_report():
     specs = subject_specs() + corpus_specs(generate_corpus(SLICE))
     with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
         outcomes = orch.run(specs, detect=False)
     assert len(outcomes) == len(all_subjects()) + SLICE.count
     for outcome in outcomes:
         data = serial.encode_synthesis(outcome.synthesis)
-        head, body = serial.split_synthesis(data)
-        assert serial.merge_parts(head, body) == data
-        assert "plans" in body and "plans" not in head
+        head = serial.synthesis_head(data)
+        assert _is_cut(head, data)
+        assert "plans" not in head and "plans" not in head["tables"]
 
 
 def test_replay_keeps_shared_objects_shared(tmp_path):
@@ -333,30 +341,39 @@ def test_a_test_kept_without_its_report_still_reads_its_plan(
     tmp_path, monkeypatch
 ):
     """A plan may reach a pair or summary whose object the reader has
-    dropped; the load then completes that row from the head."""
+    dropped; the load decodes that row again from the body, which holds
+    it whole, and never parses the head a second time."""
     cache = ArtifactCache(tmp_path)
     _run(cache, _c8())
     path = _entry(tmp_path, "synthesis")
+    expected = serial.decode_synthesis(_payload(path))
+    starts = []
+
+    class CountingDecoder(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            starts.append(idx)
+            return super().raw_decode(s, idx)
+
+    for module in (serial, cache_module):
+        monkeypatch.setattr(module, "_DECODER", CountingDecoder())
     entry = cache.get("synthesis", path.stem)
     report = serial.decode_synthesis(entry, entry.text)
     kept = len(report.tests) - 1
     test = report.tests[kept]
     del report, entry
     gc.collect()
-    merges = []
-    real_merge = serial.merge_parts
-
-    def merge(head, body):
-        merges.append(head)
-        return real_merge(head, body)
-
-    monkeypatch.setattr(serial, "merge_parts", merge)
-    plan = test.plan
-    assert merges and merges[0]["kind"] == "synthesis"  # the head is read
-    expected = serial.decode_synthesis(_payload(path)).tests[kept]
+    _, decoded, _ = test.__dict__["_deferred"].refs
+    assert any(ref() is None for memo in decoded.values() for ref in memo.values())
+    plans = [test.plan]
+    # One head parse (at ``get``), then one body parse (at the load).
+    assert len(starts) == 2 and starts[0] == 0 and starts[1] > 0
     _assert_same(
-        (test.name, test.covered_pairs, plan),
-        (expected.name, expected.covered_pairs, expected.plan),
+        (test.name, test.covered_pairs, plans),
+        (
+            expected.tests[kept].name,
+            expected.tests[kept].covered_pairs,
+            [expected.tests[kept].plan],
+        ),
     )
 
 
@@ -430,7 +447,7 @@ def _corrupt_one_plan(root):
     path = _entry(root, "synthesis")
     entry = _payload(path)
     entry["tables"]["plans"][0]["left"]["racy_call"]["summary"] = 10**9
-    _write_entry(path, entry)
+    _put_entry(path, entry)
 
 
 @pytest.fixture
@@ -465,7 +482,10 @@ def test_scoring_replays_an_entry_with_a_corrupt_plan(corrupted):
     cache = ArtifactCache(root)
     (warm,), orch = _run(cache, _c8())
     assert warm.synthesis_cached and warm.detection_cached
-    assert warm.digest() == clean.digest()
+    # The synthesis digest served is the one its entry stores, the hash
+    # of the corrupt body, which no reader had to decode.
+    stored = _payload(_entry(root, "synthesis"))["digest"]
+    assert warm.digest() == f"{stored}/{clean.digest().split('/')[1]}"
     assert _scored(warm) == _scored(clean)
     assert cache.stats.quarantined == orch.fault_ledger.quarantined == 0
 
@@ -520,16 +540,15 @@ def test_race_records_that_disagree_with_the_head_are_quarantined(tmp_path):
     next run fuzzes again."""
     (clean,), _ = _run(ArtifactCache(tmp_path), _c8())
     path = _entry(tmp_path, "detection")
-    payload = _payload(path)
-    head, _ = serial.split_detection(payload)
+    original = _payload(path)
+    payload = copy.deepcopy(original)
     record = next(
         race
         for fuzz in payload["fuzz_reports"]
         for race in fuzz["detected"]["races"]
     )
     record["first"]["node_id"] = 10**9
-    _, body = serial.split_detection(payload)
-    assert ArtifactCache(tmp_path).put("detection", path.stem, head, body)
+    _put_entry(path, payload, head_from=original)
     cache = ArtifactCache(tmp_path)
     (warm,), orch = _run(cache, _c8())
     assert warm.synthesis_cached and warm.detection_cached

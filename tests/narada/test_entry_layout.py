@@ -1,13 +1,15 @@
 """The two-part layout of synthesis and detection cache entries.
 
 A synthesis or detection entry is a head line and a body line.  The
-head records the body's byte length and sha256, and
+body is the report's canonical bytes, the text ``report_digest``
+hashes, and the head stores their sha256 under ``digest``.
 ``ArtifactCache.get`` parses the head alone and checks the body against
-both, so an entry torn or garbled anywhere is a quarantined miss at
-``get``, never a hit whose deferred decode fails later.  A detection
-head holds each fuzz report's race keys in place of its records, which
-the body holds.  A pool worker that fuzzes a cached synthesis, or
-replays a cached detection, is sent head and body merged.
+that digest, so an entry torn or garbled anywhere is a quarantined miss
+at ``get``, never a hit whose deferred decode fails later.  A detection
+head holds each fuzz report's race keys in place of its records.  A
+pool worker that fuzzes a cached synthesis, or replays a cached
+detection, is sent the whole payload: the body, plus the head's digest
+and volatile keys.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import json
 
 import pytest
 
+from repro.corpus import CorpusConfig, generate_corpus
+from repro.corpus.runner import corpus_specs
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import serial
 from repro.narada.orchestrator import subject_specs
@@ -57,34 +61,21 @@ def _copy(filled, tmp_path):
 
 
 def _parts(path):
-    """``(head, body)`` of a two-part entry file, once its head is shown
-    to record the length and sha256 of the body it is followed by; the
-    head without that framing."""
-    head_line, body_line = path.read_text().split("\n")
+    """``(head, body bytes)`` of a two-part entry file, once the head's
+    digest is shown to be the sha256 of the body it is followed by."""
+    head_line, body = path.read_bytes().split(b"\n")
     head = json.loads(head_line)
-    framing = head.pop("body")
-    assert framing == {
-        "length": len(body_line.encode()),
-        "sha256": hashlib.sha256(body_line.encode()).hexdigest(),
-    }
-    return head, json.loads(body_line)
+    assert head["digest"] == hashlib.sha256(body).hexdigest()
+    return head, body
 
 
-def _stored(head, body):
-    """The payload head and body merge into, without its digest, after
-    checking the digest."""
-    payload = serial.merge_parts(head, body)
-    stored = {k: v for k, v in payload.items() if k != "digest"}
-    assert head["digest"] == serial.report_digest(stored)
-    return stored
-
-
-def test_synthesis_head_records_the_body_it_is_followed_by(filled):
+def test_synthesis_body_is_the_report_and_head_its_cut(filled):
     root, outcome = filled
     head, body = _parts(_only(root, "synthesis"))
-    assert _stored(head, body) == serial.encode_synthesis(outcome.synthesis)
-    # The head holds no plan, slot or access record (and the merge
-    # above refuses a value that both parts hold).
+    data = serial.encode_synthesis(outcome.synthesis)
+    assert body == serial.report_bytes(data)
+    assert head == {**serial.synthesis_head(data), "digest": head["digest"]}
+    # The head holds no plan, slot or access record.
     assert "plans" not in head and set(head["tables"]) == {
         "summaries",
         "pairs",
@@ -95,33 +86,72 @@ def test_synthesis_head_records_the_body_it_is_followed_by(filled):
         for pair in head["tables"]["pairs"]
         for side in (pair["first"], pair["second"])
     )
+    # Only the head holds the wall-clock time.
+    assert "seconds" in head and "seconds" not in json.loads(body)
 
 
 def test_detection_head_holds_race_keys_in_place_of_records(filled):
     root, outcome = filled
     head, body = _parts(_only(root, "detection"))
-    assert _stored(head, body) == serial.encode_detection(outcome.detection)
+    data = serial.encode_detection(outcome.detection)
+    assert body == serial.report_bytes(data)
+    in_body = json.loads(body)["fuzz_reports"]
     fuzz_reports = outcome.detection.fuzz_reports
-    assert len(head["fuzz_reports"]) == len(body["fuzz_reports"])
-    assert len(fuzz_reports) == len(head["fuzz_reports"])
+    assert len(fuzz_reports) == len(head["fuzz_reports"]) == len(in_body)
     assert any(fuzz.detected.static_keys() for fuzz in fuzz_reports)
-    for fuzz, in_head, in_body in zip(
-        fuzz_reports, head["fuzz_reports"], body["fuzz_reports"]
+    for fuzz, head_fuzz, body_fuzz in zip(
+        fuzz_reports, head["fuzz_reports"], in_body
     ):
-        keys = in_head["detected"]["keys"]
+        keys = head_fuzz["detected"]["keys"]
         assert keys == sorted(keys)
+        assert "races" not in head_fuzz["detected"]
         assert {serial._decode_static_key(k) for k in keys} == (
             fuzz.detected.static_keys()
         )
-        assert in_head["detected"]["dynamic_count"] == fuzz.detected.dynamic_count
-        assert in_body == {
-            "detected": {
-                "races": [serial._encode_race(r) for r in fuzz.detected]
-            }
-        }
+        assert head_fuzz["detected"]["dynamic_count"] == (
+            fuzz.detected.dynamic_count
+        )
+        assert body_fuzz["detected"]["races"] == [
+            serial._encode_race(r) for r in fuzz.detected
+        ]
     # A source entry stays one document.
     for source in (root / "source").glob("*.json"):
         assert "\n" not in source.read_text()
+
+
+#: The corpus slice of ``CORPUS_PIN`` (tests/integration/test_pipeline_pins.py).
+SLICE = CorpusConfig(seed=0, count=20)
+
+
+def test_every_head_digest_hashes_its_body_and_digests_its_report(tmp_path):
+    """Over C1..C9 and the pinned corpus slice, each entry's head digest
+    is the sha256 of its body and the ``report_digest`` of the report
+    its whole payload decodes to."""
+    config = PipelineConfig(random_runs=1)
+    specs = subject_specs() + corpus_specs(generate_corpus(SLICE))
+    cache = ArtifactCache(tmp_path)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=config) as orch:
+        outcomes = orch.run(specs)
+    assert len(outcomes) == len(specs)
+    by_digest = {}
+    for stage in ("synthesis", "detection"):
+        paths = sorted((tmp_path / stage).glob("*.json"))
+        assert len(paths) == len(specs)
+        for path in paths:
+            head, _ = _parts(path)
+            by_digest[head["digest"]] = _payload(path)
+    for outcome in outcomes:
+        synthesis_digest, detection_digest = outcome.digest().split("/")
+        synthesis = serial.decode_synthesis(by_digest[synthesis_digest])
+        detection = serial.decode_detection(
+            by_digest[detection_digest], synthesis.tests
+        )
+        assert serial.report_digest(serial.encode_synthesis(synthesis)) == (
+            synthesis_digest
+        )
+        assert serial.report_digest(serial.encode_detection(detection)) == (
+            detection_digest
+        )
 
 
 def _torn(text: str, where: str) -> str:
@@ -208,13 +238,13 @@ def test_torn_writes_recover(filled, tmp_path):
     assert warm.digest() == clean.digest()
 
 
-def test_a_pool_worker_is_sent_the_merged_payload(filled, tmp_path, monkeypatch):
+def test_a_pool_worker_is_sent_the_whole_payload(filled, tmp_path, monkeypatch):
     """A synthesis hit whose detection misses fuzzes on a pool worker,
-    which is sent head and body merged, not the head alone."""
+    which is sent the whole payload, not the head alone."""
     _, clean = filled
     root = _copy(filled, tmp_path)
     _only(root, "detection").unlink()
-    merged = _payload(_only(root, "synthesis"))
+    whole = _payload(_only(root, "synthesis"))
     sent = []
     real_run_units = PipelineOrchestrator._run_units
 
@@ -227,19 +257,19 @@ def test_a_pool_worker_is_sent_the_merged_payload(filled, tmp_path, monkeypatch)
     assert outcome.synthesis_cached and not outcome.detection_cached
     assert orch.fault_ledger.failures == []
     assert outcome.digest() == clean.digest()
-    assert sent == [merged]
+    assert sent == [whole]
     assert type(sent[0]) is dict
 
 
-def test_a_pool_worker_replaying_a_detection_is_sent_the_merged_payload(
+def test_a_pool_worker_replaying_a_detection_is_sent_the_whole_payload(
     filled, tmp_path, monkeypatch
 ):
     """A detection hit whose synthesis misses replays on a pool worker,
-    which is sent the detection entry's head and body merged."""
+    which is sent the detection entry's whole payload."""
     _, clean = filled
     root = _copy(filled, tmp_path)
     _only(root, "synthesis").unlink()
-    merged = _payload(_only(root, "detection"))
+    whole = _payload(_only(root, "detection"))
     sent = []
     real_run_units = PipelineOrchestrator._run_units
 
@@ -252,6 +282,6 @@ def test_a_pool_worker_replaying_a_detection_is_sent_the_merged_payload(
     assert not outcome.synthesis_cached and outcome.detection_cached
     assert orch.fault_ledger.failures == []
     assert outcome.digest() == clean.digest()
-    assert sent == [merged]
+    assert sent == [whole]
     assert type(sent[0]) is dict
     assert all("keys" not in fuzz["detected"] for fuzz in sent[0]["fuzz_reports"])

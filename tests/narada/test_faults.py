@@ -27,7 +27,6 @@ from repro.narada import (
     subject_specs,
 )
 from repro.narada import orchestrator as orch_mod
-from repro.narada import serial
 from repro.narada.cache import stage_key, table_digest
 from repro.narada.pipeline import Narada
 from repro.narada.faults import (
@@ -42,7 +41,7 @@ from repro.narada.faults import (
 )
 from repro.narada.serial import decode_fault_ledger, encode_fault_ledger
 from repro.subjects import get_subject
-from tests.narada.test_cache_format import _payload
+from tests.narada.test_cache_format import _payload, _put_entry
 
 SUBJECT = "C8"
 
@@ -87,9 +86,7 @@ def _rename_first_test(path, name):
     first fuzz report, written back in the layout the cache writes."""
     entry = _payload(path)
     entry["fuzz_reports"][0]["test"] = name
-    head, body = serial.split_detection(entry)
-    cache = ArtifactCache(path.parent.parent)
-    assert cache.put("detection", path.stem, head, body)
+    _put_entry(path, entry)
 
 
 @pytest.fixture(scope="module")
