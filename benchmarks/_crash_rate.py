@@ -13,9 +13,9 @@ rate from them.
 from __future__ import annotations
 
 from repro.narada import PipelineConfig, SubjectSpec
-from repro.narada.cache import stage_key
+from repro.narada.cache import source_digest
 from repro.narada.faults import draw
-from repro.narada.orchestrator import ProgramSource
+from repro.narada.orchestrator import spec_keys
 
 
 def crash_draws(
@@ -26,11 +26,7 @@ def crash_draws(
     key, as ``PipelineOrchestrator`` derives it."""
     draws = {}
     for spec in specs:
-        key = stage_key(
-            ProgramSource.of(spec.source).digest,
-            "detection",
-            config.detection_config(spec.target_class),
-        )
+        _, key = spec_keys(source_digest(spec.source), spec.target_class, config)
         draws[spec.name] = [
             draw("crash", key, attempt) for attempt in range(max_retries + 1)
         ]

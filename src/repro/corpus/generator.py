@@ -7,14 +7,12 @@ Determinism contract:
   ``sha256(s, i)``, so changing ``--count`` never perturbs earlier
   subjects, and generation order (or parallel scoring order) cannot
   matter;
-* the canonical source is the pretty-printed program — the same
-  normal form :func:`repro.narada.cache.table_digest` hashes from the
-  parsed :class:`~repro.lang.ClassTable`, so cache
-  keys for generated subjects are content-addressed exactly like the
-  hand-ported ones (two seeds producing an identical class share every
-  pipeline artifact);
-* the provenance header is a ``/* ... */`` comment, which the digest
-  (computed from the re-pretty-printed parse) deliberately ignores.
+* the canonical source is the pretty-printed program under a
+  provenance header, a ``/* ... */`` comment.  Cache keys hash the
+  source text (:func:`repro.narada.cache.source_digest`), header
+  included, so generated subjects are content-addressed exactly like
+  the hand-ported ones, and two seeds producing an identical class
+  under different headers share no pipeline artifact.
 """
 
 from __future__ import annotations

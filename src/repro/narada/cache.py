@@ -4,9 +4,9 @@ Every pipeline stage output (synthesis, detection) is a deterministic
 function of three inputs, and the cache key is a digest of exactly
 those:
 
-* the **pretty-printed class table** — canonical program text, so
-  formatting/comment changes in a source file do not invalidate, while
-  any semantic change does;
+* the **source text** (:func:`source_digest`, its sha256), so a lookup
+  needs no parse; any edit to the text, a comment's included, is a
+  miss;
 * the **pipeline config** for the stage (VM seed, fuzz budget, directed
   phase on/off, ...), so e.g. raising ``--runs`` invalidates detection
   but leaves the cached synthesis artifact valid — a rerun skips
@@ -18,29 +18,21 @@ those:
 Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
 directory per stage, created by the first write that finds it missing,
 so a new entry costs a temp-file write and a rename, and no directory.
-A pipeline run writes three stages:
+A pipeline run writes a subject's ``synthesis`` and ``detection``
+entries when its unit completes.
 
-* ``synthesis`` and ``detection`` — a subject's reports, written when
-  its unit completes;
-* ``source`` — what a replay needs of one source text without parsing
-  it (table digest, class names, site map), keyed by the source text's
-  own sha256 rather than a table digest.  It is written by the
-  process that parses the source for want of it, right after the
-  parse, so a cold run writes one per new source and a replay in a
-  fresh process parses nothing.
-
-A ``synthesis`` or ``detection`` entry is two canonical JSON documents
-on two lines, a head and a body: the head holds what a replay reads
+An entry is two canonical JSON documents on two lines, a head and a
+body: the head holds what a replay reads
 (:func:`repro.narada.serial.synthesis_head`,
 :func:`repro.narada.serial.detection_head`) and its ``digest``, the
 sha256 of the body, which is the report's canonical bytes
 (:func:`repro.narada.serial.report_bytes`).  :meth:`ArtifactCache.get`
-parses the head only, and checks the body against that digest.  A
-``source`` entry is one document on one line.
+parses the head only, and checks the body against that digest.
 
-An entry in the older
-``<stage>/<digest[:2]>/`` fan-out layout is never read, but still
-counts toward the byte budget and is evicted before any flat entry.
+An entry under a stage or key no run reads (the older
+``<stage>/<digest[:2]>/`` fan-out layout, a retired stage, a key of an
+older derivation) is never read, but still counts toward the byte
+budget; the fan-out layout is evicted before any flat entry.
 A budgeted cache evicts least-recently-used entries first, and an
 entry's file mtime is its recency: a write publishes a fresh file and
 a hit sets the mtime to now, so the root holds nothing but stage
@@ -87,10 +79,9 @@ DEFAULT_QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 
 
 class Entry(dict):
-    """A cache entry as :meth:`ArtifactCache.get` returns it: the parsed
-    payload, or a two-part entry's head, plus the entry's ``text``,
-    from whose body a replay decodes its deferred part
-    (:mod:`repro.narada.serial`)."""
+    """A cache entry as :meth:`ArtifactCache.get` returns it: its parsed
+    head, plus the entry's ``text``, from whose body a replay decodes
+    its deferred part (:mod:`repro.narada.serial`)."""
 
     __slots__ = ("text",)
 
@@ -103,10 +94,9 @@ _DECODER = json.JSONDecoder()
 
 
 def _parse(raw: bytes, text: str) -> dict:
-    """The payload of an entry's ``text``, or the head of a two-part
-    entry: a head that carries ``digest``, the sha256 of the body that
-    must follow it.  The body is hashed in ``raw``, the entry's bytes,
-    from its first newline on, where
+    """The head of an entry's ``text``, which carries ``digest``, the
+    sha256 of the body that must follow it.  The body is hashed in
+    ``raw``, the entry's bytes, from its first newline on, where
     :func:`repro.narada.serial.parse_body` reads it.
 
     Raises:
@@ -116,10 +106,8 @@ def _parse(raw: bytes, text: str) -> dict:
     if type(data) is not dict:
         raise ValueError("cache entry is not an object")
     digest = data.get("digest")
-    if digest is None:
-        if end != len(text):
-            raise ValueError("extra data after the entry")
-        return data
+    if type(digest) is not str:
+        raise ValueError("entry head carries no body digest")
     if text[end : end + 1] != "\n":
         raise ValueError("entry head is not followed by its body")
     body = memoryview(raw)[raw.index(b"\n") + 1 :]
@@ -164,20 +152,25 @@ def table_digest(table: ClassTable) -> str:
     """Digest of the canonical (pretty-printed) program text.
 
     Takes a parsed table, never source text, so a digest cannot hide a
-    parse: callers parse once and reuse the table.
+    parse.  No cache key is derived from it: stage keys hash the source
+    text itself (:func:`source_digest`), which needs no parse.
     """
     text = pretty_program(table.program)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def stage_key(table_dig: str, stage: str, config: dict) -> str:
-    """Content address of one stage artifact for one program.
+def source_digest(text: str) -> str:
+    """The hex sha256 of a program's source text, which keys its stage
+    artifacts.  A lone surrogate, which JSON can carry to the daemon,
+    is hashed as its own code unit rather than refused."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
-    ``table_dig`` is the program's table digest, except for the
-    ``source`` stage, which the hex sha256 of the source text keys.
-    """
+
+def stage_key(digest: str, stage: str, config: dict) -> str:
+    """Content address of one stage artifact for one program, whose
+    :func:`source_digest` is ``digest``."""
     payload = {
-        "table": table_dig,
+        "source": digest,
         "stage": stage,
         "config": config,
         "salt": CODE_SALT,
@@ -406,14 +399,17 @@ class ArtifactCache:
 
         return failed
 
-    def put(
-        self, stage: str, key: str, data: dict, body: bytes | None = None
-    ) -> bool:
+    def has(self, stage: str, key: str) -> bool:
+        """Whether an entry is published under ``key``; it is not read,
+        so it may yet be a quarantined miss."""
+        return os.path.isfile(self._path(stage, key))
+
+    def put(self, stage: str, key: str, head: dict, body: bytes) -> bool:
         """Publish an entry atomically (write temp file, then rename).
 
-        With ``body``, the entry is two documents: ``data``, its head,
-        whose ``digest`` is the sha256 of ``body``, and the ``body``
-        bytes on the next line.  Returns ``True`` on success.  Filesystem
+        The entry is two documents: ``head``, whose ``digest`` is the
+        sha256 of ``body``, and the ``body`` bytes on the next line.
+        Returns ``True`` on success.  Filesystem
         failures (ENOSPC, EIO, a read-only root) are absorbed: the temp
         file is cleaned up, ``stats.write_errors`` ticks, and the caller
         gets ``False`` — a full disk must never take down the request
@@ -425,9 +421,7 @@ class ArtifactCache:
             f"{directory}{os.sep}.tmp-{os.getpid()}-{threading.get_ident()}-"
             f"{next(self._tmp_ids)}"
         )
-        encoded = canonical_json(data).encode()
-        if body is not None:
-            encoded = b"%s\n%s" % (encoded, body)
+        encoded = b"%s\n%s" % (canonical_json(head).encode(), body)
         try:
             injector = self.fault_injector
             if injector is not None and injector.enospc_write(key):

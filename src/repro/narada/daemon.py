@@ -4,7 +4,7 @@ The batched pool (:mod:`repro.narada.faults`) makes one *run* cheap by
 amortizing worker spawns and pipe round-trips inside it; this module
 amortizes them across runs.  A daemon owns exactly one warm
 :class:`FaultTolerantPool` plus the in-process memo caches (parsed
-class tables in the workers, table digests by source hash) and the
+class tables in the workers, class names by source digest) and the
 persistent artifact cache,
 and serves ``detect`` / ``synthesize`` / ``corpus`` requests from many
 concurrent clients over a unix or TCP socket — the pipeline as a
@@ -54,6 +54,7 @@ import socket
 import struct
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -70,6 +71,7 @@ from repro.narada.orchestrator import (
     PipelineOrchestrator,
     ProgramSource,
     SubjectSpec,
+    spec_keys,
     subject_specs,
 )
 from repro.narada.serial import encode_error_frame, encode_fault_ledger
@@ -98,6 +100,12 @@ DEFAULT_RECV_TIMEOUT_S = 30.0
 #: pipeline requests are shed with a structured ``busy`` frame.
 DEFAULT_MAX_QUEUE_DEPTH = 8
 
+#: Most distinct sources whose class names one daemon remembers.  An
+#: entry is a 64-character key and a tuple of class names (about 0.5 KB
+#: with the dict's overhead), so a full memo is about half a megabyte;
+#: 1024 covers serve-mixed's 520 distinct sources.
+SOURCE_MEMO_SIZE = 1024
+
 
 class ProtocolError(Exception):
     """Malformed frame or oversized payload on the wire."""
@@ -105,6 +113,31 @@ class ProtocolError(Exception):
 
 class BadRequest(Exception):
     """A request refused while validating it, before anything ran."""
+
+
+class _ClassNames:
+    """The class names of sources this daemon parsed, by source digest,
+    least recent first and at most :data:`SOURCE_MEMO_SIZE` of them.
+    Connection threads validate requests concurrently, so every access
+    holds the lock."""
+
+    def __init__(self) -> None:
+        self._names: OrderedDict[str, tuple[str, ...]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, digest: str) -> tuple[str, ...] | None:
+        with self._lock:
+            names = self._names.get(digest)
+            if names is not None:
+                self._names.move_to_end(digest)
+            return names
+
+    def put(self, digest: str, names: tuple[str, ...]) -> tuple[str, ...]:
+        with self._lock:
+            self._names[digest] = names
+            if len(self._names) > SOURCE_MEMO_SIZE:
+                self._names.popitem(last=False)
+        return names
 
 
 @contextmanager
@@ -505,6 +538,7 @@ class ReproDaemon:
         if memory_budget_mb is not None:
             self.governor = ResourceGovernor(memory_budget_mb)
             self.governor._worker_pids = self._worker_pids
+        self._class_names = _ClassNames()
         self._pool: FaultTolerantPool | None = None
         self._listener: socket.socket | None = None
         self._run_lock = threading.Lock()  # serializes pipeline execution
@@ -726,29 +760,41 @@ class ReproDaemon:
                 base[field_name] = _checked(key, request[key], check, wants)
         return PipelineConfig.from_dict(base)
 
-    def _specs_from(self, request: dict) -> list[SubjectSpec]:
+    def _specs_from(
+        self, request: dict, config: PipelineConfig
+    ) -> list[SubjectSpec]:
         if "source" in request:
             source = request["source"]
             if not isinstance(source, str):
                 raise TypeError(
                     f"'source' must be a string, not {type(source).__name__}"
                 )
-            # Parses only a source neither this process nor the cache
-            # knows; a source that does not parse fails here, as a bad
-            # request.
-            program = ProgramSource.of(source, self.cache)
+            program = ProgramSource(source)
             target = request.get("target_class")
+            # A source that does not parse fails here, as a bad request.
+            # The parse is skipped for a source this daemon parsed, and
+            # for a named class whose synthesis the cache holds under
+            # this config: only a run that parsed this text writes one.
+            names = self._class_names.get(program.digest)
+            if names is None and not (
+                target is not None
+                and self.cache is not None
+                and self.cache.has(
+                    "synthesis", spec_keys(program.digest, target, config)[0]
+                )
+            ):
+                names = self._class_names.put(
+                    program.digest, tuple(program.table.class_names())
+                )
             if target is None:
-                names = list(program.class_names)
                 if len(names) != 1:
                     raise ValueError(
-                        f"target_class needed; source defines {names}"
+                        f"target_class needed; source defines {list(names)}"
                     )
                 target = names[0]
-            name = request.get("name", target)
             return [
                 SubjectSpec(
-                    name=name,
+                    name=request.get("name", target),
                     source=source,
                     target_class=target,
                     program=program,
@@ -930,8 +976,8 @@ class ReproDaemon:
 
     def _pipeline_response(self, request: dict, detect: bool) -> dict:
         with _validating():
-            specs = self._specs_from(request)
             config = self._request_config(request)
+            specs = self._specs_from(request, config)
         return self._with_admission(
             request,
             lambda token: self._pipeline_body(specs, config, detect, token),

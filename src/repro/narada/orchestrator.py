@@ -34,13 +34,16 @@ subject; ``jobs`` of 4 and more on 4 or more CPUs is unmeasured.
 
 The run is backed by the persistent content-addressed
 :class:`~repro.narada.cache.ArtifactCache`: synthesis and detection
-artifacts are keyed by (table digest, stage config, code salt), so a
-rerun with unchanged subjects skips straight to the first invalidated
-stage.  A subject whose synthesis entry is gone but whose
-detection entry is not synthesizes again and replays the detection.
-Only entries a later run reads are written: seed analysis and lockset
-facts are recomputed inside the unit, and a source's ``source`` entry
-is written by the holder that parses it (:class:`ProgramSource`).
+artifacts are keyed by (source digest, stage config, code salt)
+(:func:`spec_keys`), so a lookup needs no parse and a rerun with
+unchanged subjects skips straight to the first invalidated stage.  A
+subject whose synthesis entry is gone but whose detection entry is not
+synthesizes again and replays the detection.  Only entries a later run
+reads are written: seed analysis and lockset facts are recomputed
+inside the unit.  The parent parses a source only when one of its
+subjects needs a unit, and then before any unit runs, so a source that
+does not parse raises :class:`~repro._util.errors.ParseError` from
+:meth:`PipelineOrchestrator.run` at any ``jobs``.
 
 The execution substrate is :mod:`repro.narada.faults`: worker death,
 hung units, and unit exceptions are isolated per unit, retried with
@@ -60,13 +63,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import threading
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.lang import ClassTable, load
-from repro.narada.cache import ArtifactCache, stage_key, table_digest
+from repro.narada.cache import ArtifactCache, source_digest, stage_key
 from repro.narada.faults import (
     CancelToken,
     FaultInjector,
@@ -83,10 +84,9 @@ from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
     VOLATILE_KEYS,
     decode_detection,
-    decode_source,
+    decode_sites,
     decode_synthesis,
     encode_detection,
-    encode_source,
     encode_synthesis,
     detection_head,
     parse_body,
@@ -96,75 +96,29 @@ from repro.narada.serial import (
 )
 
 
-#: Most distinct sources whose table digest and class names one process
-#: remembers.  An entry is a 32-byte key, a hex digest and a tuple of
-#: class names (about 0.5 KB with the dict's overhead), so a full memo
-#: is about half a megabyte; 1024 covers serve-mixed's 520 distinct
-#: sources.
-SOURCE_MEMO_SIZE = 1024
-
 #: Subjects per wave of :meth:`PipelineOrchestrator.run_stream`: it
 #: bounds how many subjects' reports a corpus run holds at once, and
 #: wave boundaries never change a result.
 WAVE_SIZE = 25
 
-#: sha256(source) -> (table digest, class names), least recent first.
-_SOURCE_MEMO: OrderedDict[bytes, tuple[str, tuple[str, ...]]] = OrderedDict()
-_SOURCE_MEMO_LOCK = threading.Lock()
-
-
-def _remember(key: bytes, known: tuple[str, tuple[str, ...]]) -> None:
-    with _SOURCE_MEMO_LOCK:
-        _SOURCE_MEMO[key] = known
-        if len(_SOURCE_MEMO) > SOURCE_MEMO_SIZE:
-            _SOURCE_MEMO.popitem(last=False)
-
 
 @dataclass(eq=False)
 class ProgramSource:
-    """One distinct program text: its table digest and class names now,
-    its class table and site map on first use.
+    """One distinct program text: its :func:`source_digest` now, its
+    class table and site map on first use.
 
-    :meth:`of` reads the digest and class names from the process-wide
-    source memo, then from the source's ``source`` cache entry, and
-    parses only when both miss.  The memo holds no table and no site
-    map: a table is parsed at most once per holder, when an inline unit
-    or :attr:`sites` first needs it, and dies with the holder.  A memo
-    hit's :attr:`sites` reads the ``source`` entry before it parses.  A
-    holder that parses for want of its ``source`` entry writes the entry
-    at once, so a source is parsed at most once per cache root.  A
-    source that fails to parse raises and is never memoized or cached.
+    A run makes one holder per distinct text, so specs that share a
+    source share its parse.  The site map is taken from the head of the
+    first detection hit among those specs, and otherwise from the table.
     """
 
     text: str = field(repr=False)
-    digest: str
-    class_names: tuple[str, ...]
+    digest: str = field(init=False)
     _table: ClassTable | None = field(default=None, repr=False)
     _sites: dict[int, str] | None = field(default=None, repr=False)
-    #: The cache a memo hit's :attr:`sites` reads the entry from first.
-    _reader: ArtifactCache | None = field(default=None, repr=False)
 
-    @classmethod
-    def of(cls, text: str, cache: ArtifactCache | None = None) -> "ProgramSource":
-        key = _text_key(text)
-        with _SOURCE_MEMO_LOCK:
-            known = _SOURCE_MEMO.get(key)
-            if known is not None:
-                _SOURCE_MEMO.move_to_end(key)
-        if known is not None:
-            return cls(text, *known, _reader=cache)
-        entry = None if cache is None else _read_source(cache, key)
-        if entry is not None:
-            digest, class_names, sites = entry
-            _remember(key, (digest, class_names))
-            return cls(text, digest, class_names, _sites=sites)
-        table = load(text)
-        known = (table_digest(table), tuple(table.class_names()))
-        _remember(key, known)
-        program = cls(text, *known, table)
-        if cache is not None:
-            program._write(cache, key)
-        return program
+    def __post_init__(self) -> None:
+        self.digest = source_digest(self.text)
 
     @property
     def table(self) -> ClassTable:
@@ -177,26 +131,8 @@ class ProgramSource:
         """node id -> name of the method whose body contains it
         (:meth:`ClassTable.site_methods`); scorers read it."""
         if self._sites is None:
-            reader, self._reader = self._reader, None
-            entry = None
-            if reader is not None:
-                key = _text_key(self.text)
-                entry = _read_source(reader, key)
-            if entry is not None:
-                self._sites = entry[2]
-            else:
-                self._sites = self.table.site_methods()
-                if reader is not None:
-                    self._write(reader, key)
+            self._sites = self.table.site_methods()
         return self._sites
-
-    def _write(self, cache: ArtifactCache, key: bytes) -> None:
-        """Write this source's ``source`` entry; ``key`` is its memo key."""
-        cache.put(
-            "source",
-            _entry_key(key),
-            encode_source(self.digest, self.class_names, self.sites),
-        )
 
 
 def _whole(entry) -> dict:
@@ -210,38 +146,13 @@ def _whole(entry) -> dict:
     return payload
 
 
-def _text_key(text: str) -> bytes:
-    """The source memo's key for ``text``."""
-    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
-
-
-def _entry_key(key: bytes) -> str:
-    """The ``source`` cache key of the source whose memo key is ``key``."""
-    return stage_key(key.hex(), "source", {})
-
-
-def _read_source(cache: ArtifactCache, key: bytes) -> tuple | None:
-    """The decoded ``source`` entry of the source whose memo key is
-    ``key``, or None when it is missing or fails to decode (and is then
-    quarantined)."""
-    entry_key = _entry_key(key)
-    entry = cache.get("source", entry_key)
-    if entry is None:
-        return None
-    try:
-        return decode_source(entry)
-    except ValueError as error:
-        cache.reject("source", entry_key, f"decode failure: {error!r}")
-        return None
-
-
 @dataclass(frozen=True)
 class SubjectSpec:
     """One unit of per-subject work: a program and its analyzed class.
 
     ``program`` is the source as its creator already described it (the
     daemon does, to validate a request); a run uses it, and the table it
-    may carry, instead of looking the source up again.
+    may carry, instead of making its own.
     """
 
     name: str
@@ -312,6 +223,20 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         return cls(**data)
+
+
+def spec_keys(
+    digest: str, target_class: str, config: PipelineConfig
+) -> tuple[str, str]:
+    """The synthesis and detection cache keys of the subject
+    ``target_class`` of the source whose
+    :func:`~repro.narada.cache.source_digest` is ``digest``, under
+    ``config``.  A detect run's unit key is the detection key, and a
+    synthesis-only run's the synthesis key."""
+    return (
+        stage_key(digest, "synthesis", config.synthesis_config(target_class)),
+        stage_key(digest, "detection", config.detection_config(target_class)),
+    )
 
 
 @dataclass
@@ -458,20 +383,13 @@ def _subject_worker(
     }
 
 
-def _parse_specs(
-    specs: list[SubjectSpec], cache: ArtifactCache | None
-) -> list[ProgramSource]:
-    """Per spec, its :class:`ProgramSource`, read through ``cache``.
-
-    Specs that share a source (one spec per class of one program) share
-    one holder, so the run parses that source at most once.
-    """
+def _programs(specs: list[SubjectSpec]) -> list[ProgramSource]:
+    """Per spec, its :class:`ProgramSource`: specs that share a source
+    (one spec per class of one program) share one holder."""
     programs: dict[str, ProgramSource] = {}
     for spec in specs:
         if spec.source not in programs:
-            programs[spec.source] = spec.program or ProgramSource.of(
-                spec.source, cache
-            )
+            programs[spec.source] = spec.program or ProgramSource(spec.source)
     return [programs[spec.source] for spec in specs]
 
 
@@ -572,14 +490,20 @@ class PipelineOrchestrator:
             self.cache.reject("synthesis", key, f"decode failure: {error!r}")
             return None
 
-    def _put_report(self, stage: str, key: str, data: dict) -> str:
+    def _put_report(
+        self, stage: str, key: str, data: dict, sites: dict | None = None
+    ) -> str:
         """Publish a synthesis or detection payload; its report digest,
         which a later hit hands back.  The entry's body is the report's
         canonical bytes, and its head, which a hit parses alone, stores
-        their sha256 under ``digest``."""
+        their sha256 under ``digest``; a detection head also carries the
+        source's site map ``sites``."""
         body = report_bytes(data)
         digest = hashlib.sha256(body).hexdigest()
-        head = synthesis_head(data) if stage == "synthesis" else detection_head(data)
+        if stage == "synthesis":
+            head = synthesis_head(data)
+        else:
+            head = detection_head(data, sites)
         self.cache.put(stage, key, {**head, "digest": digest}, body)
         return digest
 
@@ -640,6 +564,9 @@ class PipelineOrchestrator:
         lacks, and its reply publishes the synthesis it computed and a
         detection that every budgeted test completed.  A partial
         detection is never cached, so a later clean run recomputes it.
+        A source's site map comes from its first detection hit's head;
+        a source that has a unit is parsed here, and its table supplies
+        the map when no hit did.
         """
         outcomes = [
             SubjectOutcome(spec=spec, program=programs[i], synthesis=None)
@@ -647,26 +574,19 @@ class PipelineOrchestrator:
         ]
         config_dict = self.config.to_dict()
         units: list[PoolUnit] = []
-        # Unit key -> (spec index, synthesis key, detection key or None,
-        # the whole detection payload the unit replays or None).
-        slots: dict[str, tuple[int, str, str | None, dict | None]] = {}
+        # Unit key -> (spec index, synthesis key, detection key, the
+        # whole detection payload the unit replays or None).
+        slots: dict[str, tuple[int, str, str, dict | None]] = {}
         # A spec whose key an earlier spec already has (one subject
         # named twice) gets that spec's outcome instead of its own unit.
         first_by_key: dict[str, int] = {}
         duplicates: list[tuple[int, int]] = []
         for i, spec in enumerate(specs):
-            digest = programs[i].digest
-            synth_key = stage_key(
-                digest, "synthesis", self.config.synthesis_config(spec.target_class)
+            program = programs[i]
+            synth_key, detect_key = spec_keys(
+                program.digest, spec.target_class, self.config
             )
-            detect_key = None
-            if detect:
-                detect_key = stage_key(
-                    digest,
-                    "detection",
-                    self.config.detection_config(spec.target_class),
-                )
-            key = detect_key or synth_key
+            key = detect_key if detect else synth_key
             if key in first_by_key:
                 duplicates.append((i, first_by_key[key]))
                 continue
@@ -691,6 +611,8 @@ class PipelineOrchestrator:
                         detection_entry.text,
                         self.cache.rejecter("detection", detect_key),
                     )
+                    if program._sites is None:
+                        program._sites = decode_sites(detection_entry)
                 except Exception as error:  # noqa: BLE001 — quarantined here
                     self.cache.reject(
                         "detection", detect_key, f"decode failure: {error!r}"
@@ -735,6 +657,11 @@ class PipelineOrchestrator:
                 )
             slots[key] = (i, synth_key, detect_key, detection_entry)
             units.append(unit)
+        for unit in units:
+            # Parse in the parent, before any unit runs: a source that
+            # does not parse raises here, and the parent holds the site
+            # map of every detection it writes.
+            programs[slots[unit.key][0]].table
 
         def inline_unit(unit: PoolUnit):
             i = slots[unit.key][0]
@@ -800,6 +727,7 @@ class PipelineOrchestrator:
                     "detection",
                     detect_key,
                     detect_data or encode_detection(detection),
+                    programs[i].sites,
                 )
 
         self._run_units(units, inline_unit, on_complete)
@@ -836,7 +764,7 @@ class PipelineOrchestrator:
         quarantined_before = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
-        programs = _parse_specs(specs, self.cache)
+        programs = _programs(specs)
         try:
             if self.cancel is not None:
                 self.cancel.check()

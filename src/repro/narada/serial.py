@@ -40,9 +40,7 @@ each: a **head** holding what a replay reads (:func:`synthesis_head`,
 bytes (:func:`report_bytes`), the text :func:`report_digest` hashes.
 The head stores that digest under ``digest``, computed when the entry
 is written, so a cache hit never encodes a report again just to digest
-it, and the cache checks the body against it.  A ``source`` entry
-(:func:`encode_source`) carries no report: it is what a replay needs of
-one source text instead of parsing it.
+it, and the cache checks the body against it.
 
 A replayed report parses and decodes only the head, and the body is
 parsed only when a field it holds is first read (:func:`_pending`).
@@ -60,7 +58,9 @@ Until then the report holds the entry's text.
   records, and in their place the records' sorted static keys.  A
   replayed race set holds those keys (``static_keys()``, which scoring
   and the report's ``detected``/``reproduced`` counts read) and decodes
-  its records, checked against the keys, on first read.
+  its records, checked against the keys, on first read.  Beside the
+  report, outside the bytes it digests, the head carries the source's
+  site map, which scorers read (:func:`decode_sites`).
 
 A replay holds no parsed table: a ``str`` is one object the garbage
 collector never scans, while the parsed tables of one stock corpus
@@ -993,11 +993,12 @@ def _race_key(race: dict) -> list:
     return [race["class_name"], race["field_name"], sites]
 
 
-def detection_head(data: dict) -> dict:
+def detection_head(data: dict, sites: dict[int, str]) -> dict:
     """The head of a detection payload's cache entry: the payload with
     each fuzz report's race records replaced by their sorted static
-    keys, under ``keys`` beside ``dynamic_count``.  The entry's body,
-    the whole report, holds the records."""
+    keys, under ``keys`` beside ``dynamic_count``, and the source's site
+    map ``sites`` under ``sites``, its node ids grouped by method.  The
+    entry's body, the whole report, holds the records."""
     reports = []
     for fuzz in data["fuzz_reports"]:
         detected = fuzz["detected"]
@@ -1011,7 +1012,31 @@ def detection_head(data: dict) -> dict:
                 },
             }
         )
-    return {**data, "fuzz_reports": reports}
+    methods: dict[str, list[int]] = {}
+    for node_id, name in sorted(sites.items()):
+        methods.setdefault(name, []).append(node_id)
+    return {**data, "fuzz_reports": reports, "sites": methods}
+
+
+def decode_sites(head: dict) -> dict[int, str]:
+    """The site map of a detection entry's ``head``: node id -> name of
+    the method whose body contains it.
+
+    Raises:
+        ValueError: when the head holds no well-typed site map.
+    """
+    methods = head.get("sites")
+    if not isinstance(methods, dict):
+        raise ValueError("detection head holds no site map")
+    sites: dict[int, str] = {}
+    for name, node_ids in methods.items():
+        if not isinstance(node_ids, list) or not all(
+            type(node_id) is int for node_id in node_ids
+        ):
+            raise ValueError(f"ill-typed site ids for method {name!r}")
+        for node_id in node_ids:
+            sites[node_id] = name
+    return sites
 
 
 _DECODER = json.JSONDecoder()
@@ -1117,52 +1142,6 @@ def decode_detection(
             )
         report.add(_decode_fuzz_report(fuzz, test, deferred))
     return report
-
-
-def encode_source(
-    table_digest: str, class_names: tuple[str, ...], sites: dict[int, str]
-) -> dict:
-    """Encode what a replay needs of one source text: its table digest,
-    its class names and its site map, the site ids grouped by method."""
-    methods: dict[str, list[int]] = {}
-    for node_id, name in sorted(sites.items()):
-        methods.setdefault(name, []).append(node_id)
-    return {
-        "kind": "source",
-        "version": SERIAL_VERSION,
-        "table": table_digest,
-        "class_names": list(class_names),
-        "sites": methods,
-    }
-
-
-def decode_source(data: dict) -> tuple[str, tuple[str, ...], dict[int, str]]:
-    """``(table digest, class names, site map)`` of a source entry.
-
-    Raises:
-        ValueError: when the entry is not a well-typed source entry.
-    """
-    digest = data.get("table")
-    names = data.get("class_names")
-    methods = data.get("sites")
-    if (
-        data.get("kind") != "source"
-        or not isinstance(digest, str)
-        or len(digest) != 64
-        or not isinstance(names, list)
-        or not all(isinstance(name, str) for name in names)
-        or not isinstance(methods, dict)
-    ):
-        raise ValueError("ill-typed source entry")
-    sites: dict[int, str] = {}
-    for name, node_ids in methods.items():
-        if not isinstance(node_ids, list) or not all(
-            type(node_id) is int for node_id in node_ids
-        ):
-            raise ValueError(f"ill-typed site ids for method {name!r}")
-        for node_id in node_ids:
-            sites[node_id] = name
-    return digest, tuple(names), sites
 
 
 def encode_fuzz_bundle(report) -> dict:

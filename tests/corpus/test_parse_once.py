@@ -1,28 +1,25 @@
-"""Each subject's source is parsed once per orchestrator run, a source
-this process has seen is not parsed again for its digest, and a source
-an earlier process replayed is not parsed at all.
+"""Each subject's source is parsed at most once per orchestrator run,
+and a run that finds every subject's entries parses nothing.
 
-The orchestrator parses every distinct source at most once, derives the
-table digest from that table, hands the table to its inline units, and
-leaves the source's site map on ``SubjectOutcome.program`` for the
-corpus scorer.  The table digest is memoized by source hash, and a run
-parses a memoized source only when an inline unit or a reader of
-``.sites`` first needs its table.  A holder that parses for want of
-the source's ``source`` entry (digest, class names, site map) writes
-the entry at once, which spares every later process the parse; a memo
-hit reads that entry for its site map.  These tests count parser
-entries, so a new re-parse anywhere on the path fails them; clearing
-the memo stands for a fresh process.
+Cache keys hash the source text, so a lookup needs no parse.  The
+orchestrator parses a distinct source only when one of its subjects has
+a unit to run, and then in the parent before any unit runs; the table
+feeds its inline units and the site map of the detection entries it
+writes.  A detection hit carries the site map in its head, which the
+corpus scorer reads from ``SubjectOutcome.program``.  The daemon
+validates a request's source by parsing it, unless it remembers the
+source's class names or the cache holds the named class's synthesis.
+These tests count parser entries, so a new re-parse anywhere on the
+path fails them.
 """
 
 import json
 import sys
 import threading
-from collections import OrderedDict
 
 import pytest
 
-import repro.narada.orchestrator as orch_mod
+import repro.narada.daemon as daemon_mod
 from repro._util.errors import ParseError
 from repro.corpus import CorpusConfig, generate_corpus, run_corpus
 from repro.lang import load
@@ -31,9 +28,12 @@ from repro.narada import (
     ArtifactCache,
     PipelineConfig,
     PipelineOrchestrator,
+    ReproDaemon,
     subject_specs,
 )
-from repro.narada.orchestrator import ProgramSource, SubjectSpec
+from repro.narada import serial
+from repro.narada.cache import source_digest
+from repro.narada.orchestrator import SubjectSpec
 from repro.subjects import get_subject
 
 CONFIG = PipelineConfig(random_runs=2)
@@ -53,58 +53,32 @@ def parses(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty source memo, so every source starts unseen."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", fresh)
-    return fresh
+def _stages(root) -> dict[str, int]:
+    return {path.name: len(list(path.glob("*.json"))) for path in root.iterdir()}
 
 
-def _source_entries(root) -> int:
-    return len(list((root / "source").glob("*.json")))
-
-
-def test_corpus_run_parses_each_subject_once_cold_and_warm(
-    tmp_path, memo, parses
-):
-    """Cold: 10 parses, each writing its source entry.  The warm
-    processes after it parse nothing and write nothing."""
+def test_corpus_run_parses_each_subject_once_cold_and_warm(tmp_path, parses):
+    """Cold: 10 parses and 20 entries.  The replays after it, each in a
+    fresh cache as a fresh process has, parse nothing and write
+    nothing."""
     config = CorpusConfig(count=10)
     subjects = generate_corpus(config)
     root = tmp_path / "cache"
-    results, parsed, entries = [], [], []
+    results, parsed, writes = [], [], []
     for _ in range(3):
-        memo.clear()
         parses["n"] = 0
         cache = ArtifactCache(root)
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             results.append(run_corpus(config, orch, subjects=subjects))
         parsed.append(parses["n"])
-        entries.append(_source_entries(root))
+        writes.append(cache.stats.writes)
     assert parsed == [10, 0, 0]
-    assert entries == [10, 10, 10]
-    assert cache.stats.writes == 0
+    assert writes == [20, 0, 0]
+    assert _stages(root) == {"detection": 10, "synthesis": 10}
     cold, warm, replay = results
     assert cold.recall == warm.recall == replay.recall == 1.0
     assert warm.digests == cold.digests == replay.digests
     assert replay.to_dict() == cold.to_dict()
-
-
-def test_specs_sharing_a_source_share_one_parse(parses):
-    # One spec per class of one program, as Narada.synthesize_all
-    # builds them for a fanned-out run.
-    source = get_subject("C2").source
-    specs = [
-        SubjectSpec(name=name, source=source, target_class=name)
-        for name in ("ArrayCollection", "SynchronizedCollection")
-    ]
-    parses["n"] = 0
-    with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
-        outcomes = orch.run(specs)
-    assert parses["n"] == 1
-    assert outcomes[0].program is outcomes[1].program
-    assert all(o.detection is not None for o in outcomes)
 
 
 def _c2_specs():
@@ -115,88 +89,63 @@ def _c2_specs():
     ]
 
 
-def test_repeat_run_on_a_warm_cache_parses_nothing_until_sites_are_read(
-    tmp_path, memo, parses
+def test_specs_sharing_a_source_share_one_parse(parses):
+    # One spec per class of one program, as Narada.synthesize_all
+    # builds them for a fanned-out run.
+    with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+        outcomes = orch.run(_c2_specs())
+    assert parses["n"] == 1
+    assert outcomes[0].program is outcomes[1].program
+    assert all(o.detection is not None for o in outcomes)
+
+
+def test_a_warm_replay_reads_two_entries_and_its_sites_from_the_head(
+    tmp_path, parses
 ):
     specs = subject_specs([get_subject("C8")])
-    root = tmp_path / "cache"
-    cache = ArtifactCache(root)
+    cache = ArtifactCache(tmp_path / "cache")
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         cold = orch.run(specs)[0]
-    # The cold run parsed once and wrote the source entry ...
     assert parses["n"] == 1
-    assert _source_entries(root) == 1
 
-    # ... so a replay in a fresh process parses nothing and writes nothing.
-    memo.clear()
     parses["n"] = 0
-    writes = cache.stats.writes
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        assert orch.run(specs)[0].program.sites
-    assert parses["n"] == 0
-    assert cache.stats.writes == writes
-
+    cache = ArtifactCache(tmp_path / "cache")
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         warm = orch.run(specs)[0]
-    assert parses["n"] == 0
     assert warm.synthesis_cached and warm.detection_cached
     assert warm.digest() == cold.digest()
-
-    # A memo hit reads its sites from the source entry, once.
-    hits = cache.stats.hits
-    sites = warm.program.sites
-    assert warm.program.sites is sites
+    assert warm.program.sites == cold.program.sites
     assert parses["n"] == 0
-    assert cache.stats.hits == hits + 1
-    assert sites == load(specs[0].source).site_methods()
+    assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (2, 0, 0)
+    assert warm.program.sites == load(specs[0].source).site_methods()
 
 
-def test_a_memo_hit_without_an_entry_parses_for_its_sites_and_saves_them(
-    tmp_path, memo, parses
+def test_a_detection_miss_parses_once_and_takes_its_sites_from_the_table(
+    tmp_path, parses
 ):
     specs = subject_specs([get_subject("C8")])
     root = tmp_path / "cache"
-    cache = ArtifactCache(root)
-    # A memo hit whose synthesis misses parses once, for its inline
-    # unit's table; reading its sites finds no source entry, takes the
-    # site map from that table and writes the entry.
-    ProgramSource.of(specs[0].source)
-    parses["n"] = 0
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+    with PipelineOrchestrator(
+        jobs=1, cache=ArtifactCache(root), config=CONFIG
+    ) as orch:
         cold = orch.run(specs)[0]
-    assert not cold.synthesis_cached and parses["n"] == 1
-    assert not (root / "source").exists()
-    writes = cache.stats.writes
-    sites = cold.program.sites
-    assert parses["n"] == 1
-    assert cache.stats.writes == writes + 1
-    assert _source_entries(root) == 1
+    (path,) = (root / "detection").glob("*.json")
+    path.unlink()
 
-    # One whose synthesis hits parses for its sites and writes the
-    # entry when the entry is gone ...
-    (entry,) = (root / "source").glob("*.json")
-    entry.unlink()
     parses["n"] = 0
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        warm = orch.run(specs)[0]
-    assert warm.synthesis_cached and parses["n"] == 0
-    writes = cache.stats.writes
-    assert warm.program.sites == sites
-    assert parses["n"] == 1
-    assert cache.stats.writes == writes + 1
-    assert _source_entries(root) == 1
-
-    # ... and the next repeat run reads it instead of parsing.
-    writes = cache.stats.writes
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+    with PipelineOrchestrator(
+        jobs=1, cache=ArtifactCache(root), config=CONFIG
+    ) as orch:
         again = orch.run(specs)[0]
-    assert again.program.sites == sites
+    assert again.synthesis_cached and not again.detection_cached
+    assert again.digest() == cold.digest()
+    assert again.program._table is not None
+    assert again.program.sites == cold.program.sites
     assert parses["n"] == 1
-    assert cache.stats.writes == writes
 
 
-def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
-    tmp_path, memo, parses
+def test_specs_sharing_a_source_share_one_site_map_on_an_all_hit_run(
+    tmp_path, parses
 ):
     cache = ArtifactCache(tmp_path / "cache")
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
@@ -205,53 +154,36 @@ def test_specs_sharing_a_source_share_one_lazy_table_on_an_all_hit_run(
     parses["n"] = 0
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         outcomes = orch.run(_c2_specs())
-    assert parses["n"] == 0
-    # The site map comes from the cold run's source entry; the table,
-    # which nothing cached, is parsed once for both specs.
+    # The site map comes from the first detection head; the table,
+    # which nothing cached, is parsed once for both specs when read.
     assert outcomes[0].program.sites is outcomes[1].program.sites
     assert parses["n"] == 0
     assert outcomes[0].program.table is outcomes[1].program.table
     assert parses["n"] == 1
 
 
-def test_a_source_that_fails_to_parse_fails_every_time(memo, parses):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_source_that_fails_to_parse_raises_before_any_unit(
+    tmp_path, monkeypatch, parses, jobs
+):
     bad = "class A { int f = ; }"
     spec = SubjectSpec(name="A", source=bad, target_class="A")
+
+    def refuse(self, units, *args):
+        raise AssertionError("a unit ran for a source that does not parse")
+
+    monkeypatch.setattr(PipelineOrchestrator, "_run_units", refuse)
+    cache = ArtifactCache(tmp_path / "cache")
     for attempt in (1, 2):
-        with pytest.raises(ParseError):
-            ProgramSource.of(bad)
-        with PipelineOrchestrator(jobs=1, config=CONFIG) as orch:
+        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
             with pytest.raises(ParseError):
                 orch.run([spec])
-        assert parses["n"] == 2 * attempt
-    assert len(memo) == 0
+        assert parses["n"] == attempt
+    assert cache.stats.writes == 0
+    assert not (tmp_path / "cache").exists()
 
 
-def test_memo_stays_within_its_bound_and_holds_only_digests(
-    monkeypatch, memo, parses
-):
-    monkeypatch.setattr(orch_mod, "SOURCE_MEMO_SIZE", 4)
-    sources = [s.source for s in generate_corpus(CorpusConfig(count=10))]
-    digests = []
-    for source in sources:
-        digests.append(ProgramSource.of(source).digest)
-        assert len(memo) <= 4
-    assert parses["n"] == 10
-    assert len(memo) == 4
-    for key, (digest, class_names) in memo.items():
-        assert isinstance(key, bytes) and len(key) == 32
-        assert isinstance(digest, str) and len(digest) == 64
-        assert all(isinstance(name, str) for name in class_names)
-    assert [digest for digest, _ in memo.values()] == digests[-4:]
-
-    # The newest sources hit; the oldest was dropped and parses again.
-    assert ProgramSource.of(sources[-1]).digest == digests[-1]
-    assert parses["n"] == 10
-    assert ProgramSource.of(sources[0]).digest == digests[0]
-    assert parses["n"] == 11
-
-
-def test_an_all_hit_run_writes_nothing(tmp_path, memo):
+def test_an_all_hit_run_writes_nothing(tmp_path):
     specs = subject_specs([get_subject("C8")])
     root = tmp_path / "cache"
     with PipelineOrchestrator(
@@ -268,39 +200,136 @@ def test_an_all_hit_run_writes_nothing(tmp_path, memo):
     assert sorted(root.rglob("*")) == before
 
 
-@pytest.mark.parametrize(
-    "cached", [False, True, "empty"], ids=["memo", "memo+entries", "memo+writes"]
-)
-def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
-    monkeypatch, tmp_path, memo, cached
+@pytest.mark.parametrize("sites", [{"m": ["7"]}, ["m"], None])
+def test_a_bad_site_map_quarantines_the_detection_entry(
+    tmp_path, parses, sites
 ):
-    # Daemon connection threads look sources up concurrently; a lost
-    # update would overgrow the memo, raise from a key evicted under
-    # another thread, pair a source with another's digest or site map,
-    # or drop a cache hit from the counts.  On an empty root each
-    # thread that parses writes the source's entry.
-    monkeypatch.setattr(orch_mod, "SOURCE_MEMO_SIZE", 3)
-    sources = [s.source for s in generate_corpus(CorpusConfig(count=6))]
-    expected = {s: orch_mod.table_digest(load(s)) for s in sources}
-    sites = {s: load(s).site_methods() for s in sources}
-    cache = None
-    if cached == "empty":
-        cache = ArtifactCache(tmp_path / "cache")
-    elif cached:
-        for source in sources:
-            ProgramSource.of(source, ArtifactCache(tmp_path / "cache"))
-        memo.clear()
-        cache = ArtifactCache(tmp_path / "cache")
+    specs = subject_specs([get_subject("C8")])
+    root = tmp_path / "cache"
+    with PipelineOrchestrator(
+        jobs=1, cache=ArtifactCache(root), config=CONFIG
+    ) as orch:
+        cold = orch.run(specs)[0]
+    (path,) = (root / "detection").glob("*.json")
+    head, body = path.read_text().split("\n")
+    head = {**json.loads(head), "sites": sites}
+    path.write_text(json.dumps(head) + "\n" + body)
+
+    parses["n"] = 0
+    cache = ArtifactCache(root)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        outcome = orch.run(specs)[0]
+    assert outcome.synthesis_cached and not outcome.detection_cached
+    assert outcome.digest() == cold.digest()
+    assert outcome.program.sites == cold.program.sites
+    assert cache.stats.quarantined == orch.fault_ledger.quarantined == 1
+    assert len(list((root / "quarantine" / "detection").glob("*.json"))) == 1
+    assert parses["n"] == 1
+    # The recomputed entry carries a good site map again.
+    (path,) = (root / "detection").glob("*.json")
+    head = json.loads(path.read_text().split("\n")[0])
+    assert serial.decode_sites(head) == cold.program.sites
+
+
+# ----------------------------------------------------------------------
+# The daemon's class-name memo.
+
+
+def _daemon(tmp_path, cache=None) -> ReproDaemon:
+    return ReproDaemon(socket_path=str(tmp_path / "d.sock"), jobs=1, cache=cache)
+
+
+def _validate(daemon, source, target=None):
+    request = {"op": "detect", "source": source}
+    if target is not None:
+        request["target_class"] = target
+    return daemon._specs_from(request, CONFIG)[0]
+
+
+def test_memo_stays_within_its_bound_and_holds_only_class_names(
+    tmp_path, monkeypatch, parses
+):
+    monkeypatch.setattr(daemon_mod, "SOURCE_MEMO_SIZE", 4)
+    subjects = generate_corpus(CorpusConfig(count=10))
+    names = [tuple(load(subject.source).class_names()) for subject in subjects]
+    parses["n"] = 0
+    daemon = _daemon(tmp_path)
+    memo = daemon._class_names
+    for subject in subjects:
+        _validate(daemon, subject.source, subject.class_name)
+        assert len(memo._names) <= 4
+    assert parses["n"] == 10
+    assert list(memo._names.values()) == names[-4:]
+    assert all(len(key) == 64 for key in memo._names)
+
+    # The newest sources hit; the oldest was dropped and parses again.
+    _validate(daemon, subjects[-1].source, subjects[-1].class_name)
+    assert parses["n"] == 10
+    _validate(daemon, subjects[0].source, subjects[0].class_name)
+    assert parses["n"] == 11
+
+
+def test_a_named_class_with_a_cached_synthesis_validates_with_no_parse(
+    tmp_path, parses
+):
+    subject = get_subject("C8")
+    cache = ArtifactCache(tmp_path / "cache")
+    spec = _validate(_daemon(tmp_path, cache), subject.source, subject.class_name)
+    assert parses["n"] == 1
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        orch.run([spec], detect=False)
+    assert parses["n"] == 1
+
+    parses["n"] = 0
+    fresh = _daemon(tmp_path, cache)
+    spec = _validate(fresh, subject.source, subject.class_name)
+    assert spec.program._table is None
+    assert parses["n"] == 0
+    # Under another config the entry is not there, and the source parses.
+    fresh._specs_from(
+        {
+            "op": "detect",
+            "source": subject.source,
+            "target_class": subject.class_name,
+        },
+        PipelineConfig(vm_seed=1),
+    )
+    assert parses["n"] == 1
+    # Without a class name the daemon needs the class names.
+    spec = _validate(_daemon(tmp_path, cache), subject.source)
+    assert spec.target_class == subject.class_name
+    assert parses["n"] == 2
+
+
+def test_a_source_that_fails_to_parse_is_never_remembered(tmp_path, parses):
+    daemon = _daemon(tmp_path, ArtifactCache(tmp_path / "cache"))
+    for attempt in (1, 2):
+        with pytest.raises(ParseError):
+            _validate(daemon, "class A { int f = ; }", "A")
+        assert parses["n"] == attempt
+    assert not daemon._class_names._names
+
+
+def test_memo_under_concurrent_lookups_keeps_its_bound_and_names(
+    monkeypatch, tmp_path
+):
+    # Connection threads validate requests concurrently; a lost update
+    # would overgrow the memo, raise from a key evicted under another
+    # thread, or pair a source with another's class names.
+    monkeypatch.setattr(daemon_mod, "SOURCE_MEMO_SIZE", 3)
+    subjects = generate_corpus(CorpusConfig(count=6))
+    names = {s.key: tuple(load(s.source).class_names()) for s in subjects}
+    daemon = _daemon(tmp_path)
     errors, sizes = [], []
 
     def lookups(offset):
         try:
             for i in range(24):
-                source = sources[(offset + i) % len(sources)]
-                program = ProgramSource.of(source, cache)
-                assert program.digest == expected[source]
-                assert program.sites == sites[source]
-                sizes.append(len(memo))
+                subject = subjects[(offset + i) % len(subjects)]
+                _validate(daemon, subject.source, subject.class_name)
+                known = daemon._class_names.get(source_digest(subject.source))
+                assert known in (None, names[subject.key])
+                sizes.append(len(daemon._class_names._names))
         except Exception as error:  # noqa: BLE001 — reported below
             errors.append(error)
 
@@ -320,81 +349,3 @@ def test_memo_under_concurrent_lookups_keeps_its_bound_and_digests(
     assert errors == []
     assert len(sizes) == 8 * 24
     assert max(sizes) <= 3
-    if cached == "empty":
-        # Every entry holds its own source's digest and site map.
-        reader = ArtifactCache(tmp_path / "cache")
-        for source in sources:
-            assert orch_mod._read_source(reader, orch_mod._text_key(source)) == (
-                expected[source],
-                tuple(load(source).class_names()),
-                sites[source],
-            )
-        assert reader.stats.hits == len(sources)
-        assert len(list((tmp_path / "cache" / "source").iterdir())) == 6
-    elif cached:
-        # Each lookup reads its entry once: a memo miss for its digest,
-        # a memo hit for its sites.
-        assert cache.stats.hits == len(sizes)
-        assert (cache.stats.misses, cache.stats.writes) == (0, 0)
-
-
-def _bad_entry(kind: str, path) -> None:
-    if kind == "corrupt":
-        path.write_text(path.read_text()[:40])
-    elif kind == "stale":
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps({**data, "version": data["version"] - 1}))
-    elif kind == "wrong-type":
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps({**data, "sites": {"m": ["7"]}}))
-    else:  # wrong-digest-type
-        data = json.loads(path.read_text())
-        path.write_text(json.dumps({**data, "table": 7}))
-
-
-@pytest.mark.parametrize(
-    "kind", ["corrupt", "stale", "wrong-type", "wrong-digest-type"]
-)
-def test_a_bad_source_entry_is_quarantined_and_the_source_parsed(
-    tmp_path, memo, parses, kind
-):
-    specs = subject_specs([get_subject("C8")])
-    root = tmp_path / "cache"
-    # The cold run writes the source entry.
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(root), config=CONFIG
-    ) as orch:
-        cold = orch.run(specs)[0].digest()
-    (path,) = (root / "source").glob("*.json")
-    _bad_entry(kind, path)
-
-    memo.clear()
-    parses["n"] = 0
-    cache = ArtifactCache(root)
-    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
-        outcome = orch.run(specs)[0]
-    assert parses["n"] == 1
-    assert cache.stats.quarantined == 1
-    assert orch.fault_ledger.quarantined == 1
-    assert len(list((root / "quarantine" / "source").glob("*.json"))) == 1
-    assert outcome.synthesis_cached and outcome.detection_cached
-    assert outcome.digest() == cold
-    # The parse wrote a good entry back, and the next process reads it.
-    memo.clear()
-    parses["n"] = 0
-    with PipelineOrchestrator(
-        jobs=1, cache=ArtifactCache(root), config=CONFIG
-    ) as orch:
-        assert orch.run(specs)[0].digest() == cold
-    assert parses["n"] == 0
-
-
-def test_a_source_that_fails_to_parse_gets_no_entry(tmp_path, memo, parses):
-    bad = "class A { int f = ; }"
-    cache = ArtifactCache(tmp_path / "cache")
-    for _ in range(2):
-        with pytest.raises(ParseError):
-            ProgramSource.of(bad, cache)
-    assert parses["n"] == 2
-    assert cache.stats.writes == 0
-    assert not (tmp_path / "cache" / "source").exists()

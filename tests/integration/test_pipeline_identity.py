@@ -1,15 +1,12 @@
 """Per-subject digests do not depend on what the cache holds.
 
-C1, C8 and a 10-subject stock-corpus slice run cold, then warm with the
-process's source memo kept, warm with it cleared (as a fresh process
-starts), and again after each cache stage's entries are deleted.  At
-``jobs`` 1 and 2, every run must reach the digests of a cache-free
-inline run and leave the cold run's entries behind.  Every run reads
-each subject's site map, as the corpus scorer does, so a replay that
-parsed for it would show in the parse count.
+C1, C8 and a 10-subject stock-corpus slice run cold, then warm, and
+again after each cache stage's entries are deleted.  At ``jobs`` 1 and
+2, every run must reach the digests of a cache-free inline run and
+leave the cold run's entries behind.  Every run reads each subject's
+site map, as the corpus scorer does, so a replay that parsed for it
+would show in the parse count.
 """
-
-from collections import OrderedDict
 
 import pytest
 
@@ -25,21 +22,13 @@ from repro.subjects import get_subject
 
 CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
 
-STAGES = ("detection", "source", "synthesis")
+STAGES = ("detection", "synthesis")
 
 
 def _specs():
     return subject_specs([get_subject("C1"), get_subject("C8")]) + corpus_specs(
         generate_corpus(CorpusConfig(count=10))
     )
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty source memo, so the first run starts like a fresh process."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", fresh)
-    return fresh
 
 
 @pytest.fixture
@@ -81,26 +70,20 @@ def clean():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_digests_are_identical_whatever_the_cache_holds(
-    tmp_path, memo, parses, clean, jobs
+    tmp_path, parses, clean, jobs
 ):
     root = tmp_path / "cache"
     assert _run(ArtifactCache(root), jobs) == clean
     entries = _entries(root)
-    assert [len(entries[stage]) for stage in STAGES] == [12, 12, 12]
+    assert [len(entries[stage]) for stage in STAGES] == [12, 12]
 
-    # (label, stage whose entries are deleted first, whether the memo
-    # is cleared first).
+    # (label, stage whose entries are deleted first).
     runs = [
-        ("warm, memo kept", None, False),
-        ("warm, memo cleared", None, True),
-        ("synthesis deleted", "synthesis", True),
-        ("detection deleted", "detection", True),
-        ("source deleted", "source", True),
-        ("source deleted, memo kept", "source", False),
+        ("warm", None),
+        ("synthesis deleted", "synthesis"),
+        ("detection deleted", "detection"),
     ]
-    for label, stage, clear_memo in runs:
-        if clear_memo:
-            memo.clear()
+    for label, stage in runs:
         if stage is not None:
             for path in (root / stage).glob("*.json"):
                 path.unlink()
@@ -110,9 +93,9 @@ def test_digests_are_identical_whatever_the_cache_holds(
         # The run writes back exactly the entries deleted before it.
         assert _entries(root) == entries, label
         assert cache.stats.writes == (0 if stage is None else 12), label
-        if stage is None:
-            # One cold run left every entry a replay reads.
-            assert parses["n"] == 0, label
+        # One cold run left every entry a replay reads; a subject with
+        # a unit to run is parsed in this process, at any jobs.
+        assert parses["n"] == (0 if stage is None else 12), label
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -4,13 +4,15 @@ A ``synthesis`` entry holds the shared-object tables of its tests.  A
 ``detection`` entry holds none: every fuzz report names its test, and
 decoding binds the name to the synthesis report's own test objects.
 Both entries store their report digests, so a warm replay digests
-nothing.  Beside them, a run writes only the ``source`` entry of a
-source it parsed.  Entries of an older serial version are clean misses.
+nothing, and a run writes no other entry.  Entries of an older serial
+version are clean misses.
 """
 
 import hashlib
 import json
-from collections import OrderedDict
+import os
+import pathlib
+import time
 
 import pytest
 
@@ -18,6 +20,8 @@ from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import cache as cache_module
 from repro.narada import orchestrator as orchestrator_module
 from repro.narada import serial
+from repro.lang import load
+from repro.lang.parser import Parser
 from repro.narada.orchestrator import subject_specs
 from repro.subjects import get_subject
 
@@ -37,10 +41,8 @@ def _run(cache=None, jobs=1):
 def _payload(path):
     """The payload an entry file holds: a two-part entry's body, the
     report, with the head's digest and volatile keys."""
-    head, _, body = path.read_text().partition("\n")
+    head, body = path.read_text().split("\n")
     data = json.loads(head)
-    if not body:
-        return data
     payload = json.loads(body)
     for key in ("digest", *serial.VOLATILE_KEYS):
         if key in data:
@@ -48,25 +50,46 @@ def _payload(path):
     return payload
 
 
+def put_parts(cache, stage, key, head, body=b"{}"):
+    """``cache.put`` of a two-part entry: ``head`` over ``body``, with
+    the body's sha256 under ``digest``."""
+    digest = hashlib.sha256(body).hexdigest()
+    return cache.put(stage, key, {**head, "digest": digest}, body)
+
+
 def _put_entry(path, payload, head_from=None):
     """Write ``payload`` to the two-part entry file ``path`` as a run
     writes it: the report's canonical bytes as the body, under the head
     cut from ``head_from`` (``payload`` itself by default) carrying the
-    body's sha256."""
-    body = serial.report_bytes(payload)
-    cut = (
-        serial.synthesis_head
-        if payload["kind"] == "synthesis"
-        else serial.detection_head
-    )
-    head = cut(head_from or payload)
-    head["digest"] = hashlib.sha256(body).hexdigest()
+    body's sha256.  A detection head keeps the site map of the entry
+    ``path`` holds."""
+    if payload["kind"] == "synthesis":
+        head = serial.synthesis_head(head_from or payload)
+    else:
+        sites = serial.decode_sites(json.loads(path.read_text().split("\n")[0]))
+        head = serial.detection_head(head_from or payload, sites)
     cache = ArtifactCache(path.parent.parent)
-    assert cache.put(path.parent.name, path.stem, head, body)
+    assert put_parts(
+        cache, path.parent.name, path.stem, head, serial.report_bytes(payload)
+    )
 
 
 def _entries(root, stage):
     return [(path, _payload(path)) for path in sorted((root / stage).glob("*.json"))]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """A counter of ``Parser.parse_program`` calls from now on."""
+    calls = {"n": 0}
+    real = Parser.parse_program
+
+    def counting(self):
+        calls["n"] += 1
+        return real(self)
+
+    monkeypatch.setattr(Parser, "parse_program", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -143,18 +166,11 @@ def _count_puts(monkeypatch):
 
 
 def test_cold_run_writes_each_entry_once(tmp_path, monkeypatch):
-    # An empty source memo, so the run parses C8 as a fresh process does.
-    monkeypatch.setattr(orchestrator_module, "_SOURCE_MEMO", OrderedDict())
     writes = _count_puts(monkeypatch)
     _run(ArtifactCache(tmp_path))
-    assert sorted(stage for stage, _ in writes) == [
-        "detection",
-        "source",
-        "synthesis",
-    ]
+    assert sorted(stage for stage, _ in writes) == ["detection", "synthesis"]
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "detection",
-        "source",
         "synthesis",
     ]
 
@@ -239,11 +255,13 @@ def _single_document(stage):
     ``stage``: the payload and its digest as one document."""
     real = PipelineOrchestrator._put_report
 
-    def put_report(self, stage_, key, data):
+    def put_report(self, stage_, key, data, sites=None):
         if stage_ != stage:
-            return real(self, stage_, key, data)
+            return real(self, stage_, key, data, sites)
         digest = serial.report_digest(data)
-        self.cache.put(stage_, key, {**data, "digest": digest})
+        path = pathlib.Path(self.cache._path(stage_, key))
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(serial.canonical_json({**data, "digest": digest}))
         return digest
 
     return put_report
@@ -306,3 +324,107 @@ def test_version_9_two_part_entries_are_clean_misses(
         (path,) = (tmp_path / stage).glob("*.json")
         _as_version_9(path)
     _assert_old_entries_are_clean_misses(tmp_path, clean_digest)
+
+
+def _table_key(digest, stage, config):
+    """A stage key as writers that keyed entries by table digest (the
+    sha256 of the pretty-printed program) derived it."""
+    payload = {
+        "table": digest,
+        "stage": stage,
+        "config": config,
+        "salt": cache_module.CODE_SALT,
+        "serial_version": serial.SERIAL_VERSION,
+    }
+    return hashlib.sha256(serial.canonical_json(payload).encode()).hexdigest()
+
+
+def _table_keyed_root(root):
+    """Fill ``root`` with C8's entries as writers that keyed them by
+    table digest left them: reports under table-digest keys, detection
+    heads without a site map, and a one-document ``source`` entry, keyed
+    by the source text's sha256, holding the table digest, class names
+    and site map.  Returns the paths of the three entries."""
+    _run(ArtifactCache(root))
+    (spec,) = _specs()
+    table = load(spec.source)
+    digest = cache_module.table_digest(table)
+    paths = []
+    for stage, config in (
+        ("synthesis", CONFIG.synthesis_config(spec.target_class)),
+        ("detection", CONFIG.detection_config(spec.target_class)),
+    ):
+        (path,) = (root / stage).glob("*.json")
+        head, body = path.read_text().split("\n")
+        head = json.loads(head)
+        head.pop("sites", None)
+        path.unlink()
+        path = root / stage / f"{_table_key(digest, stage, config)}.json"
+        path.write_text(serial.canonical_json(head) + "\n" + body)
+        paths.append(path)
+    methods = {}
+    for node_id, name in sorted(table.site_methods().items()):
+        methods.setdefault(name, []).append(node_id)
+    text_key = hashlib.sha256(spec.source.encode()).hexdigest()
+    path = root / "source" / f"{_table_key(text_key, 'source', {})}.json"
+    path.parent.mkdir()
+    path.write_text(
+        serial.canonical_json(
+            {
+                "kind": "source",
+                "version": serial.SERIAL_VERSION,
+                "table": digest,
+                "class_names": list(table.class_names()),
+                "sites": methods,
+            }
+        )
+    )
+    return [path, *paths]
+
+
+def test_a_table_digest_keyed_root_replays_as_clean_misses(
+    tmp_path, parses, clean_digest
+):
+    stale = _table_keyed_root(tmp_path)
+    parses["n"] = 0
+    cache = ArtifactCache(tmp_path)
+    outcome, orch = _run(cache)
+    assert outcome.digest() == clean_digest
+    assert not outcome.synthesis_cached and not outcome.detection_cached
+    assert (cache.stats.hits, cache.stats.quarantined) == (0, 0)
+    assert orch.fault_ledger.quarantined == 0
+    assert parses["n"] == 1
+    # The run writes its two entries beside the stale ones, and no
+    # ``source`` entry.
+    assert cache.stats.writes == 2
+    assert all(path.exists() for path in stale)
+    assert list((tmp_path / "source").iterdir()) == [stale[0]]
+    assert cache.entry_count() == len(stale) + 2
+
+
+def test_a_budget_evicts_a_table_digest_keyed_root_oldest_first(tmp_path):
+    _run(ArtifactCache(tmp_path / "fresh"))
+    fresh_bytes = ArtifactCache(tmp_path / "fresh").total_bytes()
+    root = tmp_path / "stale"
+    stale = _table_keyed_root(root)
+    # Age the stale entries, the ``source`` one oldest.
+    now = time.time()
+    for age, path in enumerate(stale):
+        os.utime(path, (now - 3600 + age, now - 3600 + age))
+    sizes = [path.stat().st_size for path in stale]
+    # Room for this run's two entries and every stale one but the
+    # oldest; a few bytes spare for the head's wall-clock time.
+    budget = fresh_bytes + sum(sizes) - sizes[0] + 50
+    cache = ArtifactCache(root, max_bytes=budget)
+    outcome, _ = _run(cache)
+    assert not outcome.synthesis_cached
+    assert [path.exists() for path in stale] == [False, True, True]
+    assert list((root / "source").iterdir()) == []
+    assert cache.stats.evictions == 1
+    # A budget with room for this run's entries alone evicts the other
+    # stale ones, never the fresh.
+    assert cache.evict(fresh_bytes + 50) == 2
+    assert not any(path.exists() for path in stale)
+    warm, _ = _run(ArtifactCache(root))
+    assert warm.synthesis_cached and warm.detection_cached
+    assert warm.digest() == outcome.digest()

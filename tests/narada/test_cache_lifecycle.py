@@ -11,6 +11,7 @@ import time
 
 from repro.cli import main as cli_main
 from repro.narada import ArtifactCache, FaultInjector, FaultPlan
+from tests.narada.test_cache_format import put_parts
 
 
 def _fill(cache: ArtifactCache, stage: str, count: int, payload_bytes: int = 200):
@@ -18,7 +19,7 @@ def _fill(cache: ArtifactCache, stage: str, count: int, payload_bytes: int = 200
     keys = []
     for i in range(count):
         key = f"{i:02d}" + "a" * 62
-        cache.put(stage, key, {"i": i, "pad": "x" * payload_bytes})
+        put_parts(cache, stage, key, {"i": i, "pad": "x" * payload_bytes})
         keys.append(key)
     return keys
 
@@ -163,7 +164,7 @@ def _sharing_worker(root: str, worker: int, barrier, rounds: int) -> None:
     barrier.wait(30)
     for i in range(rounds):
         key = f"{worker}{i:03d}" + "b" * 60
-        cache.put("detection", key, {"worker": worker, "i": i, "pad": "x" * 200})
+        put_parts(cache, "detection", key, {"worker": worker, "i": i, "pad": "x" * 200})
         other = f"{1 - worker}{i:03d}" + "b" * 60
         cache.get("detection", other)
     assert cache.stats.evictions > 0
@@ -215,7 +216,7 @@ class TestThreadedWrites:
 
         def puts(mine):
             for key in mine:
-                cache.put("source", key, {"key": key, "pad": "x" * 200})
+                put_parts(cache, "detection", key, {"key": key, "pad": "x" * 200})
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -232,7 +233,7 @@ class TestThreadedWrites:
         assert not list(tmp_path.rglob(".tmp-*"))
         for mine in keys:
             for key in mine:
-                assert cache.get("source", key)["key"] == key
+                assert cache.get("detection", key)["key"] == key
 
 
 class TestQuarantineGC:
@@ -265,7 +266,7 @@ class TestEnospcResilience:
     def test_injected_enospc_returns_false_and_counts(self, tmp_path):
         injector = FaultInjector(FaultPlan(enospc=1.0))
         cache = ArtifactCache(tmp_path, fault_injector=injector)
-        assert cache.put("analysis", "ab" * 32, {"x": 1}) is False
+        assert put_parts(cache, "analysis", "ab" * 32, {"x": 1}) is False
         assert cache.stats.write_errors == 1
         assert cache.stats.writes == 0
         # Nothing half-written: the entry is a clean miss, no temp junk.
@@ -278,7 +279,7 @@ class TestEnospcResilience:
         root = tmp_path / "not-a-dir"
         root.write_text("occupied")
         cache = ArtifactCache(root)
-        assert cache.put("analysis", "cd" * 32, {"x": 1}) is False
+        assert put_parts(cache, "analysis", "cd" * 32, {"x": 1}) is False
         assert cache.stats.write_errors == 1
 
     def test_sha_keyed_determinism(self, tmp_path):

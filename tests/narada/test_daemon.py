@@ -18,11 +18,9 @@ import subprocess
 import sys
 import threading
 import time
-from collections import OrderedDict
 
 import pytest
 
-import repro.narada.orchestrator as orch_mod
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.lang.parser import Parser
 from repro.narada import (
@@ -43,6 +41,7 @@ from repro.narada.daemon import (
     send_frame,
 )
 from repro.subjects import get_subject
+from tests.narada.test_cache_format import put_parts
 
 RUNS = 2
 
@@ -345,7 +344,9 @@ class TestRequestHandling:
                 assert client.request(request)["ok"]
                 other = ArtifactCache(root)
                 for i in range(40):
-                    other.put("detection", f"{i:064x}", {"pad": "x" * 10_000})
+                    put_parts(
+                        other, "detection", f"{i:064x}", {"pad": "x" * 10_000}
+                    )
                 assert cache.total_bytes() > budget
                 response = client.request(request)
         assert response["subjects"]["C8"]["detection_cached"]
@@ -368,7 +369,7 @@ class TestRequestHandling:
                         }
                     )
                     assert response["ok"]
-        allowed = {"source", "synthesis", "detection", "quarantine"}
+        allowed = {"synthesis", "detection", "quarantine"}
         assert {path.name for path in root.iterdir()} <= allowed
         assert cache.stats.evictions > 0
 
@@ -390,7 +391,6 @@ class TestRequestHandling:
     def test_repeated_source_requests_parse_once(
         self, daemon, monkeypatch, with_target
     ):
-        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
         calls = {"n": 0}
         real = Parser.parse_program
 
@@ -414,10 +414,10 @@ class TestRequestHandling:
         assert parses == [1, 0, 0]
         assert digests[0] == digests[1] == digests[2]
 
-    def test_a_new_source_writes_one_source_entry(self, daemon, monkeypatch):
-        """The request parses the new source and writes its entry at
-        once; a repeat parses nothing and writes nothing."""
-        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
+    def test_a_new_source_writes_its_two_entries(self, daemon):
+        """The request parses the new source and writes the subject's
+        synthesis and detection entries; a repeat parses nothing and
+        writes nothing."""
         subject = generate_corpus(CorpusConfig(count=1))[0]
         with _client(daemon) as client:
             response = client.request(_source_request(subject))
@@ -426,7 +426,11 @@ class TestRequestHandling:
         assert response["ok"] and repeat["ok"]
         entry = response["subjects"][subject.class_name]
         assert not entry["synthesis_cached"]
-        assert len(list((daemon.cache.root / "source").iterdir())) == 1
+        assert writes == 2
+        assert sorted(p.name for p in daemon.cache.root.iterdir()) == [
+            "detection",
+            "synthesis",
+        ]
         assert repeat["subjects"][subject.class_name]["detection_cached"]
         assert daemon.cache.stats.writes == writes
 
@@ -434,8 +438,8 @@ class TestRequestHandling:
         self, tmp_path, monkeypatch
     ):
         """One earlier process fills the root: a cold run writes the
-        reports and the ``source`` entries.  A restarted daemon then
-        validates and replays every request from the cache alone."""
+        reports.  A restarted daemon then validates and replays every
+        request, each naming its class, from the cache alone."""
         root = tmp_path / "cache"
         subjects = generate_corpus(CorpusConfig(count=3))
         specs = [
@@ -443,14 +447,11 @@ class TestRequestHandling:
             for s in subjects
         ]
         config = PipelineConfig(random_runs=RUNS)
-        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
         with PipelineOrchestrator(
             jobs=1, cache=ArtifactCache(root), config=config
         ) as orch:
             digests = [outcome.digest() for outcome in orch.run(specs)]
-        assert len(list((root / "source").iterdir())) == 3
 
-        monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
         calls = {"n": 0}
         real = Parser.parse_program
 

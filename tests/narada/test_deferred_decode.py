@@ -20,7 +20,6 @@ import gc
 import json
 import pathlib
 import types
-from collections import OrderedDict
 
 import pytest
 
@@ -33,8 +32,8 @@ from repro.detect.report import RaceSet
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import cache as cache_module
 from repro.narada import serial
-from repro.narada.cache import EntryDecodeError, stage_key
-from repro.narada.orchestrator import subject_specs
+from repro.narada.cache import EntryDecodeError, source_digest
+from repro.narada.orchestrator import spec_keys, subject_specs
 from repro.pairs.generator import RacyPair
 from repro.subjects import all_subjects, get_subject
 from repro.synth.synthesizer import SynthesizedTest
@@ -45,12 +44,6 @@ CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
 
 #: The corpus slice of ``CORPUS_PIN`` (tests/integration/test_pipeline_pins.py).
 SLICE = CorpusConfig(seed=0, count=20)
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty source memo, so a replay starts like a fresh process."""
-    monkeypatch.setattr(orch_mod, "_SOURCE_MEMO", OrderedDict())
 
 
 #: What a hot reader of a replay never does: parse an entry's body,
@@ -122,13 +115,12 @@ def _entry(root, stage):
 
 
 def test_warm_corpus_replay_decodes_no_plan_and_no_summary_body(
-    tmp_path, memo, deferred_decodes
+    tmp_path, deferred_decodes
 ):
     cache = ArtifactCache(tmp_path)
     subjects = generate_corpus(SLICE)
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         cold = run_corpus(SLICE, orch, subjects=subjects)
-    orch_mod._SOURCE_MEMO.clear()
     with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
         warm = run_corpus(SLICE, orch, subjects=subjects)
     assert warm.digests == cold.digests
@@ -232,12 +224,8 @@ def _replay_matches_eager(root, outcomes, config):
     its eager decode, and so does its detection bound to the replay."""
     cache = ArtifactCache(root)
     for outcome in outcomes:
-        digest, target = outcome.program.digest, outcome.spec.target_class
-        synth_key = stage_key(
-            digest, "synthesis", config.synthesis_config(target)
-        )
-        detect_key = stage_key(
-            digest, "detection", config.detection_config(target)
+        synth_key, detect_key = spec_keys(
+            source_digest(outcome.spec.source), outcome.spec.target_class, config
         )
         entry = cache.get("synthesis", synth_key)
         payload = _payload(pathlib.Path(cache._path("synthesis", synth_key)))

@@ -5,9 +5,9 @@ body is the report's canonical bytes, the text ``report_digest``
 hashes, and the head stores their sha256 under ``digest``.
 ``ArtifactCache.get`` parses the head alone and checks the body against
 that digest, so an entry torn or garbled anywhere is a quarantined miss
-at ``get``, never a hit whose deferred decode fails later.  A detection
-head holds each fuzz report's race keys in place of its records.  A
-pool worker that fuzzes a cached synthesis, or replays a cached
+at ``get``, never a hit whose deferred decode fails later, and so is a
+file of one document.  A detection head holds each fuzz report's race
+keys in place of its records, and the source's site map.  A pool worker that fuzzes a cached synthesis, or replays a cached
 detection, is sent the whole payload: the body, plus the head's digest
 and volatile keys.
 """
@@ -19,6 +19,7 @@ import pytest
 
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.corpus.runner import corpus_specs
+from repro.lang import load
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import serial
 from repro.narada.orchestrator import subject_specs
@@ -114,9 +115,9 @@ def test_detection_head_holds_race_keys_in_place_of_records(filled):
         assert body_fuzz["detected"]["races"] == [
             serial._encode_race(r) for r in fuzz.detected
         ]
-    # A source entry stays one document.
-    for source in (root / "source").glob("*.json"):
-        assert "\n" not in source.read_text()
+    # The site map rides in the head, outside the report's bytes.
+    assert serial.decode_sites(head) == load(_c8()[0].source).site_methods()
+    assert "sites" not in json.loads(body)
 
 
 #: The corpus slice of ``CORPUS_PIN`` (tests/integration/test_pipeline_pins.py).
@@ -194,6 +195,22 @@ def test_a_damaged_entry_is_a_quarantined_miss_at_get(
     cache = ArtifactCache(root)
     assert cache.get(stage, path.stem) is None
     assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+    assert cache.stats.quarantined == 1
+    (reason,) = (root / "quarantine" / stage).glob("*.reason.txt")
+    assert "unreadable entry" in reason.read_text()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_one_document_entry_is_a_quarantined_miss_at_get(
+    filled, tmp_path, stage
+):
+    """The whole payload and its digest as one document, the form older
+    writers used, is no entry at a live key."""
+    root = _copy(filled, tmp_path)
+    path = _only(root, stage)
+    path.write_text(serial.canonical_json(_payload(path)))
+    cache = ArtifactCache(root)
+    assert cache.get(stage, path.stem) is None
     assert cache.stats.quarantined == 1
     (reason,) = (root / "quarantine" / stage).glob("*.reason.txt")
     assert "unreadable entry" in reason.read_text()

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.fuzz import RaceFuzzer
-from repro.lang import load
 from repro.narada import (
     ArtifactCache,
     PipelineConfig,
@@ -27,7 +26,8 @@ from repro.narada import (
     subject_specs,
 )
 from repro.narada import orchestrator as orch_mod
-from repro.narada.cache import stage_key, table_digest
+from repro.narada.cache import source_digest
+from repro.narada.orchestrator import spec_keys
 from repro.narada.pipeline import Narada
 from repro.narada.faults import (
     FaultInjector,
@@ -41,7 +41,7 @@ from repro.narada.faults import (
 )
 from repro.narada.serial import decode_fault_ledger, encode_fault_ledger
 from repro.subjects import get_subject
-from tests.narada.test_cache_format import _payload, _put_entry
+from tests.narada.test_cache_format import _payload, _put_entry, put_parts
 
 SUBJECT = "C8"
 
@@ -69,11 +69,7 @@ def crashing_config(spec, config):
     key, which moves with the serial version, so a fixed rate can go
     inert: the rate is picked from the draws instead.
     """
-    key = stage_key(
-        orch_mod.ProgramSource.of(spec.source).digest,
-        "detection",
-        config.detection_config(spec.target_class),
-    )
+    _, key = spec_keys(source_digest(spec.source), spec.target_class, config)
     draws = [draw("crash", key, attempt) for attempt in range(64)]
     passing = next(i for i in range(1, 64) if draws[i] > max(draws[:i]))
     rate = (max(draws[:passing]) + draws[passing]) / 2
@@ -183,7 +179,7 @@ class TestCacheQuarantine:
     def test_garbage_bytes_are_quarantined_with_reason(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = "ab" * 32
-        cache.put("synthesis", key, {"kind": "synthesis", "x": 1})
+        put_parts(cache, "synthesis", key, {"kind": "synthesis", "x": 1})
         path = pathlib.Path(cache._path("synthesis", key))
         path.write_bytes(b"\x00\xffnot json{{{")
         assert cache.get("synthesis", key) is None
@@ -200,7 +196,7 @@ class TestCacheQuarantine:
     def test_schema_stale_entry_is_quarantined(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = "cd" * 32
-        cache.put("detection", key, {"kind": "detection", "version": 999})
+        put_parts(cache, "detection", key, {"kind": "detection", "version": 999})
         assert cache.get("detection", key) is None
         reason = tmp_path / "quarantine" / "detection" / f"{key}.reason.txt"
         assert "schema-stale" in reason.read_text()
@@ -212,12 +208,8 @@ class TestCacheQuarantine:
         quarantined by the orchestrator and recomputed."""
         spec = _spec()
         cache = ArtifactCache(tmp_path / "cache")
-        key = stage_key(
-            table_digest(load(spec.source)),
-            "synthesis",
-            CONFIG.synthesis_config(spec.target_class),
-        )
-        cache.put("synthesis", key, {"kind": "synthesis", "bogus": True})
+        key, _ = spec_keys(source_digest(spec.source), spec.target_class, CONFIG)
+        put_parts(cache, "synthesis", key, {"kind": "synthesis", "bogus": True})
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
         assert outcome.digest() == clean_digest
@@ -634,11 +626,8 @@ class TestRerunResumes:
             child.wait()
         assert len(list((root / "synthesis").glob("*.json"))) == 1
         assert len(list((root / "detection").glob("*.json"))) == 1
-        # The child parsed both sources and wrote their entries at once.
-        assert len(list((root / "source").glob("*.json"))) == 2
         assert sorted(p.name for p in root.iterdir()) == [
             "detection",
-            "source",
             "synthesis",
         ]
 

@@ -15,9 +15,11 @@ from repro.narada import (
     subject_specs,
     table_digest,
 )
-from repro.narada.cache import stage_key
+from repro.narada.cache import source_digest
+from repro.narada.orchestrator import SubjectSpec, spec_keys
 from repro.narada.pipeline import DetectionReport
 from repro.subjects import all_subjects, get_subject
+from tests.narada.test_cache_format import put_parts
 
 #: Small, fast subjects — enough to cross the pool boundary for real.
 #: C2 is included deliberately: its directed phase once diverged between
@@ -77,8 +79,10 @@ class TestDeterminism:
         assert encode_detection(decode_detection(det, synthesis.tests)) == det
 
     def test_pretty_roundtrip_is_node_id_stable(self):
-        # The cache keys rely on pretty-printed text being a canonical
-        # form: reparsing it must reproduce every static site id.
+        # A property of the pretty-printer, which the corpus generator's
+        # canonical sources rest on: reparsing its text reproduces every
+        # static site id.  No cache key is derived from it; keys hash
+        # the source text itself.
         for subject in all_subjects():
             table = load(subject.source)
             text = pretty_program(table.program)
@@ -132,14 +136,42 @@ class TestStageInvalidation:
     def test_source_change_invalidates_everything(self, tmp_path):
         spec = _specs()[0]
         changed = spec.source.replace("0", "1", 1)
-        assert table_digest(load(changed)) != table_digest(load(spec.source))
+        assert changed != spec.source
+        old, new = (
+            set(spec_keys(source_digest(text), spec.target_class, CONFIG))
+            for text in (spec.source, changed)
+        )
+        assert not old & new
+
+    def test_comment_only_edit_misses_and_reaches_the_same_digests(
+        self, tmp_path
+    ):
+        # Keys hash the source text, so an edit no parse can see is a
+        # miss; the recomputed reports are byte-identical.
+        spec = _specs()[0]
+        edited = SubjectSpec(
+            name=spec.name,
+            source="/* provenance: edited */\n" + spec.source,
+            target_class=spec.target_class,
+        )
+        assert pretty_program(load(edited.source).program) == pretty_program(
+            load(spec.source).program
+        )
+        cache = ArtifactCache(tmp_path / "cache")
+        with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+            (cold,) = orch.run([spec])
+            (again,) = orch.run([edited])
+        assert not again.synthesis_cached and not again.detection_cached
+        assert again.digest() == cold.digest()
+        assert cache.stats.writes == 4
 
 
 class TestArtifactCache:
     def test_put_then_get(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.put("synthesis", "ab" * 32, {"x": 1})
-        assert cache.get("synthesis", "ab" * 32) == {"x": 1}
+        put_parts(cache, "synthesis", "ab" * 32, {"x": 1}, b'{"y":2}')
+        entry = cache.get("synthesis", "ab" * 32)
+        assert entry["x"] == 1 and entry.text.endswith('\n{"y":2}')
         assert cache.stats.hits == 1
         assert cache.stats.writes == 1
 
@@ -151,7 +183,7 @@ class TestArtifactCache:
     def test_truncated_entry_is_a_miss_not_an_error(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         key = "ef" * 32
-        cache.put("detection", key, {"kind": "detection", "n": 2})
+        put_parts(cache, "detection", key, {"kind": "detection", "n": 2})
         path = pathlib.Path(cache._path("detection", key))
         path.write_text(path.read_text()[:7])  # simulate a torn write
         assert cache.get("detection", key) is None
@@ -175,7 +207,7 @@ class TestArtifactCache:
     def test_writes_leave_no_temp_files(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         for i in range(4):
-            cache.put("synthesis", f"{i:02d}" * 32, {"i": i})
+            put_parts(cache, "synthesis", f"{i:02d}" * 32, {"i": i})
         leftovers = [p for p in tmp_path.rglob(".tmp-*")]
         assert leftovers == []
 
@@ -186,11 +218,7 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path / "cache")
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             first = orch.run([spec])[0].digest()
-        key = stage_key(
-            table_digest(load(spec.source)),
-            "synthesis",
-            CONFIG.synthesis_config(spec.target_class),
-        )
+        key, _ = spec_keys(source_digest(spec.source), spec.target_class, CONFIG)
         path = pathlib.Path(cache._path("synthesis", key))
         assert path.exists()
         path.write_text("{" + path.read_text()[1:40])
