@@ -492,13 +492,3 @@ class ArtifactCache:
                 self.stats.evictions += removed
             self._approx_bytes = total
         return removed
-
-    def clear(self) -> None:
-        """Remove every entry (directories are left in place)."""
-        if not self.root.exists():
-            return
-        for path in sorted(self.root.rglob("*.json")):
-            try:
-                path.unlink()
-            except OSError:
-                pass

@@ -106,6 +106,14 @@ DEFAULT_MAX_QUEUE_DEPTH = 8
 #: 1024 covers serve-mixed's 520 distinct sources.
 SOURCE_MEMO_SIZE = 1024
 
+#: Most random schedules per test (``runs``) a request may ask for, and
+#: most subjects a ``corpus`` request may generate (``count``).  Larger
+#: values are refused with ``bad_request`` before admission, so one
+#: request's work is bounded.  Both sit far above what the tests, CI
+#: and benchmarks send: ``runs`` of at most 8, ``count`` of at most 100.
+MAX_RUNS = 1_000
+MAX_CORPUS_COUNT = 10_000
+
 
 class ProtocolError(Exception):
     """Malformed frame or oversized payload on the wire."""
@@ -163,7 +171,12 @@ def _is_int(value, least: int | None = None) -> bool:
 #: random schedules per test, under the name the CLI flag has.
 _CONFIG_FIELDS = (
     ("vm_seed", "vm_seed", _is_int, "an integer"),
-    ("runs", "random_runs", lambda v: _is_int(v, 0), "an integer >= 0"),
+    (
+        "runs",
+        "random_runs",
+        lambda v: _is_int(v, 0) and v <= MAX_RUNS,
+        f"an integer from 0 to {MAX_RUNS}",
+    ),
     ("directed", "directed", lambda v: isinstance(v, bool), "a boolean"),
 )
 
@@ -1024,8 +1037,8 @@ class ReproDaemon:
                 count=_checked(
                     "count",
                     request.get("count", 20),
-                    lambda v: _is_int(v, 0),
-                    "an integer >= 0",
+                    lambda v: _is_int(v, 0) and v <= MAX_CORPUS_COUNT,
+                    f"an integer from 0 to {MAX_CORPUS_COUNT}",
                 ),
                 templates=tuple(templates),
             ).validate()

@@ -37,12 +37,13 @@ The run is backed by the persistent content-addressed
 artifacts are keyed by (source digest, stage config, code salt)
 (:func:`spec_keys`), so a lookup needs no parse and a rerun with
 unchanged subjects skips straight to the first invalidated stage.  A
-subject whose synthesis entry is gone but whose detection entry is not
-synthesizes again and replays the detection.  Only entries a later run
-reads are written: seed analysis and lockset facts are recomputed
-inside the unit.  The parent parses a source only when one of its
-subjects needs a unit, and then before any unit runs, so a source that
-does not parse raises :class:`~repro._util.errors.ParseError` from
+subject uses its detection entry only behind a synthesis hit that
+decodes; one whose synthesis misses, or is quarantined, runs its whole
+unit and writes both entries.  Only entries a later run reads are
+written: seed analysis and lockset facts are recomputed inside the
+unit.  The parent parses a source only when one of its subjects needs
+a unit, and then before any unit runs, so a source that does not
+parse raises :class:`~repro._util.errors.ParseError` from
 :meth:`PipelineOrchestrator.run` at any ``jobs``.
 
 The execution substrate is :mod:`repro.narada.faults`: worker death,
@@ -306,16 +307,11 @@ def _subject_unit(
     config: PipelineConfig,
     synthesis: SynthesisReport | None,
     detect: bool,
-    detection_entry: dict | None = None,
-) -> tuple[SynthesisReport, DetectionReport | None, list, str | None]:
+) -> tuple[SynthesisReport, DetectionReport | None, list]:
     """One subject's pipeline: synthesis unless given, then, when
     ``detect``, RaceFuzzer on every budgeted test.
 
-    Returns ``(synthesis, detection or None, failures, replay error)``.
-    ``detection_entry`` is the subject's cached detection payload, read
-    when its synthesis missed: it replays when it decodes against the
-    tests synthesized here, and then nothing is fuzzed; otherwise the replay
-    error is the decode failure's repr and the tests are fuzzed.  Seed
+    Returns ``(synthesis, detection or None, failures)``.  Seed
     analysis and the lockset facts are recomputed here rather than
     cached.  A test whose fuzz raises becomes a ``(test name, error
     repr, traceback)`` failure and the other tests still run: fuzzing
@@ -328,14 +324,7 @@ def _subject_unit(
     if synthesis is None:
         synthesis = narada.synthesize_for_class(target_class)
     if not detect:
-        return synthesis, None, [], None
-    replay_error = None
-    if detection_entry is not None:
-        try:
-            detection = decode_detection(detection_entry, synthesis.tests)
-            return synthesis, detection, [], None
-        except Exception as error:  # noqa: BLE001 — quarantined by the caller
-            replay_error = repr(error)
+        return synthesis, None, []
     failures: list[tuple[str, str, str]] = []
 
     def test_failed(test, error: Exception) -> None:
@@ -346,7 +335,7 @@ def _subject_unit(
     detection = narada.detect(
         synthesis, config.random_runs, config.directed, on_error=test_failed
     )
-    return synthesis, detection, failures, replay_error
+    return synthesis, detection, failures
 
 
 def _subject_worker(
@@ -355,31 +344,25 @@ def _subject_worker(
     config: dict,
     synthesis: dict | None,
     detect: bool,
-    detection_entry: dict | None,
     unit_key: str = "",
     attempt: int = 0,
 ) -> dict:
     """:func:`_subject_unit` in a pool worker: ``synthesis`` is the
     encoded report when the parent already has one.  The reply carries
     encoded reports: the synthesis only when computed here, and the
-    detection only when fuzzed here, since a replayed entry is the
-    parent's own."""
+    detection when ``detect``."""
     cfg = PipelineConfig.from_dict(config)
     injector = cfg.injector()
     if injector is not None:
         injector.before_unit(unit_key, attempt, in_worker=True)
     given = None if synthesis is None else decode_synthesis(synthesis)
-    report, detection, failures, replay_error = _subject_unit(
-        _load_table(source), target_class, cfg, given, detect, detection_entry
-    )
-    fuzzed = detection is not None and (
-        detection_entry is None or replay_error is not None
+    report, detection, failures = _subject_unit(
+        _load_table(source), target_class, cfg, given, detect
     )
     return {
         "synthesis": encode_synthesis(report) if given is None else None,
-        "detection": encode_detection(detection) if fuzzed else None,
+        "detection": encode_detection(detection) if detect else None,
         "failures": failures,
-        "replay_error": replay_error,
     }
 
 
@@ -550,23 +533,23 @@ class PipelineOrchestrator:
 
         A subject's synthesis comes from its cache entry when there is
         one, with its plans and summary bodies left to decode when first
-        read.  Its detection entry is read first: when the subject's
+        read.  Its detection entry is read only when the synthesis entry
+        is there, and before that entry decodes: when the subject's
         tests will fuzz, the synthesis entry's body, the whole report,
         is parsed and decoded once, before its unit is built, so that a
         bad entry is still quarantined and its synthesis recomputed; a
         pool worker is sent that payload.  A detection hit decodes its
         head against the synthesis's tests, and each fuzz report's race
-        records wait in the entry's body until first read.  When the
-        synthesis misses, the unit receives the detection entry's whole
-        payload and replays it once it has synthesized; the
-        entry is quarantined, and the tests fuzzed, only when it fails
-        to decode.  A unit runs whatever the subject still
-        lacks, and its reply publishes the synthesis it computed and a
-        detection that every budgeted test completed.  A partial
-        detection is never cached, so a later clean run recomputes it.
-        A source's site map comes from its first detection hit's head;
-        a source that has a unit is parsed here, and its table supplies
-        the map when no hit did.
+        records wait in the entry's body until first read.  A subject
+        whose synthesis misses reads no detection entry, and one whose
+        synthesis is quarantined ignores it: either runs its whole
+        unit, synthesis then fuzz, and writes both entries.  A unit's
+        reply publishes the synthesis it computed and a detection that
+        every budgeted test completed.  A partial detection is never
+        cached, so a later clean run recomputes it.  A source's site map
+        comes from its first detection hit's head; a source that has a
+        unit is parsed here, and its table supplies the map when no hit
+        did.
         """
         outcomes = [
             SubjectOutcome(spec=spec, program=programs[i], synthesis=None)
@@ -574,9 +557,8 @@ class PipelineOrchestrator:
         ]
         config_dict = self.config.to_dict()
         units: list[PoolUnit] = []
-        # Unit key -> (spec index, synthesis key, detection key, the
-        # whole detection payload the unit replays or None).
-        slots: dict[str, tuple[int, str, str, dict | None]] = {}
+        # Unit key -> (spec index, synthesis key, detection key).
+        slots: dict[str, tuple[int, str, str]] = {}
         # A spec whose key an earlier spec already has (one subject
         # named twice) gets that spec's outcome instead of its own unit.
         first_by_key: dict[str, int] = {}
@@ -595,7 +577,7 @@ class PipelineOrchestrator:
             entry = detection_entry = hit = None
             if self.cache is not None:
                 entry = self.cache.get("synthesis", synth_key)
-                if detect:
+                if detect and entry is not None:
                     detection_entry = self.cache.get("detection", detect_key)
             if entry is not None:
                 # Tests that fuzz read every plan: decode them now, while
@@ -605,7 +587,7 @@ class PipelineOrchestrator:
                 )
             if hit is not None and detection_entry is not None:
                 try:
-                    outcome.detection = decode_detection(
+                    detection = decode_detection(
                         detection_entry,
                         hit[1].tests,
                         detection_entry.text,
@@ -617,9 +599,9 @@ class PipelineOrchestrator:
                     self.cache.reject(
                         "detection", detect_key, f"decode failure: {error!r}"
                     )
-                    detection_entry = None
                     hit = self._synthesis_hit(synth_key, entry, True)
                 else:
+                    outcome.detection = detection
                     outcome.detection_cached = True
                     outcome._detection_digest = detection_entry.get("digest")
             payload = None
@@ -629,16 +611,6 @@ class PipelineOrchestrator:
                 outcome._synthesis_digest = payload.get("digest")
                 if not detect or outcome.detection_cached:
                     continue
-            if detection_entry is not None:
-                # The unit replays the entry against the tests it
-                # synthesizes, which read every record: parse it now.
-                try:
-                    detection_entry = _whole(detection_entry)
-                except Exception as error:  # noqa: BLE001 — quarantined here
-                    self.cache.reject(
-                        "detection", detect_key, f"decode failure: {error!r}"
-                    )
-                    detection_entry = None
             unit = PoolUnit(
                 key=key,
                 stage="synthesis" if outcome.synthesis is None else "fuzz",
@@ -653,9 +625,8 @@ class PipelineOrchestrator:
                     config_dict,
                     payload,
                     detect,
-                    detection_entry,
                 )
-            slots[key] = (i, synth_key, detect_key, detection_entry)
+            slots[key] = (i, synth_key, detect_key)
             units.append(unit)
         for unit in units:
             # Parse in the parent, before any unit runs: a source that
@@ -671,27 +642,23 @@ class PipelineOrchestrator:
                 self.config,
                 outcomes[i].synthesis,
                 detect,
-                slots[unit.key][3],
             )
 
         def on_complete(unit: PoolUnit, payload) -> None:
-            i, synth_key, detect_key, detection_entry = slots[unit.key]
+            i, synth_key, detect_key = slots[unit.key]
             outcome = outcomes[i]
             if isinstance(payload, dict):  # a pool worker's encoded reply
                 synth_data = payload["synthesis"]
                 detect_data = payload["detection"]
                 failures = payload["failures"]
-                replay_error = payload["replay_error"]
                 synthesis = outcome.synthesis
                 if synth_data is not None:
                     synthesis = decode_synthesis(synth_data)
                 detection = None
                 if detect_data is not None:
                     detection = decode_detection(detect_data, synthesis.tests)
-                elif detection_entry is not None and replay_error is None:
-                    detection = decode_detection(detection_entry, synthesis.tests)
             else:
-                synthesis, detection, failures, replay_error = payload
+                synthesis, detection, failures = payload
                 synth_data = detect_data = None
             if outcome.synthesis is None:
                 outcome.synthesis = synthesis
@@ -714,14 +681,6 @@ class PipelineOrchestrator:
                 )
             outcome.detection = detection
             outcome.detection_partial = bool(failures)
-            if detection_entry is not None:
-                if replay_error is None:
-                    outcome.detection_cached = True
-                    outcome._detection_digest = detection_entry.get("digest")
-                    return
-                self.cache.reject(
-                    "detection", detect_key, f"decode failure: {replay_error}"
-                )
             if detection is not None and not failures and self.cache is not None:
                 outcome._detection_digest = self._put_report(
                     "detection",

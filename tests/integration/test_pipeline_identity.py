@@ -13,6 +13,7 @@ import pytest
 import repro.narada.orchestrator as orch_mod
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.corpus.runner import corpus_specs
+from repro.fuzz import RaceFuzzer
 from repro.lang.parser import Parser
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import cache as cache_module
@@ -77,25 +78,77 @@ def test_digests_are_identical_whatever_the_cache_holds(
     entries = _entries(root)
     assert [len(entries[stage]) for stage in STAGES] == [12, 12]
 
-    # (label, stage whose entries are deleted first).
+    # (label, stage whose entries are deleted first, entries written).
+    # A lost synthesis runs the subject's whole unit, which writes its
+    # detection entry again too.
     runs = [
-        ("warm", None),
-        ("synthesis deleted", "synthesis"),
-        ("detection deleted", "detection"),
+        ("warm", None, 0),
+        ("synthesis deleted", "synthesis", 24),
+        ("detection deleted", "detection", 12),
     ]
-    for label, stage in runs:
+    for label, stage, writes in runs:
         if stage is not None:
             for path in (root / stage).glob("*.json"):
                 path.unlink()
         parses["n"] = 0
         cache = ArtifactCache(root)
         assert _run(cache, jobs) == clean, label
-        # The run writes back exactly the entries deleted before it.
+        # The run leaves exactly the cold run's entries behind.
         assert _entries(root) == entries, label
-        assert cache.stats.writes == (0 if stage is None else 12), label
+        assert cache.stats.writes == writes, label
         # One cold run left every entry a replay reads; a subject with
         # a unit to run is parsed in this process, at any jobs.
         assert parses["n"] == (0 if stage is None else 12), label
+
+
+def _detections(root) -> dict[str, bytes]:
+    return {
+        path.name: path.read_bytes() for path in (root / "detection").glob("*.json")
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cold_run_reads_one_entry_a_subject(tmp_path, clean, jobs):
+    """A subject whose synthesis misses reads no detection entry."""
+    cache = ArtifactCache(tmp_path / "cache")
+    assert _run(cache, jobs) == clean
+    n = len(clean)
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.writes) == (0, n, 2 * n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_lost_synthesis_reads_no_detection_entry(
+    tmp_path, monkeypatch, clean, jobs
+):
+    """With every synthesis entry gone, a run reads no detection entry:
+    each subject synthesizes and fuzzes again and writes back its
+    detection entry byte for byte."""
+    root = tmp_path / "cache"
+    assert _run(ArtifactCache(root), jobs) == clean
+    detections = _detections(root)
+    for path in (root / "synthesis").glob("*.json"):
+        path.unlink()
+    fuzzed = {"n": 0}
+    real_fuzz = RaceFuzzer.fuzz
+
+    def counting(self, *args, **kwargs):
+        fuzzed["n"] += 1
+        return real_fuzz(self, *args, **kwargs)
+
+    monkeypatch.setattr(RaceFuzzer, "fuzz", counting)
+    cache = ArtifactCache(root)
+    with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+        outcomes = orch.run(_specs())
+        assert orch.fault_ledger.ok()
+    assert {o.spec.name: o.digest() for o in outcomes} == clean
+    assert not any(o.synthesis_cached or o.detection_cached for o in outcomes)
+    n = len(clean)
+    stats = cache.stats
+    assert (stats.hits, stats.misses, stats.writes) == (0, n, 2 * n)
+    # Inline, the tests fuzz in this process; on the pool, in workers.
+    assert (fuzzed["n"] > 0) == (jobs == 1)
+    assert _detections(root) == detections
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -273,6 +273,12 @@ class TestRequestHandling:
             {"op": "corpus", "count": -5},
             {"op": "corpus", "count": 1, "seed": "3"},
             {"op": "corpus", "count": 1, "seed": 1.9},
+            # Work is bounded: more runs or subjects than the daemon's
+            # caps is refused before admission.
+            {"op": "detect", "subjects": ["C8"], "runs": 10**9},
+            {"op": "synthesize", "subjects": ["C8"], "runs": 10**9},
+            {"op": "corpus", "count": 1, "runs": 10**9},
+            {"op": "corpus", "count": 10**9},
         ],
         ids=[
             "lex-error",
@@ -312,6 +318,10 @@ class TestRequestHandling:
             "negative-corpus-count",
             "string-corpus-seed",
             "float-corpus-seed",
+            "huge-runs",
+            "huge-synthesize-runs",
+            "huge-corpus-runs",
+            "huge-corpus-count",
         ],
     )
     def test_invalid_request_answers_bad_request(self, daemon, request_):

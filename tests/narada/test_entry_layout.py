@@ -7,9 +7,9 @@ hashes, and the head stores their sha256 under ``digest``.
 that digest, so an entry torn or garbled anywhere is a quarantined miss
 at ``get``, never a hit whose deferred decode fails later, and so is a
 file of one document.  A detection head holds each fuzz report's race
-keys in place of its records, and the source's site map.  A pool worker that fuzzes a cached synthesis, or replays a cached
-detection, is sent the whole payload: the body, plus the head's digest
-and volatile keys.
+keys in place of its records, and the source's site map.  A pool
+worker that fuzzes a cached synthesis is sent the whole payload: the
+body, plus the head's digest and volatile keys.
 """
 
 import hashlib
@@ -228,7 +228,8 @@ def test_a_damaged_entry_is_recomputed_in_the_same_run(
     cache = ArtifactCache(root)
     outcome, orch = _run(cache)
     assert outcome.synthesis_cached == (stage != "synthesis")
-    assert outcome.detection_cached == (stage != "detection")
+    # A lost synthesis recomputes its detection too.
+    assert not outcome.detection_cached
     assert outcome.digest() == clean.digest()
     assert cache.stats.quarantined == orch.fault_ledger.quarantined == 1
     assert cache.get(stage, path.stem) is not None
@@ -249,7 +250,9 @@ def test_torn_writes_recover(filled, tmp_path):
     outcome, _ = _run(cache)
     assert not outcome.synthesis_cached and not outcome.detection_cached
     assert outcome.digest() == clean.digest()
-    assert cache.stats.quarantined == 2
+    # The torn detection entry behind a torn synthesis is overwritten
+    # unread.
+    assert cache.stats.quarantined == 1
     warm, _ = _run(ArtifactCache(tmp_path))
     assert warm.synthesis_cached and warm.detection_cached
     assert warm.digest() == clean.digest()
@@ -276,29 +279,3 @@ def test_a_pool_worker_is_sent_the_whole_payload(filled, tmp_path, monkeypatch):
     assert outcome.digest() == clean.digest()
     assert sent == [whole]
     assert type(sent[0]) is dict
-
-
-def test_a_pool_worker_replaying_a_detection_is_sent_the_whole_payload(
-    filled, tmp_path, monkeypatch
-):
-    """A detection hit whose synthesis misses replays on a pool worker,
-    which is sent the detection entry's whole payload."""
-    _, clean = filled
-    root = _copy(filled, tmp_path)
-    _only(root, "synthesis").unlink()
-    whole = _payload(_only(root, "detection"))
-    sent = []
-    real_run_units = PipelineOrchestrator._run_units
-
-    def recording_run_units(self, units, *args):
-        sent.extend(unit.args[5] for unit in units)
-        return real_run_units(self, units, *args)
-
-    monkeypatch.setattr(PipelineOrchestrator, "_run_units", recording_run_units)
-    outcome, orch = _run(ArtifactCache(root), jobs=2)
-    assert not outcome.synthesis_cached and outcome.detection_cached
-    assert orch.fault_ledger.failures == []
-    assert outcome.digest() == clean.digest()
-    assert sent == [whole]
-    assert type(sent[0]) is dict
-    assert all("keys" not in fuzz["detected"] for fuzz in sent[0]["fuzz_reports"])

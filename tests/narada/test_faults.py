@@ -234,63 +234,11 @@ class TestCacheQuarantine:
         with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
         assert outcome.digest() == clean_digest
-        assert not outcome.synthesis_cached and outcome.detection_cached
+        assert not outcome.synthesis_cached and not outcome.detection_cached
+        # The hit is the detection entry, read before the synthesis
+        # failed to decode and then left unused.
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_lost_synthesis_replays_the_detection_entry(
-        self, tmp_path, monkeypatch, clean_digest, jobs
-    ):
-        """A subject whose synthesis entry is gone (say, evicted) is
-        synthesized again, but its detection entry replays: no test is
-        fuzzed, in the unit or in a pool worker."""
-        spec = _spec()
-        with PipelineOrchestrator(
-            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
-        ) as orch:
-            orch.run([spec])
-        (path,) = (tmp_path / "synthesis").glob("*.json")
-        path.unlink()
-
-        def no_fuzz(self, *args, **kwargs):
-            raise AssertionError("a replayed detection fuzzes nothing")
-
-        monkeypatch.setattr(RaceFuzzer, "fuzz", no_fuzz)
-        cache = ArtifactCache(tmp_path)
-        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
-            outcome = orch.run([spec])[0]
-            assert orch.fault_ledger.failures == []
-        assert outcome.digest() == clean_digest
-        assert not outcome.synthesis_cached and outcome.detection_cached
-        assert not outcome.detection_partial
-        assert path.exists()
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 0)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_unreplayable_detection_entry_is_quarantined_and_refuzzed(
-        self, tmp_path, clean_digest, jobs
-    ):
-        """A detection entry read on a synthesis miss that names a test
-        the new synthesis lacks is quarantined, and the tests fuzz."""
-        spec = _spec()
-        with PipelineOrchestrator(
-            jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
-        ) as orch:
-            orch.run([spec])
-        (tmp_path / "synthesis").glob("*.json").__next__().unlink()
-        (path,) = (tmp_path / "detection").glob("*.json")
-        _rename_first_test(path, "no_such_test")
-        cache = ArtifactCache(tmp_path)
-        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
-            outcome = orch.run([spec])[0]
-        assert outcome.digest() == clean_digest
-        assert not outcome.synthesis_cached and not outcome.detection_cached
-        assert cache.stats.quarantined == 1
-        reason = tmp_path / "quarantine" / "detection" / path.name
-        assert "no_such_test" in reason.with_suffix(".reason.txt").read_text()
-        assert _payload(path)["fuzz_reports"][0]["test"] != "no_such_test"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_synthesis_hit_with_an_undecodable_detection_refuzzes(
