@@ -123,15 +123,10 @@ def score_outcome(
         score.pipeline_failed = True
 
     sites = outcome.program.sites
-    verdicts = outcome.synthesis.verdicts
-    aligned = len(verdicts) == len(outcome.synthesis.pairs)
-    for i, pair in enumerate(outcome.synthesis.pairs):
-        methods = tuple(
-            sorted((pair.first.method_id()[1], pair.second.method_id()[1]))
-        )
-        pair_key = (pair.field[1], methods)
+    for field_name, first, second, pruned in outcome.pair_rows:
+        pair_key = (field_name, (first, second))
         score.candidate_pairs.add(pair_key)
-        if aligned and verdicts[i].pruned:
+        if pruned:
             score.pruned_pairs.add(pair_key)
     for fuzz in outcome.detection.fuzz_reports:
         score.detected |= race_keys_of(fuzz.detected.static_keys(), sites)

@@ -19,7 +19,9 @@ Entries are JSON files under ``<root>/<stage>/<digest>.json``: one flat
 directory per stage, created by the first write that finds it missing,
 so a new entry costs a temp-file write and a rename, and no directory.
 A pipeline run writes a subject's ``synthesis`` and ``detection``
-entries when its unit completes.
+entries when its unit completes, and a replay reads the detection entry
+only: :meth:`ArtifactCache.size` checks the synthesis entry's size
+against the one the detection head records, without reading it.
 
 An entry is two canonical JSON documents on two lines, a head and a
 body: the head holds what a replay reads
@@ -67,7 +69,7 @@ from repro.narada.serial import SERIAL_VERSION, canonical_json
 
 #: Bump to invalidate every cached artifact after a semantic change to
 #: any pipeline stage (analysis rules, synthesis, fuzz seed derivation).
-CODE_SALT = "narada-pipeline-v7"
+CODE_SALT = "narada-pipeline-v8"
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -118,7 +120,8 @@ def _parse(raw: bytes, text: str) -> dict:
 
 class EntryDecodeError(ReproError):
     """A cache entry that was served as a hit failed to decode later,
-    when a reader first touched its deferred part.  The entry is
+    when a reader first touched its deferred part, or a replay's
+    synthesis entry was gone by then.  An entry that is there is
     quarantined by then, so the next run recomputes it."""
 
     def __init__(self, stage: str, key: str, cause: Exception) -> None:
@@ -381,11 +384,16 @@ class ArtifactCache:
                 pass  # evicted meanwhile, or a read-only root
         return Entry(data, text)
 
+    def unused(self) -> None:
+        """Count an entry ``get`` returned that the caller did not use
+        as a miss, not a hit."""
+        self.stats.hits -= 1
+        self.stats.misses += 1
+
     def reject(self, stage: str, key: str, reason: str) -> None:
         """Quarantine an entry ``get`` returned but the caller could not
         use (it parsed, then failed to decode): the hit becomes a miss."""
-        self.stats.hits -= 1
-        self.stats.misses += 1
+        self.unused()
         self.quarantine(stage, key, reason)
 
     def rejecter(self, stage: str, key: str):
@@ -399,17 +407,29 @@ class ArtifactCache:
 
         return failed
 
-    def has(self, stage: str, key: str) -> bool:
-        """Whether an entry is published under ``key``; it is not read,
-        so it may yet be a quarantined miss."""
-        return os.path.isfile(self._path(stage, key))
+    def size(self, stage: str, key: str) -> int | None:
+        """The size in bytes of the entry published under ``key``, or
+        None when there is none.  It is not read, so it may yet be a
+        quarantined miss.  Under a byte budget, an entry found is used:
+        its mtime, its recency, is set to now."""
+        path = self._path(stage, key)
+        try:
+            size = os.stat(path).st_size
+        except OSError:
+            return None
+        if self.max_bytes is not None:
+            try:
+                os.utime(path)
+            except OSError:
+                pass  # evicted meanwhile, or a read-only root
+        return size
 
-    def put(self, stage: str, key: str, head: dict, body: bytes) -> bool:
+    def put(self, stage: str, key: str, head: dict, body: bytes) -> int:
         """Publish an entry atomically (write temp file, then rename).
 
         The entry is two documents: ``head``, whose ``digest`` is the
         sha256 of ``body``, and the ``body`` bytes on the next line.
-        Returns ``True`` on success.  Filesystem
+        Returns the entry's size in bytes on success.  Filesystem
         failures (ENOSPC, EIO, a read-only root) are absorbed: the temp
         file is cleaned up, ``stats.write_errors`` ticks, and the caller
         gets ``False`` — a full disk must never take down the request
@@ -464,7 +484,7 @@ class ArtifactCache:
                 over = self._approx_bytes > self.max_bytes
             if over:
                 self.evict(self.max_bytes)
-        return True
+        return len(encoded)
 
     def evict(self, max_bytes: int) -> int:
         """Evict least-recently-used entries until ≤ ``max_bytes`` live.

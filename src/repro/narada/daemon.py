@@ -792,9 +792,10 @@ class ReproDaemon:
             if names is None and not (
                 target is not None
                 and self.cache is not None
-                and self.cache.has(
+                and self.cache.size(
                     "synthesis", spec_keys(program.digest, target, config)[0]
                 )
+                is not None
             ):
                 names = self._class_names.put(
                     program.digest, tuple(program.table.class_names())
@@ -1007,8 +1008,8 @@ class ReproDaemon:
             entry: dict = {"digest": outcome.digest()}
             if outcome.synthesis is not None:
                 entry.update(
-                    tests=outcome.synthesis.test_count,
-                    pairs=outcome.synthesis.pair_count,
+                    tests=outcome.test_count,
+                    pairs=len(outcome.pair_rows),
                     synthesis_cached=outcome.synthesis_cached,
                 )
             if outcome.detection is not None:

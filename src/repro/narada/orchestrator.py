@@ -37,11 +37,15 @@ The run is backed by the persistent content-addressed
 artifacts are keyed by (source digest, stage config, code salt)
 (:func:`spec_keys`), so a lookup needs no parse and a rerun with
 unchanged subjects skips straight to the first invalidated stage.  A
-subject uses its detection entry only behind a synthesis hit that
-decodes; one whose synthesis misses, or is quarantined, runs its whole
-unit and writes both entries.  Only entries a later run reads are
-written: seed analysis and lockset facts are recomputed inside the
-unit.  The parent parses a source only when one of its subjects needs
+detect run reads a subject's detection entry first, and a hit is
+scored from it alone: its head records the synthesis entry's digest
+and size, its test count and what scoring reads of each candidate
+pair, and the synthesis entry, checked only for its size here, is read
+when something first uses the synthesis report or a test's plan.  A
+subject whose synthesis entry is missing, of another size, or
+quarantined runs its whole unit and writes both entries.  Only entries
+a later run reads are written: seed analysis and lockset facts are
+recomputed inside the unit.  The parent parses a source only when one of its subjects needs
 a unit, and then before any unit runs, so a source that does not
 parse raises :class:`~repro._util.errors.ParseError` from
 :meth:`PipelineOrchestrator.run` at any ``jobs``.
@@ -68,7 +72,12 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.lang import ClassTable, load
-from repro.narada.cache import ArtifactCache, source_digest, stage_key
+from repro.narada.cache import (
+    ArtifactCache,
+    EntryDecodeError,
+    source_digest,
+    stage_key,
+)
 from repro.narada.faults import (
     CancelToken,
     FaultInjector,
@@ -84,6 +93,7 @@ from repro.narada.faults import (
 from repro.narada.pipeline import DetectionReport, Narada, SynthesisReport
 from repro.narada.serial import (
     VOLATILE_KEYS,
+    DeferredSynthesis,
     decode_detection,
     decode_sites,
     decode_synthesis,
@@ -94,6 +104,7 @@ from repro.narada.serial import (
     report_bytes,
     report_digest,
     synthesis_head,
+    synthesis_record,
 )
 
 
@@ -240,6 +251,23 @@ def spec_keys(
     )
 
 
+def pair_rows(report: SynthesisReport) -> list[list]:
+    """What scoring reads of each candidate pair of ``report``, in
+    order: ``[field name, method, method, pruned]``, the two method
+    names sorted.  ``pruned`` is the pair's verdict, and false for every
+    pair when the verdicts do not align with the pairs."""
+    verdicts = report.verdicts
+    aligned = len(verdicts) == len(report.pairs)
+    return [
+        [
+            pair.field[1],
+            *sorted((pair.first.method_id()[1], pair.second.method_id()[1])),
+            aligned and verdicts[i].pruned,
+        ]
+        for i, pair in enumerate(report.pairs)
+    ]
+
+
 @dataclass
 class SubjectOutcome:
     """Pipeline results for one subject, plus cache/fault provenance.
@@ -248,7 +276,10 @@ class SubjectOutcome:
     without one, and ``detection`` is None when it failed after (see
     :attr:`failures`); ``detection_partial`` marks a detection report
     that is missing the tests whose fuzz raised but carries every other
-    test's report.
+    test's report.  A subject replayed from its detection entry has a
+    synthesis that reads its cache entry when first used; its
+    :attr:`pair_rows` and :attr:`test_count` come from the detection
+    entry's head.
     """
 
     spec: SubjectSpec
@@ -267,6 +298,22 @@ class SubjectOutcome:
     #: wrote; ``digest`` encodes a report only when it has none.
     _synthesis_digest: str | None = field(default=None, repr=False)
     _detection_digest: str | None = field(default=None, repr=False)
+    #: A replay's :attr:`pair_rows` and :attr:`test_count`.
+    _pair_rows: list | None = field(default=None, repr=False)
+    _test_count: int | None = field(default=None, repr=False)
+
+    @property
+    def pair_rows(self) -> list[list]:
+        """:func:`pair_rows` of the synthesis, which scoring reads."""
+        if self._pair_rows is None:
+            return pair_rows(self.synthesis)
+        return self._pair_rows
+
+    @property
+    def test_count(self) -> int:
+        if self._test_count is None:
+            return self.synthesis.test_count
+        return self._test_count
 
     def digest(self) -> str:
         """Content digest of this subject's serialized reports."""
@@ -364,6 +411,21 @@ def _subject_worker(
         "detection": encode_detection(detection) if detect else None,
         "failures": failures,
     }
+
+
+def _fetch(cache: ArtifactCache, key: str):
+    """The synthesis entry under ``key``, which a replay reads on first
+    use.
+
+    Raises:
+        EntryDecodeError: when it is gone, or ``get`` quarantined it.
+    """
+    entry = cache.get("synthesis", key)
+    if entry is None:
+        raise EntryDecodeError(
+            "synthesis", key, LookupError("no readable synthesis entry")
+        )
+    return entry
 
 
 def _programs(specs: list[SubjectSpec]) -> list[ProgramSource]:
@@ -473,22 +535,86 @@ class PipelineOrchestrator:
             self.cache.reject("synthesis", key, f"decode failure: {error!r}")
             return None
 
+    def _replay(
+        self, outcome: SubjectOutcome, synth_key: str, detect_key: str
+    ) -> bool:
+        """Replay ``outcome``'s subject from its detection entry alone;
+        whether it was.
+
+        The synthesis entry is not read here.  Its size on disk must be
+        the one the detection head records, and then the outcome's
+        synthesis is a stand-in that gets and decodes the entry when
+        first used (:class:`~repro.narada.serial.DeferredSynthesis`),
+        and scoring reads the head's pair rows.  A synthesis entry of
+        another size is quarantined, and a detection entry that does not
+        decode is; either way the detection read counts as a miss.
+        """
+        entry = self.cache.get("detection", detect_key)
+        if entry is None:
+            return False
+        size = self.cache.size("synthesis", synth_key)
+        program = outcome.program
+        rejected = self.cache.rejecter("detection", detect_key)
+        try:
+            record = synthesis_record(entry)
+            if size == record["bytes"]:
+                synthesis = DeferredSynthesis(
+                    record["digest"],
+                    functools.partial(_fetch, self.cache, synth_key),
+                    self.cache.rejecter("synthesis", synth_key),
+                    rejected,
+                )
+                detection = decode_detection(
+                    entry, synthesis, entry.text, rejected
+                )
+                if program._sites is None:
+                    program._sites = decode_sites(entry)
+        except Exception as error:  # noqa: BLE001 — quarantined here
+            self.cache.reject(
+                "detection", detect_key, f"decode failure: {error!r}"
+            )
+            return False
+        if size != record["bytes"]:
+            if size is not None:
+                self.cache.quarantine(
+                    "synthesis",
+                    synth_key,
+                    f"{size} bytes, where its detection entry records "
+                    f"{record['bytes']}",
+                )
+            self.cache.unused()
+            return False
+        outcome.synthesis = synthesis.report()
+        outcome.detection = detection
+        outcome.synthesis_cached = outcome.detection_cached = True
+        outcome._synthesis_digest = record["digest"]
+        outcome._detection_digest = entry["digest"]
+        outcome._pair_rows = record["pairs"]
+        outcome._test_count = record["tests"]
+        return True
+
     def _put_report(
-        self, stage: str, key: str, data: dict, sites: dict | None = None
-    ) -> str:
-        """Publish a synthesis or detection payload; its report digest,
-        which a later hit hands back.  The entry's body is the report's
-        canonical bytes, and its head, which a hit parses alone, stores
-        their sha256 under ``digest``; a detection head also carries the
-        source's site map ``sites``."""
+        self,
+        stage: str,
+        key: str,
+        data: dict,
+        sites: dict | None = None,
+        synthesis: dict | None = None,
+    ) -> tuple[str, int]:
+        """Publish a synthesis or detection payload: ``(report digest,
+        entry size)``, the size false when the write failed.  The entry's
+        body is the report's canonical bytes, and its head, which a hit
+        parses alone, stores their sha256 under ``digest``; a detection
+        head also carries the source's site map ``sites`` and the record
+        of its synthesis entry ``synthesis``."""
         body = report_bytes(data)
         digest = hashlib.sha256(body).hexdigest()
         if stage == "synthesis":
             head = synthesis_head(data)
         else:
-            head = detection_head(data, sites)
-        self.cache.put(stage, key, {**head, "digest": digest}, body)
-        return digest
+            head = detection_head(data, sites, synthesis)
+        size = self.cache.put(stage, key, {**head, "digest": digest}, body)
+        return digest, size
 
     # -- fault plumbing ------------------------------------------------
 
@@ -531,25 +657,23 @@ class PipelineOrchestrator:
     ) -> list[SubjectOutcome]:
         """Per spec, its outcome: one unit per subject the cache lacks.
 
-        A subject's synthesis comes from its cache entry when there is
-        one, with its plans and summary bodies left to decode when first
-        read.  Its detection entry is read only when the synthesis entry
-        is there, and before that entry decodes: when the subject's
-        tests will fuzz, the synthesis entry's body, the whole report,
-        is parsed and decoded once, before its unit is built, so that a
-        bad entry is still quarantined and its synthesis recomputed; a
-        pool worker is sent that payload.  A detection hit decodes its
-        head against the synthesis's tests, and each fuzz report's race
-        records wait in the entry's body until first read.  A subject
-        whose synthesis misses reads no detection entry, and one whose
-        synthesis is quarantined ignores it: either runs its whole
-        unit, synthesis then fuzz, and writes both entries.  A unit's
-        reply publishes the synthesis it computed and a detection that
-        every budgeted test completed.  A partial detection is never
-        cached, so a later clean run recomputes it.  A source's site map
-        comes from its first detection hit's head; a source that has a
-        unit is parsed here, and its table supplies the map when no hit
-        did.
+        A detect run reads a subject's detection entry first, and a hit
+        replays the subject from it alone (:meth:`_replay`).  Otherwise,
+        and in a synthesis-only run, the subject's synthesis comes from
+        its cache entry when there is one.  When its tests will fuzz,
+        that entry's body, the whole report, is parsed and decoded once,
+        before its unit is built, so that a bad entry is still
+        quarantined and its synthesis recomputed; a pool worker is sent
+        that payload.  Otherwise its plans and summary bodies are left
+        to decode when first read.  A subject whose synthesis entry is
+        missing, or is quarantined, runs its whole unit, synthesis then
+        fuzz, and writes both entries.  A unit's reply publishes the
+        synthesis it computed and a detection that every budgeted test
+        completed, the latter only over a synthesis entry.  A partial
+        detection is never cached, so a later clean run recomputes it.
+        A source's site map comes from its first detection hit's head; a
+        source that has a unit is parsed here, and its table supplies
+        the map when no hit did.
         """
         outcomes = [
             SubjectOutcome(spec=spec, program=programs[i], synthesis=None)
@@ -557,8 +681,9 @@ class PipelineOrchestrator:
         ]
         config_dict = self.config.to_dict()
         units: list[PoolUnit] = []
-        # Unit key -> (spec index, synthesis key, detection key).
-        slots: dict[str, tuple[int, str, str]] = {}
+        # Unit key -> (spec index, synthesis key, detection key, size of
+        # the synthesis entry read).
+        slots: dict[str, tuple[int, str, str, int | None]] = {}
         # A spec whose key an earlier spec already has (one subject
         # named twice) gets that spec's outcome instead of its own unit.
         first_by_key: dict[str, int] = {}
@@ -574,42 +699,26 @@ class PipelineOrchestrator:
                 continue
             first_by_key[key] = i
             outcome = outcomes[i]
-            entry = detection_entry = hit = None
+            entry = hit = size = None
             if self.cache is not None:
-                entry = self.cache.get("synthesis", synth_key)
-                if detect and entry is not None:
-                    detection_entry = self.cache.get("detection", detect_key)
+                if not detect:
+                    entry = self.cache.get("synthesis", synth_key)
+                elif self._replay(outcome, synth_key, detect_key):
+                    continue
+                else:
+                    size = self.cache.size("synthesis", synth_key)
+                    if size is not None:
+                        entry = self.cache.get("synthesis", synth_key)
             if entry is not None:
                 # Tests that fuzz read every plan: decode them now, while
                 # a bad entry can still be recomputed.
-                hit = self._synthesis_hit(
-                    synth_key, entry, detect and detection_entry is None
-                )
-            if hit is not None and detection_entry is not None:
-                try:
-                    detection = decode_detection(
-                        detection_entry,
-                        hit[1].tests,
-                        detection_entry.text,
-                        self.cache.rejecter("detection", detect_key),
-                    )
-                    if program._sites is None:
-                        program._sites = decode_sites(detection_entry)
-                except Exception as error:  # noqa: BLE001 — quarantined here
-                    self.cache.reject(
-                        "detection", detect_key, f"decode failure: {error!r}"
-                    )
-                    hit = self._synthesis_hit(synth_key, entry, True)
-                else:
-                    outcome.detection = detection
-                    outcome.detection_cached = True
-                    outcome._detection_digest = detection_entry.get("digest")
+                hit = self._synthesis_hit(synth_key, entry, detect)
             payload = None
             if hit is not None:
                 payload, outcome.synthesis = hit
                 outcome.synthesis_cached = True
                 outcome._synthesis_digest = payload.get("digest")
-                if not detect or outcome.detection_cached:
+                if not detect:
                     continue
             unit = PoolUnit(
                 key=key,
@@ -626,7 +735,7 @@ class PipelineOrchestrator:
                     payload,
                     detect,
                 )
-            slots[key] = (i, synth_key, detect_key)
+            slots[key] = (i, synth_key, detect_key, size)
             units.append(unit)
         for unit in units:
             # Parse in the parent, before any unit runs: a source that
@@ -645,7 +754,7 @@ class PipelineOrchestrator:
             )
 
         def on_complete(unit: PoolUnit, payload) -> None:
-            i, synth_key, detect_key = slots[unit.key]
+            i, synth_key, detect_key, size = slots[unit.key]
             outcome = outcomes[i]
             if isinstance(payload, dict):  # a pool worker's encoded reply
                 synth_data = payload["synthesis"]
@@ -663,7 +772,7 @@ class PipelineOrchestrator:
             if outcome.synthesis is None:
                 outcome.synthesis = synthesis
                 if self.cache is not None:
-                    outcome._synthesis_digest = self._put_report(
+                    outcome._synthesis_digest, size = self._put_report(
                         "synthesis",
                         synth_key,
                         synth_data or encode_synthesis(synthesis),
@@ -681,12 +790,19 @@ class PipelineOrchestrator:
                 )
             outcome.detection = detection
             outcome.detection_partial = bool(failures)
-            if detection is not None and not failures and self.cache is not None:
-                outcome._detection_digest = self._put_report(
+            if detection is not None and not failures and size:
+                record = {
+                    "digest": outcome._synthesis_digest,
+                    "bytes": size,
+                    "tests": len(synthesis.tests),
+                    "pairs": pair_rows(synthesis),
+                }
+                outcome._detection_digest, _ = self._put_report(
                     "detection",
                     detect_key,
                     detect_data or encode_detection(detection),
                     programs[i].sites,
+                    record,
                 )
 
         self._run_units(units, inline_unit, on_complete)

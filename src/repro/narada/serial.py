@@ -60,7 +60,16 @@ Until then the report holds the entry's text.
   and the report's ``detected``/``reproduced`` counts read) and decodes
   its records, checked against the keys, on first read.  Beside the
   report, outside the bytes it digests, the head carries the source's
-  site map, which scorers read (:func:`decode_sites`).
+  site map, which scorers read (:func:`decode_sites`), and a record of
+  the synthesis entry it was fuzzed from (:func:`synthesis_record`):
+  that entry's digest and size, its test count and what scoring reads
+  of each candidate pair.
+
+A detection hit is replayed without its synthesis entry: each fuzz
+report is bound to a stand-in test that knows only its name, and the
+synthesis report is a stand-in too (:class:`DeferredSynthesis`).  The
+first read of either gets and decodes the synthesis entry as a
+synthesis hit does, head now and body on first read.
 
 A replay holds no parsed table: a ``str`` is one object the garbage
 collector never scans, while the parsed tables of one stock corpus
@@ -73,6 +82,7 @@ its last reader.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import weakref
@@ -310,12 +320,21 @@ _PendingSide = _pending(PairSide, "access")
 _PendingTest = _pending(SynthesizedTest, "plan")
 _PendingReport = _pending(SynthesisReport, "plans")
 _PendingRaceSet = _pending(RaceSet, "races")
+#: The stand-ins of a replay whose synthesis entry is not read yet.
+_NamedTest = _pending(SynthesizedTest, "plan", "covered_pairs")
+_UnreadReport = _pending(
+    SynthesisReport, *(f.name for f in dataclasses.fields(SynthesisReport))
+)
 
 
-def _partial(cls: type, deferred: "_Deferred", fields: dict):
+def _partial(cls: type, deferred, fields: dict, obj=None):
     """A ``cls`` instance (a :func:`_pending` class) holding ``fields``
-    and waiting on ``deferred`` for the rest."""
-    obj = cls.__new__(cls)
+    and waiting on ``deferred`` for the rest: ``obj``, a stand-in of the
+    same dataclass, made one, or else a new object."""
+    if obj is None:
+        obj = cls.__new__(cls)
+    else:
+        object.__setattr__(obj, "__class__", cls)
     obj.__dict__.update(fields)
     obj.__dict__["_deferred"] = deferred
     return obj
@@ -362,6 +381,9 @@ class Codec:
             key: {} for key in self.TABLE_KEYS
         }
         self._deferred: _DeferredPart | None = None
+        #: Stand-in tests, by name, that the decoded tests of those
+        #: names are made of (:class:`DeferredSynthesis`).
+        self._adopt: dict[str, SynthesizedTest] = {}
 
     # -- encoding ------------------------------------------------------
 
@@ -559,6 +581,7 @@ class Codec:
                 "name": data["name"],
                 "covered_pairs": [self.pair(i) for i in data["covered_pairs"]],
             },
+            self._adopt.pop(data["name"], None),
         )
 
     def _decode_side(self, data: dict) -> PairSide:
@@ -745,6 +768,95 @@ class _DeferredRaces(_Deferred):
                 raise ValueError("race records disagree with their head keys")
             settled.append((race_set, {"races": records}))
         return settled
+
+
+class DeferredSynthesis:
+    """The synthesis report a detection hit replays, read on first use.
+
+    A replayed detection binds each fuzz report to a stand-in test that
+    knows only its name (:meth:`test`), and the subject's synthesis is a
+    stand-in report (:meth:`report`).  The first read of any other field
+    of either calls :meth:`load`.  It gets the synthesis entry
+    (``fetch()``, which raises when the entry is gone), checks that its
+    digest is ``digest``, the one the detection head records, and
+    decodes its head as a synthesis hit does (:func:`decode_synthesis`),
+    making each live stand-in the decoded report or test of its name, so
+    that ``fuzz.test`` is a test of ``report.tests``.  A failure goes
+    through ``on_failure(error)``, or ``on_stray(error)`` when the
+    detection names a test the synthesis lacks; either returns the
+    exception that this and every later read raises.  It holds the
+    stand-ins weakly.
+    """
+
+    __slots__ = (
+        "digest",
+        "fetch",
+        "on_failure",
+        "on_stray",
+        "failure",
+        "report_ref",
+        "tests",
+    )
+
+    def __init__(self, digest: str, fetch, on_failure, on_stray) -> None:
+        self.digest = digest
+        self.fetch = fetch
+        self.on_failure = on_failure
+        self.on_stray = on_stray
+        self.failure: Exception | None = None
+        self.report_ref = None
+        self.tests: dict[str, weakref.ref] = {}
+
+    def report(self) -> SynthesisReport:
+        """The stand-in synthesis report."""
+        report = _partial(_UnreadReport, self, {})
+        self.report_ref = weakref.ref(report)
+        return report
+
+    def test(self, name: str) -> SynthesizedTest:
+        """The stand-in test named ``name``, one per name."""
+        ref = self.tests.get(name)
+        test = None if ref is None else ref()
+        if test is None:
+            test = _partial(_NamedTest, self, {"name": name})
+            self.tests[name] = weakref.ref(test)
+        return test
+
+    def load(self) -> None:
+        if self.failure is not None:
+            raise self.failure
+        try:
+            entry = self.fetch()
+        except Exception as error:
+            self.failure = error
+            raise
+        tests = {
+            name: test
+            for name, ref in self.tests.items()
+            if (test := ref()) is not None
+        }
+        report = None if self.report_ref is None else self.report_ref()
+        on_failure = self.on_failure
+        try:
+            if entry.get("digest") != self.digest:
+                raise ValueError(
+                    "the synthesis entry is not the one its detection names"
+                )
+            rows = entry["tables"]["tests"]
+            names = {rows[i]["name"] for i in _ids(entry, "tests")}
+            stray = tests.keys() - names
+            if stray:
+                on_failure = self.on_stray
+                raise ValueError(
+                    f"detection entry names test {min(stray)!r}, "
+                    "which its synthesis does not have"
+                )
+            decode_synthesis(
+                entry, entry.text, self.on_failure, (report, tests)
+            )
+        except Exception as error:
+            self.failure = on_failure(error)
+            raise self.failure from error
 
 
 # ----------------------------------------------------------------------
@@ -964,7 +1076,9 @@ def synthesis_head(data: dict) -> dict:
     ids, and the rows it reaches from the pair and test ids, cut to
     their :data:`_HEAD_ROWS` fields.  Every other row of those tables
     stands in the head as ``{}``, so each table keeps its length.  The
-    entry's body, the whole report, holds the rest.
+    entry's body, the whole report, holds the rest.  The wall-clock
+    ``seconds`` is written at a fixed width, so that the entry's size,
+    which a detection head records, is a function of its report.
     """
     tables = data["tables"]
     reached = {"tests": set(data["tests"]), "pairs": set(data["pairs"])}
@@ -976,6 +1090,7 @@ def synthesis_head(data: dict) -> dict:
         for side in ("first", "second")
     }
     head = {k: v for k, v in data.items() if k not in ("plans", "tables")}
+    head["seconds"] = f"{float(data['seconds']):.6e}"
     head["tables"] = {
         table: [
             _cut(row, spec) if index in reached[table] else {}
@@ -993,12 +1108,14 @@ def _race_key(race: dict) -> list:
     return [race["class_name"], race["field_name"], sites]
 
 
-def detection_head(data: dict, sites: dict[int, str]) -> dict:
+def detection_head(data: dict, sites: dict[int, str], synthesis: dict) -> dict:
     """The head of a detection payload's cache entry: the payload with
     each fuzz report's race records replaced by their sorted static
-    keys, under ``keys`` beside ``dynamic_count``, and the source's site
-    map ``sites`` under ``sites``, its node ids grouped by method.  The
-    entry's body, the whole report, holds the records."""
+    keys, under ``keys`` beside ``dynamic_count``, the source's site map
+    ``sites`` under ``sites``, its node ids grouped by method, and the
+    record of the synthesis entry its tests come from under
+    ``synthesis`` (:func:`synthesis_record`).  The entry's body, the
+    whole report, holds the records."""
     reports = []
     for fuzz in data["fuzz_reports"]:
         detected = fuzz["detected"]
@@ -1015,7 +1132,12 @@ def detection_head(data: dict, sites: dict[int, str]) -> dict:
     methods: dict[str, list[int]] = {}
     for node_id, name in sorted(sites.items()):
         methods.setdefault(name, []).append(node_id)
-    return {**data, "fuzz_reports": reports, "sites": methods}
+    return {
+        **data,
+        "fuzz_reports": reports,
+        "sites": methods,
+        "synthesis": synthesis,
+    }
 
 
 def decode_sites(head: dict) -> dict[int, str]:
@@ -1037,6 +1159,38 @@ def decode_sites(head: dict) -> dict[int, str]:
         for node_id in node_ids:
             sites[node_id] = name
     return sites
+
+
+def synthesis_record(head: dict) -> dict:
+    """The record of a synthesis entry that a detection entry's ``head``
+    carries: ``digest`` and ``bytes``, that entry's digest and size on
+    disk; ``tests``, its test count; and ``pairs``, one ``[field,
+    method, method, pruned]`` row per candidate pair in report order,
+    what scoring reads of it (``orchestrator.pair_rows``).
+
+    Raises:
+        ValueError: when the head holds no well-typed record.
+    """
+    record = head.get("synthesis")
+    if not (
+        type(record) is dict
+        and type(record.get("digest")) is str
+        and type(record.get("bytes")) is int
+        and type(record.get("tests")) is int
+        and type(record.get("pairs")) is list
+    ):
+        raise ValueError("detection head holds no synthesis record")
+    if not all(
+        type(row) is list
+        and len(row) == 4
+        and type(row[0]) is str
+        and type(row[1]) is str
+        and type(row[2]) is str
+        and type(row[3]) is bool
+        for row in record["pairs"]
+    ):
+        raise ValueError("ill-typed pair row in the synthesis record")
+    return record
 
 
 _DECODER = json.JSONDecoder()
@@ -1063,7 +1217,9 @@ def _ids(data: dict, table: str) -> list[int]:
     return ids
 
 
-def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
+def decode_synthesis(
+    data: dict, text: str | None = None, on_failure=None, into=None
+):
     """Decode a synthesis payload.
 
     ``text``, when given, is the text of a two-part cache entry and
@@ -1071,6 +1227,9 @@ def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
     bodies and the pair sides' accesses wait until one of them is first
     read, and decode from the body of ``text``.  ``on_failure(error)``
     turns a failure of that later decode into the exception to raise.
+    ``into``, with ``text``, is ``(report, tests)``: a stand-in report
+    (or None) and stand-in tests by name (:class:`DeferredSynthesis`),
+    which the decoded report and its tests of those names are made of.
     Without ``text``, ``data`` is the whole payload and everything
     decodes now.
     """
@@ -1079,13 +1238,17 @@ def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
     pair_ids, test_ids = (_ids(data, table) for table in ("pairs", "tests"))
     deferred = None if text is None else _DeferredPart(text, on_failure)
     codec = Codec.reading(data["tables"], deferred)
+    standin = None
+    if into is not None:
+        standin, tests = into
+        codec._adopt = dict(tests)
     fields = {
         "class_name": data["class_name"],
         "method_count": data["method_count"],
         "loc": data["loc"],
         "pairs": [codec.pair(i) for i in pair_ids],
         "tests": [codec.test(i) for i in test_ids],
-        "seconds": data["seconds"],
+        "seconds": float(data["seconds"]),
         "verdicts": [
             PairVerdict.from_dict(v) for v in data.get("verdicts", ())
         ],
@@ -1093,7 +1256,7 @@ def decode_synthesis(data: dict, text: str | None = None, on_failure=None):
     if deferred is None:
         plans = [codec.plan(i) for i in _ids(data, "plans")]
         return SynthesisReport(plans=plans, **fields)
-    report = _partial(_PendingReport, deferred, fields)
+    report = _partial(_PendingReport, deferred, fields, standin)
     deferred.hold(codec, report)
     return report
 
@@ -1117,24 +1280,30 @@ def decode_detection(
 ):
     """Decode a detection payload against its synthesis report's tests.
 
-    ``text``, when given, is the text of a two-part cache entry and
-    ``data`` its parsed head: then each fuzz report's race set holds the
-    static keys the head lists, and its records wait until they are
-    first read (``races``, iteration or ``len``) and decode from the
-    body of ``text``.  ``on_failure`` is as for
-    :func:`decode_synthesis`.  Without ``text``, ``data`` is the whole
-    payload and everything decodes now.
+    ``tests`` is the synthesis report's tests, or the
+    :class:`DeferredSynthesis` of a synthesis not read yet, which binds
+    each fuzz report to a stand-in test of its name.  ``text``, when
+    given, is the text of a two-part cache entry and ``data`` its parsed
+    head: then each fuzz report's race set holds the static keys the
+    head lists, and its records wait until they are first read
+    (``races``, iteration or ``len``) and decode from the body of
+    ``text``.  ``on_failure`` is as for :func:`decode_synthesis`.
+    Without ``text``, ``data`` is the whole payload and everything
+    decodes now.
 
     Raises:
         ValueError: when a fuzz report names a test not in ``tests``.
     """
-    by_name = {test.name: test for test in tests}
+    if isinstance(tests, DeferredSynthesis):
+        bind = tests.test
+    else:
+        bind = {test.name: test for test in tests}.get
     deferred = None if text is None else _DeferredRaces(text, on_failure)
     report = DetectionReport(
         class_name=data["class_name"], pruned_tests=data["pruned_tests"]
     )
     for fuzz in data["fuzz_reports"]:
-        test = by_name.get(fuzz["test"])
+        test = bind(fuzz["test"])
         if test is None:
             raise ValueError(
                 f"detection entry names test {fuzz['test']!r}, "

@@ -109,7 +109,8 @@ def _detections(root) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_cold_run_reads_one_entry_a_subject(tmp_path, clean, jobs):
-    """A subject whose synthesis misses reads no detection entry."""
+    """A subject whose detection misses reads no synthesis entry when
+    there is none."""
     cache = ArtifactCache(tmp_path / "cache")
     assert _run(cache, jobs) == clean
     n = len(clean)
@@ -118,12 +119,13 @@ def test_a_cold_run_reads_one_entry_a_subject(tmp_path, clean, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_a_lost_synthesis_reads_no_detection_entry(
+def test_a_lost_synthesis_reruns_the_whole_unit(
     tmp_path, monkeypatch, clean, jobs
 ):
-    """With every synthesis entry gone, a run reads no detection entry:
-    each subject synthesizes and fuzzes again and writes back its
-    detection entry byte for byte."""
+    """With every synthesis entry gone, a run uses no detection entry:
+    each detection read counts as a miss, and each subject synthesizes
+    and fuzzes again and writes back its detection entry byte for
+    byte."""
     root = tmp_path / "cache"
     assert _run(ArtifactCache(root), jobs) == clean
     detections = _detections(root)

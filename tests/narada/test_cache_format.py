@@ -20,6 +20,7 @@ from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import cache as cache_module
 from repro.narada import orchestrator as orchestrator_module
 from repro.narada import serial
+from repro.narada.cache import EntryDecodeError
 from repro.lang import load
 from repro.lang.parser import Parser
 from repro.narada.orchestrator import subject_specs
@@ -61,13 +62,17 @@ def _put_entry(path, payload, head_from=None):
     """Write ``payload`` to the two-part entry file ``path`` as a run
     writes it: the report's canonical bytes as the body, under the head
     cut from ``head_from`` (``payload`` itself by default) carrying the
-    body's sha256.  A detection head keeps the site map of the entry
-    ``path`` holds."""
+    body's sha256.  A detection head keeps the site map and synthesis
+    record of the entry ``path`` holds."""
     if payload["kind"] == "synthesis":
         head = serial.synthesis_head(head_from or payload)
     else:
-        sites = serial.decode_sites(json.loads(path.read_text().split("\n")[0]))
-        head = serial.detection_head(head_from or payload, sites)
+        old = json.loads(path.read_text().split("\n")[0])
+        head = serial.detection_head(
+            head_from or payload,
+            serial.decode_sites(old),
+            serial.synthesis_record(old),
+        )
     cache = ArtifactCache(path.parent.parent)
     assert put_parts(
         cache, path.parent.name, path.stem, head, serial.report_bytes(payload)
@@ -135,7 +140,7 @@ def test_cold_run_reads_each_entry_once_and_stores_no_seed_traces(
     assert not (tmp_path / "seedtrace").exists()
 
 
-def test_warm_replay_reads_two_entries_and_writes_none(tmp_path, monkeypatch):
+def test_warm_replay_reads_one_entry_and_writes_none(tmp_path, monkeypatch):
     cache = ArtifactCache(tmp_path)
     _run(cache)
     reads = []
@@ -149,8 +154,11 @@ def test_warm_replay_reads_two_entries_and_writes_none(tmp_path, monkeypatch):
     writes = _count_puts(monkeypatch)
     warm, _ = _run(cache)
     assert warm.synthesis_cached and warm.detection_cached
-    assert sorted(reads) == ["detection", "synthesis"]
+    assert reads == ["detection"]
     assert writes == []
+    # The synthesis entry is read on first use.
+    assert warm.synthesis.tests
+    assert reads == ["detection", "synthesis"]
 
 
 def _count_puts(monkeypatch):
@@ -185,18 +193,26 @@ def test_decoded_detection_shares_the_synthesis_tests(tmp_path):
 
 
 def test_unknown_test_name_is_quarantined_and_recomputed(tmp_path, clean_digest):
+    """A replay binds fuzz reports to tests by name when its synthesis
+    entry is first read: a name the synthesis lacks then quarantines the
+    detection entry, and the next run fuzzes again."""
     cache = ArtifactCache(tmp_path)
     _run(cache)
     (path, detection), = _entries(tmp_path, "detection")
     detection["fuzz_reports"][0]["test"] = "NoSuchTest"
     _put_entry(path, detection)
-    outcome, orch = _run(cache)
-    assert not outcome.detection_cached
-    assert outcome.digest() == clean_digest
-    assert orch.fault_ledger.quarantined == 1
+    replayed, _ = _run(cache)
+    assert replayed.detection_cached
+    with pytest.raises(EntryDecodeError) as raised:
+        replayed.synthesis.tests
+    assert raised.value.stage == "detection"
     (reason,) = (tmp_path / "quarantine" / "detection").glob("*.reason.txt")
     assert "decode failure" in reason.read_text()
     assert "NoSuchTest" in reason.read_text()
+    outcome, orch = _run(cache)
+    assert outcome.synthesis_cached and not outcome.detection_cached
+    assert outcome.digest() == clean_digest
+    assert orch.fault_ledger.quarantined == 0
 
 
 def test_fuzz_bundle_bound_to_another_test_is_refused():
@@ -255,14 +271,14 @@ def _single_document(stage):
     ``stage``: the payload and its digest as one document."""
     real = PipelineOrchestrator._put_report
 
-    def put_report(self, stage_, key, data, sites=None):
+    def put_report(self, stage_, key, data, *head):
         if stage_ != stage:
-            return real(self, stage_, key, data, sites)
+            return real(self, stage_, key, data, *head)
         digest = serial.report_digest(data)
         path = pathlib.Path(self.cache._path(stage_, key))
         path.parent.mkdir(exist_ok=True)
         path.write_text(serial.canonical_json({**data, "digest": digest}))
-        return digest
+        return digest, path.stat().st_size
 
     return put_report
 

@@ -123,6 +123,21 @@ class TestMtimeRecency:
         assert fresh.get("analysis", keys[0]) is not None
         assert all(fresh.get("analysis", key) is None for key in keys[1:])
 
+    def test_a_size_check_is_a_use_under_a_budget(self, tmp_path):
+        """A detection hit reads its synthesis entry's size, not the
+        entry; under a budget that check sets the entry's recency, so a
+        replayed subject's synthesis entry is not evicted first."""
+        keys = _fill(ArtifactCache(tmp_path, max_bytes=100_000), "analysis", 4)
+        time.sleep(0.01)
+        cache = ArtifactCache(tmp_path, max_bytes=100_000)
+        size = cache.size("analysis", keys[0])
+        assert size == pathlib.Path(cache._path("analysis", keys[0])).stat().st_size
+        assert cache.size("analysis", "ff" * 32) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        cache.evict(cache.total_bytes() // 4)
+        assert cache.get("analysis", keys[0]) is not None
+        assert all(cache.get("analysis", key) is None for key in keys[1:])
+
     def test_unbudgeted_hit_leaves_mtime_alone(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         (key,) = _fill(cache, "analysis", 1)

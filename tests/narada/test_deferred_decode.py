@@ -7,11 +7,14 @@ pairs.  The plans, the slots, the summary bodies and the pair sides'
 accesses decode from the body when one of them is first read.  A
 detection hit decodes each fuzz report from the head, its race set
 holding the races' static keys; the race records decode from the body
-when first read.  These tests check that the hot readers (scoring, the
-daemon's reply) never parse a body, that a head is a cut of the encoded
-report, that a fully read replay equals an eager decode object for
-object, that the replay keeps no parsed table alive, and that a
-deferred decode that fails is quarantined and recomputed.
+when first read.  A detection hit reads no synthesis entry at all: its
+synthesis report and tests are stand-ins that read and decode the entry
+when first used.  These tests check that the hot readers (scoring, the
+daemon's reply) never read a synthesis entry nor parse a body, that a
+head is a cut of the encoded report, that a fully read replay equals an
+eager decode object for object, that the replay keeps no parsed table
+alive, and that a deferred decode that fails is quarantined and
+recomputed.
 """
 
 import copy
@@ -46,10 +49,13 @@ CONFIG = PipelineConfig(random_runs=2, retry_backoff=0.0)
 SLICE = CorpusConfig(seed=0, count=20)
 
 
-#: What a hot reader of a replay never does: parse an entry's body,
-#: or decode a plan, a summary body, an access record (of a summary
-#: body or of a pair side) or a race record.
+#: What a hot reader of a replay never does: read a synthesis entry,
+#: decode a synthesis report, parse an entry's body, or decode a plan,
+#: a summary body, an access record (of a summary body or of a pair
+#: side) or a race record.
 NOTHING_DEFERRED = {
+    "synthesis_reads": 0,
+    "synthesis_decodes": 0,
     "body_parses": 0,
     "plans": 0,
     "bodies": 0,
@@ -60,8 +66,9 @@ NOTHING_DEFERRED = {
 
 @pytest.fixture
 def deferred_decodes(monkeypatch):
-    """Counts of body parses and of plan, summary-body, access and
-    race-record decodes from now on."""
+    """Counts of synthesis entry reads and report decodes, of body
+    parses and of plan, summary-body, access and race-record decodes
+    from now on."""
     counts = dict(NOTHING_DEFERRED)
 
     def counting(name, real):
@@ -70,6 +77,17 @@ def deferred_decodes(monkeypatch):
             return real(*args)
 
         return count
+
+    real_get = ArtifactCache.get
+
+    def counting_get(self, stage, key):
+        counts["synthesis_reads"] += stage == "synthesis"
+        return real_get(self, stage, key)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    decode = counting("synthesis_decodes", serial.decode_synthesis)
+    for module in (serial, orch_mod):
+        monkeypatch.setattr(module, "decode_synthesis", decode)
 
     monkeypatch.setattr(
         serial.Codec, "_decode_plan", counting("plans", serial.Codec._decode_plan)
@@ -257,6 +275,8 @@ def _replay_matches_eager(root, outcomes, config):
             (detection_payload, replayed_detection, serial.encode_detection),
         ):
             stored = {k: v for k, v in data.items() if k != "digest"}
+            if "seconds" in stored:  # a synthesis head's fixed-width time
+                stored["seconds"] = float(stored["seconds"])
             assert serial.canonical_json(encode(report)) == (
                 serial.canonical_json(stored)
             )
@@ -298,6 +318,9 @@ def test_a_synthesis_head_is_a_cut_of_the_encoded_report():
     for outcome in outcomes:
         data = serial.encode_synthesis(outcome.synthesis)
         head = serial.synthesis_head(data)
+        # The wall-clock time is written at a fixed width, so that the
+        # entry's size is a function of its report.
+        assert head.pop("seconds") == f"{data['seconds']:.6e}"
         assert _is_cut(head, data)
         assert "plans" not in head and "plans" not in head["tables"]
 
@@ -410,6 +433,8 @@ def test_replay_holds_its_deferred_part_as_one_string(tmp_path, monkeypatch):
     monkeypatch.setattr(ArtifactCache, "get", keeping_get)
     (warm,), _ = _run(cache, _c8())
     assert warm.synthesis_cached and warm.detection_cached
+    assert [e.get("kind") for e in served] == ["detection"]
+    warm.synthesis.tests  # the first use reads the synthesis entry
     (synthesis,) = [e for e in served if e.get("kind") == "synthesis"]
     (detection,) = [e for e in served if e.get("kind") == "detection"]
     deferred = warm.synthesis.__dict__["_deferred"]
@@ -431,11 +456,24 @@ def test_replay_holds_its_deferred_part_as_one_string(tmp_path, monkeypatch):
 # (d) A deferred decode that fails is quarantined and recomputed.
 
 
+def _name_synthesis(root):
+    """Make the detection entry under ``root`` record the synthesis
+    entry there now, as though its tests were fuzzed from that entry."""
+    synthesis, detection = _entry(root, "synthesis"), _entry(root, "detection")
+    head, body = detection.read_bytes().split(b"\n")
+    head = json.loads(head)
+    head["synthesis"].update(
+        digest=_payload(synthesis)["digest"], bytes=synthesis.stat().st_size
+    )
+    detection.write_bytes(serial.canonical_json(head).encode() + b"\n" + body)
+
+
 def _corrupt_one_plan(root):
     path = _entry(root, "synthesis")
     entry = _payload(path)
     entry["tables"]["plans"][0]["left"]["racy_call"]["summary"] = 10**9
     _put_entry(path, entry)
+    _name_synthesis(root)
 
 
 @pytest.fixture
@@ -555,3 +593,174 @@ def test_race_records_that_disagree_with_the_head_are_quarantined(tmp_path):
     (again,), _ = _run(ArtifactCache(tmp_path), _c8())
     assert again.synthesis_cached and not again.detection_cached
     assert again.digest() == clean.digest()
+
+
+# ----------------------------------------------------------------------
+# (e) A detection hit reads no synthesis entry until one is used.
+
+
+def _counting_gets(monkeypatch) -> list[str]:
+    """The stage of every ``ArtifactCache.get`` from now on."""
+    stages = []
+    real_get = ArtifactCache.get
+
+    def counting_get(self, stage, key):
+        stages.append(stage)
+        return real_get(self, stage, key)
+
+    monkeypatch.setattr(ArtifactCache, "get", counting_get)
+    return stages
+
+
+def test_a_warm_corpus_replay_reads_one_entry_a_subject(
+    tmp_path, monkeypatch, deferred_decodes
+):
+    cache = ArtifactCache(tmp_path)
+    subjects = generate_corpus(SLICE)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        cold = run_corpus(SLICE, orch, subjects=subjects)
+    deferred_decodes.update(NOTHING_DEFERRED)
+    stages = _counting_gets(monkeypatch)
+    with PipelineOrchestrator(jobs=1, cache=cache, config=CONFIG) as orch:
+        warm = run_corpus(SLICE, orch, subjects=subjects)
+    assert stages == ["detection"] * SLICE.count
+    assert deferred_decodes == NOTHING_DEFERRED
+    assert warm.scores == cold.scores
+    assert warm.digests == cold.digests
+    assert warm.recall == 1.0
+
+
+def test_a_daemon_detect_hit_reads_one_entry(tmp_path, monkeypatch):
+    request = {"op": "detect", "subjects": ["C8"], "runs": 2}
+    with _serving(tmp_path / "d.sock", ArtifactCache(tmp_path / "cache")) as d:
+        with _client(d) as client:
+            cold = client.request(request)["subjects"]["C8"]
+            stages = _counting_gets(monkeypatch)
+            warm = client.request(request)["subjects"]["C8"]
+    assert stages == ["detection"]
+    assert warm["synthesis_cached"] and warm["detection_cached"]
+    counts = ("tests", "pairs", "digest")
+    assert [warm[k] for k in counts] == [cold[k] for k in counts]
+    assert cold["tests"] > 0 and cold["pairs"] > 0
+
+
+def _eager(cache, spec, config):
+    """The eager decode of ``spec``'s cached synthesis and detection."""
+    synth_key, detect_key = spec_keys(
+        source_digest(spec.source), spec.target_class, config
+    )
+    synthesis = serial.decode_synthesis(
+        _payload(pathlib.Path(cache._path("synthesis", synth_key)))
+    )
+    detection = serial.decode_detection(
+        _payload(pathlib.Path(cache._path("detection", detect_key))),
+        synthesis.tests,
+    )
+    return synthesis, detection
+
+
+def _read_fully(outcome) -> None:
+    """Read every deferred part of a replayed outcome: the synthesis
+    report's plans, which settle it and its tests, and each race set."""
+    outcome.synthesis.plans
+    for fuzz in outcome.detection.fuzz_reports:
+        len(fuzz.detected)
+
+
+@pytest.mark.parametrize("first_read", ["report", "a test's plan"])
+def test_a_replayed_synthesis_read_on_first_use_is_the_eager_decode(
+    tmp_path, first_read
+):
+    """Over C1..C9 and the pinned slice, a detection hit's synthesis,
+    read on first use (the report, or a fuzz report's test's plan),
+    equals the eager decode of its entry object for object, and each
+    fuzz report's test is the report's test of that name."""
+    config = PipelineConfig(random_runs=1)
+    specs = subject_specs() + corpus_specs(generate_corpus(SLICE))
+    _run(ArtifactCache(tmp_path), specs, config)
+    cache = ArtifactCache(tmp_path)
+    outcomes, _ = _run(cache, specs, config)
+    assert all(o.synthesis_cached and o.detection_cached for o in outcomes)
+    for outcome in outcomes:
+        fuzz_reports = outcome.detection.fuzz_reports
+        assert not any(type(fuzz.test) is SynthesizedTest for fuzz in fuzz_reports)
+        if first_read == "a test's plan" and fuzz_reports:
+            assert fuzz_reports[0].test.plan is not None
+        _read_fully(outcome)
+        by_name = {test.name: test for test in outcome.synthesis.tests}
+        assert all(by_name[fuzz.test.name] is fuzz.test for fuzz in fuzz_reports)
+        assert all(type(test) is SynthesizedTest for test in by_name.values())
+        _assert_same(
+            (outcome.synthesis, outcome.detection),
+            _eager(cache, outcome.spec, config),
+        )
+    assert cache.stats.quarantined == 0
+
+
+@pytest.mark.parametrize("damage", ["deleted", "one body byte flipped"])
+def test_a_synthesis_entry_damaged_after_the_run_fails_on_first_read(
+    tmp_path, damage
+):
+    """A detection hit checks only its synthesis entry's size, so an
+    entry deleted, or damaged in place, after the run is found when the
+    synthesis is first read: that read raises, a damaged entry is
+    quarantined, and the next run rewrites both entries as they were."""
+    (clean,), _ = _run(ArtifactCache(tmp_path), _c8())
+    synthesis = _entry(tmp_path, "synthesis")
+    detection = _entry(tmp_path, "detection")
+    written = {path: path.read_bytes() for path in (synthesis, detection)}
+    cache = ArtifactCache(tmp_path)
+    (warm,), _ = _run(cache, _c8())
+    assert warm.synthesis_cached and warm.detection_cached
+    if damage == "deleted":
+        synthesis.unlink()
+    else:
+        text = written[synthesis]
+        at = len(text) - 2
+        flipped = text[:at] + bytes([text[at] ^ 1]) + text[at + 1 :]
+        synthesis.write_bytes(flipped)
+    with pytest.raises(EntryDecodeError) as raised:
+        warm.detection.fuzz_reports[0].test.plan
+    assert raised.value.stage == "synthesis"
+    assert raised.value.key == synthesis.stem
+    with pytest.raises(EntryDecodeError):
+        warm.synthesis.tests
+    quarantined = damage != "deleted"
+    assert cache.stats.quarantined == quarantined
+    assert (tmp_path / "quarantine" / "synthesis").exists() == quarantined
+    assert not synthesis.exists()
+    (again,), _ = _run(ArtifactCache(tmp_path), _c8())
+    assert not again.synthesis_cached and not again.detection_cached
+    assert again.digest() == clean.digest()
+    assert detection.read_bytes() == written[detection]
+    # The synthesis entry differs only in its wall-clock time.
+    head, body = synthesis.read_bytes().split(b"\n")
+    old_head, old_body = written[synthesis].split(b"\n")
+    assert body == old_body and len(head) == len(old_head)
+    assert {**json.loads(head), "seconds": 0} == {
+        **json.loads(old_head),
+        "seconds": 0,
+    }
+
+
+def test_a_truncated_synthesis_entry_is_a_quarantined_miss_in_the_run(
+    tmp_path, monkeypatch
+):
+    """A synthesis entry shorter than its detection entry records is
+    quarantined unread, and the subject is recomputed in the same run."""
+    (clean,), _ = _run(ArtifactCache(tmp_path), _c8())
+    path = _entry(tmp_path, "synthesis")
+    text = path.read_bytes()
+    path.write_bytes(text[: len(text) // 2])
+    cache = ArtifactCache(tmp_path)
+    stages = _counting_gets(monkeypatch)
+    (outcome,), orch = _run(cache, _c8())
+    assert stages == ["detection"]
+    assert not outcome.synthesis_cached and not outcome.detection_cached
+    assert outcome.digest() == clean.digest()
+    assert cache.stats.quarantined == orch.fault_ledger.quarantined == 1
+    (reason,) = (tmp_path / "quarantine" / "synthesis").glob("*.reason.txt")
+    assert "its detection entry records" in reason.read_text()
+    assert path.read_bytes() != text[: len(text) // 2]
+    (warm,), _ = _run(ArtifactCache(tmp_path), _c8())
+    assert warm.synthesis_cached and warm.detection_cached

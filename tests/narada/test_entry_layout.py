@@ -22,6 +22,7 @@ from repro.corpus.runner import corpus_specs
 from repro.lang import load
 from repro.narada import ArtifactCache, PipelineConfig, PipelineOrchestrator
 from repro.narada import serial
+from repro.narada.cache import EntryDecodeError
 from repro.narada.orchestrator import subject_specs
 from repro.subjects import get_subject
 from tests.narada.test_cache_format import _payload
@@ -221,12 +222,28 @@ def test_a_one_document_entry_is_a_quarantined_miss_at_get(
 def test_a_damaged_entry_is_recomputed_in_the_same_run(
     filled, tmp_path, where, stage
 ):
+    """A damaged entry is recomputed in the run that meets it.  A
+    synthesis entry with one byte flipped keeps its size, which is all
+    a run checks of it behind a detection hit: that run replays, and the
+    first read of the synthesis quarantines it and raises."""
     _, clean = filled
     root = _copy(filled, tmp_path)
     path = _only(root, stage)
     path.write_text(_torn(path.read_text(), where))
     cache = ArtifactCache(root)
     outcome, orch = _run(cache)
+    if (stage, where) == ("synthesis", "one body byte flipped"):
+        assert outcome.synthesis_cached and outcome.detection_cached
+        assert outcome.digest() == clean.digest()
+        assert cache.stats.quarantined == orch.fault_ledger.quarantined == 0
+        with pytest.raises(EntryDecodeError):
+            outcome.synthesis.tests
+        assert cache.stats.quarantined == 1
+        assert not path.exists()
+        outcome, _ = _run(ArtifactCache(root))
+        assert not outcome.synthesis_cached and not outcome.detection_cached
+        assert outcome.digest() == clean.digest()
+        return
     assert outcome.synthesis_cached == (stage != "synthesis")
     # A lost synthesis recomputes its detection too.
     assert not outcome.detection_cached
@@ -250,9 +267,9 @@ def test_torn_writes_recover(filled, tmp_path):
     outcome, _ = _run(cache)
     assert not outcome.synthesis_cached and not outcome.detection_cached
     assert outcome.digest() == clean.digest()
-    # The torn detection entry behind a torn synthesis is overwritten
-    # unread.
-    assert cache.stats.quarantined == 1
+    # The torn detection entry, read first, and the torn synthesis
+    # entry, read since its detection missed, are both quarantined.
+    assert cache.stats.quarantined == 2
     warm, _ = _run(ArtifactCache(tmp_path))
     assert warm.synthesis_cached and warm.detection_cached
     assert warm.digest() == clean.digest()

@@ -26,7 +26,7 @@ from repro.narada import (
     subject_specs,
 )
 from repro.narada import orchestrator as orch_mod
-from repro.narada.cache import source_digest
+from repro.narada.cache import EntryDecodeError, source_digest
 from repro.narada.orchestrator import spec_keys
 from repro.narada.pipeline import Narada
 from repro.narada.faults import (
@@ -218,8 +218,8 @@ class TestCacheQuarantine:
         assert cache.stats.quarantined >= 1
 
     def test_decode_failure_counts_as_a_miss(self, tmp_path, clean_digest):
-        """An entry that parses but fails to decode was no hit: the
-        stats move it to the misses when it is quarantined."""
+        """An entry a run reads but cannot use was no hit: the stats
+        move it to the misses."""
         spec = _spec()
         with PipelineOrchestrator(
             jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
@@ -235,18 +235,20 @@ class TestCacheQuarantine:
             outcome = orch.run([spec])[0]
         assert outcome.digest() == clean_digest
         assert not outcome.synthesis_cached and not outcome.detection_cached
-        # The hit is the detection entry, read before the synthesis
-        # failed to decode and then left unused.
+        # The rewritten synthesis entry is not the size its detection
+        # entry records: it is quarantined unread, and the detection
+        # read, left unused, counts as a miss.
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
+        assert (stats.hits, stats.misses, stats.quarantined) == (0, 1, 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_synthesis_hit_with_an_undecodable_detection_refuzzes(
         self, tmp_path, clean_digest, jobs
     ):
         """A detection entry that names a test its cached synthesis
-        lacks is quarantined; the synthesis still replays, decoded
-        whole, and its tests fuzz."""
+        lacks is quarantined when the synthesis entry is first read,
+        which binds the names; the next run replays the synthesis,
+        decoded whole, and its tests fuzz."""
         spec = _spec()
         with PipelineOrchestrator(
             jobs=1, cache=ArtifactCache(tmp_path), config=CONFIG
@@ -256,12 +258,21 @@ class TestCacheQuarantine:
         _rename_first_test(path, "no_such_test")
         cache = ArtifactCache(tmp_path)
         with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
+            replayed = orch.run([spec])[0]
+        assert replayed.synthesis_cached and replayed.detection_cached
+        with pytest.raises(EntryDecodeError) as raised:
+            replayed.synthesis.tests
+        assert raised.value.stage == "detection"
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
+        cache = ArtifactCache(tmp_path)
+        with PipelineOrchestrator(jobs=jobs, cache=cache, config=CONFIG) as orch:
             outcome = orch.run([spec])[0]
             assert orch.fault_ledger.failures == []
         assert outcome.digest() == clean_digest
         assert outcome.synthesis_cached and not outcome.detection_cached
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 1)
+        assert (stats.hits, stats.misses, stats.quarantined) == (1, 1, 0)
         assert _payload(path)["fuzz_reports"][0]["test"] != "no_such_test"
 
     def test_injected_torn_writes_quarantine_then_recompute(
